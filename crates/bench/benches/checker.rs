@@ -1,8 +1,10 @@
 //! Criterion benchmark: the linearizability checker.
 //!
-//! The `O(n log n)` sweep against the quadratic reference, on traces of
-//! increasing size — the design-choice ablation called out in
-//! DESIGN.md.
+//! The Definition 2.4 sweep against the quadratic reference, on traces
+//! of increasing size — the design-choice ablation called out in
+//! DESIGN.md. The random traces are sparse (`max end` ≈ 4n + 200, the
+//! sorted table); `native_trace` is the dense timeline a native run
+//! produces (every tick of `0..2n` once, the tick-indexed table).
 
 use cnet_timing::{linearizability, Operation};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -26,6 +28,28 @@ fn random_trace(n: usize, seed: u64) -> Vec<Operation> {
         .collect()
 }
 
+/// A native-shaped trace: two clients alternating on one logical
+/// clock, so no tick of `0..=2n` is handed out twice and operations
+/// overlap their neighbour; values are the counting order with
+/// neighbours swapped now and then, so some operations violate.
+fn native_trace(n: usize, seed: u64) -> Vec<Operation> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|token| {
+            let tick = 2 * token as u64;
+            let swap = rng.gen_range(0..8) == 0;
+            Operation {
+                token,
+                input: token % 2,
+                start: tick.saturating_sub(1),
+                end: tick + 2,
+                counter: 0,
+                value: if swap { token as u64 ^ 4 } else { token as u64 },
+            }
+        })
+        .collect()
+}
+
 fn bench_checker(c: &mut Criterion) {
     let mut group = c.benchmark_group("linearizability_checker");
     for n in [100usize, 1_000, 5_000] {
@@ -41,6 +65,14 @@ fn bench_checker(c: &mut Criterion) {
             });
         }
     }
+    let trace = native_trace(1_000_000, 42);
+    assert!(linearizability::is_dense_timeline(&trace));
+    group.throughput(Throughput::Elements(trace.len() as u64));
+    group.bench_with_input(
+        BenchmarkId::new("sweep_dense", trace.len()),
+        &trace,
+        |b, t| b.iter(|| linearizability::count_nonlinearizable(std::hint::black_box(t))),
+    );
     group.finish();
 }
 

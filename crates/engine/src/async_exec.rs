@@ -60,10 +60,10 @@ use cnet_concurrent::audit::StressCounter;
 use cnet_concurrent::frontend::{CombiningConfig, CombiningCounter, RoutePolicy, ShardedCounter};
 use cnet_concurrent::mp::{MpConfig, MpNetwork};
 use cnet_concurrent::network::{BalancerKind, NetworkCounter};
-use cnet_proteus::{SimRng, WaitMode, Workload};
-use cnet_topology::{OutputCounts, Topology};
+use cnet_proteus::{SimRng, Workload};
+use cnet_topology::Topology;
 
-use crate::driver::{self, SpinSite, Trace};
+use crate::driver::{self, Readout, SpinSite, Trace};
 use crate::schedule::{arrival_schedule, THREAD_STREAM};
 use crate::{Backend, RunOutcome};
 
@@ -227,8 +227,8 @@ struct Shared<'a> {
 }
 
 /// One operation's record as harvested from a client:
-/// `(client, op, start, end, value, completion_ns)`.
-type OpRecord = (usize, usize, u64, u64, u64, u64);
+/// `(op, start, end, value, completion_ns)`.
+type OpRecord = (usize, u64, u64, u64, u64);
 
 /// One logical client: a hand-rolled future whose poll either waits
 /// (arrival instant not reached, or not its turn) or performs exactly
@@ -278,37 +278,13 @@ impl Future for ClientTask<'_> {
             return Poll::Pending;
         }
         // admitted: the traversal runs synchronously inside the poll
-        let spin = match sh.workload.wait_mode {
-            WaitMode::Fixed => {
-                if task.delayed {
-                    sh.workload.wait_cycles
-                } else {
-                    0
-                }
-            }
-            WaitMode::UniformRandom => {
-                if sh.workload.wait_cycles == 0 {
-                    0
-                } else {
-                    task.rng.inclusive(sh.workload.wait_cycles)
-                }
-            }
-        };
-        let per_node = match sh.site {
-            SpinSite::PerNode => spin,
-            SpinSite::PerOp => {
-                for _ in 0..spin {
-                    std::hint::spin_loop();
-                }
-                0
-            }
-        };
+        let per_node = sh.site.spin(sh.workload, task.delayed, &mut task.rng);
         let start = sh.clock.fetch_add(1, Ordering::AcqRel);
         let value = sh.counter.next_stressed(task.id, per_node);
         let end = sh.clock.fetch_add(1, Ordering::AcqRel);
         let completed_ns = sh.epoch.elapsed().as_nanos() as u64;
         sh.committed.store(op + 1, Ordering::Release);
-        task.done = Some((task.id, op, start, end, value, completed_ns));
+        task.done = Some((op, start, end, value, completed_ns));
         task.next_op = op + sh.n_clients;
         if task.next_op >= sh.workload.total_ops {
             Poll::Ready(())
@@ -360,9 +336,10 @@ fn run_worker(chunks: Vec<&mut [ClientTask<'_>]>, out: &mut Vec<OpRecord>) {
 }
 
 /// The executor: builds the client arena, deals chunks to workers,
-/// runs to quiescence, and reassembles the records **in op order** so
-/// trace token `i` is workload op `i` (which is what aligns the
-/// open-loop arrival and completion vectors).
+/// runs to quiescence, and reassembles the records **in op order** on
+/// one lane, so trace token `i` is workload op `i` of client
+/// `i % n_clients` (which is what aligns the open-loop arrival and
+/// completion vectors).
 fn drive_async(
     counter: &(dyn StressCounter + '_),
     workload: &Workload,
@@ -371,14 +348,7 @@ fn drive_async(
     config: AsyncConfig,
 ) -> (Trace, Vec<u64>, Vec<u64>) {
     if workload.processors == 0 || workload.total_ops == 0 {
-        return (
-            Trace {
-                operations: Vec::new(),
-                clock_end: 0,
-            },
-            Vec::new(),
-            Vec::new(),
-        );
+        return (Trace::default(), Vec::new(), Vec::new());
     }
     let shared = Shared {
         counter,
@@ -415,48 +385,39 @@ fn drive_async(
         }
     });
     drop(arena);
-    records.sort_unstable_by_key(|&(_, op, ..)| op);
-    let mut operations = Vec::with_capacity(records.len());
+    records.sort_unstable_by_key(|&(op, ..)| op);
+    let mut lane = Vec::with_capacity(records.len());
     let mut completions = Vec::with_capacity(records.len());
-    for (client, _, start, end, value, completed_ns) in records {
-        operations.push((client, start, end, value));
+    for (_, start, end, value, completed_ns) in records {
+        lane.push((start, end, value));
         completions.push(completed_ns);
     }
-    let clock_end = shared.clock.load(Ordering::Acquire);
-    (
-        Trace {
-            operations,
-            clock_end,
-        },
-        shared.arrivals,
-        completions,
-    )
+    let trace = Trace {
+        lanes: vec![lane],
+        clients_per_lane: workload.processors,
+        clock_end: shared.clock.load(Ordering::Acquire),
+    };
+    (trace, shared.arrivals, completions)
 }
 
 impl AsyncBackend<'_> {
     /// Runs `counter` under the cooperative executor and assembles the
     /// full outcome, including the open-loop telemetry block on
     /// open-loop workloads.
-    #[allow(clippy::too_many_arguments)]
     fn finish(
         &self,
         counter: &(dyn StressCounter + '_),
         workload: &Workload,
-        counts_of: impl FnOnce(&Trace) -> OutputCounts,
-        input_width: usize,
-        metrics_of: impl FnOnce() -> Option<cnet_obs::MetricsSnapshot>,
-        frontend_of: impl FnOnce() -> Option<cnet_obs::FrontendMetrics>,
-        started: Instant,
+        readout: impl FnOnce(&Trace) -> Readout,
     ) -> RunOutcome {
+        let started = Instant::now();
         let (trace, arrivals, completions) =
             drive_async(counter, workload, self.seed, self.spin_site(), self.config);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         // snapshot export stays outside the timed window, like every
         // other backend's recorder freeze
-        let metrics = metrics_of();
-        let frontend = frontend_of();
-        let counts = counts_of(&trace);
-        let stats = driver::stats_from_trace(trace, counts, input_width, metrics);
+        let read = readout(&trace);
+        let stats = driver::stats_from_trace(trace, read.counts, read.input_width, read.metrics);
         let open_loop = if workload.is_open_loop() && !stats.operations.is_empty() {
             let tokens = cnet_timing::linearizability::nonlinearizable_tokens(&stats.operations);
             Some(cnet_obs::open_loop_metrics(
@@ -472,7 +433,7 @@ impl AsyncBackend<'_> {
             backend: self.name(),
             stats,
             wall_ms,
-            frontend,
+            frontend: read.frontend,
             open_loop,
         }
     }
@@ -499,70 +460,47 @@ impl Backend for AsyncBackend<'_> {
 
     fn run(&self, workload: &Workload) -> RunOutcome {
         driver::validated(workload);
+        let wait = workload.wait_cycles;
         match self.flavor {
             Flavor::Network(kind) => {
                 let counter = NetworkCounter::with_kind(self.topology, kind);
-                let started = Instant::now();
-                self.finish(
-                    &counter,
-                    workload,
-                    |_| counter.output_counts().into_iter().collect(),
-                    counter.input_width(),
-                    || counter.metrics_snapshot(workload.wait_cycles),
-                    || None,
-                    started,
-                )
+                self.finish(&counter, workload, |_| Readout {
+                    counts: counter.output_counts().into_iter().collect(),
+                    input_width: counter.input_width(),
+                    metrics: counter.metrics_snapshot(wait),
+                    frontend: None,
+                })
             }
             Flavor::Batch(kind, combining) => {
                 let counter = CombiningCounter::with_kind(self.topology, kind, combining);
-                let started = Instant::now();
-                self.finish(
-                    &counter,
-                    workload,
-                    |_| counter.output_counts().into_iter().collect(),
-                    counter.input_width(),
-                    || counter.metrics_snapshot(workload.wait_cycles),
-                    || counter.frontend_metrics(),
-                    started,
-                )
+                self.finish(&counter, workload, |_| Readout {
+                    counts: counter.output_counts().into_iter().collect(),
+                    input_width: counter.input_width(),
+                    metrics: counter.metrics_snapshot(wait),
+                    frontend: counter.frontend_metrics(),
+                })
             }
             Flavor::Shard(kind, policy, count) => {
                 let shard_width = self.topology.output_width() / count;
                 let shards = Topology::shards(shard_width, count)
                     .expect("shard arguments validated at construction");
                 let counter = ShardedCounter::with_kind(&shards, kind, policy);
-                let started = Instant::now();
-                self.finish(
-                    &counter,
-                    workload,
-                    |_| crate::shm::interleave_shard_counts(counter.output_counts(), count),
-                    shard_width,
-                    || counter.shard_metrics(0, workload.wait_cycles),
-                    || counter.frontend_metrics(),
-                    started,
-                )
+                self.finish(&counter, workload, |_| Readout {
+                    counts: crate::shm::interleave_shard_counts(counter.output_counts(), count),
+                    input_width: shard_width,
+                    metrics: counter.shard_metrics(0, wait),
+                    frontend: counter.frontend_metrics(),
+                })
             }
             Flavor::Mp(mp) => {
                 let net = MpNetwork::spawn(self.topology, mp);
-                let started = Instant::now();
                 let width = self.topology.output_width();
-                self.finish(
-                    &net,
-                    workload,
-                    |trace| {
-                        // the counter threads own their totals;
-                        // reconstruct from the returned values
-                        let mut counts = OutputCounts::zeros(width);
-                        for &(_, _, _, value) in &trace.operations {
-                            counts.increment((value % width.max(1) as u64) as usize);
-                        }
-                        counts
-                    },
-                    net.input_width(),
-                    || net.metrics_snapshot(workload.wait_cycles),
-                    || None,
-                    started,
-                )
+                self.finish(&net, workload, |trace| Readout {
+                    counts: trace.tallies(width),
+                    input_width: net.input_width(),
+                    metrics: net.metrics_snapshot(wait),
+                    frontend: None,
+                })
             }
         }
     }

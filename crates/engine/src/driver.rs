@@ -3,20 +3,21 @@
 //! Reproduces the audit methodology of `cnet-concurrent::audit` —
 //! every operation bracketed by two ticks of a global logical clock —
 //! and adds the engine's workload semantics on top: a global op quota
-//! shared by all clients, the delayed-fraction/`W` mapping, and the
-//! open-loop arrival schedules (deterministic and seeded, interpreted
-//! in nanoseconds of host time).
+//! shared by all clients (claimed a chunk at a time by a closed loop),
+//! the delayed-fraction/`W` mapping, the open-loop arrival schedules
+//! (seeded, nanoseconds of host time), and the one timed window ([`run`]).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use cnet_concurrent::audit::StressCounter;
-use cnet_obs::MetricsSnapshot;
+use cnet_obs::{FrontendMetrics, MetricsSnapshot};
 use cnet_proteus::{RunStats, SimRng, WaitMode, Workload};
 use cnet_timing::Operation;
 use cnet_topology::OutputCounts;
 
 use crate::schedule::{arrival_schedule, THREAD_STREAM};
+use crate::RunOutcome;
 
 /// Every backend's first move: reject degenerate workloads with the
 /// typed [`cnet_proteus::WorkloadError`] before any thread spawns.
@@ -47,17 +48,68 @@ pub(crate) enum SpinSite {
     PerOp,
 }
 
-/// The raw trace of one native run: `(thread, start, end, value)` per
-/// operation, plus the final logical-clock reading.
-#[derive(Debug)]
+impl SpinSite {
+    /// Draws one operation's `W` and returns the per-node spin to hand
+    /// the counter; a [`SpinSite::PerOp`] site spins it here, before the
+    /// injection, and hands on 0.
+    #[inline]
+    pub(crate) fn spin(self, workload: &Workload, delayed: bool, rng: &mut SimRng) -> u64 {
+        let spin = match workload.wait_mode {
+            WaitMode::Fixed if delayed => workload.wait_cycles,
+            WaitMode::UniformRandom if workload.wait_cycles > 0 => {
+                rng.inclusive(workload.wait_cycles)
+            }
+            WaitMode::Fixed | WaitMode::UniformRandom => 0,
+        };
+        match self {
+            SpinSite::PerNode => spin,
+            SpinSite::PerOp => {
+                for _ in 0..spin {
+                    std::hint::spin_loop();
+                }
+                0
+            }
+        }
+    }
+}
+
+/// The raw trace of one native run: the `(start, end, value)` records
+/// exactly as the recording threads left them, plus the final
+/// logical-clock reading.
+///
+/// Token order is lane-major. A lane carries `clients_per_lane` logical
+/// clients taking turns: one per lane for the thread-per-client
+/// backends, all of them on the single op-ordered lane of the async
+/// executor.
+#[derive(Debug, Default)]
 pub(crate) struct Trace {
-    pub operations: Vec<(usize, u64, u64, u64)>,
+    pub lanes: Vec<Vec<(u64, u64, u64)>>,
+    pub clients_per_lane: usize,
     pub clock_end: u64,
+}
+
+impl Trace {
+    /// Per-counter totals rebuilt from the returned values (`value =
+    /// index + width·k`), for the message-passing network, whose
+    /// counter threads own their totals.
+    pub fn tallies(&self, width: usize) -> OutputCounts {
+        let mut counts = OutputCounts::zeros(width);
+        for &(_, _, value) in self.lanes.iter().flatten() {
+            counts.increment((value % width.max(1) as u64) as usize);
+        }
+        counts
+    }
 }
 
 /// Drives `workload.processors` client threads against `counter` until
 /// `workload.total_ops` operations have been claimed, timestamping
 /// each with the global logical clock.
+///
+/// A closed loop claims the shared op quota a chunk at a time: at most
+/// 64, and at most 1/16 of a thread's fair share, so a thread that
+/// falls behind (a delayed one, or a descheduled one) strands no more
+/// than that behind it. With an arrival schedule op `i` must meet
+/// arrival `i`, so the chunk is one.
 ///
 /// # Panics
 ///
@@ -69,85 +121,95 @@ pub(crate) fn drive(
     site: SpinSite,
 ) -> Trace {
     if workload.processors == 0 || workload.total_ops == 0 {
-        return Trace {
-            operations: Vec::new(),
-            clock_end: 0,
-        };
+        return Trace::default();
     }
-    let clock = AtomicU64::new(0);
-    let next_op = AtomicUsize::new(0);
-    let arrivals = arrival_schedule(workload, seed);
+    let (clock, next_op) = (&AtomicU64::new(0), &AtomicUsize::new(0));
+    let arrivals = &arrival_schedule(workload, seed);
+    let chunk = if arrivals.is_empty() {
+        (workload.total_ops / workload.processors / 16).clamp(1, 64)
+    } else {
+        1
+    };
     let epoch = Instant::now();
-    let mut operations = Vec::with_capacity(workload.total_ops);
-    std::thread::scope(|scope| {
+    let lanes = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workload.processors);
         for t in 0..workload.processors {
-            let clock = &clock;
-            let next_op = &next_op;
-            let arrivals = &arrivals;
             let delayed = workload.is_delayed(t);
             handles.push(scope.spawn(move || {
                 let mut rng = SimRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(THREAD_STREAM));
                 let mut ops = Vec::new();
                 loop {
-                    let i = next_op.fetch_add(1, Ordering::Relaxed);
-                    if i >= workload.total_ops {
+                    let claimed = next_op.fetch_add(chunk, Ordering::Relaxed);
+                    if claimed >= workload.total_ops {
                         break;
                     }
-                    if let Some(&at) = arrivals.get(i) {
-                        // open loop: hold this token until its instant
-                        while (epoch.elapsed().as_nanos() as u64) < at {
-                            std::hint::spin_loop();
-                        }
-                    }
-                    let spin = match workload.wait_mode {
-                        WaitMode::Fixed => {
-                            if delayed {
-                                workload.wait_cycles
-                            } else {
-                                0
-                            }
-                        }
-                        WaitMode::UniformRandom => {
-                            if workload.wait_cycles == 0 {
-                                0
-                            } else {
-                                rng.inclusive(workload.wait_cycles)
-                            }
-                        }
-                    };
-                    let per_node = match site {
-                        SpinSite::PerNode => spin,
-                        SpinSite::PerOp => {
-                            for _ in 0..spin {
+                    for i in claimed..(claimed + chunk).min(workload.total_ops) {
+                        if let Some(&at) = arrivals.get(i) {
+                            // open loop: hold this token until its instant
+                            while (epoch.elapsed().as_nanos() as u64) < at {
                                 std::hint::spin_loop();
                             }
-                            0
                         }
-                    };
-                    let start = clock.fetch_add(1, Ordering::AcqRel);
-                    let value = counter.next_stressed(t, per_node);
-                    let end = clock.fetch_add(1, Ordering::AcqRel);
-                    ops.push((start, end, value));
+                        let per_node = site.spin(workload, delayed, &mut rng);
+                        let start = clock.fetch_add(1, Ordering::AcqRel);
+                        let value = counter.next_stressed(t, per_node);
+                        let end = clock.fetch_add(1, Ordering::AcqRel);
+                        ops.push((start, end, value));
+                    }
                 }
                 ops
             }));
         }
-        for (t, h) in handles.into_iter().enumerate() {
-            for (start, end, value) in h.join().expect("client thread panicked") {
-                operations.push((t, start, end, value));
-            }
-        }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client thread panicked"))
+            .collect()
     });
     Trace {
-        operations,
+        lanes,
+        clients_per_lane: 1,
         clock_end: clock.load(Ordering::Acquire),
+    }
+}
+
+/// What a backend reads off its counter once the clients have joined.
+pub(crate) struct Readout {
+    pub counts: OutputCounts,
+    pub input_width: usize,
+    pub metrics: Option<MetricsSnapshot>,
+    pub frontend: Option<FrontendMetrics>,
+}
+
+/// One native run from spawn to [`RunOutcome`], so the timed window is
+/// defined once: `wall_ms` is [`drive`] — spawn to join of the client
+/// threads — and nothing after it. `readout` (snapshot export, final
+/// tallies) and the trace assembly stay outside, like the simulator
+/// backend's recorder freeze.
+pub(crate) fn run(
+    backend: &'static str,
+    counter: &(impl StressCounter + ?Sized),
+    workload: &Workload,
+    seed: u64,
+    site: SpinSite,
+    readout: impl FnOnce(&Trace) -> Readout,
+) -> RunOutcome {
+    let started = Instant::now();
+    let trace = drive(counter, workload, seed, site);
+    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let read = readout(&trace);
+    RunOutcome {
+        backend,
+        stats: stats_from_trace(trace, read.counts, read.input_width, read.metrics),
+        wall_ms,
+        frontend: read.frontend,
+        open_loop: None,
     }
 }
 
 /// Assembles a [`RunStats`] from a native trace, uniform with the
 /// simulator's shape so every consumer (sweep, checker, records) works
-/// unchanged.
+/// unchanged. This is the one copy a record makes on its way from the
+/// thread that took it to `RunStats::operations`.
 ///
 /// Native substrates have no simulated balancer instrumentation, so
 /// the toggle counters are zero and the `Tog` *fallback* fields are
@@ -163,20 +225,27 @@ pub(crate) fn stats_from_trace(
     metrics: Option<MetricsSnapshot>,
 ) -> RunStats {
     let output_width = output_counts.width().max(1) as u64;
-    let mut operations = Vec::with_capacity(trace.operations.len());
-    let mut completed_by = Vec::with_capacity(trace.operations.len());
+    let per_lane = trace.clients_per_lane.max(1);
+    let total = trace.lanes.iter().map(Vec::len).sum();
+    let mut operations = Vec::with_capacity(total);
+    let mut completed_by = Vec::with_capacity(total);
     let mut total_latency = 0u64;
-    for (token, &(thread, start, end, value)) in trace.operations.iter().enumerate() {
-        operations.push(Operation {
-            token,
-            input: thread % input_width.max(1),
-            start,
-            end,
-            counter: (value % output_width) as usize,
-            value,
-        });
-        completed_by.push(thread);
-        total_latency += end - start;
+    for (lane, records) in trace.lanes.into_iter().enumerate() {
+        for turns in records.chunks(per_lane) {
+            for (turn, &(start, end, value)) in turns.iter().enumerate() {
+                let client = lane * per_lane + turn;
+                operations.push(Operation {
+                    token: operations.len(),
+                    input: client % input_width.max(1),
+                    start,
+                    end,
+                    counter: (value % output_width) as usize,
+                    value,
+                });
+                completed_by.push(client);
+                total_latency += end - start;
+            }
+        }
     }
     let nonlinearizable = cnet_timing::linearizability::count_nonlinearizable(&operations);
     RunStats {

@@ -1,12 +1,10 @@
 //! The message-passing network as an engine backend.
 
-use std::time::Instant;
-
 use cnet_concurrent::frontend::{EliminatingMpNetwork, EliminationConfig};
 use cnet_concurrent::mp::{MpConfig, MpNetwork};
-use cnet_topology::{OutputCounts, Topology};
+use cnet_topology::Topology;
 
-use crate::driver::{self, SpinSite};
+use crate::driver::{self, Readout, SpinSite};
 use crate::{Backend, RunOutcome, Workload};
 
 /// Which message-passing ingress an [`MpBackend`] drives.
@@ -83,49 +81,31 @@ impl Backend for MpBackend<'_> {
 
     fn run(&self, workload: &Workload) -> RunOutcome {
         driver::validated(workload);
+        let (name, seed, site) = (self.name(), self.seed, SpinSite::PerOp);
+        let wait = workload.wait_cycles;
         match self.flavor {
             Flavor::Plain => {
                 let net = MpNetwork::spawn(self.topology, self.config);
-                let started = Instant::now();
-                let trace = driver::drive(&net, workload, self.seed, SpinSite::PerOp);
-                let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                let metrics = net.metrics_snapshot(workload.wait_cycles);
-                // the counter threads own their totals; reconstruct the
-                // final counts from the returned values (value = index
-                // + width·k)
                 let width = self.topology.output_width();
-                let mut counts = OutputCounts::zeros(width);
-                for &(_, _, _, value) in &trace.operations {
-                    counts.increment((value % width.max(1) as u64) as usize);
-                }
-                let stats = driver::stats_from_trace(trace, counts, net.input_width(), metrics);
-                RunOutcome {
-                    backend: self.name(),
-                    stats,
-                    wall_ms,
+                driver::run(name, &net, workload, seed, site, |trace| Readout {
+                    counts: trace.tallies(width),
+                    input_width: net.input_width(),
+                    metrics: net.metrics_snapshot(wait),
                     frontend: None,
-                    open_loop: None,
-                }
+                })
             }
             Flavor::Elim(elim) => {
                 let net = EliminatingMpNetwork::spawn(self.topology, self.config, elim);
-                let started = Instant::now();
-                let trace = driver::drive(&net, workload, self.seed, SpinSite::PerOp);
-                let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                let metrics = net.metrics_snapshot(workload.wait_cycles);
-                // shared-issue values are drawn from a global interval
-                // allocator, so value % width no longer names the
-                // landing counter; the counter threads' own tallies are
-                // the ground truth (a pair counts twice where it landed)
-                let counts: OutputCounts = net.output_counts().into_iter().collect();
-                let stats = driver::stats_from_trace(trace, counts, net.input_width(), metrics);
-                RunOutcome {
-                    backend: self.name(),
-                    stats,
-                    wall_ms,
+                driver::run(name, &net, workload, seed, site, |_| Readout {
+                    // shared-issue values are drawn from a global interval
+                    // allocator, so value % width no longer names the
+                    // landing counter; the counter threads' own tallies are
+                    // the ground truth (a pair counts twice where it landed)
+                    counts: net.output_counts().into_iter().collect(),
+                    input_width: net.input_width(),
+                    metrics: net.metrics_snapshot(wait),
                     frontend: net.frontend_metrics(),
-                    open_loop: None,
-                }
+                })
             }
         }
     }

@@ -37,9 +37,18 @@ impl RunOutcome {
     /// this regardless of timing, so it holds on all backends.
     #[must_use]
     pub fn counts_exactly(&self) -> bool {
-        let mut values: Vec<u64> = self.stats.operations.iter().map(|o| o.value).collect();
-        values.sort_unstable();
-        values.iter().enumerate().all(|(i, &v)| v == i as u64)
+        let n = self.stats.operations.len();
+        let mut seen = vec![0u64; n.div_ceil(64)];
+        // n values, each inside 0..n and none drawn twice: none missing
+        self.stats.operations.iter().all(|o| {
+            let Some(v) = usize::try_from(o.value).ok().filter(|&v| v < n) else {
+                return false;
+            };
+            let (word, bit) = (&mut seen[v / 64], 1u64 << (v % 64));
+            let fresh = *word & bit == 0;
+            *word |= bit;
+            fresh
+        })
     }
 
     /// Whether the final per-counter totals have the step property.
@@ -102,5 +111,10 @@ mod tests {
     fn counts_exactly_rejects_gaps_and_duplicates() {
         assert!(!outcome(&[0, 2]).counts_exactly());
         assert!(!outcome(&[0, 0, 1]).counts_exactly());
+        assert!(!outcome(&[1, 0, u64::MAX]).counts_exactly());
+        let mut wide: Vec<u64> = (0..130).collect();
+        assert!(outcome(&wide).counts_exactly());
+        wide[129] = 64;
+        assert!(!outcome(&wide).counts_exactly());
     }
 }

@@ -1,14 +1,12 @@
 //! The shared-memory counters as an engine backend.
 
-use std::time::Instant;
-
 use cnet_concurrent::frontend::{CombiningConfig, CombiningCounter, RoutePolicy, ShardedCounter};
 use cnet_concurrent::network::{BalancerKind, NetworkCounter};
 use cnet_concurrent::reference::ReferenceCounter;
 use cnet_concurrent::tree::{DiffractingTreeCounter, TreeConfig};
 use cnet_topology::{OutputCounts, Topology};
 
-use crate::driver::{self, SpinSite};
+use crate::driver::{self, Readout, SpinSite};
 use crate::{Backend, RunOutcome, Workload};
 
 /// Which native shared-memory counter a [`ShmBackend`] builds.
@@ -167,107 +165,60 @@ impl Backend for ShmBackend<'_> {
 
     fn run(&self, workload: &Workload) -> RunOutcome {
         driver::validated(workload);
+        let (name, seed, site) = (self.name(), self.seed, SpinSite::PerNode);
+        let wait = workload.wait_cycles;
         match self.flavor {
             Flavor::Reference(kind) => {
                 let counter = ReferenceCounter::with_kind(self.topology, kind);
-                let started = Instant::now();
-                let trace = driver::drive(&counter, workload, self.seed, SpinSite::PerNode);
-                let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                let metrics = counter.metrics_snapshot(workload.wait_cycles);
-                let stats = driver::stats_from_trace(
-                    trace,
-                    counter.output_counts().into_iter().collect(),
-                    counter.input_width(),
-                    metrics,
-                );
-                RunOutcome {
-                    backend: self.name(),
-                    stats,
-                    wall_ms,
+                driver::run(name, &counter, workload, seed, site, |_| Readout {
+                    counts: counter.output_counts().into_iter().collect(),
+                    input_width: counter.input_width(),
+                    metrics: counter.metrics_snapshot(wait),
                     frontend: None,
-                    open_loop: None,
-                }
+                })
             }
             Flavor::Network(kind) => {
                 let counter = NetworkCounter::with_kind(self.topology, kind);
-                let started = Instant::now();
-                let trace = driver::drive(&counter, workload, self.seed, SpinSite::PerNode);
-                let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                // snapshot export stays outside the timed window, like
-                // the simulator backend's recorder freeze
-                let metrics = counter.metrics_snapshot(workload.wait_cycles);
-                let stats = driver::stats_from_trace(
-                    trace,
-                    counter.output_counts().into_iter().collect(),
-                    counter.input_width(),
-                    metrics,
-                );
-                RunOutcome {
-                    backend: self.name(),
-                    stats,
-                    wall_ms,
+                driver::run(name, &counter, workload, seed, site, |_| Readout {
+                    counts: counter.output_counts().into_iter().collect(),
+                    input_width: counter.input_width(),
+                    metrics: counter.metrics_snapshot(wait),
                     frontend: None,
-                    open_loop: None,
-                }
+                })
             }
             Flavor::Tree(config) => {
                 let counter =
                     DiffractingTreeCounter::with_config(self.topology.output_width(), config)
                         .expect("topology widths are valid tree widths");
-                let started = Instant::now();
-                let trace = driver::drive(&counter, workload, self.seed, SpinSite::PerNode);
-                let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                let metrics = counter.metrics_snapshot(workload.wait_cycles);
-                let stats = driver::stats_from_trace(
-                    trace,
-                    counter.output_counts().into_iter().collect(),
-                    1,
-                    metrics,
-                );
-                RunOutcome {
-                    backend: self.name(),
-                    stats,
-                    wall_ms,
+                driver::run(name, &counter, workload, seed, site, |_| Readout {
+                    counts: counter.output_counts().into_iter().collect(),
+                    input_width: 1,
+                    metrics: counter.metrics_snapshot(wait),
                     frontend: None,
-                    open_loop: None,
-                }
+                })
             }
             Flavor::Batch(kind, config) => {
                 let counter = CombiningCounter::with_kind(self.topology, kind, config);
-                let started = Instant::now();
-                let trace = driver::drive(&counter, workload, self.seed, SpinSite::PerNode);
-                let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                let metrics = counter.metrics_snapshot(workload.wait_cycles);
-                let counts: OutputCounts = counter.output_counts().into_iter().collect();
-                let stats = driver::stats_from_trace(trace, counts, counter.input_width(), metrics);
-                RunOutcome {
-                    backend: self.name(),
-                    stats,
-                    wall_ms,
+                driver::run(name, &counter, workload, seed, site, |_| Readout {
+                    counts: counter.output_counts().into_iter().collect(),
+                    input_width: counter.input_width(),
+                    metrics: counter.metrics_snapshot(wait),
                     frontend: counter.frontend_metrics(),
-                    open_loop: None,
-                }
+                })
             }
             Flavor::Shard(kind, policy, count) => {
                 let shard_width = self.topology.output_width() / count;
                 let shards = Topology::shards(shard_width, count)
                     .expect("shard arguments validated at construction");
                 let counter = ShardedCounter::with_kind(&shards, kind, policy);
-                let started = Instant::now();
-                let trace = driver::drive(&counter, workload, self.seed, SpinSite::PerNode);
-                let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-                // contention metrics are per-shard; shard 0 is the
-                // representative (round-robin keeps loads within one op)
-                let metrics = counter.shard_metrics(0, workload.wait_cycles);
-                let counts = interleave_shard_counts(counter.output_counts(), count);
-                let stats = driver::stats_from_trace(trace, counts, shard_width, metrics);
-                RunOutcome {
-                    backend: self.name(),
-                    stats,
-                    wall_ms,
+                driver::run(name, &counter, workload, seed, site, |_| Readout {
+                    counts: interleave_shard_counts(counter.output_counts(), count),
+                    input_width: shard_width,
+                    // contention metrics are per-shard; shard 0 is the
+                    // representative (round-robin keeps loads within one op)
+                    metrics: counter.shard_metrics(0, wait),
                     frontend: counter.frontend_metrics(),
-                    open_loop: None,
-                }
+                })
             }
         }
     }

@@ -5,7 +5,7 @@
 //! shared virtual clock (a facade `fetch_add`, i.e. itself a yield
 //! point), so "completely precedes" has a sound witness in every
 //! explored interleaving. The resulting `cnet_timing::Operation`
-//! records feed both the `O(n log n)` sweep
+//! records feed both the Definition 2.4 sweep
 //! (`linearizability::count_nonlinearizable`) and the brute-force
 //! oracle (`linearizability::check_exhaustive`).
 

@@ -8,18 +8,106 @@
 //! *higher* counter value; the *fraction of non-linearizable
 //! operations* is the paper's measured quantity (Figures 5 and 6).
 //!
-//! [`count_nonlinearizable`] runs in `O(n log n)` with a sweep: sort by
-//! start time, walk a second ordering by end time, and maintain the
-//! maximum value among operations already finished — `O` is
-//! non-linearizable exactly when that running maximum (over strictly
-//! earlier finishers) exceeds `O`'s value. [`count_nonlinearizable_naive`]
-//! is the quadratic reference implementation used to property-test the
-//! sweep.
+//! Definition 2.4 reads, per operation, "the prefix maximum of finished
+//! values, indexed by time, exceeds my value at my start", so
+//! [`count_nonlinearizable`] is one scan over the trace against that
+//! prefix-maximum table. How the table is laid out is read off the
+//! trace ([`is_dense_timeline`]): a *dense* timeline — the native
+//! backends' logical clock, which hands out the ticks `0..2n` once each
+//! — indexes it by tick and is built in `O(n + T)` with no sort; a
+//! *sparse* one (simulator cycles) sorts the `(end, value)` pairs once
+//! and looks a start up by binary search, `O(n log n)`.
+//! [`count_nonlinearizable_naive`] is the quadratic reference
+//! implementation used to property-test both layouts.
 
 use crate::execution::Operation;
+use crate::link::Time;
 
-/// Counts non-linearizable operations (Definition 2.4) in
-/// `O(n log n)`.
+/// A timeline is dense when its last end tick is at most this many
+/// ticks per operation: the tick-indexed table then takes at most
+/// twice the scratch of the sorted one (native traces sit at 2, where
+/// the two are the same size).
+pub const DENSE_TICKS_PER_OP: u64 = 4;
+
+/// The last end tick of a dense timeline, `None` for a sparse one.
+fn dense_last_end(ops: &[Operation]) -> Option<usize> {
+    let last_end = ops.iter().map(|o| o.end).max().unwrap_or(0);
+    let budget = (ops.len() as u64).saturating_mul(DENSE_TICKS_PER_OP);
+    (last_end <= budget).then_some(last_end as usize)
+}
+
+/// Whether [`count_nonlinearizable`] indexes its table by tick for this
+/// trace (no sort) or sorts the ends: `max end <= 4 n`.
+#[must_use]
+pub fn is_dense_timeline(ops: &[Operation]) -> bool {
+    dense_last_end(ops).is_some()
+}
+
+/// The prefix maximum of finished values, indexed by time.
+///
+/// "Nothing has finished yet" reads 0: a maximum of 0 exceeds no
+/// value, so it needs no encoding of its own.
+enum FinishedMax {
+    /// Slot `t` holds the maximum over `end < t`; the last slot (one
+    /// past the last end) covers every later instant.
+    Dense(Vec<u64>),
+    /// `(end, running maximum)` pairs, ends ascending.
+    Sparse(Vec<(Time, u64)>),
+}
+
+impl FinishedMax {
+    fn of(ops: &[Operation]) -> Self {
+        if let Some(last_end) = dense_last_end(ops) {
+            let mut slots = vec![0u64; last_end + 2];
+            for o in ops {
+                let slot = &mut slots[o.end as usize + 1];
+                *slot = (*slot).max(o.value);
+            }
+            let mut running = 0;
+            for slot in &mut slots {
+                running = running.max(*slot);
+                *slot = running;
+            }
+            FinishedMax::Dense(slots)
+        } else {
+            let mut pairs: Vec<(Time, u64)> = ops.iter().map(|o| (o.end, o.value)).collect();
+            pairs.sort_unstable_by_key(|&(end, _)| end);
+            let mut running = 0;
+            for (_, value) in &mut pairs {
+                running = running.max(*value);
+                *value = running;
+            }
+            FinishedMax::Sparse(pairs)
+        }
+    }
+
+    /// The largest value among operations with `end < t`.
+    fn before(&self, t: Time) -> u64 {
+        match self {
+            FinishedMax::Dense(slots) => slots[(t.min(slots.len() as u64 - 1)) as usize],
+            FinishedMax::Sparse(pairs) => max_finished_before(pairs, t),
+        }
+    }
+}
+
+/// Looks `t` up in `(end, running maximum)` pairs sorted by end: the
+/// largest value among the pairs with `end < t`, 0 when there is none.
+fn max_finished_before(finished: &[(Time, u64)], t: Time) -> u64 {
+    match finished.partition_point(|&(end, _)| end < t) {
+        0 => 0,
+        idx => finished[idx - 1].1,
+    }
+}
+
+/// The non-linearizable operations of `ops`, in trace order.
+fn nonlinearizable(ops: &[Operation]) -> impl Iterator<Item = &Operation> {
+    let finished = FinishedMax::of(ops);
+    ops.iter()
+        .filter(move |op| finished.before(op.start) > op.value)
+}
+
+/// Counts non-linearizable operations (Definition 2.4): `O(n + T)` on
+/// a dense timeline whose last tick is `T`, `O(n log n)` otherwise.
 ///
 /// # Example
 ///
@@ -36,40 +124,13 @@ use crate::execution::Operation;
 /// ```
 #[must_use]
 pub fn count_nonlinearizable(ops: &[Operation]) -> usize {
-    nonlinearizable_tokens(ops).len()
+    nonlinearizable(ops).count()
 }
 
-/// The tokens whose operations are non-linearizable, in no particular
-/// order.
-///
-/// The sweep walks two *index*-sorted views (`u32` indices, not
-/// `&Operation` references), halving the per-call scratch relative to
-/// the earlier ref-vector implementation.
+/// The tokens whose operations are non-linearizable, in trace order.
 #[must_use]
 pub fn nonlinearizable_tokens(ops: &[Operation]) -> Vec<usize> {
-    assert!(u32::try_from(ops.len()).is_ok(), "trace too large");
-    let mut by_start: Vec<u32> = (0..ops.len() as u32).collect();
-    by_start.sort_unstable_by_key(|&i| ops[i as usize].start);
-    let mut by_end: Vec<u32> = (0..ops.len() as u32).collect();
-    by_end.sort_unstable_by_key(|&i| ops[i as usize].end);
-
-    let mut bad = Vec::new();
-    let mut finished = 0usize; // index into by_end
-    let mut max_finished_value: Option<u64> = None;
-    for &i in &by_start {
-        let op = &ops[i as usize];
-        while finished < by_end.len() && ops[by_end[finished] as usize].end < op.start {
-            let v = ops[by_end[finished] as usize].value;
-            max_finished_value = Some(max_finished_value.map_or(v, |m| m.max(v)));
-            finished += 1;
-        }
-        if let Some(m) = max_finished_value {
-            if m > op.value {
-                bad.push(op.token);
-            }
-        }
-    }
-    bad
+    nonlinearizable(ops).map(|op| op.token).collect()
 }
 
 /// Quadratic reference implementation of [`count_nonlinearizable`],
@@ -410,8 +471,6 @@ pub struct OnlineChecker {
     observed: usize,
 }
 
-use crate::link::Time;
-
 impl OnlineChecker {
     /// Creates an empty checker.
     #[must_use]
@@ -462,24 +521,12 @@ impl OnlineChecker {
         while i < self.pending.len() {
             if self.pending[i].start <= horizon {
                 let op = self.pending.swap_remove(i);
-                if self.max_value_before(op.start) > Some(op.value) {
+                if max_finished_before(&self.finished, op.start) > op.value {
                     self.violations += 1;
                 }
             } else {
                 i += 1;
             }
-        }
-    }
-
-    /// Largest value among recorded completions with `end < t`.
-    fn max_value_before(&self, t: Time) -> Option<u64> {
-        // binary search the first end >= t; the prefix max sits just
-        // before it
-        let idx = self.finished.partition_point(|&(end, _)| end < t);
-        if idx == 0 {
-            None
-        } else {
-            Some(self.finished[idx - 1].1)
         }
     }
 

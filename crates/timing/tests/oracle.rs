@@ -1,5 +1,6 @@
 //! Differential tests between the brute-force linearizability oracle
-//! (`check_exhaustive`) and the two Definition 2.4 sweeps.
+//! (`check_exhaustive`), the Definition 2.4 sweep on both of its table
+//! layouts, and the quadratic reference.
 //!
 //! The key fact under test: for executions whose values form a
 //! permutation of `0..n` — every trace a correct counter can produce —
@@ -9,7 +10,8 @@
 //! precedence pair that sort-by-value would invert.
 
 use cnet_timing::linearizability::{
-    check_exhaustive, count_nonlinearizable, count_nonlinearizable_naive,
+    check_exhaustive, count_nonlinearizable, count_nonlinearizable_naive, is_dense_timeline,
+    nonlinearizable_tokens, DENSE_TICKS_PER_OP,
 };
 use cnet_timing::Operation;
 use proptest::prelude::*;
@@ -129,6 +131,95 @@ proptest! {
         prop_assert!(count_nonlinearizable_naive(&ops) > 0);
         prop_assert!(check_exhaustive(&ops).is_none());
     }
+}
+
+/// `ops` with every instant sent through `relabel`. Definition 2.4
+/// only compares instants, so a strictly increasing relabelling keeps
+/// every verdict and changes only how dense the timeline is.
+fn relabelled(ops: &[Operation], relabel: impl Fn(u64) -> u64) -> Vec<Operation> {
+    ops.iter()
+        .map(|o| Operation {
+            start: relabel(o.start),
+            end: relabel(o.end),
+            ..*o
+        })
+        .collect()
+}
+
+/// The victims by the letter of Definition 2.4, ascending.
+fn naive_tokens(ops: &[Operation]) -> Vec<usize> {
+    ops.iter()
+        .filter(|o| ops.iter().any(|p| p.end < o.start && p.value > o.value))
+        .map(|o| o.token)
+        .collect()
+}
+
+fn sorted(mut tokens: Vec<usize>) -> Vec<usize> {
+    tokens.sort_unstable();
+    tokens
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// One trace through both table layouts and the quadratic
+    /// reference: its instants ranked (at most `2n` distinct ones, the
+    /// tick-indexed table) and stretched (the sorted table). Starts and
+    /// ends tie freely, lengths may be zero, values tie and reach
+    /// `u64::MAX`, and the trace as drawn falls on either side of the
+    /// density threshold.
+    #[test]
+    fn dense_and_sparse_tables_agree_with_the_reference(
+        raw in proptest::collection::vec((0u64..40, 0u64..12, 0u64..8), 0..24),
+    ) {
+        let ops: Vec<Operation> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &(start, len, v))| {
+                op(i, start, start + len, if v == 7 { u64::MAX } else { v })
+            })
+            .collect();
+        let mut instants: Vec<u64> = ops.iter().flat_map(|o| [o.start, o.end]).collect();
+        instants.sort_unstable();
+        instants.dedup();
+        let dense = relabelled(&ops, |t| instants.partition_point(|&u| u < t) as u64);
+        let sparse = relabelled(&ops, |t| (t + 1) << 32);
+        prop_assert!(is_dense_timeline(&dense));
+        prop_assert!(ops.is_empty() || !is_dense_timeline(&sparse));
+
+        let expected = naive_tokens(&ops);
+        prop_assert_eq!(count_nonlinearizable_naive(&ops), expected.len());
+        for trace in [&ops, &dense, &sparse] {
+            prop_assert_eq!(count_nonlinearizable(trace), expected.len());
+            prop_assert_eq!(&sorted(nonlinearizable_tokens(trace)), &expected);
+        }
+    }
+}
+
+/// The layout is read off `max end` against `4 n`: a trace whose last
+/// end sits on the threshold, one tick under and one tick over it gets
+/// the same verdicts from the table it is given.
+#[test]
+fn verdicts_do_not_move_across_the_density_threshold() {
+    let n = 6u64;
+    let threshold = DENSE_TICKS_PER_OP * n;
+    for last_end in [threshold - 1, threshold, threshold + 1] {
+        // op 0 precedes all and out-values ops 1..4; op 5 ends last,
+        // after starting before anything finished
+        let mut ops: Vec<Operation> = (1..5).map(|i| op(i, 2 * i as u64, 12, i as u64)).collect();
+        ops.insert(0, op(0, 0, 1, 3));
+        ops.push(op(5, 1, last_end, 0));
+        assert_eq!(is_dense_timeline(&ops), last_end <= threshold);
+        assert_eq!(sorted(nonlinearizable_tokens(&ops)), vec![1, 2]);
+        assert_eq!(count_nonlinearizable_naive(&ops), 2);
+    }
+}
+
+#[test]
+fn the_empty_trace_has_no_victims_on_either_count() {
+    assert!(is_dense_timeline(&[]));
+    assert_eq!(count_nonlinearizable(&[]), 0);
+    assert_eq!(nonlinearizable_tokens(&[]), Vec::<usize>::new());
 }
 
 /// The oracle is strictly stronger than the sweep: duplicated values
