@@ -42,7 +42,7 @@ fn main() {
                 kind: name.to_string(),
                 net,
                 config: SimConfig {
-                    fabric: cnet_proteus::Fabric::degenerate(config.link_cost(), jitter),
+                    fabric: cnet_proteus::Fabric::degenerate(config.fabric.link.delay, jitter),
                     ..config
                 },
                 workload: workload.clone(),

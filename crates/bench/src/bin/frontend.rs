@@ -7,16 +7,16 @@
 //! expensive and a frontend that *shares* traversals has something
 //! real to win):
 //!
-//! * **shm plain** — [`ShmBackend::network`], one traversal per
+//! * **shm plain** — [`CounterSpec::Network`], one traversal per
 //!   operation, the baseline every frontend must beat;
-//! * **shm-batch:8** — [`ShmBackend::batch`], flat combining: a
+//! * **shm-batch:8** — [`CounterSpec::Batch`], flat combining: a
 //!   combiner claims up to 8 requests and walks the network once with
 //!   a width-`k` interval reservation;
-//! * **shm-shard:4** — [`ShmBackend::shard`], four `bitonic(4)` shards
+//! * **shm-shard:4** — [`CounterSpec::Shard`], four `bitonic(4)` shards
 //!   behind a round-robin router (same total width, shallower nets);
-//! * **mp plain** — [`MpBackend::new`], one message pipeline walk per
+//! * **mp plain** — [`CounterSpec::Mp`], one message pipeline walk per
 //!   operation;
-//! * **mp-elim** — [`MpBackend::elim`], paired operations enter the
+//! * **mp-elim** — [`CounterSpec::MpElim`], paired operations enter the
 //!   pipeline as one token.
 //!
 //! Every cell reports throughput **and** its ordering cost: the
@@ -28,22 +28,18 @@
 //! `Some` iff Definition 2.4 counts zero on exact-valued traces).
 //!
 //! Wall-clock is best-of-[`BEST_OF`] per cell; on a host with a single
-//! hardware thread [`native_cell_reps`] widens that to best-of-5 and
-//! the records carry the `noisy` flag. Like `native`, baseline
+//! hardware thread [`NativeSweep`] widens that to best-of-5 and the
+//! records carry the `noisy` flag. Like `native`, baseline
 //! comparisons must use the same `--ops` as the committed baseline.
 //!
 //! Usage: `frontend [--ops N] [--seed S] [--json PATH]
 //! [--baseline PATH]` (default 5000 operations per cell).
 
-use std::time::Instant;
-
 use cnet_engine::{
-    Backend, BalancerKind, CombiningConfig, EliminationConfig, MpBackend, MpConfig, RoutePolicy,
-    ShmBackend, Workload,
+    Backend, BackendSpec, BalancerKind, CombiningConfig, CounterSpec, EliminationConfig, MpConfig,
+    RoutePolicy, Workload,
 };
-use cnet_harness::{
-    derive_cell_seed, native_cell_reps, BenchArgs, BenchReport, GridReport, ResultTable, RunRecord,
-};
+use cnet_harness::{derive_cell_seed, BenchArgs, BenchReport, NativeSweep, ResultTable};
 use cnet_timing::linearizability;
 use cnet_topology::constructions;
 
@@ -68,59 +64,6 @@ const WAIT_CYCLES: u64 = 1000;
 /// Runs per cell; the fastest is recorded (widened to 5 on a
 /// single-hardware-thread host, with the records flagged noisy).
 const BEST_OF: usize = 3;
-
-/// One sweep: every concurrency cell, best-of-N, counting property
-/// asserted on every run.
-fn sweep<'a>(
-    title: &str,
-    args: &BenchArgs,
-    base_seed: u64,
-    make: impl Fn(u64) -> Box<dyn Backend + 'a>,
-) -> (Vec<RunRecord>, GridReport) {
-    let started = Instant::now();
-    let mut records = Vec::new();
-    for n in CONCURRENCY {
-        let seed = derive_cell_seed(base_seed, title, 0, 0, n);
-        let workload = Workload {
-            total_ops: args.ops,
-            ..Workload::paper(n, DELAYED_PERCENT, WAIT_CYCLES)
-        };
-        let backend = make(seed);
-        let (reps, noisy) = native_cell_reps(n, BEST_OF);
-        if noisy {
-            eprintln!("note: {title} n={n}: single hardware thread, best-of-{reps}, flagged noisy");
-        }
-        let mut best: Option<RunRecord> = None;
-        for _ in 0..reps {
-            let outcome = backend.run(&workload);
-            assert!(
-                outcome.counts_exactly(),
-                "{title} n={n}: counting property violated"
-            );
-            let record = RunRecord::from_outcome(
-                format!("n={n}"),
-                "Bitonic Counting Network",
-                &workload,
-                seed,
-                &outcome,
-            );
-            if best.as_ref().is_none_or(|b| record.wall_ms < b.wall_ms) {
-                best = Some(record);
-            }
-        }
-        let mut best = best.expect("reps >= 1");
-        best.noisy = noisy;
-        records.push(best);
-    }
-    let report = GridReport {
-        title: title.to_string(),
-        base_seed,
-        threads: 1,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        records: records.clone(),
-    };
-    (records, report)
-}
 
 /// Replays one tiny trace through `backend` and cross-checks the
 /// brute-force oracle against the Definition 2.4 sweep counter.
@@ -173,66 +116,53 @@ fn main() {
         max_batch: MAX_BATCH,
         spin: 256,
     };
-    type MakeBackend<'a> = Box<dyn Fn(u64) -> Box<dyn Backend + 'a> + 'a>;
-    let sweeps: Vec<(&str, MakeBackend)> = vec![
-        (
-            "Frontend shm plain",
-            Box::new(|seed| Box::new(ShmBackend::network(&net, BalancerKind::WaitFree, seed))),
-        ),
-        (
-            "Frontend shm-batch:8",
-            Box::new(|seed| {
-                Box::new(ShmBackend::batch(
-                    &net,
-                    BalancerKind::WaitFree,
-                    batch_cfg,
-                    seed,
-                ))
-            }),
-        ),
+    let (kind, mp) = (BalancerKind::WaitFree, MpConfig::default());
+    let sweeps = [
+        ("Frontend shm plain", CounterSpec::Network(kind)),
+        ("Frontend shm-batch:8", CounterSpec::Batch(kind, batch_cfg)),
         (
             "Frontend shm-shard:4",
-            Box::new(|seed| {
-                Box::new(ShmBackend::shard(
-                    &net,
-                    BalancerKind::WaitFree,
-                    RoutePolicy::RoundRobin,
-                    SHARDS,
-                    seed,
-                ))
-            }),
+            CounterSpec::Shard(kind, RoutePolicy::RoundRobin, SHARDS),
         ),
-        (
-            "Frontend mp plain",
-            Box::new(|seed| Box::new(MpBackend::new(&net, MpConfig::default(), seed))),
-        ),
+        ("Frontend mp plain", CounterSpec::Mp(mp)),
         (
             "Frontend mp-elim",
-            Box::new(|seed| {
-                Box::new(MpBackend::elim(
-                    &net,
-                    MpConfig::default(),
-                    EliminationConfig::default(),
-                    seed,
-                ))
-            }),
+            CounterSpec::MpElim(mp, EliminationConfig::default()),
         ),
-    ];
+    ]
+    .map(|(title, counter)| (title, BackendSpec::Threads(counter)));
 
     let mut per_op_us: Vec<Vec<f64>> = Vec::new();
-    for (title, make) in &sweeps {
-        let (records, grid) = sweep(title, &args, base_seed, make);
+    for (title, spec) in &sweeps {
+        let sweep = NativeSweep {
+            title,
+            kind: "Bitonic Counting Network",
+            net: &net,
+            spec,
+            best_of: BEST_OF,
+            base_seed,
+            threads: 1,
+        };
+        let cells = CONCURRENCY.map(|n| {
+            let workload = Workload {
+                total_ops: args.ops,
+                ..Workload::paper(n, DELAYED_PERCENT, WAIT_CYCLES)
+            };
+            let seed = derive_cell_seed(base_seed, title, 0, 0, n);
+            (format!("n={n}"), seed, workload)
+        });
+        let grid = sweep.run(cells).expect("width 16 hosts every counter");
         let mut table = ResultTable::new(
             format!("{title} — throughput and ordering cost (best of {BEST_OF})"),
             &["wall ms", "us/op", "nonlin %", "avg c2/c1", "backend"],
         );
         per_op_us.push(
-            records
+            grid.records
                 .iter()
                 .map(|r| r.wall_ms / args.ops as f64 * 1e3)
                 .collect(),
         );
-        for r in &records {
+        for r in &grid.records {
             table.push_row(
                 r.label.clone(),
                 vec![
@@ -274,8 +204,11 @@ fn main() {
         "Exhaustive-oracle pass — tiny traces, oracle vs Def-2.4 sweep",
         &["ops", "linearizable", "nonlin ops", "oracle vs sweep"],
     );
-    for (title, make) in &sweeps {
-        let (label, row) = oracle_row(make(base_seed ^ 0x0bac1e).as_ref(), title);
+    for (title, spec) in &sweeps {
+        let backend = spec
+            .build(&net, base_seed ^ 0x0bac1e)
+            .expect("width 16 hosts every counter");
+        let (label, row) = oracle_row(backend.as_ref(), title);
         oracle.push_row(label, row);
     }
     println!("{}", oracle.to_text());

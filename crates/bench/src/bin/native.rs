@@ -5,12 +5,12 @@
 //! client threads, `F = 0`, `W = 0` (raw traversal speed, nothing
 //! injected):
 //!
-//! * **shm compiled** — [`cnet_engine::ShmBackend::network`], the
+//! * **shm compiled** — [`CounterSpec::Network`], the
 //!   cache-line-aligned `CompiledNet` arena with relaxed toggle bits;
-//! * **shm reference** — [`cnet_engine::ShmBackend::reference`], the
-//!   preserved pre-refactor traversal, so the compiled/reference gap
-//!   stays measured forever;
-//! * **mp** — [`cnet_engine::MpBackend`], one thread per balancer and
+//! * **shm reference** — [`CounterSpec::Reference`], the preserved
+//!   pre-refactor traversal, so the compiled/reference gap stays
+//!   measured forever;
+//! * **mp** — [`CounterSpec::Mp`], one thread per balancer and
 //!   counter, tokens as messages.
 //!
 //! Native wall-clock is far noisier than the simulator's, so every
@@ -29,12 +29,8 @@
 //! Usage: `native [--ops N] [--seed S] [--json PATH]
 //! [--baseline PATH]` (default 5000 operations per cell).
 
-use std::time::Instant;
-
-use cnet_engine::{Backend, BalancerKind, MpBackend, MpConfig, ShmBackend, Workload};
-use cnet_harness::{
-    derive_cell_seed, native_cell_reps, BenchArgs, BenchReport, GridReport, ResultTable, RunRecord,
-};
+use cnet_engine::{BackendSpec, BalancerKind, CounterSpec, MpConfig, Workload};
+use cnet_harness::{derive_cell_seed, BenchArgs, BenchReport, NativeSweep, ResultTable};
 use cnet_topology::constructions;
 
 /// Network width for every sweep (the tentpole's "width ≥ 16" target).
@@ -43,61 +39,22 @@ const WIDTH: usize = 16;
 /// Client-thread counts (the `n` axis of the EXPERIMENTS.md table).
 const CONCURRENCY: [usize; 3] = [4, 64, 256];
 
-/// Runs per cell; the fastest is recorded. Best-of-N is the standard
-/// defense against scheduler noise on shared runners. When the host
-/// exposes a single hardware thread to a multi-threaded cell,
-/// [`native_cell_reps`] widens this to best-of-5 and the cell's record
-/// carries the `noisy` flag.
+/// Runs per cell; the fastest is recorded (see
+/// [`NativeSweep::best_of`]).
 const BEST_OF: usize = 3;
 
-/// One sweep: run every cell best-of-[`BEST_OF`] against a freshly
-/// built backend and assemble the grid report.
-fn sweep<'a>(
-    title: &str,
-    kind_label: &str,
-    args: &BenchArgs,
-    base_seed: u64,
-    make: impl Fn(u64) -> Box<dyn Backend + 'a>,
-) -> (Vec<RunRecord>, GridReport) {
-    let started = Instant::now();
-    let mut records = Vec::new();
-    for n in CONCURRENCY {
-        let seed = derive_cell_seed(base_seed, title, 0, 0, n);
-        let workload = Workload {
-            total_ops: args.ops,
-            ..Workload::paper(n, 0, 0)
-        };
-        let backend = make(seed);
-        let (reps, noisy) = native_cell_reps(n, BEST_OF);
-        if noisy {
-            eprintln!("note: {title} n={n}: single hardware thread, best-of-{reps}, flagged noisy");
-        }
-        let mut best: Option<RunRecord> = None;
-        for _ in 0..reps {
-            let outcome = backend.run(&workload);
-            assert!(
-                outcome.counts_exactly(),
-                "{title} n={n}: counting property violated"
-            );
-            let record =
-                RunRecord::from_outcome(format!("n={n}"), kind_label, &workload, seed, &outcome);
-            if best.as_ref().is_none_or(|b| record.wall_ms < b.wall_ms) {
-                best = Some(record);
-            }
-        }
-        let mut best = best.expect("reps >= 1");
-        best.noisy = noisy;
-        records.push(best);
-    }
-    let report = GridReport {
-        title: title.to_string(),
-        base_seed,
-        threads: 1,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        records: records.clone(),
-    };
-    (records, report)
-}
+/// The sweeps, all thread-per-client: title and counter.
+const SWEEPS: [(&str, CounterSpec); 3] = [
+    (
+        "Native shm WaitFree (compiled)",
+        CounterSpec::Network(BalancerKind::WaitFree),
+    ),
+    (
+        "Native shm WaitFree (reference)",
+        CounterSpec::Reference(BalancerKind::WaitFree),
+    ),
+    ("Native mp", CounterSpec::Mp(MpConfig { hop_spin: 0 })),
+];
 
 fn main() {
     let args = BenchArgs::parse("native");
@@ -110,37 +67,38 @@ fn main() {
         args.ops
     );
 
-    type MakeBackend = for<'a> fn(&'a cnet_topology::Topology, u64) -> Box<dyn Backend + 'a>;
-    let sweeps: [(&str, &str, MakeBackend); 3] = [
-        (
-            "Native shm WaitFree (compiled)",
-            "Bitonic Counting Network",
-            |net, seed| Box::new(ShmBackend::network(net, BalancerKind::WaitFree, seed)),
-        ),
-        (
-            "Native shm WaitFree (reference)",
-            "Bitonic Counting Network",
-            |net, seed| Box::new(ShmBackend::reference(net, BalancerKind::WaitFree, seed)),
-        ),
-        ("Native mp", "Bitonic Counting Network", |net, seed| {
-            Box::new(MpBackend::new(net, MpConfig::default(), seed))
-        }),
-    ];
-
     let mut per_op_us: Vec<Vec<f64>> = Vec::new();
-    for (title, kind_label, make) in sweeps {
-        let (records, grid) = sweep(title, kind_label, &args, base_seed, |seed| make(&net, seed));
+    for (title, counter) in SWEEPS {
+        let spec = BackendSpec::Threads(counter);
+        let sweep = NativeSweep {
+            title,
+            kind: "Bitonic Counting Network",
+            net: &net,
+            spec: &spec,
+            best_of: BEST_OF,
+            base_seed,
+            threads: 1,
+        };
+        let cells = CONCURRENCY.map(|n| {
+            let workload = Workload {
+                total_ops: args.ops,
+                ..Workload::paper(n, 0, 0)
+            };
+            let seed = derive_cell_seed(base_seed, title, 0, 0, n);
+            (format!("n={n}"), seed, workload)
+        });
+        let grid = sweep.run(cells).expect("width 16 hosts every counter");
         let mut table = ResultTable::new(
             format!("{title} — wall-clock (best of {BEST_OF})"),
             &["wall ms", "us/op", "backend"],
         );
         per_op_us.push(
-            records
+            grid.records
                 .iter()
                 .map(|r| r.wall_ms / args.ops as f64 * 1e3)
                 .collect(),
         );
-        for r in &records {
+        for r in &grid.records {
             table.push_row(
                 r.label.clone(),
                 vec![

@@ -3,7 +3,7 @@
 //!
 //! A closed-loop run cannot saturate — offered load is capped by the
 //! processor count — so this bench drives the cooperative
-//! [`AsyncBackend`] with `ArrivalProcess::Open` schedules and sweeps
+//! [`BackendSpec::Async`] executor with `ArrivalProcess::Open` schedules and sweeps
 //! the mean inter-arrival gap from far-subcritical (16 µs) down past
 //! the service rate (250 ns), at two arena sizes, over both width-16
 //! topologies:
@@ -22,17 +22,15 @@
 //!
 //! Wall-clock is best-of-[`BEST_OF`] per cell; the async executor
 //! always runs [`WORKERS`] OS workers, so on a single-hardware-thread
-//! host [`native_cell_reps`] widens that to best-of-5 and flags the
+//! host [`NativeSweep`] widens that to best-of-5 and flags the
 //! records noisy (the CI gate then allows the 9× noisy factor).
 //!
 //! Usage: `saturation [--ops N] [--seed S] [--json PATH]
 //! [--baseline PATH]` (default 5000 operations per cell).
 
-use std::time::Instant;
-
-use cnet_engine::{ArrivalProcess, AsyncBackend, AsyncConfig, Backend, BalancerKind, Workload};
+use cnet_engine::{ArrivalProcess, AsyncConfig, BackendSpec, BalancerKind, CounterSpec, Workload};
 use cnet_harness::{
-    derive_cell_seed, native_cell_reps, BenchArgs, BenchReport, GridReport, ResultTable, RunRecord,
+    derive_cell_seed, BenchArgs, BenchReport, GridReport, NativeSweep, ResultTable,
 };
 use cnet_topology::{constructions, Topology};
 
@@ -63,90 +61,47 @@ const TOLERANCE: f64 = 1.25;
 /// single-hardware-thread host, with the records flagged noisy).
 const BEST_OF: usize = 3;
 
-/// The curve of one (topology, arena) sweep, one entry per gap.
-struct Point {
-    gap: u64,
-    offered_kops: f64,
-    achieved_kops: f64,
-    lag: f64,
-    p50_us: f64,
-    p99_us: f64,
-    saturated: bool,
-}
-
-/// One sweep: every gap cell, best-of-N, counting property and
-/// open-loop telemetry asserted on every run.
+/// One sweep: every gap cell through the async executor, best-of-N;
+/// record `i` is the cell of `GAPS[i]`.
 fn sweep(
     title: &str,
     net: &Topology,
     arena: usize,
     args: &BenchArgs,
     base_seed: u64,
-) -> (Vec<Point>, GridReport) {
-    let started = Instant::now();
-    let mut records = Vec::new();
-    let mut points = Vec::new();
-    let (reps, noisy) = native_cell_reps(WORKERS, BEST_OF);
-    for (i, &gap) in GAPS.iter().enumerate() {
-        let seed = derive_cell_seed(base_seed, title, i as u32, 0, arena);
+) -> GridReport {
+    let config = AsyncConfig {
+        workers: WORKERS,
+        chunk: 1024,
+        windows: WINDOWS,
+    };
+    let spec = BackendSpec::Async(CounterSpec::Network(BalancerKind::WaitFree), config);
+    let sweep = NativeSweep {
+        title,
+        kind: title,
+        net,
+        spec: &spec,
+        best_of: BEST_OF,
+        base_seed,
+        threads: WORKERS,
+    };
+    let cells = GAPS.iter().enumerate().map(|(i, &gap)| {
         let workload = Workload {
             total_ops: args.ops,
             arrival: ArrivalProcess::Open { mean_gap: gap },
             ..Workload::paper(arena, 0, 0)
         };
-        let config = AsyncConfig {
-            workers: WORKERS,
-            chunk: 1024,
-            windows: WINDOWS,
-        };
-        let backend = AsyncBackend::network(net, BalancerKind::WaitFree, config, seed);
-        let mut best: Option<RunRecord> = None;
-        for _ in 0..reps {
-            let outcome = backend.run(&workload);
-            assert!(
-                outcome.counts_exactly(),
-                "{title} gap={gap}: counting property violated"
-            );
-            assert!(
-                outcome.open_loop.is_some(),
-                "{title} gap={gap}: open-loop run carried no telemetry"
-            );
-            let record =
-                RunRecord::from_outcome(format!("gap={gap}ns"), title, &workload, seed, &outcome);
-            if best.as_ref().is_none_or(|b| record.wall_ms < b.wall_ms) {
-                best = Some(record);
-            }
-        }
-        let mut best = best.expect("reps >= 1");
-        best.noisy = noisy;
-        let open = best.open_loop.as_ref().expect("asserted on every run");
-        points.push(Point {
-            gap,
-            offered_kops: open.offered_rate() / 1e3,
-            achieved_kops: open.achieved_rate() / 1e3,
-            lag: open.lag_ratio(),
-            p50_us: open.latency.quantile_upper_bound(0.50) as f64 / 1e3,
-            p99_us: open.latency.quantile_upper_bound(0.99) as f64 / 1e3,
-            saturated: open.is_saturated(TOLERANCE),
-        });
-        records.push(best);
-    }
-    if noisy {
-        eprintln!("note: {title}: single hardware thread, best-of-{reps}, flagged noisy");
-    }
-    let report = GridReport {
-        title: title.to_string(),
-        base_seed,
-        threads: WORKERS,
-        wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        records,
-    };
-    (points, report)
+        let seed = derive_cell_seed(base_seed, title, i as u32, 0, arena);
+        (format!("gap={gap}ns"), seed, workload)
+    });
+    sweep
+        .run(cells)
+        .expect("every topology hosts its own network counter")
 }
 
-/// The knee of a sweep: the smallest gap still inside tolerance.
-fn knee(points: &[Point]) -> Option<&Point> {
-    points.iter().filter(|p| !p.saturated).min_by_key(|p| p.gap)
+/// A histogram bound in nanoseconds as microseconds, one decimal.
+fn micros(ns: u64) -> String {
+    format!("{:.1}", ns as f64 / 1e3)
 }
 
 fn main() {
@@ -178,7 +133,16 @@ fn main() {
     for (name, net) in &nets {
         for &arena in &ARENAS {
             let title = format!("Saturation {name}[{WIDTH}] n={arena}");
-            let (points, grid) = sweep(&title, net, arena, &args, base_seed);
+            let grid = sweep(&title, net, arena, &args, base_seed);
+            // the curve: one open-loop block per gap
+            let curve: Vec<_> = GAPS
+                .iter()
+                .zip(&grid.records)
+                .map(|(&gap, record)| {
+                    let open = record.open_loop.as_ref();
+                    (gap, open.expect("open-loop async runs carry telemetry"))
+                })
+                .collect();
             let mut table = ResultTable::new(
                 format!("{title} — open-loop curve (best of {BEST_OF})"),
                 &[
@@ -190,30 +154,35 @@ fn main() {
                     "saturated",
                 ],
             );
-            for p in &points {
+            for &(gap, open) in &curve {
+                let saturated = open.is_saturated(TOLERANCE);
                 table.push_row(
-                    format!("gap={}ns", p.gap),
+                    format!("gap={gap}ns"),
                     vec![
-                        format!("{:.1}", p.offered_kops),
-                        format!("{:.1}", p.achieved_kops),
-                        format!("{:.3}", p.lag),
-                        format!("{:.1}", p.p50_us),
-                        format!("{:.1}", p.p99_us),
-                        if p.saturated { "yes" } else { "no" }.to_string(),
+                        format!("{:.1}", open.offered_rate() / 1e3),
+                        format!("{:.1}", open.achieved_rate() / 1e3),
+                        format!("{:.3}", open.lag_ratio()),
+                        micros(open.latency.quantile_upper_bound(0.50)),
+                        micros(open.latency.quantile_upper_bound(0.99)),
+                        if saturated { "yes" } else { "no" }.to_string(),
                     ],
                 );
             }
             println!("{}", table.to_text());
             report.push_table(&table);
-            report.push_grid(grid);
-            match knee(&points) {
-                Some(k) => knees.push_row(
+            // the knee: the smallest gap still inside tolerance
+            let knee = curve
+                .iter()
+                .filter(|(_, open)| !open.is_saturated(TOLERANCE))
+                .min_by_key(|(gap, _)| *gap);
+            match knee {
+                Some((gap, open)) => knees.push_row(
                     title,
                     vec![
-                        k.gap.to_string(),
-                        format!("{:.1}", k.offered_kops),
-                        format!("{:.3}", k.lag),
-                        format!("{:.1}", k.p99_us),
+                        gap.to_string(),
+                        format!("{:.1}", open.offered_rate() / 1e3),
+                        format!("{:.3}", open.lag_ratio()),
+                        micros(open.latency.quantile_upper_bound(0.99)),
                     ],
                 ),
                 None => {
@@ -224,6 +193,7 @@ fn main() {
                     );
                 }
             }
+            report.push_grid(grid);
         }
     }
     println!("{}", knees.to_text());

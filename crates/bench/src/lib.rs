@@ -19,27 +19,8 @@
 //! `--ops N --seed S --threads T --json PATH`.
 //!
 //! The sweep machinery itself (grids, the worker pool, records, the
-//! `ResultTable` renderer) lives in [`cnet_harness`]; this crate
-//! re-exports the pieces the binaries use so older code keeps
-//! compiling.
+//! `ResultTable` renderer, the native best-of-N sweep) lives in
+//! [`cnet_harness`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod experiments;
-
-pub use cnet_harness::{percent, ResultTable, PAPER_CONCURRENCY, PAPER_WAITS, PAPER_WIDTH};
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn reexports_resolve_to_the_harness() {
-        assert_eq!(percent(0.1234), "12.34%");
-        assert_eq!(PAPER_CONCURRENCY.len() * PAPER_WAITS.len(), 20);
-        assert_eq!(PAPER_WIDTH, 32);
-        let t = ResultTable::new("t", &["a"]);
-        assert_eq!(t.title(), "t");
-    }
-}

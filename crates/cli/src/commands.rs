@@ -7,48 +7,45 @@ use cnet_adversary::{
     bitonic_attack, intro_example, search_violations, tree_attack, wave_attack, Scenario,
     SearchConfig,
 };
-use cnet_engine::{
-    ArrivalProcess, AsyncBackend, AsyncConfig, Backend, BalancerKind, CombiningConfig,
-    EliminationConfig, MpBackend, MpConfig, RoutePolicy, ShmBackend, SimBackend,
-};
+use cnet_engine::{ArrivalProcess, AsyncConfig, BackendSpec, BalancerKind, CounterSpec, SpecError};
 use cnet_harness::{run_jobs_report, GridReport, Job, ResultTable, RunRecord};
 use cnet_proteus::{SimConfig, WaitMode, Workload};
 use cnet_timing::executor::TimedExecutor;
 use cnet_timing::{interleave, io, measure, render, threshold as thresh, LinkTiming};
-use cnet_topology::{constructions, Topology};
+use cnet_topology::{constructions, Topology, TopologyError};
 use serde::{Serialize as _, Value};
 
 use crate::args::{CliError, ParsedArgs};
+
+/// [`constructions::by_name`] for the CLI: an unknown kind is a usage
+/// error, a width the kind cannot take a failed operation.
+pub(crate) fn network_by_name(
+    kind: &str,
+    width: usize,
+    arity: usize,
+) -> Result<Topology, CliError> {
+    constructions::by_name(kind, width, arity).map_err(|e| match e {
+        TopologyError::UnknownKind { .. } => CliError::usage(e.to_string()),
+        _ => CliError::failed(e),
+    })
+}
 
 /// Builds the network named by the first two positionals (`kind`,
 /// `width`), honoring `--pad` and `--arity`.
 fn build_network(args: &ParsedArgs) -> Result<Topology, CliError> {
     let kind = args.positional(0, "kind")?;
-    if kind == "file" {
+    let net = if kind == "file" {
         let path = args.positional(1, "topology file")?;
         let text = std::fs::read_to_string(path).map_err(CliError::failed)?;
-        let net = cnet_topology::io::from_text(&text).map_err(CliError::failed)?;
-        return match args.u64_opt("pad")? {
-            Some(pad) => constructions::pad_inputs(&net, pad as usize).map_err(CliError::failed),
-            None => Ok(net),
-        };
-    }
-    let width = args
-        .positional(1, "width")?
-        .parse::<usize>()
-        .map_err(|_| CliError::usage("width must be a number"))?;
-    let arity = args.u64_opt("arity")?.unwrap_or(2) as usize;
-    let net = match kind {
-        "bitonic" => constructions::bitonic(width),
-        "periodic" => constructions::periodic(width),
-        "tree" if arity == 2 => constructions::counting_tree(width),
-        "tree" => constructions::counting_tree_d(width, arity),
-        "merger" => constructions::merger(width),
-        "block" => constructions::block(width),
-        "single" => Ok(constructions::single_balancer()),
-        other => return Err(CliError::usage(format!("unknown network kind `{other}`"))),
-    }
-    .map_err(CliError::failed)?;
+        cnet_topology::io::from_text(&text).map_err(CliError::failed)?
+    } else {
+        let width = args
+            .positional(1, "width")?
+            .parse::<usize>()
+            .map_err(|_| CliError::usage("width must be a number"))?;
+        let arity = args.u64_opt("arity")?.unwrap_or(2) as usize;
+        network_by_name(kind, width, arity)?
+    };
     match args.u64_opt("pad")? {
         Some(pad) => constructions::pad_inputs(&net, pad as usize).map_err(CliError::failed),
         None => Ok(net),
@@ -244,17 +241,7 @@ pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
 pub fn observe(args: &ParsedArgs) -> Result<String, CliError> {
     let kind = args.positional_opt(0).unwrap_or("bitonic");
     let width = args.u64_opt("width")?.unwrap_or(32) as usize;
-    let net = match kind {
-        "bitonic" => constructions::bitonic(width),
-        "periodic" => constructions::periodic(width),
-        "tree" => constructions::counting_tree(width),
-        other => {
-            return Err(CliError::usage(format!(
-                "unknown network kind `{other}` (bitonic|periodic|tree)"
-            )))
-        }
-    }
-    .map_err(CliError::failed)?;
+    let net = network_by_name(kind, width, 2)?;
     let workload = Workload {
         total_ops: args.u64_opt("ops")?.unwrap_or(5000) as usize,
         wait_mode: WaitMode::Fixed,
@@ -383,37 +370,9 @@ fn parse_arrival(args: &ParsedArgs) -> Result<ArrivalProcess, CliError> {
     }
 }
 
-/// Parses a frontend backend suffix: empty → `default`, `:N` → `N`.
-/// `name` is the full backend string, for error messages.
-fn frontend_param(suffix: &str, default: usize, name: &str) -> Result<usize, CliError> {
-    if suffix.is_empty() {
-        return Ok(default);
-    }
-    suffix
-        .strip_prefix(':')
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&v| v > 0)
-        .ok_or_else(|| CliError::usage(format!("bad backend parameter in `{name}` (want `:N`)")))
-}
-
-/// Validates that `s` shards can split `width` into power-of-two
-/// per-shard widths `>= 2` (the [`ShmBackend::shard`] /
-/// [`AsyncBackend::shard`] contract), so the CLI errors before the
-/// constructor panics.
-fn check_shard_split(width: usize, s: usize, name: &str) -> Result<(), CliError> {
-    if !width.is_multiple_of(s) || width / s < 2 || !(width / s).is_power_of_two() {
-        return Err(CliError::usage(format!(
-            "`{name}`: {s} shards cannot split width {width} \
-             into powers of two >= 2"
-        )));
-    }
-    Ok(())
-}
-
 /// `cnet run` — one seeded workload executed through the engine on one
-/// or more backends (`sim` | `shm` | `shm-batch[:K]` | `shm-shard[:S]`
-/// | `mp` | `mp-elim` | `async` | `async-batch[:K]` | `async-shard[:S]`
-/// | `async-mp`), compared side by side.
+/// or more backends (any flavor of [`BackendSpec`]'s grammar), compared
+/// side by side.
 ///
 /// All backends share the workload and seed; the simulator reports in
 /// simulated cycles, the native backends in logical-clock ticks, so the
@@ -463,104 +422,44 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         .map(str::trim)
         .filter(|s| !s.is_empty())
     {
-        let outcome = match name {
-            "sim" => SimBackend::new(&net, sim_config).run(&workload),
-            "shm" => ShmBackend::network(&net, BalancerKind::WaitFree, seed).run(&workload),
-            "mp" => MpBackend::new(&net, MpConfig { hop_spin }, seed).run(&workload),
-            "mp-elim" => MpBackend::elim(
-                &net,
-                MpConfig { hop_spin },
-                EliminationConfig::default(),
-                seed,
-            )
-            .run(&workload),
-            other if other.starts_with("shm-batch") => {
-                let k = frontend_param(&other["shm-batch".len()..], 8, other)? as u64;
-                let config = CombiningConfig {
-                    slots: workload.processors.max(1),
-                    max_batch: k,
-                    ..CombiningConfig::default()
-                };
-                ShmBackend::batch(&net, BalancerKind::WaitFree, config, seed).run(&workload)
-            }
-            other if other.starts_with("shm-shard") => {
-                let s = frontend_param(&other["shm-shard".len()..], 4, other)?;
-                check_shard_split(net.output_width(), s, other)?;
-                ShmBackend::shard(
-                    &net,
-                    BalancerKind::WaitFree,
-                    RoutePolicy::RoundRobin,
-                    s,
-                    seed,
-                )
-                .run(&workload)
-            }
-            "async" => {
-                AsyncBackend::network(&net, BalancerKind::WaitFree, AsyncConfig::default(), seed)
-                    .run(&workload)
-            }
-            "async-mp" => {
-                AsyncBackend::mp(&net, MpConfig { hop_spin }, AsyncConfig::default(), seed)
-                    .run(&workload)
-            }
-            other if other.starts_with("async-batch") => {
-                let k = frontend_param(&other["async-batch".len()..], 8, other)? as u64;
-                let config = CombiningConfig {
-                    slots: workload.processors.max(1),
-                    max_batch: k,
-                    ..CombiningConfig::default()
-                };
-                AsyncBackend::batch(
-                    &net,
-                    BalancerKind::WaitFree,
-                    config,
-                    AsyncConfig::default(),
-                    seed,
-                )
-                .run(&workload)
-            }
-            other if other.starts_with("async-shard") => {
-                let s = frontend_param(&other["async-shard".len()..], 4, other)?;
-                check_shard_split(net.output_width(), s, other)?;
-                AsyncBackend::shard(
-                    &net,
-                    BalancerKind::WaitFree,
-                    RoutePolicy::RoundRobin,
-                    s,
-                    AsyncConfig::default(),
-                    seed,
-                )
-                .run(&workload)
-            }
-            other => {
-                return Err(CliError::usage(format!(
-                    "unknown backend `{other}` (sim|shm|shm-batch[:K]|shm-shard[:S]|mp|mp-elim\
-                     |async|async-batch[:K]|async-shard[:S]|async-mp)"
-                )))
-            }
-        };
+        let mut spec: BackendSpec = name
+            .parse()
+            .map_err(|e: SpecError| CliError::usage(e.to_string()))?;
+        // what the flavor string cannot carry comes from the flags
+        match &mut spec {
+            BackendSpec::Sim(config) => *config = sim_config,
+            BackendSpec::Threads(counter) | BackendSpec::Async(counter, _) => match counter {
+                CounterSpec::Batch(_, combining) => combining.slots = workload.processors.max(1),
+                CounterSpec::Mp(mp) | CounterSpec::MpElim(mp, _) => mp.hop_spin = hop_spin,
+                _ => {}
+            },
+        }
+        let backend = spec
+            .build(&net, seed)
+            .map_err(|e| CliError::usage(format!("`{name}`: {e}")))?;
+        let outcome = backend.run(&workload);
         if let Some(m) = &outcome.frontend {
-            let line = if outcome.backend.ends_with("batch") {
-                format!(
-                    "{}: avg batch {:.2}, combiner occupancy {}",
-                    outcome.backend,
+            // each frontend fills its own block of the telemetry
+            let name = outcome.backend;
+            if m.batch_hist.count() + m.solo_ops > 0 {
+                telemetry.push(format!(
+                    "{name}: avg batch {:.2}, combiner occupancy {}",
                     m.avg_batch(),
                     cnet_harness::percent(m.combiner_occupancy())
-                )
-            } else if outcome.backend.ends_with("shard") {
-                format!(
-                    "{}: shard imbalance {:.3}",
-                    outcome.backend,
+                ));
+            }
+            if !m.shard_ops.is_empty() {
+                telemetry.push(format!(
+                    "{name}: shard imbalance {:.3}",
                     m.shard_imbalance()
-                )
-            } else {
-                format!(
-                    "{}: elimination hit rate {}",
-                    outcome.backend,
+                ));
+            }
+            if m.elim_pairs + m.elim_solo > 0 {
+                telemetry.push(format!(
+                    "{name}: elimination hit rate {}",
                     cnet_harness::percent(m.elimination_hit_rate())
-                )
-            };
-            telemetry.push(line);
+                ));
+            }
         }
         table.push_row(
             outcome.backend.to_string(),
@@ -577,10 +476,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
                 .to_string(),
                 if outcome.has_step_property() {
                     "ok"
-                } else if matches!(
-                    outcome.backend,
-                    "shm-batch" | "shm-shard" | "mp-elim" | "async-batch" | "async-shard"
-                ) {
+                } else if spec.relaxes_step() {
                     // frontends trade the exact quiescent step for
                     // throughput by design; that is not a failure
                     "relaxed"
@@ -643,6 +539,7 @@ pub fn saturate(args: &ParsedArgs) -> Result<String, CliError> {
         workers,
         ..AsyncConfig::default()
     };
+    let spec = BackendSpec::Async(CounterSpec::Network(BalancerKind::WaitFree), config);
     let mut table = ResultTable::new(
         format!("saturation sweep ({kind}, n={clients}, {ops} ops per gap, async backend)"),
         &[
@@ -663,8 +560,10 @@ pub fn saturate(args: &ParsedArgs) -> Result<String, CliError> {
             arrival: ArrivalProcess::Open { mean_gap: gap },
             ..Workload::paper(clients, 0, 0)
         };
-        let outcome =
-            AsyncBackend::network(&net, BalancerKind::WaitFree, config, seed).run(&workload);
+        let outcome = spec
+            .build(&net, seed)
+            .map_err(CliError::failed)?
+            .run(&workload);
         let open = outcome
             .open_loop
             .as_ref()
@@ -1142,6 +1041,13 @@ mod tests {
         ParsedArgs::parse(&v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>()).unwrap()
     }
 
+    /// Whether a `cnet run` table has a row for this backend family.
+    fn has_row(table: &str, backend: &str) -> bool {
+        table
+            .lines()
+            .any(|l| l.split_whitespace().next() == Some(backend))
+    }
+
     #[test]
     fn topo_describes_bitonic() {
         let out = topo(&parse(&["bitonic", "8"])).unwrap();
@@ -1214,8 +1120,8 @@ mod tests {
             "300",
         ]))
         .unwrap();
-        assert!(out.lines().any(|l| l.starts_with("shm")), "{out}");
-        assert!(!out.lines().any(|l| l.starts_with("sim")), "{out}");
+        assert!(has_row(&out, "shm"), "{out}");
+        assert!(!has_row(&out, "sim"), "{out}");
         assert!(!out.contains("FAIL"), "{out}");
     }
 
@@ -1228,7 +1134,7 @@ mod tests {
             "bitonic",
             "4",
             "--backend",
-            "sim,mp",
+            "sim,mp,shm-ref",
             "--n",
             "2",
             "--ops",
@@ -1240,9 +1146,33 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         use serde::Deserialize as _;
         let grid = GridReport::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(grid.records.len(), 2);
-        assert_eq!(grid.records[0].backend, "sim");
-        assert_eq!(grid.records[1].backend, "mp");
+        let backends: Vec<&str> = grid.records.iter().map(|r| r.backend.as_str()).collect();
+        assert_eq!(backends, ["sim", "mp", "shm-ref"]);
+        // a record can be re-run from its own `backend` field
+        for name in backends {
+            let spec: BackendSpec = name.parse().unwrap();
+            assert_eq!(spec.name(), name);
+        }
+    }
+
+    #[test]
+    fn run_accepts_every_registered_flavor() {
+        let all = BackendSpec::all().map(|spec| spec.to_string());
+        let out = run(&parse(&[
+            "bitonic",
+            "16",
+            "--backend",
+            &all.join(","),
+            "--n",
+            "4",
+            "--ops",
+            "200",
+        ]))
+        .unwrap();
+        for spec in BackendSpec::all() {
+            assert!(has_row(&out, spec.name()), "missing {spec} row:\n{out}");
+        }
+        assert!(!out.contains("FAIL"), "{out}");
     }
 
     #[test]
@@ -1268,45 +1198,6 @@ mod tests {
     }
 
     #[test]
-    fn run_frontend_backends_accept_defaults() {
-        let out = run(&parse(&[
-            "bitonic",
-            "16",
-            "--backend",
-            "shm-batch,shm-shard",
-            "--n",
-            "2",
-            "--ops",
-            "80",
-        ]))
-        .unwrap();
-        assert!(out.contains("shm-batch"), "{out}");
-        assert!(out.contains("shm-shard"), "{out}");
-    }
-
-    #[test]
-    fn run_async_backends_compare_cleanly() {
-        let out = run(&parse(&[
-            "bitonic",
-            "16",
-            "--backend",
-            "async,async-batch:4,async-shard:4,async-mp",
-            "--n",
-            "8",
-            "--ops",
-            "200",
-        ]))
-        .unwrap();
-        for backend in ["async", "async-batch", "async-shard", "async-mp"] {
-            assert!(
-                out.lines().any(|l| l.starts_with(backend)),
-                "missing {backend} row:\n{out}"
-            );
-        }
-        assert!(!out.contains("FAIL"), "{out}");
-    }
-
-    #[test]
     fn run_async_with_open_arrivals() {
         let out = run(&parse(&[
             "bitonic",
@@ -1321,7 +1212,7 @@ mod tests {
             "300",
         ]))
         .unwrap();
-        assert!(out.lines().any(|l| l.starts_with("async")), "{out}");
+        assert!(has_row(&out, "async"), "{out}");
         assert!(!out.contains("FAIL"), "{out}");
     }
 
@@ -1362,8 +1253,10 @@ mod tests {
 
     #[test]
     fn run_rejects_bad_frontend_parameters() {
-        // non-numeric batch width
+        // non-numeric, zero, and glued-on batch widths
         assert!(run(&parse(&["bitonic", "4", "--backend", "shm-batch:x"])).is_err());
+        assert!(run(&parse(&["bitonic", "4", "--backend", "shm-batch:0"])).is_err());
+        assert!(run(&parse(&["bitonic", "4", "--backend", "shm-batchx"])).is_err());
         // 3 shards cannot split width 4
         assert!(run(&parse(&["bitonic", "4", "--backend", "shm-shard:3"])).is_err());
         // shard width 1 is not a balancing network
@@ -1446,15 +1339,6 @@ mod tests {
         std::fs::write(&path, "token,input,t1,t2\n0,0,0,8\n1,0,1,3\n2,0,4,6\n").unwrap();
         let out = run_schedule(&parse(&["single", "2", path.to_str().unwrap()])).unwrap();
         assert!(out.contains("3 tokens, 1 violations"), "{out}");
-    }
-}
-
-#[cfg(test)]
-mod extra_tests {
-    use super::*;
-
-    fn parse(v: &[&str]) -> ParsedArgs {
-        ParsedArgs::parse(&v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>()).unwrap()
     }
 
     #[test]
@@ -1573,15 +1457,6 @@ mod extra_tests {
         let report = check(&parse(&[path.to_str().unwrap()])).unwrap();
         assert!(report.contains("50 operations"));
     }
-}
-
-#[cfg(test)]
-mod observe_tests {
-    use super::*;
-
-    fn parse(v: &[&str]) -> ParsedArgs {
-        ParsedArgs::parse(&v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>()).unwrap()
-    }
 
     #[test]
     fn observe_reports_per_balancer_contention() {
@@ -1671,15 +1546,6 @@ mod observe_tests {
     fn observe_rejects_unknown_kind() {
         assert!(observe(&parse(&["torus", "--width", "8"])).is_err());
     }
-}
-
-#[cfg(test)]
-mod file_topology_tests {
-    use super::*;
-
-    fn parse(v: &[&str]) -> ParsedArgs {
-        ParsedArgs::parse(&v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>()).unwrap()
-    }
 
     #[test]
     fn topo_loads_a_file() {
@@ -1696,15 +1562,6 @@ mod file_topology_tests {
     #[test]
     fn missing_file_is_an_error() {
         assert!(topo(&parse(&["file", "/nonexistent/net.topo"])).is_err());
-    }
-}
-
-#[cfg(test)]
-mod search_tests {
-    use super::*;
-
-    fn parse(v: &[&str]) -> ParsedArgs {
-        ParsedArgs::parse(&v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>()).unwrap()
     }
 
     #[test]
@@ -1724,15 +1581,6 @@ mod search_tests {
         .unwrap();
         assert!(out.contains("Corollary 3.9"), "{out}");
     }
-}
-
-#[cfg(test)]
-mod verify_tests {
-    use super::*;
-
-    fn parse(v: &[&str]) -> ParsedArgs {
-        ParsedArgs::parse(&v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>()).unwrap()
-    }
 
     #[test]
     fn verify_accepts_bitonic() {
@@ -1745,15 +1593,6 @@ mod verify_tests {
         let out = verify(&parse(&["block", "8"])).unwrap();
         assert!(out.contains("NOT a counting network"), "{out}");
         assert!(out.contains("witness"));
-    }
-}
-
-#[cfg(test)]
-mod serve_tests {
-    use super::*;
-
-    fn parse(v: &[&str]) -> ParsedArgs {
-        ParsedArgs::parse(&v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>()).unwrap()
     }
 
     fn temp(name: &str) -> String {
@@ -1857,15 +1696,6 @@ mod serve_tests {
         for p in [&socket, &baseline, &json] {
             let _ = std::fs::remove_file(p);
         }
-    }
-}
-
-#[cfg(test)]
-mod windows_tests {
-    use super::*;
-
-    fn parse(v: &[&str]) -> ParsedArgs {
-        ParsedArgs::parse(&v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>()).unwrap()
     }
 
     #[test]

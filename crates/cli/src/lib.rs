@@ -8,7 +8,7 @@
 //! cnet topo <kind> <width> [--pad N] [--arity D] [--dot]
 //! cnet measure <kind> <width> --c1 C1 --c2 C2 [--json PATH]
 //! cnet simulate <kind> <width> --n N --f PCT --w CYCLES [--ops N] [--prism] [--seed S] [--threads T] [--json PATH]
-//! cnet run <kind> <width> [--backend sim,shm,shm-batch:K,shm-shard:S,mp,mp-elim,async,async-batch:K,async-shard:S,async-mp] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--open GAP | --bursty B,GAP | --trace FILE] [--seed S] [--json PATH]
+//! cnet run <kind> <width> [--backend FLAVOR,...] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--open GAP | --bursty B,GAP | --trace FILE] [--seed S] [--json PATH]
 //! cnet scenario <file.json> [--json PATH]
 //! cnet saturate <kind> <width> [--n N] [--ops N] [--threads T] [--seed S] [--json PATH]
 //! cnet observe [kind] [--width W] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--prism] [--seed S] [--json [PATH]]
@@ -25,7 +25,8 @@
 //! breach of its live SLO policy.
 //!
 //! Network kinds: `bitonic`, `periodic`, `tree`, `merger`, `block`,
-//! `single`.
+//! `single`. Backend flavors: the grammar of
+//! [`cnet_engine::BackendSpec`], which `cnet help` prints.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,13 +77,13 @@ pub fn run(raw: &[String]) -> Result<String, CliError> {
 /// The top-level usage text.
 #[must_use]
 pub fn usage() -> String {
-    "cnet — counting networks and their practical linearizability
+    let mut text = "cnet — counting networks and their practical linearizability
 
 usage:
   cnet topo <kind> <width> [--pad N] [--arity D] [--dot]
   cnet measure <kind> <width> --c1 C1 --c2 C2 [--json PATH]
   cnet simulate <kind> <width> [trace.csv] --n N --f PCT --w CYCLES [--ops N] [--prism] [--seed S] [--threads T] [--json PATH]
-  cnet run <kind> <width> [--backend sim,shm,shm-batch:K,shm-shard:S,mp,mp-elim,async,async-batch:K,async-shard:S,async-mp] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--open GAP | --bursty B,GAP | --trace FILE] [--hop-spin S] [--seed S] [--json PATH]
+  cnet run <kind> <width> [--backend FLAVOR,...] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--open GAP | --bursty B,GAP | --trace FILE] [--hop-spin S] [--seed S] [--json PATH]
   cnet scenario <file.json> [--json PATH]
   cnet saturate <kind> <width> [--n N] [--ops N] [--threads T] [--seed S] [--json PATH]
   cnet observe [kind] [--width W] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--prism] [--seed S] [--json [PATH]]
@@ -99,6 +100,9 @@ usage:
 
 network kinds: bitonic periodic tree merger block single, or `file <path>`
 for a topology in the cnet-topology text format
-"
-    .to_string()
+backend flavors: "
+        .to_string();
+    text.push_str(&cnet_engine::BackendSpec::grammar().replace('|', " "));
+    text.push('\n');
+    text
 }

@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 
 use cnet_engine::{Backend, SimBackend};
 use cnet_proteus::{SimConfig, Workload};
-use cnet_topology::{constructions, Topology};
+use cnet_topology::Topology;
 use serde::{Deserialize as _, Serialize as _, Value};
 
 use crate::args::{CliError, ParsedArgs};
@@ -54,20 +54,7 @@ impl ScenarioSpec {
     /// Returns a usage error for an unknown kind and a failed error
     /// for an invalid width.
     pub fn network(&self) -> Result<Topology, CliError> {
-        match self.kind.as_str() {
-            "bitonic" => constructions::bitonic(self.width),
-            "periodic" => constructions::periodic(self.width),
-            "tree" => constructions::counting_tree(self.width),
-            "merger" => constructions::merger(self.width),
-            "block" => constructions::block(self.width),
-            "single" => Ok(constructions::single_balancer()),
-            other => {
-                return Err(CliError::usage(format!(
-                    "unknown network kind `{other}` in scenario"
-                )))
-            }
-        }
-        .map_err(CliError::failed)
+        crate::commands::network_by_name(&self.kind, self.width, 2)
     }
 }
 

@@ -57,15 +57,13 @@ use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
 use cnet_concurrent::audit::StressCounter;
-use cnet_concurrent::frontend::{CombiningConfig, CombiningCounter, RoutePolicy, ShardedCounter};
-use cnet_concurrent::mp::{MpConfig, MpNetwork};
-use cnet_concurrent::network::{BalancerKind, NetworkCounter};
 use cnet_proteus::{SimRng, Workload};
 use cnet_topology::Topology;
 
+use crate::counter::Executor;
 use crate::driver::{self, Readout, SpinSite, Trace};
 use crate::schedule::{arrival_schedule, THREAD_STREAM};
-use crate::{Backend, RunOutcome};
+use crate::{Backend, BackendSpec, CounterSpec, RunOutcome, SpecError};
 
 /// Polls a waiting client spins this many times before yielding the
 /// OS thread — long enough to catch a near-committed turn without a
@@ -73,7 +71,7 @@ use crate::{Backend, RunOutcome};
 const SPINS_BEFORE_YIELD: u32 = 64;
 
 /// Tuning knobs for the cooperative executor.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AsyncConfig {
     /// OS threads polling the client arena (at least 1).
     pub workers: usize,
@@ -97,20 +95,6 @@ impl Default for AsyncConfig {
     }
 }
 
-/// Which substrate the cooperative clients traverse.
-#[derive(Debug, Clone, Copy)]
-enum Flavor {
-    /// [`NetworkCounter`] over the backend's topology (the compiled
-    /// arena hot path).
-    Network(BalancerKind),
-    /// [`CombiningCounter`] over the backend's topology.
-    Batch(BalancerKind, CombiningConfig),
-    /// [`ShardedCounter`] over `count` bitonic shards.
-    Shard(BalancerKind, RoutePolicy, usize),
-    /// [`MpNetwork`]: the actor network, tokens as messages.
-    Mp(MpConfig),
-}
-
 /// Runs workloads by multiplexing `workload.processors` *logical*
 /// clients onto [`AsyncConfig::workers`] OS threads — the only
 /// backend where "processors" can plausibly be `10^6`.
@@ -123,90 +107,31 @@ enum Flavor {
 #[derive(Debug, Clone, Copy)]
 pub struct AsyncBackend<'a> {
     topology: &'a Topology,
-    flavor: Flavor,
+    counter: CounterSpec,
     config: AsyncConfig,
     seed: u64,
 }
 
 impl<'a> AsyncBackend<'a> {
-    /// A backend driving a [`NetworkCounter`] built over `topology`.
-    #[must_use]
-    pub fn network(
-        topology: &'a Topology,
-        kind: BalancerKind,
-        config: AsyncConfig,
-        seed: u64,
-    ) -> Self {
-        AsyncBackend {
-            topology,
-            flavor: Flavor::Network(kind),
-            config,
-            seed,
-        }
-    }
-
-    /// A backend driving a [`CombiningCounter`] (the flat-combining
-    /// frontend) over `topology`.
-    #[must_use]
-    pub fn batch(
-        topology: &'a Topology,
-        kind: BalancerKind,
-        combining: CombiningConfig,
-        config: AsyncConfig,
-        seed: u64,
-    ) -> Self {
-        AsyncBackend {
-            topology,
-            flavor: Flavor::Batch(kind, combining),
-            config,
-            seed,
-        }
-    }
-
-    /// A backend driving a [`ShardedCounter`] over `count` bitonic
-    /// shards whose widths sum to `topology`'s output width.
+    /// A backend driving `counter` built over `topology`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `count` does not split the output width into
-    /// power-of-two per-shard widths `>= 2` (same contract as
-    /// [`crate::ShmBackend::shard`]).
-    #[must_use]
-    pub fn shard(
+    /// Returns the [`SpecError`] of [`CounterSpec::check`] when the
+    /// counter cannot be built over this topology.
+    pub fn new(
         topology: &'a Topology,
-        kind: BalancerKind,
-        policy: RoutePolicy,
-        count: usize,
+        counter: CounterSpec,
         config: AsyncConfig,
         seed: u64,
-    ) -> Self {
-        let width = topology.output_width();
-        assert!(count > 0, "at least one shard");
-        assert!(
-            width.is_multiple_of(count)
-                && (width / count) >= 2
-                && (width / count).is_power_of_two(),
-            "shard count {count} must split width {width} into powers of two >= 2"
-        );
-        AsyncBackend {
+    ) -> Result<Self, SpecError> {
+        counter.check(topology)?;
+        Ok(AsyncBackend {
             topology,
-            flavor: Flavor::Shard(kind, policy, count),
+            counter,
             config,
             seed,
-        }
-    }
-
-    /// A backend injecting tokens into a freshly spawned [`MpNetwork`]
-    /// (the actor substrate; its balancer/counter threads are the
-    /// network, the cooperative clients are the load).
-    #[must_use]
-    pub fn mp(topology: &'a Topology, mp: MpConfig, config: AsyncConfig, seed: u64) -> Self {
-        AsyncBackend {
-            topology,
-            flavor: Flavor::Mp(mp),
-            config,
-            seed,
-        }
+        })
     }
 }
 
@@ -400,19 +325,25 @@ fn drive_async(
     (trace, shared.arrivals, completions)
 }
 
-impl AsyncBackend<'_> {
-    /// Runs `counter` under the cooperative executor and assembles the
-    /// full outcome, including the open-loop telemetry block on
-    /// open-loop workloads.
-    fn finish(
-        &self,
-        counter: &(dyn StressCounter + '_),
-        workload: &Workload,
+/// The cooperative executor over one run's workload: runs the counter
+/// under [`drive_async`] and assembles the full outcome, including the
+/// open-loop telemetry block on open-loop workloads.
+struct Cooperative<'a> {
+    backend: &'a AsyncBackend<'a>,
+    workload: &'a Workload,
+}
+
+impl Executor for Cooperative<'_> {
+    fn execute<C: StressCounter>(
+        self,
+        counter: &C,
+        site: SpinSite,
         readout: impl FnOnce(&Trace) -> Readout,
     ) -> RunOutcome {
+        let Cooperative { backend, workload } = self;
         let started = Instant::now();
         let (trace, arrivals, completions) =
-            drive_async(counter, workload, self.seed, self.spin_site(), self.config);
+            drive_async(counter, workload, backend.seed, site, backend.config);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         // snapshot export stays outside the timed window, like every
         // other backend's recorder freeze
@@ -424,91 +355,40 @@ impl AsyncBackend<'_> {
                 &arrivals,
                 &completions,
                 &tokens,
-                self.config.windows,
+                backend.config.windows,
             ))
         } else {
             None
         };
         RunOutcome {
-            backend: self.name(),
+            backend: backend.name(),
             stats,
             wall_ms,
             frontend: read.frontend,
             open_loop,
         }
     }
-
-    fn spin_site(&self) -> SpinSite {
-        match self.flavor {
-            // the actor network's per-hop delay is fixed at spawn time,
-            // so the delayed fraction spins client-side, like MpBackend
-            Flavor::Mp(_) => SpinSite::PerOp,
-            _ => SpinSite::PerNode,
-        }
-    }
 }
 
 impl Backend for AsyncBackend<'_> {
     fn name(&self) -> &'static str {
-        match self.flavor {
-            Flavor::Network(_) => "async",
-            Flavor::Batch(..) => "async-batch",
-            Flavor::Shard(..) => "async-shard",
-            Flavor::Mp(_) => "async-mp",
-        }
+        BackendSpec::Async(self.counter, self.config).name()
     }
 
     fn run(&self, workload: &Workload) -> RunOutcome {
         driver::validated(workload);
-        let wait = workload.wait_cycles;
-        match self.flavor {
-            Flavor::Network(kind) => {
-                let counter = NetworkCounter::with_kind(self.topology, kind);
-                self.finish(&counter, workload, |_| Readout {
-                    counts: counter.output_counts().into_iter().collect(),
-                    input_width: counter.input_width(),
-                    metrics: counter.metrics_snapshot(wait),
-                    frontend: None,
-                })
-            }
-            Flavor::Batch(kind, combining) => {
-                let counter = CombiningCounter::with_kind(self.topology, kind, combining);
-                self.finish(&counter, workload, |_| Readout {
-                    counts: counter.output_counts().into_iter().collect(),
-                    input_width: counter.input_width(),
-                    metrics: counter.metrics_snapshot(wait),
-                    frontend: counter.frontend_metrics(),
-                })
-            }
-            Flavor::Shard(kind, policy, count) => {
-                let shard_width = self.topology.output_width() / count;
-                let shards = Topology::shards(shard_width, count)
-                    .expect("shard arguments validated at construction");
-                let counter = ShardedCounter::with_kind(&shards, kind, policy);
-                self.finish(&counter, workload, |_| Readout {
-                    counts: crate::shm::interleave_shard_counts(counter.output_counts(), count),
-                    input_width: shard_width,
-                    metrics: counter.shard_metrics(0, wait),
-                    frontend: counter.frontend_metrics(),
-                })
-            }
-            Flavor::Mp(mp) => {
-                let net = MpNetwork::spawn(self.topology, mp);
-                let width = self.topology.output_width();
-                self.finish(&net, workload, |trace| Readout {
-                    counts: trace.tallies(width),
-                    input_width: net.input_width(),
-                    metrics: net.metrics_snapshot(wait),
-                    frontend: None,
-                })
-            }
-        }
+        let exec = Cooperative {
+            backend: self,
+            workload,
+        };
+        self.counter.run(self.topology, workload.wait_cycles, exec)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cnet_concurrent::network::BalancerKind;
     use cnet_proteus::ArrivalProcess;
     use cnet_topology::constructions;
 
@@ -517,6 +397,15 @@ mod tests {
             total_ops: ops,
             ..Workload::paper(clients, 0, 0)
         }
+    }
+
+    fn network(
+        net: &Topology,
+        kind: BalancerKind,
+        config: AsyncConfig,
+        seed: u64,
+    ) -> AsyncBackend<'_> {
+        AsyncBackend::new(net, CounterSpec::Network(kind), config, seed).unwrap()
     }
 
     fn cfg(workers: usize, chunk: usize) -> AsyncConfig {
@@ -530,8 +419,7 @@ mod tests {
     #[test]
     fn network_flavor_counts_exactly_with_more_clients_than_workers() {
         let net = constructions::bitonic(4).unwrap();
-        let outcome = AsyncBackend::network(&net, BalancerKind::WaitFree, cfg(2, 16), 3)
-            .run(&workload(100, 500));
+        let outcome = network(&net, BalancerKind::WaitFree, cfg(2, 16), 3).run(&workload(100, 500));
         assert_eq!(outcome.backend, "async");
         assert_eq!(outcome.stats.operations.len(), 500);
         assert!(outcome.counts_exactly());
@@ -544,8 +432,7 @@ mod tests {
     #[test]
     fn trace_is_in_op_order_with_serial_clock_brackets() {
         let net = constructions::bitonic(4).unwrap();
-        let outcome = AsyncBackend::network(&net, BalancerKind::WaitFree, cfg(3, 8), 9)
-            .run(&workload(64, 300));
+        let outcome = network(&net, BalancerKind::WaitFree, cfg(3, 8), 9).run(&workload(64, 300));
         for (i, op) in outcome.stats.operations.iter().enumerate() {
             assert_eq!(op.token, i);
             assert_eq!(op.start, 2 * i as u64);
@@ -556,8 +443,7 @@ mod tests {
     #[test]
     fn closed_loop_clients_take_turns_round_robin() {
         let net = constructions::bitonic(2).unwrap();
-        let outcome = AsyncBackend::network(&net, BalancerKind::WaitFree, cfg(2, 4), 1)
-            .run(&workload(10, 35));
+        let outcome = network(&net, BalancerKind::WaitFree, cfg(2, 4), 1).run(&workload(10, 35));
         // op i belongs to client i % 10 by static assignment
         for (i, &client) in outcome.stats.completed_by.iter().enumerate() {
             assert_eq!(client, i % 10);
@@ -567,12 +453,11 @@ mod tests {
     #[test]
     fn open_loop_outcomes_carry_telemetry() {
         let net = constructions::bitonic(4).unwrap();
-        let outcome =
-            AsyncBackend::network(&net, BalancerKind::WaitFree, cfg(2, 8), 11).run(&Workload {
-                total_ops: 200,
-                arrival: ArrivalProcess::Open { mean_gap: 100 },
-                ..Workload::paper(32, 0, 0)
-            });
+        let outcome = network(&net, BalancerKind::WaitFree, cfg(2, 8), 11).run(&Workload {
+            total_ops: 200,
+            arrival: ArrivalProcess::Open { mean_gap: 100 },
+            ..Workload::paper(32, 0, 0)
+        });
         assert_eq!(outcome.stats.operations.len(), 200);
         assert!(outcome.counts_exactly());
         let ol = outcome.open_loop.expect("open-loop runs carry telemetry");
@@ -585,82 +470,26 @@ mod tests {
     #[test]
     fn closed_loop_outcomes_have_no_telemetry_block() {
         let net = constructions::bitonic(4).unwrap();
-        let outcome = AsyncBackend::network(&net, BalancerKind::WaitFree, cfg(1, 64), 2)
-            .run(&workload(16, 100));
+        let outcome = network(&net, BalancerKind::WaitFree, cfg(1, 64), 2).run(&workload(16, 100));
         assert!(outcome.open_loop.is_none());
-    }
-
-    #[test]
-    fn batch_flavor_counts_exactly() {
-        let net = constructions::bitonic(4).unwrap();
-        let outcome = AsyncBackend::batch(
-            &net,
-            BalancerKind::WaitFree,
-            CombiningConfig::default(),
-            cfg(2, 8),
-            3,
-        )
-        .run(&workload(50, 400));
-        assert_eq!(outcome.backend, "async-batch");
-        assert!(outcome.counts_exactly());
-        assert_eq!(outcome.stats.output_counts.total(), 400);
-    }
-
-    #[test]
-    fn shard_flavor_counts_exactly() {
-        let net = constructions::bitonic(16).unwrap();
-        let outcome = AsyncBackend::shard(
-            &net,
-            BalancerKind::WaitFree,
-            RoutePolicy::RoundRobin,
-            4,
-            cfg(2, 8),
-            7,
-        )
-        .run(&workload(50, 400));
-        assert_eq!(outcome.backend, "async-shard");
-        assert!(outcome.counts_exactly());
-        assert_eq!(outcome.stats.output_counts.total(), 400);
-        assert_eq!(outcome.stats.output_counts.width(), 16);
-    }
-
-    #[test]
-    fn mp_flavor_counts_exactly() {
-        let net = constructions::bitonic(4).unwrap();
-        let outcome =
-            AsyncBackend::mp(&net, MpConfig::default(), cfg(2, 8), 5).run(&workload(40, 200));
-        assert_eq!(outcome.backend, "async-mp");
-        assert!(outcome.counts_exactly());
-        assert!(outcome.has_step_property());
     }
 
     #[test]
     fn delayed_fraction_and_bursty_arrivals_stay_correct() {
         let net = constructions::bitonic(4).unwrap();
-        let outcome =
-            AsyncBackend::network(&net, BalancerKind::Locked, cfg(2, 8), 13).run(&Workload {
-                total_ops: 150,
-                arrival: ArrivalProcess::Bursty { burst: 8, gap: 500 },
-                ..Workload::paper(24, 50, 100)
-            });
+        let outcome = network(&net, BalancerKind::Locked, cfg(2, 8), 13).run(&Workload {
+            total_ops: 150,
+            arrival: ArrivalProcess::Bursty { burst: 8, gap: 500 },
+            ..Workload::paper(24, 50, 100)
+        });
         assert!(outcome.counts_exactly());
     }
 
     #[test]
     fn zero_work_degenerates_safely() {
         let net = constructions::bitonic(4).unwrap();
-        let b = AsyncBackend::network(&net, BalancerKind::WaitFree, cfg(2, 8), 1);
+        let b = network(&net, BalancerKind::WaitFree, cfg(2, 8), 1);
         assert!(b.run(&workload(0, 100)).stats.operations.is_empty());
         assert!(b.run(&workload(8, 0)).stats.operations.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "mean_gap >= 1")]
-    fn degenerate_open_gap_is_rejected() {
-        let net = constructions::bitonic(4).unwrap();
-        let _ = AsyncBackend::network(&net, BalancerKind::WaitFree, cfg(1, 8), 1).run(&Workload {
-            arrival: ArrivalProcess::Open { mean_gap: 0 },
-            ..Workload::paper(4, 0, 0)
-        });
     }
 }

@@ -5,7 +5,8 @@
 //! and adds the engine's workload semantics on top: a global op quota
 //! shared by all clients (claimed a chunk at a time by a closed loop),
 //! the delayed-fraction/`W` mapping, the open-loop arrival schedules
-//! (seeded, nanoseconds of host time), and the one timed window ([`run`]).
+//! (seeded, nanoseconds of host time), and the one timed window
+//! ([`Threads`]).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -16,6 +17,7 @@ use cnet_proteus::{RunStats, SimRng, WaitMode, Workload};
 use cnet_timing::Operation;
 use cnet_topology::OutputCounts;
 
+use crate::counter::Executor;
 use crate::schedule::{arrival_schedule, THREAD_STREAM};
 use crate::RunOutcome;
 
@@ -114,12 +116,7 @@ impl Trace {
 /// # Panics
 ///
 /// Panics if a client thread panics.
-pub(crate) fn drive(
-    counter: &(impl StressCounter + ?Sized),
-    workload: &Workload,
-    seed: u64,
-    site: SpinSite,
-) -> Trace {
+fn drive(counter: &impl StressCounter, workload: &Workload, seed: u64, site: SpinSite) -> Trace {
     if workload.processors == 0 || workload.total_ops == 0 {
         return Trace::default();
     }
@@ -180,29 +177,35 @@ pub(crate) struct Readout {
     pub frontend: Option<FrontendMetrics>,
 }
 
-/// One native run from spawn to [`RunOutcome`], so the timed window is
-/// defined once: `wall_ms` is [`drive`] — spawn to join of the client
-/// threads — and nothing after it. `readout` (snapshot export, final
-/// tallies) and the trace assembly stay outside, like the simulator
-/// backend's recorder freeze.
-pub(crate) fn run(
-    backend: &'static str,
-    counter: &(impl StressCounter + ?Sized),
-    workload: &Workload,
-    seed: u64,
-    site: SpinSite,
-    readout: impl FnOnce(&Trace) -> Readout,
-) -> RunOutcome {
-    let started = Instant::now();
-    let trace = drive(counter, workload, seed, site);
-    let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-    let read = readout(&trace);
-    RunOutcome {
-        backend,
-        stats: stats_from_trace(trace, read.counts, read.input_width, read.metrics),
-        wall_ms,
-        frontend: read.frontend,
-        open_loop: None,
+/// The thread-per-client executor: one native run from spawn to
+/// [`RunOutcome`], so the timed window is defined once — `wall_ms` is
+/// [`drive`], spawn to join of the client threads, and nothing after
+/// it. The read-out (snapshot export, final tallies) and the trace
+/// assembly stay outside, like the simulator backend's recorder freeze.
+pub(crate) struct Threads<'a> {
+    pub backend: &'static str,
+    pub workload: &'a Workload,
+    pub seed: u64,
+}
+
+impl Executor for Threads<'_> {
+    fn execute<C: StressCounter>(
+        self,
+        counter: &C,
+        site: SpinSite,
+        readout: impl FnOnce(&Trace) -> Readout,
+    ) -> RunOutcome {
+        let started = Instant::now();
+        let trace = drive(counter, self.workload, self.seed, site);
+        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        let read = readout(&trace);
+        RunOutcome {
+            backend: self.backend,
+            stats: stats_from_trace(trace, read.counts, read.input_width, read.metrics),
+            wall_ms,
+            frontend: read.frontend,
+            open_loop: None,
+        }
     }
 }
 

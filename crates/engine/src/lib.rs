@@ -13,15 +13,20 @@
 //! three names:
 //!
 //! * [`Backend`] — something that can execute a [`Workload`] against a
-//!   counting network and produce a [`RunOutcome`]. Four
+//!   counting network and produce a [`RunOutcome`]. Three
 //!   implementations ship: [`SimBackend`] (the deterministic
-//!   discrete-event simulator), [`ShmBackend`] (real threads over the
-//!   native-atomics counters, including the combining and sharded
-//!   elastic frontends), [`MpBackend`] (real threads over the
-//!   message-passing network, optionally elimination-fronted), and
-//!   [`AsyncBackend`] (a cooperative executor multiplexing millions of
-//!   logical clients onto a small worker pool — the only substrate
-//!   where "clients" can mean `10^6`).
+//!   discrete-event simulator), [`ShmBackend`] (one real thread per
+//!   client) and [`AsyncBackend`] (a cooperative executor multiplexing
+//!   millions of logical clients onto a small worker pool — the only
+//!   substrate where "clients" can mean `10^6`). The two native
+//!   executors drive any [`CounterSpec`]: the compiled network, the
+//!   reference traversal, a diffracting tree, the combining and
+//!   sharded frontends, the message-passing network with or without
+//!   elimination.
+//! * [`BackendSpec`] — "which counter, driven how" as one parseable
+//!   value (`shm`, `shm-batch:8`, `async-mp`, …): the registry behind
+//!   `cnet run --backend` and the native benches, and the only place a
+//!   flavor is named.
 //! * [`Workload`] — re-exported from `cnet-proteus`, now carrying an
 //!   [`ArrivalProcess`]: the paper's closed loop, or open-loop /
 //!   bursty arrivals on a deterministic seeded schedule.
@@ -67,13 +72,14 @@
 #![warn(missing_debug_implementations)]
 
 mod async_exec;
+mod counter;
 mod driver;
-mod mp;
 mod outcome;
 mod schedule;
 mod service;
 mod shm;
 mod sim;
+mod spec;
 
 pub use cnet_concurrent::frontend::{CombiningConfig, EliminationConfig, RoutePolicy};
 pub use cnet_concurrent::mp::MpConfig;
@@ -82,12 +88,13 @@ pub use cnet_concurrent::tree::TreeConfig;
 pub use cnet_proteus::{ArrivalProcess, RunStats, SimConfig, WaitMode, Workload, WorkloadError};
 
 pub use async_exec::{AsyncBackend, AsyncConfig};
-pub use mp::MpBackend;
+pub use counter::CounterSpec;
 pub use outcome::RunOutcome;
 pub use schedule::arrival_schedule;
 pub use service::ServiceDriver;
 pub use shm::ShmBackend;
 pub use sim::SimBackend;
+pub use spec::{BackendSpec, SpecError};
 
 /// An execution substrate: builds (or owns) a counter over a topology
 /// and can run a [`Workload`] against it.
@@ -99,8 +106,8 @@ pub use sim::SimBackend;
 /// substrates in one invocation.
 pub trait Backend {
     /// Short identifier recorded in the outcome (and, downstream, in
-    /// the harness `RunRecord`): `"sim"`, `"shm"`, `"mp"`, or a
-    /// frontend flavor (`"shm-batch"`, `"shm-shard"`, `"mp-elim"`).
+    /// the harness `RunRecord`): the family string of
+    /// [`BackendSpec::name`].
     fn name(&self) -> &'static str;
 
     /// Executes the workload to completion and returns the unified

@@ -5,7 +5,7 @@ use std::time::Instant;
 use cnet_proteus::{SimConfig, Simulator, Workload};
 use cnet_topology::Topology;
 
-use crate::{Backend, RunOutcome};
+use crate::{Backend, BackendSpec, RunOutcome};
 
 /// Runs workloads on the `cnet-proteus` deterministic discrete-event
 /// simulator — the substrate of the paper's Section 5 study and of
@@ -38,7 +38,7 @@ impl<'a> SimBackend<'a> {
 
 impl Backend for SimBackend<'_> {
     fn name(&self) -> &'static str {
-        "sim"
+        BackendSpec::Sim(self.config).name()
     }
 
     fn run(&self, workload: &Workload) -> RunOutcome {

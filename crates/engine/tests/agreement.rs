@@ -16,7 +16,7 @@ use cnet_concurrent::mp::MpConfig;
 use cnet_concurrent::network::BalancerKind;
 use cnet_concurrent::testcfg;
 use cnet_engine::{
-    ArrivalProcess, AsyncBackend, AsyncConfig, Backend, MpBackend, ShmBackend, SimBackend, Workload,
+    ArrivalProcess, AsyncConfig, Backend, BackendSpec, CounterSpec, SimBackend, Workload,
 };
 use cnet_proteus::SimConfig;
 use cnet_topology::constructions;
@@ -25,13 +25,15 @@ use cnet_topology::constructions;
 /// and audits every history against the backend-independent invariants.
 fn assert_backends_agree(workload: &Workload, seed: u64) {
     let net = constructions::bitonic(8).expect("valid width");
-    let backends: [&dyn Backend; 4] = [
-        &SimBackend::new(&net, SimConfig::queue_lock(seed)),
-        &ShmBackend::network(&net, BalancerKind::WaitFree, seed),
-        &MpBackend::new(&net, MpConfig::default(), seed),
-        &AsyncBackend::network(&net, BalancerKind::WaitFree, AsyncConfig::default(), seed),
+    let network = CounterSpec::Network(BalancerKind::WaitFree);
+    let specs = [
+        BackendSpec::Sim(SimConfig::queue_lock(seed)),
+        BackendSpec::Threads(network),
+        BackendSpec::Threads(CounterSpec::Mp(MpConfig::default())),
+        BackendSpec::Async(network, AsyncConfig::default()),
     ];
-    for backend in backends {
+    for spec in specs {
+        let backend = spec.build(&net, seed).expect("width 8 hosts all four");
         let outcome = backend.run(workload);
         assert_eq!(
             outcome.stats.operations.len(),
@@ -66,7 +68,7 @@ fn assert_backends_agree(workload: &Workload, seed: u64) {
         );
         // the async executor serializes admission, so its histories are
         // linearizable by construction
-        if outcome.backend.starts_with("async") {
+        if matches!(spec, BackendSpec::Async(..)) {
             assert_eq!(
                 outcome.stats.nonlinearizable, 0,
                 "turn-sequenced admission cannot produce overlap anomalies"

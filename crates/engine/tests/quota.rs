@@ -7,11 +7,10 @@
 //! `0..total_ops`. With an arrival schedule op `i` still meets arrival
 //! `i`.
 
-use cnet_concurrent::mp::MpConfig;
 use cnet_concurrent::network::BalancerKind;
 use cnet_engine::{
-    arrival_schedule, ArrivalProcess, AsyncBackend, AsyncConfig, Backend, CombiningConfig,
-    EliminationConfig, MpBackend, RoutePolicy, ShmBackend, Workload,
+    arrival_schedule, ArrivalProcess, AsyncBackend, AsyncConfig, Backend, BackendSpec, CounterSpec,
+    ShmBackend, Workload,
 };
 use cnet_timing::linearizability::count_nonlinearizable;
 use cnet_timing::Operation;
@@ -27,14 +26,15 @@ fn closed(processors: usize, total_ops: usize) -> Workload {
 #[test]
 fn every_quota_shape_completes_exactly_on_every_threaded_backend() {
     let net = constructions::bitonic(8).expect("valid width");
-    let (kind, mp, seed) = (BalancerKind::WaitFree, MpConfig::default(), 0xC0DE);
-    let backends: [&dyn Backend; 5] = [
-        &ShmBackend::network(&net, kind, seed),
-        &ShmBackend::batch(&net, kind, CombiningConfig::default(), seed),
-        &ShmBackend::shard(&net, kind, RoutePolicy::RoundRobin, 2, seed),
-        &MpBackend::new(&net, mp, seed),
-        &MpBackend::elim(&net, mp, EliminationConfig::default(), seed),
-    ];
+    let threaded = BackendSpec::all()
+        .into_iter()
+        .filter(|spec| matches!(spec, BackendSpec::Threads(_)));
+    let backends: Vec<Box<dyn Backend + '_>> = threaded
+        .map(|spec| {
+            spec.build(&net, 0xC0DE)
+                .expect("width 8 hosts every family")
+        })
+        .collect();
     let workloads = [
         // chunk 64, and the quota is not a multiple of it
         closed(3, 3 * 16 * 64 + 37),
@@ -51,7 +51,7 @@ fn every_quota_shape_completes_exactly_on_every_threaded_backend() {
             ..Workload::paper(4, 50, 200)
         },
     ];
-    for backend in backends {
+    for backend in &backends {
         for workload in &workloads {
             let outcome = backend.run(workload);
             let shape = format!(
@@ -151,8 +151,10 @@ fn scheduled_arrivals_still_pair_op_i_with_arrival_i() {
             chunk: 8,
             windows: 4,
         };
-        let outcome =
-            AsyncBackend::network(&net, BalancerKind::WaitFree, config, seed).run(&workload);
+        let network = CounterSpec::Network(BalancerKind::WaitFree);
+        let outcome = AsyncBackend::new(&net, network, config, seed)
+            .expect("every topology hosts its own network counter")
+            .run(&workload);
         assert!(outcome.counts_exactly(), "{arrival:?}");
         // token i is op i, admitted in schedule order by client i % n
         for (i, op) in outcome.stats.operations.iter().enumerate() {

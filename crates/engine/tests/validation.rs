@@ -7,13 +7,8 @@
 //! [`Backend::try_run`] returns the error, [`Backend::run`] panics
 //! with its display text.
 
-use cnet_concurrent::mp::MpConfig;
 use cnet_concurrent::network::BalancerKind;
-use cnet_engine::{
-    ArrivalProcess, AsyncBackend, AsyncConfig, Backend, MpBackend, ShmBackend, SimBackend,
-    Workload, WorkloadError,
-};
-use cnet_proteus::SimConfig;
+use cnet_engine::{ArrivalProcess, Backend, BackendSpec, ShmBackend, Workload, WorkloadError};
 use cnet_topology::{constructions, Topology};
 
 fn zero_gap() -> Workload {
@@ -111,36 +106,19 @@ fn assert_rejects(backend: &dyn Backend) {
 }
 
 fn net() -> Topology {
-    constructions::bitonic(4).expect("valid width")
+    constructions::bitonic(8).expect("valid width")
 }
 
 #[test]
-fn sim_backend_rejects_degenerate_arrivals() {
+fn every_registered_backend_rejects_degenerate_arrivals() {
     let net = net();
-    assert_rejects(&SimBackend::new(&net, SimConfig::queue_lock(1)));
-}
-
-#[test]
-fn shm_backend_rejects_degenerate_arrivals() {
-    let net = net();
-    assert_rejects(&ShmBackend::network(&net, BalancerKind::WaitFree, 1));
-}
-
-#[test]
-fn mp_backend_rejects_degenerate_arrivals() {
-    let net = net();
-    assert_rejects(&MpBackend::new(&net, MpConfig::default(), 1));
-}
-
-#[test]
-fn async_backend_rejects_degenerate_arrivals() {
-    let net = net();
-    assert_rejects(&AsyncBackend::network(
-        &net,
-        BalancerKind::WaitFree,
-        AsyncConfig::default(),
-        1,
-    ));
+    for spec in BackendSpec::all() {
+        assert_rejects(
+            spec.build(&net, 1)
+                .expect("width 8 hosts every family")
+                .as_ref(),
+        );
+    }
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! The experiment harness shared by every figure/table binary and the
 //! CLI's simulation paths.
 //!
-//! The harness owns the four concerns the runners used to hand-roll:
+//! The harness owns the concerns the runners used to hand-roll:
 //!
 //! * **grids** — a declarative [`Grid`] (or an explicit [`Job`] list)
 //!   describing a parameter sweep, with each cell's PRNG seed derived
@@ -17,6 +17,9 @@
 //! * **uniform flags** — [`BenchArgs`] gives every binary the same
 //!   `--ops`, `--seed`, `--threads`, `--json <path>`,
 //!   `--baseline <path>` surface;
+//! * **native sweeps** — [`NativeSweep`] runs one
+//!   [`cnet_engine::BackendSpec`] best-of-N over a list of cells, the
+//!   loop the host-time benches share;
 //! * **perf regression** — [`baseline`] compares a run's per-cell
 //!   wall-clock against a committed `BENCH_*.json` and fails loudly on
 //!   multi-× slowdowns.
@@ -31,14 +34,16 @@ pub mod pool;
 pub mod record;
 pub mod report;
 pub mod seed;
+pub mod sweep;
 pub mod table;
 
 pub use args::BenchArgs;
 pub use baseline::{Baseline, BaselineComparison, SloBaseline, SloComparison};
 pub use grid::{run_jobs, run_jobs_report, CellRun, Grid, GridOutcome, Job, NetworkKind};
-pub use record::{native_cell_reps, GridReport, RunRecord, SCHEMA_VERSION};
+pub use record::{native_cell_reps, GridReport, RunRecord, SchemaVersion, SCHEMA_VERSION};
 pub use report::BenchReport;
 pub use seed::{derive_cell_seed, derive_seed};
+pub use sweep::NativeSweep;
 pub use table::{percent, ResultTable};
 
 /// The concurrency levels used throughout the paper's Section 5.

@@ -5,34 +5,34 @@ use cnet_obs::MetricsSnapshot;
 use cnet_proteus::{RunStats, StatsSummary, Workload};
 use serde::{impl_serde_struct, Deserialize, Error, Serialize, Value};
 
-/// Version of the [`RunRecord`] JSON envelope.
-///
-/// * **1** (implicit — records without the field): label through
-///   `wall_ms`, no metrics.
-/// * **2**: adds `schema_version` itself and the optional `metrics`
-///   block (see [`cnet_obs::MetricsSnapshot`], which carries its own
-///   independent block version).
-/// * **3**: adds `backend` — which execution substrate produced the
-///   record (`"sim"`, `"shm"`, or `"mp"`). Records written before the
-///   field existed were all simulator runs, so readers default it to
-///   `"sim"`.
-/// * **4**: adds the optional `noisy` flag — `true` when the producing
-///   bench detected it could not isolate the measurement (e.g. the
-///   host exposed a single hardware thread to a multi-threaded cell).
-///   Written only when set; readers default it to `false`.
-/// * **5**: adds the optional `open_loop` block — per-window sojourn
-///   latency against the seeded arrival schedule (see
-///   [`cnet_obs::OpenLoopMetrics`]), written by the async backend's
-///   open-loop runs (the saturation atlas). Written only when present;
-///   readers default it to `None`.
-/// * **6**: adds the optional `slo` block — the online SLO snapshot of
-///   a long-running `cnet serve` soak (see [`cnet_obs::SloReport`],
-///   which carries its own block version). Written only when present;
-///   readers default it to `None`.
-///
-/// Readers accept all versions ≤ the current one: committed baselines
-/// from before the field existed keep loading.
+/// Version of the [`RunRecord`] JSON envelope, and the only one the
+/// reader accepts: every committed artifact was migrated to it, so a
+/// record at any other version (or without one) is a typed error, not
+/// a guess at what the missing fields meant.
 pub const SCHEMA_VERSION: u32 = 6;
+
+/// The `schema_version` field of a [`RunRecord`]: written as
+/// [`SCHEMA_VERSION`] and read back only from it, so a record in
+/// memory is at the current version by construction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SchemaVersion;
+
+impl Serialize for SchemaVersion {
+    fn to_value(&self) -> Value {
+        SCHEMA_VERSION.to_value()
+    }
+}
+
+impl Deserialize for SchemaVersion {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        match u32::from_value(v)? {
+            SCHEMA_VERSION => Ok(SchemaVersion),
+            other => Err(Error::new(format!(
+                "run record schema version {other} is not the supported {SCHEMA_VERSION}"
+            ))),
+        }
+    }
+}
 
 /// The serializable summary of one simulator run (one grid cell or one
 /// standalone simulation).
@@ -43,16 +43,15 @@ pub const SCHEMA_VERSION: u32 = 6;
 /// host wall-clock and varies run to run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunRecord {
-    /// Envelope version this record was written with (see
-    /// [`SCHEMA_VERSION`]); 1 for legacy records deserialized from
-    /// JSON that predates the field.
-    pub schema_version: u32,
+    /// Envelope version ([`SCHEMA_VERSION`]).
+    pub schema_version: SchemaVersion,
     /// Cell label within its sweep (e.g. `"W=100,n=4"` or `"cs=10"`).
     pub label: String,
     /// Network description (e.g. `"Bitonic Counting Network"`).
     pub kind: String,
-    /// Execution backend that produced the record (`"sim"`, `"shm"`,
-    /// `"mp"`); `"sim"` for records predating the field.
+    /// Family name of the execution backend that produced the record
+    /// ([`cnet_engine::BackendSpec::name`], or `"serve"` for a
+    /// service soak).
     pub backend: String,
     /// Concurrency `n`.
     pub processors: usize,
@@ -91,103 +90,19 @@ pub struct RunRecord {
     pub slo: Option<cnet_obs::SloReport>,
 }
 
-// Serde is hand-written (not `impl_serde_struct!`) because the macro
-// requires every field to be present on read, and RunRecord must keep
-// loading version-1 baselines that predate `schema_version`/`metrics`.
-impl Serialize for RunRecord {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("schema_version".to_string(), self.schema_version.to_value()),
-            ("label".to_string(), self.label.to_value()),
-            ("kind".to_string(), self.kind.to_value()),
-            ("backend".to_string(), self.backend.to_value()),
-            ("processors".to_string(), self.processors.to_value()),
-            (
-                "delayed_percent".to_string(),
-                self.delayed_percent.to_value(),
-            ),
-            ("wait_cycles".to_string(), self.wait_cycles.to_value()),
-            ("total_ops".to_string(), self.total_ops.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("stats".to_string(), self.stats.to_value()),
-            ("wall_ms".to_string(), self.wall_ms.to_value()),
-        ];
-        // legacy-shaped output for legacy-shaped records: only write
-        // the optional block when there is something in it
-        if let Some(m) = &self.metrics {
-            fields.push(("metrics".to_string(), m.to_value()));
-        }
-        if self.noisy {
-            fields.push(("noisy".to_string(), true.to_value()));
-        }
-        if let Some(ol) = &self.open_loop {
-            fields.push(("open_loop".to_string(), ol.to_value()));
-        }
-        if let Some(slo) = &self.slo {
-            fields.push(("slo".to_string(), slo.to_value()));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for RunRecord {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let schema_version: u32 = match v.get("schema_version") {
-            Some(raw) => u32::from_value(raw)
-                .map_err(|e| Error::new(format!("field `schema_version`: {e}")))?,
-            None => 1, // records written before the field existed
-        };
-        if schema_version > SCHEMA_VERSION {
-            return Err(Error::new(format!(
-                "run record schema version {schema_version} is newer than supported {SCHEMA_VERSION}"
-            )));
-        }
-        let metrics: Option<MetricsSnapshot> = match v.get("metrics") {
-            Some(raw) => Option::<MetricsSnapshot>::from_value(raw)
-                .map_err(|e| Error::new(format!("field `metrics`: {e}")))?,
-            None => None,
-        };
-        let backend: String = match v.get("backend") {
-            Some(raw) => {
-                String::from_value(raw).map_err(|e| Error::new(format!("field `backend`: {e}")))?
-            }
-            None => "sim".to_string(), // every pre-v3 record was a simulator run
-        };
-        let noisy: bool = match v.get("noisy") {
-            Some(raw) => {
-                bool::from_value(raw).map_err(|e| Error::new(format!("field `noisy`: {e}")))?
-            }
-            None => false, // pre-v4 records never flagged noise
-        };
-        let open_loop: Option<cnet_obs::OpenLoopMetrics> = match v.get("open_loop") {
-            Some(raw) => Option::<cnet_obs::OpenLoopMetrics>::from_value(raw)
-                .map_err(|e| Error::new(format!("field `open_loop`: {e}")))?,
-            None => None, // pre-v5 records had no open-loop runs
-        };
-        let slo: Option<cnet_obs::SloReport> = match v.get("slo") {
-            Some(raw) => Option::<cnet_obs::SloReport>::from_value(raw)
-                .map_err(|e| Error::new(format!("field `slo`: {e}")))?,
-            None => None, // pre-v6 records had no service soaks
-        };
-        Ok(RunRecord {
-            schema_version,
-            label: v.field("label")?,
-            kind: v.field("kind")?,
-            backend,
-            processors: v.field("processors")?,
-            delayed_percent: v.field("delayed_percent")?,
-            wait_cycles: v.field("wait_cycles")?,
-            total_ops: v.field("total_ops")?,
-            seed: v.field("seed")?,
-            stats: v.field("stats")?,
-            metrics,
-            wall_ms: v.field("wall_ms")?,
-            noisy,
-            open_loop,
-            slo,
-        })
-    }
-}
+impl_serde_struct!(RunRecord {
+    schema_version,
+    label,
+    kind,
+    backend,
+    processors,
+    delayed_percent,
+    wait_cycles,
+    total_ops,
+    seed,
+    stats,
+    wall_ms,
+} omit_empty { metrics, noisy, open_loop, slo });
 
 impl RunRecord {
     /// Builds a record from a finished simulator run.
@@ -216,7 +131,7 @@ impl RunRecord {
         wall_ms: f64,
     ) -> Self {
         RunRecord {
-            schema_version: SCHEMA_VERSION,
+            schema_version: SchemaVersion,
             label: label.into(),
             kind: kind.into(),
             backend: backend.into(),
@@ -366,7 +281,6 @@ mod tests {
     #[test]
     fn run_record_serde_round_trip() {
         let r = record("W=100,n=4", 1.25);
-        assert_eq!(r.schema_version, SCHEMA_VERSION);
         let text = serde::json::to_string_pretty(&r.to_value());
         let back = RunRecord::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
         assert_eq!(back, r);
@@ -403,52 +317,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_version_1_records_still_load() {
-        // a committed baseline cell from before `schema_version` and
-        // `metrics` existed — byte shape pinned here so the reader can
-        // never silently drop support
-        let r = record("W=100,n=4", 0.0);
-        let Value::Object(fields) = r.to_value() else {
-            panic!("records serialize as objects");
-        };
-        let legacy: Vec<_> = fields
-            .into_iter()
-            .filter(|(k, _)| k != "schema_version" && k != "metrics" && k != "backend")
-            .collect();
-        let back = RunRecord::from_value(&Value::Object(legacy)).unwrap();
-        assert_eq!(back.schema_version, 1);
-        assert_eq!(back.metrics, None);
-        assert_eq!(back.backend, "sim");
-        assert_eq!(back.stats, r.stats);
-        assert_eq!(back.label, r.label);
-    }
-
-    #[test]
-    fn version_2_records_without_backend_still_load() {
-        // a committed BENCH_*.json baseline cell from the v2 era: has
-        // schema_version but predates `backend`
-        let r = record("W=100,n=4", 0.0);
-        let Value::Object(fields) = r.to_value() else {
-            panic!("records serialize as objects");
-        };
-        let v2: Vec<_> = fields
-            .into_iter()
-            .map(|(k, v)| {
-                if k == "schema_version" {
-                    (k, 2u32.to_value())
-                } else {
-                    (k, v)
-                }
-            })
-            .filter(|(k, _)| k != "backend")
-            .collect();
-        let back = RunRecord::from_value(&Value::Object(v2)).unwrap();
-        assert_eq!(back.schema_version, 2);
-        assert_eq!(back.backend, "sim");
-        assert_eq!(back.stats, r.stats);
-    }
-
-    #[test]
     fn noisy_flag_round_trips_and_defaults_false() {
         let mut r = record("W=100,n=4", 1.0);
         r.noisy = true;
@@ -457,7 +325,7 @@ mod tests {
         let back = RunRecord::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
         assert!(back.noisy);
 
-        // quiet records stay byte-shaped like v3: no `noisy` key at all
+        // quiet records carry no `noisy` key at all
         let quiet = record("W=100,n=4", 1.0);
         let text = serde::json::to_string(&quiet.to_value());
         assert!(!text.contains("\"noisy\""));
@@ -494,35 +362,12 @@ mod tests {
         let back = RunRecord::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
         assert_eq!(back, r);
 
-        // records without the block stay byte-shaped like v4, and the
+        // records without the block carry no `open_loop` key, and the
         // canonical form (determinism comparisons) strips it: sojourn
         // latency is host time
         let plain = record("W=100,n=4", 1.0);
         assert!(!serde::json::to_string(&plain.to_value()).contains("\"open_loop\""));
         assert_eq!(r.canonical().open_loop, None);
-    }
-
-    #[test]
-    fn version_4_records_without_open_loop_still_load() {
-        let r = record("W=100,n=4", 0.0);
-        let Value::Object(fields) = r.to_value() else {
-            panic!("records serialize as objects");
-        };
-        let v4: Vec<_> = fields
-            .into_iter()
-            .map(|(k, v)| {
-                if k == "schema_version" {
-                    (k, 4u32.to_value())
-                } else {
-                    (k, v)
-                }
-            })
-            .filter(|(k, _)| k != "open_loop")
-            .collect();
-        let back = RunRecord::from_value(&Value::Object(v4)).unwrap();
-        assert_eq!(back.schema_version, 4);
-        assert_eq!(back.open_loop, None);
-        assert_eq!(back.stats, r.stats);
     }
 
     #[test]
@@ -537,7 +382,7 @@ mod tests {
         let back = RunRecord::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
         assert_eq!(back, r);
 
-        // records without the block stay byte-shaped like v5, and the
+        // records without the block carry no `slo` key, and the
         // canonical form strips it: breach timestamps are host time
         let plain = record("W=100,n=4", 1.0);
         assert!(!serde::json::to_string(&plain.to_value()).contains("\"slo\""));
@@ -545,40 +390,16 @@ mod tests {
     }
 
     #[test]
-    fn version_5_records_without_slo_still_load() {
-        let r = record("W=100,n=4", 0.0);
-        let Value::Object(fields) = r.to_value() else {
-            panic!("records serialize as objects");
-        };
-        let v5: Vec<_> = fields
-            .into_iter()
-            .map(|(k, v)| {
-                if k == "schema_version" {
-                    (k, 5u32.to_value())
-                } else {
-                    (k, v)
-                }
-            })
-            .filter(|(k, _)| k != "slo")
-            .collect();
-        let back = RunRecord::from_value(&Value::Object(v5)).unwrap();
-        assert_eq!(back.schema_version, 5);
-        assert_eq!(back.slo, None);
-        assert_eq!(back.stats, r.stats);
-    }
-
-    #[test]
-    fn future_versions_are_rejected_loudly() {
-        let mut v = record("W=100,n=4", 0.0).to_value();
-        if let Value::Object(fields) = &mut v {
-            for (k, val) in fields.iter_mut() {
-                if k == "schema_version" {
-                    *val = (SCHEMA_VERSION + 1).to_value();
-                }
+    fn any_other_version_is_rejected_loudly() {
+        for version in [SCHEMA_VERSION - 1, SCHEMA_VERSION + 1] {
+            let mut v = record("W=100,n=4", 0.0).to_value();
+            if let Value::Object(fields) = &mut v {
+                fields[0] = ("schema_version".to_string(), version.to_value());
             }
+            let err = RunRecord::from_value(&v).unwrap_err().to_string();
+            assert!(err.contains("field `schema_version`"), "{err}");
+            assert!(err.contains("is not the supported"), "{err}");
         }
-        let err = RunRecord::from_value(&v).unwrap_err();
-        assert!(err.to_string().contains("newer than supported"));
     }
 
     #[test]

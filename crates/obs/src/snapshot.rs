@@ -190,49 +190,17 @@ pub struct MetricsSnapshot {
     pub balancers: Vec<BalancerMetrics>,
     /// Network-level roll-up.
     pub network: NetworkMetrics,
-    /// Per-queue fabric telemetry; `None` for degenerate-fabric runs
-    /// (including every block written before the fabric existed).
+    /// Per-queue fabric telemetry; `None`, and absent from the JSON,
+    /// for degenerate-fabric runs.
     pub fabric: Option<FabricTelemetry>,
 }
 
-// Serde is hand-written (not `impl_serde_struct!`) so metrics blocks
-// written before the fabric existed keep loading: a missing `fabric`
-// field means the flat wire, i.e. no telemetry. The field is likewise
-// omitted on write when `None`, keeping degenerate-run blocks
-// byte-identical to pre-fabric ones.
-impl serde::Serialize for MetricsSnapshot {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("schema_version".to_string(), self.schema_version.to_value()),
-            ("wait_cycles".to_string(), self.wait_cycles.to_value()),
-            ("balancers".to_string(), self.balancers.to_value()),
-            ("network".to_string(), self.network.to_value()),
-        ];
-        if let Some(fabric) = &self.fabric {
-            fields.push(("fabric".to_string(), fabric.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl serde::Deserialize for MetricsSnapshot {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let fabric = match v.get("fabric") {
-            Some(raw) => Some(
-                FabricTelemetry::from_value(raw)
-                    .map_err(|e| serde::Error::new(format!("field `fabric`: {e}")))?,
-            ),
-            None => None,
-        };
-        Ok(MetricsSnapshot {
-            schema_version: v.field("schema_version")?,
-            wait_cycles: v.field("wait_cycles")?,
-            balancers: v.field("balancers")?,
-            network: v.field("network")?,
-            fabric,
-        })
-    }
-}
+serde::impl_serde_struct!(MetricsSnapshot {
+    schema_version,
+    wait_cycles,
+    balancers,
+    network,
+} omit_empty { fabric });
 
 impl MetricsSnapshot {
     /// Live `c2/c1` from the wire-latency extremes — the quantity

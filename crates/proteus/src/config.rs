@@ -55,7 +55,7 @@ impl Default for PrismConfig {
 /// machine, which determines wire-traversal distances.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Placement {
-    /// Distances are ignored: every wire costs `link_cost` (+ jitter).
+    /// Distances are ignored: every wire costs the fabric's link delay (+ jitter).
     /// This is the calibration the Figure 5–7 runs use.
     #[default]
     Uniform,
@@ -112,11 +112,10 @@ impl Deserialize for Placement {
 /// Machine-model parameters of the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
-    /// The interconnect model between nodes. The legacy flat wire
-    /// (`link_cost + uniform jitter`, which older configs spelled as
-    /// two ad-hoc fields) is [`Fabric::degenerate`]; richer fabrics
-    /// add drop-tail queueing, loss, and backpressure. See
-    /// [`cnet_topology::fabric`].
+    /// The interconnect model between nodes. The flat wire of the
+    /// paper's calibration (a fixed delay plus uniform jitter) is
+    /// [`Fabric::degenerate`]; richer fabrics add drop-tail queueing,
+    /// loss, and backpressure. See [`cnet_topology::fabric`].
     pub fabric: Fabric,
     /// Cycles spent inside a balancer's critical section (reading and
     /// flipping the toggle).
@@ -136,61 +135,16 @@ pub struct SimConfig {
     pub seed: u64,
 }
 
-// Serde is hand-written (not `impl_serde_struct!`) as a deprecation
-// shim: configs written before the fabric existed carried bare
-// `link_cost`/`link_jitter` fields, and those must keep loading as the
-// degenerate fabric they always meant. New configs carry a `fabric`
-// object instead.
-impl Serialize for SimConfig {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("fabric".to_string(), self.fabric.to_value()),
-            ("toggle_cost".to_string(), self.toggle_cost.to_value()),
-            ("counter_cost".to_string(), self.counter_cost.to_value()),
-            ("prism".to_string(), self.prism.to_value()),
-            ("placement".to_string(), self.placement.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SimConfig {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let fabric = match v.get("fabric") {
-            Some(raw) => {
-                Fabric::from_value(raw).map_err(|e| Error::new(format!("field `fabric`: {e}")))?
-            }
-            // the pre-fabric encoding: two bare wire fields
-            None => Fabric::degenerate(v.field("link_cost")?, v.field("link_jitter")?),
-        };
-        Ok(SimConfig {
-            fabric,
-            toggle_cost: v.field("toggle_cost")?,
-            counter_cost: v.field("counter_cost")?,
-            prism: v.field("prism")?,
-            placement: v.field("placement")?,
-            seed: v.field("seed")?,
-        })
-    }
-}
+impl_serde_struct!(SimConfig {
+    fabric,
+    toggle_cost,
+    counter_cost,
+    prism,
+    placement,
+    seed,
+});
 
 impl SimConfig {
-    /// The fabric's propagation delay — the legacy `link_cost` field,
-    /// kept as an accessor so pre-fabric call sites read unchanged.
-    /// This is the baseline `c1` of the run.
-    #[must_use]
-    pub fn link_cost(&self) -> u64 {
-        self.fabric.link.delay
-    }
-
-    /// The fabric's per-traversal jitter bound — the legacy
-    /// `link_jitter` field, kept as an accessor so pre-fabric call
-    /// sites read unchanged.
-    #[must_use]
-    pub fn link_jitter(&self) -> u64 {
-        self.fabric.link.jitter
-    }
-
     /// Plain queue-lock balancers (the paper's bitonic configuration).
     ///
     /// The default costs are calibrated so the measured `Tog` (average
@@ -472,42 +426,14 @@ pub struct Workload {
     pub arrival: ArrivalProcess,
 }
 
-// Serde is hand-written (not `impl_serde_struct!`) so workloads written
-// before `arrival` existed keep loading: a missing field means the only
-// shape there was — closed-loop.
-impl Serialize for Workload {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("processors".to_string(), self.processors.to_value()),
-            (
-                "delayed_percent".to_string(),
-                self.delayed_percent.to_value(),
-            ),
-            ("wait_cycles".to_string(), self.wait_cycles.to_value()),
-            ("total_ops".to_string(), self.total_ops.to_value()),
-            ("wait_mode".to_string(), self.wait_mode.to_value()),
-            ("arrival".to_string(), self.arrival.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for Workload {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let arrival = match v.get("arrival") {
-            Some(raw) => ArrivalProcess::from_value(raw)
-                .map_err(|e| Error::new(format!("field `arrival`: {e}")))?,
-            None => ArrivalProcess::Closed,
-        };
-        Ok(Workload {
-            processors: v.field("processors")?,
-            delayed_percent: v.field("delayed_percent")?,
-            wait_cycles: v.field("wait_cycles")?,
-            total_ops: v.field("total_ops")?,
-            wait_mode: v.field("wait_mode")?,
-            arrival,
-        })
-    }
-}
+impl_serde_struct!(Workload {
+    processors,
+    delayed_percent,
+    wait_cycles,
+    total_ops,
+    wait_mode,
+    arrival,
+});
 
 impl Workload {
     /// The paper's exact benchmark shape: `n` processors, `F`% delayed
@@ -606,36 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_fabric_configs_load_as_the_degenerate_fabric() {
-        // the exact shape SimConfig serialized before the fabric
-        // existed: two bare wire fields, no `fabric` object
-        let legacy = r#"{
-            "link_cost": 20,
-            "link_jitter": 200,
-            "toggle_cost": 200,
-            "counter_cost": 50,
-            "prism": null,
-            "placement": "Uniform",
-            "seed": 9
-        }"#;
-        let cfg = SimConfig::from_value(&serde::json::from_str(legacy).unwrap()).unwrap();
-        assert_eq!(cfg.fabric, Fabric::degenerate(20, 200));
-        assert!(cfg.fabric.is_degenerate());
-        assert_eq!(cfg.link_cost(), 20);
-        assert_eq!(cfg.link_jitter(), 200);
-        assert_eq!(
-            cfg,
-            SimConfig {
-                counter_cost: 50,
-                ..SimConfig::queue_lock(9)
-            }
-        );
-        // and the new encoding round-trips it unchanged
-        let back = SimConfig::from_value(&cfg.to_value()).unwrap();
-        assert_eq!(back, cfg);
-    }
-
-    #[test]
     fn workload_serde_round_trip() {
         for arrival in [
             ArrivalProcess::Closed,
@@ -654,20 +550,6 @@ mod tests {
             let back = Workload::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
             assert_eq!(back, w);
         }
-    }
-
-    #[test]
-    fn workloads_without_arrival_field_load_as_closed() {
-        // the only shape that existed before the field did
-        let w = Workload::paper(16, 25, 100);
-        let Value::Object(fields) = w.to_value() else {
-            panic!("workloads serialize as objects");
-        };
-        let legacy: Vec<_> = fields.into_iter().filter(|(k, _)| k != "arrival").collect();
-        let back = Workload::from_value(&Value::Object(legacy)).unwrap();
-        assert_eq!(back.arrival, ArrivalProcess::Closed);
-        assert!(!back.is_open_loop());
-        assert_eq!(back, w);
     }
 
     #[test]

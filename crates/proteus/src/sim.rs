@@ -98,7 +98,7 @@ struct Route {
     /// Destination node index, or counter index with [`COUNTER_BIT`]
     /// set.
     target: u32,
-    /// `link_cost` plus the mesh hop cost between the two homes.
+    /// The link delay plus the mesh hop cost between the two homes.
     cost: u64,
 }
 

@@ -264,86 +264,26 @@ pub struct StatsSummary {
     /// Deepest balancer-lock queue observed.
     pub max_lock_queue: u64,
     /// Fabric counters, when the run's interconnect refused anything
-    /// (`None` on degenerate-wire runs and in records written before
-    /// the fabric existed).
+    /// (`None`, and absent from the JSON, on degenerate-wire runs).
     pub fabric: Option<FabricStats>,
 }
 
-// Serde is hand-written (not `impl_serde_struct!`) so summaries
-// recorded before the fabric existed — including every committed
-// `BENCH_*.json` baseline — keep loading: a missing `fabric` field
-// means the degenerate wire.
-impl serde::Serialize for StatsSummary {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("completed_ops".to_string(), self.completed_ops.to_value()),
-            ("sim_time".to_string(), self.sim_time.to_value()),
-            (
-                "nonlinearizable".to_string(),
-                self.nonlinearizable.to_value(),
-            ),
-            (
-                "nonlinearizable_ratio".to_string(),
-                self.nonlinearizable_ratio.to_value(),
-            ),
-            (
-                "program_order_violations".to_string(),
-                self.program_order_violations.to_value(),
-            ),
-            (
-                "avg_toggle_wait".to_string(),
-                self.avg_toggle_wait.to_value(),
-            ),
-            ("average_ratio".to_string(), self.average_ratio.to_value()),
-            ("mean_latency".to_string(), self.mean_latency.to_value()),
-            ("throughput".to_string(), self.throughput.to_value()),
-            ("toggle_count".to_string(), self.toggle_count.to_value()),
-            (
-                "toggle_wait_total".to_string(),
-                self.toggle_wait_total.to_value(),
-            ),
-            (
-                "diffraction_pairs".to_string(),
-                self.diffraction_pairs.to_value(),
-            ),
-            ("node_visits".to_string(), self.node_visits.to_value()),
-            ("max_lock_queue".to_string(), self.max_lock_queue.to_value()),
-        ];
-        if let Some(fabric) = &self.fabric {
-            fields.push(("fabric".to_string(), fabric.to_value()));
-        }
-        serde::Value::Object(fields)
-    }
-}
-
-impl serde::Deserialize for StatsSummary {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let fabric = match v.get("fabric") {
-            Some(raw) => Some(
-                FabricStats::from_value(raw)
-                    .map_err(|e| serde::Error::new(format!("field `fabric`: {e}")))?,
-            ),
-            None => None,
-        };
-        Ok(StatsSummary {
-            completed_ops: v.field("completed_ops")?,
-            sim_time: v.field("sim_time")?,
-            nonlinearizable: v.field("nonlinearizable")?,
-            nonlinearizable_ratio: v.field("nonlinearizable_ratio")?,
-            program_order_violations: v.field("program_order_violations")?,
-            avg_toggle_wait: v.field("avg_toggle_wait")?,
-            average_ratio: v.field("average_ratio")?,
-            mean_latency: v.field("mean_latency")?,
-            throughput: v.field("throughput")?,
-            toggle_count: v.field("toggle_count")?,
-            toggle_wait_total: v.field("toggle_wait_total")?,
-            diffraction_pairs: v.field("diffraction_pairs")?,
-            node_visits: v.field("node_visits")?,
-            max_lock_queue: v.field("max_lock_queue")?,
-            fabric,
-        })
-    }
-}
+serde::impl_serde_struct!(StatsSummary {
+    completed_ops,
+    sim_time,
+    nonlinearizable,
+    nonlinearizable_ratio,
+    program_order_violations,
+    avg_toggle_wait,
+    average_ratio,
+    mean_latency,
+    throughput,
+    toggle_count,
+    toggle_wait_total,
+    diffraction_pairs,
+    node_visits,
+    max_lock_queue,
+} omit_empty { fabric });
 
 #[cfg(test)]
 mod tests {

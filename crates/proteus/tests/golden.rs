@@ -19,7 +19,7 @@
 
 use cnet_proteus::{Placement, RunStats, SimConfig, Simulator, WaitMode, Workload};
 use cnet_topology::constructions;
-use serde::{json, Deserialize as _, Value};
+use serde::{json, Value};
 
 const FIXTURE_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -238,32 +238,6 @@ fn traces_match_the_committed_fixtures() {
             case.name
         );
     }
-}
-
-#[test]
-fn legacy_wire_json_runs_trace_identical_to_the_degenerate_fabric() {
-    // a config written before the fabric existed (bare
-    // `link_cost`/`link_jitter`, no `fabric` object) must not merely
-    // parse — the run it describes must be bit-identical to the same
-    // machine spelled with the new fabric vocabulary
-    let legacy = r#"{
-        "link_cost": 20,
-        "link_jitter": 200,
-        "toggle_cost": 200,
-        "counter_cost": 0,
-        "prism": null,
-        "placement": "Uniform",
-        "seed": 5
-    }"#;
-    let parsed = SimConfig::from_value(&json::from_str(legacy).unwrap()).unwrap();
-    assert_eq!(parsed, SimConfig::queue_lock(5));
-    let net = constructions::bitonic(8).unwrap();
-    let w = workload(16, 25, 1_000, 400, WaitMode::Fixed);
-    let from_legacy = Simulator::new(&net, parsed).run(&w);
-    let from_native = Simulator::new(&net, SimConfig::queue_lock(5)).run(&w);
-    assert_eq!(trace_hash(&from_legacy), trace_hash(&from_native));
-    assert_eq!(from_legacy.sim_time, from_native.sim_time);
-    assert_eq!(snapshot(&from_legacy), snapshot(&from_native));
 }
 
 #[test]

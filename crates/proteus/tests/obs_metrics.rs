@@ -112,7 +112,7 @@ fn c1_c2_estimates_bound_the_wire_latencies() {
     let stats = Simulator::new(&net, config).run(&workload(16, 200, 500));
     let m = stats.metrics.as_ref().unwrap();
     // every hop costs at least the link cost; delayed hops cost more
-    assert!(m.network.c1_estimate >= config.link_cost() as f64);
+    assert!(m.network.c1_estimate >= config.fabric.link.delay as f64);
     assert!(m.network.c2_estimate >= m.network.c1_estimate + 200.0 - 1.0);
     assert_eq!(
         m.network.wire_latency_hist.min() as f64,

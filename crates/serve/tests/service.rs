@@ -235,7 +235,6 @@ fn final_dump_is_flushed_on_shutdown() {
 
     let text = std::fs::read_to_string(&dump).unwrap();
     let record = RunRecord::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
-    assert_eq!(record.schema_version, cnet_harness::SCHEMA_VERSION);
     assert_eq!(record.backend, "serve");
     assert_eq!(record.label, "soak-test");
     assert_eq!(record.stats.completed_ops, 50);

@@ -10,6 +10,7 @@
 //!   depth `log w`.
 //! * [`single_balancer`] — the width-2 network of the paper's
 //!   introductory example.
+//! * [`by_name`] — any of the above from its command-line name.
 //! * [`pad_inputs`] / [`linearizing_prefix`] — Corollary 3.12: prefix
 //!   every input with a path of 1-in/1-out balancers so that the padded
 //!   network is linearizable whenever `c2 < k·c1`.
@@ -49,6 +50,38 @@ pub fn single_balancer() -> Topology {
     b.connect_counter(n, 1, 1).expect("fresh node");
     b.finalize()
         .expect("single balancer is a valid uniform network")
+}
+
+/// Builds the construction a CLI argument or scenario file names:
+/// `bitonic`, `periodic`, `tree` (of the given `arity`; 2 is the
+/// binary [`counting_tree`]), `merger`, `block`, or `single` (which
+/// ignores `width`).
+///
+/// # Errors
+///
+/// Returns [`TopologyError::UnknownKind`] for any other name, and the
+/// named construction's own error for a width it cannot take.
+///
+/// # Example
+///
+/// ```
+/// let net = cnet_topology::constructions::by_name("tree", 9, 3)?;
+/// assert_eq!(net.output_width(), 9);
+/// # Ok::<(), cnet_topology::TopologyError>(())
+/// ```
+pub fn by_name(kind: &str, width: usize, arity: usize) -> Result<Topology, TopologyError> {
+    match kind {
+        "bitonic" => bitonic(width),
+        "periodic" => periodic(width),
+        "tree" if arity == 2 => counting_tree(width),
+        "tree" => counting_tree_d(width, arity),
+        "merger" => merger(width),
+        "block" => block(width),
+        "single" => Ok(single_balancer()),
+        other => Err(TopologyError::UnknownKind {
+            kind: other.to_string(),
+        }),
+    }
 }
 
 /// Checks a width argument is a power of two at least 2.
@@ -237,6 +270,24 @@ mod tests {
     fn expected_bitonic_depth(w: usize) -> usize {
         let lg = w.trailing_zeros() as usize;
         lg * (lg + 1) / 2
+    }
+
+    #[test]
+    fn by_name_builds_each_kind_and_names_an_unknown_one() {
+        let text = |net: Result<Topology, TopologyError>| crate::io::to_text(&net.unwrap());
+        assert_eq!(text(by_name("bitonic", 8, 2)), text(bitonic(8)));
+        assert_eq!(text(by_name("periodic", 8, 2)), text(periodic(8)));
+        assert_eq!(text(by_name("tree", 8, 2)), text(counting_tree(8)));
+        assert_eq!(text(by_name("tree", 9, 3)), text(counting_tree_d(9, 3)));
+        assert_eq!(text(by_name("merger", 8, 2)), text(merger(8)));
+        assert_eq!(text(by_name("block", 8, 2)), text(block(8)));
+        assert_eq!(text(by_name("single", 0, 2)), text(Ok(single_balancer())));
+        assert_eq!(
+            by_name("bitonic", 6, 2).unwrap_err(),
+            TopologyError::WidthNotPowerOfTwo { width: 6 }
+        );
+        let err = by_name("torus", 8, 2).unwrap_err();
+        assert!(err.to_string().contains("`torus`"), "{err}");
     }
 
     #[test]

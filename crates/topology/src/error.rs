@@ -83,6 +83,12 @@ pub enum TopologyError {
     },
     /// A sharded construction was asked for zero shards.
     NoShards,
+    /// [`constructions::by_name`](crate::constructions::by_name) was
+    /// given a name no construction has.
+    UnknownKind {
+        /// The offending name.
+        kind: String,
+    },
     /// A token was injected on a nonexistent network input.
     InputOutOfRange {
         /// The offending network-input index.
@@ -132,6 +138,10 @@ impl fmt::Display for TopologyError {
                 write!(f, "network is not uniform: {detail}")
             }
             TopologyError::NoShards => write!(f, "a sharded construction needs at least one shard"),
+            TopologyError::UnknownKind { kind } => write!(
+                f,
+                "unknown network kind `{kind}` (bitonic|periodic|tree|merger|block|single)"
+            ),
             TopologyError::InputOutOfRange { input, width } => {
                 write!(f, "input {input} out of range for input width {width}")
             }

@@ -1,7 +1,7 @@
 //! Composable interconnect-fabric descriptions.
 //!
 //! The simulator's original machine model priced every wire as one
-//! latency draw (`link_cost + uniform jitter`). A [`Fabric`] replaces
+//! latency draw (a fixed link cost plus uniform jitter). A [`Fabric`] replaces
 //! that flat wire with a small composable description of the
 //! interconnect between balancers:
 //!
@@ -37,10 +37,10 @@ use serde::{impl_serde_struct, Deserialize, Error as SerdeError, Serialize, Valu
 /// cycles and holds at most `capacity` tokens.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkSpec {
-    /// Propagation cycles per traversal (the legacy `link_cost`).
+    /// Propagation cycles per traversal.
     pub delay: u64,
-    /// Uniform random extra cycles per transmission attempt (the
-    /// legacy `link_jitter`); retransmissions re-draw it.
+    /// Uniform random extra cycles per transmission attempt;
+    /// retransmissions re-draw it.
     pub jitter: u64,
     /// Cycles the destination egress queue spends serving one token.
     /// `0` is an infinitely fast port: tokens pass straight through.

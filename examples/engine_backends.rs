@@ -2,21 +2,20 @@
 //!
 //! The engine's `Backend` trait runs the *same* seeded workload on the
 //! discrete-event simulator (`sim`), the native shared-memory counters
-//! (`shm`), and the message-passing actor network (`mp`), returning the
-//! same `RunOutcome` shape from each. The semantic invariants — every
+//! (`shm`), and the message-passing actor network (`mp`) — three
+//! flavors of the `BackendSpec` registry, parsed from the same strings
+//! `cnet run --backend` takes — returning the same `RunOutcome` shape
+//! from each. The semantic invariants — every
 //! history a permutation of `0..n`, final counter totals with the step
 //! property — hold on all three; timing (and therefore linearizability
 //! violations) is each substrate's own.
 //!
 //! Run with: `cargo run --release --example engine_backends`
 
-use counting_networks::engine::{
-    ArrivalProcess, Backend, BalancerKind, MpBackend, MpConfig, ShmBackend, SimBackend, SimConfig,
-    Workload,
-};
+use counting_networks::engine::{ArrivalProcess, Backend, BackendSpec, Workload};
 use counting_networks::topology::constructions;
 
-fn show(title: &str, workload: &Workload, backends: &[&dyn Backend]) {
+fn show(title: &str, workload: &Workload, backends: &[Box<dyn Backend + '_>]) {
     println!("{title}");
     println!(
         "  {:<4} {:>6} {:>10} {:>9} {:>8} {:>6}",
@@ -48,10 +47,10 @@ fn show(title: &str, workload: &Workload, backends: &[&dyn Backend]) {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net = constructions::bitonic(8)?;
     let seed = 42;
-    let sim = SimBackend::new(&net, SimConfig::queue_lock(seed));
-    let shm = ShmBackend::network(&net, BalancerKind::WaitFree, seed);
-    let mp = MpBackend::new(&net, MpConfig { hop_spin: 0 }, seed);
-    let backends: [&dyn Backend; 3] = [&sim, &shm, &mp];
+    let mut backends = Vec::new();
+    for flavor in ["sim", "shm", "mp"] {
+        backends.push(flavor.parse::<BackendSpec>()?.build(&net, seed)?);
+    }
 
     show(
         "closed loop: 8 clients, each fires its next op on completion",

@@ -7,12 +7,13 @@
 //! beyond the channels.
 //!
 //! The client side is the engine's job: the same `Workload` vocabulary
-//! that drives the simulator drives this actor network through
-//! [`MpBackend`], so there is no hand-rolled spawn/collect loop here.
+//! that drives the simulator drives this actor network through the
+//! thread-per-client [`ShmBackend`] over [`CounterSpec::Mp`], so there
+//! is no hand-rolled spawn/collect loop here.
 //!
 //! Run with: `cargo run --release --example message_passing`
 
-use counting_networks::engine::{Backend, MpBackend, MpConfig, Workload};
+use counting_networks::engine::{Backend, CounterSpec, MpConfig, ShmBackend, Workload};
 use counting_networks::topology::constructions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -22,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         net.node_count()
     );
 
-    let backend = MpBackend::new(&net, MpConfig { hop_spin: 0 }, 1);
+    let backend = ShmBackend::new(&net, CounterSpec::Mp(MpConfig { hop_spin: 0 }), 1)?;
     let workload = Workload {
         total_ops: 2_000,
         ..Workload::paper(4, 0, 0)

@@ -1,0 +1,143 @@
+//! Every committed JSON artifact loads through the strict reader that
+//! owns its schema, and the shapes that older files had are refused
+//! with an error naming the field.
+//!
+//! There is one record schema ([`SCHEMA_VERSION`]) and no fallback for
+//! a missing field: a file that predates a field was migrated, not
+//! guessed at. This suite is what keeps a hand-edited or stale artifact
+//! from being committed.
+
+use std::path::{Path, PathBuf};
+
+use cnet_cli::scenario::ScenarioSpec;
+use cnet_harness::{Baseline, GridReport, RunRecord, SloBaseline, SCHEMA_VERSION};
+use counting_networks::proteus::SimConfig;
+use serde::{Deserialize, Serialize, Value};
+
+fn root(relative: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join(relative)
+}
+
+fn json(path: &Path) -> Value {
+    let text = std::fs::read_to_string(path).expect("artifact is readable");
+    serde::json::from_str(&text).expect("artifact is JSON")
+}
+
+fn bench_reports() -> Vec<PathBuf> {
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(root("results"))
+        .expect("results/ exists")
+        .map(|entry| entry.expect("readable entry").path())
+        .filter(|p| {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            name.starts_with("BENCH_") && name.ends_with(".json")
+        })
+        .collect();
+    paths.sort();
+    paths
+}
+
+#[test]
+fn every_bench_report_loads_and_round_trips_at_the_current_schema() {
+    let reports = bench_reports();
+    assert!(reports.len() >= 17, "found only {}", reports.len());
+    for path in reports {
+        let baseline = Baseline::load(&path).unwrap_or_else(|e| panic!("{e}"));
+        let report = json(&path);
+        let Some(Value::Array(grids)) = report.get("grids") else {
+            panic!("{}: no grids array", path.display());
+        };
+        let mut cells = 0;
+        for grid in grids {
+            let parsed = GridReport::from_value(grid).unwrap_or_else(|e| panic!("{e}"));
+            cells += parsed.records.len();
+            // nothing in the file is outside the schema: what the
+            // reader kept is everything that was written
+            assert_eq!(&parsed.to_value(), grid, "{}", path.display());
+            let Some(Value::Array(records)) = grid.get("records") else {
+                panic!("{}: grid without records", path.display());
+            };
+            for record in records {
+                assert_eq!(
+                    record.get("schema_version"),
+                    Some(&SCHEMA_VERSION.to_value()),
+                    "{}",
+                    path.display()
+                );
+            }
+        }
+        assert_eq!(baseline.len(), cells, "{}", path.display());
+    }
+}
+
+#[test]
+fn the_slo_baseline_the_soak_record_and_the_scenario_load() {
+    let slo = SloBaseline::load(&root("results/SLO_soak.json")).unwrap();
+    assert!(slo.reference.total.ops > 0);
+
+    let soak = RunRecord::from_value(&json(&root("results/soak-local-10min.json"))).unwrap();
+    assert_eq!(soak.backend, "serve");
+    assert!(soak.slo.is_some());
+
+    let scenario =
+        ScenarioSpec::from_value(&json(&root("examples/scenario_lossy_fabric.json"))).unwrap();
+    assert!(!scenario.config.fabric.is_degenerate());
+    scenario.network().unwrap();
+}
+
+/// One committed record, as an editable field list.
+fn committed_record() -> Vec<(String, Value)> {
+    let report = json(&root("results/BENCH_figure5.json"));
+    let Some(Value::Array(grids)) = report.get("grids") else {
+        panic!("no grids");
+    };
+    let Some(Value::Array(records)) = grids[0].get("records") else {
+        panic!("no records");
+    };
+    let Value::Object(fields) = records[0].clone() else {
+        panic!("records are objects");
+    };
+    fields
+}
+
+fn rejection(fields: Vec<(String, Value)>) -> String {
+    RunRecord::from_value(&Value::Object(fields))
+        .expect_err("the strict reader must refuse this record")
+        .to_string()
+}
+
+#[test]
+fn records_from_before_the_migration_are_refused_by_field_name() {
+    assert!(RunRecord::from_value(&Value::Object(committed_record())).is_ok());
+
+    let without = |key: &str| {
+        let fields = committed_record();
+        rejection(fields.into_iter().filter(|(k, _)| k != key).collect())
+    };
+    assert!(without("schema_version").contains("missing field `schema_version`"));
+    assert!(without("backend").contains("missing field `backend`"));
+
+    let mut newer = committed_record();
+    for (key, value) in &mut newer {
+        if key == "schema_version" {
+            *value = (SCHEMA_VERSION + 1).to_value();
+        }
+    }
+    let err = rejection(newer);
+    assert!(err.contains("field `schema_version`"), "{err}");
+    assert!(err.contains(&(SCHEMA_VERSION + 1).to_string()), "{err}");
+}
+
+#[test]
+fn a_sim_config_spelled_with_the_flat_wire_fields_is_refused() {
+    let flat = r#"{
+        "link_cost": 20,
+        "link_jitter": 200,
+        "toggle_cost": 200,
+        "counter_cost": 0,
+        "prism": null,
+        "placement": "Uniform",
+        "seed": 5
+    }"#;
+    let err = SimConfig::from_value(&serde::json::from_str(flat).unwrap()).unwrap_err();
+    assert!(err.to_string().contains("missing field `fabric`"), "{err}");
+}

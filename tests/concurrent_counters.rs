@@ -14,7 +14,9 @@ use counting_networks::concurrent::counter::{Counter, FetchAddCounter, LockCount
 use counting_networks::concurrent::network::{BalancerKind, NetworkCounter};
 use counting_networks::concurrent::testcfg;
 use counting_networks::concurrent::tree::{DiffractingTreeCounter, TreeConfig};
-use counting_networks::engine::{Backend, ShmBackend, TreeConfig as EngineTreeConfig, Workload};
+use counting_networks::engine::{
+    Backend, CounterSpec, ShmBackend, TreeConfig as EngineTreeConfig, Workload,
+};
 use counting_networks::topology::constructions;
 
 // Kept (rather than ported onto the engine) because it exercises the
@@ -102,10 +104,13 @@ fn tree_quiescent_state_is_a_step() {
     let cfg = testcfg::stress();
     testcfg::with_seed_report(testcfg::seed(), |seed| {
         let tree = constructions::counting_tree(16).unwrap();
-        let outcome = ShmBackend::tree(&tree, EngineTreeConfig::default(), seed).run(&Workload {
-            total_ops: cfg.total() as usize,
-            ..Workload::paper(cfg.threads, 0, 0)
-        });
+        let counter = CounterSpec::Tree(EngineTreeConfig::default());
+        let outcome = ShmBackend::new(&tree, counter, seed)
+            .expect("width 16 hosts a tree")
+            .run(&Workload {
+                total_ops: cfg.total() as usize,
+                ..Workload::paper(cfg.threads, 0, 0)
+            });
         assert_eq!(outcome.stats.output_counts.total(), cfg.total());
         assert!(
             outcome.has_step_property(),
