@@ -1,16 +1,14 @@
 //! Criterion benchmark: the data structures of `cnet-structures`.
 //!
-//! Queue throughput with fetch-add vs counting-network tickets, and
-//! stack throughput with and without the elimination array.
+//! Queue throughput with fetch-add vs counting-network tickets.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cnet_concurrent::counter::FetchAddCounter;
 use cnet_structures::queue::NetQueue;
-use cnet_structures::stack::ElimStack;
 use cnet_topology::constructions;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 const ITEMS: usize = 4_000;
 
@@ -64,49 +62,5 @@ fn bench_queue(c: &mut Criterion) {
     group.finish();
 }
 
-/// Two symmetric push/pop threads hammer the stack.
-fn run_stack(stack: Arc<ElimStack<u64>>, iters: u64) -> Duration {
-    let start = Instant::now();
-    for _ in 0..iters {
-        let s = Arc::clone(&stack);
-        let pusher = std::thread::spawn(move || {
-            for i in 0..ITEMS {
-                s.push(i as u64);
-            }
-        });
-        let s = Arc::clone(&stack);
-        let popper = std::thread::spawn(move || {
-            let mut got = 0;
-            while got < ITEMS {
-                if s.pop().is_some() {
-                    got += 1;
-                }
-            }
-        });
-        pusher.join().expect("pusher");
-        popper.join().expect("popper");
-    }
-    start.elapsed()
-}
-
-fn bench_stack(c: &mut Criterion) {
-    let mut group = c.benchmark_group("elim_stack");
-    group.sample_size(10);
-    group.throughput(Throughput::Elements(ITEMS as u64));
-    for (label, slots, spin) in [
-        ("central_only", 0usize, 0u32),
-        ("elimination_4x512", 4, 512),
-    ] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(label),
-            &(slots, spin),
-            |b, &(slots, spin)| {
-                b.iter_custom(|iters| run_stack(Arc::new(ElimStack::new(slots, spin)), iters))
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_queue, bench_stack);
+criterion_group!(benches, bench_queue);
 criterion_main!(benches);

@@ -8,7 +8,9 @@ use cnet_adversary::{
     SearchConfig,
 };
 use cnet_engine::{ArrivalProcess, AsyncConfig, BackendSpec, BalancerKind, CounterSpec, SpecError};
-use cnet_harness::{run_jobs_report, GridReport, Job, ResultTable, RunRecord};
+use cnet_harness::{
+    run_jobs_report, GridReport, Job, NativeSweep, ResultTable, RunRecord, KNEE_TOLERANCE,
+};
 use cnet_proteus::{SimConfig, WaitMode, Workload};
 use cnet_timing::executor::TimedExecutor;
 use cnet_timing::{interleave, io, measure, render, threshold as thresh, LinkTiming};
@@ -160,7 +162,7 @@ pub fn measure(args: &ParsedArgs) -> Result<String, CliError> {
 
 /// `cnet simulate` — one Section 5 cell on the simulator, run through
 /// the shared experiment harness (so `--json` emits the same
-/// `GridReport` shape as the bench binaries).
+/// `GridReport` shape as the bench suites).
 pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
     let net = build_network(args)?;
     let workload = Workload {
@@ -519,18 +521,13 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
 /// `cnet saturate` — sweep open-loop arrival gaps over the async
 /// executor and locate the network's saturation knee.
 ///
-/// The in-process face of the saturation atlas (`cnet-bench --bin
-/// saturation`): one topology, one client-arena size, the standard gap
-/// ladder from far-subcritical down past the service rate. Each gap
-/// reports the schema-v5 open-loop block (offered/achieved rate, lag
-/// ratio, sojourn quantiles); the knee is the smallest gap whose
-/// completions stayed within 1.25× of the arrival span.
+/// The in-process face of the saturation atlas (`cnet-bench
+/// saturation`): one topology, one client-arena size, one run per gap
+/// of the shared ladder ([`cnet_harness::GAP_LADDER`]) and the same
+/// knee rule.
 pub fn saturate(args: &ParsedArgs) -> Result<String, CliError> {
-    /// Same ladder as the atlas bench, subcritical first.
-    const GAPS: [u64; 8] = [16_000, 4_000, 1_000, 500, 250, 125, 60, 30];
-    const TOLERANCE: f64 = 1.25;
     let net = build_network(args)?;
-    let kind = args.positional(0, "kind")?.to_string();
+    let kind = args.positional(0, "kind")?;
     let clients = args.u64_opt("n")?.unwrap_or(256) as usize;
     let ops = args.u64_opt("ops")?.unwrap_or(2000) as usize;
     let seed = args.u64_opt("seed")?.unwrap_or(1);
@@ -539,87 +536,34 @@ pub fn saturate(args: &ParsedArgs) -> Result<String, CliError> {
         workers,
         ..AsyncConfig::default()
     };
-    let spec = BackendSpec::Async(CounterSpec::Network(BalancerKind::WaitFree), config);
-    let mut table = ResultTable::new(
-        format!("saturation sweep ({kind}, n={clients}, {ops} ops per gap, async backend)"),
-        &[
-            "offered kops/s",
-            "achieved kops/s",
-            "lag",
-            "p50 us",
-            "p99 us",
-            "saturated",
-        ],
-    );
-    let mut records = Vec::new();
-    let mut knee: Option<(u64, f64)> = None;
-    for &gap in &GAPS {
-        let workload = Workload {
-            total_ops: ops,
-            wait_mode: WaitMode::Fixed,
-            arrival: ArrivalProcess::Open { mean_gap: gap },
-            ..Workload::paper(clients, 0, 0)
-        };
-        let outcome = spec
-            .build(&net, seed)
-            .map_err(CliError::failed)?
-            .run(&workload);
-        let open = outcome
-            .open_loop
-            .as_ref()
-            .expect("open-loop async runs carry telemetry");
-        if !open.is_saturated(TOLERANCE) && knee.is_none_or(|(g, _)| gap < g) {
-            knee = Some((gap, open.offered_rate()));
-        }
-        table.push_row(
-            format!("gap={gap}ns"),
-            vec![
-                format!("{:.1}", open.offered_rate() / 1e3),
-                format!("{:.1}", open.achieved_rate() / 1e3),
-                format!("{:.3}", open.lag_ratio()),
-                format!(
-                    "{:.1}",
-                    open.latency.quantile_upper_bound(0.50) as f64 / 1e3
-                ),
-                format!(
-                    "{:.1}",
-                    open.latency.quantile_upper_bound(0.99) as f64 / 1e3
-                ),
-                if open.is_saturated(TOLERANCE) {
-                    "yes"
-                } else {
-                    "no"
-                }
-                .to_string(),
-            ],
-        );
-        records.push(RunRecord::from_outcome(
-            format!("gap={gap}ns"),
-            kind.clone(),
-            &workload,
-            seed,
-            &outcome,
-        ));
-    }
-    let grid = GridReport {
-        title: "cnet saturate".to_string(),
+    let sweep = NativeSweep {
+        title: "cnet saturate",
+        kind,
+        net: &net,
+        spec: &BackendSpec::Async(CounterSpec::Network(BalancerKind::WaitFree), config),
+        best_of: 1,
         base_seed: seed,
         threads: workers,
-        wall_ms: records.iter().map(|r| r.wall_ms).sum(),
-        records,
     };
-    write_json(args, &grid.to_value())?;
-    let mut out = table.to_text();
-    match knee {
-        Some((gap, offered)) => {
+    let title = format!("saturation sweep ({kind}, n={clients}, {ops} ops per gap, async backend)");
+    let ladder = sweep
+        .gap_ladder(title, clients, ops, |_| seed)
+        .map_err(CliError::failed)?;
+    write_json(args, &ladder.grid.to_value())?;
+    let mut out = ladder.curve.to_text();
+    match ladder.knee() {
+        Some((gap, open)) => {
             let _ = writeln!(
                 out,
-                "knee: gap={gap}ns ({:.1} kops/s offered) — smallest gap with lag <= {TOLERANCE}",
-                offered / 1e3
+                "knee: gap={gap}ns ({:.1} kops/s offered) — smallest gap with lag <= {KNEE_TOLERANCE}",
+                open.offered_rate() / 1e3
             );
         }
         None => {
-            let _ = writeln!(out, "knee: none (every gap saturated at lag > {TOLERANCE})");
+            let _ = writeln!(
+                out,
+                "knee: none (every gap saturated at lag > {KNEE_TOLERANCE})"
+            );
         }
     }
     Ok(out)

@@ -1,26 +1,34 @@
-//! The uniform flag surface of every bench binary:
+//! The flag surface of the bench driver:
 //! `--ops N --seed S --threads T --json PATH --baseline PATH`.
 //!
-//! Replaces the ad-hoc `ops_from_args` parser each binary used to
-//! carry. Unknown arguments are errors, so typos fail loudly instead of
-//! silently running the default experiment.
+//! A suite names the subset of [`FLAGS`] it reads; any other argument —
+//! a typo, or a real flag the suite would ignore — is an error, so no
+//! invocation silently runs the default experiment.
 
 use std::path::PathBuf;
+
+/// Every harness flag with its value placeholder, in usage order.
+pub const FLAGS: [(&str, &str); 5] = [
+    ("--ops", "N"),
+    ("--seed", "S"),
+    ("--threads", "T"),
+    ("--json", "PATH"),
+    ("--baseline", "PATH"),
+];
 
 /// Parsed harness arguments.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BenchArgs {
-    bin: String,
+    suite: String,
     /// Operations per cell (`--ops`, default 5000 — the paper's count).
     pub ops: usize,
-    /// Base-seed override (`--seed`); each binary supplies its
-    /// published default via [`BenchArgs::base_seed`].
+    /// Base-seed override (`--seed`) of the suite's published default.
     pub seed: Option<u64>,
     /// Worker threads (`--threads`, default 1). Any value produces the
     /// same measurements; more threads only change wall-clock.
     pub threads: usize,
     /// JSON report destination (`--json`). When absent, the report goes
-    /// to `results/BENCH_<bin>.json` if `results/` exists.
+    /// to `results/BENCH_<suite>.json` if `results/` exists.
     pub json: Option<PathBuf>,
     /// A committed `BENCH_*.json` to compare this run's per-cell
     /// wall-clock against (`--baseline`); see [`crate::baseline`].
@@ -28,36 +36,27 @@ pub struct BenchArgs {
 }
 
 impl BenchArgs {
-    /// Parses the process arguments for the binary named `bin`.
-    ///
-    /// On a malformed invocation, prints the usage line to stderr and
-    /// exits with status 2.
+    /// The usage line of `suite`, which reads the flags in `reads`.
     #[must_use]
-    pub fn parse(bin: &str) -> Self {
-        let raw: Vec<String> = std::env::args().skip(1).collect();
-        match Self::parse_from(bin, &raw) {
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("{bin}: {msg}");
-                eprintln!(
-                    "usage: {bin} [--ops N] [--seed S] [--threads T] [--json PATH] [--baseline PATH]"
-                );
-                std::process::exit(2);
-            }
+    pub fn usage(suite: &str, reads: &[&str]) -> String {
+        let mut line = format!("usage: cnet-bench {suite}");
+        for (flag, value) in FLAGS.iter().filter(|(flag, _)| reads.contains(flag)) {
+            line.push_str(&format!(" [{flag} {value}]"));
         }
+        line
     }
 
-    /// Parses an explicit argument list (testable core of
-    /// [`BenchArgs::parse`]).
+    /// Parses the arguments of `suite`, which reads the flags in
+    /// `reads` (a subset of [`FLAGS`]).
     ///
     /// # Errors
     ///
-    /// Returns a message on unknown arguments, missing values,
-    /// non-numeric numbers, or degenerate values (`--ops 0`,
-    /// `--threads 0`) that would silently measure nothing.
-    pub fn parse_from(bin: &str, raw: &[String]) -> Result<Self, String> {
+    /// Returns a message on unknown arguments, flags the suite does not
+    /// read, missing values, non-numeric numbers, or degenerate values
+    /// (`--ops 0`, `--threads 0`) that would silently measure nothing.
+    pub fn parse_from(suite: &str, reads: &[&str], raw: &[String]) -> Result<Self, String> {
         let mut args = BenchArgs {
-            bin: bin.to_string(),
+            suite: suite.to_string(),
             ops: 5000,
             seed: None,
             threads: 1,
@@ -66,18 +65,19 @@ impl BenchArgs {
         };
         let mut it = raw.iter();
         while let Some(a) = it.next() {
-            let mut value = |name: &str| {
-                it.next()
-                    .cloned()
-                    .ok_or_else(|| format!("--{name} needs a value"))
-            };
+            if !FLAGS.iter().any(|(flag, _)| flag == a) {
+                return Err(format!("unknown argument `{a}`"));
+            }
+            if !reads.contains(&a.as_str()) {
+                return Err(format!("`{suite}` does not read `{a}`"));
+            }
+            let v = it.next().ok_or_else(|| format!("{a} needs a value"))?;
             match a.as_str() {
-                "--ops" => args.ops = parse_num("ops", &value("ops")?)?,
-                "--seed" => args.seed = Some(parse_num("seed", &value("seed")?)?),
-                "--threads" => args.threads = parse_num("threads", &value("threads")?)?,
-                "--json" => args.json = Some(PathBuf::from(value("json")?)),
-                "--baseline" => args.baseline = Some(PathBuf::from(value("baseline")?)),
-                other => return Err(format!("unknown argument `{other}`")),
+                "--ops" => args.ops = parse_num(a, v)?,
+                "--seed" => args.seed = Some(parse_num(a, v)?),
+                "--threads" => args.threads = parse_num(a, v)?,
+                "--json" => args.json = Some(PathBuf::from(v)),
+                _ => args.baseline = Some(PathBuf::from(v)),
             }
         }
         if args.ops == 0 {
@@ -89,16 +89,9 @@ impl BenchArgs {
         Ok(args)
     }
 
-    /// The experiment base seed: the `--seed` override, or the binary's
-    /// published default.
-    #[must_use]
-    pub fn base_seed(&self, default: u64) -> u64 {
-        self.seed.unwrap_or(default)
-    }
-
     /// Where the JSON report should go: the `--json` override, or
-    /// `results/BENCH_<bin>.json` when a `results/` directory exists in
-    /// the working directory, or nowhere.
+    /// `results/BENCH_<suite>.json` when a `results/` directory exists
+    /// in the working directory, or nowhere.
     #[must_use]
     pub fn json_path(&self) -> Option<PathBuf> {
         if let Some(p) = &self.json {
@@ -107,80 +100,74 @@ impl BenchArgs {
         let results = PathBuf::from("results");
         results
             .is_dir()
-            .then(|| results.join(format!("BENCH_{}.json", self.bin)))
+            .then(|| results.join(format!("BENCH_{}.json", self.suite)))
     }
 }
 
-fn parse_num<T: std::str::FromStr>(name: &str, v: &str) -> Result<T, String> {
+fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
     v.parse()
-        .map_err(|_| format!("--{name} expects a number, got `{v}`"))
+        .map_err(|_| format!("{flag} expects a number, got `{v}`"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn strs(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| (*s).to_string()).collect()
+    const ALL: [&str; 5] = ["--ops", "--seed", "--threads", "--json", "--baseline"];
+
+    fn parse(v: &[&str]) -> Result<BenchArgs, String> {
+        let raw: Vec<String> = v.iter().map(|s| (*s).to_string()).collect();
+        BenchArgs::parse_from("x", &ALL, &raw)
     }
 
     #[test]
     fn defaults() {
-        let a = BenchArgs::parse_from("figure5", &[]).unwrap();
+        let a = parse(&[]).unwrap();
         assert_eq!(a.ops, 5000);
         assert_eq!(a.threads, 1);
         assert_eq!(a.seed, None);
-        assert_eq!(a.base_seed(0xF165), 0xF165);
+        assert_eq!(a.baseline, None);
     }
 
     #[test]
     fn parses_all_flags() {
-        let a = BenchArgs::parse_from(
-            "figure5",
-            &strs(&[
-                "--ops",
-                "200",
-                "--seed",
-                "7",
-                "--threads",
-                "4",
-                "--json",
-                "out.json",
-            ]),
-        )
+        let a = parse(&[
+            "--ops",
+            "200",
+            "--seed",
+            "7",
+            "--threads",
+            "4",
+            "--json",
+            "out.json",
+            "--baseline",
+            "results/BENCH_x.json",
+        ])
         .unwrap();
         assert_eq!(a.ops, 200);
-        assert_eq!(a.base_seed(0xF165), 7);
+        assert_eq!(a.seed, Some(7));
         assert_eq!(a.threads, 4);
         assert_eq!(a.json_path(), Some(PathBuf::from("out.json")));
+        assert_eq!(a.baseline, Some(PathBuf::from("results/BENCH_x.json")));
     }
 
     #[test]
     fn rejects_degenerate_values() {
-        assert!(BenchArgs::parse_from("x", &strs(&["--threads", "0"]))
+        assert!(parse(&["--threads", "0"])
             .unwrap_err()
             .contains("--threads must be at least 1"));
-        assert!(BenchArgs::parse_from("x", &strs(&["--ops", "0"]))
+        assert!(parse(&["--ops", "0"])
             .unwrap_err()
             .contains("--ops must be at least 1"));
     }
 
     #[test]
-    fn parses_baseline_path() {
-        let a = BenchArgs::parse_from("x", &strs(&["--baseline", "results/BENCH_x.json"])).unwrap();
-        assert_eq!(a.baseline, Some(PathBuf::from("results/BENCH_x.json")));
-        assert_eq!(BenchArgs::parse_from("x", &[]).unwrap().baseline, None);
-    }
-
-    #[test]
     fn rejects_unknown_and_malformed() {
-        assert!(BenchArgs::parse_from("x", &strs(&["--opps", "5"]))
+        assert!(parse(&["--opps", "5"])
             .unwrap_err()
             .contains("unknown argument"));
-        assert!(BenchArgs::parse_from("x", &strs(&["--ops"]))
-            .unwrap_err()
-            .contains("needs a value"));
-        assert!(BenchArgs::parse_from("x", &strs(&["--ops", "many"]))
+        assert!(parse(&["--ops"]).unwrap_err().contains("needs a value"));
+        assert!(parse(&["--ops", "many"])
             .unwrap_err()
             .contains("expects a number"));
     }

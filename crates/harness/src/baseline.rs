@@ -1,9 +1,9 @@
 //! Perf-regression comparison against a committed `BENCH_*.json`.
 //!
-//! Every bench binary emits a JSON report whose per-cell records carry
+//! Every bench suite emits a JSON report whose per-cell records carry
 //! host wall-clock (`wall_ms`). Committing those reports under
 //! `results/` turns them into perf baselines: a later run of the same
-//! binary with `--baseline results/BENCH_<bin>.json` loads the old
+//! suite with `--baseline results/BENCH_<suite>.json` loads the old
 //! report, matches cells by `(sweep title, cell label)`, and renders a
 //! delta table of per-operation wall-clock and simulated throughput.
 //!
@@ -380,13 +380,13 @@ impl SloComparison {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::record::RunRecord;
     use cnet_proteus::{RunStats, Workload};
     use serde::Serialize;
 
-    fn record(label: &str, ops: usize, wall_ms: f64) -> RunRecord {
+    pub(crate) fn record(label: &str, ops: usize, wall_ms: f64) -> RunRecord {
         let stats = RunStats {
             operations: vec![],
             completed_by: vec![],
@@ -415,7 +415,7 @@ mod tests {
         )
     }
 
-    fn grid(title: &str, records: Vec<RunRecord>) -> GridReport {
+    pub(crate) fn grid(title: &str, records: Vec<RunRecord>) -> GridReport {
         GridReport {
             title: title.to_string(),
             base_seed: 1,

@@ -56,15 +56,15 @@ impl NetworkKind {
 }
 
 /// One fully specified simulator run: a network (by index into the
-/// topology slab handed to [`run_jobs`]), a configuration whose seed is
-/// already derived, and a workload.
+/// topology slab handed to [`run_jobs_report`]), a configuration whose
+/// seed is already derived, and a workload.
 #[derive(Debug, Clone)]
 pub struct Job {
     /// Cell label within the sweep (e.g. `"W=100,n=4"`).
     pub label: String,
     /// Network description recorded in the cell's [`RunRecord`].
     pub kind: String,
-    /// Index into the `nets` slice passed to [`run_jobs`].
+    /// Index into the `nets` slice passed to [`run_jobs_report`].
     pub net: usize,
     /// Simulator configuration (with the derived per-cell seed).
     pub config: SimConfig,
@@ -83,14 +83,22 @@ pub struct CellRun {
 }
 
 /// Executes `jobs` over `threads` workers and returns the cells in
-/// submission order, independent of the thread count.
+/// submission order, independent of the thread count, with the sweep's
+/// [`GridReport`].
 ///
 /// # Panics
 ///
 /// Panics if a job's `net` index is out of bounds for `nets`.
 #[must_use]
-pub fn run_jobs(nets: &[Topology], jobs: &[Job], threads: usize) -> Vec<CellRun> {
-    pool::run_indexed(jobs.len(), threads, |i| {
+pub fn run_jobs_report(
+    title: &str,
+    base_seed: u64,
+    nets: &[Topology],
+    jobs: &[Job],
+    threads: usize,
+) -> (Vec<CellRun>, GridReport) {
+    let started = Instant::now();
+    let cells = pool::run_indexed(jobs.len(), threads, |i| {
         let job = &jobs[i];
         // the engine's simulator backend reproduces the cell timing
         // window this executor always had: simulation + metric
@@ -109,22 +117,7 @@ pub fn run_jobs(nets: &[Topology], jobs: &[Job], threads: usize) -> Vec<CellRun>
             record,
             stats: outcome.stats,
         }
-    })
-}
-
-/// Executes an explicit job list like [`run_jobs`] and also assembles
-/// the sweep's [`GridReport`] — for runners whose sweeps are not plain
-/// `(W, n)` grids (controls, scaling, ablations).
-#[must_use]
-pub fn run_jobs_report(
-    title: &str,
-    base_seed: u64,
-    nets: &[Topology],
-    jobs: &[Job],
-    threads: usize,
-) -> (Vec<CellRun>, GridReport) {
-    let started = Instant::now();
-    let cells = run_jobs(nets, jobs, threads);
+    });
     let report = GridReport {
         title: title.to_string(),
         base_seed,
@@ -215,17 +208,9 @@ impl Grid {
     /// Runs the whole grid over `threads` workers.
     #[must_use]
     pub fn run(&self, threads: usize) -> GridOutcome {
-        let net = self.kind.build(self.width);
-        let started = Instant::now();
-        let cells = run_jobs(std::slice::from_ref(&net), &self.jobs(), threads);
-        let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        let report = GridReport {
-            title: self.title.clone(),
-            base_seed: self.base_seed,
-            threads,
-            wall_ms,
-            records: cells.iter().map(|c| c.record.clone()).collect(),
-        };
+        let nets = [self.kind.build(self.width)];
+        let (cells, report) =
+            run_jobs_report(&self.title, self.base_seed, &nets, &self.jobs(), threads);
         GridOutcome {
             wait_values: self.wait_values.clone(),
             concurrency: self.concurrency.clone(),
@@ -278,8 +263,7 @@ impl GridOutcome {
 
     fn table(&self, title: &str, cell: impl Fn(&CellRun) -> String) -> ResultTable {
         let columns: Vec<String> = self.concurrency.iter().map(|n| format!("n={n}")).collect();
-        let column_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
-        let mut table = ResultTable::new(title, &column_refs);
+        let mut table = ResultTable::new(title, &columns);
         for &w in &self.wait_values {
             let row = self
                 .concurrency

@@ -1,4 +1,4 @@
-//! The experiment harness shared by every figure/table binary and the
+//! The experiment harness shared by every `cnet-bench` suite and the
 //! CLI's simulation paths.
 //!
 //! The harness owns the concerns the runners used to hand-roll:
@@ -14,15 +14,18 @@
 //! * **records** — serde-serializable [`RunRecord`]/[`GridReport`]
 //!   summaries of every cell, with per-cell wall-clock, emitted as JSON
 //!   next to the aligned-text/CSV tables;
-//! * **uniform flags** — [`BenchArgs`] gives every binary the same
+//! * **uniform flags** — [`BenchArgs`] gives every suite the same
 //!   `--ops`, `--seed`, `--threads`, `--json <path>`,
-//!   `--baseline <path>` surface;
+//!   `--baseline <path>` surface, and refuses the ones a suite does
+//!   not read;
 //! * **native sweeps** — [`NativeSweep`] runs one
 //!   [`cnet_engine::BackendSpec`] best-of-N over a list of cells, the
-//!   loop the host-time benches share;
+//!   loop the host-time suites share, and owns the open-loop gap
+//!   ladder and knee rule (`cnet-bench saturation`, `cnet saturate`);
 //! * **perf regression** — [`baseline`] compares a run's per-cell
-//!   wall-clock against a committed `BENCH_*.json` and fails loudly on
-//!   multi-× slowdowns.
+//!   wall-clock against a committed `BENCH_*.json`;
+//!   [`BenchReport::emit`] returns the verdict ([`Emitted`]) and the
+//!   caller's `main` turns it into an exit code.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,11 +42,11 @@ pub mod table;
 
 pub use args::BenchArgs;
 pub use baseline::{Baseline, BaselineComparison, SloBaseline, SloComparison};
-pub use grid::{run_jobs, run_jobs_report, CellRun, Grid, GridOutcome, Job, NetworkKind};
+pub use grid::{run_jobs_report, CellRun, Grid, GridOutcome, Job, NetworkKind};
 pub use record::{native_cell_reps, GridReport, RunRecord, SchemaVersion, SCHEMA_VERSION};
-pub use report::BenchReport;
+pub use report::{BenchReport, Emitted};
 pub use seed::{derive_cell_seed, derive_seed};
-pub use sweep::NativeSweep;
+pub use sweep::{GapLadder, NativeSweep, GAP_LADDER, KNEE_TOLERANCE};
 pub use table::{percent, ResultTable};
 
 /// The concurrency levels used throughout the paper's Section 5.

@@ -1,13 +1,54 @@
-//! The best-of-N sweep shared by the native benches (`native`,
+//! The best-of-N sweep shared by the host-time suites (`native`,
 //! `frontend`, `saturation`): one [`BackendSpec`] over a list of
-//! cells, the fastest run of each recorded.
+//! cells, the fastest run of each recorded — and the open-loop gap
+//! ladder with its knee rule, shared by the `saturation` suite and
+//! `cnet saturate`.
 
 use std::time::Instant;
 
-use cnet_engine::{BackendSpec, SpecError, Workload};
+use cnet_engine::{ArrivalProcess, BackendSpec, SpecError, Workload};
+use cnet_obs::OpenLoopMetrics;
 use cnet_topology::Topology;
 
 use crate::record::{native_cell_reps, GridReport, RunRecord};
+use crate::table::ResultTable;
+
+/// Mean inter-arrival gaps of an open-loop saturation sweep,
+/// nanoseconds, subcritical first. The offered rate of a cell is
+/// ≈ 10^9 / gap operations per second; the bottom of the ladder offers
+/// well past the serialized service rate (~4 Mops/s on the reference
+/// host), so every sweep crosses its knee.
+pub const GAP_LADDER: [u64; 8] = [16_000, 4_000, 1_000, 500, 250, 125, 60, 30];
+
+/// A sweep's knee is the smallest gap whose completion span stayed
+/// within this factor of the arrival span.
+pub const KNEE_TOLERANCE: f64 = 1.25;
+
+/// One finished [`NativeSweep::gap_ladder`].
+#[derive(Debug, Clone)]
+pub struct GapLadder {
+    /// The sweep's report; record `i` is the cell of `GAP_LADDER[i]`.
+    pub grid: GridReport,
+    /// The open-loop curve, one row per gap.
+    pub curve: ResultTable,
+    knee: Option<usize>,
+}
+
+impl GapLadder {
+    /// The knee: the smallest gap still inside [`KNEE_TOLERANCE`], with
+    /// its open-loop block — `None` when every gap saturated.
+    #[must_use]
+    pub fn knee(&self) -> Option<(u64, &OpenLoopMetrics)> {
+        let open = self.grid.records[self.knee?].open_loop.as_ref();
+        Some((GAP_LADDER[self.knee?], open.expect("checked by gap_ladder")))
+    }
+}
+
+/// A histogram bound in nanoseconds as microseconds, one decimal.
+#[must_use]
+pub fn micros(ns: u64) -> String {
+    format!("{:.1}", ns as f64 / 1e3)
+}
 
 /// One sweep of a native bench: which backend, over which network,
 /// under which titles.
@@ -83,5 +124,70 @@ impl NativeSweep<'_> {
             wall_ms: started.elapsed().as_secs_f64() * 1e3,
             records,
         })
+    }
+
+    /// Sweeps [`GAP_LADDER`] with open arrivals — `ops` operations per
+    /// gap over `clients` logical clients, cell `i` seeded `seed(i)` —
+    /// and locates the knee.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`SpecError`] when the network cannot host the spec.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec's runs carry no open-loop telemetry (only the
+    /// async executor schedules open arrivals).
+    pub fn gap_ladder(
+        &self,
+        curve_title: String,
+        clients: usize,
+        ops: usize,
+        seed: impl Fn(usize) -> u64,
+    ) -> Result<GapLadder, SpecError> {
+        let cells = GAP_LADDER.iter().enumerate().map(|(i, &gap)| {
+            let workload = Workload {
+                total_ops: ops,
+                arrival: ArrivalProcess::Open { mean_gap: gap },
+                ..Workload::paper(clients, 0, 0)
+            };
+            (format!("gap={gap}ns"), seed(i), workload)
+        });
+        let grid = self.run(cells)?;
+        let mut curve = ResultTable::new(
+            curve_title,
+            &[
+                "offered kops/s",
+                "achieved kops/s",
+                "lag",
+                "p50 us",
+                "p99 us",
+                "saturated",
+            ],
+        );
+        let mut knee = None;
+        for (i, record) in grid.records.iter().enumerate() {
+            let open = record
+                .open_loop
+                .as_ref()
+                .expect("open-loop async runs carry telemetry");
+            let saturated = open.is_saturated(KNEE_TOLERANCE);
+            curve.push_row(
+                record.label.clone(),
+                vec![
+                    format!("{:.1}", open.offered_rate() / 1e3),
+                    format!("{:.1}", open.achieved_rate() / 1e3),
+                    format!("{:.3}", open.lag_ratio()),
+                    micros(open.latency.quantile_upper_bound(0.50)),
+                    micros(open.latency.quantile_upper_bound(0.99)),
+                    if saturated { "yes" } else { "no" }.to_string(),
+                ],
+            );
+            // the ladder descends, so the last unsaturated gap is the smallest
+            if !saturated {
+                knee = Some(i);
+            }
+        }
+        Ok(GapLadder { grid, curve, knee })
     }
 }

@@ -1,7 +1,7 @@
 //! The rectangular results table every runner prints, rendered as
 //! aligned text, CSV, or a serde value (for the JSON reports).
 //!
-//! Moved here from `cnet-bench` so the CLI and the bench binaries share
+//! Moved here from `cnet-bench` so the CLI and the bench suites share
 //! one implementation.
 
 use std::fmt::Write as _;
@@ -20,10 +20,13 @@ impl ResultTable {
     /// Creates an empty table titled `title` with the given column
     /// labels (the row-label column is implicit).
     #[must_use]
-    pub fn new(title: impl Into<String>, column_labels: &[&str]) -> Self {
+    pub fn new(title: impl Into<String>, column_labels: &[impl AsRef<str>]) -> Self {
         ResultTable {
             title: title.into(),
-            column_labels: column_labels.iter().map(|s| (*s).to_string()).collect(),
+            column_labels: column_labels
+                .iter()
+                .map(|s| s.as_ref().to_string())
+                .collect(),
             rows: Vec::new(),
         }
     }

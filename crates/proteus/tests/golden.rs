@@ -103,7 +103,7 @@ fn cases() -> Vec<Case> {
         },
         Case {
             // One cell of the Figure 5 sweep (width-32 bitonic,
-            // F = 25%), pinned on the figure5 binary's base seed so
+            // F = 25%), pinned on the figure5 suite's base seed so
             // the fabric refactor is provably trace-identical on the
             // published experiment's stream.
             name: "figure5_cell_bitonic32",
@@ -120,7 +120,7 @@ fn cases() -> Vec<Case> {
         },
         Case {
             // One cell of the Figure 6 sweep (F = 50%), on the figure6
-            // binary's base seed.
+            // suite's base seed.
             name: "figure6_cell_bitonic32",
             run: || {
                 let net = constructions::bitonic(32).unwrap();

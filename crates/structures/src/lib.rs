@@ -17,13 +17,6 @@
 //!   whose only guarantee is that every inserted item is removed
 //!   exactly once. Counting networks implement it without any central
 //!   hot-spot.
-//! * [`allocator::BlockAllocator`] — batched unique-id allocation:
-//!   one shared-counter operation per block of ids, unique under mere
-//!   counting (no linearizability needed).
-//! * [`stack::ElimStack`] — an elimination-backoff stack: the
-//!   diffraction idea applied to LIFO, per Shavit–Touitou's elimination
-//!   trees — complementary push/pop pairs cancel in a scattering array
-//!   without touching the central stack.
 //! * [`timestamp::TimestampOracle`] — unique, roughly-ordered
 //!   timestamps, plus an audit that counts *causality reversals*
 //!   (timestamp pairs ordered against their real-time draw order).
@@ -50,12 +43,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod allocator;
 pub mod audit;
 pub mod pool;
 pub mod queue;
 pub mod ring;
-pub mod stack;
 pub mod timestamp;
 
 pub use pool::NetPool;

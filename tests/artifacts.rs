@@ -38,9 +38,9 @@ fn bench_reports() -> Vec<PathBuf> {
 
 #[test]
 fn every_bench_report_loads_and_round_trips_at_the_current_schema() {
-    let reports = bench_reports();
-    assert!(reports.len() >= 17, "found only {}", reports.len());
-    for path in reports {
+    // which reports must exist is the bench registry's to say
+    // (crates/bench/tests/results.rs); this holds whatever is committed
+    for path in bench_reports() {
         let baseline = Baseline::load(&path).unwrap_or_else(|e| panic!("{e}"));
         let report = json(&path);
         let Some(Value::Array(grids)) = report.get("grids") else {
