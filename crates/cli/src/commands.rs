@@ -238,8 +238,8 @@ pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
 
 /// `cnet observe` — run one Section 5 cell with the recording probe
 /// layer and report per-balancer contention plus the live `c2/c1`
-/// estimates, cross-checked against the offline `timing::sweep`
-/// analysis of the same trace.
+/// estimates, cross-checked against the offline `RunStats` ratio of
+/// the same run.
 pub fn observe(args: &ParsedArgs) -> Result<String, CliError> {
     let kind = args.positional_opt(0).unwrap_or("bitonic");
     let width = args.u64_opt("width")?.unwrap_or(32) as usize;
@@ -323,7 +323,7 @@ pub fn observe(args: &ParsedArgs) -> Result<String, CliError> {
     );
     let _ = writeln!(
         out,
-        "live Tog: {:.1}  live avg c2/c1 = (Tog+W)/Tog: {:.4}  offline (timing::sweep): {:.4}",
+        "live Tog: {:.1}  live avg c2/c1 = (Tog+W)/Tog: {:.4}  offline (RunStats): {:.4}",
         live.avg_toggle_wait, live.average_ratio, offline
     );
     let _ = writeln!(
@@ -1414,7 +1414,7 @@ mod tests {
     #[test]
     fn live_ratio_matches_offline_sweep_within_tolerance() {
         // the acceptance check: on a deterministic seed the live
-        // estimate and the offline timing::sweep analysis agree
+        // estimate and the offline RunStats ratio agree
         let out = observe(&parse(&["--width", "32", "--ops", "5000"])).unwrap();
         // the line carries three decimals: live Tog, live ratio,
         // offline ratio — integers like "c2/c1" are filtered out by

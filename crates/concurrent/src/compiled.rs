@@ -482,7 +482,7 @@ impl CompiledNet {
                 let index = (link.0 & !COUNTER_BIT) as usize;
                 self.counters[index].0.fetch_add(k, Ordering::AcqRel);
                 let base = self.issued.fetch_add(k, Ordering::AcqRel);
-                self.obs.record_op(start, crate::obs::now(), base);
+                self.obs.record_op(start, crate::obs::now());
                 return base;
             }
         }
@@ -518,7 +518,7 @@ impl CompiledNet {
                 let index = (link.0 & !COUNTER_BIT) as usize;
                 let prior = self.counters[index].0.fetch_add(1, Ordering::AcqRel);
                 let value = index as u64 + self.width * prior;
-                self.obs.record_op(start, crate::obs::now(), value);
+                self.obs.record_op(start, crate::obs::now());
                 return value;
             }
         }

@@ -176,7 +176,7 @@ impl MpNetwork {
                                         // them), values are local
                                         let value = index as u64 + width * arrivals;
                                         arrivals += 1;
-                                        obs.record_op(msg.sent_at, now, value);
+                                        obs.record_op(msg.sent_at, now);
                                         // the client may have given
                                         // up; ignore
                                         let _ = msg.reply.send(value);
@@ -186,10 +186,10 @@ impl MpNetwork {
                                         shared.tallies[index].fetch_add(weight, Ordering::Relaxed);
                                         let base =
                                             shared.issued.fetch_add(weight, Ordering::AcqRel);
-                                        obs.record_op(msg.sent_at, now, base);
+                                        obs.record_op(msg.sent_at, now);
                                         let _ = msg.reply.send(base);
                                         if let Some(extra) = msg.extra {
-                                            obs.record_op(msg.sent_at, now, base + 1);
+                                            obs.record_op(msg.sent_at, now);
                                             let _ = extra.send(base + 1);
                                         }
                                     }

@@ -200,7 +200,7 @@ impl ReferenceCounter {
                 WireEnd::Counter { index } => {
                     let prior = self.counters[index].fetch_add(1, Ordering::AcqRel);
                     let value = index as u64 + self.width * prior;
-                    self.obs.record_op(start, crate::obs::now(), value);
+                    self.obs.record_op(start, crate::obs::now());
                     return value;
                 }
             }

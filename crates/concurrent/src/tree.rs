@@ -10,12 +10,11 @@
 //! one token to each output, the balancer's step property is preserved
 //! while the toggle (the contention hot-spot) is bypassed.
 
-use std::cell::Cell;
-
 use cnet_topology::TopologyError;
 
 use crate::counter::Counter;
-use crate::sync::{spin_loop, thread_rng_seed, AtomicU64, Ordering};
+use crate::prng;
+use crate::sync::{spin_loop, AtomicU64, Ordering};
 
 const EMPTY: u64 = 0;
 const WAITING: u64 = 1;
@@ -134,7 +133,7 @@ impl TreeNode {
     fn traverse(&self, spin: u32, rng: &mut u64, probe: &crate::obs::BalancerProbe) -> usize {
         let t0 = crate::obs::now();
         if !self.prism.is_empty() {
-            let slot = (xorshift(rng) as usize) % self.prism.len();
+            let slot = (prng::step(rng) as usize) % self.prism.len();
             match self.prism[slot].visit(spin) {
                 ExchangeOutcome::DiffractedFirst => {
                     probe.record_diffraction(crate::obs::now() - t0);
@@ -151,19 +150,6 @@ impl TreeNode {
         probe.record_toggle(crate::obs::now() - t0);
         out
     }
-}
-
-fn xorshift(state: &mut u64) -> u64 {
-    let mut x = *state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    *state = x;
-    x
-}
-
-thread_local! {
-    static PRISM_RNG: Cell<u64> = const { Cell::new(0) };
 }
 
 /// A counting tree with prism (elimination) arrays — a concurrent
@@ -262,18 +248,7 @@ impl DiffractingTreeCounter {
     /// after each node — the real-threads analogue of the paper's
     /// `W`-cycle delay injection.
     pub fn next_with_delay(&self, spin_per_node: u64) -> u64 {
-        // under the model checker the cache must not be used: it would
-        // carry state across explored executions (the main virtual
-        // thread keeps its OS thread) and break schedule replay
-        let mut rng = if crate::sync::in_model() {
-            thread_rng_seed()
-        } else {
-            PRISM_RNG.with(Cell::get)
-        };
-        if rng == 0 {
-            // first use on this thread
-            rng = thread_rng_seed();
-        }
+        let mut rng = prng::begin();
         let start = crate::obs::now();
         let mut idx = 1usize; // root
         let mut leaf = 0usize;
@@ -287,12 +262,10 @@ impl DiffractingTreeCounter {
             }
             self.obs.record_wire(crate::obs::now() - hop_start);
         }
-        if !crate::sync::in_model() {
-            PRISM_RNG.with(|c| c.set(rng));
-        }
+        prng::commit(rng);
         let prior = self.counters[leaf].fetch_add(1, Ordering::AcqRel);
         let value = leaf as u64 + self.width * prior;
-        self.obs.record_op(start, crate::obs::now(), value);
+        self.obs.record_op(start, crate::obs::now());
         value
     }
 

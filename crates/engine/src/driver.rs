@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
 use cnet_concurrent::audit::StressCounter;
-use cnet_obs::{FrontendMetrics, MetricsSnapshot};
+use cnet_obs::{FrontendMetrics, LogHistogram, MetricsSnapshot};
 use cnet_proteus::{RunStats, SimRng, WaitMode, Workload};
 use cnet_timing::Operation;
 use cnet_topology::OutputCounts;
@@ -220,12 +220,14 @@ impl Executor for Threads<'_> {
 /// summed op latency, making `avg_toggle_wait` the mean op latency in
 /// logical-clock ticks and keeping `average_ratio` finite. When the
 /// `obs` feature is on, the substrate's own probe snapshot rides along
-/// in `metrics` with real per-balancer service times.
+/// in `metrics` with real per-balancer service times, and its
+/// violation fields are written here, from the same scan as
+/// `nonlinearizable`.
 pub(crate) fn stats_from_trace(
     trace: Trace,
     output_counts: OutputCounts,
     input_width: usize,
-    metrics: Option<MetricsSnapshot>,
+    mut metrics: Option<MetricsSnapshot>,
 ) -> RunStats {
     let output_width = output_counts.width().max(1) as u64;
     let per_lane = trace.clients_per_lane.max(1);
@@ -250,7 +252,19 @@ pub(crate) fn stats_from_trace(
             }
         }
     }
-    let nonlinearizable = cnet_timing::linearizability::count_nonlinearizable(&operations);
+    // the one Definition 2.4 scan of a native run, on the logical-clock
+    // bracket `drive` took: the count goes to the stats, the
+    // magnitudes to the probe snapshot when there is one
+    let mut magnitudes = LogHistogram::new();
+    for magnitude in cnet_timing::linearizability::magnitudes(&operations) {
+        if magnitude > 0 {
+            magnitudes.record(magnitude);
+        }
+    }
+    let nonlinearizable = magnitudes.count() as usize;
+    if let Some(m) = metrics.as_mut() {
+        m.network.set_violations(magnitudes);
+    }
     RunStats {
         sim_time: trace.clock_end,
         node_visits: operations.len() as u64,
@@ -271,6 +285,24 @@ pub(crate) fn stats_from_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_probe_snapshot_gets_the_verdict_of_the_trace_scan() {
+        // value 7 finishes at tick 1, value 2 starts at tick 2
+        let trace = Trace {
+            lanes: vec![vec![(0, 1, 7)], vec![(2, 3, 2)]],
+            clients_per_lane: 1,
+            clock_end: 4,
+        };
+        let probes = cnet_obs::live::NetObserver::new(1).snapshot(0);
+        let stats = stats_from_trace(trace, OutputCounts::zeros(4), 4, probes);
+        assert_eq!(stats.nonlinearizable, 1);
+        let network = stats.metrics.expect("the live layer snapshots").network;
+        assert_eq!(network.nonlinearizable, 1);
+        assert_eq!(network.violation_magnitude_total, 5);
+        assert_eq!(network.violation_magnitude_max, 5);
+        assert_eq!(network.violation_magnitude_hist.count(), 1);
+    }
 
     #[test]
     #[should_panic(expected = "mean_gap >= 1")]

@@ -33,8 +33,9 @@
 //! * [`RunOutcome`] — the backend name, a full [`RunStats`]
 //!   (timestamped operation trace, per-counter totals, contention
 //!   counters, optional [`cnet_obs::MetricsSnapshot`]), and the
-//!   host wall-clock. Consumed uniformly by `timing::sweep`,
-//!   `timing::linearizability`, and the harness's `RunRecord`.
+//!   host wall-clock. Consumed uniformly by
+//!   `timing::linearizability`, `timing::program_order` and the
+//!   harness's `RunRecord`.
 //!
 //! # Timestamp domains
 //!

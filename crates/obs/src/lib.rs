@@ -92,7 +92,7 @@ mod tests {
     fn noop_layer_reports_nothing() {
         let o = crate::noop::NetObserver::new(64);
         o.probe(63).record_toggle(5);
-        o.record_op(0, 1, 2);
+        o.record_op(0, 1);
         o.record_wire(3);
         assert!(o.snapshot(100).is_none());
     }
@@ -113,7 +113,7 @@ mod tests {
                 p.record_lock(2, 3);
                 obs::BalancerProbe::sink().record_toggle(0);
                 o.record_wire(4);
-                o.record_op(0, 5, 6);
+                o.record_op(0, 5);
                 let f = obs::FrontendProbe::new(2);
                 f.record_batch(3);
                 f.record_solo();

@@ -120,7 +120,7 @@ impl NetObserver {
 
     /// Discards the record.
     #[inline(always)]
-    pub fn record_op(&self, _start: u64, _end: u64, _value: u64) {}
+    pub fn record_op(&self, _start: u64, _end: u64) {}
 
     /// Always `None`: the disabled layer has nothing to report.
     #[inline(always)]

@@ -371,6 +371,14 @@ impl SloEvaluator {
         self.tracker.retained()
     }
 
+    /// Every non-zero violation magnitude recorded so far — the
+    /// distribution behind `total`'s count, sum and maximum, in the
+    /// form [`crate::NetworkMetrics::set_violations`] takes.
+    #[must_use]
+    pub fn violation_magnitudes(&self) -> &LogHistogram {
+        self.tracker.magnitude()
+    }
+
     /// Freezes the current state into a serializable report.
     #[must_use]
     pub fn snapshot(&self, uptime_ms: u64) -> SloReport {

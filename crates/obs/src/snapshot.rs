@@ -9,7 +9,7 @@
 //! different cadences.
 
 use crate::hist::LogHistogram;
-use cnet_timing::sweep;
+use cnet_timing::measure;
 
 /// Version of the `metrics` JSON block layout.
 pub const METRICS_SCHEMA_VERSION: u32 = 1;
@@ -44,7 +44,7 @@ impl BalancerMetrics {
     /// all-visit mean when nothing toggled.
     #[must_use]
     pub fn avg_toggle_wait(&self) -> f64 {
-        sweep::avg_toggle_wait(
+        measure::avg_toggle_wait(
             self.toggle_wait_total,
             self.toggles,
             self.wait_hist.sum(),
@@ -55,7 +55,7 @@ impl BalancerMetrics {
     /// The Section 5 ratio `(Tog_b + W)/Tog_b` for this balancer.
     #[must_use]
     pub fn average_ratio(&self, wait_cycles: u64) -> f64 {
-        sweep::average_ratio(
+        measure::average_ratio(
             self.toggle_wait_total,
             self.toggles,
             self.wait_hist.sum(),
@@ -99,7 +99,9 @@ pub struct NetworkMetrics {
     /// Distribution of pending-event-queue depths sampled at each
     /// enqueue (simulator runs; empty for live hardware runs).
     pub queue_depth_hist: LogHistogram,
-    /// Non-linearizable operations seen by the streaming tracker.
+    /// Non-linearizable operations (Definition 2.4), as judged on the
+    /// bracket the run's own verdict uses — see
+    /// [`NetworkMetrics::set_violations`].
     pub nonlinearizable: u64,
     /// Sum of violation magnitudes (total positions out of order).
     pub violation_magnitude_total: u64,
@@ -107,6 +109,21 @@ pub struct NetworkMetrics {
     pub violation_magnitude_max: u64,
     /// Distribution of violation magnitudes.
     pub violation_magnitude_hist: LogHistogram,
+}
+
+impl NetworkMetrics {
+    /// Fills the four violation fields from the histogram of non-zero
+    /// Definition 2.4 magnitudes. A bare probe snapshot reads all zero;
+    /// whoever owns the timestamps the run's verdict is computed on —
+    /// the engine's trace assembly, the service's SLO evaluator —
+    /// writes that verdict in, so a snapshot never carries a second
+    /// opinion.
+    pub fn set_violations(&mut self, magnitudes: LogHistogram) {
+        self.nonlinearizable = magnitudes.count();
+        self.violation_magnitude_total = magnitudes.sum();
+        self.violation_magnitude_max = magnitudes.max();
+        self.violation_magnitude_hist = magnitudes;
+    }
 }
 
 serde::impl_serde_struct!(NetworkMetrics {

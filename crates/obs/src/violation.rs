@@ -1,23 +1,22 @@
 //! Streaming non-linearizability telemetry with violation *magnitude*.
 //!
-//! The offline sweep in `cnet-timing` answers "how many operations were
-//! non-linearizable?". Production telemetry also wants to know *how
-//! far* out of order each violating operation landed. This tracker
-//! observes `(start, end, value)` triples as operations complete and,
-//! per Definition 2.4 of the paper, flags an operation whenever some
-//! operation that finished strictly before it started returned a
-//! *larger* value. The magnitude of a violation is the gap in counter
-//! positions: `max_finished_value - value`.
+//! `cnet_timing::linearizability::FinishedMax` answers Definition 2.4
+//! for each completed operation: how far the largest value that
+//! finished before it started lies above its own — the gap in counter
+//! positions, 0 for a linearizable operation. Production telemetry
+//! wants the distribution of those gaps, so this tracker is that table
+//! plus a histogram of the non-zero answers.
+
+use cnet_timing::linearizability::FinishedMax;
 
 use crate::hist::LogHistogram;
 
 /// Streaming violation counter + magnitude histogram.
 ///
-/// Observations are expected in (roughly) completion order. Exactly
-/// end-sorted input — what the single-threaded simulator produces —
-/// costs O(1) amortized per observation; out-of-order input (real
-/// threads racing to report) is handled correctly by insertion, which
-/// stays cheap while the stream is nearly sorted.
+/// Feed it `(start, end, value)` triples in completion order (see
+/// [`FinishedMax`] for what any other order means) and
+/// [`retire`](ViolationTracker::retire) what no future operation can
+/// start before.
 ///
 /// # Example
 ///
@@ -32,22 +31,7 @@ use crate::hist::LogHistogram;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ViolationTracker {
-    /// End timestamps, kept sorted ascending.
-    ends: Vec<u64>,
-    /// Returned values, parallel to `ends`.
-    values: Vec<u64>,
-    /// `prefix_max[i]` = max of `values[..=i]` *including* every
-    /// retired operation (all of which ended before any retained one
-    /// matters — see [`ViolationTracker::retire`]).
-    prefix_max: Vec<u64>,
-    /// Max value over all retired operations.
-    floor: u64,
-    /// Number of retired operations.
-    retired: u64,
-    /// Lower bound promised for every future `observe` start — the
-    /// largest `min_future_start` passed to `retire` so far.
-    retire_frontier: u64,
-    count: u64,
+    finished: FinishedMax,
     magnitude: LogHistogram,
 }
 
@@ -62,45 +46,9 @@ impl ViolationTracker {
     /// magnitude (`> 0` iff this operation is non-linearizable against
     /// the operations observed so far).
     pub fn observe(&mut self, start: u64, end: u64, value: u64) -> u64 {
-        debug_assert!(
-            start >= self.retire_frontier,
-            "observe(start={start}) violates the retire({}) contract",
-            self.retire_frontier
-        );
-        // Definition 2.4: compare against operations that *finished*
-        // strictly before this one started. Retired operations all
-        // finished before `start` (retire's contract), so when the
-        // retained prefix is empty their max (`floor`) still applies;
-        // when it is not, `prefix_max` already folds `floor` in.
-        let k = self.ends.partition_point(|&e| e < start);
-        let finished_max = if k > 0 {
-            self.prefix_max[k - 1]
-        } else {
-            self.floor
-        };
-        let magnitude = finished_max.saturating_sub(value);
+        let magnitude = self.finished.observe(start, end, value);
         if magnitude > 0 {
-            self.count += 1;
             self.magnitude.record(magnitude);
-        }
-
-        // Insert keeping `ends` sorted; scan from the back because the
-        // stream is (nearly) completion-ordered.
-        let mut pos = self.ends.len();
-        while pos > 0 && self.ends[pos - 1] > end {
-            pos -= 1;
-        }
-        self.ends.insert(pos, end);
-        self.values.insert(pos, value);
-        self.prefix_max.insert(pos, 0);
-        let mut running = if pos == 0 {
-            self.floor
-        } else {
-            self.prefix_max[pos - 1]
-        };
-        for i in pos..self.values.len() {
-            running = running.max(self.values[i]);
-            self.prefix_max[i] = running;
         }
         magnitude
     }
@@ -108,7 +56,7 @@ impl ViolationTracker {
     /// Number of non-linearizable operations observed.
     #[must_use]
     pub fn count(&self) -> u64 {
-        self.count
+        self.magnitude.count()
     }
 
     /// Histogram of violation magnitudes (positions out of order).
@@ -119,237 +67,38 @@ impl ViolationTracker {
         &self.magnitude
     }
 
-    /// Retires operations that can no longer participate in a
-    /// violation, bounding memory for indefinitely running services.
-    ///
-    /// The caller promises that every future [`observe`] call will
-    /// have `start >= min_future_start` (for a service this is the
-    /// minimum start tick over in-flight operations — every later
-    /// completion starts at or after it). Operations with
-    /// `end < min_future_start` then finish strictly before every
-    /// future start, so only their *maximum value* matters; it is
-    /// folded into an internal floor and the entries are dropped.
-    /// Violation counts and magnitudes are unchanged by retirement.
-    ///
-    /// [`observe`]: ViolationTracker::observe
+    /// Promises that every future [`observe`](Self::observe) has
+    /// `start >= min_future_start` and drops the entries that promise
+    /// makes indistinguishable ([`FinishedMax::retire`]). Counts and
+    /// magnitudes are unchanged by retirement.
     pub fn retire(&mut self, min_future_start: u64) {
-        self.retire_frontier = self.retire_frontier.max(min_future_start);
-        let k = self.ends.partition_point(|&e| e < min_future_start);
-        if k == 0 {
-            return;
-        }
-        // prefix_max is cumulative (and already folds in the previous
-        // floor), so the dropped region's contribution is exactly
-        // prefix_max[k - 1]; retained entries keep including it.
-        self.floor = self.floor.max(self.prefix_max[k - 1]);
-        self.ends.drain(..k);
-        self.values.drain(..k);
-        self.prefix_max.drain(..k);
-        self.retired += k as u64;
-    }
-
-    /// Operations observed so far (including retired ones).
-    #[must_use]
-    pub fn observed(&self) -> usize {
-        self.retired as usize + self.ends.len()
+        self.finished.retire(min_future_start);
     }
 
     /// Operations currently held in memory (observed minus retired).
     #[must_use]
     pub fn retained(&self) -> usize {
-        self.ends.len()
+        self.finished.retained()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnet_timing::{linearizability, Operation};
-
-    fn op(token: usize, start: u64, end: u64, value: u64) -> Operation {
-        Operation {
-            token,
-            input: 0,
-            start,
-            end,
-            counter: 0,
-            value,
-        }
-    }
 
     #[test]
-    fn overlapping_operations_never_violate() {
+    fn the_histogram_holds_exactly_the_nonzero_magnitudes() {
         let mut t = ViolationTracker::new();
-        assert_eq!(t.observe(0, 10, 9), 0);
+        assert_eq!(t.observe(0, 10, 7), 0);
         // starts at 10, the earlier op ended at 10: not strictly before
         assert_eq!(t.observe(10, 20, 0), 0);
         assert_eq!(t.count(), 0);
-    }
-
-    #[test]
-    fn magnitude_is_the_position_gap() {
-        let mut t = ViolationTracker::new();
-        t.observe(0, 10, 7);
-        assert_eq!(t.observe(20, 30, 2), 5);
-        assert_eq!(t.count(), 1);
-        assert_eq!(t.magnitude().sum(), 5);
+        assert_eq!(t.observe(21, 30, 2), 5);
+        t.retire(31);
+        assert_eq!(t.observe(31, 40, 4), 3);
+        assert_eq!(t.count(), 2);
+        assert_eq!(t.magnitude().sum(), 8);
         assert_eq!(t.magnitude().max(), 5);
-    }
-
-    #[test]
-    fn agrees_with_the_offline_checker_on_sorted_traces() {
-        // a deliberately tangled but end-sorted trace
-        let ops = vec![
-            op(0, 0, 5, 3),
-            op(1, 2, 7, 9),
-            op(2, 6, 9, 0),  // op0 finished before with 3 > 0
-            op(3, 8, 12, 1), // op0 (3) and op1 (9) finished before; 9 > 1
-            op(4, 1, 14, 20),
-            op(5, 13, 16, 4), // ops 0..=3 finished; max value 9 > 4
-        ];
-        let mut t = ViolationTracker::new();
-        for o in &ops {
-            t.observe(o.start, o.end, o.value);
-        }
-        assert_eq!(
-            t.count() as usize,
-            linearizability::count_nonlinearizable(&ops)
-        );
-        assert_eq!(t.count(), 3);
-        // magnitudes: 3-0=3, 9-1=8, 9-4=5
-        assert_eq!(t.magnitude().sum(), 16);
-        assert_eq!(t.magnitude().max(), 8);
-    }
-
-    #[test]
-    fn out_of_order_observation_still_counts_correctly() {
-        // same trace as above but observed with ends slightly shuffled
-        let ops = vec![
-            op(1, 2, 7, 9),
-            op(0, 0, 5, 3), // arrives late
-            op(2, 6, 9, 0),
-            op(3, 8, 12, 1),
-            op(5, 13, 16, 4), // arrives before op4
-            op(4, 1, 14, 20),
-        ];
-        let mut t = ViolationTracker::new();
-        for o in &ops {
-            t.observe(o.start, o.end, o.value);
-        }
-        // every violating op's predecessor set was fully observed by
-        // the time it was reported, so the count is still exact here
-        assert_eq!(t.count(), 3);
-        assert_eq!(t.observed(), 6);
-    }
-
-    #[test]
-    fn retirement_preserves_counts_and_magnitudes() {
-        // same trace as agrees_with_the_offline_checker_on_sorted_traces,
-        // but aggressively retired between observations
-        let ops = [
-            op(0, 0, 5, 3),
-            op(1, 2, 7, 9),
-            op(2, 6, 9, 0),
-            op(3, 8, 12, 1),
-            op(4, 1, 14, 20),
-            op(5, 13, 16, 4),
-        ];
-        let mut t = ViolationTracker::new();
-        for (i, o) in ops.iter().enumerate() {
-            t.observe(o.start, o.end, o.value);
-            // a real service retires at the min start over in-flight
-            // ops; the equivalent here is the min start of the
-            // not-yet-observed suffix
-            if let Some(frontier) = ops[i + 1..].iter().map(|o| o.start).min() {
-                t.retire(frontier);
-            }
-        }
-        assert_eq!(t.count(), 3);
-        assert_eq!(t.magnitude().sum(), 16);
-        assert_eq!(t.magnitude().max(), 8);
-        assert_eq!(t.observed(), 6);
-        assert!(t.retained() < 6, "retirement should drop entries");
-    }
-
-    #[test]
-    fn retire_everything_then_violate_against_the_floor() {
-        let mut t = ViolationTracker::new();
-        t.observe(0, 10, 7);
-        t.retire(20); // drops the entry; floor = 7
-        assert_eq!(t.retained(), 0);
-        assert_eq!(t.observed(), 1);
-        // starts after the retired op ended: floor still applies
-        assert_eq!(t.observe(20, 30, 2), 5);
-        assert_eq!(t.count(), 1);
-    }
-
-    #[test]
-    fn randomized_retirement_matches_unretired_tracker() {
-        let mut seed = 0xABCDu64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for round in 0..50 {
-            let n = 4 + (round % 20);
-            let mut ops: Vec<Operation> = (0..n)
-                .map(|i| {
-                    let start = next() % 60;
-                    let dur = 1 + next() % 25;
-                    op(i, start, start + dur, next() % 50)
-                })
-                .collect();
-            ops.sort_by_key(|o| o.end);
-            let mut plain = ViolationTracker::new();
-            let mut retiring = ViolationTracker::new();
-            // feed end-sorted; retire at the min start of the
-            // not-yet-observed suffix, which is exactly the in-flight
-            // frontier a service would use
-            for (i, o) in ops.iter().enumerate() {
-                let m1 = plain.observe(o.start, o.end, o.value);
-                let m2 = retiring.observe(o.start, o.end, o.value);
-                assert_eq!(m1, m2, "round {round} op {i}");
-                if let Some(frontier) = ops[i + 1..].iter().map(|o| o.start).min() {
-                    retiring.retire(frontier);
-                }
-            }
-            assert_eq!(plain.count(), retiring.count(), "round {round}");
-            assert_eq!(plain.magnitude(), retiring.magnitude(), "round {round}");
-            assert_eq!(plain.observed(), retiring.observed(), "round {round}");
-        }
-    }
-
-    #[test]
-    fn randomized_end_sorted_traces_match_offline_count() {
-        let mut seed = 0x5EEDu64;
-        let mut next = move || {
-            // xorshift — deterministic, no external RNG
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for round in 0..50 {
-            let n = 3 + (round % 17);
-            let mut ops: Vec<Operation> = (0..n)
-                .map(|i| {
-                    let start = next() % 50;
-                    let dur = 1 + next() % 30;
-                    op(i, start, start + dur, next() % 40)
-                })
-                .collect();
-            ops.sort_by_key(|o| o.end);
-            let mut t = ViolationTracker::new();
-            for o in &ops {
-                t.observe(o.start, o.end, o.value);
-            }
-            assert_eq!(
-                t.count() as usize,
-                linearizability::count_nonlinearizable(&ops),
-                "round {round}"
-            );
-        }
+        assert_eq!(t.retained(), 1);
     }
 }

@@ -5,11 +5,11 @@
 //! [`SimObs`] is a zero-sized struct whose methods are empty
 //! `#[inline]` bodies, so the fast path described in
 //! [`crate::sim`] is unchanged. With `obs` on, the recorder gathers
-//! per-node contention, event-queue depth (subsampled), per-wire
-//! latencies and a per-operation completion buffer, and
-//! [`SimObs::finish`] freezes it all — including the replayed
-//! violation telemetry — into the [`cnet_obs::MetricsSnapshot`]
-//! carried by [`crate::RunStats::metrics`].
+//! per-node contention, event-queue depth (subsampled), per-wire and
+//! per-operation latencies and the violation magnitudes the event
+//! loop's Definition 2.4 table hands it, and [`SimObs::finish`]
+//! freezes it all into the [`cnet_obs::MetricsSnapshot`] carried by
+//! [`crate::RunStats::metrics`].
 //!
 //! Recording never draws from the simulation RNG and never schedules
 //! events, so enabling `obs` cannot change what is simulated: every
@@ -27,8 +27,8 @@ mod enabled {
     use cnet_obs::snapshot::{
         BalancerMetrics, FabricTelemetry, LinkMetrics, MetricsSnapshot, NetworkMetrics,
     };
-    use cnet_obs::{LogHistogram, ViolationTracker, BUCKETS, METRICS_SCHEMA_VERSION};
-    use cnet_timing::sweep;
+    use cnet_obs::{LogHistogram, BUCKETS, METRICS_SCHEMA_VERSION};
+    use cnet_timing::measure;
 
     /// Per-node accumulator mirroring the run-wide counters. Kept to
     /// one cache line (56 bytes of fields) so a toggle touches this
@@ -92,7 +92,6 @@ mod enabled {
     struct Scratch {
         nodes: Vec<NodeAcc>,
         wait_buckets: Vec<u32>,
-        completions: Vec<(u64, u64, u64)>,
     }
 
     thread_local! {
@@ -112,32 +111,30 @@ mod enabled {
         pushes: u64,
         queue_depth_hist: LogHistogram,
         wire_hist: LogHistogram,
-        /// `(start, end, value)` per completed operation, in completion
-        /// order. Violation telemetry replays this at freeze time: the
-        /// stream is end-ordered, so every replayed insert is an append
-        /// and the per-op cost in the hot loop is one `Vec` push.
-        completions: Vec<(u64, u64, u64)>,
+        op_hist: LogHistogram,
+        /// The non-zero Definition 2.4 magnitudes, as the event loop's
+        /// table returned them.
+        magnitude_hist: LogHistogram,
         /// Per-fabric-queue rows, indexed by fabric queue id; empty
         /// for degenerate-fabric runs.
         fabric: Vec<QueueAcc>,
     }
 
     impl SimObs {
-        pub(crate) fn new(node_count: usize, ops_hint: usize) -> Self {
+        pub(crate) fn new(node_count: usize) -> Self {
             let mut s = SCRATCH.with(std::cell::Cell::take).unwrap_or_default();
             s.nodes.clear();
             s.nodes.resize(node_count, NodeAcc::default());
             s.wait_buckets.clear();
             s.wait_buckets.resize(node_count * BUCKETS, 0);
-            s.completions.clear();
-            s.completions.reserve(ops_hint);
             SimObs {
                 nodes: s.nodes,
                 wait_buckets: s.wait_buckets,
                 pushes: 0,
                 queue_depth_hist: LogHistogram::new(),
                 wire_hist: LogHistogram::new(),
-                completions: s.completions,
+                op_hist: LogHistogram::new(),
+                magnitude_hist: LogHistogram::new(),
                 fabric: Vec::new(),
             }
         }
@@ -235,13 +232,14 @@ mod enabled {
             self.wire_hist.record(latency);
         }
 
-        /// One operation completed. Everything derived per-op — the
-        /// latency histogram and the violation telemetry — is replayed
-        /// from the completion buffer at freeze time; the hot loop only
-        /// pays for the push.
+        /// One operation completed after `latency` cycles, `magnitude`
+        /// positions out of order (0 when linearizable).
         #[inline]
-        pub(crate) fn op(&mut self, start: u64, end: u64, value: u64) {
-            self.completions.push((start, end, value));
+        pub(crate) fn op(&mut self, latency: u64, magnitude: u64) {
+            self.op_hist.record(latency);
+            if magnitude > 0 {
+                self.magnitude_hist.record(magnitude);
+            }
         }
 
         /// Freezes the recorder. `toggle_cost` reconstructs lock hold
@@ -253,7 +251,8 @@ mod enabled {
                 wait_buckets,
                 queue_depth_hist,
                 wire_hist,
-                completions,
+                op_hist,
+                magnitude_hist,
                 fabric,
                 ..
             } = self;
@@ -275,13 +274,6 @@ mod enabled {
                         .collect(),
                 })
             };
-            let mut violations = ViolationTracker::new();
-            let mut op_hist = LogHistogram::new();
-            for &(start, end, value) in &completions {
-                op_hist.record(end - start);
-                violations.observe(start, end, value);
-            }
-            let operations = completions.len() as u64;
             let balancers: Vec<BalancerMetrics> = nodes
                 .iter()
                 .enumerate()
@@ -318,7 +310,6 @@ mod enabled {
                 slot.set(Some(Scratch {
                     nodes,
                     wait_buckets,
-                    completions,
                 }));
             });
             let toggle_wait_total: u64 = balancers.iter().map(|b| b.toggle_wait_total).sum();
@@ -329,16 +320,16 @@ mod enabled {
                 schema_version: METRICS_SCHEMA_VERSION,
                 wait_cycles,
                 network: NetworkMetrics {
-                    operations,
+                    operations: op_hist.count(),
                     c1_estimate: wire_hist.min() as f64,
                     c2_estimate: wire_hist.max() as f64,
-                    avg_toggle_wait: sweep::avg_toggle_wait(
+                    avg_toggle_wait: measure::avg_toggle_wait(
                         toggle_wait_total,
                         toggles,
                         node_wait_total,
                         visits,
                     ),
-                    average_ratio: sweep::average_ratio(
+                    average_ratio: measure::average_ratio(
                         toggle_wait_total,
                         toggles,
                         node_wait_total,
@@ -348,10 +339,10 @@ mod enabled {
                     wire_latency_hist: wire_hist,
                     op_latency_hist: op_hist,
                     queue_depth_hist,
-                    nonlinearizable: violations.count(),
-                    violation_magnitude_total: violations.magnitude().sum(),
-                    violation_magnitude_max: violations.magnitude().max(),
-                    violation_magnitude_hist: violations.magnitude().clone(),
+                    nonlinearizable: magnitude_hist.count(),
+                    violation_magnitude_total: magnitude_hist.sum(),
+                    violation_magnitude_max: magnitude_hist.max(),
+                    violation_magnitude_hist: magnitude_hist,
                 },
                 balancers,
                 fabric,
@@ -371,7 +362,7 @@ mod disabled {
 
     impl SimObs {
         #[inline(always)]
-        pub(crate) fn new(_nodes: usize, _ops_hint: usize) -> Self {
+        pub(crate) fn new(_nodes: usize) -> Self {
             SimObs
         }
 
@@ -405,7 +396,7 @@ mod disabled {
         pub(crate) fn fabric_nack(&mut self, _queue: usize) {}
 
         #[inline(always)]
-        pub(crate) fn op(&mut self, _start: u64, _end: u64, _value: u64) {}
+        pub(crate) fn op(&mut self, _latency: u64, _magnitude: u64) {}
 
         #[inline(always)]
         pub(crate) fn finish(
@@ -425,10 +416,10 @@ mod tests {
     #[test]
     fn disabled_recorder_is_zero_sized_and_silent() {
         assert_eq!(std::mem::size_of::<SimObs>(), 0);
-        let mut o = SimObs::new(64, 100);
+        let mut o = SimObs::new(64);
         o.on_push();
         o.toggle(0, 5);
-        o.op(0, 1, 2);
+        o.op(1, 0);
         assert!(o.finish(100, 2).is_none());
     }
 }

@@ -18,7 +18,7 @@
 //! order, and therefore every statistic are bit-identical to the
 //! straightforward implementation (the golden-trace tests pin this).
 
-use cnet_timing::linearizability::OnlineChecker;
+use cnet_timing::linearizability::FinishedMax;
 use cnet_timing::Operation;
 use cnet_topology::{OutputCounts, Topology, WireEnd};
 
@@ -216,7 +216,9 @@ struct Runner<'a, Q> {
     arrival_rng: SimRng,
     /// Inter-arrival gaps for `ArrivalProcess::Trace`, else empty.
     trace_gaps: Vec<u64>,
-    checker: OnlineChecker,
+    /// The Definition 2.4 table, fed as operations complete.
+    finished: FinishedMax,
+    nonlinearizable: usize,
     stamp: u32,
     started_ops: usize,
     operations: Vec<Operation>,
@@ -505,7 +507,8 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             rng: SimRng::seed_from_u64(config.seed),
             arrival_rng: SimRng::seed_from_u64(config.seed ^ ARRIVAL_STREAM),
             trace_gaps,
-            checker: OnlineChecker::new(),
+            finished: FinishedMax::new(),
+            nonlinearizable: 0,
             stamp: 0,
             started_ops: 0,
             operations: Vec::with_capacity(workload.total_ops),
@@ -525,7 +528,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             fabric_stage,
             fabric_stage_base,
             fabric_stats: FabricStats::default(),
-            obs: SimObs::new(node_count, workload.total_ops),
+            obs: SimObs::new(node_count),
         }
     }
 
@@ -557,7 +560,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
         let stats = RunStats {
             operations: self.operations,
             completed_by: self.completed_by,
-            nonlinearizable: self.checker.finish(),
+            nonlinearizable: self.nonlinearizable,
             output_counts: self.counters.iter().copied().collect::<OutputCounts>(),
             sim_time: self.sim_time,
             toggle_count: self.toggle_count,
@@ -970,11 +973,12 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
         };
         self.operations.push(op);
         // completions arrive in nondecreasing `end` order (event pops
-        // are time-ordered), which is exactly the streaming checker's
-        // contract — the Definition 2.4 count is ready the moment the
-        // run ends, with no end-of-run sort
-        self.checker.observe(op);
-        self.obs.op(op.start, op.end, op.value);
+        // are time-ordered), so every insert is an append, every
+        // verdict exact, and the Definition 2.4 count is ready the
+        // moment the run ends
+        let magnitude = self.finished.observe(op.start, op.end, op.value);
+        self.nonlinearizable += usize::from(magnitude > 0);
+        self.obs.op(op.end - op.start, magnitude);
         // closed loop only: the next operation begins strictly after
         // this one's response, so a processor's successive operations
         // are ordered under Definition 2.4's strict precedence. Open

@@ -1,6 +1,6 @@
 //! Measurements collected from a simulation run.
 
-use cnet_timing::{program_order, sweep, Operation};
+use cnet_timing::{measure, program_order, Operation};
 use cnet_topology::OutputCounts;
 
 /// Everything measured during one simulated benchmark run.
@@ -41,9 +41,10 @@ pub struct RunStats {
     /// retries). All zero on the degenerate legacy wire, which never
     /// enters the fabric queue machinery.
     pub fabric: FabricStats,
-    /// Non-linearizable operations (Definition 2.4), accumulated by the
-    /// simulator's streaming checker as operations complete — no
-    /// post-run sweep needed.
+    /// Non-linearizable operations (Definition 2.4): the simulator
+    /// feeds `cnet_timing::linearizability::FinishedMax` as operations
+    /// complete, the native backends scan their trace once — no
+    /// consumer sweeps again.
     pub nonlinearizable: usize,
     /// Per-balancer contention metrics and network-level live
     /// estimates, recorded by the `cnet-obs` probes. `None` unless the
@@ -77,7 +78,7 @@ impl RunStats {
     /// always defined.
     #[must_use]
     pub fn avg_toggle_wait(&self) -> f64 {
-        sweep::avg_toggle_wait(
+        measure::avg_toggle_wait(
             self.toggle_wait_total,
             self.toggle_count,
             self.node_wait_total,
@@ -92,7 +93,7 @@ impl RunStats {
     /// and a positive `W`.
     #[must_use]
     pub fn average_ratio(&self, wait_cycles: u64) -> f64 {
-        sweep::average_ratio(
+        measure::average_ratio(
             self.toggle_wait_total,
             self.toggle_count,
             self.node_wait_total,
@@ -154,22 +155,19 @@ impl RunStats {
     /// number, none of the per-operation trace. `wait_cycles` is the
     /// workload's `W`, needed for the Figure 7 ratio.
     ///
-    /// Trace-derived metrics (program order, latency) come from one
-    /// shared pass over the trace ([`sweep::trace_metrics`]); the
-    /// non-linearizable count was already streamed during the run.
+    /// The non-linearizable count is the one the run produced; nothing
+    /// here judges Definition 2.4 again.
     #[must_use]
     pub fn summary(&self, wait_cycles: u64) -> StatsSummary {
-        let m = sweep::trace_metrics(&self.operations, |i| self.completed_by[i]);
-        debug_assert_eq!(m.nonlinearizable, self.nonlinearizable);
         StatsSummary {
             completed_ops: self.operations.len(),
             sim_time: self.sim_time,
             nonlinearizable: self.nonlinearizable,
             nonlinearizable_ratio: self.nonlinearizable_ratio(),
-            program_order_violations: m.program_order_violations,
+            program_order_violations: self.program_order_violations(),
             avg_toggle_wait: self.avg_toggle_wait(),
             average_ratio: self.average_ratio(wait_cycles),
-            mean_latency: m.mean_latency(),
+            mean_latency: self.mean_latency(),
             throughput: self.throughput(),
             toggle_count: self.toggle_count,
             toggle_wait_total: self.toggle_wait_total,

@@ -1,9 +1,9 @@
 //! Differential tests for the live metric recorder (`--features obs`):
 //! the probes must agree with the run-wide counters and with
-//! `timing::sweep`'s offline computation on the very same trace.
+//! `cnet-timing`'s offline computation on the very same trace.
 
 use cnet_proteus::{SimConfig, Simulator, Workload};
-use cnet_timing::sweep;
+use cnet_timing::linearizability;
 use cnet_topology::constructions;
 
 fn workload(processors: usize, wait_cycles: u64, ops: usize) -> Workload {
@@ -77,7 +77,7 @@ fn live_ratio_matches_the_offline_sweep_within_tolerance() {
 }
 
 #[test]
-fn violation_telemetry_matches_the_streaming_checker_and_sweep() {
+fn violation_telemetry_matches_the_streamed_count_and_the_batch_scan() {
     // high W on a tree: the regime where the paper observed violations
     let net = constructions::counting_tree(16).unwrap();
     let wl = Workload {
@@ -92,15 +92,19 @@ fn violation_telemetry_matches_the_streaming_checker_and_sweep() {
         stats.nonlinearizable_count() as u64
     );
 
-    // magnitudes agree with the offline sweep over the same trace
-    let offline = sweep::trace_metrics(&stats.operations, |i| stats.completed_by[i]);
+    // magnitudes agree with the batch scan over the same trace
+    let offline: Vec<u64> = linearizability::magnitudes(&stats.operations).collect();
     assert_eq!(
         m.network.violation_magnitude_total,
-        offline.violation_magnitude_total
+        offline.iter().sum::<u64>()
     );
     assert_eq!(
         m.network.violation_magnitude_max,
-        offline.violation_magnitude_max
+        offline.iter().copied().max().unwrap_or(0)
+    );
+    assert_eq!(
+        m.network.violation_magnitude_hist.count(),
+        m.network.nonlinearizable
     );
     assert!(m.network.violation_magnitude_max > 0);
 }

@@ -261,11 +261,19 @@ impl Core {
     /// full-stream truth lives in the `slo` block, whose totals cover
     /// every completion since the service started.
     fn dump_record(&self) -> RunRecord {
-        let report = self.snapshot();
-        let (operations, completed_by): (Vec<Operation>, Vec<usize>) = {
-            let s = self.slo.lock().expect("slo lock poisoned");
-            s.history.iter().map(|e| (e.op, e.conn)).unzip()
-        };
+        let uptime = self.uptime_ms();
+        let s = self.slo.lock().expect("slo lock poisoned");
+        let report = s.evaluator.snapshot(uptime);
+        let magnitudes = s.evaluator.violation_magnitudes().clone();
+        let (operations, completed_by): (Vec<Operation>, Vec<usize>) =
+            s.history.iter().map(|e| (e.op, e.conn)).unzip();
+        drop(s);
+        // the probe snapshot's violation fields are the evaluator's
+        // full-stream verdict, the same one the `slo` block totals
+        let mut metrics = self.counter.metrics_snapshot(0);
+        if let Some(m) = metrics.as_mut() {
+            m.network.set_violations(magnitudes);
+        }
         let nonlinearizable = cnet_timing::linearizability::count_nonlinearizable(&operations);
         let total_ops = operations.len();
         let stats = RunStats {
@@ -281,7 +289,7 @@ impl Core {
             max_lock_queue: 0,
             fabric: cnet_proteus::FabricStats::default(),
             nonlinearizable,
-            metrics: self.counter.metrics_snapshot(0),
+            metrics,
         };
         let workload = Workload {
             total_ops,
@@ -540,6 +548,82 @@ fn serve_connection(core: &Arc<Core>, conn: usize, stream: UnixStream) {
                 let _ = io::Write::flush(&mut writer);
                 return;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::ServeClient;
+    use cnet_topology::constructions;
+    use serde::Deserialize as _;
+
+    /// The probe snapshot in a dump carries the evaluator's verdict and
+    /// no other, and nothing the service keeps per operation outlives
+    /// the operations in flight — however many it has served.
+    #[test]
+    fn the_dump_agrees_with_the_slo_block_and_nothing_grows_per_draw() {
+        const CLIENTS: u64 = 4;
+        const ROUNDS: u64 = 5;
+        const MAX_K: u32 = 8;
+        let dir = std::env::temp_dir();
+        let tag = format!("cnet-serve-kernel-{}", std::process::id());
+        let mut config = ServeConfig::new(dir.join(format!("{tag}.sock")));
+        config.dump_path = Some(dir.join(format!("{tag}.json")));
+        config.dump_every = Duration::from_secs(3600); // only the final flush
+        let (socket, dump) = (config.socket.clone(), config.dump_path.clone().unwrap());
+        let net = constructions::bitonic(4).unwrap();
+        let handle = CounterServer::start(&net, config).unwrap();
+
+        let mut draws = 0u64;
+        for _ in 0..ROUNDS {
+            thread::scope(|scope| {
+                for t in 0..CLIENTS {
+                    let socket = &socket;
+                    scope.spawn(move || {
+                        let mut client = ServeClient::connect(socket).unwrap();
+                        for i in 0..200u64 {
+                            client.next().unwrap();
+                            let k = 1 + ((t + i) % u64::from(MAX_K)) as u32;
+                            assert_eq!(client.next_batch(k).unwrap().k, k);
+                        }
+                    });
+                }
+            });
+            draws = handle.snapshot().total.ops;
+            // every client has hung up: nothing is in flight, so all
+            // the tracker may still hold is the last completion's batch
+            let s = handle.core.slo.lock().unwrap();
+            assert!(
+                s.evaluator.tracker_retained() <= MAX_K as usize,
+                "{} entries retained after {draws} draws",
+                s.evaluator.tracker_retained()
+            );
+        }
+        assert!(draws >= 20_000, "{draws} draws");
+
+        handle.request_shutdown();
+        let summary = handle.wait().unwrap();
+        assert_eq!(summary.report.total.ops, draws);
+        let text = std::fs::read_to_string(&dump).unwrap();
+        std::fs::remove_file(&dump).unwrap();
+        let record = RunRecord::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
+        let total = record.slo.expect("a dump carries the slo block").total;
+        assert_eq!(total, summary.report.total);
+        // `None` without the probe layer (`--features cnet-engine/obs`)
+        if let Some(metrics) = record.metrics {
+            assert_eq!(metrics.network.operations, CLIENTS * ROUNDS * 400);
+            assert_eq!(metrics.network.nonlinearizable, total.violations);
+            assert_eq!(
+                metrics.network.violation_magnitude_total,
+                total.magnitude_total
+            );
+            assert_eq!(metrics.network.violation_magnitude_max, total.magnitude_max);
+            assert_eq!(
+                metrics.network.violation_magnitude_hist.count(),
+                total.violations
+            );
         }
     }
 }

@@ -13,14 +13,16 @@
 //!   [`cnet_topology::Topology`], producing an [`execution::Execution`]
 //!   with one transition event per `⟨token, node⟩` pair and one
 //!   [`execution::Operation`] per token.
-//! * [`linearizability`] — the checker for Definition 2.4: counts (and
-//!   exhibits) *non-linearizable* operations, i.e. operations preceded
-//!   in real time by an operation that returned a higher value.
+//! * [`linearizability`] — the checker for Definition 2.4: counts,
+//!   grades and exhibits *non-linearizable* operations, i.e. operations
+//!   preceded in real time by an operation that returned a higher
+//!   value, over a whole trace or a stream of completions.
 //! * [`knowledge`] — the history variables `H_T`, `H_D` ("implicit
 //!   knowledge") of Section 2, with validators for Lemmas 3.1–3.3.
 //! * [`measure`] — the closed-form bounds of Section 3: the
 //!   finish-start separation of Theorem 3.6, the start-start separation
-//!   of Lemma 3.7, and the padding parameter of Corollary 3.12.
+//!   of Lemma 3.7, the padding parameter of Corollary 3.12, and the
+//!   Figure 7 ratio `(Tog + W)/Tog`.
 //! * [`random`] — seeded random schedule generators used by the
 //!   property tests and benchmarks.
 //! * [`threshold`] — empirical sweeps locating the largest
@@ -72,7 +74,6 @@ pub mod program_order;
 pub mod random;
 pub mod render;
 pub mod schedule;
-pub mod sweep;
 pub mod threshold;
 pub mod windows;
 

@@ -9,16 +9,26 @@
 //! operations* is the paper's measured quantity (Figures 5 and 6).
 //!
 //! Definition 2.4 reads, per operation, "the prefix maximum of finished
-//! values, indexed by time, exceeds my value at my start", so
-//! [`count_nonlinearizable`] is one scan over the trace against that
-//! prefix-maximum table. How the table is laid out is read off the
-//! trace ([`is_dense_timeline`]): a *dense* timeline — the native
-//! backends' logical clock, which hands out the ticks `0..2n` once each
-//! — indexes it by tick and is built in `O(n + T)` with no sort; a
-//! *sparse* one (simulator cycles) sorts the `(end, value)` pairs once
-//! and looks a start up by binary search, `O(n log n)`.
-//! [`count_nonlinearizable_naive`] is the quadratic reference
-//! implementation used to property-test both layouts.
+//! values, indexed by time, exceeds my value at my start". This module
+//! is the one place that table is stored or searched:
+//!
+//! * a whole trace ([`count_nonlinearizable`], [`magnitudes`]) is one
+//!   scan against a table whose layout is read off the trace
+//!   ([`is_dense_timeline`]): a *dense* timeline — the native backends'
+//!   logical clock, which hands out the ticks `0..2n` once each —
+//!   indexes it by tick and is built in `O(n + T)` with no sort; a
+//!   *sparse* one (simulator cycles) sorts the `(end, value)` pairs
+//!   once and looks a start up by binary search, `O(n log n)`;
+//! * a stream of completions ([`FinishedMax`]) grows that same sorted
+//!   table one operation at a time and may retire what no future
+//!   operation can start before. The simulator's event loop and the
+//!   service's SLO evaluator feed it as operations complete.
+//!
+//! Either way an operation's verdict is its *magnitude*: how far the
+//! largest value that finished before it started lies above its own
+//! (0 for a linearizable operation). [`count_nonlinearizable_naive`],
+//! [`worst_witness`] and [`check_exhaustive`] are the reference
+//! implementations the table is tested against.
 
 use crate::execution::Operation;
 use crate::link::Time;
@@ -43,71 +53,194 @@ pub fn is_dense_timeline(ops: &[Operation]) -> bool {
     dense_last_end(ops).is_some()
 }
 
-/// The prefix maximum of finished values, indexed by time.
+/// The prefix maximum of finished values in its sorted layout, the one
+/// that grows: feed it operations as they complete and it answers
+/// Definition 2.4 for each against everything fed before.
 ///
 /// "Nothing has finished yet" reads 0: a maximum of 0 exceeds no
 /// value, so it needs no encoding of its own.
-enum FinishedMax {
-    /// Slot `t` holds the maximum over `end < t`; the last slot (one
-    /// past the last end) covers every later instant.
-    Dense(Vec<u64>),
-    /// `(end, running maximum)` pairs, ends ascending.
-    Sparse(Vec<(Time, u64)>),
+///
+/// The verdicts are exact — equal to [`magnitudes`] over the whole
+/// trace — whenever every operation is fed after all those that
+/// finished before it started. Feeding in completion order (the
+/// simulator's event loop, a service that assigns the end tick and
+/// feeds inside one critical section) guarantees that and makes each
+/// insert an append; any other order is inserted in place and judged
+/// against what has been fed so far.
+///
+/// # Example
+///
+/// ```
+/// use cnet_timing::linearizability::FinishedMax;
+///
+/// let mut finished = FinishedMax::new();
+/// assert_eq!(finished.observe(0, 3, 9), 0);
+/// // starts after value 9 finished, returns 1: eight positions late
+/// assert_eq!(finished.observe(4, 6, 1), 8);
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct FinishedMax {
+    /// `(end, maximum value over this entry, every earlier one and
+    /// `floor`)`, ends ascending.
+    pairs: Vec<(Time, u64)>,
+    /// Maximum value over the retired operations.
+    floor: u64,
+    /// The largest `min_future_start` promised to [`Self::retire`].
+    frontier: Time,
 }
 
 impl FinishedMax {
-    fn of(ops: &[Operation]) -> Self {
-        if let Some(last_end) = dense_last_end(ops) {
-            let mut slots = vec![0u64; last_end + 2];
-            for o in ops {
-                let slot = &mut slots[o.end as usize + 1];
-                *slot = (*slot).max(o.value);
-            }
-            let mut running = 0;
-            for slot in &mut slots {
-                running = running.max(*slot);
-                *slot = running;
-            }
-            FinishedMax::Dense(slots)
-        } else {
-            let mut pairs: Vec<(Time, u64)> = ops.iter().map(|o| (o.end, o.value)).collect();
-            pairs.sort_unstable_by_key(|&(end, _)| end);
-            let mut running = 0;
-            for (_, value) in &mut pairs {
-                running = running.max(*value);
-                *value = running;
-            }
-            FinishedMax::Sparse(pairs)
+    /// An empty table.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The table over a whole trace: one sort, one running maximum.
+    fn sorted(ops: &[Operation]) -> Self {
+        let mut pairs: Vec<(Time, u64)> = ops.iter().map(|o| (o.end, o.value)).collect();
+        pairs.sort_unstable_by_key(|&(end, _)| end);
+        let mut running = 0;
+        for (_, value) in &mut pairs {
+            running = running.max(*value);
+            *value = running;
         }
+        FinishedMax {
+            pairs,
+            ..Self::default()
+        }
+    }
+
+    /// The largest value among the operations fed so far with
+    /// `end < t` — the witness value of Definition 2.4 for an operation
+    /// starting at `t` — or 0 when there is none.
+    #[inline]
+    #[must_use]
+    pub fn before(&self, t: Time) -> u64 {
+        match self.pairs.partition_point(|&(end, _)| end < t) {
+            0 => self.floor,
+            idx => self.pairs[idx - 1].1,
+        }
+    }
+
+    /// Feeds one completed operation and returns its violation
+    /// magnitude against the operations fed so far: `before(start) -
+    /// value`, 0 when it is linearizable.
+    #[inline]
+    pub fn observe(&mut self, start: Time, end: Time, value: u64) -> u64 {
+        debug_assert!(
+            start >= self.frontier,
+            "observe(start={start}) breaks the retire({}) promise",
+            self.frontier
+        );
+        let magnitude = self.before(start).saturating_sub(value);
+        // completions arrive (nearly) in end order: scan from the back
+        let mut pos = self.pairs.len();
+        while pos > 0 && self.pairs[pos - 1].0 > end {
+            pos -= 1;
+        }
+        let below = if pos == 0 {
+            self.floor
+        } else {
+            self.pairs[pos - 1].1
+        };
+        self.pairs.insert(pos, (end, below.max(value)));
+        // running maxima ascend, so the first one already at `value`
+        // ends the fix-up
+        for (_, running) in &mut self.pairs[pos + 1..] {
+            if *running >= value {
+                break;
+            }
+            *running = value;
+        }
+        magnitude
+    }
+
+    /// Drops the entries no future operation can tell apart, bounding
+    /// the memory of an indefinitely running service.
+    ///
+    /// The caller promises that every later [`observe`] has
+    /// `start >= min_future_start` (for a service, the minimum start
+    /// tick over its in-flight operations). Operations with
+    /// `end < min_future_start` then finished before every future
+    /// start, so only their maximum value matters: it is folded into a
+    /// floor. No verdict changes.
+    ///
+    /// [`observe`]: FinishedMax::observe
+    #[inline]
+    pub fn retire(&mut self, min_future_start: Time) {
+        self.frontier = self.frontier.max(min_future_start);
+        let k = self
+            .pairs
+            .partition_point(|&(end, _)| end < min_future_start);
+        if k > 0 {
+            // running maxima are cumulative over the floor
+            self.floor = self.pairs[k - 1].1;
+            self.pairs.drain(..k);
+        }
+    }
+
+    /// Entries currently held (fed minus retired).
+    #[must_use]
+    pub fn retained(&self) -> usize {
+        self.pairs.len()
+    }
+}
+
+/// The table over a whole trace, in the layout the trace selects.
+enum Table {
+    /// Slot `t` holds the maximum over `end < t`; the last slot (one
+    /// past the last end) covers every later instant.
+    Dense(Vec<u64>),
+    Sorted(FinishedMax),
+}
+
+impl Table {
+    fn of(ops: &[Operation]) -> Self {
+        let Some(last_end) = dense_last_end(ops) else {
+            return Table::Sorted(FinishedMax::sorted(ops));
+        };
+        let mut slots = vec![0u64; last_end + 2];
+        for o in ops {
+            let slot = &mut slots[o.end as usize + 1];
+            *slot = (*slot).max(o.value);
+        }
+        let mut running = 0;
+        for slot in &mut slots {
+            running = running.max(*slot);
+            *slot = running;
+        }
+        Table::Dense(slots)
     }
 
     /// The largest value among operations with `end < t`.
     fn before(&self, t: Time) -> u64 {
         match self {
-            FinishedMax::Dense(slots) => slots[(t.min(slots.len() as u64 - 1)) as usize],
-            FinishedMax::Sparse(pairs) => max_finished_before(pairs, t),
+            Table::Dense(slots) => slots[(t.min(slots.len() as u64 - 1)) as usize],
+            Table::Sorted(finished) => finished.before(t),
         }
     }
 }
 
-/// Looks `t` up in `(end, running maximum)` pairs sorted by end: the
-/// largest value among the pairs with `end < t`, 0 when there is none.
-fn max_finished_before(finished: &[(Time, u64)], t: Time) -> u64 {
-    match finished.partition_point(|&(end, _)| end < t) {
-        0 => 0,
-        idx => finished[idx - 1].1,
-    }
+/// Every operation's violation magnitude, in trace order: how far the
+/// largest value that finished before it started lies above its own,
+/// 0 for a linearizable operation. `O(n + T)` on a dense timeline
+/// whose last tick is `T`, `O(n log n)` otherwise.
+pub fn magnitudes(ops: &[Operation]) -> impl Iterator<Item = u64> + '_ {
+    let finished = Table::of(ops);
+    ops.iter()
+        .map(move |op| finished.before(op.start).saturating_sub(op.value))
 }
 
 /// The non-linearizable operations of `ops`, in trace order.
 fn nonlinearizable(ops: &[Operation]) -> impl Iterator<Item = &Operation> {
-    let finished = FinishedMax::of(ops);
     ops.iter()
-        .filter(move |op| finished.before(op.start) > op.value)
+        .zip(magnitudes(ops))
+        .filter_map(|(op, magnitude)| (magnitude > 0).then_some(op))
 }
 
-/// Counts non-linearizable operations (Definition 2.4): `O(n + T)` on
-/// a dense timeline whose last tick is `T`, `O(n log n)` otherwise.
+/// Counts non-linearizable operations (Definition 2.4): the non-zero
+/// [`magnitudes`].
 ///
 /// # Example
 ///
@@ -432,173 +565,6 @@ mod tests {
                 t += len + 1;
             }
             prop_assert_eq!(count_nonlinearizable(&ops), 0);
-        }
-    }
-}
-
-/// An online (streaming) violation counter.
-///
-/// Feed operations in *completion order* (non-decreasing `end`); the
-/// checker counts Definition 2.4 victims incrementally with O(pending)
-/// memory — operations are buffered only until everything that could
-/// still precede them has been seen.
-///
-/// # Example
-///
-/// ```
-/// use cnet_timing::linearizability::OnlineChecker;
-/// use cnet_timing::Operation;
-///
-/// let mut checker = OnlineChecker::new();
-/// checker.observe(Operation { token: 0, input: 0, start: 0, end: 3, counter: 0, value: 9 });
-/// checker.observe(Operation { token: 1, input: 0, start: 4, end: 6, counter: 0, value: 1 });
-/// assert_eq!(checker.finish(), 1);
-/// ```
-#[derive(Debug, Default)]
-pub struct OnlineChecker {
-    /// Operations whose verdict may still depend on unseen completions:
-    /// an op with `start > last_end` could still be preceded by a
-    /// not-yet-completed op… no — completions arrive in order, so any
-    /// *future* completion ends later than `last_end` and can only
-    /// precede ops starting after it. Ops become decidable once
-    /// `last_end >= start`.
-    pending: Vec<Operation>,
-    /// Largest value among operations with `end < t` as a running
-    /// prefix structure: (end, running max value) pairs, ends ascending.
-    finished: Vec<(Time, u64)>,
-    last_end: Time,
-    violations: usize,
-    observed: usize,
-}
-
-impl OnlineChecker {
-    /// Creates an empty checker.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Operations observed so far.
-    #[must_use]
-    pub fn observed(&self) -> usize {
-        self.observed
-    }
-
-    /// Feeds the next completed operation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `op.end` is smaller than a previously observed end
-    /// (completion order violated).
-    pub fn observe(&mut self, op: Operation) {
-        assert!(
-            op.end >= self.last_end,
-            "operations must be observed in completion order"
-        );
-        self.last_end = op.end;
-        self.observed += 1;
-
-        // settle pending ops whose start is now in the past: every
-        // operation that could precede them has been recorded
-        self.settle(op.end);
-
-        self.pending.push(op);
-
-        // record this completion in the prefix-max structure
-        let running = self
-            .finished
-            .last()
-            .map_or(op.value, |&(_, m)| m.max(op.value));
-        self.finished.push((op.end, running));
-    }
-
-    /// Decides every pending op with `start <= horizon` — wait,
-    /// precedence is strict (`end < start`), and future completions
-    /// have `end >= horizon`, so an op is decidable once
-    /// `horizon >= start`.
-    fn settle(&mut self, horizon: Time) {
-        let mut i = 0;
-        while i < self.pending.len() {
-            if self.pending[i].start <= horizon {
-                let op = self.pending.swap_remove(i);
-                if max_finished_before(&self.finished, op.start) > op.value {
-                    self.violations += 1;
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Settles every remaining operation and returns the final
-    /// violation count.
-    #[must_use]
-    pub fn finish(mut self) -> usize {
-        self.settle(Time::MAX);
-        self.violations
-    }
-}
-
-#[cfg(test)]
-mod online_tests {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn op(token: usize, start: u64, end: u64, value: u64) -> Operation {
-        Operation {
-            token,
-            input: 0,
-            start,
-            end,
-            counter: 0,
-            value,
-        }
-    }
-
-    #[test]
-    fn empty_is_clean() {
-        assert_eq!(OnlineChecker::new().finish(), 0);
-    }
-
-    #[test]
-    fn detects_the_intro_violation() {
-        let mut c = OnlineChecker::new();
-        c.observe(op(1, 1, 3, 1));
-        c.observe(op(2, 4, 6, 0));
-        c.observe(op(0, 0, 8, 2));
-        assert_eq!(c.observed(), 3);
-        assert_eq!(c.finish(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "completion order")]
-    fn out_of_order_completion_panics() {
-        let mut c = OnlineChecker::new();
-        c.observe(op(0, 0, 10, 0));
-        c.observe(op(1, 0, 5, 1));
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(256))]
-
-        /// The online checker agrees with the batch sweep on arbitrary
-        /// traces (fed in completion order).
-        #[test]
-        fn online_matches_batch(
-            raw in proptest::collection::vec((0u64..60, 1u64..25, 0u64..40), 0..80)
-        ) {
-            let mut ops: Vec<Operation> = raw
-                .iter()
-                .enumerate()
-                .map(|(i, &(start, len, value))| op(i, start, start + len, value))
-                .collect();
-            let batch = count_nonlinearizable(&ops);
-            ops.sort_by_key(|o| o.end);
-            let mut online = OnlineChecker::new();
-            for o in &ops {
-                online.observe(*o);
-            }
-            prop_assert_eq!(online.finish(), batch);
         }
     }
 }

@@ -118,17 +118,57 @@ pub fn mass_violations_possible(timing: LinkTiming, width: usize) -> bool {
     timing.ratio() > bitonic_mass_violation_threshold(width)
 }
 
-/// The Figure 7 statistic: the measured average `c2/c1` ratio,
-/// `(Tog + W) / Tog`, where `Tog` is the average time a token waits
-/// before toggling a balancer and `W` the injected per-node delay.
+/// The paper's `Tog`: average cycles a token waits before toggling,
+/// falling back to the all-visit average when no toggles happened (a
+/// fully-diffracted run), so [`average_ratio`] is always defined.
 ///
-/// # Panics
-///
-/// Panics if `tog` is not strictly positive.
+/// This is the *single* definition shared by the offline summary
+/// (`RunStats` in `cnet-proteus`) and the live probes (`cnet-obs`) —
+/// the differential test between the two paths compares data
+/// collection, never formula drift.
 #[must_use]
-pub fn average_ratio(tog: f64, wait: f64) -> f64 {
-    assert!(tog > 0.0, "average toggle time must be positive");
-    (tog + wait) / tog
+pub fn avg_toggle_wait(
+    toggle_wait_total: u64,
+    toggle_count: u64,
+    node_wait_total: u64,
+    node_visits: u64,
+) -> f64 {
+    if toggle_count > 0 {
+        toggle_wait_total as f64 / toggle_count as f64
+    } else if node_visits > 0 {
+        node_wait_total as f64 / node_visits as f64
+    } else {
+        0.0
+    }
+}
+
+/// The paper's Figure 7 statistic `c2/c1 = (Tog + W)/Tog` from raw
+/// wait totals, `W` being the injected per-node delay. Returns `1.0`
+/// for a run with zero wait and zero `W`, and infinity for the
+/// degenerate zero-wait, positive-`W` case.
+#[must_use]
+pub fn average_ratio(
+    toggle_wait_total: u64,
+    toggle_count: u64,
+    node_wait_total: u64,
+    node_visits: u64,
+    wait_cycles: u64,
+) -> f64 {
+    let tog = avg_toggle_wait(
+        toggle_wait_total,
+        toggle_count,
+        node_wait_total,
+        node_visits,
+    );
+    if tog == 0.0 {
+        if wait_cycles == 0 {
+            1.0
+        } else {
+            f64::INFINITY
+        }
+    } else {
+        (tog + wait_cycles as f64) / tog
+    }
 }
 
 #[cfg(test)]
@@ -185,9 +225,16 @@ mod tests {
 
     #[test]
     fn average_ratio_figure7() {
-        // the paper's example shape: Tog, W -> (Tog + W)/Tog
-        assert!((average_ratio(100.0, 100.0) - 2.0).abs() < 1e-12);
-        assert!((average_ratio(463.0, 100_000.0) - 216.98).abs() < 0.02);
+        // Tog = 40/4 = 10 -> (10 + 100)/10 = 11
+        assert!((avg_toggle_wait(40, 4, 0, 0) - 10.0).abs() < 1e-12);
+        assert!((average_ratio(40, 4, 0, 0, 100) - 11.0).abs() < 1e-12);
+        // the paper's example shape: Tog = 463, W = 100000
+        assert!((average_ratio(463, 1, 0, 0, 100_000) - 216.98).abs() < 0.02);
+        // fallback: no toggles, only diffracted visits
+        assert!((avg_toggle_wait(0, 0, 50, 10) - 5.0).abs() < 1e-12);
+        // degenerate cases
+        assert_eq!(average_ratio(0, 0, 0, 0, 0), 1.0);
+        assert!(average_ratio(0, 0, 0, 0, 10).is_infinite());
     }
 
     #[test]

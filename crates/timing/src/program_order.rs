@@ -54,6 +54,11 @@ pub fn count_program_order_violations(ops: &[Operation], process_of: ProcessOf) 
 /// running maximum per process visits each process's operations in its
 /// program order.
 ///
+/// # Panics
+///
+/// Panics if the trace holds more than `u32::MAX` operations (the
+/// index is `u32`; a longer trace would alias).
+///
 /// [`RunStats`]: https://docs.rs/cnet-proteus
 #[must_use]
 pub fn count_program_order_violations_by<F: FnMut(usize) -> usize>(
@@ -61,6 +66,7 @@ pub fn count_program_order_violations_by<F: FnMut(usize) -> usize>(
     mut process_of: F,
 ) -> usize {
     use std::collections::HashMap;
+    assert!(u32::try_from(ops.len()).is_ok(), "trace too large");
     let mut by_start: Vec<u32> = (0..ops.len() as u32).collect();
     by_start.sort_unstable_by_key(|&i| ops[i as usize].start);
     let mut max_of: HashMap<usize, u64> = HashMap::new();

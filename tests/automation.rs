@@ -1,10 +1,9 @@
-//! Cross-crate checks of the automation layer: the attack search, the
-//! online checker, and topology serialization, all working together.
+//! Cross-crate checks of the automation layer: the attack search and
+//! topology serialization, working together with the simulator.
 
 use counting_networks::adversary::{search_violations, SearchConfig};
 use counting_networks::proteus::{SimConfig, Simulator, WaitMode, Workload};
 use counting_networks::timing::executor::TimedExecutor;
-use counting_networks::timing::linearizability::OnlineChecker;
 use counting_networks::timing::{knowledge, LinkTiming};
 use counting_networks::topology::{constructions, io as topo_io};
 
@@ -34,28 +33,6 @@ fn search_confirms_corollary_3_9_for_padded_networks() {
     let config = SearchConfig::for_network(&padded, timing, 4);
     let out = search_violations(&padded, timing, &config).unwrap();
     assert_eq!(out.violating, 0);
-}
-
-/// The online checker agrees with the batch checker on simulator
-/// traces (which arrive naturally in completion order).
-#[test]
-fn online_checker_matches_simulator_stats() {
-    let net = constructions::counting_tree(16).unwrap();
-    let wl = Workload {
-        total_ops: 1_500,
-        wait_mode: WaitMode::Fixed,
-        ..Workload::paper(32, 50, 10_000)
-    };
-    let stats = Simulator::new(&net, SimConfig::diffracting(21)).run(&wl);
-    let mut online = OnlineChecker::new();
-    for op in &stats.operations {
-        online.observe(*op);
-    }
-    assert_eq!(online.finish(), stats.nonlinearizable_count());
-    assert!(
-        stats.nonlinearizable_count() > 0,
-        "this cell should violate"
-    );
 }
 
 /// A topology serialized to text, reloaded, and simulated behaves

@@ -1,0 +1,245 @@
+//! Definition 2.4 is computed in one place,
+//! `timing::linearizability`: a whole trace is scanned against a
+//! tick-indexed or a sorted table, a stream of completions grows the
+//! sorted one. This suite holds every form of that table — dense
+//! batch, sparse batch, end-ordered stream, reordered stream with
+//! retirement — to the quadratic reference, verdict by verdict, and
+//! the count to the permutation-search oracle.
+
+use counting_networks::proteus::{SimConfig, Simulator, WaitMode, Workload};
+use counting_networks::timing::linearizability::{
+    check_exhaustive, count_nonlinearizable, count_nonlinearizable_naive, is_dense_timeline,
+    magnitudes, worst_witness, FinishedMax,
+};
+use counting_networks::timing::Operation;
+use counting_networks::topology::constructions;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
+
+fn op(token: usize, start: u64, end: u64, value: u64) -> Operation {
+    Operation {
+        token,
+        input: 0,
+        start,
+        end,
+        counter: 0,
+        value,
+    }
+}
+
+/// Every operation's magnitude by the letter of Definition 2.4: how
+/// far its worst witness lies above it.
+fn reference(ops: &[Operation]) -> Vec<u64> {
+    ops.iter()
+        .map(|o| worst_witness(ops, o).map_or(0, |w| w.value - o.value))
+        .collect()
+}
+
+/// `ops` with every instant sent through a strictly increasing
+/// `relabel`: no verdict moves, only how dense the timeline is.
+fn relabelled(ops: &[Operation], relabel: impl Fn(u64) -> u64) -> Vec<Operation> {
+    ops.iter()
+        .map(|o| Operation {
+            start: relabel(o.start),
+            end: relabel(o.end),
+            ..*o
+        })
+        .collect()
+}
+
+/// Feeds `ops` in `order` and returns the magnitudes by operation
+/// index. With `retire`, every feed is followed by the promise a
+/// service makes: the smallest start among the operations not fed yet.
+fn streamed(ops: &[Operation], order: &[usize], retire: bool) -> Vec<u64> {
+    let mut min_start_after = vec![u64::MAX; order.len() + 1];
+    for (k, &i) in order.iter().enumerate().rev() {
+        min_start_after[k] = min_start_after[k + 1].min(ops[i].start);
+    }
+    let mut finished = FinishedMax::new();
+    let mut out = vec![0; ops.len()];
+    for (k, &i) in order.iter().enumerate() {
+        out[i] = finished.observe(ops[i].start, ops[i].end, ops[i].value);
+        if retire {
+            finished.retire(min_start_after[k + 1]);
+        }
+    }
+    if retire {
+        assert_eq!(finished.retained(), 0, "nothing is in flight at the end");
+    }
+    out
+}
+
+/// The property: every form of the table returns the reference's
+/// magnitudes for `ops`.
+fn assert_one_verdict(ops: &[Operation], what: &str) {
+    let expected = reference(ops);
+    let count = expected.iter().filter(|&&m| m > 0).count();
+    assert_eq!(count_nonlinearizable_naive(ops), count, "{what}");
+
+    // batch: as drawn, ranked (tick-indexed table), stretched (sorted)
+    let mut instants: Vec<u64> = ops.iter().flat_map(|o| [o.start, o.end]).collect();
+    instants.sort_unstable();
+    instants.dedup();
+    let dense = relabelled(ops, |t| instants.binary_search(&t).unwrap() as u64);
+    let sparse = relabelled(ops, |t| (t + 1) << 20);
+    assert!(is_dense_timeline(&dense), "{what}");
+    assert!(ops.is_empty() || !is_dense_timeline(&sparse), "{what}");
+    for (layout, trace) in [("drawn", ops), ("dense", &dense), ("sparse", &sparse)] {
+        let got: Vec<u64> = magnitudes(trace).collect();
+        assert_eq!(got, expected, "{what}: {layout} batch");
+        assert_eq!(count_nonlinearizable(trace), count, "{what}: {layout}");
+    }
+
+    // stream, completion order: what the simulator and the service feed
+    let mut by_end: Vec<usize> = (0..ops.len()).collect();
+    by_end.sort_by_key(|&i| ops[i].end);
+    for retire in [false, true] {
+        assert_eq!(
+            streamed(ops, &by_end, retire),
+            expected,
+            "{what}: end-ordered stream, retire={retire}"
+        );
+    }
+
+    // stream, reordered: any order that feeds an operation after all
+    // those that finished before it started is exact — order by an
+    // instant drawn inside each operation's own interval
+    let mut rng = StdRng::seed_from_u64(0xD24 + ops.len() as u64);
+    for round in 0..4 {
+        let keys: Vec<(u64, u64)> = ops
+            .iter()
+            .map(|o| (rng.gen_range(o.start..=o.end), rng.gen_range(0..u64::MAX)))
+            .collect();
+        let mut order: Vec<usize> = (0..ops.len()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        assert_eq!(
+            streamed(ops, &order, true),
+            expected,
+            "{what}: reordered stream {round}"
+        );
+    }
+}
+
+#[test]
+fn hand_checked_traces_get_one_verdict() {
+    // the introduction's example: value 1 finishes, then value 0 starts
+    let intro = [op(1, 1, 3, 1), op(2, 4, 6, 0), op(0, 0, 8, 2)];
+    assert_eq!(reference(&intro), [0, 1, 0]);
+    assert_one_verdict(&intro, "intro");
+
+    // tangled, with an operation that outlasts three others:
+    // op2 sees 3 finished (3-0), op3 and op5 see 9 (9-1, 9-4)
+    let tangled = [
+        op(0, 0, 5, 3),
+        op(1, 2, 7, 9),
+        op(2, 6, 9, 0),
+        op(3, 8, 12, 1),
+        op(4, 1, 14, 20),
+        op(5, 13, 16, 4),
+    ];
+    assert_eq!(reference(&tangled), [0, 0, 3, 8, 0, 5]);
+    assert_one_verdict(&tangled, "tangled");
+
+    // one bad operation, many witnesses: graded against the worst
+    let witnesses = [op(0, 0, 1, 9), op(1, 0, 2, 8), op(2, 5, 6, 3)];
+    assert_eq!(reference(&witnesses), [0, 0, 6]);
+    assert_one_verdict(&witnesses, "witnesses");
+
+    // end == start is overlap under the strict definition
+    assert_one_verdict(&[op(0, 0, 5, 9), op(1, 5, 8, 0)], "touching");
+    assert_one_verdict(&[], "empty");
+
+    // everything retired, then a violation against the floor alone
+    let mut finished = FinishedMax::new();
+    assert_eq!(finished.observe(0, 10, 7), 0);
+    finished.retire(20);
+    assert_eq!(finished.retained(), 0);
+    assert_eq!(finished.before(20), 7);
+    assert_eq!(finished.observe(20, 30, 2), 5);
+}
+
+#[test]
+fn seeded_random_traces_get_one_verdict() {
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    for round in 0..300 {
+        let n = rng.gen_range(0..48usize);
+        // narrow ranges on purpose: starts, ends and values tie, and
+        // zero-length operations occur
+        let span = rng.gen_range(1..=60u64);
+        let max_len = rng.gen_range(1..=25u64);
+        let values = rng.gen_range(1..=40u64);
+        let ops: Vec<Operation> = (0..n)
+            .map(|i| {
+                let start = rng.gen_range(0..span);
+                let v = rng.gen_range(0..values);
+                let value = if v == 13 { u64::MAX } else { v };
+                op(i, start, start + rng.gen_range(0..max_len), value)
+            })
+            .collect();
+        assert_one_verdict(&ops, &format!("round {round}"));
+    }
+}
+
+/// The violating regime the paper measures: the count the simulator
+/// streamed while it ran is the one every other form returns.
+#[test]
+fn a_simulator_trace_gets_the_verdict_the_run_streamed() {
+    let net = constructions::counting_tree(16).unwrap();
+    let wl = Workload {
+        total_ops: 1_500,
+        wait_mode: WaitMode::Fixed,
+        ..Workload::paper(32, 50, 10_000)
+    };
+    let stats = Simulator::new(&net, SimConfig::diffracting(21)).run(&wl);
+    assert!(
+        stats.nonlinearizable_count() > 0,
+        "this cell should violate"
+    );
+    assert_eq!(
+        stats.nonlinearizable_count(),
+        count_nonlinearizable_naive(&stats.operations)
+    );
+    assert!(!is_dense_timeline(&stats.operations));
+    assert_one_verdict(&stats.operations, "counting_tree(16), W = 10000");
+}
+
+/// On traces a correct counter can produce — values a permutation of
+/// `0..n` — nothing is non-linearizable exactly when the brute-force
+/// search finds a counting order.
+#[test]
+fn zero_count_iff_the_oracle_finds_a_linearization() {
+    let mut rng = StdRng::seed_from_u64(0x0AC1E);
+    let (mut clean, mut violating) = (0, 0);
+    for round in 0..2_000 {
+        let n = rng.gen_range(0..=16usize);
+        let mut values: Vec<u64> = (0..n as u64).collect();
+        values.shuffle(&mut rng);
+        // a wide span for the short lengths, so that many traces are
+        // nearly sequential and a fair share comes out clean
+        let ops: Vec<Operation> = values
+            .iter()
+            .enumerate()
+            .map(|(i, &value)| {
+                let start = if round % 2 == 0 {
+                    rng.gen_range(0..40)
+                } else {
+                    value * 3 + rng.gen_range(0..6)
+                };
+                op(i, start, start + rng.gen_range(1..=8), value)
+            })
+            .collect();
+        let count = count_nonlinearizable(&ops);
+        assert_eq!(
+            check_exhaustive(&ops).is_some(),
+            count == 0,
+            "round {round}: {ops:?}"
+        );
+        if count == 0 {
+            clean += 1;
+        } else {
+            violating += 1;
+        }
+    }
+    assert!(clean > 100 && violating > 100, "{clean} / {violating}");
+}
