@@ -10,8 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cnet_concurrent::counter::{Counter, FetchAddCounter, LockCounter};
-use cnet_concurrent::network::NetworkCounter;
-use cnet_concurrent::tree::DiffractingTreeCounter;
+use cnet_concurrent::network::{BalancerKind, NetworkCounter};
 use cnet_topology::constructions;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -67,8 +66,9 @@ fn bench_counters(c: &mut Criterion) {
             &threads,
             |b, &t| {
                 b.iter_custom(|iters| {
-                    let tree = DiffractingTreeCounter::new(8).expect("valid width");
-                    run_batch(Arc::new(tree), t, iters)
+                    let net = constructions::counting_tree(8).expect("valid width");
+                    let kind = BalancerKind::Diffracting { slots: 8, spin: 64 };
+                    run_batch(Arc::new(NetworkCounter::with_kind(&net, kind)), t, iters)
                 })
             },
         );

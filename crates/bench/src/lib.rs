@@ -54,7 +54,9 @@ pub struct Suite {
 const ALL: &[&str] = &["--ops", "--seed", "--threads", "--json", "--baseline"];
 /// Fixed constructions: nothing to size and nothing to seed.
 const REPLAY: &[&str] = &["--threads", "--json", "--baseline"];
-/// Real-thread sweeps: each cell spawns its own client threads.
+/// Real-thread sweeps over the native counters: each cell spawns its
+/// own client threads. The suites on this surface are the ones
+/// [`DriveError::LiveProbes`] guards.
 const NATIVE: &[&str] = &["--ops", "--seed", "--json", "--baseline"];
 
 /// The registry, in the order EXPERIMENTS.md presents the results.
@@ -154,6 +156,13 @@ pub enum DriveError {
     Usage(String),
     /// Writing the tables or the JSON report failed.
     Io(io::Error),
+    /// The named suite times native counters, and this binary was built
+    /// with the live probe layer ([`cnet_engine::PROBES_LIVE`]): every
+    /// number it printed would be the probes' clock reads, not the
+    /// operation. Build with `cargo build --release -p cnet-bench`
+    /// alone — an invocation that also builds `cnet-cli` unifies the
+    /// `obs` feature into this crate.
+    LiveProbes(&'static str),
 }
 
 impl From<io::Error> for DriveError {
@@ -167,8 +176,9 @@ impl From<io::Error> for DriveError {
 ///
 /// # Errors
 ///
-/// Returns [`DriveError::Usage`] before anything ran, or
-/// [`DriveError::Io`] when an output could not be written.
+/// Returns [`DriveError::Usage`] or [`DriveError::LiveProbes`] before
+/// anything ran, or [`DriveError::Io`] when an output could not be
+/// written.
 ///
 /// # Panics
 ///
@@ -199,6 +209,9 @@ pub fn drive(argv: &[String], out: &mut dyn Write) -> Result<Emitted, DriveError
         let usage = BenchArgs::usage(suite.name, suite.reads);
         DriveError::Usage(format!("{msg}\n{usage}"))
     })?;
+    if cnet_engine::PROBES_LIVE && suite.reads == NATIVE {
+        return Err(DriveError::LiveProbes(suite.name));
+    }
     let mut run = Run {
         seed: args.seed.unwrap_or(suite.seed),
         report: BenchReport::new(suite.name, args.threads),

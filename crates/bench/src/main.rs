@@ -1,7 +1,8 @@
 //! `cnet-bench <suite> [flags]` / `cnet-bench list` — see the library
 //! docs for the suites. Exit status: 0 on success, 1 when an output
-//! could not be written, 2 on a usage error or an unloadable
-//! `--baseline`, 3 when a cell regressed against the baseline.
+//! could not be written, 2 on a usage error, an unloadable
+//! `--baseline` or a native suite asked of a live-probe build, 3 when a
+//! cell regressed against the baseline.
 
 use std::process::ExitCode;
 
@@ -18,6 +19,15 @@ fn main() -> ExitCode {
         }
         Err(DriveError::Usage(msg)) => {
             eprintln!("cnet-bench: {msg}");
+            2
+        }
+        Err(DriveError::LiveProbes(suite)) => {
+            eprintln!(
+                "cnet-bench: `{suite}` times native counters, but this binary has the live \
+                 probe layer compiled in (cnet-engine's `obs` feature, which a cargo \
+                 invocation that also builds cnet-cli unifies on); rebuild with \
+                 `cargo build --release -p cnet-bench` alone"
+            );
             2
         }
         Ok(Emitted::BaselineUnloadable(e)) => {

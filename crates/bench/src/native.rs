@@ -9,11 +9,16 @@
 //! with a single hardware thread [`NativeSweep`] widens that to
 //! best-of-5 and flags the records noisy.
 //!
-//! Unlike the simulator gates, baseline comparisons must use the *same*
-//! `--ops` as the committed baseline: a native cell pays a fixed
-//! thread-spawn cost (up to 256 clients, plus one thread per balancer
-//! on the mp sweeps), so per-op wall-clock is size-dependent and a
-//! 500-op run cannot be judged against a 5000-op baseline.
+//! A cell's `wall_ms` runs from thread spawn to join, so per-op
+//! wall-clock is size-dependent: a cell pays a fixed spawn cost (up to
+//! 256 clients, plus one thread per balancer on the mp sweeps) that
+//! only a large `--ops` amortizes. The committed tables are taken at
+//! the `--ops` their header names, where us/op at `n = 4` is flat under
+//! doubling, and baseline comparisons must use that same `--ops`.
+//!
+//! These suites refuse to run on a build with the live probe layer
+//! ([`crate::DriveError::LiveProbes`]): a probe's clock reads cost
+//! several times the operation they bracket.
 
 use std::io;
 
@@ -49,14 +54,14 @@ struct Race<'a> {
     /// Whether every cell is priced: its Definition 2.4 fraction and
     /// measured `c2/c1` beside its wall-clock.
     priced: bool,
-    /// The headline table over the first two sweeps: title, its three
-    /// column labels, and which of the two is the slower reference.
-    headline: (&'a str, [&'a str; 3], usize),
+    /// The headline table, if the race has one: sweep 0 as the
+    /// reference against sweep 1, under this title and these columns.
+    headline: Option<(&'a str, [&'a str; 3])>,
 }
 
 impl Race<'_> {
     /// Runs every sweep at every [`CONCURRENCY`], printing one table
-    /// per sweep and then the headline speedup table.
+    /// per sweep and then the headline speedup table, if any.
     fn run(&self, run: &mut Run<'_>, net: &Topology) -> io::Result<()> {
         let ops = run.args.ops;
         let per_op_us = |r: &RunRecord| r.wall_ms / ops as f64 * 1e3;
@@ -103,20 +108,21 @@ impl Race<'_> {
             grids.push(grid);
         }
 
-        let (title, columns, reference) = self.headline;
-        let mut speedup = ResultTable::new(title, &columns);
-        for (first, second) in grids[0].records.iter().zip(&grids[1].records) {
-            let us = [per_op_us(first), per_op_us(second)];
-            speedup.push_row(
-                first.label.clone(),
-                vec![
-                    format!("{:.3}", us[0]),
-                    format!("{:.3}", us[1]),
-                    format!("{:.2}x", us[reference] / us[1 - reference]),
-                ],
-            );
+        if let Some((title, columns)) = self.headline {
+            let mut speedup = ResultTable::new(title, &columns);
+            for (reference, contender) in grids[0].records.iter().zip(&grids[1].records) {
+                let (slow, fast) = (per_op_us(reference), per_op_us(contender));
+                speedup.push_row(
+                    reference.label.clone(),
+                    vec![
+                        format!("{slow:.3}"),
+                        format!("{fast:.3}"),
+                        format!("{:.2}x", slow / fast),
+                    ],
+                );
+            }
+            run.table(&speedup)?;
         }
-        run.table(&speedup)?;
         grids
             .into_iter()
             .for_each(|grid| run.report.push_grid(grid));
@@ -127,11 +133,9 @@ impl Race<'_> {
 /// The native perf sweep at `F = 0`, `W = 0` (raw traversal speed,
 /// nothing injected):
 ///
-/// * **shm compiled** — [`CounterSpec::Network`], the
-///   cache-line-aligned `CompiledNet` arena with relaxed toggle bits;
-/// * **shm reference** — [`CounterSpec::Reference`], the preserved
-///   pre-refactor traversal, so the compiled/reference gap stays
-///   measured forever;
+/// * **shm** — [`CounterSpec::Network`], the cache-line-aligned
+///   `CompiledNet` arena with relaxed toggle bits, the one native
+///   traversal;
 /// * **mp** — [`CounterSpec::Mp`], one thread per balancer and
 ///   counter, tokens as messages.
 pub(crate) fn native(run: &mut Run<'_>) -> io::Result<()> {
@@ -148,24 +152,15 @@ pub(crate) fn native(run: &mut Run<'_>) -> io::Result<()> {
     let race = Race {
         sweeps: &[
             (
-                "Native shm WaitFree (compiled)",
+                "Native shm WaitFree",
                 CounterSpec::Network(BalancerKind::WaitFree),
-            ),
-            (
-                "Native shm WaitFree (reference)",
-                CounterSpec::Reference(BalancerKind::WaitFree),
             ),
             ("Native mp", CounterSpec::Mp(MpConfig { hop_spin: 0 })),
         ],
         delayed_percent: 0,
         wait_cycles: 0,
         priced: false,
-        // the headline the compiled arena is gated on
-        headline: (
-            "Compiled vs reference — per-op speedup (shm WaitFree)",
-            ["compiled us/op", "reference us/op", "speedup"],
-            1,
-        ),
+        headline: None,
     };
     race.run(run, &net)
 }
@@ -235,11 +230,10 @@ pub(crate) fn frontend(run: &mut Run<'_>) -> io::Result<()> {
         wait_cycles,
         priced: true,
         // the headline the frontends are gated on: batch vs plain, same net
-        headline: (
+        headline: Some((
             "Combining vs plain — per-op speedup (shm, width-16 bitonic)",
             ["plain us/op", "batch us/op", "speedup"],
-            0,
-        ),
+        )),
     };
     race.run(run, &net)?;
 

@@ -127,6 +127,32 @@ fn a_flag_the_suite_does_not_read_is_a_usage_error() {
     }
 }
 
+/// A native suite on a live-probe build (this test binary is one under
+/// `cargo test --workspace`, where `cnet-cli` unifies the engine's
+/// `obs` feature on) is refused before anything runs; on a probes-off
+/// build (`cargo test -p cnet-bench`) it runs and no record it writes
+/// carries a `metrics` block.
+#[test]
+fn native_suites_run_only_without_the_live_probe_layer() {
+    let json = scratch("probes.json");
+    if cnet_engine::PROBES_LIVE {
+        for suite in ["native", "frontend", "saturation"] {
+            let (outcome, out) = bench(&[suite, "--ops", "64", "--json", &json]);
+            assert!(
+                matches!(outcome, Err(DriveError::LiveProbes(name)) if name == suite),
+                "{suite}: {outcome:?}"
+            );
+            assert!(out.is_empty(), "{suite}: refused before any output");
+        }
+    } else {
+        let (outcome, out) = bench(&["native", "--ops", "64", "--json", &json]);
+        assert!(matches!(outcome, Ok(Emitted::Written)), "{outcome:?}");
+        assert!(out.contains("# Native shm WaitFree"), "{out}");
+        let report = std::fs::read_to_string(&json).unwrap();
+        assert!(!report.contains("\"metrics\""), "{report}");
+    }
+}
+
 #[test]
 fn degenerate_values_and_unknown_names_are_usage_errors() {
     assert!(usage_error(&["figure5", "--ops", "0"]).contains("--ops must be at least 1"));

@@ -1078,7 +1078,7 @@ mod tests {
             "bitonic",
             "4",
             "--backend",
-            "sim,mp,shm-ref",
+            "sim,mp,shm-batch",
             "--n",
             "2",
             "--ops",
@@ -1091,7 +1091,7 @@ mod tests {
         use serde::Deserialize as _;
         let grid = GridReport::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
         let backends: Vec<&str> = grid.records.iter().map(|r| r.backend.as_str()).collect();
-        assert_eq!(backends, ["sim", "mp", "shm-ref"]);
+        assert_eq!(backends, ["sim", "mp", "shm-batch"]);
         // a record can be re-run from its own `backend` field
         for name in backends {
             let spec: BackendSpec = name.parse().unwrap();

@@ -20,8 +20,6 @@ use cnet_timing::{linearizability, Operation};
 use crate::counter::{Counter, FetchAddCounter, LockCounter};
 use crate::mp::MpNetwork;
 use crate::network::NetworkCounter;
-use crate::reference::ReferenceCounter;
-use crate::tree::DiffractingTreeCounter;
 
 /// A counter that can participate in a delayed stress run.
 ///
@@ -45,26 +43,6 @@ impl StressCounter for NetworkCounter {
 
     fn width(&self) -> usize {
         NetworkCounter::width(self)
-    }
-}
-
-impl StressCounter for ReferenceCounter {
-    fn next_stressed(&self, thread: usize, spin_per_node: u64) -> u64 {
-        self.next_on_with_delay(thread % self.input_width(), spin_per_node)
-    }
-
-    fn width(&self) -> usize {
-        ReferenceCounter::width(self)
-    }
-}
-
-impl StressCounter for DiffractingTreeCounter {
-    fn next_stressed(&self, _thread: usize, spin_per_node: u64) -> u64 {
-        self.next_with_delay(spin_per_node)
-    }
-
-    fn width(&self) -> usize {
-        DiffractingTreeCounter::width(self)
     }
 }
 
@@ -240,7 +218,9 @@ mod tests {
 
     #[test]
     fn tree_audit_counts_exactly_under_delays() {
-        let c = DiffractingTreeCounter::new(8).unwrap();
+        let tree = constructions::counting_tree(8).unwrap();
+        let kind = crate::network::BalancerKind::Diffracting { slots: 8, spin: 64 };
+        let c = NetworkCounter::with_kind(&tree, kind);
         let report = run_stress(
             &c,
             StressConfig {

@@ -34,9 +34,10 @@
 //!
 //! Entries are validated once at build time; the only panic left on
 //! the hot path is the documented out-of-range `input` in
-//! [`CompiledNet::next_on`]. The pre-refactor traversal survives as
-//! [`crate::reference::ReferenceCounter`], the executable
-//! specification the differential tests compare against.
+//! [`CompiledNet::next_on`]. This is the only native traversal: the
+//! pre-refactor one is the differential oracle under `tests/`, and a
+//! diffracting tree is the [`BalancerKind::Diffracting`] plan over
+//! `constructions::counting_tree`.
 
 use crate::sync::{AtomicU64, Ordering};
 
@@ -131,7 +132,7 @@ impl Route for LockedToggle {
 /// A wait-free toggle fronted by a prism (elimination) array: a
 /// colliding pair takes one output each without touching the toggle.
 /// Non-binary nodes and `slots == 0` get an empty prism and fall back
-/// to the plain toggle, exactly like the reference.
+/// to the plain toggle.
 #[derive(Debug)]
 struct PrismToggle {
     toggle: AtomicU64,
@@ -141,8 +142,16 @@ struct PrismToggle {
 }
 
 impl PrismToggle {
-    fn new(fan_out: usize, slots: usize, spin: u32) -> Self {
-        let slots = if fan_out == 2 { slots } else { 0 };
+    /// The Shavit–Zemach sizing: `root_slots` exchangers at layer 1,
+    /// halved per layer (a tree node sees half its parent's traffic)
+    /// but never below one; `root_slots == 0` means no prism anywhere.
+    fn new(fan_out: usize, layer: usize, root_slots: usize, spin: u32) -> Self {
+        let slots = if fan_out == 2 && root_slots > 0 {
+            let halvings = u32::try_from(layer - 1).unwrap_or(u32::MAX);
+            root_slots.checked_shr(halvings).unwrap_or(0).max(1)
+        } else {
+            0
+        };
         PrismToggle {
             toggle: AtomicU64::new(0),
             prism: (0..slots).map(|_| Exchanger::new()).collect(),
@@ -206,54 +215,49 @@ struct Arena<B> {
 }
 
 /// Lowers `topology` into an arena, making one `B` per node via
-/// `make(fan_out)`. Slots are laid out in layer order (layer 1 first),
-/// every link resolved and validated here — the traversal never sees a
-/// dangling or out-of-range successor.
-fn lower<B>(topology: &Topology, mut make: impl FnMut(usize) -> B) -> Arena<B> {
-    let order: Vec<_> = topology.iter_nodes().collect();
-    assert_eq!(
-        order.len(),
-        topology.node_count(),
-        "validated topologies have no unreachable nodes"
-    );
-    let mut slot_of = vec![u32::MAX; topology.node_count()];
-    for (slot, id) in order.iter().enumerate() {
-        slot_of[id.index()] = u32::try_from(slot).expect("slot index fits in u32");
-    }
+/// `make(fan_out, layer)`. Slots are laid out in layer order (layer 1
+/// first; `slot_of` maps node index to arena slot), every link resolved
+/// and validated here — the traversal never sees a dangling or
+/// out-of-range successor.
+fn lower<B>(
+    topology: &Topology,
+    slot_of: &[u32],
+    mut make: impl FnMut(usize, usize) -> B,
+) -> Arena<B> {
     let mut ext = Vec::new();
-    let slots: Box<[Slot<B>]> = order
-        .iter()
-        .map(|&id| {
-            let fan_out = topology.fan_out(id);
-            let resolve = |port: usize| match topology.output_wire(id, port) {
-                WireEnd::Node { node, .. } => Link::node(slot_of[node.index()] as usize),
-                WireEnd::Counter { index } => {
-                    assert!(
-                        index < topology.output_width(),
-                        "validated topologies wire counters in range"
-                    );
-                    Link::counter(index)
-                }
-            };
-            let links = if fan_out == 1 {
-                let only = resolve(0);
-                [only, only]
-            } else {
-                [resolve(0), resolve(1)]
-            };
-            let ext_base = u32::try_from(ext.len()).expect("overflow table fits in u32");
-            for port in 2..fan_out {
-                ext.push(resolve(port));
+    // sized up front: `iter_nodes` flattens the layers and has no
+    // useful size hint, and a cache-line slot is expensive to regrow
+    let mut slots = Vec::with_capacity(topology.node_count());
+    for id in topology.iter_nodes() {
+        let fan_out = topology.fan_out(id);
+        let resolve = |port: usize| match topology.output_wire(id, port) {
+            WireEnd::Node { node, .. } => Link::node(slot_of[node.index()] as usize),
+            WireEnd::Counter { index } => {
+                assert!(
+                    index < topology.output_width(),
+                    "validated topologies wire counters in range"
+                );
+                Link::counter(index)
             }
-            Slot {
-                bal: make(fan_out),
-                links,
-                ext_base,
-            }
-        })
-        .collect();
+        };
+        let links = if fan_out == 1 {
+            let only = resolve(0);
+            [only, only]
+        } else {
+            [resolve(0), resolve(1)]
+        };
+        let ext_base = u32::try_from(ext.len()).expect("overflow table fits in u32");
+        for port in 2..fan_out {
+            ext.push(resolve(port));
+        }
+        slots.push(Slot {
+            bal: make(fan_out, topology.layer_of(id)),
+            links,
+            ext_base,
+        });
+    }
     Arena {
-        slots,
+        slots: slots.into_boxed_slice(),
         ext: ext.into_boxed_slice(),
     }
 }
@@ -312,42 +316,40 @@ impl CompiledNet {
     /// the chosen balancer implementation.
     #[must_use]
     pub fn compile(topology: &Topology, kind: BalancerKind) -> Self {
-        let max_fan_out = topology
-            .iter_nodes()
-            .map(|id| topology.fan_out(id))
-            .max()
-            .expect("validated topologies have at least one node");
+        // arena slot per node index: layer order, layer 1 first
+        // (construction is cold; traversal never touches NodeId again)
+        let mut slot_of = vec![u32::MAX; topology.node_count()];
+        let mut max_fan_out = 0;
+        for (slot, id) in topology.iter_nodes().enumerate() {
+            slot_of[id.index()] = u32::try_from(slot).expect("slot index fits in u32");
+            max_fan_out = max_fan_out.max(topology.fan_out(id));
+        }
+        assert!(
+            slot_of.iter().all(|&slot| slot != u32::MAX),
+            "validated topologies have no unreachable nodes"
+        );
         let plan = match kind {
             BalancerKind::WaitFree if max_fan_out <= 2 => {
-                Plan::Binary(lower(topology, |_| BitToggle::default()))
+                Plan::Binary(lower(topology, &slot_of, |_, _| BitToggle::default()))
             }
-            BalancerKind::WaitFree => Plan::Wide(lower(topology, |fan_out| ModToggle {
-                traversals: AtomicU64::new(0),
-                fan_out: u32::try_from(fan_out).expect("fan-out fits in u32"),
-            })),
-            BalancerKind::Locked => Plan::Locked(lower(topology, |fan_out| {
+            BalancerKind::WaitFree => {
+                Plan::Wide(lower(topology, &slot_of, |fan_out, _| ModToggle {
+                    traversals: AtomicU64::new(0),
+                    fan_out: u32::try_from(fan_out).expect("fan-out fits in u32"),
+                }))
+            }
+            BalancerKind::Locked => Plan::Locked(lower(topology, &slot_of, |fan_out, _| {
                 LockedToggle(LockBalancer::new(fan_out))
             })),
             BalancerKind::Diffracting { slots, spin } => {
-                Plan::Diffracting(lower(topology, |fan_out| {
-                    PrismToggle::new(fan_out, slots, spin)
+                Plan::Diffracting(lower(topology, &slot_of, |fan_out, layer| {
+                    PrismToggle::new(fan_out, layer, slots, spin)
                 }))
             }
         };
-        // entry slots: recompute the layer-order mapping once more at
-        // build time (construction is cold; traversal never touches
-        // NodeId again)
-        let mut slot_of = vec![u32::MAX; topology.node_count()];
-        for (slot, id) in topology.iter_nodes().enumerate() {
-            slot_of[id.index()] = u32::try_from(slot).expect("slot index fits in u32");
-        }
         let entries: Box<[u32]> = (0..topology.input_width())
             .map(|x| slot_of[topology.input(x).node.index()])
             .collect();
-        assert!(
-            entries.iter().all(|&e| e != u32::MAX),
-            "validated topologies reach every entry node"
-        );
         CompiledNet {
             plan,
             entries,
@@ -401,19 +403,10 @@ impl CompiledNet {
     /// traversal path; every internal link was validated at compile
     /// time.
     pub fn next_on_with_delay(&self, input: usize, spin_per_node: u64) -> u64 {
-        let at = self.entries[input];
-        match &self.plan {
-            Plan::Binary(arena) => self.run(arena, at, spin_per_node, &mut 0),
-            Plan::Wide(arena) => self.run(arena, at, spin_per_node, &mut 0),
-            Plan::Locked(arena) => self.run(arena, at, spin_per_node, &mut 0),
-            Plan::Diffracting(arena) => {
-                // one TLS access pair per operation, not one per hop
-                let mut rng = prng::begin();
-                let value = self.run(arena, at, spin_per_node, &mut rng);
-                prng::commit(rng);
-                value
-            }
-        }
+        self.traverse(input, spin_per_node, |index| {
+            let prior = self.counters[index].0.fetch_add(1, Ordering::AcqRel);
+            index as u64 + self.width * prior
+        })
     }
 
     /// Reserves a contiguous interval of `k` values with a *single*
@@ -436,60 +429,35 @@ impl CompiledNet {
     /// Panics if `input >= input_width()` or `k == 0`.
     pub fn next_batch_on(&self, input: usize, k: u64, spin_per_node: u64) -> u64 {
         assert!(k > 0, "a batch reserves at least one value");
+        self.traverse(input, spin_per_node, |index| {
+            self.counters[index].0.fetch_add(k, Ordering::AcqRel);
+            self.issued.fetch_add(k, Ordering::AcqRel)
+        })
+    }
+
+    /// Dispatches on the plan once per operation, outside the hop
+    /// loop; `land` is what the token does at the output counter it
+    /// reaches, and the value it returns is the operation's.
+    #[inline]
+    fn traverse(&self, input: usize, spin_per_node: u64, land: impl FnOnce(usize) -> u64) -> u64 {
         let at = self.entries[input];
         match &self.plan {
-            Plan::Binary(arena) => self.run_batch(arena, at, k, spin_per_node, &mut 0),
-            Plan::Wide(arena) => self.run_batch(arena, at, k, spin_per_node, &mut 0),
-            Plan::Locked(arena) => self.run_batch(arena, at, k, spin_per_node, &mut 0),
+            Plan::Binary(arena) => self.run(arena, at, spin_per_node, &mut 0, land),
+            Plan::Wide(arena) => self.run(arena, at, spin_per_node, &mut 0, land),
+            Plan::Locked(arena) => self.run(arena, at, spin_per_node, &mut 0, land),
             Plan::Diffracting(arena) => {
+                // one TLS access pair per operation, not one per hop
                 let mut rng = prng::begin();
-                let value = self.run_batch(arena, at, k, spin_per_node, &mut rng);
+                let value = self.run(arena, at, spin_per_node, &mut rng, land);
                 prng::commit(rng);
                 value
             }
         }
     }
 
-    /// The batch rendition of the hop loop: identical routing, but the
-    /// terminal counter absorbs `k` arrivals and the value base comes
-    /// from the global interval allocator.
-    #[inline]
-    fn run_batch<B: Route>(
-        &self,
-        arena: &Arena<B>,
-        mut at: u32,
-        k: u64,
-        spin_per_node: u64,
-        rng: &mut u64,
-    ) -> u64 {
-        let start = crate::obs::now();
-        loop {
-            let hop_start = crate::obs::now();
-            let slot = &arena.slots[at as usize];
-            let port = slot.bal.route(rng, self.obs.probe(at as usize));
-            let link = if port < 2 {
-                slot.links[port]
-            } else {
-                arena.ext[slot.ext_base as usize + (port - 2)]
-            };
-            for _ in 0..spin_per_node {
-                std::hint::spin_loop();
-            }
-            self.obs.record_wire(crate::obs::now() - hop_start);
-            if link.0 & COUNTER_BIT == 0 {
-                at = link.0;
-            } else {
-                let index = (link.0 & !COUNTER_BIT) as usize;
-                self.counters[index].0.fetch_add(k, Ordering::AcqRel);
-                let base = self.issued.fetch_add(k, Ordering::AcqRel);
-                self.obs.record_op(start, crate::obs::now());
-                return base;
-            }
-        }
-    }
-
-    /// The monomorphized hop loop: route, decode the tagged link,
-    /// repeat until a counter link terminates the traversal.
+    /// The hop loop, monomorphized per balancer style and per
+    /// terminal: route, decode the tagged link, repeat until a counter
+    /// link ends the traversal in `land`.
     #[inline]
     fn run<B: Route>(
         &self,
@@ -497,6 +465,7 @@ impl CompiledNet {
         mut at: u32,
         spin_per_node: u64,
         rng: &mut u64,
+        land: impl FnOnce(usize) -> u64,
     ) -> u64 {
         let start = crate::obs::now();
         loop {
@@ -515,9 +484,7 @@ impl CompiledNet {
             if link.0 & COUNTER_BIT == 0 {
                 at = link.0;
             } else {
-                let index = (link.0 & !COUNTER_BIT) as usize;
-                let prior = self.counters[index].0.fetch_add(1, Ordering::AcqRel);
-                let value = index as u64 + self.width * prior;
+                let value = land((link.0 & !COUNTER_BIT) as usize);
                 self.obs.record_op(start, crate::obs::now());
                 return value;
             }

@@ -10,11 +10,13 @@
 //! * [`network::NetworkCounter`] — a counting network (bitonic,
 //!   periodic, padded, …) as a concurrent counter, compiled at
 //!   construction into the cache-line-aligned arena of
-//!   [`compiled::CompiledNet`] (the pre-refactor traversal survives as
-//!   [`reference::ReferenceCounter`] for differential testing);
-//! * [`tree::DiffractingTreeCounter`] — a counting tree whose nodes are
-//!   fronted by prism (elimination) arrays, per Shavit and Zemach:
-//!   colliding pairs diffract without touching the toggle;
+//!   [`compiled::CompiledNet`], the only native traversal (the
+//!   pre-refactor one is the differential oracle under `tests/`);
+//! * [`network::BalancerKind::Diffracting`] over
+//!   `constructions::counting_tree` — the Shavit–Zemach diffracting
+//!   tree: nodes fronted by prism arrays of [`tree::Exchanger`]s that
+//!   halve per layer, colliding pairs diffract without touching the
+//!   toggle;
 //! * [`counter::FetchAddCounter`] and [`counter::LockCounter`] — the
 //!   centralized baselines every counting-network paper compares
 //!   against;
@@ -86,7 +88,6 @@ pub mod lock;
 pub mod mp;
 pub mod network;
 pub(crate) mod prng;
-pub mod reference;
 pub mod sync;
 pub mod testcfg;
 pub mod tree;
@@ -98,5 +99,3 @@ pub use frontend::{
     ShardedCounter,
 };
 pub use network::NetworkCounter;
-pub use reference::ReferenceCounter;
-pub use tree::DiffractingTreeCounter;

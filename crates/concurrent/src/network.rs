@@ -3,9 +3,7 @@
 //! [`NetworkCounter`] is the public face; since the compiled-hot-path
 //! refactor it is a thin shell around [`crate::compiled::CompiledNet`],
 //! which lowers the topology into a cache-line-aligned arena with
-//! pre-resolved successor links at construction. The pre-refactor
-//! traversal survives as [`crate::reference::ReferenceCounter`] for
-//! differential testing and benchmarking.
+//! pre-resolved successor links at construction.
 
 use crate::sync::{AtomicUsize, Ordering};
 
@@ -29,10 +27,13 @@ pub enum BalancerKind {
     /// Wait-free toggles fronted by prism (elimination) arrays on every
     /// binary balancer — diffraction generalized from trees to whole
     /// networks: a colliding pair takes one output each without
-    /// touching the toggle. `slots` exchangers per node, `spin`
-    /// iterations of waiting.
+    /// touching the toggle. Over `constructions::counting_tree` this is
+    /// the Shavit–Zemach diffracting tree: `slots` exchangers at layer
+    /// 1, halved per layer (minimum 1), `spin` iterations of waiting.
     Diffracting {
-        /// Exchanger slots per binary balancer.
+        /// Exchanger slots of a layer-1 binary balancer; layer `l` gets
+        /// `slots >> (l - 1)`, at least 1. 0 disables diffraction
+        /// (pure toggles, the ablation).
         slots: usize,
         /// Spin budget while waiting for a partner.
         spin: u32,

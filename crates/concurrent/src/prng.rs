@@ -1,18 +1,13 @@
 //! Crate-private per-thread xorshift streams for prism slot picks.
 //!
-//! Two access patterns share the same thread-local state:
-//!
-//! * [`thread_rand`] — one cached step per call (the reference
-//!   traversal's per-hop draw);
-//! * [`begin`]/[`step`]/[`commit`] — load the cache once per
-//!   operation, step it locally per hop, store it back at the end (the
-//!   compiled traversal's pattern, one TLS access pair per operation
-//!   instead of one per hop).
+//! [`begin`]/[`step`]/[`commit`]: load the thread-local cache once per
+//! operation, step it locally per hop, store it back at the end — one
+//! TLS access pair per operation instead of one per hop.
 //!
 //! Under the model checker the cache must not be used: it would carry
 //! state across explored executions (the main virtual thread keeps its
-//! OS thread) and break schedule replay, so both patterns re-derive
-//! from [`crate::sync::thread_rng_seed`] instead.
+//! OS thread) and break schedule replay, so [`begin`] re-derives from
+//! [`crate::sync::thread_rng_seed`] instead.
 
 use std::cell::Cell;
 
@@ -52,14 +47,6 @@ pub(crate) fn commit(state: u64) {
     }
 }
 
-/// A fresh draw from this thread's stream: load, step once, store.
-pub(crate) fn thread_rand() -> u64 {
-    let mut state = begin();
-    let draw = step(&mut state);
-    commit(state);
-    draw
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,22 +60,12 @@ mod tests {
     }
 
     #[test]
-    fn thread_stream_advances() {
-        let first = thread_rand();
-        let second = thread_rand();
-        assert_ne!(first, second, "the cached stream must advance");
-    }
-
-    #[test]
-    fn begin_commit_round_trip_matches_thread_rand() {
-        // prime the cache, then check the two access patterns agree
-        let _ = thread_rand();
+    fn committed_state_is_what_the_next_operation_begins_with() {
         let mut state = begin();
-        let draw = step(&mut state);
+        let first = step(&mut state);
         commit(state);
-        let mut replayed = begin();
-        assert_eq!(begin(), state);
-        let next = step(&mut replayed);
-        assert_ne!(draw, next, "states advance independently per step");
+        let mut resumed = begin();
+        assert_eq!(resumed, state, "the cache carries the stepped state");
+        assert_ne!(step(&mut resumed), first, "the stream advances");
     }
 }

@@ -1,9 +1,12 @@
-//! Differential tests: the compiled hot path against the preserved
-//! pre-refactor traversal.
+//! Differential tests: the one production traversal against the
+//! pre-refactor one, which lives on only as this suite's oracle
+//! ([`oracle::ReferenceCounter`]).
 //!
 //! For every topology kind × width in the grid below and every
-//! [`BalancerKind`], [`NetworkCounter`] (backed by `CompiledNet`) and
-//! [`ReferenceCounter`] must be observationally equivalent:
+//! [`BalancerKind`] — the diffracting tree included, which is
+//! `counting_tree` × `Diffracting` on the compiled arena —
+//! [`NetworkCounter`] (backed by `CompiledNet`) and the oracle must be
+//! observationally equivalent:
 //!
 //! * driven sequentially, they return the *same value sequence* (the
 //!   compiled `fetch_xor` bit walks the same 0,1,0,1… orbit as the
@@ -25,8 +28,11 @@ use std::sync::Arc;
 use cnet_concurrent::audit::{run_stress, StressConfig};
 use cnet_concurrent::network::BalancerKind;
 use cnet_concurrent::testcfg;
-use cnet_concurrent::{NetworkCounter, ReferenceCounter};
+use cnet_concurrent::NetworkCounter;
 use cnet_topology::{constructions, OutputCounts, Topology};
+
+mod oracle;
+use oracle::ReferenceCounter;
 
 /// The topology kind × width grid: every construction the experiments
 /// sweep, at the widths the topology crate's own tests cover.
@@ -59,11 +65,17 @@ fn grid() -> Vec<(String, Topology)> {
     nets
 }
 
-fn kinds() -> [BalancerKind; 3] {
+/// Every balancer style; `Diffracting` with a prism that halves per
+/// layer on the compiled side (8, 4, 2, 1, 1, …; the oracle keeps 8
+/// everywhere — sizing is not observable in values or counts), with a
+/// single-slot prism, and with none.
+fn kinds() -> [BalancerKind; 5] {
     [
         BalancerKind::WaitFree,
         BalancerKind::Locked,
-        BalancerKind::Diffracting { slots: 2, spin: 8 },
+        BalancerKind::Diffracting { slots: 8, spin: 8 },
+        BalancerKind::Diffracting { slots: 1, spin: 8 },
+        BalancerKind::Diffracting { slots: 0, spin: 0 },
     ]
 }
 
@@ -89,6 +101,22 @@ fn sequential_value_sequences_are_identical() {
                 reference.output_counts(),
                 "{name} {kind:?} quiescent counts diverged"
             );
+        }
+    }
+}
+
+/// With no concurrency the toggle path of a diffracting tree visits
+/// leaves `0, 1, …, w − 1` in order, like the model tree: the compiled
+/// plan walks `counting_tree`'s own interleaved wiring.
+#[test]
+fn leaf_interleaving_matches_counting_tree() {
+    for w in [2usize, 4, 8, 16] {
+        let net = constructions::counting_tree(w).unwrap();
+        for kind in kinds() {
+            let tree = NetworkCounter::with_kind(&net, kind);
+            let leaves: Vec<u64> = (0..2 * w).map(|_| tree.next_on(0) % w as u64).collect();
+            let want: Vec<u64> = (0..2 * w as u64).map(|i| i % w as u64).collect();
+            assert_eq!(leaves, want, "tree[{w}] {kind:?}");
         }
     }
 }

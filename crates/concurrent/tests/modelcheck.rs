@@ -23,7 +23,7 @@ use cnet_modelcheck::sync::{spawn, spin_loop, AtomicU64, Ordering};
 use cnet_modelcheck::trace::Recorder;
 use cnet_modelcheck::{explore_dfs, explore_pct, replay, Config, PctConfig};
 use cnet_timing::linearizability;
-use cnet_topology::constructions;
+use cnet_topology::{constructions, OutputCounts, Topology};
 
 /// The fixed PCT seed CI runs with: failures in CI reproduce locally.
 const CI_PCT_SEED: u64 = 0x00C0_FFEE;
@@ -224,12 +224,29 @@ fn waitfree_width2_network_dfs_reaches_nonlinearizable_execution() {
     );
 }
 
+/// Seeded PCT over the width-4 plans whose space is beyond DFS: the
+/// wait-free and diffracting bitonic networks, and the diffracting
+/// *tree* — `counting_tree` on the same compiled `Diffracting` plan,
+/// root prism of 2 slots halving to 1 at layer 2 — whose four tokens
+/// all enter on the single input and so meet in the root prism.
 #[test]
-fn pct_width4_waitfree_and_diffracting_networks_count_exactly() {
-    for kind in [
-        BalancerKind::WaitFree,
-        BalancerKind::Diffracting { slots: 1, spin: 2 },
-    ] {
+fn pct_width4_networks_and_the_diffracting_tree_count_exactly() {
+    let bitonic = || constructions::bitonic(4).expect("width 4 is valid");
+    let tree = || constructions::counting_tree(4).expect("width 4 is valid");
+    let cases: [(&str, fn() -> Topology, BalancerKind); 3] = [
+        ("bitonic", bitonic, BalancerKind::WaitFree),
+        (
+            "bitonic",
+            bitonic,
+            BalancerKind::Diffracting { slots: 1, spin: 2 },
+        ),
+        (
+            "tree",
+            tree,
+            BalancerKind::Diffracting { slots: 2, spin: 2 },
+        ),
+    ];
+    for (name, build, kind) in cases {
         let pct = PctConfig {
             seed: CI_PCT_SEED,
             schedules: 120,
@@ -237,20 +254,26 @@ fn pct_width4_waitfree_and_diffracting_networks_count_exactly() {
             horizon: 96,
         };
         let report = explore_pct(&Config::default(), &pct, move || {
-            let net = constructions::bitonic(4).expect("width 4 is valid");
+            let net = build();
+            let v = net.input_width();
             let c = Arc::new(NetworkCounter::with_kind(&net, kind));
             let handles: Vec<_> = (0..2)
                 .map(|t| {
                     let c = Arc::clone(&c);
-                    spawn(move || vec![c.next_on(t), c.next_on(t + 2)])
+                    spawn(move || vec![c.next_on(t % v), c.next_on((t + 2) % v)])
                 })
                 .collect();
             let mut vals: Vec<u64> = handles.into_iter().flat_map(|h| h.join()).collect();
             vals.sort_unstable();
-            assert_eq!(vals, vec![0, 1, 2, 3], "duplicate or gap ({kind:?})");
+            assert_eq!(vals, vec![0, 1, 2, 3], "duplicate or gap ({name} {kind:?})");
+            let counts = OutputCounts::from(c.output_counts());
+            assert!(counts.is_step(), "{name} {kind:?}: {counts}");
         });
         let report = report.expect_ok();
-        assert!(report.exhausted, "all PCT schedules must run ({kind:?})");
+        assert!(
+            report.exhausted,
+            "all PCT schedules must run ({name} {kind:?})"
+        );
     }
 }
 

@@ -10,7 +10,6 @@ use std::sync::Arc;
 use cnet_concurrent::counter::Counter;
 use cnet_concurrent::mp::{MpConfig, MpNetwork};
 use cnet_concurrent::network::{BalancerKind, NetworkCounter};
-use cnet_concurrent::tree::DiffractingTreeCounter;
 use cnet_topology::constructions;
 
 /// One balancer visit per layer per operation: with `ops` completed
@@ -108,21 +107,25 @@ fn diffracting_network_attributes_prism_exits() {
     assert_network_accounting(&c, threads as u64 * per_thread);
 }
 
+/// The diffracting tree is a compiled plan like any other, so its
+/// probes are keyed by arena slot: slot 0 is the root (every operation
+/// visits it), and each layer's slots split the traffic evenly.
 #[test]
-fn tree_records_operations_and_hops() {
-    let tree = DiffractingTreeCounter::new(8).unwrap();
-    let ops = 300u64;
+fn diffracting_tree_probes_are_keyed_by_arena_slot() {
+    let net = constructions::counting_tree(8).unwrap();
+    let kind = BalancerKind::Diffracting { slots: 8, spin: 64 };
+    let tree = NetworkCounter::with_kind(&net, kind);
+    let ops = 320u64;
     for expect in 0..ops {
         assert_eq!(tree.next(), expect);
     }
+    assert_network_accounting(&tree, ops);
     let snap = tree.metrics_snapshot(0).expect("obs feature is on");
-    assert_eq!(snap.network.operations, ops);
-    let visits: u64 = snap.balancers.iter().map(|b| b.visits).sum();
-    assert_eq!(visits, ops * tree.depth() as u64);
-    assert_eq!(snap.balancers[0].visits, 0, "heap index 0 is the dummy");
+    let visits: Vec<u64> = snap.balancers.iter().map(|b| b.visits).collect();
     assert_eq!(
-        snap.network.wire_latency_hist.count(),
-        ops * tree.depth() as u64
+        visits,
+        [ops, ops / 2, ops / 2, ops / 4, ops / 4, ops / 4, ops / 4],
+        "layer order: root, then its two children, then the four leaves' parents"
     );
 }
 

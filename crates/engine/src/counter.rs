@@ -9,8 +9,6 @@ use cnet_concurrent::frontend::{
 };
 use cnet_concurrent::mp::{MpConfig, MpNetwork};
 use cnet_concurrent::network::{BalancerKind, NetworkCounter};
-use cnet_concurrent::reference::ReferenceCounter;
-use cnet_concurrent::tree::{DiffractingTreeCounter, TreeConfig};
 use cnet_topology::{OutputCounts, Topology};
 
 use crate::driver::{Readout, SpinSite, Trace};
@@ -25,13 +23,10 @@ use crate::{RunOutcome, SpecError};
 /// [`RunOutcome::frontend`] telemetry on `obs` builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CounterSpec {
-    /// [`NetworkCounter`]: the compiled arena hot path.
+    /// [`NetworkCounter`]: the compiled arena hot path, the one
+    /// native traversal (a diffracting tree is
+    /// [`BalancerKind::Diffracting`] over a counting-tree topology).
     Network(BalancerKind),
-    /// [`ReferenceCounter`]: the pre-compilation traversal, kept so
-    /// the native perf baselines measure the compiled/reference gap.
-    Reference(BalancerKind),
-    /// [`DiffractingTreeCounter`] of the topology's output width.
-    Tree(TreeConfig),
     /// [`CombiningCounter`]: flat combining, one traversal serving a
     /// batch of up to [`CombiningConfig::max_batch`] requests through
     /// a width-`k` interval reservation. A `k`-batch lands `k` tallies
@@ -97,9 +92,7 @@ impl CounterSpec {
     /// # Errors
     ///
     /// [`SpecError::ShardSplit`] when the shard count does not split
-    /// the output width into power-of-two widths `>= 2`,
-    /// [`SpecError::TreeWidth`] when a tree is asked for over a width
-    /// that is not a power of two `>= 2`.
+    /// the output width into power-of-two widths `>= 2`.
     pub fn check(&self, topology: &Topology) -> Result<(), SpecError> {
         let width = topology.output_width();
         match *self {
@@ -110,9 +103,6 @@ impl CounterSpec {
                     || !(width / shards).is_power_of_two() =>
             {
                 Err(SpecError::ShardSplit { shards, width })
-            }
-            CounterSpec::Tree(_) if width < 2 || !width.is_power_of_two() => {
-                Err(SpecError::TreeWidth { width })
             }
             _ => Ok(()),
         }
@@ -134,25 +124,6 @@ impl CounterSpec {
                 exec.execute(&counter, SpinSite::PerNode, |_| Readout {
                     counts: counter.output_counts().into_iter().collect(),
                     input_width: counter.input_width(),
-                    metrics: counter.metrics_snapshot(wait),
-                    frontend: None,
-                })
-            }
-            CounterSpec::Reference(kind) => {
-                let counter = ReferenceCounter::with_kind(topology, kind);
-                exec.execute(&counter, SpinSite::PerNode, |_| Readout {
-                    counts: counter.output_counts().into_iter().collect(),
-                    input_width: counter.input_width(),
-                    metrics: counter.metrics_snapshot(wait),
-                    frontend: None,
-                })
-            }
-            CounterSpec::Tree(config) => {
-                let counter = DiffractingTreeCounter::with_config(topology.output_width(), config)
-                    .expect(CHECKED);
-                exec.execute(&counter, SpinSite::PerNode, |_| Readout {
-                    counts: counter.output_counts().into_iter().collect(),
-                    input_width: 1,
                     metrics: counter.metrics_snapshot(wait),
                     frontend: None,
                 })

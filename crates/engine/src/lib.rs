@@ -20,9 +20,8 @@
 //!   millions of logical clients onto a small worker pool — the only
 //!   substrate where "clients" can mean `10^6`). The two native
 //!   executors drive any [`CounterSpec`]: the compiled network, the
-//!   reference traversal, a diffracting tree, the combining and
-//!   sharded frontends, the message-passing network with or without
-//!   elimination.
+//!   combining and sharded frontends, the message-passing network
+//!   with or without elimination.
 //! * [`BackendSpec`] — "which counter, driven how" as one parseable
 //!   value (`shm`, `shm-batch:8`, `async-mp`, …): the registry behind
 //!   `cnet run --backend` and the native benches, and the only place a
@@ -85,7 +84,6 @@ mod spec;
 pub use cnet_concurrent::frontend::{CombiningConfig, EliminationConfig, RoutePolicy};
 pub use cnet_concurrent::mp::MpConfig;
 pub use cnet_concurrent::network::BalancerKind;
-pub use cnet_concurrent::tree::TreeConfig;
 pub use cnet_proteus::{ArrivalProcess, RunStats, SimConfig, WaitMode, Workload, WorkloadError};
 
 pub use async_exec::{AsyncBackend, AsyncConfig};
@@ -96,6 +94,14 @@ pub use service::ServiceDriver;
 pub use shm::ShmBackend;
 pub use sim::SimBackend;
 pub use spec::{BackendSpec, SpecError};
+
+/// Whether this build of the engine records through the live probe
+/// layer (the `obs` feature — which Cargo unifies on for every crate of
+/// an invocation that also builds `cnet-cli`). A live probe reads the
+/// host clock several times per balancer, which is more than a native
+/// operation costs, so host-time measurements refuse to run when this
+/// is `true`.
+pub const PROBES_LIVE: bool = cfg!(feature = "obs");
 
 /// An execution substrate: builds (or owns) a counter over a topology
 /// and can run a [`Workload`] against it.

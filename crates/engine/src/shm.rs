@@ -8,8 +8,7 @@ use crate::{Backend, BackendSpec, CounterSpec, RunOutcome, SpecError, Workload};
 
 /// Runs workloads on real OS threads, one per client, over a native
 /// (`cnet-concurrent`) counter — any [`CounterSpec`]: the compiled
-/// network, the reference traversal, a diffracting tree, the elastic
-/// frontends, or the message-passing network.
+/// network, the elastic frontends, or the message-passing network.
 ///
 /// Every [`Backend::run`] builds a fresh counter, so runs never share
 /// state. `workload.processors` is the client-thread count,
@@ -73,7 +72,6 @@ impl Backend for ShmBackend<'_> {
 mod tests {
     use super::*;
     use cnet_concurrent::mp::MpConfig;
-    use cnet_concurrent::tree::TreeConfig;
     use cnet_topology::constructions;
 
     fn workload(threads: usize, ops: usize) -> Workload {
@@ -84,12 +82,10 @@ mod tests {
     }
 
     #[test]
-    fn tree_counter_counts_exactly_under_the_shm_name() {
+    fn diffracting_tree_counts_exactly_under_the_shm_name() {
         let net = constructions::counting_tree(8).unwrap();
-        let tree = CounterSpec::Tree(TreeConfig::default());
-        let outcome = ShmBackend::new(&net, tree, 5)
-            .unwrap()
-            .run(&workload(4, 300));
+        let kind = BalancerKind::Diffracting { slots: 8, spin: 64 };
+        let outcome = ShmBackend::network(&net, kind, 5).run(&workload(4, 300));
         assert_eq!(outcome.backend, "shm");
         assert_eq!(outcome.stats.operations.len(), 300);
         assert!(outcome.counts_exactly());

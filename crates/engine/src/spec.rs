@@ -57,11 +57,6 @@ pub enum SpecError {
         /// The topology's output width.
         width: usize,
     },
-    /// A diffracting tree needs a power-of-two width `>= 2`.
-    TreeWidth {
-        /// The topology's output width.
-        width: usize,
-    },
 }
 
 impl fmt::Display for SpecError {
@@ -78,12 +73,6 @@ impl fmt::Display for SpecError {
                 f,
                 "{shards} shards cannot split width {width} into powers of two >= 2"
             ),
-            SpecError::TreeWidth { width } => {
-                write!(
-                    f,
-                    "a tree counter needs a power-of-two width >= 2, got {width}"
-                )
-            }
         }
     }
 }
@@ -94,7 +83,7 @@ impl BackendSpec {
     /// One spec per family, default parameters (`K = 8`, `S = 4`),
     /// in usage order.
     #[must_use]
-    pub fn all() -> [BackendSpec; 11] {
+    pub fn all() -> [BackendSpec; 10] {
         use BackendSpec::{Async, Sim, Threads};
         let kind = BalancerKind::WaitFree;
         let network = CounterSpec::Network(kind);
@@ -112,7 +101,6 @@ impl BackendSpec {
         [
             Sim(SimConfig::queue_lock(0)),
             Threads(network),
-            Threads(CounterSpec::Reference(kind)),
             Threads(batch),
             Threads(shard),
             Threads(mp),
@@ -125,21 +113,18 @@ impl BackendSpec {
     }
 
     /// The family string an outcome and its record carry
-    /// ([`Backend::name`]): the flavor without its parameter. A
-    /// counter no family names records under its nearest one (a tree
-    /// is an `"shm"` run).
+    /// ([`Backend::name`]): the flavor without its parameter.
     #[must_use]
     pub fn name(&self) -> &'static str {
-        use CounterSpec::{Batch, Mp, MpElim, Network, Reference, Shard, Tree};
+        use CounterSpec::{Batch, Mp, MpElim, Network, Shard};
         match self {
             BackendSpec::Sim(_) => "sim",
-            BackendSpec::Threads(Network(_) | Tree(_)) => "shm",
-            BackendSpec::Threads(Reference(_)) => "shm-ref",
+            BackendSpec::Threads(Network(_)) => "shm",
             BackendSpec::Threads(Batch(..)) => "shm-batch",
             BackendSpec::Threads(Shard(..)) => "shm-shard",
             BackendSpec::Threads(Mp(_)) => "mp",
             BackendSpec::Threads(MpElim(..)) => "mp-elim",
-            BackendSpec::Async(Network(_) | Reference(_) | Tree(_), _) => "async",
+            BackendSpec::Async(Network(_), _) => "async",
             BackendSpec::Async(Batch(..), _) => "async-batch",
             BackendSpec::Async(Shard(..), _) => "async-shard",
             BackendSpec::Async(Mp(_) | MpElim(..), _) => "async-mp",
@@ -265,7 +250,6 @@ impl FromStr for BackendSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnet_concurrent::tree::TreeConfig;
     use cnet_topology::constructions;
 
     fn workload(clients: usize, ops: usize) -> Workload {
@@ -299,7 +283,7 @@ mod tests {
     fn the_grammar_is_the_families_with_their_parameters() {
         assert_eq!(
             BackendSpec::grammar(),
-            "sim|shm|shm-ref|shm-batch[:N]|shm-shard[:N]|mp|mp-elim\
+            "sim|shm|shm-batch[:N]|shm-shard[:N]|mp|mp-elim\
              |async|async-batch[:N]|async-shard[:N]|async-mp"
         );
         let spec: BackendSpec = "async-shard:2".parse().unwrap();
@@ -354,12 +338,6 @@ mod tests {
             })
         );
         assert_eq!(refused("shm-shard:2", &narrow), None);
-        let odd = constructions::counting_tree_d(9, 3).unwrap();
-        let tree = CounterSpec::Tree(TreeConfig::default());
-        assert_eq!(
-            BackendSpec::Threads(tree).build(&odd, 1).err(),
-            Some(SpecError::TreeWidth { width: 9 })
-        );
     }
 
     #[cfg(feature = "obs")]

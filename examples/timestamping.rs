@@ -15,8 +15,7 @@
 
 use counting_networks::concurrent::audit::{run_stress, StressConfig, StressCounter};
 use counting_networks::concurrent::counter::{FetchAddCounter, LockCounter};
-use counting_networks::concurrent::network::NetworkCounter;
-use counting_networks::concurrent::tree::DiffractingTreeCounter;
+use counting_networks::concurrent::network::{BalancerKind, NetworkCounter};
 use counting_networks::topology::constructions;
 
 fn audit(name: &str, counter: &dyn StressCounter, delayed: usize, spin: u64) {
@@ -49,7 +48,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let bitonic = NetworkCounter::new(&net);
     audit("bitonic[8] network", &bitonic, 2, 2_000);
 
-    let tree = DiffractingTreeCounter::new(8)?;
+    let tree = NetworkCounter::with_kind(
+        &constructions::counting_tree(8)?,
+        BalancerKind::Diffracting { slots: 8, spin: 64 },
+    );
     audit("diffracting tree[8]", &tree, 2, 2_000);
 
     println!(

@@ -69,6 +69,37 @@ fn every_bench_report_loads_and_round_trips_at_the_current_schema() {
     }
 }
 
+/// A host-time baseline is a statement about what an operation costs,
+/// and a record with a `metrics` block was written by a live-probe
+/// build — one whose per-balancer clock reads cost more than the
+/// operation (`cnet-bench` built in one cargo invocation with
+/// `cnet-cli` gets the `obs` feature by unification). The binary
+/// refuses to run the native suites that way; this keeps such a
+/// regeneration from being committed by any other route.
+#[test]
+fn no_host_time_baseline_was_written_by_a_live_probe_build() {
+    let mut probed = Vec::new();
+    for suite in ["native", "frontend", "saturation", "perf"] {
+        let file = format!("results/BENCH_{suite}.json");
+        let report = json(&root(&file));
+        let Some(Value::Array(grids)) = report.get("grids") else {
+            panic!("{file}: no grids array");
+        };
+        for grid in grids {
+            let grid = GridReport::from_value(grid).unwrap_or_else(|e| panic!("{file}: {e}"));
+            let live = grid.records.iter().filter(|r| r.metrics.is_some());
+            probed.extend(live.map(|r| format!("{file}: {} {}", grid.title, r.label)));
+        }
+    }
+    assert!(
+        probed.is_empty(),
+        "{} records carry a `metrics` block; regenerate from \
+         `cargo build --release -p cnet-bench` alone:\n{}",
+        probed.len(),
+        probed.join("\n")
+    );
+}
+
 #[test]
 fn the_slo_baseline_the_soak_record_and_the_scenario_load() {
     let slo = SloBaseline::load(&root("results/SLO_soak.json")).unwrap();

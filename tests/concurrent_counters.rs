@@ -1,6 +1,8 @@
 //! Native-threads integration tests through the facade crate: every
 //! counter implementation, exercised concurrently, hands out each value
-//! exactly once and keeps its quiescent step property.
+//! exactly once and keeps its quiescent step property; driven
+//! sequentially, the one native traversal returns what the topology
+//! crate's own router routes.
 //!
 //! Thread/op counts come from the shared
 //! [`counting_networks::concurrent::testcfg`] helper (overridable via
@@ -13,11 +15,15 @@ use counting_networks::concurrent::audit::{run_stress, StressConfig};
 use counting_networks::concurrent::counter::{Counter, FetchAddCounter, LockCounter};
 use counting_networks::concurrent::network::{BalancerKind, NetworkCounter};
 use counting_networks::concurrent::testcfg;
-use counting_networks::concurrent::tree::{DiffractingTreeCounter, TreeConfig};
-use counting_networks::engine::{
-    Backend, CounterSpec, ShmBackend, TreeConfig as EngineTreeConfig, Workload,
-};
+use counting_networks::engine::{Backend, ShmBackend, Workload};
 use counting_networks::topology::constructions;
+use counting_networks::topology::router::SequentialRouter;
+
+/// The diffracting tree's default prism: 8 slots at the root, halved
+/// per layer, 64 spins of waiting.
+const PRISM: BalancerKind = BalancerKind::Diffracting { slots: 8, spin: 64 };
+/// The ablation: a diffracting plan with no prism anywhere.
+const NO_PRISM: BalancerKind = BalancerKind::Diffracting { slots: 0, spin: 0 };
 
 // Kept (rather than ported onto the engine) because it exercises the
 // bare `Counter` facade of implementations the engine does not adopt
@@ -46,6 +52,7 @@ fn every_counter_implementation_counts_exactly() {
         let bitonic = constructions::bitonic(8).unwrap();
         let periodic = constructions::periodic(4).unwrap();
         let padded = constructions::pad_inputs(&bitonic, 2).unwrap();
+        let tree = constructions::counting_tree(8).unwrap();
         let counters: Vec<(&str, Arc<dyn Counter>)> = vec![
             ("fetch_add", Arc::new(FetchAddCounter::new())),
             ("mutex", Arc::new(LockCounter::new())),
@@ -56,19 +63,10 @@ fn every_counter_implementation_counts_exactly() {
             ),
             ("periodic4", Arc::new(NetworkCounter::new(&periodic))),
             ("bitonic8-padded", Arc::new(NetworkCounter::new(&padded))),
-            ("tree8", Arc::new(DiffractingTreeCounter::new(8).unwrap())),
+            ("tree8", Arc::new(NetworkCounter::with_kind(&tree, PRISM))),
             (
                 "tree8-noprism",
-                Arc::new(
-                    DiffractingTreeCounter::with_config(
-                        8,
-                        TreeConfig {
-                            root_slots: 0,
-                            spin: 0,
-                        },
-                    )
-                    .unwrap(),
-                ),
+                Arc::new(NetworkCounter::with_kind(&tree, NO_PRISM)),
             ),
         ];
         for (name, counter) in counters {
@@ -104,13 +102,10 @@ fn tree_quiescent_state_is_a_step() {
     let cfg = testcfg::stress();
     testcfg::with_seed_report(testcfg::seed(), |seed| {
         let tree = constructions::counting_tree(16).unwrap();
-        let counter = CounterSpec::Tree(EngineTreeConfig::default());
-        let outcome = ShmBackend::new(&tree, counter, seed)
-            .expect("width 16 hosts a tree")
-            .run(&Workload {
-                total_ops: cfg.total() as usize,
-                ..Workload::paper(cfg.threads, 0, 0)
-            });
+        let outcome = ShmBackend::network(&tree, PRISM, seed).run(&Workload {
+            total_ops: cfg.total() as usize,
+            ..Workload::paper(cfg.threads, 0, 0)
+        });
         assert_eq!(outcome.stats.output_counts.total(), cfg.total());
         assert!(
             outcome.has_step_property(),
@@ -119,6 +114,54 @@ fn tree_quiescent_state_is_a_step() {
         );
         assert!(outcome.counts_exactly());
     });
+}
+
+/// One traversal against the topology crate's own model: for every
+/// construction × every balancer style, the values `next_on` returns
+/// one token at a time are the values [`SequentialRouter`] assigns
+/// (`counter + w·prior`), and the quiescent tallies are its tallies.
+/// With nobody to collide with, a prism visit times out and falls
+/// through to the toggle, so `Diffracting` routes like the model too.
+#[test]
+fn sequential_traversal_matches_the_topology_router() {
+    let bitonic = constructions::bitonic(4).unwrap();
+    let nets = [
+        ("bitonic8", constructions::bitonic(8).unwrap()),
+        ("periodic8", constructions::periodic(8).unwrap()),
+        (
+            "bitonic4+pad3",
+            constructions::pad_inputs(&bitonic, 3).unwrap(),
+        ),
+        ("tree8", constructions::counting_tree(8).unwrap()),
+        ("tree16", constructions::counting_tree(16).unwrap()),
+    ];
+    let kinds = [
+        BalancerKind::WaitFree,
+        BalancerKind::Locked,
+        PRISM,
+        NO_PRISM,
+    ];
+    for (name, net) in &nets {
+        for kind in kinds {
+            let counter = NetworkCounter::with_kind(net, kind);
+            let mut model = SequentialRouter::new(net);
+            let v = net.input_width();
+            // inputs in a fixed but non-round-robin order, five laps
+            for i in 0..5 * net.output_width() {
+                let input = (i * 3 + i / v) % v;
+                assert_eq!(
+                    counter.next_on(input),
+                    model.route(input).unwrap().value,
+                    "{name} {kind:?} diverged from the router at token {i}"
+                );
+            }
+            assert_eq!(
+                counter.output_counts(),
+                model.output_counts().as_slice(),
+                "{name} {kind:?}"
+            );
+        }
+    }
 }
 
 #[test]
