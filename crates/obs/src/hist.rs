@@ -63,9 +63,18 @@ impl LogHistogram {
 
     /// Records one sample.
     pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum += v;
+        self.record_n(v, 1);
+    }
+
+    /// Records the sample `v` `n` times; `n = 0` records nothing.
+    #[inline]
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_of(v)] += n;
+        self.count += n;
+        self.sum += v * n;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -251,6 +260,25 @@ mod tests {
         assert_eq!(h.max(), 1000);
         assert!((h.mean() - 204.0).abs() < 1e-12);
         assert_eq!(h.trimmed_buckets(), vec![1, 1, 0, 2, 0, 0, 0, 0, 0, 1]);
+    }
+
+    #[test]
+    fn record_n_is_n_records() {
+        let (mut run, mut each) = (LogHistogram::new(), LogHistogram::new());
+        for (v, n) in [(0u64, 3u64), (7, 1), (1 << 40, 2), (5, 0), (9, 300)] {
+            run.record_n(v, n);
+            for _ in 0..n {
+                each.record(v);
+            }
+            assert_eq!(run, each, "after {n} x {v}");
+        }
+        // an empty call is not a sample: it must not move `min`
+        let mut h = LogHistogram::new();
+        h.record_n(4, 0);
+        assert_eq!(h, LogHistogram::new());
+        h.record(9);
+        h.record_n(2, 0);
+        assert_eq!(h.min(), 9);
     }
 
     #[test]

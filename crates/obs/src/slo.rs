@@ -27,6 +27,8 @@
 //! A 10-window outage therefore counts as one breach with its onset
 //! time, the way an alerting pipeline would page once.
 
+use std::collections::VecDeque;
+
 use serde::impl_serde_struct;
 
 use crate::hist::LogHistogram;
@@ -145,13 +147,18 @@ impl SloWindow {
             || self.p99_latency_ns() > policy.p99_latency_ns
     }
 
-    fn record(&mut self, magnitude: u64, sojourn_ns: u64) {
-        self.ops += 1;
-        self.latency.record(sojourn_ns);
-        if magnitude > 0 {
-            self.violations += 1;
-            self.magnitude_total += magnitude;
-            self.magnitude_max = self.magnitude_max.max(magnitude);
+    /// `n` operations of one bracket, all with sojourn `sojourn_ns`:
+    /// the first `violating` of them violate, by `worst`, `worst - 1`,
+    /// … positions (`violating <= worst`), the rest are clean.
+    fn record_run(&mut self, n: u64, sojourn_ns: u64, violating: u64, worst: u64) {
+        self.ops += n;
+        self.latency.record_n(sojourn_ns, n);
+        if violating > 0 {
+            self.violations += violating;
+            // an arithmetic series ascending from the smallest member
+            let smallest = worst - (violating - 1);
+            self.magnitude_total += violating * smallest + violating * (violating - 1) / 2;
+            self.magnitude_max = self.magnitude_max.max(worst);
         }
     }
 }
@@ -265,20 +272,20 @@ impl SloReport {
 /// The streaming evaluator a service feeds as operations complete.
 ///
 /// Feed order **must** be completion (end-tick) order — a service
-/// guarantees this by assigning the end tick and calling [`record`]
-/// inside one critical section. Under that contract the per-window
-/// violation counts are *exactly* the offline Definition 2.4 sweep's,
-/// window by window (the integration suite in `cnet-serve` replays
-/// recorded histories to assert this).
+/// guarantees this by assigning the end tick and calling
+/// [`record_batch`] inside one critical section. Under that contract
+/// the per-window violation counts are *exactly* the offline
+/// Definition 2.4 sweep's, window by window (the integration suite in
+/// `cnet-serve` replays recorded histories to assert this).
 ///
-/// [`record`]: SloEvaluator::record
+/// [`record_batch`]: SloEvaluator::record_batch
 #[derive(Debug, Clone)]
 pub struct SloEvaluator {
     policy: SloPolicy,
     window_ops: u64,
     tracker: ViolationTracker,
     current: SloWindow,
-    windows: Vec<SloWindow>,
+    windows: VecDeque<SloWindow>,
     windows_closed: u64,
     total: SloWindow,
     breaches: u64,
@@ -296,7 +303,7 @@ impl SloEvaluator {
             window_ops: window_ops.max(1),
             tracker: ViolationTracker::new(),
             current: SloWindow::default(),
-            windows: Vec::new(),
+            windows: VecDeque::new(),
             windows_closed: 0,
             total: SloWindow::default(),
             breaches: 0,
@@ -306,7 +313,8 @@ impl SloEvaluator {
     }
 
     /// Records one completed operation and returns its violation
-    /// magnitude (0 = linearizable against everything seen so far).
+    /// magnitude (0 = linearizable against everything seen so far):
+    /// [`record_batch`] with `k = 1`.
     ///
     /// `start`/`end` are logical clock ticks, `value` the counter
     /// position drawn, `sojourn_ns` host-time latency,
@@ -315,6 +323,8 @@ impl SloEvaluator {
     /// future `record` has `start >=` this bound, which lets the
     /// tracker retire old state), and `now_ms` the service uptime used
     /// to timestamp breach onsets.
+    ///
+    /// [`record_batch`]: SloEvaluator::record_batch
     pub fn record(
         &mut self,
         start: u64,
@@ -324,14 +334,55 @@ impl SloEvaluator {
         min_pending_start: u64,
         now_ms: u64,
     ) -> u64 {
-        let magnitude = self.tracker.observe(start, end, value);
+        self.record_batch(start, end, value, 1, sojourn_ns, min_pending_start, now_ms)
+    }
+
+    /// Records the `k` operations of one clock bracket — a batch that
+    /// reserved `base..base + k` between `start` and `end` — at the
+    /// cost of one, and returns the largest of their violation
+    /// magnitudes (the first sibling's). `k = 0` records nothing.
+    ///
+    /// Every count, histogram and breach is exactly what `k`
+    /// [`record`] calls on `base, base + 1, …` leave behind (calls that
+    /// promise nothing past `start` until the last sibling is in): the
+    /// siblings share one witness ([`ViolationTracker::observe_run`]),
+    /// so their violation count, magnitude sum and maximum are closed
+    /// forms, cut where the run crosses a window boundary. `k` may
+    /// exceed `window_ops`; every window the run closes is closed at
+    /// `now_ms`, in order.
+    ///
+    /// [`record`]: SloEvaluator::record
+    #[allow(clippy::too_many_arguments)]
+    pub fn record_batch(
+        &mut self,
+        start: u64,
+        end: u64,
+        base: u64,
+        k: u64,
+        sojourn_ns: u64,
+        min_pending_start: u64,
+        now_ms: u64,
+    ) -> u64 {
+        let worst = self.tracker.observe_run(start, end, base, k);
         self.tracker.retire(min_pending_start);
-        self.current.record(magnitude, sojourn_ns);
-        self.total.record(magnitude, sojourn_ns);
-        if self.current.ops >= self.window_ops {
-            self.close_window(now_ms);
+        // siblings `0..violating` violate, sibling `j` by `worst - j`
+        let violating = worst.min(k);
+        self.total.record_run(k, sojourn_ns, violating, worst);
+        let mut fed = 0;
+        while fed < k {
+            let n = (k - fed).min(self.window_ops - self.current.ops);
+            self.current.record_run(
+                n,
+                sojourn_ns,
+                violating.saturating_sub(fed).min(n),
+                worst.saturating_sub(fed),
+            );
+            fed += n;
+            if self.current.ops == self.window_ops {
+                self.close_window(now_ms);
+            }
         }
-        magnitude
+        worst
     }
 
     fn close_window(&mut self, now_ms: u64) {
@@ -346,9 +397,9 @@ impl SloEvaluator {
         }
         self.in_breach = breached;
         if self.windows.len() == RETAINED_WINDOWS {
-            self.windows.remove(0);
+            self.windows.pop_front();
         }
-        self.windows.push(window);
+        self.windows.push_back(window);
         self.windows_closed += 1;
     }
 
@@ -387,7 +438,7 @@ impl SloEvaluator {
             policy: self.policy,
             window_ops: self.window_ops,
             windows_closed: self.windows_closed,
-            windows: self.windows.clone(),
+            windows: self.windows.iter().cloned().collect(),
             current: self.current.clone(),
             total: self.total.clone(),
             breaches: self.breaches,
@@ -552,6 +603,119 @@ mod tests {
             assert_eq!(line.split(' ').count(), 2, "line {line:?}");
             assert!(line.starts_with("cnet_serve_"), "line {line:?}");
         }
+    }
+
+    #[test]
+    fn a_batch_larger_than_the_window_closes_every_window_it_spans() {
+        let policy = SloPolicy {
+            max_violation_rate: 0.0,
+            ..SloPolicy::unbounded()
+        };
+        let mut ev = SloEvaluator::new(policy, 4);
+        ev.record(0, 10, 12, 50, 0, 1);
+        // 10..21 against witness 12: siblings 10 and 11 violate (2, 1),
+        // filling window 0 (3 of its 4 slots) and opening window 1
+        assert_eq!(ev.record_batch(20, 30, 10, 11, 70, 0, 2), 2);
+        assert_eq!(
+            ev.record_batch(20, 31, 0, 0, 70, 0, 3),
+            0,
+            "k = 0 is nothing"
+        );
+        let r = ev.snapshot(4);
+        assert_eq!((r.windows_closed, r.current.ops, r.total.ops), (3, 0, 12));
+        let per_window: Vec<_> = r
+            .windows
+            .iter()
+            .map(|w| (w.ops, w.violations, w.magnitude_total, w.magnitude_max))
+            .collect();
+        assert_eq!(per_window, [(4, 2, 3, 2), (4, 0, 0, 0), (4, 0, 0, 0)]);
+        assert_eq!((r.total.violations, r.total.magnitude_total), (2, 3));
+        // breached on the first close, recovered on the second: one onset
+        assert_eq!((r.breaches, r.in_breach), (1, false));
+        assert_eq!(r.breach_timestamps_ms, [2]);
+        assert_eq!(ev.violation_magnitudes().sum(), 3);
+    }
+
+    /// `record_batch` against the same siblings fed one by one through
+    /// `record`, each sibling but the last holding the retire bound at
+    /// its own `start` (its later siblings still carry it).
+    #[test]
+    fn record_batch_is_its_siblings_fed_one_by_one() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let policy = SloPolicy {
+            max_violation_rate: 0.1,
+            max_magnitude: 6,
+            p99_latency_ns: 2_500,
+        };
+        let mut rng = StdRng::seed_from_u64(0xBA7C4);
+        let (mut violating_streams, mut straddles, mut multi_close, mut breaches) = (0, 0, 0, 0);
+        for stream in 0..200 {
+            let window_ops = rng.gen_range(1..=40u64);
+            let moving_frontier = stream % 2 == 1;
+            // end-ordered brackets that overlap their predecessors;
+            // bases hover around the largest value handed out so far,
+            // so a witness lands before, inside or past a run
+            let (mut end, mut hi) = (0u64, 0u64);
+            let brackets: Vec<(u64, u64, u64, u64, u64)> = (0..rng.gen_range(1..=60))
+                .map(|_| {
+                    end += rng.gen_range(1..=4u64);
+                    let start = end.saturating_sub(rng.gen_range(0..=12));
+                    let k = rng.gen_range(1..=70u64);
+                    let base = rng.gen_range(hi.saturating_sub(k + 5)..=hi + 5);
+                    hi = hi.max(base + k - 1);
+                    (start, end, base, k, rng.gen_range(0..5_000u64))
+                })
+                .collect();
+            let mut min_start_after = vec![u64::MAX; brackets.len() + 1];
+            for (i, b) in brackets.iter().enumerate().rev() {
+                min_start_after[i] = min_start_after[i + 1].min(b.0);
+            }
+
+            let mut batched = SloEvaluator::new(policy, window_ops);
+            let mut single = SloEvaluator::new(policy, window_ops);
+            for (i, &(start, end, base, k, sojourn)) in brackets.iter().enumerate() {
+                let bound = if moving_frontier {
+                    min_start_after[i + 1]
+                } else {
+                    0
+                };
+                let now_ms = 3 * i as u64;
+                let room = window_ops - single.ops() % window_ops;
+                let mut worst = 0;
+                let mut violating = 0;
+                for j in 0..k {
+                    let sibling_bound = if j + 1 == k { bound } else { bound.min(start) };
+                    let m = single.record(start, end, base + j, sojourn, sibling_bound, now_ms);
+                    worst = worst.max(m);
+                    violating += u64::from(m > 0);
+                }
+                assert_eq!(
+                    batched.record_batch(start, end, base, k, sojourn, bound, now_ms),
+                    worst,
+                    "stream {stream}, bracket {i}"
+                );
+                straddles += u64::from(violating > room);
+                multi_close += u64::from(k >= room + window_ops);
+                assert!(batched.tracker_retained() <= single.tracker_retained());
+            }
+            let uptime = 3 * brackets.len() as u64;
+            let report = batched.snapshot(uptime);
+            assert_eq!(report, single.snapshot(uptime), "stream {stream}");
+            assert_eq!(
+                batched.violation_magnitudes(),
+                single.violation_magnitudes(),
+                "stream {stream}"
+            );
+            violating_streams += u64::from(report.total.violations > 0);
+            breaches += report.breaches;
+        }
+        // the streams must reach what the run form exists to get right
+        assert!(violating_streams >= 100, "{violating_streams} violating");
+        assert!(straddles >= 100, "{straddles} violating prefixes cut");
+        assert!(multi_close >= 100, "{multi_close} multi-window runs");
+        assert!(breaches >= 100, "{breaches} breach onsets");
     }
 
     mod proptests {

@@ -46,11 +46,30 @@ impl ViolationTracker {
     /// magnitude (`> 0` iff this operation is non-linearizable against
     /// the operations observed so far).
     pub fn observe(&mut self, start: u64, end: u64, value: u64) -> u64 {
-        let magnitude = self.finished.observe(start, end, value);
-        if magnitude > 0 {
-            self.magnitude.record(magnitude);
+        self.observe_run(start, end, value, 1)
+    }
+
+    /// Observes the `k` operations of one clock bracket: they share
+    /// `(start, end)` and hold `base..base + k`. Returns the largest of
+    /// their magnitudes, the first sibling's (0 for an empty run, which
+    /// observes nothing).
+    ///
+    /// Siblings cannot witness one another (none ended before the
+    /// shared `start`), so one witness value judges them all, sibling
+    /// `j` has magnitude `witness - base - j`, and the table needs only
+    /// the run's last, largest value. Only the violating prefix — empty
+    /// on a linearizable run — is visited, so the histogram stays exact
+    /// per operation.
+    pub fn observe_run(&mut self, start: u64, end: u64, base: u64, k: u64) -> u64 {
+        if k == 0 {
+            return 0;
         }
-        magnitude
+        let worst = self.finished.before(start).saturating_sub(base);
+        self.finished.observe(start, end, base + k - 1);
+        for j in 0..worst.min(k) {
+            self.magnitude.record(worst - j);
+        }
+        worst
     }
 
     /// Number of non-linearizable operations observed.

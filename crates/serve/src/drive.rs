@@ -196,25 +196,16 @@ pub fn drive(config: &DriveConfig) -> io::Result<DriveOutcome> {
     let mut evaluator = SloEvaluator::new(config.policy, config.window_ops);
     let mut values = 0u64;
     for (i, c) in collected.iter().enumerate() {
-        let now_ms = c.scheduled_ns / 1_000_000;
-        for j in 0..u64::from(c.k) {
-            // batch siblings share this `start`: don't let the tracker
-            // retire past it until the last sibling is fed
-            let retire_bound = if j + 1 == u64::from(c.k) {
-                min_start_after[i + 1]
-            } else {
-                min_start_after[i + 1].min(c.start)
-            };
-            evaluator.record(
-                c.start,
-                c.end,
-                c.base + j,
-                c.sojourn_ns,
-                retire_bound,
-                now_ms,
-            );
-            values += 1;
-        }
+        evaluator.record_batch(
+            c.start,
+            c.end,
+            c.base,
+            u64::from(c.k),
+            c.sojourn_ns,
+            min_start_after[i + 1],
+            c.scheduled_ns / 1_000_000,
+        );
+        values += u64::from(c.k);
     }
     let uptime_ms = u64::try_from(elapsed.as_millis()).unwrap_or(u64::MAX);
     Ok(DriveOutcome {

@@ -106,13 +106,29 @@ impl ServeConfig {
     }
 }
 
-/// The per-completion record kept for offline replay: the operation
-/// plus the connection that performed it (the "processor" for
+/// The per-bracket record kept for offline replay: the `k` operations
+/// of one traversal, run-length encoded — they share everything but
+/// their tokens `token..token + k` and values `base..base + k` — plus
+/// the connection that performed them (the "processor" for
 /// program-order purposes).
-#[derive(Debug, Clone)]
-struct HistoryEntry {
-    op: Operation,
+#[derive(Debug)]
+struct HistoryRun {
+    token: u64,
+    input: usize,
+    start: u64,
+    end: u64,
+    base: u64,
+    k: u64,
     conn: usize,
+}
+
+impl HistoryRun {
+    /// Forgets the run's first `d <= k` operations.
+    fn skip(&mut self, d: u64) {
+        self.token += d;
+        self.base += d;
+        self.k -= d;
+    }
 }
 
 /// State guarded by one lock: the evaluator fed in end order, and the
@@ -120,19 +136,71 @@ struct HistoryEntry {
 #[derive(Debug)]
 struct SloState {
     evaluator: SloEvaluator,
-    history: VecDeque<HistoryEntry>,
-    history_cap: usize,
-    history_dropped: u64,
+    /// The last `history_cap` completed *operations*, tokens contiguous
+    /// and ending at `completions - 1`.
+    history: VecDeque<HistoryRun>,
+    history_cap: u64,
     completions: u64,
 }
 
 impl SloState {
-    fn push_history(&mut self, op: Operation, conn: usize) {
-        if self.history.len() == self.history_cap {
+    /// Completions no longer in the ring: every token below this one.
+    fn history_dropped(&self) -> u64 {
+        self.completions.saturating_sub(self.history_cap)
+    }
+
+    /// Appends the bracket that just completed, `k` operations on
+    /// `base..base + k`, in time independent of `k`.
+    ///
+    /// Room is made before the push, never after: a ring of single
+    /// operations sits at exactly `history_cap` runs, and one more
+    /// would double the `VecDeque`.
+    fn push_history(&mut self, input: usize, start: u64, end: u64, base: u64, k: u64, conn: usize) {
+        let mut run = HistoryRun {
+            token: self.completions,
+            input,
+            start,
+            end,
+            base,
+            k,
+            conn,
+        };
+        self.completions += k;
+        // the boundary may fall inside the front run, or inside `run`
+        let keep_from = self.history_dropped();
+        while let Some(front) = self.history.front_mut() {
+            if front.token + front.k > keep_from {
+                front.skip(keep_from.saturating_sub(front.token));
+                break;
+            }
             self.history.pop_front();
-            self.history_dropped += 1;
         }
-        self.history.push_back(HistoryEntry { op, conn });
+        run.skip(keep_from.saturating_sub(run.token));
+        self.history.push_back(run);
+    }
+
+    /// The retained history, one [`Operation`] per completion, with
+    /// the connection behind each — what dumps and the final summary
+    /// carry. `width` is the network's output width.
+    fn expand_history(&self, width: u64) -> (Vec<Operation>, Vec<usize>) {
+        let retained = (self.completions - self.history_dropped()) as usize;
+        let mut operations = Vec::with_capacity(retained);
+        let mut completed_by = Vec::with_capacity(retained);
+        for run in &self.history {
+            for j in 0..run.k {
+                let value = run.base + j;
+                operations.push(Operation {
+                    token: usize::try_from(run.token + j).unwrap_or(usize::MAX),
+                    input: run.input,
+                    start: run.start,
+                    end: run.end,
+                    counter: (value % width) as usize,
+                    value,
+                });
+                completed_by.push(run.conn);
+            }
+        }
+        (operations, completed_by)
     }
 }
 
@@ -161,7 +229,10 @@ impl Core {
     /// The whole operation: reserve `[base, base + k)` with one
     /// traversal, bracketed by the logical clock, feeding the SLO
     /// evaluator and the history ring inside the completion critical
-    /// section (this is what guarantees end-order feeding).
+    /// section (this is what guarantees end-order feeding). Both are
+    /// fed once per bracket, whatever `k`: the section every other
+    /// connection's `begin`/`complete` waits on does not grow with the
+    /// batch.
     fn draw(&self, conn: usize, k: u64, as_batch: bool) -> Response {
         let input = conn % self.counter.input_width();
         let service_start = Instant::now();
@@ -170,34 +241,10 @@ impl Core {
         let end = self.driver.complete(start, |end, min_pending_start| {
             let sojourn_ns = u64::try_from(service_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let now_ms = self.uptime_ms();
-            let width = self.counter.width() as u64;
             let mut s = self.slo.lock().expect("slo lock poisoned");
-            for j in 0..k {
-                let value = base + j;
-                // the batch's remaining values still carry this same
-                // `start`, so the tracker may not retire past it until
-                // the last sibling has been fed
-                let retire_bound = if j + 1 == k {
-                    min_pending_start
-                } else {
-                    min_pending_start.min(start)
-                };
-                s.evaluator
-                    .record(start, end, value, sojourn_ns, retire_bound, now_ms);
-                let token = usize::try_from(s.completions).unwrap_or(usize::MAX);
-                s.completions += 1;
-                s.push_history(
-                    Operation {
-                        token,
-                        input,
-                        start,
-                        end,
-                        counter: (value % width) as usize,
-                        value,
-                    },
-                    conn,
-                );
-            }
+            s.evaluator
+                .record_batch(start, end, base, k, sojourn_ns, min_pending_start, now_ms);
+            s.push_history(input, start, end, base, k, conn);
             end
         });
         if as_batch {
@@ -265,8 +312,7 @@ impl Core {
         let s = self.slo.lock().expect("slo lock poisoned");
         let report = s.evaluator.snapshot(uptime);
         let magnitudes = s.evaluator.violation_magnitudes().clone();
-        let (operations, completed_by): (Vec<Operation>, Vec<usize>) =
-            s.history.iter().map(|e| (e.op, e.conn)).unzip();
+        let (operations, completed_by) = s.expand_history(self.counter.width() as u64);
         drop(s);
         // the probe snapshot's violation fields are the evaluator's
         // full-stream verdict, the same one the `slo` block totals
@@ -401,8 +447,7 @@ impl CounterServer {
             slo: Mutex::new(SloState {
                 evaluator: SloEvaluator::new(config.policy, config.window_ops),
                 history: VecDeque::new(),
-                history_cap: config.history_cap.max(1),
-                history_dropped: 0,
+                history_cap: config.history_cap.max(1) as u64,
                 completions: 0,
             }),
             epoch: Instant::now(),
@@ -439,7 +484,9 @@ fn accept_loop(core: &Arc<Core>, listener: &UnixListener) -> io::Result<ServeSum
                 conns.retain(|h| !h.is_finished());
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(POLL_INTERVAL);
+                // woken by the next connection, or by the interval the
+                // flags and the dump timer are looked at
+                signal::wait_readable(listener, POLL_INTERVAL);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => {
@@ -475,8 +522,8 @@ fn accept_loop(core: &Arc<Core>, listener: &UnixListener) -> io::Result<ServeSum
     let _ = std::fs::remove_file(&core.config.socket);
     let (operations, completed_by, history_dropped) = {
         let s = core.slo.lock().expect("slo lock poisoned");
-        let (ops, by) = s.history.iter().map(|e| (e.op, e.conn)).unzip();
-        (ops, by, s.history_dropped)
+        let (ops, by) = s.expand_history(core.counter.width() as u64);
+        (ops, by, s.history_dropped())
     };
     Ok(ServeSummary {
         report,
@@ -593,10 +640,10 @@ mod tests {
             });
             draws = handle.snapshot().total.ops;
             // every client has hung up: nothing is in flight, so all
-            // the tracker may still hold is the last completion's batch
+            // the tracker may still hold is the last bracket's one entry
             let s = handle.core.slo.lock().unwrap();
             assert!(
-                s.evaluator.tracker_retained() <= MAX_K as usize,
+                s.evaluator.tracker_retained() <= 1,
                 "{} entries retained after {draws} draws",
                 s.evaluator.tracker_retained()
             );

@@ -73,15 +73,34 @@ fn serve_then_drive_reports_clean_slo() {
 /// implemented sweep in `cnet-timing`.
 #[test]
 fn online_windows_match_offline_replay_exactly() {
-    const WINDOW: u64 = 256;
-    let (handle, socket) = start("replay", 4, WINDOW);
+    online_windows_match_offline_replay("replay", 256, 8, 250, |t, i| 1 + ((t + i) % 4));
+}
+
+/// The same, with runs that straddle a window boundary on nearly every
+/// request and close up to three windows in one call.
+#[test]
+fn online_windows_match_offline_replay_exactly_for_runs_longer_than_a_window() {
+    const KS: [u32; 6] = [256, 1, 77, 100, 3, 199];
+    online_windows_match_offline_replay("replay-runs", 100, 4, 12, |t, i| {
+        KS[((t + i) % 6) as usize]
+    });
+}
+
+fn online_windows_match_offline_replay(
+    tag: &str,
+    window: u64,
+    threads: u32,
+    requests: u32,
+    batch: fn(u32, u32) -> u32,
+) {
+    let (handle, socket) = start(tag, 4, window);
     std::thread::scope(|scope| {
-        for t in 0..8 {
+        for t in 0..threads {
             let socket = socket.clone();
             scope.spawn(move || {
                 let mut client = ServeClient::connect(&socket).unwrap();
-                for i in 0..250u32 {
-                    let k = 1 + ((t + i) % 4);
+                for i in 0..requests {
+                    let k = batch(t, i);
                     let d = client.next_batch(k).unwrap();
                     assert_eq!(d.k, k);
                     assert!(d.start < d.end);
@@ -132,9 +151,9 @@ fn online_windows_match_offline_replay_exactly() {
         windows_closed,
         "test sized to keep every closed window in the retained ring"
     );
-    for (w, window) in summary.report.windows.iter().enumerate() {
-        let lo = w * WINDOW as usize;
-        let hi = lo + WINDOW as usize;
+    for (w, closed) in summary.report.windows.iter().enumerate() {
+        let lo = w * window as usize;
+        let hi = lo + window as usize;
         let mut violations = 0u64;
         let mut mag_max = 0u64;
         let mut mag_total = 0u64;
@@ -146,20 +165,137 @@ fn online_windows_match_offline_replay_exactly() {
                 mag_max = mag_max.max(m);
             }
         }
-        assert_eq!(window.ops, WINDOW, "window {w}");
-        assert_eq!(window.violations, violations, "window {w} violations");
-        assert_eq!(window.magnitude_max, mag_max, "window {w} magnitude_max");
+        assert_eq!(closed.ops, window, "window {w}");
+        assert_eq!(closed.violations, violations, "window {w} violations");
+        assert_eq!(closed.magnitude_max, mag_max, "window {w} magnitude_max");
         assert_eq!(
-            window.magnitude_total, mag_total,
+            closed.magnitude_total, mag_total,
             "window {w} magnitude_total"
         );
     }
     // and the still-open tail
-    let tail_lo = windows_closed * WINDOW as usize;
+    let tail_lo = windows_closed * window as usize;
     let tail: u64 = (tail_lo..ops.len())
         .map(|i| u64::from(magnitude(i) > 0))
         .sum();
     assert_eq!(summary.report.current.violations, tail);
+}
+
+/// The history is kept as one run per bracket but bounded, reported and
+/// dumped in operations: whatever mix of batch sizes wrapped the ring
+/// — one of them larger than the ring itself — what comes back is the
+/// last `history_cap` operations of the full trace, as rebuilt from
+/// the replies the clients got.
+#[test]
+fn the_history_ring_holds_exactly_the_last_cap_operations() {
+    const CAP: usize = 1000;
+    const WIDTH: usize = 4;
+    const KS: [u32; 5] = [1, 77, 256, 1, 1];
+    let net = constructions::bitonic(WIDTH).unwrap();
+    let mut config = ServeConfig::new(socket_path("ring"));
+    config.history_cap = CAP;
+    config.dump_path = Some(config.socket.with_extension("json"));
+    config.dump_every = Duration::from_secs(3600); // only the final flush
+    let (socket, dump) = (config.socket.clone(), config.dump_path.clone().unwrap());
+    let handle = CounterServer::start(&net, config).unwrap();
+
+    // connections are numbered in accept order: one at a time, each
+    // answered before the next connects
+    let mut clients: Vec<ServeClient> = (0..3)
+        .map(|_| {
+            let mut client = ServeClient::connect(&socket).unwrap();
+            client.health().unwrap();
+            client
+        })
+        .collect();
+    let replies: Vec<Vec<cnet_serve::Drawn>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = clients
+            .iter_mut()
+            .enumerate()
+            .map(|(conn, client)| {
+                scope.spawn(move || {
+                    (0..40)
+                        .map(|i| match (conn, i) {
+                            (0, 25) => client.next_batch(CAP as u32 + 500).unwrap(),
+                            _ if KS[(conn + i) % 5] == 1 => client.next().unwrap(),
+                            _ => client.next_batch(KS[(conn + i) % 5]).unwrap(),
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    drop(clients);
+    handle.request_shutdown();
+    let summary = handle.wait().unwrap();
+
+    // the full trace: every reply expanded, in end-tick order (end
+    // ticks are unique, so this is the order the server recorded)
+    let mut brackets: Vec<(usize, cnet_serve::Drawn)> = replies
+        .into_iter()
+        .enumerate()
+        .flat_map(|(conn, mine)| mine.into_iter().map(move |d| (conn, d)))
+        .collect();
+    brackets.sort_by_key(|(_, d)| d.end);
+    let full: Vec<(u64, u64, u64, usize)> = brackets
+        .iter()
+        .flat_map(|&(conn, d)| (0..u64::from(d.k)).map(move |j| (d.base + j, d.start, d.end, conn)))
+        .collect();
+    assert_eq!(summary.report.total.ops, full.len() as u64);
+    assert!(full.len() > 3 * CAP, "the ring must have wrapped");
+
+    assert_eq!(summary.operations.len(), CAP);
+    assert_eq!(summary.completed_by.len(), CAP);
+    assert_eq!(
+        summary.history_dropped + summary.operations.len() as u64,
+        summary.report.total.ops
+    );
+    let first_token = full.len() - CAP;
+    for (i, (op, &by)) in summary
+        .operations
+        .iter()
+        .zip(&summary.completed_by)
+        .enumerate()
+    {
+        let (value, start, end, conn) = full[first_token + i];
+        assert_eq!(op.token, first_token + i, "tokens are contiguous");
+        assert_eq!((op.value, op.start, op.end), (value, start, end), "op {i}");
+        assert_eq!(op.counter, (value % WIDTH as u64) as usize, "op {i}");
+        assert_eq!((by, op.input), (conn, conn % WIDTH), "op {i}");
+    }
+
+    // the dump expands the same ring
+    let text = std::fs::read_to_string(&dump).unwrap();
+    std::fs::remove_file(&dump).unwrap();
+    let record = RunRecord::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
+    assert_eq!(record.stats.completed_ops, CAP);
+    assert_eq!(record.slo.unwrap().total.ops, full.len() as u64);
+}
+
+/// A connection is accepted when it arrives, not at the accept loop's
+/// next look at its flags: against a server that has gone idle, connect
+/// plus a first reply takes far less than the 25 ms poll interval.
+#[test]
+fn an_idle_server_accepts_without_waiting_out_its_poll_interval() {
+    let (handle, socket) = start("accept", 4, 64);
+    std::thread::sleep(Duration::from_millis(50));
+    let mut took: Vec<Duration> = (0..11)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            let mut client = ServeClient::connect(&socket).unwrap();
+            client.health().unwrap();
+            t0.elapsed()
+        })
+        .collect();
+    took.sort_unstable();
+    assert!(
+        took[5] < Duration::from_millis(5),
+        "median connect + health {:?} of {took:?}",
+        took[5]
+    );
+    handle.request_shutdown();
+    handle.wait().unwrap();
 }
 
 /// Clients hammer `NextBatch` while the server is told to shut down

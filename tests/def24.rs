@@ -3,9 +3,11 @@
 //! tick-indexed or a sorted table, a stream of completions grows the
 //! sorted one. This suite holds every form of that table — dense
 //! batch, sparse batch, end-ordered stream, reordered stream with
-//! retirement — to the quadratic reference, verdict by verdict, and
-//! the count to the permutation-search oracle.
+//! retirement, the service's one-entry-per-bracket stream — to the
+//! quadratic reference, verdict by verdict, and the count to the
+//! permutation-search oracle.
 
+use cnet_obs::{SloEvaluator, SloPolicy};
 use counting_networks::proteus::{SimConfig, Simulator, WaitMode, Workload};
 use counting_networks::timing::linearizability::{
     check_exhaustive, count_nonlinearizable, count_nonlinearizable_naive, is_dense_timeline,
@@ -179,6 +181,51 @@ fn seeded_random_traces_get_one_verdict() {
             .collect();
         assert_one_verdict(&ops, &format!("round {round}"));
     }
+}
+
+/// What `cnet serve` feeds: one `record_batch` per clock bracket, `k`
+/// operations on `base..base + k` behind a single table entry. Its
+/// totals are the batch sweep's over the same operations written out.
+#[test]
+fn brackets_fed_as_runs_get_the_verdict_of_their_operations() {
+    let mut rng = StdRng::seed_from_u64(0xB47C);
+    let mut violating_rounds = 0;
+    for round in 0..200 {
+        let mut evaluator = SloEvaluator::new(SloPolicy::unbounded(), rng.gen_range(1..=50));
+        let mut ops: Vec<Operation> = Vec::new();
+        let (mut end, mut hi) = (0u64, 0u64);
+        for _ in 0..rng.gen_range(1..=40) {
+            // end-ordered, overlapping; bases around the largest value
+            // out so far, so witnesses cut runs short, whole or not at all
+            end += rng.gen_range(1..=3u64);
+            let start = end.saturating_sub(rng.gen_range(0..=9));
+            let k = rng.gen_range(1..=30u64);
+            let base = rng.gen_range(hi.saturating_sub(k + 3)..=hi + 3);
+            hi = hi.max(base + k - 1);
+            let worst = evaluator.record_batch(start, end, base, k, 0, 0, 0);
+            let token = ops.len();
+            ops.extend((0..k).map(|j| op(token + j as usize, start, end, base + j)));
+            let first = magnitudes(&ops).nth(token);
+            assert_eq!(Some(worst), first, "round {round}: first sibling");
+        }
+        let expected: Vec<u64> = magnitudes(&ops).filter(|&m| m > 0).collect();
+        assert_eq!(expected.len(), count_nonlinearizable_naive(&ops));
+        let total = evaluator.snapshot(0).total;
+        assert_eq!(total.ops, ops.len() as u64, "round {round}");
+        assert_eq!(total.violations, expected.len() as u64, "round {round}");
+        assert_eq!(
+            total.magnitude_total,
+            expected.iter().sum::<u64>(),
+            "round {round}"
+        );
+        assert_eq!(
+            total.magnitude_max,
+            expected.iter().copied().max().unwrap_or(0),
+            "round {round}"
+        );
+        violating_rounds += usize::from(!expected.is_empty());
+    }
+    assert!(violating_rounds > 100, "{violating_rounds} rounds violated");
 }
 
 /// The violating regime the paper measures: the count the simulator
