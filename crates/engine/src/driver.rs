@@ -14,6 +14,7 @@ use std::time::Instant;
 use cnet_concurrent::audit::StressCounter;
 use cnet_obs::{FrontendMetrics, LogHistogram, MetricsSnapshot};
 use cnet_proteus::{RunStats, SimRng, WaitMode, Workload};
+use cnet_timing::linearizability::{lane_magnitudes, LaneRecord};
 use cnet_timing::Operation;
 use cnet_topology::OutputCounts;
 
@@ -83,9 +84,15 @@ impl SpinSite {
 /// clients taking turns: one per lane for the thread-per-client
 /// backends, all of them on the single op-ordered lane of the async
 /// executor.
+///
+/// Every lane is one sequential stream, `start < end < next start`,
+/// which is what lets [`stats_from_trace`] grade the lanes as they
+/// stand. Both builders guarantee it: a [`drive`] thread takes its two
+/// clock ticks around each operation in program order, and the async
+/// executor admits op `i + 1` only after op `i` took its end tick.
 #[derive(Debug, Default)]
 pub(crate) struct Trace {
-    pub lanes: Vec<Vec<(u64, u64, u64)>>,
+    pub lanes: Vec<Vec<LaneRecord>>,
     pub clients_per_lane: usize,
     pub clock_end: u64,
 }
@@ -221,7 +228,7 @@ impl Executor for Threads<'_> {
 /// logical-clock ticks and keeping `average_ratio` finite. When the
 /// `obs` feature is on, the substrate's own probe snapshot rides along
 /// in `metrics` with real per-balancer service times, and its
-/// violation fields are written here, from the same scan as
+/// violation fields are written here, from the same lane sweep as
 /// `nonlinearizable`.
 pub(crate) fn stats_from_trace(
     trace: Trace,
@@ -231,6 +238,21 @@ pub(crate) fn stats_from_trace(
 ) -> RunStats {
     let output_width = output_counts.width().max(1) as u64;
     let per_lane = trace.clients_per_lane.max(1);
+    // the one Definition 2.4 pass of a native run, on the logical-clock
+    // brackets in the order the lanes already hold them: the count
+    // goes to the stats, the magnitudes to the probe snapshot when
+    // there is one
+    let mut magnitudes = LogHistogram::new();
+    lane_magnitudes(&trace.lanes, |magnitude| {
+        if magnitude > 0 {
+            magnitudes.record(magnitude);
+        }
+    })
+    .expect("every lane of a Trace is one sequential stream");
+    let nonlinearizable = magnitudes.count() as usize;
+    if let Some(m) = metrics.as_mut() {
+        m.network.set_violations(magnitudes);
+    }
     let total = trace.lanes.iter().map(Vec::len).sum();
     let mut operations = Vec::with_capacity(total);
     let mut completed_by = Vec::with_capacity(total);
@@ -251,19 +273,6 @@ pub(crate) fn stats_from_trace(
                 total_latency += end - start;
             }
         }
-    }
-    // the one Definition 2.4 scan of a native run, on the logical-clock
-    // bracket `drive` took: the count goes to the stats, the
-    // magnitudes to the probe snapshot when there is one
-    let mut magnitudes = LogHistogram::new();
-    for magnitude in cnet_timing::linearizability::magnitudes(&operations) {
-        if magnitude > 0 {
-            magnitudes.record(magnitude);
-        }
-    }
-    let nonlinearizable = magnitudes.count() as usize;
-    if let Some(m) = metrics.as_mut() {
-        m.network.set_violations(magnitudes);
     }
     RunStats {
         sim_time: trace.clock_end,
@@ -302,6 +311,27 @@ mod tests {
         assert_eq!(network.violation_magnitude_total, 5);
         assert_eq!(network.violation_magnitude_max, 5);
         assert_eq!(network.violation_magnitude_hist.count(), 1);
+    }
+
+    #[test]
+    fn a_violation_only_the_interleaving_reveals_is_counted() {
+        // each lane alone counts upward; merged, thread 1 finishes
+        // value 5 at tick 3, before thread 0 starts values 1 and 2
+        let trace = Trace {
+            lanes: vec![
+                vec![(0, 1, 0), (4, 7, 1), (8, 9, 2)],
+                vec![(2, 3, 5), (5, 6, 6)],
+            ],
+            clients_per_lane: 1,
+            clock_end: 10,
+        };
+        let stats = stats_from_trace(trace, OutputCounts::zeros(4), 4, None);
+        assert_eq!(stats.nonlinearizable, 2);
+        assert_eq!(
+            cnet_timing::linearizability::nonlinearizable_tokens(&stats.operations),
+            [1, 2],
+            "lane-major tokens: thread 0's second and third operation"
+        );
     }
 
     #[test]

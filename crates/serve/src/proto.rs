@@ -103,11 +103,48 @@ pub enum Response {
     },
 }
 
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out
+/// The longest fixed-size payload: a `Batch` response, its opcode and
+/// 28 bytes of fields. Snapshot and error text are the only payloads
+/// that can be longer.
+const MAX_FIXED_PAYLOAD: usize = 29;
+
+/// A fixed-size frame built on the stack and sent with one write: the
+/// length prefix, the opcode, then the fields as they are put.
+struct FixedFrame {
+    bytes: [u8; 4 + MAX_FIXED_PAYLOAD],
+    len: usize,
+}
+
+impl FixedFrame {
+    fn new(opcode: u8) -> Self {
+        let mut bytes = [0; 4 + MAX_FIXED_PAYLOAD];
+        bytes[4] = opcode;
+        FixedFrame { bytes, len: 5 }
+    }
+
+    fn put<const N: usize>(mut self, field: [u8; N]) -> Self {
+        self.bytes[self.len..self.len + N].copy_from_slice(&field);
+        self.len += N;
+        self
+    }
+
+    fn send(mut self, w: &mut impl Write) -> io::Result<()> {
+        let payload = (self.len - 4) as u32; // at most MAX_FIXED_PAYLOAD
+        self.bytes[..4].copy_from_slice(&payload.to_le_bytes());
+        w.write_all(&self.bytes[..self.len])
+    }
+}
+
+/// Sends a text frame (snapshot JSON, error message): one buffer, one
+/// write.
+fn send_text(w: &mut impl Write, opcode: u8, text: &str) -> io::Result<()> {
+    let payload = u32::try_from(1 + text.len())
+        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "text exceeds a frame"))?;
+    let mut out = Vec::with_capacity(5 + text.len());
+    out.extend_from_slice(&payload.to_le_bytes());
+    out.push(opcode);
+    out.extend_from_slice(text.as_bytes());
+    w.write_all(&out)
 }
 
 /// `read_exact` that never abandons bytes already consumed: once the
@@ -140,9 +177,26 @@ fn read_full(r: &mut impl Read, buf: &mut [u8], started: bool, what: &str) -> io
     Ok(true)
 }
 
+/// One frame's payload: on the stack when it is no longer than a
+/// fixed-size frame, on the heap otherwise.
+struct Payload {
+    stack: [u8; MAX_FIXED_PAYLOAD],
+    heap: Vec<u8>,
+    len: usize,
+}
+
+impl Payload {
+    fn bytes(&self) -> &[u8] {
+        match self.stack.get(..self.len) {
+            Some(fixed) => fixed,
+            None => &self.heap,
+        }
+    }
+}
+
 /// Reads one length-prefixed payload. Returns `Ok(None)` on a clean
 /// EOF at a frame boundary (the peer closed the stream).
-fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
+fn read_frame(r: &mut impl Read) -> io::Result<Option<Payload>> {
     let mut len = [0u8; 4];
     if !read_full(r, &mut len, false, "length prefix")? {
         return Ok(None);
@@ -154,8 +208,19 @@ fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    read_full(r, &mut payload, true, "payload")?;
+    let mut payload = Payload {
+        stack: [0; MAX_FIXED_PAYLOAD],
+        heap: Vec::new(),
+        len: len as usize,
+    };
+    let bytes = match payload.stack.get_mut(..payload.len) {
+        Some(fixed) => fixed,
+        None => {
+            payload.heap.resize(payload.len, 0);
+            &mut payload.heap[..]
+        }
+    };
+    read_full(r, bytes, true, "payload")?;
     Ok(Some(payload))
 }
 
@@ -202,18 +267,14 @@ fn text_of(payload: &[u8], what: &str) -> io::Result<String> {
 ///
 /// Propagates the underlying write error.
 pub fn write_request(w: &mut impl Write, req: &Request) -> io::Result<()> {
-    let payload = match req {
-        Request::Next => vec![0x01],
-        Request::NextBatch { k } => {
-            let mut p = vec![0x02];
-            p.extend_from_slice(&k.to_le_bytes());
-            p
-        }
-        Request::Snapshot => vec![0x03],
-        Request::Health => vec![0x04],
-        Request::Shutdown => vec![0x05],
-    };
-    w.write_all(&frame(&payload))
+    match *req {
+        Request::Next => FixedFrame::new(0x01),
+        Request::NextBatch { k } => FixedFrame::new(0x02).put(k.to_le_bytes()),
+        Request::Snapshot => FixedFrame::new(0x03),
+        Request::Health => FixedFrame::new(0x04),
+        Request::Shutdown => FixedFrame::new(0x05),
+    }
+    .send(w)
 }
 
 /// Reads one request frame; `Ok(None)` on clean EOF.
@@ -226,6 +287,7 @@ pub fn read_request(r: &mut impl Read) -> io::Result<Option<Request>> {
     let Some(payload) = read_frame(r)? else {
         return Ok(None);
     };
+    let payload = payload.bytes();
     let Some(&op) = payload.first() else {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -234,25 +296,25 @@ pub fn read_request(r: &mut impl Read) -> io::Result<Option<Request>> {
     };
     let req = match op {
         0x01 => {
-            expect_len(&payload, 1, "Next")?;
+            expect_len(payload, 1, "Next")?;
             Request::Next
         }
         0x02 => {
-            expect_len(&payload, 5, "NextBatch")?;
+            expect_len(payload, 5, "NextBatch")?;
             Request::NextBatch {
-                k: u32_at(&payload, 1)?,
+                k: u32_at(payload, 1)?,
             }
         }
         0x03 => {
-            expect_len(&payload, 1, "Snapshot")?;
+            expect_len(payload, 1, "Snapshot")?;
             Request::Snapshot
         }
         0x04 => {
-            expect_len(&payload, 1, "Health")?;
+            expect_len(payload, 1, "Health")?;
             Request::Health
         }
         0x05 => {
-            expect_len(&payload, 1, "Shutdown")?;
+            expect_len(payload, 1, "Shutdown")?;
             Request::Shutdown
         }
         other => {
@@ -271,51 +333,34 @@ pub fn read_request(r: &mut impl Read) -> io::Result<Option<Request>> {
 ///
 /// Propagates the underlying write error.
 pub fn write_response(w: &mut impl Write, resp: &Response) -> io::Result<()> {
-    let payload = match resp {
-        Response::Value { value, start, end } => {
-            let mut p = vec![0x81];
-            p.extend_from_slice(&value.to_le_bytes());
-            p.extend_from_slice(&start.to_le_bytes());
-            p.extend_from_slice(&end.to_le_bytes());
-            p
-        }
+    match *resp {
+        Response::Value { value, start, end } => FixedFrame::new(0x81)
+            .put(value.to_le_bytes())
+            .put(start.to_le_bytes())
+            .put(end.to_le_bytes()),
         Response::Batch {
             base,
             k,
             start,
             end,
-        } => {
-            let mut p = vec![0x82];
-            p.extend_from_slice(&base.to_le_bytes());
-            p.extend_from_slice(&k.to_le_bytes());
-            p.extend_from_slice(&start.to_le_bytes());
-            p.extend_from_slice(&end.to_le_bytes());
-            p
-        }
-        Response::Snapshot { json } => {
-            let mut p = vec![0x83];
-            p.extend_from_slice(json.as_bytes());
-            p
-        }
+        } => FixedFrame::new(0x82)
+            .put(base.to_le_bytes())
+            .put(k.to_le_bytes())
+            .put(start.to_le_bytes())
+            .put(end.to_le_bytes()),
+        Response::Snapshot { ref json } => return send_text(w, 0x83, json),
         Response::Health {
             ops,
             uptime_ms,
             breaches,
-        } => {
-            let mut p = vec![0x84];
-            p.extend_from_slice(&ops.to_le_bytes());
-            p.extend_from_slice(&uptime_ms.to_le_bytes());
-            p.extend_from_slice(&breaches.to_le_bytes());
-            p
-        }
-        Response::Bye => vec![0x85],
-        Response::Err { message } => {
-            let mut p = vec![0xFF];
-            p.extend_from_slice(message.as_bytes());
-            p
-        }
-    };
-    w.write_all(&frame(&payload))
+        } => FixedFrame::new(0x84)
+            .put(ops.to_le_bytes())
+            .put(uptime_ms.to_le_bytes())
+            .put(breaches.to_le_bytes()),
+        Response::Bye => FixedFrame::new(0x85),
+        Response::Err { ref message } => return send_text(w, 0xFF, message),
+    }
+    .send(w)
 }
 
 /// Reads one response frame; `Ok(None)` on clean EOF.
@@ -328,6 +373,7 @@ pub fn read_response(r: &mut impl Read) -> io::Result<Option<Response>> {
     let Some(payload) = read_frame(r)? else {
         return Ok(None);
     };
+    let payload = payload.bytes();
     let Some(&op) = payload.first() else {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -336,35 +382,35 @@ pub fn read_response(r: &mut impl Read) -> io::Result<Option<Response>> {
     };
     let resp = match op {
         0x81 => {
-            expect_len(&payload, 25, "Value")?;
+            expect_len(payload, 25, "Value")?;
             Response::Value {
-                value: u64_at(&payload, 1)?,
-                start: u64_at(&payload, 9)?,
-                end: u64_at(&payload, 17)?,
+                value: u64_at(payload, 1)?,
+                start: u64_at(payload, 9)?,
+                end: u64_at(payload, 17)?,
             }
         }
         0x82 => {
-            expect_len(&payload, 29, "Batch")?;
+            expect_len(payload, 29, "Batch")?;
             Response::Batch {
-                base: u64_at(&payload, 1)?,
-                k: u32_at(&payload, 9)?,
-                start: u64_at(&payload, 13)?,
-                end: u64_at(&payload, 21)?,
+                base: u64_at(payload, 1)?,
+                k: u32_at(payload, 9)?,
+                start: u64_at(payload, 13)?,
+                end: u64_at(payload, 21)?,
             }
         }
         0x83 => Response::Snapshot {
             json: text_of(&payload[1..], "Snapshot")?,
         },
         0x84 => {
-            expect_len(&payload, 25, "Health")?;
+            expect_len(payload, 25, "Health")?;
             Response::Health {
-                ops: u64_at(&payload, 1)?,
-                uptime_ms: u64_at(&payload, 9)?,
-                breaches: u64_at(&payload, 17)?,
+                ops: u64_at(payload, 1)?,
+                uptime_ms: u64_at(payload, 9)?,
+                breaches: u64_at(payload, 17)?,
             }
         }
         0x85 => {
-            expect_len(&payload, 1, "Bye")?;
+            expect_len(payload, 1, "Bye")?;
             Response::Bye
         }
         0xFF => Response::Err {
@@ -441,6 +487,89 @@ mod tests {
         }
     }
 
+    /// The wire format, byte for byte: what an external client decodes
+    /// by hand. Every frame kind, both directions.
+    #[test]
+    fn every_frame_kind_has_its_golden_wire_bytes() {
+        let requests: [(Request, &[u8]); 5] = [
+            (Request::Next, &[1, 0, 0, 0, 0x01]),
+            (
+                Request::NextBatch { k: 0x0102_0304 },
+                &[5, 0, 0, 0, 0x02, 4, 3, 2, 1],
+            ),
+            (Request::Snapshot, &[1, 0, 0, 0, 0x03]),
+            (Request::Health, &[1, 0, 0, 0, 0x04]),
+            (Request::Shutdown, &[1, 0, 0, 0, 0x05]),
+        ];
+        for (req, golden) in requests {
+            let mut wire = Vec::new();
+            write_request(&mut wire, &req).unwrap();
+            assert_eq!(wire, golden, "{req:?}");
+            assert_eq!(read_request(&mut Cursor::new(golden)).unwrap(), Some(req));
+        }
+
+        let le = |v: u64| v.to_le_bytes();
+        let responses: [(Response, Vec<u8>); 6] = [
+            (
+                Response::Value {
+                    value: 0x0807_0605_0403_0201,
+                    start: 6,
+                    end: u64::MAX,
+                },
+                [
+                    &[25, 0, 0, 0, 0x81][..],
+                    &[1, 2, 3, 4, 5, 6, 7, 8],
+                    &le(6),
+                    &[0xFF; 8],
+                ]
+                .concat(),
+            ),
+            (
+                Response::Batch {
+                    base: 512,
+                    k: 256,
+                    start: 10,
+                    end: 11,
+                },
+                [
+                    &[29, 0, 0, 0, 0x82][..],
+                    &le(512),
+                    &[0, 1, 0, 0],
+                    &le(10),
+                    &le(11),
+                ]
+                .concat(),
+            ),
+            (
+                Response::Snapshot {
+                    json: "{\"x\": 1}".to_string(),
+                },
+                [&[9, 0, 0, 0, 0x83][..], b"{\"x\": 1}"].concat(),
+            ),
+            (
+                Response::Health {
+                    ops: 5,
+                    uptime_ms: 1000,
+                    breaches: 2,
+                },
+                [&[25, 0, 0, 0, 0x84][..], &le(5), &le(1000), &le(2)].concat(),
+            ),
+            (Response::Bye, vec![1, 0, 0, 0, 0x85]),
+            (
+                Response::Err {
+                    message: "n\u{f6}".to_string(),
+                },
+                vec![4, 0, 0, 0, 0xFF, b'n', 0xC3, 0xB6],
+            ),
+        ];
+        for (resp, golden) in responses {
+            let mut wire = Vec::new();
+            write_response(&mut wire, &resp).unwrap();
+            assert_eq!(wire, golden, "{resp:?}");
+            assert_eq!(read_response(&mut Cursor::new(golden)).unwrap(), Some(resp));
+        }
+    }
+
     #[test]
     fn clean_eof_reads_as_none() {
         assert_eq!(read_request(&mut Cursor::new(Vec::new())).unwrap(), None);
@@ -485,6 +614,46 @@ mod tests {
         buf.push(0x7E);
         let err = read_request(&mut Cursor::new(buf)).unwrap_err();
         assert!(err.to_string().contains("0x7e"));
+    }
+
+    #[test]
+    fn malformed_payloads_are_refused_by_name() {
+        fn framed(payload: &[u8]) -> Cursor<Vec<u8>> {
+            Cursor::new([&(payload.len() as u32).to_le_bytes()[..], payload].concat())
+        }
+        let request = |payload: &[u8]| read_request(&mut framed(payload)).unwrap_err();
+        let response = |payload: &[u8]| read_response(&mut framed(payload)).unwrap_err();
+        let long = [&[0x01][..], &[0; 999]].concat();
+        for (err, want) in [
+            (request(&[]), "empty request frame"),
+            (response(&[]), "empty response frame"),
+            (request(&[0x01, 0]), "Next: expected 1-byte payload, got 2"),
+            // longer than any fixed-size frame, still answered by length
+            (request(&long), "Next: expected 1-byte payload, got 1000"),
+            (
+                request(&[0x02, 1, 0, 0]),
+                "NextBatch: expected 5-byte payload, got 4",
+            ),
+            (
+                response(&[0x81; 24]),
+                "Value: expected 25-byte payload, got 24",
+            ),
+            (
+                response(&[0x82; 30]),
+                "Batch: expected 29-byte payload, got 30",
+            ),
+            (
+                response(&[0x84; 26]),
+                "Health: expected 25-byte payload, got 26",
+            ),
+            (response(&[0x85, 0]), "Bye: expected 1-byte payload, got 2"),
+            (response(&[0x83, 0xC3]), "Snapshot: payload is not UTF-8"),
+            (response(&[0xFF, 0xFF]), "Err: payload is not UTF-8"),
+            (response(&[0x01]), "unknown response opcode 0x01"),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{want}");
+            assert_eq!(err.to_string(), want);
+        }
     }
 
     #[test]

@@ -22,13 +22,21 @@
 //! * a stream of completions ([`FinishedMax`]) grows that same sorted
 //!   table one operation at a time and may retire what no future
 //!   operation can start before. The simulator's event loop and the
-//!   service's SLO evaluator feed it as operations complete.
+//!   service's SLO evaluator feed it as operations complete;
+//! * a set of *lanes* ([`lane_magnitudes`]) — a native run's per-thread
+//!   records, each lane already in time order — needs no table at all:
+//!   a merge of the lanes visits every instant once in order, so the
+//!   prefix maximum is one scalar, `O(n log L)` over `L` lanes with
+//!   nothing allocated beyond the `L` cursors.
 //!
 //! Either way an operation's verdict is its *magnitude*: how far the
 //! largest value that finished before it started lies above its own
 //! (0 for a linearizable operation). [`count_nonlinearizable_naive`],
 //! [`worst_witness`] and [`check_exhaustive`] are the reference
 //! implementations the table is tested against.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::execution::Operation;
 use crate::link::Time;
@@ -266,6 +274,133 @@ pub fn nonlinearizable_tokens(ops: &[Operation]) -> Vec<usize> {
     nonlinearizable(ops).map(|op| op.token).collect()
 }
 
+/// One record of a lane: `(start, end, value)`.
+pub type LaneRecord = (Time, Time, u64);
+
+/// Why [`lane_magnitudes`] refused its input: record `index` of lane
+/// `lane` does not end after it starts, or does not start after its
+/// predecessor ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LaneOrderError {
+    /// The offending lane.
+    pub lane: usize,
+    /// The offending record within it.
+    pub index: usize,
+}
+
+impl std::fmt::Display for LaneOrderError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "lane {} is not sequential at record {}: want start < end < next start",
+            self.lane, self.index
+        )
+    }
+}
+
+impl std::error::Error for LaneOrderError {}
+
+/// A lane's next instant in the merge: the start of record `index`, or
+/// its end. Ordered by instant, a start before an end at the same one
+/// (`end == start` is overlap under the strict definition).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct LaneCursor {
+    tick: Time,
+    at_end: bool,
+    lane: usize,
+    index: usize,
+}
+
+/// Refuses record `index` of `records` unless it is the next operation
+/// of one sequential client.
+fn sequential(lane: usize, records: &[LaneRecord], index: usize) -> Result<(), LaneOrderError> {
+    let (start, end, _) = records[index];
+    if start < end && (index == 0 || records[index - 1].1 < start) {
+        Ok(())
+    } else {
+        Err(LaneOrderError { lane, index })
+    }
+}
+
+/// Reports every operation's violation magnitude — the multiset
+/// [`magnitudes`] yields over the same operations — for a trace held as
+/// *lanes*: each lane one sequential stream of records with
+/// `start < end < next start`, what a client thread that brackets its
+/// own operations with a shared clock leaves behind.
+///
+/// The lanes are merged by instant, the leading lane running on until
+/// the runner-up's next one; the maximum of finished values is then a
+/// single scalar, raised at an end and read at a start. `O(n log L)`
+/// for `n` records on `L` lanes (a heap operation per *run*, so a lane
+/// that leads for long stretches costs `O(1)` per record), no
+/// allocation beyond the `L` cursors. Magnitudes are reported in start
+/// order, not lane order.
+///
+/// # Errors
+///
+/// A lane that is not sequential would be merged out of order and
+/// mis-counted, so its first offending record is refused by
+/// `(lane, index)`; what was reported before the refusal is to be
+/// discarded.
+///
+/// # Example
+///
+/// ```
+/// use cnet_timing::linearizability::lane_magnitudes;
+///
+/// // value 7 finishes at tick 1 on one thread; another starts at
+/// // tick 2 and returns 2
+/// let lanes = [vec![(0, 1, 7), (4, 5, 8)], vec![(2, 3, 2)]];
+/// let mut seen = Vec::new();
+/// lane_magnitudes(&lanes, |magnitude| seen.push(magnitude)).unwrap();
+/// assert_eq!(seen, [0, 5, 0]);
+/// ```
+pub fn lane_magnitudes(
+    lanes: &[Vec<LaneRecord>],
+    mut report: impl FnMut(u64),
+) -> Result<(), LaneOrderError> {
+    let mut heads = BinaryHeap::with_capacity(lanes.len());
+    for (lane, records) in lanes.iter().enumerate() {
+        if let Some(&(tick, ..)) = records.first() {
+            sequential(lane, records, 0)?;
+            heads.push(Reverse(LaneCursor {
+                tick,
+                at_end: false,
+                lane,
+                index: 0,
+            }));
+        }
+    }
+    let mut running = 0u64;
+    while let Some(Reverse(mut lead)) = heads.pop() {
+        // the leader keeps going while its next instant is not past the
+        // runner-up's; two starts or two ends at one instant commute
+        let bound = heads
+            .peek()
+            .map_or((Time::MAX, true), |Reverse(next)| (next.tick, next.at_end));
+        let records = &lanes[lead.lane];
+        while (lead.tick, lead.at_end) <= bound {
+            let (_, end, value) = records[lead.index];
+            if lead.at_end {
+                running = running.max(value);
+                lead.index += 1;
+                let Some(&(start, ..)) = records.get(lead.index) else {
+                    break;
+                };
+                sequential(lead.lane, records, lead.index)?;
+                (lead.tick, lead.at_end) = (start, false);
+            } else {
+                report(running.saturating_sub(value));
+                (lead.tick, lead.at_end) = (end, true);
+            }
+        }
+        if lead.index < records.len() {
+            heads.push(Reverse(lead));
+        }
+    }
+    Ok(())
+}
+
 /// Quadratic reference implementation of [`count_nonlinearizable`],
 /// used for differential testing.
 #[must_use]
@@ -484,6 +619,43 @@ mod tests {
     fn worst_witness_none_when_clean() {
         let ops = [op(0, 0, 1, 0), op(1, 2, 3, 1)];
         assert_eq!(worst_witness(&ops, &ops[1]), None);
+    }
+
+    fn swept(lanes: &[Vec<LaneRecord>]) -> Result<Vec<u64>, LaneOrderError> {
+        let mut seen = Vec::new();
+        lane_magnitudes(lanes, |magnitude| seen.push(magnitude))?;
+        Ok(seen)
+    }
+
+    #[test]
+    fn lanes_are_graded_in_start_order_against_one_running_maximum() {
+        // lane 0 returns 9 early; lane 1's first operation overlaps it,
+        // its second and lane 0's second start after it finished
+        let lanes = [vec![(0, 3, 9), (8, 9, 4)], vec![(1, 5, 0), (6, 7, 1)]];
+        assert_eq!(swept(&lanes), Ok(vec![0, 0, 8, 5]));
+        assert_eq!(swept(&[]), Ok(vec![]));
+        assert_eq!(swept(&[vec![], vec![(0, 1, 3)], vec![]]), Ok(vec![0]));
+    }
+
+    #[test]
+    fn an_end_and_a_start_at_one_instant_overlap_across_lanes() {
+        // same trace as touching_intervals_do_not_violate
+        assert_eq!(swept(&[vec![(0, 5, 9)], vec![(5, 8, 0)]]), Ok(vec![0, 0]));
+        assert_eq!(swept(&[vec![(5, 8, 0)], vec![(0, 5, 9)]]), Ok(vec![0, 0]));
+        assert_eq!(swept(&[vec![(0, 5, 9)], vec![(6, 8, 0)]]), Ok(vec![0, 9]));
+    }
+
+    #[test]
+    fn a_lane_that_is_not_sequential_is_refused_where_it_breaks() {
+        let refused = |lane, index| Err(LaneOrderError { lane, index });
+        assert_eq!(swept(&[vec![(0, 1, 0)], vec![(3, 3, 1)]]), refused(1, 0));
+        assert_eq!(swept(&[vec![(0, 1, 0), (5, 4, 1)]]), refused(0, 1));
+        // starts at its predecessor's end: in one lane that is no overlap
+        assert_eq!(swept(&[vec![(0, 2, 0), (2, 3, 1)]]), refused(0, 1));
+        assert_eq!(
+            swept(&[vec![(0, 9, 0)], vec![(1, 4, 2), (3, 6, 1)]]),
+            refused(1, 1)
+        );
     }
 
     #[test]

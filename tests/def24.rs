@@ -1,17 +1,18 @@
 //! Definition 2.4 is computed in one place,
 //! `timing::linearizability`: a whole trace is scanned against a
 //! tick-indexed or a sorted table, a stream of completions grows the
-//! sorted one. This suite holds every form of that table — dense
-//! batch, sparse batch, end-ordered stream, reordered stream with
-//! retirement, the service's one-entry-per-bracket stream — to the
-//! quadratic reference, verdict by verdict, and the count to the
-//! permutation-search oracle.
+//! sorted one, a set of sequential lanes is merged under one running
+//! maximum. This suite holds every form of that table — dense batch,
+//! sparse batch, end-ordered stream, reordered stream with retirement,
+//! the service's one-entry-per-bracket stream, the native run's lane
+//! sweep — to the quadratic reference, verdict by verdict, and the
+//! count to the permutation-search oracle.
 
 use cnet_obs::{SloEvaluator, SloPolicy};
 use counting_networks::proteus::{SimConfig, Simulator, WaitMode, Workload};
 use counting_networks::timing::linearizability::{
     check_exhaustive, count_nonlinearizable, count_nonlinearizable_naive, is_dense_timeline,
-    magnitudes, worst_witness, FinishedMax,
+    lane_magnitudes, magnitudes, worst_witness, FinishedMax, LaneOrderError, LaneRecord,
 };
 use counting_networks::timing::Operation;
 use counting_networks::topology::constructions;
@@ -289,4 +290,136 @@ fn zero_count_iff_the_oracle_finds_a_linearization() {
         }
     }
     assert!(clean > 100 && violating > 100, "{clean} / {violating}");
+}
+
+/// `n` operations dealt to `lanes` sequential clients, their `2n`
+/// instants a random interleaving of the ticks `0..2n` — what the
+/// native driver's shared clock hands out. Values are the start order,
+/// which is a linearization; the caller perturbs them.
+fn random_lanes(rng: &mut StdRng, lanes: usize, n: usize) -> Vec<Vec<LaneRecord>> {
+    let mut quota = vec![0usize; lanes];
+    for _ in 0..n {
+        quota[rng.gen_range(0..lanes)] += 1;
+    }
+    let mut out: Vec<Vec<LaneRecord>> = vec![Vec::new(); lanes];
+    let mut in_flight = vec![false; lanes];
+    let mut started = 0;
+    for tick in 0..2 * n as u64 {
+        let live: Vec<usize> = (0..lanes)
+            .filter(|&l| in_flight[l] || out[l].len() < quota[l])
+            .collect();
+        let lane = live[rng.gen_range(0..live.len())];
+        if in_flight[lane] {
+            out[lane].last_mut().expect("an operation is in flight").1 = tick;
+        } else {
+            out[lane].push((tick, u64::MAX, started));
+            started += 1;
+        }
+        in_flight[lane] = !in_flight[lane];
+    }
+    out
+}
+
+fn swept(lanes: &[Vec<LaneRecord>]) -> Result<Vec<u64>, LaneOrderError> {
+    let mut seen = Vec::new();
+    lane_magnitudes(lanes, |magnitude| seen.push(magnitude))?;
+    seen.sort_unstable();
+    Ok(seen)
+}
+
+/// What a native run grades: the lanes as the client threads left
+/// them. The sweep's magnitudes are the table's over the lane-major
+/// operations, its count the quadratic reference's and zero exactly
+/// when the oracle finds a counting order; a lane out of order is
+/// refused where it breaks.
+#[test]
+fn sequential_lanes_get_the_verdict_of_their_operations() {
+    assert_eq!(swept(&[]), Ok(vec![]));
+    assert_eq!(swept(&[vec![], vec![], vec![]]), Ok(vec![]));
+
+    let mut rng = StdRng::seed_from_u64(0x1A9E5);
+    let (mut clean, mut violating) = (0, 0);
+    for round in 0..600 {
+        let width = if round % 4 == 3 {
+            64
+        } else {
+            rng.gen_range(1..=8)
+        };
+        let n = if round % 2 == 0 {
+            rng.gen_range(0..=16)
+        } else {
+            rng.gen_range(17..=300)
+        };
+        let mut lanes = random_lanes(&mut rng, width, n);
+        // values: a permutation of 0..n — the start order, a few
+        // transpositions of it, or any
+        let mut values: Vec<u64> = (0..n as u64).collect();
+        match round % 3 {
+            0 => {}
+            1 if n > 1 => {
+                for _ in 0..rng.gen_range(1..=2) {
+                    values.swap(rng.gen_range(0..n), rng.gen_range(0..n));
+                }
+            }
+            _ => values.shuffle(&mut rng),
+        }
+        for record in lanes.iter_mut().flatten() {
+            record.2 = values[record.2 as usize];
+        }
+
+        let ops: Vec<Operation> = lanes
+            .iter()
+            .flatten()
+            .enumerate()
+            .map(|(token, &(start, end, value))| op(token, start, end, value))
+            .collect();
+        let mut expected: Vec<u64> = magnitudes(&ops).collect();
+        expected.sort_unstable();
+        let count = expected.iter().filter(|&&m| m > 0).count();
+        assert_eq!(count, count_nonlinearizable_naive(&ops), "round {round}");
+        if n <= 16 {
+            assert_eq!(
+                check_exhaustive(&ops).is_some(),
+                count == 0,
+                "round {round}"
+            );
+            clean += usize::from(count == 0);
+            violating += usize::from(count > 0);
+        }
+
+        // as drawn (every tick of 0..2n once) and stretched: a strictly
+        // increasing relabelling moves no verdict
+        let stretched: Vec<Vec<LaneRecord>> = lanes
+            .iter()
+            .map(|lane| {
+                lane.iter()
+                    .map(|&(start, end, value)| ((start + 1) << 20, (end + 1) << 20, value))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(
+            swept(&lanes).as_ref(),
+            Ok(&expected),
+            "round {round}: drawn"
+        );
+        assert_eq!(swept(&stretched), Ok(expected), "round {round}: stretched");
+
+        // one record out of order: refused by name, whatever the values
+        let Some(lane) = (0..width).filter(|&l| !lanes[l].is_empty()).nth(round % 2) else {
+            continue;
+        };
+        let index = rng.gen_range(0..lanes[lane].len());
+        let record = &mut lanes[lane][index];
+        match (rng.gen_range(0..3), index) {
+            (0, _) => record.1 = record.0,
+            (1, _) | (_, 0) => (record.0, record.1) = (record.1, record.0),
+            _ => lanes[lane][index].0 = lanes[lane][index - 1].1,
+        }
+        assert_eq!(
+            swept(&lanes),
+            Err(LaneOrderError { lane, index }),
+            "round {round}"
+        );
+    }
+    assert!(clean > 50 && violating > 50, "{clean} / {violating}");
 }
