@@ -16,12 +16,14 @@
 //! * `consistency`, `scaling`, `ablation_balancer`, `ablation_jitter`,
 //!   `ablation_prism`, `fabric` — simulator sweeps beyond the figures;
 //! * `perf`, `native`, `frontend`, `saturation` — host wall-clock
-//!   sweeps, gated against their committed report with `--baseline`.
+//!   sweeps; their numbers are reported, not judged here (the
+//!   repository benchmark under `benchmark/` is what compares host
+//!   time between two commits).
 //!
-//! Flags: `--ops N --seed S --threads T --json PATH --baseline PATH`;
-//! a suite refuses the ones it does not read. The stdout of a suite
-//! whose [`Suite::host_time`] is false is a function of its arguments
-//! alone, which `tests/results.rs` holds to the committed tables.
+//! Flags: `--ops N --seed S --threads T --json PATH`; a suite refuses
+//! the ones it does not read. The stdout of a suite whose
+//! [`Suite::host_time`] is false is a function of its arguments alone,
+//! which `tests/results.rs` holds to the committed tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +34,7 @@ mod sim;
 
 use std::io::{self, Write};
 
-use cnet_harness::{run_jobs_report, BenchArgs, BenchReport, CellRun, Emitted, Job, ResultTable};
+use cnet_harness::{run_jobs_report, BenchArgs, BenchReport, CellRun, Job, ResultTable};
 use cnet_topology::Topology;
 
 /// One named experiment of the driver.
@@ -45,19 +47,19 @@ pub struct Suite {
     /// The harness flags the suite reads; any other is a usage error.
     pub reads: &'static [&'static str],
     /// Whether stdout carries host wall-clock (and so differs run to
-    /// run); such a suite is checked by its `--baseline` gate, the
-    /// others byte for byte against `results/<name>.txt`.
+    /// run); such a suite is checked by its own assertions only, the
+    /// others also byte for byte against `results/<name>.txt`.
     pub host_time: bool,
     body: fn(&mut Run<'_>) -> io::Result<()>,
 }
 
-const ALL: &[&str] = &["--ops", "--seed", "--threads", "--json", "--baseline"];
+const ALL: &[&str] = &["--ops", "--seed", "--threads", "--json"];
 /// Fixed constructions: nothing to size and nothing to seed.
-const REPLAY: &[&str] = &["--threads", "--json", "--baseline"];
+const REPLAY: &[&str] = &["--threads", "--json"];
 /// Real-thread sweeps over the native counters: each cell spawns its
 /// own client threads. The suites on this surface are the ones
 /// [`DriveError::LiveProbes`] guards.
-const NATIVE: &[&str] = &["--ops", "--seed", "--json", "--baseline"];
+const NATIVE: &[&str] = &["--ops", "--seed", "--json"];
 
 /// The registry, in the order EXPERIMENTS.md presents the results.
 pub static SUITES: [Suite; 17] = [
@@ -185,7 +187,7 @@ impl From<io::Error> for DriveError {
 /// Panics when a suite's own assertion fails (a run that lost tokens,
 /// an atlas sweep without a knee); nothing is written to `results/`
 /// then.
-pub fn drive(argv: &[String], out: &mut dyn Write) -> Result<Emitted, DriveError> {
+pub fn drive(argv: &[String], out: &mut dyn Write) -> Result<(), DriveError> {
     let names = || SUITES.each_ref().map(|s| s.name).join(" ");
     let Some((name, flags)) = argv.split_first() else {
         return Err(DriveError::Usage(format!(
@@ -197,7 +199,7 @@ pub fn drive(argv: &[String], out: &mut dyn Write) -> Result<Emitted, DriveError
         for suite in &SUITES {
             writeln!(out, "{}", suite.name)?;
         }
-        return Ok(Emitted::Written);
+        return Ok(());
     }
     let Some(suite) = SUITES.iter().find(|s| s.name == name) else {
         return Err(DriveError::Usage(format!(
@@ -219,5 +221,5 @@ pub fn drive(argv: &[String], out: &mut dyn Write) -> Result<Emitted, DriveError
         out,
     };
     (suite.body)(&mut run)?;
-    Ok(run.report.emit(&run.args, run.out)?)
+    Ok(run.report.emit(&run.args)?)
 }

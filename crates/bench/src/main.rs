@@ -1,18 +1,16 @@
 //! `cnet-bench <suite> [flags]` / `cnet-bench list` — see the library
 //! docs for the suites. Exit status: 0 on success, 1 when an output
-//! could not be written, 2 on a usage error, an unloadable
-//! `--baseline` or a native suite asked of a live-probe build, 3 when a
-//! cell regressed against the baseline.
+//! could not be written, 2 on a usage error or a native suite asked of
+//! a live-probe build.
 
 use std::process::ExitCode;
 
 use cnet_bench::{drive, DriveError};
-use cnet_harness::Emitted;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let code = match drive(&argv, &mut std::io::stdout().lock()) {
-        Ok(Emitted::Written) => 0,
+        Ok(()) => 0,
         Err(DriveError::Io(e)) => {
             eprintln!("cnet-bench: cannot write: {e}");
             1
@@ -29,16 +27,6 @@ fn main() -> ExitCode {
                  `cargo build --release -p cnet-bench` alone"
             );
             2
-        }
-        Ok(Emitted::BaselineUnloadable(e)) => {
-            eprintln!("cnet-bench: baseline: {e}");
-            2
-        }
-        Ok(Emitted::Regressed(cells)) => {
-            for cell in cells {
-                eprintln!("PERF REGRESSION: {cell}");
-            }
-            3
         }
     };
     ExitCode::from(code)

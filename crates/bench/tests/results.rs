@@ -7,7 +7,6 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use cnet_bench::{drive, DriveError, SUITES};
-use cnet_harness::Emitted;
 
 fn results() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
@@ -22,7 +21,7 @@ fn scratch(name: &str) -> String {
 }
 
 /// `cnet-bench <argv>` in-process: the outcome and what went to stdout.
-fn bench(argv: &[&str]) -> (Result<Emitted, DriveError>, String) {
+fn bench(argv: &[&str]) -> (Result<(), DriveError>, String) {
     let argv: Vec<String> = argv.iter().map(|s| (*s).to_string()).collect();
     let mut out = Vec::new();
     let outcome = drive(&argv, &mut out);
@@ -41,7 +40,7 @@ fn every_deterministic_suite_regenerates_its_committed_table() {
     for suite in SUITES.iter().filter(|s| !s.host_time) {
         let json = scratch(&format!("BENCH_{}.json", suite.name));
         let (outcome, out) = bench(&[suite.name, "--json", &json]);
-        assert!(matches!(outcome, Ok(Emitted::Written)), "{}", suite.name);
+        assert!(outcome.is_ok(), "{}: {outcome:?}", suite.name);
         let path = results().join(format!("{}.txt", suite.name));
         let committed = std::fs::read_to_string(&path).unwrap();
         let mut lines = out.lines().zip(committed.lines()).enumerate();
@@ -97,7 +96,7 @@ fn stdout_is_the_same_on_one_worker_and_on_four() {
             "--json",
             &json,
         ]);
-        assert!(matches!(outcome, Ok(Emitted::Written)));
+        assert!(outcome.is_ok(), "{outcome:?}");
         out
     };
     let one = run("1");
@@ -146,7 +145,7 @@ fn native_suites_run_only_without_the_live_probe_layer() {
         }
     } else {
         let (outcome, out) = bench(&["native", "--ops", "64", "--json", &json]);
-        assert!(matches!(outcome, Ok(Emitted::Written)), "{outcome:?}");
+        assert!(outcome.is_ok(), "{outcome:?}");
         assert!(out.contains("# Native shm WaitFree"), "{out}");
         let report = std::fs::read_to_string(&json).unwrap();
         assert!(!report.contains("\"metrics\""), "{report}");
@@ -158,6 +157,8 @@ fn degenerate_values_and_unknown_names_are_usage_errors() {
     assert!(usage_error(&["figure5", "--ops", "0"]).contains("--ops must be at least 1"));
     assert!(usage_error(&["figure5", "--threads", "0"]).contains("--threads must be at least 1"));
     assert!(usage_error(&["figure5", "--opps", "5"]).contains("unknown argument `--opps`"));
+    // the driver compares no run with another: the flag that did is gone
+    assert!(usage_error(&["figure5", "--baseline", "x"]).contains("unknown argument `--baseline`"));
     for argv in [&["figure8"][..], &[], &["list", "figure5"]] {
         let msg = usage_error(argv);
         let listed = msg.lines().last().unwrap();

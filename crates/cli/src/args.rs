@@ -13,12 +13,11 @@ pub enum CliError {
     /// The requested operation failed.
     Failed(Box<dyn Error + Send + Sync>),
     /// The operation ran to completion but a quality gate tripped
-    /// (an SLO breach, a baseline regression). The dedicated exit
-    /// code lets CI distinguish "the service misbehaved" from "the
-    /// tool broke".
+    /// (an SLO breach). The dedicated exit code lets CI distinguish
+    /// "the service misbehaved" from "the tool broke".
     Gate {
-        /// Process exit code for `main` (3 = baseline regression,
-        /// 4 = live SLO breach).
+        /// Process exit code for `main` (3 = a `drive` run broke its
+        /// `--slo` policy, 4 = a `serve` lifetime did).
         code: i32,
         /// The full verdict, including the evidence tables.
         message: String,
@@ -106,7 +105,6 @@ const VALUED: &[&str] = &[
     "dump",
     "dump-every",
     "batch",
-    "baseline",
     "history",
     "label",
 ];

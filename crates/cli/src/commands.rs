@@ -178,6 +178,7 @@ pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
             args.required_u64("w")?,
         )
     };
+    workload.validate().map_err(CliError::failed)?;
     let seed = args.u64_opt("seed")?.unwrap_or(1);
     let config = if args.flag("prism") {
         SimConfig::diffracting(seed)
@@ -253,6 +254,7 @@ pub fn observe(args: &ParsedArgs) -> Result<String, CliError> {
             args.u64_opt("w")?.unwrap_or(1000),
         )
     };
+    workload.validate().map_err(CliError::failed)?;
     let seed = args.u64_opt("seed")?.unwrap_or(0x0B5E);
     let config = if args.flag("prism") {
         SimConfig::diffracting(seed)
@@ -395,7 +397,8 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         )
     };
     // reject a bad workload (e.g. an unreadable or unsorted --trace
-    // file) once, before any backend's infallible `.run` would panic
+    // file, --f over 100) once, before any backend's infallible `.run`
+    // would panic
     workload.validate().map_err(CliError::failed)?;
     let seed = args.u64_opt("seed")?.unwrap_or(1);
     let sim_config = if args.flag("prism") {
@@ -896,9 +899,8 @@ pub fn serve(args: &ParsedArgs) -> Result<String, CliError> {
 }
 
 /// `cnet drive` — soak a running daemon with open-loop load and judge
-/// the observed trace. With `--baseline` the run is gated against the
-/// committed reference (exit 3 on regression); adding
-/// `--write-slo-baseline` regenerates the reference instead.
+/// the observed trace against `--slo`: exits 3 (via [`CliError::Gate`])
+/// when the whole run or any window of it broke the policy.
 pub fn drive_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     let socket = args
         .str_opt("socket")
@@ -946,33 +948,25 @@ pub fn drive_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     );
     write_json(args, &outcome.report.to_value())?;
 
-    // the measuring host caveat, exactly as the native benches apply it
-    let (_, run_noisy) = cnet_harness::native_cell_reps(config.clients, 1);
-    if let Some(path) = args.str_opt("baseline") {
-        let path = std::path::Path::new(path);
-        if args.flag("write-slo-baseline") {
-            let baseline = cnet_harness::SloBaseline {
-                policy: config.policy,
-                reference: outcome.report.clone(),
-                noisy: run_noisy,
-            };
-            baseline.save(path).map_err(CliError::usage)?;
-            let _ = writeln!(out, "wrote SLO baseline to {}", path.display());
-        } else {
-            let baseline = cnet_harness::SloBaseline::load(path).map_err(CliError::usage)?;
-            let comparison = baseline.compare(&outcome.report, run_noisy);
-            out.push_str(&comparison.table.to_text());
-            if !comparison.passed() {
-                for r in &comparison.regressions {
-                    let _ = writeln!(out, "REGRESSED: {r}");
-                }
-                return Err(CliError::Gate {
-                    code: 3,
-                    message: out,
-                });
-            }
-            let _ = writeln!(out, "SLO gate passed vs {}", path.display());
-        }
+    // the verdict: the policy over the whole run, and over every
+    // closed window as the evaluator judged it
+    let (report, total, policy) = (&outcome.report, &outcome.report.total, &config.policy);
+    if total.breaches(policy) || !report.breach_free() {
+        let rate = total.violation_rate() > policy.max_violation_rate;
+        let magnitude = total.magnitude_max > policy.max_magnitude;
+        let p99 = total.p99_latency_ns() > policy.p99_latency_ns;
+        let over = [
+            ("violation_rate", rate),
+            ("magnitude_max", magnitude),
+            ("p99_latency_ns", p99),
+            ("a window", !report.breach_free()),
+        ];
+        let over: Vec<&str> = over.iter().filter(|d| d.1).map(|d| d.0).collect();
+        let _ = writeln!(out, "SLO BREACH: {} over the --slo policy", over.join(", "));
+        return Err(CliError::Gate {
+            code: 3,
+            message: out,
+        });
     }
     Ok(out)
 }
@@ -1038,6 +1032,18 @@ mod tests {
         .unwrap();
         assert!(out.contains("ops: 100"));
         assert!(out.contains("avg c2/c1"));
+    }
+
+    #[test]
+    fn a_delayed_share_over_100_percent_is_refused_not_run() {
+        let cell = ["bitonic", "8", "--n", "8", "--f", "200", "--w", "100"];
+        for entry in [simulate, run] {
+            let err = entry(&parse(&cell)).unwrap_err();
+            assert!(matches!(err, CliError::Failed(_)), "{err:?}");
+            assert!(err.to_string().contains("at most 100"), "{err}");
+        }
+        let err = observe(&parse(&["--width", "8", "--f", "200"])).unwrap_err();
+        assert!(err.to_string().contains("at most 100"), "{err}");
     }
 
     #[test]
@@ -1584,12 +1590,11 @@ mod tests {
     }
 
     /// The whole loop in-process: `serve` on one thread, `drive`
-    /// against it, a baseline written then gated against, shutdown via
-    /// the client, and the serve side exiting breach-free.
+    /// against it under the CI policy, an unmeetable one and none,
+    /// shutdown via the client, and the serve side exiting breach-free.
     #[test]
-    fn serve_and_drive_round_trip_with_baseline_gate() {
+    fn serve_and_drive_round_trip_with_policy_gate() {
         let socket = temp("loop.sock");
-        let baseline = temp("loop-baseline.json");
         let json = temp("loop-report.json");
         let serve_args = parse(&[
             "bitonic",
@@ -1603,41 +1608,40 @@ mod tests {
         ]);
         let server = std::thread::spawn(move || serve(&serve_args));
 
-        let drive_args: Vec<String> = [
-            "--socket",
-            &socket,
-            "--clients",
-            "2",
-            "--rate",
-            "2000",
-            "--duration",
-            "1",
-            "--window",
-            "64",
-            "--baseline",
-            &baseline,
-            "--json",
-            &json,
-        ]
-        .iter()
-        .map(|s| (*s).to_string())
-        .collect();
-        let mut write_args = drive_args.clone();
-        write_args.push("--write-slo-baseline".to_string());
-        let out = drive_cmd(&ParsedArgs::parse(&write_args).unwrap()).unwrap();
-        assert!(out.contains("wrote SLO baseline"), "{out}");
-
-        // second run gates against the reference it just wrote
-        let out = drive_cmd(&ParsedArgs::parse(&drive_args).unwrap()).unwrap();
-        assert!(out.contains("SLO gate passed"), "{out}");
+        // 1000 requests: the run is judged as a whole, no window closes
+        let drive = |extra: &[&str]| {
+            let mut argv = vec!["--socket", &socket, "--clients", "2", "--duration", "1"];
+            argv.extend_from_slice(extra);
+            drive_cmd(&parse(&argv))
+        };
+        let out = drive(&["--slo", "0.05,64,50000000", "--json", &json]).unwrap();
         assert!(out.contains("cnet_serve_ops_total"), "{out}");
+        assert!(!out.contains("SLO BREACH"), "{out}");
+        assert!(std::fs::read_to_string(&json)
+            .unwrap()
+            .contains("\"total\""));
+
+        // no request returns within a nanosecond: the total and every
+        // 64-op window break the p99 bound
+        let err = drive(&["--slo", "0,0,1", "--window", "64"]).unwrap_err();
+        let CliError::Gate { code: 3, message } = &err else {
+            panic!("an unmeetable policy must gate with exit 3: {err:?}");
+        };
+        assert!(
+            message.contains("p99_latency_ns, a window over the --slo policy"),
+            "{message}"
+        );
+        assert_eq!(err.exit_code(), 3);
+
+        // without --slo nothing is judged
+        assert!(drive(&["--window", "64"]).is_ok());
 
         let mut client = cnet_serve::ServeClient::connect(&socket).unwrap();
         client.shutdown().unwrap();
         let report = server.join().unwrap().unwrap();
         assert!(report.contains("cnet_serve_breaches_total 0"), "{report}");
         assert!(report.contains("connection(s)"), "{report}");
-        for p in [&socket, &baseline, &json] {
+        for p in [&socket, &json] {
             let _ = std::fs::remove_file(p);
         }
     }

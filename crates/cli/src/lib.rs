@@ -4,29 +4,14 @@
 //! report string, so the whole CLI is unit-testable; `main` only parses
 //! `std::env::args`, dispatches, and prints.
 //!
-//! ```text
-//! cnet topo <kind> <width> [--pad N] [--arity D] [--dot]
-//! cnet measure <kind> <width> --c1 C1 --c2 C2 [--json PATH]
-//! cnet simulate <kind> <width> --n N --f PCT --w CYCLES [--ops N] [--prism] [--seed S] [--threads T] [--json PATH]
-//! cnet run <kind> <width> [--backend FLAVOR,...] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--open GAP | --bursty B,GAP | --trace FILE] [--seed S] [--json PATH]
-//! cnet scenario <file.json> [--json PATH]
-//! cnet saturate <kind> <width> [--n N] [--ops N] [--threads T] [--seed S] [--json PATH]
-//! cnet observe [kind] [--width W] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--prism] [--seed S] [--json [PATH]]
-//! cnet attack <intro|tree|bitonic|wave> --width W --c1 C1 --c2 C2 [--svg]
-//! cnet threshold <kind> <width> --c1 C1 --c2 C2 [--json PATH]
-//! cnet check <trace.csv>
-//! cnet run-schedule <kind> <width> <schedule.csv> [--svg]
-//! cnet serve <kind> <width> --socket PATH [--window OPS] [--slo RATE,MAG,P99NS] [--dump PATH]
-//! cnet drive --socket PATH [--clients N] [--rate REQ_PER_S] [--duration SECS] [--baseline PATH]
-//! ```
+//! [`COMMANDS`] is the one list of subcommands — dispatch and `cnet
+//! help` both read it, so run `cnet help` for every synopsis, the
+//! network kinds and the backend flavors (the grammar of
+//! [`cnet_engine::BackendSpec`]).
 //!
 //! Exit codes: 0 success, 2 usage/operation failure, 3 a `drive` run
-//! regressed its committed SLO baseline, 4 a `serve` lifetime ended in
-//! breach of its live SLO policy.
-//!
-//! Network kinds: `bitonic`, `periodic`, `tree`, `merger`, `block`,
-//! `single`. Backend flavors: the grammar of
-//! [`cnet_engine::BackendSpec`], which `cnet help` prints.
+//! broke its `--slo` policy, 4 a `serve` lifetime ended in breach of
+//! its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,6 +21,32 @@ pub mod commands;
 pub mod scenario;
 
 pub use args::{CliError, ParsedArgs};
+
+/// A subcommand's body: parsed arguments to a report.
+pub type Body = fn(&ParsedArgs) -> Result<String, CliError>;
+
+/// Every subcommand, in the order `cnet help` lists them: its name, the
+/// synopsis printed after it, and its body.
+#[rustfmt::skip] // one row per command
+pub const COMMANDS: &[(&str, &str, Body)] = &[
+    ("topo", "<kind> <width> [--pad N] [--arity D] [--dot]", commands::topo),
+    ("measure", "<kind> <width> --c1 C1 --c2 C2 [--json PATH]", commands::measure),
+    ("simulate", "<kind> <width> [trace.csv] --n N --f PCT --w CYCLES [--ops N] [--prism] [--seed S] [--threads T] [--json PATH]", commands::simulate),
+    ("run", "<kind> <width> [--backend FLAVOR,...] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--open GAP | --bursty B,GAP | --trace FILE] [--hop-spin S] [--seed S] [--json PATH]", commands::run),
+    ("scenario", "<file.json> [--json PATH]", scenario::scenario),
+    ("saturate", "<kind> <width> [--n N] [--ops N] [--threads T] [--seed S] [--json PATH]", commands::saturate),
+    ("observe", "[kind] [--width W] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--prism] [--seed S] [--json [PATH]]", commands::observe),
+    ("attack", "<intro|tree|bitonic|wave> --width W --c1 C1 --c2 C2 [--svg]", commands::attack),
+    ("threshold", "<kind> <width> --c1 C1 --c2 C2 [--json PATH]", commands::threshold),
+    ("interleave", "<kind> <width> [--tokens N] [--budget N]", commands::interleave_cmd),
+    ("search", "<kind> <width> --c1 C1 --c2 C2 [--tokens N] [--budget N]", commands::search),
+    ("verify", "<kind> <width> [--budget N]", commands::verify),
+    ("check", "<trace.csv>", commands::check),
+    ("windows", "<trace.csv> [--w WIDTH]", commands::windows_cmd),
+    ("run-schedule", "<kind> <width> <schedule.csv> [--svg]", commands::run_schedule),
+    ("serve", "<kind> <width> --socket PATH [--window OPS] [--slo RATE,MAG,P99NS] [--dump PATH] [--dump-every SECS] [--history OPS] [--label L] [--seed S]", commands::serve),
+    ("drive", "--socket PATH [--clients N] [--rate REQ_PER_S] [--duration SECS] [--batch K] [--window OPS] [--slo RATE,MAG,P99NS] [--seed S] [--json PATH]", commands::drive_cmd),
+];
 
 /// Parses raw arguments (without the program name) and runs the
 /// requested subcommand, returning its report.
@@ -48,27 +59,13 @@ pub fn run(raw: &[String]) -> Result<String, CliError> {
         return Err(CliError::Usage(usage()));
     };
     let args = ParsedArgs::parse(rest)?;
-    match command.as_str() {
-        "topo" => commands::topo(&args),
-        "measure" => commands::measure(&args),
-        "simulate" => commands::simulate(&args),
-        "run" => commands::run(&args),
-        "scenario" => scenario::scenario(&args),
-        "saturate" => commands::saturate(&args),
-        "observe" => commands::observe(&args),
-        "attack" => commands::attack(&args),
-        "threshold" => commands::threshold(&args),
-        "interleave" => commands::interleave_cmd(&args),
-        "search" => commands::search(&args),
-        "verify" => commands::verify(&args),
-        "windows" => commands::windows_cmd(&args),
-        "check" => commands::check(&args),
-        "run-schedule" => commands::run_schedule(&args),
-        "serve" => commands::serve(&args),
-        "drive" => commands::drive_cmd(&args),
-        "help" | "--help" | "-h" => Ok(usage()),
-        other => Err(CliError::Usage(format!(
-            "unknown command `{other}`\n\n{}",
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        return Ok(usage());
+    }
+    match COMMANDS.iter().find(|(name, ..)| name == command) {
+        Some((.., body)) => body(&args),
+        None => Err(CliError::Usage(format!(
+            "unknown command `{command}`\n\n{}",
             usage()
         ))),
     }
@@ -77,32 +74,43 @@ pub fn run(raw: &[String]) -> Result<String, CliError> {
 /// The top-level usage text.
 #[must_use]
 pub fn usage() -> String {
-    let mut text = "cnet — counting networks and their practical linearizability
-
-usage:
-  cnet topo <kind> <width> [--pad N] [--arity D] [--dot]
-  cnet measure <kind> <width> --c1 C1 --c2 C2 [--json PATH]
-  cnet simulate <kind> <width> [trace.csv] --n N --f PCT --w CYCLES [--ops N] [--prism] [--seed S] [--threads T] [--json PATH]
-  cnet run <kind> <width> [--backend FLAVOR,...] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--open GAP | --bursty B,GAP | --trace FILE] [--hop-spin S] [--seed S] [--json PATH]
-  cnet scenario <file.json> [--json PATH]
-  cnet saturate <kind> <width> [--n N] [--ops N] [--threads T] [--seed S] [--json PATH]
-  cnet observe [kind] [--width W] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--prism] [--seed S] [--json [PATH]]
-  cnet attack <intro|tree|bitonic|wave> --width W --c1 C1 --c2 C2 [--svg]
-  cnet threshold <kind> <width> --c1 C1 --c2 C2 [--json PATH]
-  cnet interleave <kind> <width> [--tokens N] [--budget N]
-  cnet search <kind> <width> --c1 C1 --c2 C2 [--tokens N] [--budget N]
-  cnet verify <kind> <width> [--budget N]
-  cnet check <trace.csv>
-  cnet windows <trace.csv> [--w WIDTH]
-  cnet run-schedule <kind> <width> <schedule.csv> [--svg]
-  cnet serve <kind> <width> --socket PATH [--window OPS] [--slo RATE,MAG,P99NS] [--dump PATH] [--dump-every SECS] [--history OPS] [--label L] [--seed S]
-  cnet drive --socket PATH [--clients N] [--rate REQ_PER_S] [--duration SECS] [--batch K] [--window OPS] [--slo RATE,MAG,P99NS] [--baseline PATH] [--write-slo-baseline] [--seed S] [--json PATH]
-
-network kinds: bitonic periodic tree merger block single, or `file <path>`
-for a topology in the cnet-topology text format
-backend flavors: "
-        .to_string();
+    let mut text =
+        "cnet — counting networks and their practical linearizability\n\nusage:\n".to_string();
+    for (name, synopsis, _) in COMMANDS {
+        text.push_str(&format!("  cnet {name} {synopsis}\n"));
+    }
+    text.push_str(
+        "\nnetwork kinds: bitonic periodic tree merger block single, or `file <path>`\n\
+         for a topology in the cnet-topology text format\nbackend flavors: ",
+    );
     text.push_str(&cnet_engine::BackendSpec::grammar().replace('|', " "));
     text.push('\n');
     text
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn every_command_dispatches_and_an_unknown_one_lists_them_all() {
+        let unknown = run(&["frobnicate".to_string()]).unwrap_err().to_string();
+        assert!(
+            unknown.starts_with("unknown command `frobnicate`"),
+            "{unknown}"
+        );
+        for (name, ..) in COMMANDS {
+            assert!(
+                unknown.contains(&format!("\n  cnet {name} ")),
+                "{name}: {unknown}"
+            );
+            // with no arguments a command either runs (`observe`) or
+            // reports what it misses; neither is the registry's error
+            if let Err(e) = run(&[(*name).to_string()]) {
+                assert!(matches!(e, CliError::Usage(_)), "{name}: {e}");
+                assert!(!e.to_string().contains("unknown command"), "{name}: {e}");
+            }
+        }
+        assert_eq!(run(&["help".to_string()]).unwrap(), usage());
+    }
 }

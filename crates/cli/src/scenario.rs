@@ -258,13 +258,17 @@ mod tests {
     }
 
     #[test]
-    fn invalid_fabric_is_rejected_before_running() {
-        let mut spec = sample();
-        spec.config.fabric.link.loss_per_million = 2_000_000;
-        let path = std::env::temp_dir().join(format!("cnet-scenario-bad-{}", std::process::id()));
-        std::fs::write(&path, serde::json::to_string_pretty(&spec.to_value())).unwrap();
-        let args = ParsedArgs::parse(&[path.to_str().unwrap().to_string()]).unwrap();
-        let err = scenario(&args).unwrap_err();
-        assert!(err.to_string().contains("loss"), "{err}");
+    fn an_invalid_fabric_or_workload_is_rejected_before_running() {
+        let (mut lossy, mut delayed) = (sample(), sample());
+        lossy.config.fabric.link.loss_per_million = 2_000_000;
+        delayed.workload.delayed_percent = 200;
+        for (spec, names) in [(lossy, "loss"), (delayed, "delayed_percent")] {
+            let path =
+                std::env::temp_dir().join(format!("cnet-scenario-{names}-{}", std::process::id()));
+            std::fs::write(&path, serde::json::to_string_pretty(&spec.to_value())).unwrap();
+            let args = ParsedArgs::parse(&[path.to_str().unwrap().to_string()]).unwrap();
+            let err = scenario(&args).unwrap_err();
+            assert!(err.to_string().contains(names), "{err}");
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! The flag surface of the bench driver:
-//! `--ops N --seed S --threads T --json PATH --baseline PATH`.
+//! `--ops N --seed S --threads T --json PATH`.
 //!
 //! A suite names the subset of [`FLAGS`] it reads; any other argument —
 //! a typo, or a real flag the suite would ignore — is an error, so no
@@ -8,12 +8,11 @@
 use std::path::PathBuf;
 
 /// Every harness flag with its value placeholder, in usage order.
-pub const FLAGS: [(&str, &str); 5] = [
+pub const FLAGS: [(&str, &str); 4] = [
     ("--ops", "N"),
     ("--seed", "S"),
     ("--threads", "T"),
     ("--json", "PATH"),
-    ("--baseline", "PATH"),
 ];
 
 /// Parsed harness arguments.
@@ -30,9 +29,6 @@ pub struct BenchArgs {
     /// JSON report destination (`--json`). When absent, the report goes
     /// to `results/BENCH_<suite>.json` if `results/` exists.
     pub json: Option<PathBuf>,
-    /// A committed `BENCH_*.json` to compare this run's per-cell
-    /// wall-clock against (`--baseline`); see [`crate::baseline`].
-    pub baseline: Option<PathBuf>,
 }
 
 impl BenchArgs {
@@ -61,7 +57,6 @@ impl BenchArgs {
             seed: None,
             threads: 1,
             json: None,
-            baseline: None,
         };
         let mut it = raw.iter();
         while let Some(a) = it.next() {
@@ -76,8 +71,7 @@ impl BenchArgs {
                 "--ops" => args.ops = parse_num(a, v)?,
                 "--seed" => args.seed = Some(parse_num(a, v)?),
                 "--threads" => args.threads = parse_num(a, v)?,
-                "--json" => args.json = Some(PathBuf::from(v)),
-                _ => args.baseline = Some(PathBuf::from(v)),
+                _ => args.json = Some(PathBuf::from(v)),
             }
         }
         if args.ops == 0 {
@@ -113,7 +107,7 @@ fn parse_num<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
 mod tests {
     use super::*;
 
-    const ALL: [&str; 5] = ["--ops", "--seed", "--threads", "--json", "--baseline"];
+    const ALL: [&str; 4] = ["--ops", "--seed", "--threads", "--json"];
 
     fn parse(v: &[&str]) -> Result<BenchArgs, String> {
         let raw: Vec<String> = v.iter().map(|s| (*s).to_string()).collect();
@@ -126,7 +120,6 @@ mod tests {
         assert_eq!(a.ops, 5000);
         assert_eq!(a.threads, 1);
         assert_eq!(a.seed, None);
-        assert_eq!(a.baseline, None);
     }
 
     #[test]
@@ -140,15 +133,12 @@ mod tests {
             "4",
             "--json",
             "out.json",
-            "--baseline",
-            "results/BENCH_x.json",
         ])
         .unwrap();
         assert_eq!(a.ops, 200);
         assert_eq!(a.seed, Some(7));
         assert_eq!(a.threads, 4);
         assert_eq!(a.json_path(), Some(PathBuf::from("out.json")));
-        assert_eq!(a.baseline, Some(PathBuf::from("results/BENCH_x.json")));
     }
 
     #[test]

@@ -15,23 +15,22 @@
 //!   summaries of every cell, with per-cell wall-clock, emitted as JSON
 //!   next to the aligned-text/CSV tables;
 //! * **uniform flags** — [`BenchArgs`] gives every suite the same
-//!   `--ops`, `--seed`, `--threads`, `--json <path>`,
-//!   `--baseline <path>` surface, and refuses the ones a suite does
-//!   not read;
+//!   `--ops`, `--seed`, `--threads`, `--json <path>` surface, and
+//!   refuses the ones a suite does not read;
 //! * **native sweeps** — [`NativeSweep`] runs one
 //!   [`cnet_engine::BackendSpec`] best-of-N over a list of cells, the
 //!   loop the host-time suites share, and owns the open-loop gap
-//!   ladder and knee rule (`cnet-bench saturation`, `cnet saturate`);
-//! * **perf regression** — [`baseline`] compares a run's per-cell
-//!   wall-clock against a committed `BENCH_*.json`;
-//!   [`BenchReport::emit`] returns the verdict ([`Emitted`]) and the
-//!   caller's `main` turns it into an exit code.
+//!   ladder and knee rule (`cnet-bench saturation`, `cnet saturate`).
+//!
+//! The harness compares no run with another: host time is judged from
+//! outside by the repository benchmark (`BENCHMARK.json`,
+//! `benchmark/`), behaviour by each suite's own assertions and its
+//! committed table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod baseline;
 pub mod grid;
 pub mod pool;
 pub mod record;
@@ -41,10 +40,9 @@ pub mod sweep;
 pub mod table;
 
 pub use args::BenchArgs;
-pub use baseline::{Baseline, BaselineComparison, SloBaseline, SloComparison};
 pub use grid::{run_jobs_report, CellRun, Grid, GridOutcome, Job, NetworkKind};
 pub use record::{native_cell_reps, GridReport, RunRecord, SchemaVersion, SCHEMA_VERSION};
-pub use report::{BenchReport, Emitted};
+pub use report::BenchReport;
 pub use seed::{derive_cell_seed, derive_seed};
 pub use sweep::{GapLadder, NativeSweep, GAP_LADDER, KNEE_TOLERANCE};
 pub use table::{percent, ResultTable};

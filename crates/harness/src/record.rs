@@ -72,12 +72,6 @@ pub struct RunRecord {
     /// Host wall-clock spent simulating this cell, in milliseconds.
     /// Excluded from the determinism guarantee.
     pub wall_ms: f64,
-    /// `true` when the producing bench flagged the measurement as
-    /// noisy — the host could not give the cell the parallelism it
-    /// models (see the native benches' single-CPU detection). Like
-    /// `wall_ms`, a property of the measuring host, so it is excluded
-    /// from the determinism guarantee.
-    pub noisy: bool,
     /// Open-loop telemetry from the producing run, when it had any
     /// (async backend, open-loop arrivals). Sojourn latencies are host
     /// nanoseconds, so the block is excluded from the determinism
@@ -102,7 +96,7 @@ impl_serde_struct!(RunRecord {
     seed,
     stats,
     wall_ms,
-} omit_empty { metrics, noisy, open_loop, slo });
+} omit_empty { metrics, open_loop, slo });
 
 impl RunRecord {
     /// Builds a record from a finished simulator run.
@@ -143,7 +137,6 @@ impl RunRecord {
             stats: stats.summary(workload.wait_cycles),
             metrics: stats.metrics.clone(),
             wall_ms,
-            noisy: false,
             open_loop: None,
             slo: None,
         }
@@ -179,7 +172,6 @@ impl RunRecord {
     pub fn canonical(&self) -> Self {
         RunRecord {
             wall_ms: 0.0,
-            noisy: false,
             open_loop: None,
             slo: None,
             ..self.clone()
@@ -187,24 +179,22 @@ impl RunRecord {
     }
 }
 
-/// The repetitions a native bench cell should take, and whether its
-/// record must carry the [`RunRecord::noisy`] flag.
+/// The repetitions a native bench cell should take.
 ///
 /// A cell that models `threads`-way parallelism cannot be measured
 /// faithfully when the host exposes a single hardware thread — the
 /// "concurrent" clients are in fact time-sliced. The benches respond
-/// by widening best-of-`default_reps` to best-of-5 (more chances to
-/// dodge a scheduler hiccup) and flagging every record from the cell
-/// as noisy so committed baselines document the caveat.
+/// by widening best-of-`default_reps` to at least best-of-5 (more
+/// chances to dodge a scheduler hiccup).
 #[must_use]
-pub fn native_cell_reps(threads: usize, default_reps: usize) -> (usize, bool) {
+pub fn native_cell_reps(threads: usize, default_reps: usize) -> usize {
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     if threads > 1 && cores == 1 {
-        (default_reps.max(5), true)
+        default_reps.max(5)
     } else {
-        (default_reps, false)
+        default_reps
     }
 }
 
@@ -249,7 +239,7 @@ impl GridReport {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn record(label: &str, wall_ms: f64) -> RunRecord {
@@ -276,6 +266,16 @@ mod tests {
             &stats,
             wall_ms,
         )
+    }
+
+    pub(crate) fn grid(title: &str, records: Vec<RunRecord>) -> GridReport {
+        GridReport {
+            title: title.to_string(),
+            base_seed: 1,
+            threads: 1,
+            wall_ms: 5.0,
+            records,
+        }
     }
 
     #[test]
@@ -317,35 +317,13 @@ mod tests {
     }
 
     #[test]
-    fn noisy_flag_round_trips_and_defaults_false() {
-        let mut r = record("W=100,n=4", 1.0);
-        r.noisy = true;
-        let text = serde::json::to_string(&r.to_value());
-        assert!(text.contains("\"noisy\""));
-        let back = RunRecord::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
-        assert!(back.noisy);
-
-        // quiet records carry no `noisy` key at all
-        let quiet = record("W=100,n=4", 1.0);
-        let text = serde::json::to_string(&quiet.to_value());
-        assert!(!text.contains("\"noisy\""));
-        let back = RunRecord::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
-        assert!(!back.noisy);
-    }
-
-    #[test]
     fn native_cell_reps_widens_only_uniprocessor_parallel_cells() {
         // a single-threaded cell is always measured as requested
-        assert_eq!(native_cell_reps(1, 3), (3, false));
+        assert_eq!(native_cell_reps(1, 3), 3);
         let cores = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
-        let (reps, noisy) = native_cell_reps(64, 3);
-        if cores == 1 {
-            assert_eq!((reps, noisy), (5, true));
-        } else {
-            assert_eq!((reps, noisy), (3, false));
-        }
+        assert_eq!(native_cell_reps(64, 3), if cores == 1 { 5 } else { 3 });
     }
 
     #[test]
@@ -404,13 +382,10 @@ mod tests {
 
     #[test]
     fn grid_report_serde_round_trip() {
-        let g = GridReport {
-            title: "Figure 5".to_string(),
-            base_seed: 0xF165,
-            threads: 4,
-            wall_ms: 12.5,
-            records: vec![record("W=100,n=4", 1.0), record("W=100,n=16", 2.0)],
-        };
+        let g = grid(
+            "Figure 5",
+            vec![record("W=100,n=4", 1.0), record("W=100,n=16", 2.0)],
+        );
         let text = serde::json::to_string(&g.to_value());
         let back = GridReport::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
         assert_eq!(back, g);
@@ -418,13 +393,7 @@ mod tests {
 
     #[test]
     fn canonical_strips_timing_only() {
-        let a = GridReport {
-            title: "t".to_string(),
-            base_seed: 1,
-            threads: 1,
-            wall_ms: 5.0,
-            records: vec![record("c", 1.0)],
-        };
+        let a = grid("t", vec![record("c", 1.0)]);
         let b = GridReport {
             threads: 8,
             wall_ms: 9.0,

@@ -54,7 +54,7 @@ pub fn micros(ns: u64) -> String {
 /// under which titles.
 #[derive(Debug, Clone, Copy)]
 pub struct NativeSweep<'a> {
-    /// Sweep title (the grid a baseline matches cells under).
+    /// Sweep title (the grid the report files the cells under).
     pub title: &'a str,
     /// Network description recorded in every cell.
     pub kind: &'a str,
@@ -65,7 +65,7 @@ pub struct NativeSweep<'a> {
     /// Runs per cell; the fastest is recorded — the standard defense
     /// against scheduler noise on shared runners. A cell the host
     /// cannot give its parallelism ([`native_cell_reps`]) takes at
-    /// least five and its record is flagged noisy.
+    /// least five.
     pub best_of: usize,
     /// Base seed the report declares (the caller derives each cell's
     /// seed from it, see [`crate::derive_cell_seed`]).
@@ -94,11 +94,9 @@ impl NativeSweep<'_> {
         let mut records = Vec::new();
         for (label, seed, workload) in cells {
             let backend = self.spec.build(self.net, seed)?;
-            let (reps, noisy) = native_cell_reps(self.spec.client_threads(&workload), self.best_of);
-            if noisy {
-                eprintln!(
-                    "note: {title} {label}: single hardware thread, best-of-{reps}, flagged noisy"
-                );
+            let reps = native_cell_reps(self.spec.client_threads(&workload), self.best_of);
+            if reps > self.best_of {
+                eprintln!("note: {title} {label}: single hardware thread, best-of-{reps}");
             }
             let mut best: Option<RunRecord> = None;
             for _ in 0..reps {
@@ -113,9 +111,7 @@ impl NativeSweep<'_> {
                     best = Some(record);
                 }
             }
-            let mut best = best.expect("reps >= 1");
-            best.noisy = noisy;
-            records.push(best);
+            records.push(best.expect("reps >= 1"));
         }
         Ok(GridReport {
             title: title.to_string(),

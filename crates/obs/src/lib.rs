@@ -23,13 +23,14 @@
 //! pub use cnet_obs::noop as obs;
 //! ```
 //!
-//! This indirection exists because Cargo unifies features across one
-//! build invocation: if consumers dispatched on a feature *of this
-//! crate*, any single `obs`-enabled crate in the workspace would turn
-//! recording on for every other crate in the same build — including
-//! the perf-gated benchmark binaries. With per-consumer features, the
-//! CLI can ship with metrics on while `cnet-bench` in the same
-//! workspace stays probe-free.
+//! This crate has no feature of its own to dispatch on: a consumer's
+//! layer is a property of that consumer. It does not isolate builds
+//! from each other, though — Cargo unifies a consumer's `obs` feature
+//! across one invocation, so building `cnet-cli` (which enables
+//! `cnet-engine/obs`) together with `cnet-bench` puts the live layer
+//! into the bench as well. `cnet_engine::PROBES_LIVE` reports which
+//! layer a binary got, and `cnet-bench` refuses its native suites on a
+//! live one (DESIGN.md §7).
 //!
 //! The data model ([`LogHistogram`], [`MetricsSnapshot`],
 //! [`ViolationTracker`]) is shared by both layers and always
@@ -42,8 +43,7 @@
 //! have empty `#[inline(always)]` bodies, and both recorder types are
 //! zero-sized (asserted below). Every probe call site therefore
 //! reduces to arithmetic on the constant 0 feeding an empty function —
-//! nothing survives optimization. CI additionally runs the committed
-//! perf-regression gate against an obs-off build.
+//! nothing survives optimization.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,19 +64,6 @@ pub use snapshot::{
     NetworkMetrics, METRICS_SCHEMA_VERSION,
 };
 pub use violation::ViolationTracker;
-
-/// The layer selected by this crate's `enabled` feature — a
-/// convenience for binaries that depend on `cnet-obs` directly.
-/// Library consumers should select `live`/`noop` via their own
-/// feature instead (see the crate docs).
-#[cfg(feature = "enabled")]
-pub use live as active;
-/// The layer selected by this crate's `enabled` feature — a
-/// convenience for binaries that depend on `cnet-obs` directly.
-/// Library consumers should select `live`/`noop` via their own
-/// feature instead (see the crate docs).
-#[cfg(not(feature = "enabled"))]
-pub use noop as active;
 
 #[cfg(test)]
 mod tests {

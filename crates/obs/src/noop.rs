@@ -15,7 +15,7 @@
 //! and writes every probe call unconditionally. With the feature off,
 //! [`now`] returns a constant, the recorders are ZSTs and the
 //! optimizer erases the calls — the zero-cost claim is pinned by the
-//! size assertions in the crate root and by the perf gate in CI.
+//! size assertions in the crate root.
 
 use crate::snapshot::{FrontendMetrics, MetricsSnapshot};
 

@@ -267,6 +267,10 @@ pub enum WorkloadError {
     /// `ArrivalProcess::Trace`: the file cannot be read, or a line is
     /// not an unsigned integer instant.
     UnreadableTrace,
+    /// `delayed_percent > 100`: `F` is a share of the processors; a
+    /// larger value runs as 100% and records a number that was not
+    /// measured.
+    DelayedPercentOver100,
 }
 
 impl fmt::Display for WorkloadError {
@@ -296,6 +300,11 @@ impl fmt::Display for WorkloadError {
                 f,
                 "ArrivalProcess::Trace file is unreadable or holds a \
                  line that is not an unsigned integer instant"
+            ),
+            WorkloadError::DelayedPercentOver100 => write!(
+                f,
+                "delayed_percent (F) is a percentage of the processors and \
+                 must be at most 100"
             ),
         }
     }
@@ -471,6 +480,9 @@ impl Workload {
     ///
     /// Returns the [`WorkloadError`] naming the degenerate field.
     pub fn validate(&self) -> Result<(), WorkloadError> {
+        if self.delayed_percent > 100 {
+            return Err(WorkloadError::DelayedPercentOver100);
+        }
         self.arrival.validate()
     }
 }
@@ -616,6 +628,11 @@ mod tests {
         };
         assert_eq!(bad.validate(), Err(WorkloadError::ZeroMeanGap));
         assert!(Workload::paper(4, 0, 0).validate().is_ok());
+        assert!(Workload::paper(4, 100, 0).validate().is_ok());
+        assert_eq!(
+            Workload::paper(4, 101, 0).validate(),
+            Err(WorkloadError::DelayedPercentOver100)
+        );
         // the error is a real std error with a self-explanatory message
         let msg = WorkloadError::ZeroMeanGap.to_string();
         assert!(msg.contains("mean_gap"), "unhelpful message: {msg}");

@@ -11,8 +11,8 @@
 //!
 //! Afterwards the collected trace is sorted into end-tick order and
 //! fed through a client-side [`SloEvaluator`] — an independent check
-//! of the server's own online accounting, and the thing a CI gate
-//! compares against a committed [`cnet_harness::SloBaseline`].
+//! of the server's own online accounting, and what `cnet drive` holds
+//! to its `--slo` policy.
 
 use std::io;
 use std::path::PathBuf;
