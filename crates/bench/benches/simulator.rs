@@ -2,11 +2,12 @@
 //!
 //! Measures simulated operations per second for the two Section 5
 //! configurations, plus the ablation between lock-based and
-//! prism-fronted balancers at equal workloads, plus the event-queue
-//! regimes: small-`n` runs drive the binary-heap queue, large-`n` runs
-//! the bucket wheel, and `W = 100000` keeps events spilling to and
-//! migrating back from the far heap (see `cnet-proteus`'s `queue`
-//! module).
+//! prism-fronted balancers at equal workloads, plus the regimes of the
+//! one event queue: a handful of pending events, hundreds of them,
+//! `W = 100000` (wire arrivals spilling to and migrating back from the
+//! far heap) and a diffracting tree, whose prism timeouts fill the
+//! second constant-delay lane beside the toggles' (see `cnet-proteus`'s
+//! `queue` module).
 
 use cnet_proteus::{SimConfig, Simulator, WaitMode, Workload};
 use cnet_topology::constructions;
@@ -51,16 +52,29 @@ fn bench_simulator(c: &mut Criterion) {
     }
     group.finish();
 
-    // the event-queue regimes in isolation: one cell per queue path
+    // the event-queue regimes in isolation, one cell each
     let mut group = c.benchmark_group("proteus_event_queue");
     group.throughput(Throughput::Elements(OPS as u64));
-    for (label, n, w) in [
-        ("heap_small_n", 4usize, 100u64),
-        ("wheel_large_n", 256, 100),
-        ("far_spill_high_w", 256, 100_000),
+    for (label, net, config, n, w) in [
+        (
+            "small_n",
+            &bitonic,
+            SimConfig::queue_lock(1),
+            4usize,
+            100u64,
+        ),
+        ("large_n", &bitonic, SimConfig::queue_lock(1), 256, 100),
+        (
+            "far_spill_high_w",
+            &bitonic,
+            SimConfig::queue_lock(1),
+            256,
+            100_000,
+        ),
+        ("tree_prisms", &tree, SimConfig::diffracting(1), 64, 100),
     ] {
         group.bench_function(BenchmarkId::new(label, format!("n{n}_w{w}")), |b| {
-            let sim = Simulator::new(&bitonic, SimConfig::queue_lock(1));
+            let sim = Simulator::new(net, config);
             b.iter(|| sim.run(std::hint::black_box(&delayed_workload(n, w))))
         });
     }

@@ -504,9 +504,10 @@ pub(crate) fn fabric(run: &mut Run<'_>) -> io::Result<()> {
 }
 
 /// The simulator perf sweep: wall-clock per cell across both network
-/// kinds and the `(n, W)` corners that exercise every event-queue path
-/// (heap mode at small `n`, the bucket wheel at large `n`, the far
-/// spill at `W = 100000`). Wall-clock is the *only* interesting output;
+/// kinds and the `(n, W)` corners that exercise every regime of the
+/// event queue (a handful of pending events at small `n`, hundreds at
+/// large `n`, the far spill at `W = 100000`; the tree cells fill both
+/// constant-delay lanes). Wall-clock is the *only* interesting output;
 /// the simulated measurements are covered by the figure suites.
 pub(crate) fn perf(run: &mut Run<'_>) -> io::Result<()> {
     const CELLS: [(usize, u64); 8] = [

@@ -217,6 +217,7 @@ mod tests {
     }
 
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "release without holder")]
     fn release_without_holder_panics_in_debug() {
         let mut b = LockBank::new(1, 1);

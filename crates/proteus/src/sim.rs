@@ -12,7 +12,18 @@
 //!   entries, where the fixed cost folds the link cost and the mesh
 //!   hop distance computed once at construction — the topology graph
 //!   is never consulted while events are in flight;
-//! * events packed to `u32` fields so queue entries stay small.
+//! * events packed to `u32` fields so queue entries stay small;
+//! * one event queue for every run ([`crate::queue`]), which sorts
+//!   only what arrives unsorted: `ToggleDone` is always pushed
+//!   `toggle_cost` cycles ahead and `PrismTimeout` always `spin_window`
+//!   ahead, so [`Runner::request_lock`], the lock hand-off in
+//!   [`Runner::toggle_done`] and the prism miss in
+//!   [`Runner::arrive_node`] push through a FIFO lane each; which
+//!   events ride a lane is decided here, by event kind, and nowhere
+//!   else. Every other event goes through the bucket wheel.
+//!
+//! The queued-fabric handlers, dormant on the degenerate fabric every
+//! paper figure uses, live in the child module `fabric`.
 //!
 //! None of this changes what is simulated: event order, RNG draw
 //! order, and therefore every statistic are bit-identical to the
@@ -22,14 +33,18 @@ use cnet_timing::linearizability::FinishedMax;
 use cnet_timing::Operation;
 use cnet_topology::{OutputCounts, Topology, WireEnd};
 
-use cnet_topology::FabricShape;
-
 use crate::config::{ArrivalProcess, Placement, SimConfig, WaitMode, Workload};
 use crate::node::{toggles_for, LockBank, Prism};
 use crate::obs::SimObs;
-use crate::queue::{HeapQueue, Queue, WheelQueue, HEAP_CROSSOVER};
+use crate::queue::{EventQueue, Queue};
 use crate::rng::SimRng;
 use crate::stats::{FabricStats, RunStats};
+
+// src/fabric.rs, a child of this module: the handlers there are
+// methods of the private `Runner`
+#[path = "fabric.rs"]
+mod fabric;
+use fabric::QueuePlan;
 
 /// The events a simulated processor can experience.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,6 +100,14 @@ struct Proc {
 /// High bit of a route target: set when the target is a counter.
 const COUNTER_BIT: u32 = 1 << 31;
 
+/// The queue lane of [`Ev::ToggleDone`]: always `toggle_cost` cycles
+/// ahead of the event that schedules it.
+const TOGGLE_LANE: usize = 0;
+
+/// The queue lane of [`Ev::PrismTimeout`]: always `spin_window` cycles
+/// ahead.
+const PRISM_LANE: usize = 1;
+
 /// Seed perturbation for the arrival-schedule RNG stream. Open-loop
 /// gaps draw from their own generator so the main stream (prism slots,
 /// jitter, random waits) is untouched — closed-loop traces stay
@@ -139,11 +162,9 @@ impl<'a> Simulator<'a> {
     /// the previous one completes, until `workload.total_ops`
     /// operations have *started*; every started operation completes.
     ///
-    /// The run loop is monomorphized per event-queue type (see
-    /// [`crate::queue`]): small-`n` runs use a plain binary heap,
-    /// large-`n` runs the bucket wheel. Both produce the identical
-    /// `(time, push-order)` pop stream, so the choice is invisible in
-    /// every statistic.
+    /// Every run, whatever its processor count, arrival process or
+    /// fabric, goes through the one production event queue (the
+    /// crate-private `queue` module).
     #[must_use]
     pub fn run(&self, workload: &Workload) -> RunStats {
         let (mut stats, recorder) = self.run_instrumented(workload);
@@ -160,11 +181,8 @@ impl<'a> Simulator<'a> {
     /// serialization is already outside the per-cell wall-clock.
     #[must_use]
     pub fn run_instrumented(&self, workload: &Workload) -> (RunStats, MetricsRecorder) {
-        let (stats, obs) = if workload.processors < HEAP_CROSSOVER {
-            Runner::<HeapQueue<Ev>>::new(self.topology, self.config, workload).run()
-        } else {
-            Runner::<WheelQueue<Ev>>::new(self.topology, self.config, workload).run()
-        };
+        let (stats, obs) =
+            Runner::<EventQueue<Ev>>::new(self.topology, self.config, workload).run();
         (
             stats,
             MetricsRecorder {
@@ -286,19 +304,6 @@ fn schedule_horizon(config: &SimConfig, workload: &Workload, trace_gaps: &[u64])
         ArrivalProcess::Bursty { gap, .. } => gap,
         ArrivalProcess::Trace { .. } => trace_gaps.iter().copied().max().unwrap_or(0),
     };
-    // the farthest a fabric queue or retry can push one schedule: a
-    // silent-drop retransmission waits the detection timeout
-    // (backoff_cap) plus the capped backoff
-    let fabric_max = if config.fabric.is_degenerate() {
-        0
-    } else {
-        config
-            .fabric
-            .link
-            .service
-            .saturating_add(config.fabric.switch.service)
-            .saturating_add(config.fabric.retry.backoff_cap.saturating_mul(2))
-    };
     let step = [
         config.fabric.link.delay,
         config.fabric.link.jitter,
@@ -308,7 +313,7 @@ fn schedule_horizon(config: &SimConfig, workload: &Workload, trace_gaps: &[u64])
         prism_max,
         mesh_max,
         arrival_max,
-        fabric_max,
+        fabric::horizon(&config.fabric),
         1,
     ]
     .iter()
@@ -366,83 +371,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             }
         }
 
-        // Fabric queue plan. The degenerate fabric gets *no* queues
-        // (`fabric_stage_base` stays empty) — `depart()` branches on
-        // that and takes the exact legacy wire path, RNG draw for RNG
-        // draw. Non-degenerate fabrics give every route a queue path:
-        // the shared switch tier (per the shape), then the
-        // destination's link queue; a Mesh wire has only its own
-        // private queue.
-        let fabric = config.fabric;
-        let route_count = route_base[node_count] as usize;
-        let mut fabric_service: Vec<u64> = Vec::new();
-        let mut fabric_capacity: Vec<u32> = Vec::new();
-        let mut fabric_stage: Vec<u32> = Vec::new();
-        let mut fabric_stage_base: Vec<u32> = Vec::new();
-        if !fabric.is_degenerate() {
-            fabric_stage_base.push(0);
-            if fabric.shape == FabricShape::Mesh {
-                for _ in 0..route_count {
-                    let q = fabric_service.len() as u32;
-                    fabric_service.push(fabric.link.service);
-                    fabric_capacity.push(fabric.link.capacity);
-                    fabric_stage.push(q);
-                    fabric_stage_base.push(fabric_stage.len() as u32);
-                }
-            } else {
-                // per-destination link queues: nodes first, counters
-                // after
-                let dest_count = node_count + width;
-                for _ in 0..dest_count {
-                    fabric_service.push(fabric.link.service);
-                    fabric_capacity.push(fabric.link.capacity);
-                }
-                // the shared switch tier
-                let first_switch = dest_count as u32;
-                let depth = topology.depth();
-                let mut node_stage = vec![0u32; node_count];
-                if fabric.shape == FabricShape::PerStage {
-                    for id in topology.iter_nodes() {
-                        node_stage[id.index()] = topology.layer_of(id) as u32 - 1;
-                    }
-                }
-                let switch_count = match fabric.shape {
-                    FabricShape::OneBigSwitch => 1,
-                    // one switch per network layer, plus the counter
-                    // stage past the last layer
-                    FabricShape::PerStage => depth + 1,
-                    FabricShape::TwoTier { spines } => spines as usize,
-                    FabricShape::Mesh => unreachable!("handled above"),
-                };
-                for _ in 0..switch_count {
-                    fabric_service.push(fabric.switch.service);
-                    fabric_capacity.push(fabric.switch.capacity);
-                }
-                for (r, route) in routes.iter().enumerate() {
-                    let dest_q = if route.target & COUNTER_BIT == 0 {
-                        route.target
-                    } else {
-                        node_count as u32 + (route.target & !COUNTER_BIT)
-                    };
-                    let switch_q = first_switch
-                        + match fabric.shape {
-                            FabricShape::OneBigSwitch => 0,
-                            FabricShape::PerStage => {
-                                if route.target & COUNTER_BIT == 0 {
-                                    node_stage[route.target as usize]
-                                } else {
-                                    depth as u32
-                                }
-                            }
-                            FabricShape::TwoTier { spines } => r as u32 % spines,
-                            FabricShape::Mesh => unreachable!("handled above"),
-                        };
-                    fabric_stage.push(switch_q);
-                    fabric_stage.push(dest_q);
-                    fabric_stage_base.push(fabric_stage.len() as u32);
-                }
-            }
-        }
+        let plan = QueuePlan::new(topology, &config.fabric, &routes);
 
         // trace-replay gaps, read once per run; `Backend::try_run`
         // validated the file, so a failure here is a caller skipping
@@ -522,11 +451,11 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             sim_time: 0,
             routes,
             route_base,
-            fabric_locks: LockBank::new(fabric_service.len(), token_slots),
-            fabric_service,
-            fabric_capacity,
-            fabric_stage,
-            fabric_stage_base,
+            fabric_locks: LockBank::new(plan.service.len(), token_slots),
+            fabric_service: plan.service,
+            fabric_capacity: plan.capacity,
+            fabric_stage: plan.stage,
+            fabric_stage_base: plan.stage_base,
             fabric_stats: FabricStats::default(),
             obs: SimObs::new(node_count),
         }
@@ -535,6 +464,20 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
     #[inline]
     fn push(&mut self, time: u64, ev: Ev) {
         self.queue.push(time, ev);
+        self.sample_depth();
+    }
+
+    /// [`Runner::push`] for an event kind whose delay is a constant of
+    /// the run (see [`Queue::push_lane`]).
+    #[inline]
+    fn push_lane(&mut self, lane: usize, time: u64, ev: Ev) {
+        self.queue.push_lane(lane, time, ev);
+        self.sample_depth();
+    }
+
+    /// Feeds the queue-depth histogram after a push.
+    #[inline]
+    fn sample_depth(&mut self) {
         if self.obs.on_push() {
             self.obs.record_depth(self.queue.len() as u64);
         }
@@ -672,7 +615,8 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
                     }
                     None => {
                         let window = self.config.prism.expect("prism configured").spin_window;
-                        self.push(
+                        self.push_lane(
+                            PRISM_LANE,
                             now + window,
                             Ev::PrismTimeout {
                                 proc,
@@ -703,7 +647,11 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
     #[inline]
     fn request_lock(&mut self, now: u64, proc: u32, node: u32) {
         if self.locks.acquire(node as usize, proc) {
-            self.push(now + self.config.toggle_cost, Ev::ToggleDone { proc, node });
+            self.push_lane(
+                TOGGLE_LANE,
+                now + self.config.toggle_cost,
+                Ev::ToggleDone { proc, node },
+            );
         } else {
             let depth = u64::from(self.locks.queue_len(node as usize));
             self.max_lock_queue = self.max_lock_queue.max(depth);
@@ -721,7 +669,8 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
         self.obs.toggle(node as usize, wait);
         let out = self.toggles[node as usize].route();
         if let Some(next_holder) = self.locks.release(node as usize) {
-            self.push(
+            self.push_lane(
+                TOGGLE_LANE,
                 now + self.config.toggle_cost,
                 Ev::ToggleDone {
                     proc: next_holder,
@@ -794,130 +743,6 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
         p.attempts = 0;
         p.hop_depart = t;
         self.push(t + wait, Ev::FabricSend { proc });
-    }
-
-    /// One transmission attempt of `proc`'s current hop: the loss
-    /// draw, then per-attempt jitter and the propagation delay toward
-    /// the hop's first fabric queue.
-    fn fabric_send(&mut self, now: u64, proc: u32) {
-        let link = self.config.fabric.link;
-        self.fabric_stats.attempts += 1;
-        if link.loss_per_million > 0 && self.rng.below(1_000_000) < u64::from(link.loss_per_million)
-        {
-            self.fabric_stats.loss_drops += 1;
-            if self.fail_hop(now, proc, false) {
-                return;
-            }
-            // attempt budget exhausted: force the delivery through
-        }
-        let jitter = if link.jitter == 0 {
-            0
-        } else {
-            self.rng.inclusive(link.jitter)
-        };
-        let cost = self.routes[self.procs[proc as usize].hop_route as usize].cost;
-        self.push(now + jitter + cost, Ev::FabricArrive { proc });
-    }
-
-    /// Registers a failed attempt (a loss or a refused enqueue) on
-    /// `proc`'s current hop and schedules the retransmission: capped
-    /// exponential backoff, plus the `backoff_cap` detection timeout
-    /// when the failure was silent (`nacked == false`). Returns
-    /// `false` when the per-hop attempt budget is exhausted — the
-    /// caller must then force the token through so no workload can
-    /// livelock on an unlucky stream.
-    fn fail_hop(&mut self, now: u64, proc: u32, nacked: bool) -> bool {
-        let retry = self.config.fabric.retry;
-        let p = &mut self.procs[proc as usize];
-        p.attempts += 1;
-        if p.attempts >= retry.max_attempts {
-            self.fabric_stats.forced_deliveries += 1;
-            return false;
-        }
-        let backoff = retry.backoff(p.attempts);
-        let delay = if nacked {
-            backoff
-        } else {
-            retry.backoff_cap.saturating_add(backoff)
-        };
-        self.push(now + delay, Ev::FabricSend { proc });
-        true
-    }
-
-    /// The token reaches its current fabric queue stage: drop-tail /
-    /// NACK check against the queue's capacity, then FIFO admission.
-    fn fabric_arrive(&mut self, now: u64, proc: u32) {
-        let p = &self.procs[proc as usize];
-        let base = self.fabric_stage_base[p.hop_route as usize] as usize;
-        let q = self.fabric_stage[base + p.hop_stage as usize] as usize;
-        let cap = self.fabric_capacity[q];
-        if cap > 0 && self.fabric_locks.occupancy(q) >= cap {
-            if self.config.fabric.backpressure {
-                // NACK: the sender learns immediately and backs off
-                self.fabric_stats.nack_retries += 1;
-                self.obs.fabric_nack(q);
-                if self.fail_hop(now, proc, true) {
-                    return;
-                }
-            } else {
-                // drop-tail: the token vanishes; the sender only
-                // notices after a detection timeout
-                self.fabric_stats.full_drops += 1;
-                self.obs.fabric_drop(q);
-                if self.fail_hop(now, proc, false) {
-                    return;
-                }
-            }
-            // budget exhausted: admit past the bound (and count it)
-        }
-        if self.fabric_locks.acquire(q, proc) {
-            self.push(now + self.fabric_service[q], Ev::FabricServe { proc });
-        }
-        // otherwise queued FIFO; FabricServe is scheduled on release
-        let depth = u64::from(self.fabric_locks.occupancy(q));
-        self.fabric_stats.max_queue_depth = self.fabric_stats.max_queue_depth.max(depth);
-        self.obs.fabric_depth(q, depth);
-    }
-
-    /// The queue head finishes service: hand the queue to the next
-    /// waiter, then advance this token to the next stage or deliver it
-    /// to its destination node/counter.
-    fn fabric_serve(&mut self, now: u64, proc: u32) {
-        let route_idx = self.procs[proc as usize].hop_route as usize;
-        let stage = self.procs[proc as usize].hop_stage as usize;
-        let base = self.fabric_stage_base[route_idx] as usize;
-        let stages = self.fabric_stage_base[route_idx + 1] as usize - base;
-        let q = self.fabric_stage[base + stage] as usize;
-        self.obs.fabric_served(q);
-        if let Some(next) = self.fabric_locks.release(q) {
-            self.push(now + self.fabric_service[q], Ev::FabricServe { proc: next });
-        }
-        if stage + 1 < stages {
-            self.procs[proc as usize].hop_stage += 1;
-            self.push(now, Ev::FabricArrive { proc });
-            return;
-        }
-        // delivered: record the hop's true wire latency and hand the
-        // token to its destination
-        let route = self.routes[route_idx];
-        self.obs.wire(now - self.procs[proc as usize].hop_depart);
-        if route.target & COUNTER_BIT == 0 {
-            self.push(
-                now,
-                Ev::ArriveNode {
-                    proc,
-                    node: route.target,
-                },
-            );
-        } else {
-            self.push(
-                now,
-                Ev::ArriveCounter {
-                    proc,
-                    counter: route.target & !COUNTER_BIT,
-                },
-            );
-        }
     }
 
     fn arrive_counter(&mut self, now: u64, proc: u32, counter: u32) {
@@ -1444,192 +1269,85 @@ mod open_loop_tests {
 }
 
 #[cfg(test)]
-mod fabric_tests {
+mod queue_differential_tests {
     use super::*;
-    use cnet_topology::{constructions, FabricShape, LinkSpec, RetryPolicy, SwitchSpec};
+    use crate::queue::HeapQueue;
+    use cnet_topology::{constructions, FabricShape, LinkSpec};
 
-    fn wl(processors: usize, ops: usize) -> Workload {
-        Workload {
-            total_ops: ops,
-            ..Workload::paper(processors, 0, 0)
-        }
-    }
-
-    /// A queued fabric: finite per-queue service and capacity, a
-    /// configurable loss rate, one shape per test.
-    fn fabric(shape: FabricShape, loss_per_million: u32, backpressure: bool) -> crate::Fabric {
+    /// The fabric suite's queued fabric, losing 2 % of its
+    /// transmissions and NACKing a two-deep link queue: retries and
+    /// backoff run in every such case.
+    fn lossy_nack_fabric() -> crate::Fabric {
+        let lossy = super::fabric::tests::fabric(FabricShape::PerStage, 20_000, true);
         crate::Fabric {
-            shape,
             link: LinkSpec {
-                delay: 20,
-                jitter: 40,
-                service: 8,
-                capacity: 4,
-                loss_per_million,
+                capacity: 2,
+                ..lossy.link
             },
-            switch: SwitchSpec {
-                service: 4,
-                capacity: 8,
-            },
-            backpressure,
-            retry: RetryPolicy {
-                backoff_base: 16,
-                backoff_cap: 256,
-                max_attempts: 16,
-            },
+            ..lossy
         }
     }
 
-    fn run_shape(shape: FabricShape, loss: u32, backpressure: bool, ops: usize) -> RunStats {
-        let net = constructions::bitonic(8).unwrap();
-        let config = SimConfig {
-            fabric: fabric(shape, loss, backpressure),
-            ..SimConfig::queue_lock(0xFAB)
-        };
-        Simulator::new(&net, config).run(&wl(16, ops))
-    }
-
-    fn assert_counts_exactly(stats: &RunStats, ops: usize) {
-        let mut values: Vec<u64> = stats.operations.iter().map(|o| o.value).collect();
-        values.sort_unstable();
-        assert_eq!(values, (0..ops as u64).collect::<Vec<u64>>());
-        assert!(stats.output_counts.is_step(), "{}", stats.output_counts);
-    }
-
+    /// The production queue is the `(time, push-order)` heap: over
+    /// random networks, machine models, arrival processes and wait
+    /// modes, a run over [`EventQueue`] and one over the oracle pop the
+    /// same events in the same order, so they draw the RNG in the same
+    /// order and agree on every statistic.
     #[test]
-    fn every_shape_counts_exactly() {
-        for shape in [
-            FabricShape::OneBigSwitch,
-            FabricShape::PerStage,
-            FabricShape::TwoTier { spines: 3 },
-            FabricShape::Mesh,
-        ] {
-            let stats = run_shape(shape, 0, false, 400);
-            assert_counts_exactly(&stats, 400);
-            assert!(
-                stats.fabric.attempts >= 400,
-                "{shape:?}: attempts {}",
-                stats.fabric.attempts
-            );
-        }
-    }
-
-    #[test]
-    fn degenerate_fabric_records_no_fabric_stats() {
-        let net = constructions::bitonic(8).unwrap();
-        let stats = Simulator::new(&net, SimConfig::queue_lock(0xFAB)).run(&wl(16, 200));
-        assert_eq!(stats.fabric, crate::FabricStats::default());
-        assert!(stats.summary(0).fabric.is_none());
-    }
-
-    #[test]
-    fn loss_is_counted_and_no_token_vanishes() {
-        // 5% loss: drops must be observed, yet every op still
-        // completes with a unique value — retransmission never loses
-        // or duplicates a token
-        let stats = run_shape(FabricShape::OneBigSwitch, 50_000, false, 400);
-        assert!(stats.fabric.loss_drops > 0, "{:?}", stats.fabric);
-        assert!(
-            stats.fabric.attempts > 400,
-            "losses must force extra attempts: {:?}",
-            stats.fabric
-        );
-        assert_counts_exactly(&stats, 400);
-    }
-
-    #[test]
-    fn backpressure_nacks_instead_of_dropping() {
-        let open = Workload {
-            arrival: ArrivalProcess::Open { mean_gap: 1 },
-            ..wl(64, 600)
-        };
-        let net = constructions::bitonic(8).unwrap();
-        let tight = |backpressure| crate::Fabric {
-            link: LinkSpec {
-                capacity: 1,
-                service: 60,
-                ..fabric(FabricShape::OneBigSwitch, 0, backpressure).link
-            },
-            ..fabric(FabricShape::OneBigSwitch, 0, backpressure)
-        };
-        let nacked = Simulator::new(
-            &net,
-            SimConfig {
-                fabric: tight(true),
-                ..SimConfig::queue_lock(0xFAB)
-            },
-        )
-        .run(&open);
-        assert!(nacked.fabric.nack_retries > 0, "{:?}", nacked.fabric);
-        assert_eq!(nacked.fabric.full_drops, 0, "{:?}", nacked.fabric);
-        assert_counts_exactly(&nacked, 600);
-
-        let dropped = Simulator::new(
-            &net,
-            SimConfig {
-                fabric: tight(false),
-                ..SimConfig::queue_lock(0xFAB)
-            },
-        )
-        .run(&open);
-        assert!(dropped.fabric.full_drops > 0, "{:?}", dropped.fabric);
-        assert_eq!(dropped.fabric.nack_retries, 0, "{:?}", dropped.fabric);
-        assert_counts_exactly(&dropped, 600);
-    }
-
-    #[test]
-    fn refusal_accounting_balances() {
-        // every refused attempt is either retried later or forced
-        // through once the budget runs out; the counters must agree
-        let stats = run_shape(FabricShape::PerStage, 20_000, false, 500);
-        let refused = stats.fabric.loss_drops + stats.fabric.full_drops;
-        assert_eq!(stats.fabric.refusals(), refused);
-        assert!(stats.fabric.forced_deliveries <= refused);
-        assert_eq!(
-            stats.fabric.retries(),
-            refused - stats.fabric.forced_deliveries
-        );
-        assert_counts_exactly(&stats, 500);
-    }
-
-    #[test]
-    fn fabric_runs_are_reproducible() {
-        let a = run_shape(FabricShape::TwoTier { spines: 2 }, 10_000, true, 300);
-        let b = run_shape(FabricShape::TwoTier { spines: 2 }, 10_000, true, 300);
-        assert_eq!(a.operations, b.operations);
-        assert_eq!(a.fabric, b.fabric);
-        assert_eq!(a.sim_time, b.sim_time);
-    }
-
-    #[test]
-    fn queue_depth_telemetry_sees_contention() {
-        let stats = run_shape(FabricShape::OneBigSwitch, 0, false, 400);
-        assert!(
-            stats.fabric.max_queue_depth > 1,
-            "16 procs through one switch must queue: {:?}",
-            stats.fabric
-        );
-    }
-
-    #[test]
-    fn exhausted_attempts_force_delivery() {
-        // certain loss with a budget of 2 attempts: every token is
-        // forced through on its second try, none are lost
-        let net = constructions::bitonic(4).unwrap();
-        let config = SimConfig {
-            fabric: crate::Fabric {
-                retry: RetryPolicy {
-                    backoff_base: 8,
-                    backoff_cap: 32,
-                    max_attempts: 2,
+    fn production_queue_and_heap_oracle_simulate_identically() {
+        let mut rng = SimRng::seed_from_u64(0xD1FF);
+        let (mut pairs, mut retries) = (0, 0);
+        for case in 0..240 {
+            let width = [4, 8, 16][rng.below(3) as usize];
+            let net = if rng.below(2) == 0 {
+                constructions::bitonic(width).unwrap()
+            } else {
+                constructions::counting_tree(width).unwrap()
+            };
+            let seed = rng.below(1 << 40);
+            let config = match rng.below(3) {
+                0 => SimConfig::queue_lock(seed),
+                1 => SimConfig::diffracting(seed),
+                _ => SimConfig {
+                    fabric: lossy_nack_fabric(),
+                    ..SimConfig::queue_lock(seed)
                 },
-                ..fabric(FabricShape::OneBigSwitch, 1_000_000, false)
-            },
-            ..SimConfig::queue_lock(0xFAB)
-        };
-        let stats = Simulator::new(&net, config).run(&wl(8, 100));
-        assert!(stats.fabric.forced_deliveries > 0, "{:?}", stats.fabric);
-        assert_counts_exactly(&stats, 100);
+            };
+            let processors = 1 + rng.below(40) as usize;
+            let wait = [0, 100, 1000, 30_000][rng.below(4) as usize];
+            let workload = Workload {
+                total_ops: 50 + rng.below(250) as usize,
+                wait_mode: if rng.below(2) == 0 {
+                    WaitMode::Fixed
+                } else {
+                    WaitMode::UniformRandom
+                },
+                arrival: match rng.below(3) {
+                    0 => ArrivalProcess::Closed,
+                    1 => ArrivalProcess::Open {
+                        mean_gap: rng.below(300),
+                    },
+                    _ => ArrivalProcess::Bursty {
+                        burst: 1 + rng.below(8) as u32,
+                        gap: rng.below(40_000),
+                    },
+                },
+                ..Workload::paper(processors, rng.below(101) as u32, wait)
+            };
+            let (oracle, _) = Runner::<HeapQueue<Ev>>::new(&net, config, &workload).run();
+            let (stats, _) = Runner::<EventQueue<Ev>>::new(&net, config, &workload).run();
+            let what = format!("case {case}: {config:?} {workload:?}");
+            assert_eq!(stats.operations.len(), workload.total_ops, "{what}");
+            assert_eq!(stats.operations, oracle.operations, "{what}");
+            assert_eq!(stats.completed_by, oracle.completed_by, "{what}");
+            assert_eq!(stats.sim_time, oracle.sim_time, "{what}");
+            assert_eq!(stats.max_lock_queue, oracle.max_lock_queue, "{what}");
+            assert_eq!(stats.fabric, oracle.fabric, "{what}");
+            pairs += stats.diffraction_pairs;
+            retries += stats.fabric.retries();
+        }
+        // both lanes and the fabric's retry path were exercised
+        assert!(pairs > 0 && retries > 0, "{pairs} pairs, {retries} retries");
     }
 }
 

@@ -48,16 +48,21 @@ pub fn count_program_order_violations(ops: &[Operation], process_of: ProcessOf) 
 /// `completed_by` map (the simulator's [`RunStats`]) needs neither to
 /// clone nor to re-tag the trace.
 ///
-/// One index sort by start time replaces the group-then-sort of the
-/// earlier implementation: per-process operations are non-overlapping,
-/// so walking *all* operations in global start order while keeping one
-/// running maximum per process visits each process's operations in its
-/// program order.
+/// A process's program order is the start order of its operations.
+/// Recorded traces list each process's operations in that order
+/// already (a processor's successive operations complete one after
+/// the other), so one walk with a `(last start, maximum value)` pair
+/// per process counts them. A trace where some process's operations
+/// appear out of start order — overlapping open-loop tokens of one
+/// client, a shuffled file — or whose process ids are too sparse to
+/// index a table by is counted by the general path instead: one index
+/// sort by start time, then the same walk. The count is the same
+/// either way.
 ///
 /// # Panics
 ///
 /// Panics if the trace holds more than `u32::MAX` operations (the
-/// index is `u32`; a longer trace would alias).
+/// sort path's index is `u32`; a longer trace would alias).
 ///
 /// [`RunStats`]: https://docs.rs/cnet-proteus
 #[must_use]
@@ -65,8 +70,48 @@ pub fn count_program_order_violations_by<F: FnMut(usize) -> usize>(
     ops: &[Operation],
     mut process_of: F,
 ) -> usize {
-    use std::collections::HashMap;
     assert!(u32::try_from(ops.len()).is_ok(), "trace too large");
+    count_in_trace_order(ops, &mut process_of)
+        .unwrap_or_else(|| count_sorted_by_start(ops, &mut process_of))
+}
+
+/// The one-pass count, or `None` when the trace is not in per-process
+/// start order (or a process id is beyond the dense table).
+fn count_in_trace_order(
+    ops: &[Operation],
+    process_of: &mut impl FnMut(usize) -> usize,
+) -> Option<usize> {
+    // a table this much larger than the trace is a sparse id space
+    let dense_limit = ops.len().max(1 << 10);
+    // per process: (start of its latest operation, largest value)
+    let mut seen: Vec<Option<(u64, u64)>> = Vec::new();
+    let mut violations = 0;
+    for (i, op) in ops.iter().enumerate() {
+        let process = process_of(i);
+        if process >= seen.len() {
+            if process >= dense_limit {
+                return None;
+            }
+            seen.resize(process + 1, None);
+        }
+        seen[process] = Some(match seen[process] {
+            None => (op.start, op.value),
+            Some((last_start, _)) if op.start <= last_start => return None,
+            Some((_, max)) => {
+                violations += usize::from(op.value < max);
+                (op.start, max.max(op.value))
+            }
+        });
+    }
+    Some(violations)
+}
+
+/// The general count: walking *all* operations in global start order
+/// while keeping one running maximum per process visits each process's
+/// operations in its program order, whatever order the trace lists
+/// them in.
+fn count_sorted_by_start(ops: &[Operation], process_of: &mut impl FnMut(usize) -> usize) -> usize {
+    use std::collections::HashMap;
     let mut by_start: Vec<u32> = (0..ops.len() as u32).collect();
     by_start.sort_unstable_by_key(|&i| ops[i as usize].start);
     let mut max_of: HashMap<usize, u64> = HashMap::new();
@@ -182,6 +227,66 @@ mod tests {
             op(0, 6, 7, 10),
         ];
         assert_eq!(count_program_order_violations(&ops, by_input), 2);
+    }
+
+    #[test]
+    fn sparse_process_ids_are_counted_by_the_sort_path() {
+        let ops = [op(usize::MAX, 0, 1, 5), op(usize::MAX, 2, 3, 2)];
+        assert_eq!(count_in_trace_order(&ops, &mut |i| ops[i].input), None);
+        assert_eq!(count_program_order_violations(&ops, by_input), 1);
+    }
+
+    #[test]
+    fn one_pass_agrees_with_the_sort_path_on_random_traces() {
+        let mut state = 0x5EED_u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            (state >> 33) % bound
+        };
+        let (mut in_order, mut fell_back) = (0, 0);
+        for trial in 0..1000 {
+            let processes = 1 + next(5) as usize;
+            let overlapping = trial % 5 < 2;
+            let mut clock = vec![0u64; processes];
+            let mut ops: Vec<Operation> = (0..2 + next(60))
+                .map(|_| {
+                    let p = next(processes as u64) as usize;
+                    // a sequential process starts after its previous
+                    // response; an overlapping one any time after its
+                    // previous start
+                    let start = clock[p] + 1 + next(20);
+                    let end = start + 1 + next(40);
+                    clock[p] = if overlapping { start } else { end };
+                    op(p, start, end, next(50))
+                })
+                .collect();
+            // traces are recorded in completion order
+            ops.sort_by_key(|o| o.end);
+            let listed_in_start_order = (0..processes).all(|p| {
+                let starts: Vec<u64> = ops
+                    .iter()
+                    .filter(|o| o.input == p)
+                    .map(|o| o.start)
+                    .collect();
+                starts.windows(2).all(|w| w[0] < w[1])
+            });
+            let sorted = count_sorted_by_start(&ops, &mut |i| ops[i].input);
+            let one_pass = count_in_trace_order(&ops, &mut |i| ops[i].input);
+            if listed_in_start_order {
+                in_order += 1;
+                assert_eq!(one_pass, Some(sorted), "trial {trial}");
+            } else {
+                fell_back += 1;
+                assert_eq!(one_pass, None, "trial {trial}");
+            }
+            assert_eq!(
+                count_program_order_violations(&ops, by_input),
+                sorted,
+                "trial {trial}"
+            );
+        }
+        assert!(fell_back >= 333, "only {fell_back} traces overlapped");
+        assert!(in_order >= 333, "only {in_order} traces were in order");
     }
 
     #[test]
