@@ -198,6 +198,17 @@ impl ParsedArgs {
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }
+
+    /// The first option or switch passed that is not in `reads` (names
+    /// without the leading `--`), if any.
+    #[must_use]
+    pub fn unread(&self, reads: &[&str]) -> Option<&str> {
+        self.options
+            .keys()
+            .chain(&self.flags)
+            .map(String::as_str)
+            .find(|name| !reads.contains(name))
+    }
 }
 
 #[cfg(test)]

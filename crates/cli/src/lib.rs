@@ -7,7 +7,9 @@
 //! [`COMMANDS`] is the one list of subcommands — dispatch and `cnet
 //! help` both read it, so run `cnet help` for every synopsis, the
 //! network kinds and the backend flavors (the grammar of
-//! [`cnet_engine::BackendSpec`]).
+//! [`cnet_engine::BackendSpec`]). Its `reads` column is what a command
+//! accepts: an option or switch outside it is a usage error naming it,
+//! so a stale flag is never ignored.
 //!
 //! Exit codes: 0 success, 2 usage/operation failure, 3 a `drive` run
 //! broke its `--slo` policy, 4 a `serve` lifetime ended in breach of
@@ -26,26 +28,45 @@ pub use args::{CliError, ParsedArgs};
 pub type Body = fn(&ParsedArgs) -> Result<String, CliError>;
 
 /// Every subcommand, in the order `cnet help` lists them: its name, the
-/// synopsis printed after it, and its body.
+/// synopsis printed after it, the options and switches it reads (any
+/// other is a usage error), and its body. `pad` and `arity` shape the
+/// network of every command that builds one from `<kind> <width>`.
 #[rustfmt::skip] // one row per command
-pub const COMMANDS: &[(&str, &str, Body)] = &[
-    ("topo", "<kind> <width> [--pad N] [--arity D] [--dot]", commands::topo),
-    ("measure", "<kind> <width> --c1 C1 --c2 C2 [--json PATH]", commands::measure),
-    ("simulate", "<kind> <width> [trace.csv] --n N --f PCT --w CYCLES [--ops N] [--prism] [--seed S] [--threads T] [--json PATH]", commands::simulate),
-    ("run", "<kind> <width> [--backend FLAVOR,...] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--open GAP | --bursty B,GAP | --trace FILE] [--hop-spin S] [--seed S] [--json PATH]", commands::run),
-    ("scenario", "<file.json> [--json PATH]", scenario::scenario),
-    ("saturate", "<kind> <width> [--n N] [--ops N] [--threads T] [--seed S] [--json PATH]", commands::saturate),
-    ("observe", "[kind] [--width W] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--prism] [--seed S] [--json [PATH]]", commands::observe),
-    ("attack", "<intro|tree|bitonic|wave> --width W --c1 C1 --c2 C2 [--svg]", commands::attack),
-    ("threshold", "<kind> <width> --c1 C1 --c2 C2 [--json PATH]", commands::threshold),
-    ("interleave", "<kind> <width> [--tokens N] [--budget N]", commands::interleave_cmd),
-    ("search", "<kind> <width> --c1 C1 --c2 C2 [--tokens N] [--budget N]", commands::search),
-    ("verify", "<kind> <width> [--budget N]", commands::verify),
-    ("check", "<trace.csv>", commands::check),
-    ("windows", "<trace.csv> [--w WIDTH]", commands::windows_cmd),
-    ("run-schedule", "<kind> <width> <schedule.csv> [--svg]", commands::run_schedule),
-    ("serve", "<kind> <width> --socket PATH [--window OPS] [--slo RATE,MAG,P99NS] [--dump PATH] [--dump-every SECS] [--history OPS] [--label L] [--seed S]", commands::serve),
-    ("drive", "--socket PATH [--clients N] [--rate REQ_PER_S] [--duration SECS] [--batch K] [--window OPS] [--slo RATE,MAG,P99NS] [--seed S] [--json PATH]", commands::drive_cmd),
+pub const COMMANDS: &[(&str, &str, &[&str], Body)] = &[
+    ("topo", "<kind> <width> [--pad N] [--arity D] [--dot]",
+        &["pad", "arity", "dot"], commands::topo),
+    ("measure", "<kind> <width> --c1 C1 --c2 C2 [--json PATH]",
+        &["pad", "arity", "c1", "c2", "json"], commands::measure),
+    ("simulate", "<kind> <width> [trace.csv] --n N --f PCT --w CYCLES [--ops N] [--prism] [--seed S] [--threads T] [--json PATH]",
+        &["pad", "arity", "n", "f", "w", "ops", "random-wait", "prism", "seed", "threads", "json"], commands::simulate),
+    ("run", "<kind> <width> [--backend FLAVOR,...] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--open GAP | --bursty B,GAP | --trace FILE] [--hop-spin S] [--seed S] [--json PATH]",
+        &["pad", "arity", "backend", "n", "f", "w", "ops", "open", "bursty", "trace", "hop-spin", "prism", "seed", "json"], commands::run),
+    ("scenario", "<file.json> [--json PATH]",
+        &["json"], scenario::scenario),
+    ("saturate", "<kind> <width> [--n N] [--ops N] [--threads T] [--seed S] [--json PATH]",
+        &["pad", "arity", "n", "ops", "threads", "seed", "json"], commands::saturate),
+    ("observe", "[kind] [--width W] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--prism] [--seed S] [--json [PATH]]",
+        &["width", "n", "f", "w", "ops", "prism", "seed", "json"], commands::observe),
+    ("attack", "<intro|tree|bitonic|wave> --width W --c1 C1 --c2 C2 [--svg]",
+        &["width", "c1", "c2", "svg"], commands::attack),
+    ("threshold", "<kind> <width> --c1 C1 --c2 C2 [--json PATH]",
+        &["pad", "arity", "c1", "c2", "json"], commands::threshold),
+    ("interleave", "<kind> <width> [--tokens N] [--budget N]",
+        &["pad", "arity", "tokens", "budget"], commands::interleave_cmd),
+    ("search", "<kind> <width> --c1 C1 --c2 C2 [--tokens N] [--budget N]",
+        &["pad", "arity", "c1", "c2", "tokens", "budget"], commands::search),
+    ("verify", "<kind> <width> [--budget N]",
+        &["pad", "arity", "budget"], commands::verify),
+    ("check", "<trace.csv>",
+        &[], commands::check),
+    ("windows", "<trace.csv> [--w WIDTH]",
+        &["w"], commands::windows_cmd),
+    ("run-schedule", "<kind> <width> <schedule.csv> [--svg]",
+        &["pad", "arity", "svg"], commands::run_schedule),
+    ("serve", "<kind> <width> --socket PATH [--window OPS] [--slo RATE,MAG,P99NS] [--dump PATH] [--dump-every SECS] [--history OPS] [--label L] [--seed S]",
+        &["pad", "arity", "socket", "window", "slo", "dump", "dump-every", "history", "label", "seed"], commands::serve),
+    ("drive", "--socket PATH [--clients N] [--rate REQ_PER_S] [--duration SECS] [--batch K] [--window OPS] [--slo RATE,MAG,P99NS] [--seed S] [--json PATH]",
+        &["socket", "clients", "rate", "duration", "batch", "window", "slo", "seed", "json"], commands::drive_cmd),
 ];
 
 /// Parses raw arguments (without the program name) and runs the
@@ -63,7 +84,12 @@ pub fn run(raw: &[String]) -> Result<String, CliError> {
         return Ok(usage());
     }
     match COMMANDS.iter().find(|(name, ..)| name == command) {
-        Some((.., body)) => body(&args),
+        Some((name, synopsis, reads, body)) => match args.unread(reads) {
+            Some(flag) => Err(CliError::Usage(format!(
+                "`cnet {name}` does not read --{flag}\nusage: cnet {name} {synopsis}"
+            ))),
+            None => body(&args),
+        },
         None => Err(CliError::Usage(format!(
             "unknown command `{command}`\n\n{}",
             usage()
@@ -76,7 +102,7 @@ pub fn run(raw: &[String]) -> Result<String, CliError> {
 pub fn usage() -> String {
     let mut text =
         "cnet — counting networks and their practical linearizability\n\nusage:\n".to_string();
-    for (name, synopsis, _) in COMMANDS {
+    for (name, synopsis, ..) in COMMANDS {
         text.push_str(&format!("  cnet {name} {synopsis}\n"));
     }
     text.push_str(
@@ -112,5 +138,51 @@ mod tests {
             }
         }
         assert_eq!(run(&["help".to_string()]).unwrap(), usage());
+    }
+
+    #[test]
+    fn every_command_refuses_an_option_it_does_not_read() {
+        let strs = |v: &[&str]| v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
+        for (name, synopsis, reads, _) in COMMANDS {
+            // the synopsis offers nothing the command ignores
+            for word in synopsis.split([' ', '[', ']']) {
+                if let Some(flag) = word.strip_prefix("--") {
+                    assert!(reads.contains(&flag), "{name}: --{flag}");
+                }
+            }
+            // what it reads passes the gate, as an option or a switch
+            for flag in *reads {
+                for raw in [
+                    strs(&[&format!("--{flag}"), "1"]),
+                    strs(&[&format!("--{flag}")]),
+                ] {
+                    if let Ok(args) = ParsedArgs::parse(&raw) {
+                        assert_eq!(args.unread(reads), None, "{name}: {raw:?}");
+                    }
+                }
+            }
+            // anything else is refused by name, before the body runs
+            for bogus in [&["--bogus-flag"][..], &["--bogus-option", "x"]] {
+                let e = run(&strs(&[&[*name], bogus].concat())).unwrap_err();
+                assert!(matches!(e, CliError::Usage(_)), "{name}: {e}");
+                assert!(
+                    e.to_string()
+                        .starts_with(&format!("`cnet {name}` does not read {}", bogus[0])),
+                    "{name}: {e}"
+                );
+            }
+        }
+        // the two ROADMAP 5(d) names: a stale gate and an unknown switch
+        let e = run(&strs(&[
+            "drive",
+            "--socket",
+            "/nonexistent",
+            "--baseline",
+            "x",
+        ]))
+        .unwrap_err();
+        assert!(e.to_string().contains("does not read --baseline"), "{e}");
+        let e = run(&strs(&["topo", "bitonic", "4", "--bogus-flag"])).unwrap_err();
+        assert!(e.to_string().contains("does not read --bogus-flag"), "{e}");
     }
 }

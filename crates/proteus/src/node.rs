@@ -1,8 +1,6 @@
 //! Simulated balancer-node state: FIFO lock bank and diffraction
 //! prisms.
 
-use cnet_topology::BalancerState;
-
 /// "No processor" sentinel in the intrusive wait lists.
 pub(crate) const NIL: u32 = u32::MAX;
 
@@ -158,18 +156,6 @@ impl Prism {
         }
         false
     }
-}
-
-/// Balancer toggles, kept densely in one vector (16 bytes per node),
-/// indexed by `NodeId::index`.
-pub(crate) fn toggles_for(topology: &cnet_topology::Topology) -> Vec<BalancerState> {
-    let mut toggles: Vec<BalancerState> = (0..topology.node_count())
-        .map(|_| BalancerState::new(1))
-        .collect();
-    for id in topology.iter_nodes() {
-        toggles[id.index()] = BalancerState::new(topology.fan_out(id));
-    }
-    toggles
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! [`crate::sim`] is unchanged. With `obs` on, the recorder gathers
 //! per-node contention, event-queue depth (subsampled), per-wire and
 //! per-operation latencies and the violation magnitudes the event
-//! loop's Definition 2.4 table hands it, and [`SimObs::finish`]
+//! loop's Definition 2.4 grading hands it, and [`SimObs::finish`]
 //! freezes it all into the [`cnet_obs::MetricsSnapshot`] carried by
 //! [`crate::RunStats::metrics`].
 //!
@@ -112,8 +112,8 @@ mod enabled {
         queue_depth_hist: LogHistogram,
         wire_hist: LogHistogram,
         op_hist: LogHistogram,
-        /// The non-zero Definition 2.4 magnitudes, as the event loop's
-        /// table returned them.
+        /// The non-zero Definition 2.4 magnitudes, as the event loop
+        /// graded them.
         magnitude_hist: LogHistogram,
         /// Per-fabric-queue rows, indexed by fabric queue id; empty
         /// for degenerate-fabric runs.

@@ -17,7 +17,10 @@
 //!
 //! Every push, whichever part takes it, draws the next number of one
 //! global sequence, so the merged pop stream is *by construction* the
-//! stream a `(time, seq)` heap produces.
+//! stream a `(time, seq)` heap produces. [`Queue::next_time`] reads the
+//! earliest pending time in O(1) — the lane front and the wheel minimum
+//! are both cached — which is how the simulator knows an event it is
+//! about to schedule would be the next pop, and runs it instead.
 //!
 //! # The lanes
 //!
@@ -130,6 +133,10 @@ pub(crate) trait Queue<T: Copy>: Sized {
     }
     /// Removes and returns the earliest event (ties in push order).
     fn pop(&mut self) -> Option<(u64, T)>;
+    /// The time of the earliest pending event, `u64::MAX` when none is
+    /// pending. An event pushed at a time strictly before it would be
+    /// the next pop.
+    fn next_time(&self) -> u64;
     /// Number of pending events, lanes included, in O(1); the
     /// observability layer samples it for the queue-depth histogram.
     fn len(&self) -> usize;
@@ -204,6 +211,10 @@ impl<T: Copy> Queue<T> for HeapQueue<T> {
         let Reverse(e) = self.heap.pop()?;
         self.base = e.time;
         Some((e.time, e.ev))
+    }
+
+    fn next_time(&self) -> u64 {
+        self.heap.peek().map_or(NEVER, |Reverse(e)| e.time)
     }
 
     fn len(&self) -> usize {
@@ -342,6 +353,12 @@ impl<T: Copy> Queue<T> for EventQueue<T> {
             ev
         };
         Some((time, ev))
+    }
+
+    /// O(1): both minima are cached.
+    #[inline]
+    fn next_time(&self) -> u64 {
+        self.lane_key.0.min(self.wheel_min)
     }
 
     #[inline]
@@ -596,12 +613,15 @@ mod tests {
         q.push_lane(0, 10, 5);
         q.push(10, 6);
         q.push_lane(1, 12, 7);
-        assert_eq!(q.len(), 7);
+        assert_eq!((q.len(), q.next_time()), (7, 4));
+        assert_eq!(q.pop(), Some((4, 4)));
+        // a lane front and a wheel event tie at 10
+        assert_eq!(q.next_time(), 10);
         assert_eq!(
             drain(&mut q),
-            vec![(4, 4), (10, 1), (10, 2), (10, 3), (10, 5), (10, 6), (12, 7)]
+            vec![(10, 1), (10, 2), (10, 3), (10, 5), (10, 6), (12, 7)]
         );
-        assert_eq!(q.len(), 0);
+        assert_eq!((q.len(), q.next_time()), (0, NEVER));
     }
 
     #[test]
@@ -754,8 +774,8 @@ mod tests {
                         }
                     }
                     assert_eq!(
-                        queue.len(),
-                        oracle.len(),
+                        (queue.len(), queue.next_time()),
+                        (oracle.len(), oracle.next_time()),
                         "seed {seed} horizon {horizon} step {step}"
                     );
                 }

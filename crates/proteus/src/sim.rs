@@ -4,14 +4,17 @@
 //!
 //! The per-event handlers touch only flat, pre-sized vectors:
 //!
-//! * toggles in one dense `Vec<BalancerState>` (16 bytes per node);
+//! * toggles in one dense `Vec<Toggle>` (8 bytes per node: the output
+//!   the next token takes and the fan-out it wraps at — no division);
 //! * every FIFO lock (balancers *and* counters) in one [`LockBank`]
 //!   threaded through a single per-processor `next` array — no
 //!   per-lock heap buffers;
 //! * wiring flattened into a routing table of `(target, fixed cost)`
 //!   entries, where the fixed cost folds the link cost and the mesh
 //!   hop distance computed once at construction — the topology graph
-//!   is never consulted while events are in flight;
+//!   is never consulted while events are in flight; a processor's
+//!   injected `WaitMode::Fixed` wait is likewise worked out once per
+//!   run;
 //! * events packed to `u32` fields so queue entries stay small;
 //! * one event queue for every run ([`crate::queue`]), which sorts
 //!   only what arrives unsorted: `ToggleDone` is always pushed
@@ -20,7 +23,19 @@
 //!   [`Runner::toggle_done`] and the prism miss in
 //!   [`Runner::arrive_node`] push through a FIFO lane each; which
 //!   events ride a lane is decided here, by event kind, and nowhere
-//!   else. Every other event goes through the bucket wheel.
+//!   else. Every other event goes through the bucket wheel, except
+//!   two that skip the queue when it can be shown they are the next
+//!   pop: the closed loop's `StartOp` one cycle after a completion
+//!   ([`Runner::counter_done`]) and a start's `ArriveNode` at its entry
+//!   node in the same cycle ([`Runner::start_op`]). When the queue's
+//!   `next_time()` is strictly later than the event's time, nothing
+//!   pending can pop first, so the handler runs at once
+//!   ([`Runner::takes_next_pop`]) — decided by that comparison alone;
+//! * Definition 2.4 is graded without a table: a processor records its
+//!   *witness* (the largest value among completions that ended before
+//!   it started, from the two running maxima of `Completions`) when
+//!   its operation starts, and the completion grades
+//!   `witness - value`, 0 if negative.
 //!
 //! The queued-fabric handlers, dormant on the degenerate fabric every
 //! paper figure uses, live in the child module `fabric`.
@@ -29,12 +44,11 @@
 //! order, and therefore every statistic are bit-identical to the
 //! straightforward implementation (the golden-trace tests pin this).
 
-use cnet_timing::linearizability::FinishedMax;
 use cnet_timing::Operation;
 use cnet_topology::{OutputCounts, Topology, WireEnd};
 
 use crate::config::{ArrivalProcess, Placement, SimConfig, WaitMode, Workload};
-use crate::node::{toggles_for, LockBank, Prism};
+use crate::node::{LockBank, Prism};
 use crate::obs::SimObs;
 use crate::queue::{EventQueue, Queue};
 use crate::rng::SimRng;
@@ -79,7 +93,9 @@ enum Ev {
 /// Per-processor simulation state.
 #[derive(Debug, Clone)]
 struct Proc {
-    delayed: bool,
+    /// The wait injected after each node under `WaitMode::Fixed`: `W`
+    /// for a delayed processor, 0 for the others.
+    fixed_wait: u64,
     input: u32,
     /// Entry node behind this processor's network input.
     entry: u32,
@@ -95,6 +111,9 @@ struct Proc {
     attempts: u32,
     /// When the current hop left its node, for wire-latency telemetry.
     hop_depart: u64,
+    /// The Definition 2.4 witness of the operation in flight: the
+    /// largest value among completions that ended before it started.
+    witness: u64,
 }
 
 /// High bit of a route target: set when the target is a counter.
@@ -108,11 +127,39 @@ const TOGGLE_LANE: usize = 0;
 /// ahead.
 const PRISM_LANE: usize = 1;
 
+#[cfg(test)]
+thread_local! {
+    /// Events [`Runner::takes_next_pop`] handed straight to their
+    /// handler on this thread.
+    static HANDED_OFF: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Seed perturbation for the arrival-schedule RNG stream. Open-loop
 /// gaps draw from their own generator so the main stream (prism slots,
 /// jitter, random waits) is untouched — closed-loop traces stay
 /// bit-identical whether or not this stream exists.
 const ARRIVAL_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// A balancer's toggle: the `t`-th token through it leaves on output
+/// `t mod fan_out`, kept as the output the next token takes.
+#[derive(Debug, Clone, Copy)]
+struct Toggle {
+    next: u32,
+    fan_out: u32,
+}
+
+impl Toggle {
+    /// Routes one token: its output port.
+    #[inline]
+    fn route(&mut self) -> usize {
+        let out = self.next;
+        self.next += 1;
+        if self.next == self.fan_out {
+            self.next = 0;
+        }
+        out as usize
+    }
+}
 
 /// One precomputed wire: where output `out` of a node leads and what
 /// the traversal costs before jitter and injected waits.
@@ -217,7 +264,7 @@ struct Runner<'a, Q> {
     workload: &'a Workload,
     queue: Q,
     /// Dense per-node toggle state, indexed by `NodeId::index`.
-    toggles: Vec<cnet_topology::BalancerState>,
+    toggles: Vec<Toggle>,
     /// Per-node prisms (empty vector when the config has none).
     prisms: Vec<Option<Prism>>,
     /// Locks `0..node_count` guard toggles; locks
@@ -234,8 +281,8 @@ struct Runner<'a, Q> {
     arrival_rng: SimRng,
     /// Inter-arrival gaps for `ArrivalProcess::Trace`, else empty.
     trace_gaps: Vec<u64>,
-    /// The Definition 2.4 table, fed as operations complete.
-    finished: FinishedMax,
+    /// Every completion so far, as far as Definition 2.4 needs it.
+    completions: Completions,
     nonlinearizable: usize,
     stamp: u32,
     started_ops: usize,
@@ -269,6 +316,49 @@ struct Runner<'a, Q> {
     /// Metric recorder — zero-sized and inert without the `obs`
     /// feature, so the hot loop keeps its layout and speed.
     obs: SimObs,
+}
+
+/// Definition 2.4, graded as the run goes: an operation is
+/// non-linearizable when a completion that ended before it started
+/// returned a larger value. Pops are time-ordered, so when an operation
+/// starts at `t` every completion with `end < t` has already been
+/// recorded, and the only recorded ones it must not count are those at
+/// the latest completion tick, if that tick is `t` itself. Two running
+/// maxima split at that tick therefore give each starting operation its
+/// exact witness, and its completion grades
+/// `witness.saturating_sub(value)` — the verdict a table of every
+/// completion would give, with no table.
+#[derive(Debug, Default)]
+struct Completions {
+    /// The latest completion tick recorded.
+    last_end: u64,
+    /// The largest value among completions before `last_end`.
+    max_before_last: u64,
+    /// The largest value among all completions recorded.
+    max: u64,
+}
+
+impl Completions {
+    /// The largest value among completions with `end < start`, for an
+    /// operation starting now (`start` is the current event's time).
+    #[inline]
+    fn witness(&self, start: u64) -> u64 {
+        if self.last_end < start {
+            self.max
+        } else {
+            self.max_before_last
+        }
+    }
+
+    /// Records a completion at `end`, the current event's time.
+    #[inline]
+    fn record(&mut self, end: u64, value: u64) {
+        if end > self.last_end {
+            self.max_before_last = self.max;
+            self.last_end = end;
+        }
+        self.max = self.max.max(value);
+    }
 }
 
 fn mesh_cell(index: usize, side: usize) -> (i64, i64) {
@@ -385,7 +475,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
         // Closed loop: one slot per re-injecting processor, as always.
         // Open loop: every arriving token is its own slot (several from
         // the same logical client can be in flight at once); token `i`
-        // borrows processor `i mod n`'s delayed flag and input wire.
+        // borrows processor `i mod n`'s injected wait and input wire.
         let token_slots = if workload.processors == 0 {
             0
         } else if workload.is_open_loop() {
@@ -406,7 +496,11 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
                 };
                 let input = client % topology.input_width();
                 Proc {
-                    delayed: workload.is_delayed(client),
+                    fixed_wait: if workload.is_delayed(client) {
+                        workload.wait_cycles
+                    } else {
+                        0
+                    },
                     input: input as u32,
                     entry: topology.input(input).node.index() as u32,
                     op_start: 0,
@@ -415,6 +509,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
                     hop_stage: 0,
                     attempts: 0,
                     hop_depart: 0,
+                    witness: 0,
                 }
             })
             .collect();
@@ -426,7 +521,13 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
                 schedule_horizon(&config, workload, &trace_gaps),
                 token_slots,
             ),
-            toggles: toggles_for(topology),
+            toggles: route_base
+                .windows(2)
+                .map(|outs| Toggle {
+                    next: 0,
+                    fan_out: (outs[1] - outs[0]).max(1),
+                })
+                .collect(),
             prisms,
             locks: LockBank::new(node_count + width, token_slots),
             counter_lock_base: node_count,
@@ -436,7 +537,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             rng: SimRng::seed_from_u64(config.seed),
             arrival_rng: SimRng::seed_from_u64(config.seed ^ ARRIVAL_STREAM),
             trace_gaps,
-            finished: FinishedMax::new(),
+            completions: Completions::default(),
             nonlinearizable: 0,
             stamp: 0,
             started_ops: 0,
@@ -473,6 +574,28 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
     fn push_lane(&mut self, lane: usize, time: u64, ev: Ev) {
         self.queue.push_lane(lane, time, ev);
         self.sample_depth();
+    }
+
+    /// Whether an event this handler would schedule at `time` is by
+    /// construction the queue's next pop — nothing pending is due at or
+    /// before `time`. The caller then runs the event's handler at once
+    /// instead of pushing it, and this accounts for the push and pop it
+    /// replaces: `sim_time` moves as the pop would move it, and the
+    /// depth sampler sees a push at the depth it would have had. The
+    /// event takes no sequence number, which moves no pop: no pending
+    /// event can tie with it.
+    #[inline]
+    fn takes_next_pop(&mut self, time: u64) -> bool {
+        if self.queue.next_time() <= time {
+            return false;
+        }
+        self.sim_time = time;
+        if self.obs.on_push() {
+            self.obs.record_depth(self.queue.len() as u64 + 1);
+        }
+        #[cfg(test)]
+        HANDED_OFF.with(|n| n.set(n.get() + 1));
+        true
     }
 
     /// Feeds the queue-depth histogram after a push.
@@ -553,8 +676,13 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
         self.started_ops += 1;
         let p = &mut self.procs[proc as usize];
         p.op_start = now;
+        p.witness = self.completions.witness(now);
         let entry = p.entry;
-        self.push(now, Ev::ArriveNode { proc, node: entry });
+        if self.takes_next_pop(now) {
+            self.arrive_node(now, proc, entry);
+        } else {
+            self.push(now, Ev::ArriveNode { proc, node: entry });
+        }
     }
 
     /// Cycles between token `token - 1`'s arrival and token `token`'s,
@@ -684,17 +812,14 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
     /// Sends a processor down output `out` of `node` at time `t`:
     /// schedules its arrival at the next node or counter after the wire
     /// latency plus any injected delay ("waits W cycles after
-    /// traversing a node in the net").
-    #[inline]
+    /// traversing a node in the net"). Forced inline into its three
+    /// call sites, the hop of every operation: measured faster than the
+    /// `#[inline]` hint (EXPERIMENTS.md, "Simulator handlers, second
+    /// pass").
+    #[inline(always)]
     fn depart(&mut self, t: u64, proc: u32, node: u32, out: usize) {
         let wait = match self.workload.wait_mode {
-            WaitMode::Fixed => {
-                if self.procs[proc as usize].delayed {
-                    self.workload.wait_cycles
-                } else {
-                    0
-                }
-            }
+            WaitMode::Fixed => self.procs[proc as usize].fixed_wait,
             WaitMode::UniformRandom => {
                 if self.workload.wait_cycles == 0 {
                     0
@@ -788,29 +913,31 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             proc as usize
         };
         self.completed_by.push(client);
+        let p = &self.procs[proc as usize];
         let op = Operation {
             token,
-            input: self.procs[proc as usize].input as usize,
-            start: self.procs[proc as usize].op_start,
+            input: p.input as usize,
+            start: p.op_start,
             end: now,
             counter: counter as usize,
             value,
         };
+        let magnitude = p.witness.saturating_sub(value);
         self.operations.push(op);
-        // completions arrive in nondecreasing `end` order (event pops
-        // are time-ordered), so every insert is an append, every
-        // verdict exact, and the Definition 2.4 count is ready the
-        // moment the run ends
-        let magnitude = self.finished.observe(op.start, op.end, op.value);
+        self.completions.record(now, value);
         self.nonlinearizable += usize::from(magnitude > 0);
-        self.obs.op(op.end - op.start, magnitude);
+        self.obs.op(now - op.start, magnitude);
         // closed loop only: the next operation begins strictly after
         // this one's response, so a processor's successive operations
         // are ordered under Definition 2.4's strict precedence. Open
         // loops decouple arrival from completion — StartOp chaining
         // already drives the schedule.
         if !self.workload.is_open_loop() {
-            self.push(now + 1, Ev::StartOp { proc });
+            if self.takes_next_pop(now + 1) {
+                self.start_op(now + 1, proc);
+            } else {
+                self.push(now + 1, Ev::StartOp { proc });
+            }
         }
     }
 }
@@ -1272,6 +1399,7 @@ mod open_loop_tests {
 mod queue_differential_tests {
     use super::*;
     use crate::queue::HeapQueue;
+    use cnet_timing::linearizability::count_nonlinearizable;
     use cnet_topology::{constructions, FabricShape, LinkSpec};
 
     /// The fabric suite's queued fabric, losing 2 % of its
@@ -1288,15 +1416,61 @@ mod queue_differential_tests {
         }
     }
 
-    /// The production queue is the `(time, push-order)` heap: over
-    /// random networks, machine models, arrival processes and wait
-    /// modes, a run over [`EventQueue`] and one over the oracle pop the
-    /// same events in the same order, so they draw the RNG in the same
-    /// order and agree on every statistic.
+    /// The simulator as it ran before the same-instant hand-off: a
+    /// queue whose `next_time` always reports an event pending now, so
+    /// [`Runner::takes_next_pop`] never fires and every event goes
+    /// through the queue.
+    struct Unfused<Q>(Q);
+
+    impl<Q: Queue<Ev>> Queue<Ev> for Unfused<Q> {
+        fn with_horizon(horizon: u64, pending_hint: usize) -> Self {
+            Unfused(Q::with_horizon(horizon, pending_hint))
+        }
+
+        fn push(&mut self, time: u64, ev: Ev) {
+            self.0.push(time, ev);
+        }
+
+        fn push_lane(&mut self, lane: usize, time: u64, ev: Ev) {
+            self.0.push_lane(lane, time, ev);
+        }
+
+        fn pop(&mut self) -> Option<(u64, Ev)> {
+            self.0.pop()
+        }
+
+        fn next_time(&self) -> u64 {
+            0
+        }
+
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+    }
+
+    /// The run's statistics and its frozen metrics (`None` without the
+    /// `obs` feature).
+    fn simulate<Q: Queue<Ev>>(
+        net: &Topology,
+        config: SimConfig,
+        workload: &Workload,
+    ) -> (RunStats, Option<cnet_obs::MetricsSnapshot>) {
+        let (stats, obs) = Runner::<Q>::new(net, config, workload).run();
+        (stats, obs.finish(workload.wait_cycles, config.toggle_cost))
+    }
+
+    /// The production simulator is the plain one over the
+    /// `(time, push-order)` heap: over random networks, machine models,
+    /// arrival processes and wait modes, a run over [`EventQueue`] with
+    /// the same-instant hand-off and one over the heap oracle without it
+    /// handle the same events in the same order, so they draw the RNG
+    /// in the same order and agree on every statistic — the metrics
+    /// snapshot included, under `--features obs`.
     #[test]
     fn production_queue_and_heap_oracle_simulate_identically() {
         let mut rng = SimRng::seed_from_u64(0xD1FF);
         let (mut pairs, mut retries) = (0, 0);
+        HANDED_OFF.with(|n| n.set(0));
         for case in 0..240 {
             let width = [4, 8, 16][rng.below(3) as usize];
             let net = if rng.below(2) == 0 {
@@ -1334,20 +1508,35 @@ mod queue_differential_tests {
                 },
                 ..Workload::paper(processors, rng.below(101) as u32, wait)
             };
-            let (oracle, _) = Runner::<HeapQueue<Ev>>::new(&net, config, &workload).run();
-            let (stats, _) = Runner::<EventQueue<Ev>>::new(&net, config, &workload).run();
+            let handed_off = HANDED_OFF.with(std::cell::Cell::get);
+            let (oracle, oracle_metrics) =
+                simulate::<Unfused<HeapQueue<Ev>>>(&net, config, &workload);
             let what = format!("case {case}: {config:?} {workload:?}");
+            assert_eq!(HANDED_OFF.with(std::cell::Cell::get), handed_off, "{what}");
+            let (stats, metrics) = simulate::<EventQueue<Ev>>(&net, config, &workload);
             assert_eq!(stats.operations.len(), workload.total_ops, "{what}");
             assert_eq!(stats.operations, oracle.operations, "{what}");
             assert_eq!(stats.completed_by, oracle.completed_by, "{what}");
             assert_eq!(stats.sim_time, oracle.sim_time, "{what}");
             assert_eq!(stats.max_lock_queue, oracle.max_lock_queue, "{what}");
             assert_eq!(stats.fabric, oracle.fabric, "{what}");
+            assert_eq!(metrics, oracle_metrics, "{what}");
+            // the streamed verdict is the whole-trace one
+            assert_eq!(
+                stats.nonlinearizable,
+                count_nonlinearizable(&stats.operations),
+                "{what}"
+            );
             pairs += stats.diffraction_pairs;
             retries += stats.fabric.retries();
         }
-        // both lanes and the fabric's retry path were exercised
-        assert!(pairs > 0 && retries > 0, "{pairs} pairs, {retries} retries");
+        // both lanes, the hand-off and the fabric's retry path were
+        // exercised
+        let handed_off = HANDED_OFF.with(std::cell::Cell::get);
+        assert!(
+            pairs > 0 && retries > 0 && handed_off > 0,
+            "{pairs} pairs, {retries} retries, {handed_off} hand-offs"
+        );
     }
 }
 

@@ -42,9 +42,9 @@ pub struct RunStats {
     /// enters the fabric queue machinery.
     pub fabric: FabricStats,
     /// Non-linearizable operations (Definition 2.4): the simulator
-    /// feeds `cnet_timing::linearizability::FinishedMax` as operations
-    /// complete, the native backends scan their trace once — no
-    /// consumer sweeps again.
+    /// grades each operation as it completes against the witness it
+    /// recorded when it started, the native backends scan their trace
+    /// once — no consumer sweeps again.
     pub nonlinearizable: usize,
     /// Per-balancer contention metrics and network-level live
     /// estimates, recorded by the `cnet-obs` probes. `None` unless the

@@ -21,8 +21,10 @@
 //!   once and looks a start up by binary search, `O(n log n)`;
 //! * a stream of completions ([`FinishedMax`]) grows that same sorted
 //!   table one operation at a time and may retire what no future
-//!   operation can start before. The simulator's event loop and the
-//!   service's SLO evaluator feed it as operations complete;
+//!   operation can start before. The service's SLO evaluator feeds it
+//!   as operations complete — the simulator does not: its completions
+//!   pop in time order, so it records each operation's witness from
+//!   two running maxima when the operation starts, with no table;
 //! * a set of *lanes* ([`lane_magnitudes`]) — a native run's per-thread
 //!   records, each lane already in time order — needs no table at all:
 //!   a merge of the lanes visits every instant once in order, so the
@@ -70,10 +72,9 @@ pub fn is_dense_timeline(ops: &[Operation]) -> bool {
 ///
 /// The verdicts are exact — equal to [`magnitudes`] over the whole
 /// trace — whenever every operation is fed after all those that
-/// finished before it started. Feeding in completion order (the
-/// simulator's event loop, a service that assigns the end tick and
-/// feeds inside one critical section) guarantees that and makes each
-/// insert an append; any other order is inserted in place and judged
+/// finished before it started. Feeding in completion order (a service
+/// that assigns the end tick and feeds inside one critical section)
+/// guarantees that and makes each insert an append; any other order is inserted in place and judged
 /// against what has been fed so far.
 ///
 /// # Example

@@ -6,16 +6,20 @@
 //! sparse batch, end-ordered stream, reordered stream with retirement,
 //! the service's one-entry-per-bracket stream, the native run's lane
 //! sweep — to the quadratic reference, verdict by verdict, and the
-//! count to the permutation-search oracle.
+//! count to the permutation-search oracle. The simulator grades
+//! without a table (each operation against the witness it recorded
+//! when it started); its streamed count is held to the same reference.
 
 use cnet_obs::{SloEvaluator, SloPolicy};
-use counting_networks::proteus::{SimConfig, Simulator, WaitMode, Workload};
+use counting_networks::proteus::{
+    ArrivalProcess, Fabric, SimConfig, Simulator, WaitMode, Workload,
+};
 use counting_networks::timing::linearizability::{
     check_exhaustive, count_nonlinearizable, count_nonlinearizable_naive, is_dense_timeline,
     lane_magnitudes, magnitudes, worst_witness, FinishedMax, LaneOrderError, LaneRecord,
 };
 use counting_networks::timing::Operation;
-use counting_networks::topology::constructions;
+use counting_networks::topology::{constructions, Topology};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -229,8 +233,38 @@ fn brackets_fed_as_runs_get_the_verdict_of_their_operations() {
     assert!(violating_rounds > 100, "{violating_rounds} rounds violated");
 }
 
-/// The violating regime the paper measures: the count the simulator
-/// streamed while it ran is the one every other form returns.
+/// One simulated cell, graded: whether it violated, how many times an
+/// operation started on the cycle another ended, and how many of those
+/// ties were decisive — the one that ended returned more, so only the
+/// strict `end < start` of Definition 2.4 spares the other.
+fn streamed_cell(net: &Topology, config: SimConfig, wl: &Workload) -> (bool, usize, usize) {
+    let what = format!("{config:?} {wl:?}");
+    let stats = Simulator::new(net, config).run(wl);
+    let ops = &stats.operations;
+    assert_eq!(ops.len(), wl.total_ops, "{what}");
+    assert_eq!(
+        stats.nonlinearizable_count(),
+        count_nonlinearizable_naive(ops),
+        "{what}"
+    );
+    let (mut ties, mut decisive) = (0, 0);
+    for a in ops {
+        for b in ops.iter().filter(|b| b.start == a.end) {
+            ties += 1;
+            decisive += usize::from(a.value > b.value);
+        }
+    }
+    (stats.nonlinearizable_count() > 0, ties, decisive)
+}
+
+/// The count the simulator streamed while it ran — each operation
+/// graded at its completion against the witness it recorded when it
+/// started — is the one every other form returns: first on one cell of
+/// the violating regime the paper measures, verdict by verdict, then by
+/// count on 240 seeded random cells and two pinned ones. A quarter of
+/// the random cells and both pinned ones have no link jitter, so ends
+/// and starts land on the same cycle; the pinned ones have decisive
+/// ties, one of them in a cell that does not violate at all.
 #[test]
 fn a_simulator_trace_gets_the_verdict_the_run_streamed() {
     let net = constructions::counting_tree(16).unwrap();
@@ -250,6 +284,75 @@ fn a_simulator_trace_gets_the_verdict_the_run_streamed() {
     );
     assert!(!is_dense_timeline(&stats.operations));
     assert_one_verdict(&stats.operations, "counting_tree(16), W = 10000");
+
+    let without_jitter = |config: SimConfig| SimConfig {
+        fabric: Fabric::degenerate(config.fabric.link.delay, 0),
+        ..config
+    };
+    let mut rng = StdRng::seed_from_u64(0x5173);
+    let (mut violating, mut ties) = (0, 0);
+    for cell in 0..240 {
+        let width = [4, 8, 16, 32][rng.gen_range(0..4)];
+        let tree = rng.gen_bool(0.5);
+        let net = if tree {
+            constructions::counting_tree(width).unwrap()
+        } else {
+            constructions::bitonic(width).unwrap()
+        };
+        let seed = rng.gen_range(0..1u64 << 40);
+        let mut config = if tree && rng.gen_bool(0.7) {
+            SimConfig::diffracting(seed)
+        } else {
+            SimConfig::queue_lock(seed)
+        };
+        if cell % 4 == 0 {
+            config = without_jitter(config);
+        }
+        let wl = Workload {
+            total_ops: rng.gen_range(40..=250),
+            wait_mode: if rng.gen_bool(0.75) {
+                WaitMode::Fixed
+            } else {
+                WaitMode::UniformRandom
+            },
+            arrival: match rng.gen_range(0..4) {
+                0 => ArrivalProcess::Open {
+                    mean_gap: rng.gen_range(0..400),
+                },
+                1 => ArrivalProcess::Bursty {
+                    burst: rng.gen_range(1..=16),
+                    gap: rng.gen_range(0..20_000),
+                },
+                _ => ArrivalProcess::Closed,
+            },
+            ..Workload::paper(
+                rng.gen_range(1..=64),
+                rng.gen_range(0..=100),
+                [0, 100, 1_000, 10_000, 100_000][rng.gen_range(0..5)],
+            )
+        };
+        let (violated, cell_ties, _) = streamed_cell(&net, config, &wl);
+        violating += usize::from(violated);
+        ties += cell_ties;
+    }
+    assert!(violating >= 20, "{violating} of 240 cells violated");
+    assert!(ties > 0, "no end/start tie in 240 cells");
+
+    // found by search over jitter-free paper-style cells of 1 000 ops
+    let wl = |f, w| Workload {
+        total_ops: 1_000,
+        ..Workload::paper(64, f, w)
+    };
+    let bitonic = constructions::bitonic(16).unwrap();
+    let config = without_jitter(SimConfig::queue_lock(1_448));
+    assert_eq!(
+        streamed_cell(&bitonic, config, &wl(50, 1_000)),
+        (false, 257, 1)
+    );
+    let tree = constructions::counting_tree(16).unwrap();
+    let config = without_jitter(SimConfig::diffracting(10_448));
+    let (violated, _, decisive) = streamed_cell(&tree, config, &wl(25, 10_000));
+    assert!(violated && decisive == 5, "{decisive} decisive ties");
 }
 
 /// On traces a correct counter can produce — values a permutation of
