@@ -136,7 +136,7 @@ pub fn run_stress<C: StressCounter + ?Sized>(counter: &C, config: StressConfig) 
     let clock = AtomicU64::new(0);
     let width = counter.width();
     let mut operations = Vec::with_capacity(config.threads * config.ops_per_thread);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for t in 0..config.threads {
             let clock = &clock;
@@ -145,7 +145,7 @@ pub fn run_stress<C: StressCounter + ?Sized>(counter: &C, config: StressConfig) 
             } else {
                 0
             };
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut ops = Vec::with_capacity(config.ops_per_thread);
                 for _ in 0..config.ops_per_thread {
                     let start = clock.fetch_add(1, Ordering::AcqRel);
@@ -164,13 +164,13 @@ pub fn run_stress<C: StressCounter + ?Sized>(counter: &C, config: StressConfig) 
                     input: 0,
                     start,
                     end,
-                    counter: (value % width as u64) as usize,
+                    counter: u32::try_from(value % width as u64)
+                        .expect("a counter index below the width fits u32"),
                     value,
                 });
             }
         }
-    })
-    .expect("stress scope");
+    });
     AuditReport { operations }
 }
 

@@ -1,8 +1,7 @@
 //! The shared-counter abstraction and the centralized baselines.
 
 use std::fmt::Debug;
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use crate::sync::{AtomicU64, Ordering};
 
@@ -60,7 +59,9 @@ impl LockCounter {
 
 impl Counter for LockCounter {
     fn next(&self) -> u64 {
-        let mut v = self.value.lock();
+        // one increment under the lock: a poisoned guard holds a valid
+        // count
+        let mut v = self.value.lock().unwrap_or_else(PoisonError::into_inner);
         let out = *v;
         *v += 1;
         out

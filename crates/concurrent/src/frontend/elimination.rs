@@ -29,10 +29,10 @@
 //! tallies a 1-relaxed step, which is the entire ordering price.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::Mutex;
 
 use cnet_topology::Topology;
-use crossbeam::channel::Sender;
 
 use crate::audit::StressCounter;
 use crate::counter::Counter;

@@ -14,11 +14,11 @@
 //! stretched by a configurable busy-spin per hop.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use cnet_topology::{Topology, WireEnd};
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 use crate::counter::Counter;
 
@@ -58,10 +58,12 @@ thread_local! {
     /// [`reply_channels_created_by_this_thread`]).
     static REPLY_CHANNELS_CREATED: std::cell::Cell<u64> =
         const { std::cell::Cell::new(0) };
-    /// One reply channel per client thread, reused for every operation.
+    /// One reply channel per client thread, reused for every operation
+    /// (operations are synchronous, so it never holds more than one
+    /// value).
     static REPLY: (Sender<u64>, Receiver<u64>) = {
         REPLY_CHANNELS_CREATED.with(|c| c.set(c.get() + 1));
-        bounded(1)
+        channel()
     };
 }
 
@@ -159,7 +161,7 @@ impl MpNetwork {
         // counter threads first: one channel each
         let counter_txs: Vec<Sender<TokenMsg>> = (0..topology.output_width())
             .map(|index| {
-                let (tx, rx): (Sender<TokenMsg>, Receiver<TokenMsg>) = unbounded();
+                let (tx, rx): (Sender<TokenMsg>, Receiver<TokenMsg>) = channel();
                 let obs = Arc::clone(&obs);
                 let shared = shared.clone();
                 threads.push(
@@ -217,7 +219,7 @@ impl MpNetwork {
                         .clone(),
                 })
                 .collect();
-            let (tx, rx): (Sender<TokenMsg>, Receiver<TokenMsg>) = unbounded();
+            let (tx, rx): (Sender<TokenMsg>, Receiver<TokenMsg>) = channel();
             let hop_spin = config.hop_spin;
             let obs = Arc::clone(&obs);
             let node = id.index();
@@ -483,7 +485,7 @@ mod tests {
         // mix singles and pairs: the value space must stay exactly 0..n
         let mut values = Vec::new();
         for i in 0..6 {
-            let (tx, rx) = bounded(1);
+            let (tx, rx) = channel();
             let base = mp.count_pair_on(i % 4, tx);
             values.push(base);
             values.push(rx.recv().expect("pair partner value"));
@@ -501,7 +503,7 @@ mod tests {
     fn pair_tokens_are_rejected_in_plain_mode() {
         let net = constructions::bitonic(2).unwrap();
         let mp = MpNetwork::spawn(&net, MpConfig::default());
-        let (tx, _rx) = bounded(1);
+        let (tx, _rx) = channel();
         let _ = mp.count_pair_on(0, tx);
     }
 

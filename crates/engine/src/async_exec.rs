@@ -446,7 +446,7 @@ mod tests {
         let outcome = network(&net, BalancerKind::WaitFree, cfg(2, 4), 1).run(&workload(10, 35));
         // op i belongs to client i % 10 by static assignment
         for (i, &client) in outcome.stats.completed_by.iter().enumerate() {
-            assert_eq!(client, i % 10);
+            assert_eq!(client as usize, i % 10);
         }
     }
 

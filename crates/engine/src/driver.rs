@@ -237,6 +237,7 @@ pub(crate) fn stats_from_trace(
     mut metrics: Option<MetricsSnapshot>,
 ) -> RunStats {
     let output_width = output_counts.width().max(1) as u64;
+    let input_width = u32::try_from(input_width.max(1)).expect("a network width fits u32");
     let per_lane = trace.clients_per_lane.max(1);
     // the one Definition 2.4 pass of a native run, on the logical-clock
     // brackets in the order the lanes already hold them: the count
@@ -260,13 +261,14 @@ pub(crate) fn stats_from_trace(
     for (lane, records) in trace.lanes.into_iter().enumerate() {
         for turns in records.chunks(per_lane) {
             for (turn, &(start, end, value)) in turns.iter().enumerate() {
-                let client = lane * per_lane + turn;
+                let client = u32::try_from(lane * per_lane + turn).expect("a client id fits u32");
                 operations.push(Operation {
                     token: operations.len(),
-                    input: client % input_width.max(1),
+                    input: client % input_width,
                     start,
                     end,
-                    counter: (value % output_width) as usize,
+                    counter: u32::try_from(value % output_width)
+                        .expect("a counter index below the width fits u32"),
                     value,
                 });
                 completed_by.push(client);

@@ -75,7 +75,7 @@ fn every_quota_shape_completes_exactly_on_every_threaded_backend() {
                     .stats
                     .completed_by
                     .windows(2)
-                    .all(|w| w[0] <= w[1] && w[1] < workload.processors),
+                    .all(|w| w[0] <= w[1] && (w[1] as usize) < workload.processors),
                 "{shape}: tokens are not in thread-major order"
             );
         }
@@ -159,7 +159,11 @@ fn scheduled_arrivals_still_pair_op_i_with_arrival_i() {
         // token i is op i, admitted in schedule order by client i % n
         for (i, op) in outcome.stats.operations.iter().enumerate() {
             assert_eq!((op.token, op.start), (i, 2 * i as u64), "{arrival:?}");
-            assert_eq!(outcome.stats.completed_by[i], i % clients, "{arrival:?}");
+            assert_eq!(
+                outcome.stats.completed_by[i] as usize,
+                i % clients,
+                "{arrival:?}"
+            );
         }
         let ol = outcome.open_loop.expect("scheduled runs carry telemetry");
         assert_eq!(ol.latency.count(), 600, "{arrival:?}");

@@ -66,7 +66,8 @@ impl Recorder {
                 input: 0,
                 start,
                 end,
-                counter: (value % width as u64) as usize,
+                counter: u32::try_from(value % width as u64)
+                    .expect("a counter index below the width fits u32"),
                 value,
             })
             .collect()

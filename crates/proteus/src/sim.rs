@@ -287,7 +287,7 @@ struct Runner<'a, Q> {
     stamp: u32,
     started_ops: usize,
     operations: Vec<Operation>,
-    completed_by: Vec<usize>,
+    completed_by: Vec<u32>,
     toggle_count: u64,
     toggle_wait_total: u64,
     diffraction_pairs: u64,
@@ -908,18 +908,19 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
         // under an open-loop arrival the slot id is the token index;
         // attribute the completion to the logical client behind it
         let client = if self.workload.is_open_loop() {
-            proc as usize % self.workload.processors
+            u32::try_from(proc as usize % self.workload.processors)
+                .expect("a client id is at most its slot id")
         } else {
-            proc as usize
+            proc
         };
         self.completed_by.push(client);
         let p = &self.procs[proc as usize];
         let op = Operation {
             token,
-            input: p.input as usize,
+            input: p.input,
             start: p.op_start,
             end: now,
-            counter: counter as usize,
+            counter,
             value,
         };
         let magnitude = p.witness.saturating_sub(value);

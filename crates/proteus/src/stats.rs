@@ -17,7 +17,7 @@ pub struct RunStats {
     /// The processor that performed each operation, parallel to
     /// `operations` (the `Operation::input` field holds the *network
     /// input*, which several processors can share).
-    pub completed_by: Vec<usize>,
+    pub completed_by: Vec<u32>,
     /// Final per-counter totals (must form a step — checked in tests).
     pub output_counts: OutputCounts,
     /// The simulated time at which the last operation completed.
@@ -112,7 +112,9 @@ impl RunStats {
     pub fn program_order_violations(&self) -> usize {
         // look processes up by index in the completed_by map — no
         // clone-and-retag of the trace
-        program_order::count_program_order_violations_by(&self.operations, |i| self.completed_by[i])
+        program_order::count_program_order_violations_by(&self.operations, |i| {
+            self.completed_by[i] as usize
+        })
     }
 
     /// Operation-latency histogram over power-of-two buckets: entry

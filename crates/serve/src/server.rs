@@ -114,12 +114,12 @@ impl ServeConfig {
 #[derive(Debug)]
 struct HistoryRun {
     token: u64,
-    input: usize,
+    input: u32,
     start: u64,
     end: u64,
     base: u64,
     k: u64,
-    conn: usize,
+    conn: u32,
 }
 
 impl HistoryRun {
@@ -155,7 +155,7 @@ impl SloState {
     /// Room is made before the push, never after: a ring of single
     /// operations sits at exactly `history_cap` runs, and one more
     /// would double the `VecDeque`.
-    fn push_history(&mut self, input: usize, start: u64, end: u64, base: u64, k: u64, conn: usize) {
+    fn push_history(&mut self, input: u32, start: u64, end: u64, base: u64, k: u64, conn: u32) {
         let mut run = HistoryRun {
             token: self.completions,
             input,
@@ -182,7 +182,7 @@ impl SloState {
     /// The retained history, one [`Operation`] per completion, with
     /// the connection behind each — what dumps and the final summary
     /// carry. `width` is the network's output width.
-    fn expand_history(&self, width: u64) -> (Vec<Operation>, Vec<usize>) {
+    fn expand_history(&self, width: u64) -> (Vec<Operation>, Vec<u32>) {
         let retained = (self.completions - self.history_dropped()) as usize;
         let mut operations = Vec::with_capacity(retained);
         let mut completed_by = Vec::with_capacity(retained);
@@ -194,7 +194,8 @@ impl SloState {
                     input: run.input,
                     start: run.start,
                     end: run.end,
-                    counter: (value % width) as usize,
+                    counter: u32::try_from(value % width)
+                        .expect("a counter index below the width fits u32"),
                     value,
                 });
                 completed_by.push(run.conn);
@@ -233,8 +234,8 @@ impl Core {
     /// fed once per bracket, whatever `k`: the section every other
     /// connection's `begin`/`complete` waits on does not grow with the
     /// batch.
-    fn draw(&self, conn: usize, k: u64, as_batch: bool) -> Response {
-        let input = conn % self.counter.input_width();
+    fn draw(&self, conn: u32, k: u64, as_batch: bool) -> Response {
+        let input = conn as usize % self.counter.input_width();
         let service_start = Instant::now();
         let start = self.driver.begin();
         let base = self.counter.next_batch_on(input, k, 0);
@@ -244,7 +245,14 @@ impl Core {
             let mut s = self.slo.lock().expect("slo lock poisoned");
             s.evaluator
                 .record_batch(start, end, base, k, sojourn_ns, min_pending_start, now_ms);
-            s.push_history(input, start, end, base, k, conn);
+            s.push_history(
+                u32::try_from(input).expect("an input index is at most its connection id"),
+                start,
+                end,
+                base,
+                k,
+                conn,
+            );
             end
         });
         if as_batch {
@@ -269,7 +277,7 @@ impl Core {
         s.evaluator.snapshot(uptime)
     }
 
-    fn handle(&self, conn: usize, req: Request) -> Response {
+    fn handle(&self, conn: u32, req: Request) -> Response {
         match req {
             Request::Next => self.draw(conn, 1, false),
             Request::NextBatch { k } => {
@@ -376,7 +384,7 @@ pub struct ServeSummary {
     /// The retained completion history, completion order.
     pub operations: Vec<Operation>,
     /// The connection ("processor") behind each retained operation.
-    pub completed_by: Vec<usize>,
+    pub completed_by: Vec<u32>,
     /// Completions dropped from the front of the bounded history.
     pub history_dropped: u64,
     /// Connections accepted over the service's lifetime.
@@ -474,14 +482,17 @@ fn accept_loop(core: &Arc<Core>, listener: &UnixListener) -> io::Result<ServeSum
     while !core.closing() {
         match listener.accept() {
             Ok((stream, _addr)) => {
-                let conn = core.conn_seq.fetch_add(1, Ordering::Relaxed);
-                let conn_core = Arc::clone(core);
-                let handle = thread::Builder::new()
-                    .name(format!("cnet-serve-conn-{conn}"))
-                    .spawn(move || serve_connection(&conn_core, conn, stream))
-                    .expect("spawn connection thread");
-                conns.push(handle);
-                conns.retain(|h| !h.is_finished());
+                // history entries name their connection in 32 bits: one
+                // past that is closed unanswered, not aliased
+                if let Ok(conn) = u32::try_from(core.conn_seq.fetch_add(1, Ordering::Relaxed)) {
+                    let conn_core = Arc::clone(core);
+                    let handle = thread::Builder::new()
+                        .name(format!("cnet-serve-conn-{conn}"))
+                        .spawn(move || serve_connection(&conn_core, conn, stream))
+                        .expect("spawn connection thread");
+                    conns.push(handle);
+                    conns.retain(|h| !h.is_finished());
+                }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 // woken by the next connection, or by the interval the
@@ -543,7 +554,7 @@ fn accept_loop(core: &Arc<Core>, listener: &UnixListener) -> io::Result<ServeSum
 /// (a mid-`NextBatch` client gets its whole interval — the values were
 /// reserved, dropping them would tear a gap in the counting sequence),
 /// and the next quiet moment sends `Bye` and hangs up.
-fn serve_connection(core: &Arc<Core>, conn: usize, stream: UnixStream) {
+fn serve_connection(core: &Arc<Core>, conn: u32, stream: UnixStream) {
     let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let mut reader = io::BufReader::new(match stream.try_clone() {
         Ok(s) => s,

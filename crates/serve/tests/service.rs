@@ -261,8 +261,12 @@ fn the_history_ring_holds_exactly_the_last_cap_operations() {
         let (value, start, end, conn) = full[first_token + i];
         assert_eq!(op.token, first_token + i, "tokens are contiguous");
         assert_eq!((op.value, op.start, op.end), (value, start, end), "op {i}");
-        assert_eq!(op.counter, (value % WIDTH as u64) as usize, "op {i}");
-        assert_eq!((by, op.input), (conn, conn % WIDTH), "op {i}");
+        assert_eq!(op.counter, (value % WIDTH as u64) as u32, "op {i}");
+        assert_eq!(
+            (by as usize, op.input as usize),
+            (conn, conn % WIDTH),
+            "op {i}"
+        );
     }
 
     // the dump expands the same ring

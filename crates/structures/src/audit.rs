@@ -131,12 +131,12 @@ pub fn fifo_audit<E: Counter, D: Counter>(
 
     let mut enq_intervals: Vec<(u64, u64)> = vec![(0, 0); total];
     let mut deq_intervals: Vec<(usize, (u64, u64))> = Vec::with_capacity(total);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut enqueuers = Vec::new();
         for p in 0..producers {
             let clock = &clock;
             let queue = &queue;
-            enqueuers.push(scope.spawn(move |_| {
+            enqueuers.push(scope.spawn(move || {
                 let mut local = Vec::with_capacity(per_producer);
                 for i in 0..per_producer {
                     let item = (p * per_producer + i) as u64;
@@ -152,7 +152,7 @@ pub fn fifo_audit<E: Counter, D: Counter>(
         for _ in 0..consumers {
             let clock = &clock;
             let queue = &queue;
-            dequeuers.push(scope.spawn(move |_| {
+            dequeuers.push(scope.spawn(move || {
                 let mut local = Vec::with_capacity(total / consumers);
                 for _ in 0..total / consumers {
                     let start = clock.fetch_add(1, Ordering::AcqRel);
@@ -173,8 +173,7 @@ pub fn fifo_audit<E: Counter, D: Counter>(
                 deq_intervals.push((item, (start, end)));
             }
         }
-    })
-    .expect("audit scope");
+    });
 
     let records = deq_intervals
         .into_iter()

@@ -12,14 +12,17 @@
 //! scatter consumers the same way, so with a low-contention counter the
 //! pool has no hot-spot.
 
+use std::sync::{Mutex, PoisonError};
+
 use cnet_concurrent::counter::Counter;
 use cnet_concurrent::network::NetworkCounter;
 use cnet_topology::Topology;
-use parking_lot::Mutex;
 
 /// A bounded-width (not bounded-size) relaxed bag.
 #[derive(Debug)]
 pub struct NetPool<T, E: Counter = NetworkCounter, D: Counter = NetworkCounter> {
+    /// Each held for one push, pop or length, so a poisoned cell is
+    /// still a valid one.
     cells: Vec<Mutex<Vec<T>>>,
     put_tickets: E,
     get_tickets: D,
@@ -65,7 +68,9 @@ impl<T, E: Counter, D: Counter> NetPool<T, E, D> {
     pub fn put(&self, value: T) {
         let ticket = self.put_tickets.next();
         let cell = &self.cells[(ticket % self.cells.len() as u64) as usize];
-        cell.lock().push(value);
+        cell.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(value);
     }
 
     /// Removes *some* item, spinning until one is available in the
@@ -78,7 +83,7 @@ impl<T, E: Counter, D: Counter> NetPool<T, E, D> {
         let cell = &self.cells[(ticket % self.cells.len() as u64) as usize];
         let mut spins = 0u32;
         loop {
-            if let Some(v) = cell.lock().pop() {
+            if let Some(v) = cell.lock().unwrap_or_else(PoisonError::into_inner).pop() {
                 return v;
             }
             spins = spins.wrapping_add(1);
@@ -96,14 +101,19 @@ impl<T, E: Counter, D: Counter> NetPool<T, E, D> {
     /// leave a future `get` waiting on a cell that never receives its
     /// matching `put`); it simply scans the cells.
     pub fn try_get(&self) -> Option<T> {
-        self.cells.iter().find_map(|cell| cell.lock().pop())
+        self.cells
+            .iter()
+            .find_map(|cell| cell.lock().unwrap_or_else(PoisonError::into_inner).pop())
     }
 
     /// A snapshot count of resident items (approximate under
     /// concurrency).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.cells.iter().map(|c| c.lock().len()).sum()
+        self.cells
+            .iter()
+            .map(|c| c.lock().unwrap_or_else(PoisonError::into_inner).len())
+            .sum()
     }
 
     /// Whether the snapshot count is zero.

@@ -9,13 +9,14 @@
 //! touches exactly one cell.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// One cell: a turn counter plus the slot payload.
 #[derive(Debug)]
 struct Cell<T> {
     turn: AtomicU64,
+    /// Held for one store or one take, so a poisoned slot is still a
+    /// valid one.
     value: Mutex<Option<T>>,
 }
 
@@ -69,7 +70,7 @@ impl<T> TicketRing<T> {
         let cell = &self.cells[(ticket % cap) as usize];
         let round = ticket / cap;
         self.wait_for_turn(cell, 2 * round);
-        *cell.value.lock() = Some(value);
+        *cell.value.lock().unwrap_or_else(PoisonError::into_inner) = Some(value);
         cell.turn.store(2 * round + 1, Ordering::Release);
     }
 
@@ -80,7 +81,12 @@ impl<T> TicketRing<T> {
         let cell = &self.cells[(ticket % cap) as usize];
         let round = ticket / cap;
         self.wait_for_turn(cell, 2 * round + 1);
-        let value = cell.value.lock().take().expect("turn guarantees a deposit");
+        let value = cell
+            .value
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .expect("turn guarantees a deposit");
         cell.turn.store(2 * round + 2, Ordering::Release);
         value
     }
@@ -96,7 +102,12 @@ impl<T> TicketRing<T> {
         if cell.turn.load(Ordering::Acquire) != 2 * round + 1 {
             return None;
         }
-        let value = cell.value.lock().take().expect("turn guarantees a deposit");
+        let value = cell
+            .value
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take()
+            .expect("turn guarantees a deposit");
         cell.turn.store(2 * round + 2, Ordering::Release);
         Some(value)
     }

@@ -90,12 +90,12 @@ pub fn causality_audit<C: Counter>(
 ) -> CausalityReport {
     let clock = AtomicU64::new(0);
     let mut draws = Vec::with_capacity(threads * draws_per_thread);
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for t in 0..threads {
             let clock = &clock;
             let oracle = &oracle;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut local = Vec::with_capacity(draws_per_thread);
                 for _ in 0..draws_per_thread {
                     let start = clock.fetch_add(1, Ordering::AcqRel);
@@ -111,7 +111,7 @@ pub fn causality_audit<C: Counter>(
                 let token = draws.len();
                 draws.push(Operation {
                     token,
-                    input,
+                    input: u32::try_from(input).expect("a thread index fits u32"),
                     start,
                     end,
                     counter: 0,
@@ -119,8 +119,7 @@ pub fn causality_audit<C: Counter>(
                 });
             }
         }
-    })
-    .expect("audit scope");
+    });
     CausalityReport { draws }
 }
 

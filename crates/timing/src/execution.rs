@@ -29,21 +29,31 @@ pub struct Event {
 
 /// One completed counting operation: a token's traversal of the whole
 /// network and the value its counter assigned.
+///
+/// 40 bytes: `input` and `counter` are wire indices below the
+/// network's width, held as `u32` like the simulator's and the compiled
+/// arena's indices (index with `as usize`). `token` stays `usize`: a
+/// served history numbers tokens by global completion count, which
+/// outgrows `u32`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Operation {
     /// Token id (index into the schedule).
     pub token: usize,
     /// Network input the token entered on.
-    pub input: usize,
+    pub input: u32,
     /// Entry time `Q(k, 1)` — when the token passed its input node.
     pub start: Time,
     /// Exit time `Q(k, h+1)` — when the token reached its counter.
     pub end: Time,
     /// The output counter the token exited on.
-    pub counter: usize,
+    pub counter: u32,
     /// The value assigned: `counter + w · (prior arrivals at counter)`.
     pub value: u64,
 }
+
+// a native pass materialises one record per operation; a wider one is
+// paid in page faults on every pass
+const _: () = assert!(std::mem::size_of::<Operation>() == 40);
 
 impl Operation {
     /// Whether this operation completely precedes `other` in real time.
@@ -137,7 +147,7 @@ mod tests {
             input: 0,
             start,
             end,
-            counter: (value % 2) as usize,
+            counter: (value % 2) as u32,
             value,
         }
     }

@@ -134,10 +134,10 @@ impl<'a> TimedExecutor<'a> {
                 let tok = schedule.token(k);
                 operations[k] = Some(Operation {
                     token: k,
-                    input: tok.input,
+                    input: u32::try_from(tok.input).expect("a network input index fits u32"),
                     start: tok.entry(),
                     end: time,
-                    counter,
+                    counter: u32::try_from(counter).expect("a counter index fits u32"),
                     value,
                 });
             }

@@ -117,7 +117,8 @@ pub fn operations_to_csv(ops: &[Operation]) -> String {
 ///
 /// Returns [`TimingError::EmptySchedule`] for an empty file and
 /// `DepthMismatch` (with the row index as the token) for malformed
-/// rows.
+/// rows, including a field out of its type's range (an `input` or
+/// `counter` of 2³² or more).
 pub fn operations_from_csv(csv: &str) -> Result<Vec<Operation>, TimingError> {
     let mut lines = csv.lines().filter(|l| !l.trim().is_empty());
     let _header = lines.next().ok_or(TimingError::EmptySchedule)?;
@@ -131,20 +132,20 @@ pub fn operations_from_csv(csv: &str) -> Result<Vec<Operation>, TimingError> {
                 expected: 6,
             });
         }
-        let parse = |s: &str| -> Result<u64, TimingError> {
-            s.trim().parse().map_err(|_| TimingError::DepthMismatch {
-                token: row,
-                got: 0,
-                expected: 6,
-            })
+        let malformed = || TimingError::DepthMismatch {
+            token: row,
+            got: 0,
+            expected: 6,
         };
+        let int = |s: &str| s.trim().parse::<u64>().map_err(|_| malformed());
+        let wire = |s: &str| s.trim().parse::<u32>().map_err(|_| malformed());
         ops.push(Operation {
-            token: parse(fields[0])? as usize,
-            input: parse(fields[1])? as usize,
-            start: parse(fields[2])?,
-            end: parse(fields[3])?,
-            counter: parse(fields[4])? as usize,
-            value: parse(fields[5])?,
+            token: usize::try_from(int(fields[0])?).map_err(|_| malformed())?,
+            input: wire(fields[1])?,
+            start: int(fields[2])?,
+            end: int(fields[3])?,
+            counter: wire(fields[4])?,
+            value: int(fields[5])?,
         });
     }
     Ok(ops)
@@ -190,6 +191,24 @@ mod tests {
         let csv = operations_to_csv(&ops);
         let back = operations_from_csv(&csv).unwrap();
         assert_eq!(ops, back);
+    }
+
+    #[test]
+    fn trace_rows_out_of_range_are_refused_not_truncated() {
+        let header = "token,input,start,end,counter,value\n";
+        // 2^32 would wrap to wire 0 under an `as` cast
+        for row in ["0,4294967296,0,9,1,1", "0,2,0,9,4294967296,1"] {
+            assert!(
+                matches!(
+                    operations_from_csv(&format!("{header}{row}\n")),
+                    Err(TimingError::DepthMismatch { token: 0, .. })
+                ),
+                "{row}"
+            );
+        }
+        let widest = operations_from_csv(&format!("{header}0,4294967295,0,9,4294967295,1\n"));
+        assert_eq!(widest.unwrap()[0].counter, u32::MAX);
+        assert!(operations_from_csv(&format!("{header}18446744073709551616,0,0,9,0,1\n")).is_err());
     }
 
     #[test]

@@ -278,6 +278,8 @@ pub fn nonlinearizable_tokens(ops: &[Operation]) -> Vec<usize> {
 /// One record of a lane: `(start, end, value)`.
 pub type LaneRecord = (Time, Time, u64);
 
+const _: () = assert!(std::mem::size_of::<LaneRecord>() == 24);
+
 /// Why [`lane_magnitudes`] refused its input: record `index` of lane
 /// `lane` does not end after it starts, or does not start after its
 /// predecessor ended.

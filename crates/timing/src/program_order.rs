@@ -32,7 +32,7 @@ pub type ProcessOf = fn(&Operation) -> usize;
 /// The default extractor: the `input` field.
 #[must_use]
 pub fn by_input(op: &Operation) -> usize {
-    op.input
+    op.input as usize
 }
 
 /// Counts operations that return a *smaller* value than an earlier
@@ -173,7 +173,7 @@ impl ConsistencyBreakdown {
 mod tests {
     use super::*;
 
-    fn op(input: usize, start: u64, end: u64, value: u64) -> Operation {
+    fn op(input: u32, start: u64, end: u64, value: u64) -> Operation {
         Operation {
             token: 0,
             input,
@@ -231,8 +231,8 @@ mod tests {
 
     #[test]
     fn sparse_process_ids_are_counted_by_the_sort_path() {
-        let ops = [op(usize::MAX, 0, 1, 5), op(usize::MAX, 2, 3, 2)];
-        assert_eq!(count_in_trace_order(&ops, &mut |i| ops[i].input), None);
+        let ops = [op(u32::MAX, 0, 1, 5), op(u32::MAX, 2, 3, 2)];
+        assert_eq!(count_in_trace_order(&ops, &mut |i| by_input(&ops[i])), None);
         assert_eq!(count_program_order_violations(&ops, by_input), 1);
     }
 
@@ -257,7 +257,7 @@ mod tests {
                     let start = clock[p] + 1 + next(20);
                     let end = start + 1 + next(40);
                     clock[p] = if overlapping { start } else { end };
-                    op(p, start, end, next(50))
+                    op(p as u32, start, end, next(50))
                 })
                 .collect();
             // traces are recorded in completion order
@@ -265,13 +265,13 @@ mod tests {
             let listed_in_start_order = (0..processes).all(|p| {
                 let starts: Vec<u64> = ops
                     .iter()
-                    .filter(|o| o.input == p)
+                    .filter(|o| by_input(o) == p)
                     .map(|o| o.start)
                     .collect();
                 starts.windows(2).all(|w| w[0] < w[1])
             });
-            let sorted = count_sorted_by_start(&ops, &mut |i| ops[i].input);
-            let one_pass = count_in_trace_order(&ops, &mut |i| ops[i].input);
+            let sorted = count_sorted_by_start(&ops, &mut |i| by_input(&ops[i]));
+            let one_pass = count_in_trace_order(&ops, &mut |i| by_input(&ops[i]));
             if listed_in_start_order {
                 in_order += 1;
                 assert_eq!(one_pass, Some(sorted), "trial {trial}");

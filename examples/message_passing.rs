@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let mut per_client = vec![0usize; workload.processors];
     for &c in &outcome.stats.completed_by {
-        per_client[c] += 1;
+        per_client[c as usize] += 1;
     }
     println!("ops per client: {per_client:?}");
     println!(

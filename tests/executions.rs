@@ -71,7 +71,7 @@ proptest! {
             let expected = router.route(input).unwrap();
             let got = &exec.operations()[k];
             prop_assert_eq!(got.value, expected.value);
-            prop_assert_eq!(got.counter, expected.counter);
+            prop_assert_eq!(got.counter as usize, expected.counter);
         }
         prop_assert_eq!(exec.nonlinearizable_count(), 0);
     }

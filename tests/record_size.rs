@@ -1,0 +1,67 @@
+//! A native run's heap peaks at what it keeps per operation: the 24-byte
+//! lane record the client thread leaves behind, the 40-byte
+//! `Operation` materialised from it, and the 4-byte processor id beside
+//! it. Every allocation in the process is counted, so this file holds
+//! one test.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use cnet_engine::{Backend, BalancerKind, ShmBackend, Workload};
+use cnet_topology::constructions;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+struct CountingAllocator;
+
+// SAFETY: every request is passed to `System` unchanged; the counters
+// are statics that neither allocate nor run a destructor.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's contract for `alloc` is `System`'s
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            // statistics only: they publish no other data
+            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
+            PEAK.fetch_max(live, Ordering::Relaxed);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System.alloc` with this layout
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// A power of two, so the one thread's lane ends at exactly this
+/// capacity.
+const OPS: usize = 1 << 16;
+
+#[test]
+fn a_native_run_peaks_at_a_lane_record_an_operation_and_a_processor_id_per_op() {
+    let net = constructions::bitonic(16).unwrap();
+    let workload = Workload {
+        total_ops: OPS,
+        ..Workload::paper(1, 0, 0)
+    };
+    let backend = ShmBackend::network(&net, BalancerKind::WaitFree, 24301);
+    let before = LIVE.load(Ordering::Relaxed);
+    PEAK.store(before, Ordering::Relaxed);
+    let outcome = backend.run(&workload);
+    let peak = PEAK.load(Ordering::Relaxed) - before;
+    assert!(outcome.counts_exactly());
+    assert_eq!(outcome.stats.operations.len(), OPS);
+    assert_eq!(outcome.stats.completed_by.len(), OPS);
+    let budget = OPS * (24 + 40 + 4) + 256 * 1024;
+    assert!(
+        peak <= budget,
+        "heap peak {peak} B is over {budget} B ({:.1} B/op)",
+        peak as f64 / OPS as f64
+    );
+}
