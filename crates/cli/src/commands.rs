@@ -879,7 +879,7 @@ pub fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         "served {} ops over {} connection(s); history retained {} (dropped {}), {} dump(s) written",
         summary.report.total.ops,
         summary.connections,
-        summary.operations.len(),
+        summary.history.len(),
         summary.history_dropped,
         summary.dumps_written,
     );

@@ -16,6 +16,9 @@
 //! * [`CounterServer`] / [`ServeConfig`] / [`ServerHandle`] — the
 //!   daemon, its drain-then-flush shutdown, and its periodic
 //!   schema-v6 [`cnet_harness::RunRecord`] dumps;
+//! * [`History`] — the bounded, run-length record of the last
+//!   operations served, which dumps expand and the final
+//!   [`ServeSummary`] hands back;
 //! * [`ServeClient`] — a typed blocking client;
 //! * [`drive`] / [`DriveConfig`] — the open-loop load generator that
 //!   soaks a daemon and produces a gateable [`cnet_obs::SloReport`];
@@ -32,4 +35,4 @@ pub mod signal;
 
 pub use client::{Drawn, HealthInfo, ServeClient};
 pub use drive::{drive, DriveConfig, DriveOutcome};
-pub use server::{CounterServer, ServeConfig, ServeSummary, ServerHandle};
+pub use server::{CounterServer, History, ServeConfig, ServeSummary, ServerHandle};

@@ -108,101 +108,143 @@ impl ServeConfig {
 
 /// The per-bracket record kept for offline replay: the `k` operations
 /// of one traversal, run-length encoded — they share everything but
-/// their tokens `token..token + k` and values `base..base + k` — plus
-/// the connection that performed them (the "processor" for
-/// program-order purposes).
+/// their values `base..base + k` — plus the connection that performed
+/// them (the "processor" for program-order purposes). Their tokens and
+/// input wire are not stored: the ring's tokens are contiguous from
+/// [`History::dropped`], and the input is `conn % input_width`.
 #[derive(Debug)]
 struct HistoryRun {
-    token: u64,
-    input: u32,
     start: u64,
     end: u64,
     base: u64,
-    k: u64,
+    k: u32,
     conn: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<HistoryRun>() == 32);
 
 impl HistoryRun {
     /// Forgets the run's first `d <= k` operations.
     fn skip(&mut self, d: u64) {
-        self.token += d;
         self.base += d;
-        self.k -= d;
+        self.k -= u32::try_from(d).expect("a run skips at most its own k");
     }
 }
 
-/// State guarded by one lock: the evaluator fed in end order, and the
-/// bounded history ring behind it.
-#[derive(Debug)]
-struct SloState {
-    evaluator: SloEvaluator,
-    /// The last `history_cap` completed *operations*, tokens contiguous
-    /// and ending at `completions - 1`.
-    history: VecDeque<HistoryRun>,
-    history_cap: u64,
+/// The served history: the last `history_cap` completed *operations*,
+/// kept as one run per bracket, in completion order.
+///
+/// Its tokens are contiguous, from [`History::dropped`] to one below
+/// the number of completions. [`History::expand`] is the one place
+/// those operations are materialised — for a dump, a test, or anyone
+/// else who needs them one by one.
+#[derive(Debug, Default)]
+pub struct History {
+    runs: VecDeque<HistoryRun>,
+    cap: u64,
     completions: u64,
+    /// The network's output width: a value's counter is `value % width`.
+    width: u64,
+    /// The network's input width: a connection's input is
+    /// `conn % input_width`, the rule `Core::draw` picks it by.
+    input_width: u32,
 }
 
-impl SloState {
-    /// Completions no longer in the ring: every token below this one.
-    fn history_dropped(&self) -> u64 {
-        self.completions.saturating_sub(self.history_cap)
+impl History {
+    fn new(cap: usize, width: usize, input_width: usize) -> Self {
+        History {
+            runs: VecDeque::new(),
+            cap: cap.max(1) as u64,
+            completions: 0,
+            width: width as u64,
+            input_width: u32::try_from(input_width)
+                .expect("an input width fits u32, as `Operation::input` does"),
+        }
+    }
+
+    /// Operations retained: the number of completions, up to the cap.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        usize::try_from(self.completions.min(self.cap)).expect("the cap came from a usize")
+    }
+
+    /// Whether nothing has completed yet.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.completions == 0
+    }
+
+    /// Completions no longer retained: every token below this one.
+    #[must_use]
+    pub fn dropped(&self) -> u64 {
+        self.completions.saturating_sub(self.cap)
     }
 
     /// Appends the bracket that just completed, `k` operations on
-    /// `base..base + k`, in time independent of `k`.
+    /// `base..base + k` by connection `conn`, in time independent of `k`.
     ///
     /// Room is made before the push, never after: a ring of single
     /// operations sits at exactly `history_cap` runs, and one more
     /// would double the `VecDeque`.
-    fn push_history(&mut self, input: u32, start: u64, end: u64, base: u64, k: u64, conn: u32) {
+    fn push(&mut self, start: u64, end: u64, base: u64, k: u64, conn: u32) {
         let mut run = HistoryRun {
-            token: self.completions,
-            input,
             start,
             end,
             base,
-            k,
+            k: u32::try_from(k).expect("a bracket draws at most MAX_BATCH values"),
             conn,
         };
+        let run_token = self.completions;
+        let mut front_token = self.dropped(); // the ring starts there
         self.completions += k;
         // the boundary may fall inside the front run, or inside `run`
-        let keep_from = self.history_dropped();
-        while let Some(front) = self.history.front_mut() {
-            if front.token + front.k > keep_from {
-                front.skip(keep_from.saturating_sub(front.token));
+        let keep_from = self.dropped();
+        while let Some(front) = self.runs.front_mut() {
+            let front_end = front_token + u64::from(front.k);
+            if front_end > keep_from {
+                front.skip(keep_from - front_token);
                 break;
             }
-            self.history.pop_front();
+            front_token = front_end;
+            self.runs.pop_front();
         }
-        run.skip(keep_from.saturating_sub(run.token));
-        self.history.push_back(run);
+        run.skip(keep_from.saturating_sub(run_token));
+        self.runs.push_back(run);
     }
 
-    /// The retained history, one [`Operation`] per completion, with
-    /// the connection behind each — what dumps and the final summary
-    /// carry. `width` is the network's output width.
-    fn expand_history(&self, width: u64) -> (Vec<Operation>, Vec<u32>) {
-        let retained = (self.completions - self.history_dropped()) as usize;
-        let mut operations = Vec::with_capacity(retained);
-        let mut completed_by = Vec::with_capacity(retained);
-        for run in &self.history {
-            for j in 0..run.k {
-                let value = run.base + j;
+    /// The retained history, one [`Operation`] per completion, with the
+    /// connection behind each.
+    #[must_use]
+    pub fn expand(&self) -> (Vec<Operation>, Vec<u32>) {
+        let mut operations = Vec::with_capacity(self.len());
+        let mut completed_by = Vec::with_capacity(self.len());
+        let mut token = self.dropped();
+        for run in &self.runs {
+            let input = run.conn % self.input_width;
+            for value in run.base..run.base + u64::from(run.k) {
                 operations.push(Operation {
-                    token: usize::try_from(run.token + j).unwrap_or(usize::MAX),
-                    input: run.input,
+                    token: usize::try_from(token).unwrap_or(usize::MAX),
+                    input,
                     start: run.start,
                     end: run.end,
-                    counter: u32::try_from(value % width)
+                    counter: u32::try_from(value % self.width)
                         .expect("a counter index below the width fits u32"),
                     value,
                 });
                 completed_by.push(run.conn);
+                token += 1;
             }
         }
         (operations, completed_by)
     }
+}
+
+/// State guarded by one lock: the evaluator fed in end order, and the
+/// bounded history behind it.
+#[derive(Debug)]
+struct SloState {
+    evaluator: SloEvaluator,
+    history: History,
 }
 
 /// Shared server state: the counter, the logical clock, and the SLO
@@ -245,14 +287,7 @@ impl Core {
             let mut s = self.slo.lock().expect("slo lock poisoned");
             s.evaluator
                 .record_batch(start, end, base, k, sojourn_ns, min_pending_start, now_ms);
-            s.push_history(
-                u32::try_from(input).expect("an input index is at most its connection id"),
-                start,
-                end,
-                base,
-                k,
-                conn,
-            );
+            s.history.push(start, end, base, k, conn);
             end
         });
         if as_batch {
@@ -320,7 +355,7 @@ impl Core {
         let s = self.slo.lock().expect("slo lock poisoned");
         let report = s.evaluator.snapshot(uptime);
         let magnitudes = s.evaluator.violation_magnitudes().clone();
-        let (operations, completed_by) = s.expand_history(self.counter.width() as u64);
+        let (operations, completed_by) = s.history.expand();
         drop(s);
         // the probe snapshot's violation fields are the evaluator's
         // full-stream verdict, the same one the `slo` block totals
@@ -381,11 +416,11 @@ impl Core {
 pub struct ServeSummary {
     /// The final SLO snapshot, frozen after the last connection exited.
     pub report: SloReport,
-    /// The retained completion history, completion order.
-    pub operations: Vec<Operation>,
-    /// The connection ("processor") behind each retained operation.
-    pub completed_by: Vec<u32>,
-    /// Completions dropped from the front of the bounded history.
+    /// The retained completion history, handed over as the service kept
+    /// it; [`History::expand`] materialises its operations.
+    pub history: History,
+    /// Completions dropped from the front of the bounded history
+    /// (`history.dropped()`).
     pub history_dropped: u64,
     /// Connections accepted over the service's lifetime.
     pub connections: usize,
@@ -423,8 +458,10 @@ impl ServerHandle {
     ///
     /// # Errors
     ///
-    /// Propagates accept-loop I/O failures (bind errors surface from
-    /// [`CounterServer::start`] instead).
+    /// Propagates an accept or dump write failure, once the service has
+    /// drained its connections and unlinked its socket as on a clean
+    /// shutdown (bind errors surface from [`CounterServer::start`]
+    /// instead).
     ///
     /// # Panics
     ///
@@ -449,15 +486,14 @@ impl CounterServer {
         let _ = std::fs::remove_file(&config.socket); // stale socket from a dead server
         let listener = UnixListener::bind(&config.socket)?;
         listener.set_nonblocking(true)?;
+        let counter = NetworkCounter::new(topology);
         let core = Arc::new(Core {
-            counter: NetworkCounter::new(topology),
             driver: ServiceDriver::new(),
             slo: Mutex::new(SloState {
                 evaluator: SloEvaluator::new(config.policy, config.window_ops),
-                history: VecDeque::new(),
-                history_cap: config.history_cap.max(1) as u64,
-                completions: 0,
+                history: History::new(config.history_cap, counter.width(), counter.input_width()),
             }),
+            counter,
             epoch: Instant::now(),
             closing: AtomicBool::new(false),
             conn_seq: AtomicUsize::new(0),
@@ -478,6 +514,43 @@ impl CounterServer {
 fn accept_loop(core: &Arc<Core>, listener: &UnixListener) -> io::Result<ServeSummary> {
     let mut conns: Vec<thread::JoinHandle<()>> = Vec::new();
     let mut dumps_written = 0u64;
+    let served = accept_until_closing(core, listener, &mut conns, &mut dumps_written);
+    // drain: connection threads see the closing flag, finish every
+    // request already read, send Bye, and exit — after an accept or
+    // dump failure too, so no thread is left serving a dead server
+    core.closing.store(true, Ordering::Relaxed);
+    for h in conns {
+        let _ = h.join();
+    }
+    // final snapshot + flush strictly before the socket disappears
+    let finished = served.and_then(|()| {
+        let report = core.snapshot();
+        if let Some(path) = &core.config.dump_path {
+            core.write_dump(path)?;
+            dumps_written += 1;
+        }
+        Ok(report)
+    });
+    let _ = std::fs::remove_file(&core.config.socket);
+    let report = finished?;
+    let history = std::mem::take(&mut core.slo.lock().expect("slo lock poisoned").history);
+    Ok(ServeSummary {
+        report,
+        history_dropped: history.dropped(),
+        history,
+        connections: core.conn_seq.load(Ordering::Relaxed),
+        dumps_written,
+    })
+}
+
+/// Accepts connections and writes the periodic dumps until the closing
+/// flag (or a signal) is seen; an accept or dump failure ends it early.
+fn accept_until_closing(
+    core: &Arc<Core>,
+    listener: &UnixListener,
+    conns: &mut Vec<thread::JoinHandle<()>>,
+    dumps_written: &mut u64,
+) -> io::Result<()> {
     let mut last_dump = Instant::now();
     while !core.closing() {
         match listener.accept() {
@@ -500,50 +573,17 @@ fn accept_loop(core: &Arc<Core>, listener: &UnixListener) -> io::Result<ServeSum
                 signal::wait_readable(listener, POLL_INTERVAL);
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => {
-                // tear down cleanly even on an accept failure
-                core.closing.store(true, Ordering::Relaxed);
-                for h in conns {
-                    let _ = h.join();
-                }
-                let _ = std::fs::remove_file(&core.config.socket);
-                return Err(e);
-            }
+            Err(e) => return Err(e),
         }
         if let Some(path) = &core.config.dump_path {
             if last_dump.elapsed() >= core.config.dump_every {
                 core.write_dump(path)?;
-                dumps_written += 1;
+                *dumps_written += 1;
                 last_dump = Instant::now();
             }
         }
     }
-    // drain: connection threads see the closing flag, finish every
-    // request already read, send Bye, and exit
-    core.closing.store(true, Ordering::Relaxed);
-    for h in conns {
-        let _ = h.join();
-    }
-    // final snapshot + flush strictly before the socket disappears
-    let report = core.snapshot();
-    if let Some(path) = &core.config.dump_path {
-        core.write_dump(path)?;
-        dumps_written += 1;
-    }
-    let _ = std::fs::remove_file(&core.config.socket);
-    let (operations, completed_by, history_dropped) = {
-        let s = core.slo.lock().expect("slo lock poisoned");
-        let (ops, by) = s.expand_history(core.counter.width() as u64);
-        (ops, by, s.history_dropped())
-    };
-    Ok(ServeSummary {
-        report,
-        operations,
-        completed_by,
-        history_dropped,
-        connections: core.conn_seq.load(Ordering::Relaxed),
-        dumps_written,
-    })
+    Ok(())
 }
 
 /// One connection: decode frames, answer them, drain politely.
@@ -615,7 +655,58 @@ mod tests {
     use super::*;
     use crate::client::ServeClient;
     use cnet_topology::constructions;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use serde::Deserialize as _;
+
+    /// The ring against a per-operation model that stores every token
+    /// and input: whatever the run lengths — many longer than the ring —
+    /// the derived fields and the trimmed front agree after every push.
+    #[test]
+    fn the_history_derives_what_a_per_operation_ring_stores() {
+        const WIDTH: usize = 8;
+        const INPUT_WIDTH: usize = 3;
+        // every residue mod the input width, and ids past it
+        const CONNS: [u32; 6] = [0, 1, 2, 4, 8, u32::MAX];
+        let mut rng = StdRng::seed_from_u64(0x4157_0127);
+        for cap in [1usize, 2, 7, 1000] {
+            let mut history = History::new(cap, WIDTH, INPUT_WIDTH);
+            let mut model: VecDeque<(Operation, u32)> = VecDeque::new();
+            let (mut token, mut tick, mut dropped) = (0usize, 0u64, 0u64);
+            for _ in 0..200 {
+                let k = rng.gen_range(1..=cap as u64 + 300);
+                let conn = CONNS[rng.gen_range(0..CONNS.len())];
+                let start = tick;
+                let end = start + rng.gen_range(1..=5u64);
+                tick = end + 1;
+                let base = rng.gen_range(0..1u64 << 40);
+                history.push(start, end, base, k, conn);
+                for value in base..base + k {
+                    let op = Operation {
+                        token,
+                        input: conn % INPUT_WIDTH as u32,
+                        start,
+                        end,
+                        counter: (value % WIDTH as u64) as u32,
+                        value,
+                    };
+                    model.push_back((op, conn));
+                    token += 1;
+                }
+                while model.len() > cap {
+                    model.pop_front();
+                    dropped += 1;
+                }
+                let (operations, completed_by) = history.expand();
+                let (want_ops, want_by): (Vec<Operation>, Vec<u32>) = model.iter().copied().unzip();
+                assert_eq!(operations, want_ops, "cap {cap}, token {token}");
+                assert_eq!(completed_by, want_by, "cap {cap}, token {token}");
+                assert_eq!(history.dropped(), dropped, "cap {cap}, token {token}");
+                assert_eq!(history.len(), model.len());
+                assert!(history.runs.len() <= cap);
+            }
+        }
+    }
 
     /// The probe snapshot in a dump carries the evaluator's verdict and
     /// no other, and nothing the service keeps per operation outlives

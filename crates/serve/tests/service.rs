@@ -111,7 +111,8 @@ fn online_windows_match_offline_replay(
     handle.request_shutdown();
     let summary = handle.wait().unwrap();
     assert_eq!(summary.history_dropped, 0, "test must retain everything");
-    let ops = &summary.operations;
+    let (operations, _) = summary.history.expand();
+    let ops = &operations;
     assert_eq!(summary.report.total.ops, ops.len() as u64);
     assert!(
         ops.windows(2).all(|p| p[0].end <= p[1].end),
@@ -245,19 +246,15 @@ fn the_history_ring_holds_exactly_the_last_cap_operations() {
     assert_eq!(summary.report.total.ops, full.len() as u64);
     assert!(full.len() > 3 * CAP, "the ring must have wrapped");
 
-    assert_eq!(summary.operations.len(), CAP);
-    assert_eq!(summary.completed_by.len(), CAP);
+    let (operations, completed_by) = summary.history.expand();
+    assert_eq!(operations.len(), CAP);
+    assert_eq!(completed_by.len(), CAP);
     assert_eq!(
-        summary.history_dropped + summary.operations.len() as u64,
+        summary.history_dropped + operations.len() as u64,
         summary.report.total.ops
     );
     let first_token = full.len() - CAP;
-    for (i, (op, &by)) in summary
-        .operations
-        .iter()
-        .zip(&summary.completed_by)
-        .enumerate()
-    {
+    for (i, (op, &by)) in operations.iter().zip(&completed_by).enumerate() {
         let (value, start, end, conn) = full[first_token + i];
         assert_eq!(op.token, first_token + i, "tokens are contiguous");
         assert_eq!((op.value, op.start, op.end), (value, start, end), "op {i}");
@@ -383,6 +380,37 @@ fn final_dump_is_flushed_on_shutdown() {
     assert_eq!(slo.windows_closed, 6); // 50 ops / 8-op windows
     assert!(slo.breach_free());
     std::fs::remove_file(&dump).unwrap();
+}
+
+/// A periodic dump that cannot be written stops the service as a
+/// shutdown would: its connections are told `Bye` (or hung up on)
+/// rather than left serving, `wait` reports the error, and the socket
+/// is unlinked.
+#[test]
+fn a_dump_that_cannot_be_written_stops_the_service_cleanly() {
+    let net = constructions::bitonic(4).unwrap();
+    let mut config = ServeConfig::new(socket_path("dump-fails"));
+    config.dump_path = Some(
+        std::env::temp_dir()
+            .join(format!("cnet-serve-missing-{}", std::process::id()))
+            .join("dump.json"),
+    );
+    config.dump_every = Duration::from_millis(50);
+    let socket = config.socket.clone();
+    let handle = CounterServer::start(&net, config).unwrap();
+
+    let mut client = ServeClient::connect(&socket).unwrap();
+    assert_eq!(client.next().unwrap().base, 0);
+    // the first dump fails within ~75 ms; `wait` returns once the
+    // accept loop has given up, whatever it left running
+    let waited = handle.wait();
+    let refused = client.next();
+    assert!(refused.is_err(), "served after a failed dump: {refused:?}");
+    assert!(waited.is_err(), "the dump failure must reach wait()");
+    assert!(
+        !socket.exists(),
+        "socket must be unlinked after a failed dump"
+    );
 }
 
 /// Batch-size zero and oversized batches are rejected at the protocol
