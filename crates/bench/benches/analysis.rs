@@ -1,10 +1,11 @@
 //! Criterion benchmark: the analysis tooling.
 //!
 //! Knowledge-set computation (Lemmas 3.1/3.2 machinery), the streamed
-//! Definition 2.4 table, and the exhaustive interleaving enumerator.
+//! Definition 2.4 start witness, and the exhaustive interleaving
+//! enumerator.
 
 use cnet_timing::executor::TimedExecutor;
-use cnet_timing::linearizability::FinishedMax;
+use cnet_timing::linearizability::StartWitness;
 use cnet_timing::{interleave, knowledge, random, LinkTiming};
 use cnet_topology::constructions;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -33,15 +34,27 @@ fn bench_online_checker(c: &mut Criterion) {
     let timing = LinkTiming::new(5, 25).expect("valid");
     let schedule = random::uniform_schedule(&net, timing, 5_000, 3, 9).expect("schedule");
     let exec = TimedExecutor::new(&net).run(&schedule).expect("execution");
-    let mut ops = exec.operations().to_vec();
-    ops.sort_by_key(|o| o.end);
-    group.throughput(Throughput::Elements(ops.len() as u64));
+    // the trace's instants in time order, ends before starts at one
+    // instant: `(tick, is_start, value)`
+    let mut instants: Vec<(u64, bool, u64)> = exec
+        .operations()
+        .iter()
+        .flat_map(|op| [(op.start, true, op.value), (op.end, false, op.value)])
+        .collect();
+    instants.sort_unstable();
+    group.throughput(Throughput::Elements(exec.operations().len() as u64));
     group.bench_function("stream_5000", |b| {
         b.iter(|| {
-            let mut finished = FinishedMax::new();
-            ops.iter()
-                .filter(|op| finished.observe(op.start, op.end, op.value) > 0)
-                .count()
+            let mut finished = StartWitness::default();
+            let mut violating = 0usize;
+            for &(tick, is_start, value) in std::hint::black_box(&instants) {
+                if is_start {
+                    violating += usize::from(finished.witness(tick) > value);
+                } else {
+                    finished.record(tick, value);
+                }
+            }
+            violating
         })
     });
     group.finish();

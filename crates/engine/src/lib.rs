@@ -90,7 +90,7 @@ pub use async_exec::{AsyncBackend, AsyncConfig};
 pub use counter::CounterSpec;
 pub use outcome::RunOutcome;
 pub use schedule::arrival_schedule;
-pub use service::ServiceDriver;
+pub use service::{Bracket, ServiceDriver};
 pub use shm::ShmBackend;
 pub use sim::SimBackend;
 pub use spec::{BackendSpec, SpecError};

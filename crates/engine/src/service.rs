@@ -8,16 +8,20 @@
 //! with its `fetch_add` ticks — plus two things a batch run never
 //! needed:
 //!
-//! 1. **An in-flight registry.** An online Definition 2.4 evaluator
-//!    can only discard old state once it knows no future completion
-//!    can start before some tick. The registry's minimum pending start
-//!    is that bound (see `cnet_obs::ViolationTracker::retire`).
-//! 2. **A completion critical section.** Streaming violation counts
-//!    are exact only when observations arrive in end-tick order.
-//!    [`ServiceDriver::complete`] assigns the end tick *and* runs the
-//!    caller's callback under one lock, so feed order equals end order
-//!    by construction — the integration suites replay recorded
-//!    histories offline to confirm the counts match exactly.
+//! 1. **A witness read at the start.** Every tick is handed out under
+//!    one lock, so when [`begin`] draws an operation's start tick,
+//!    every completion already recorded ended before it, and none
+//!    recorded later did. The Definition 2.4 witness — the largest
+//!    value that finished before the operation started — is therefore
+//!    one running maximum ([`StartWitness`]), read in [`begin`] and
+//!    carried by the [`Bracket`] it returns. An online evaluator needs
+//!    no table and nothing to retire.
+//! 2. **A completion critical section.** [`complete`] assigns the end
+//!    tick, folds the bracket's last drawn value into that maximum,
+//!    *and* runs the caller's callback under the same lock, so whatever
+//!    the callback records is recorded in end-tick order — the
+//!    integration suites replay recorded histories offline to confirm
+//!    the online counts match exactly.
 //!
 //! The counter traversal itself runs between [`begin`] and
 //! [`complete`], unlocked — only the tick assignment is serialized,
@@ -26,10 +30,11 @@
 //! [`begin`]: ServiceDriver::begin
 //! [`complete`]: ServiceDriver::complete
 
-use std::collections::BTreeSet;
 use std::sync::Mutex;
 
-/// Logical clock + in-flight registry for an open-ended run.
+use cnet_timing::linearizability::StartWitness;
+
+/// Logical clock + start witness for an open-ended run.
 #[derive(Debug, Default)]
 pub struct ServiceDriver {
     inner: Mutex<ServiceState>,
@@ -39,63 +44,96 @@ pub struct ServiceDriver {
 struct ServiceState {
     /// Next logical tick (every begin/complete consumes one).
     clock: u64,
-    /// Start ticks of operations begun but not yet completed.
-    pending: BTreeSet<u64>,
+    /// The values of every completed bracket, as Definition 2.4 needs
+    /// them.
+    finished: StartWitness,
+}
+
+/// One operation between [`ServiceDriver::begin`] and
+/// [`ServiceDriver::complete`]: its start tick, the witness read with
+/// it, and what it drew. Not `Clone`: [`ServiceDriver::complete`]
+/// consumes it, so an operation completes exactly once.
+#[derive(Debug)]
+pub struct Bracket {
+    start: u64,
+    witness: u64,
+    /// The largest value drawn, `None` while nothing is.
+    last: Option<u64>,
+}
+
+impl Bracket {
+    /// The start tick.
+    #[must_use]
+    pub fn start(&self) -> u64 {
+        self.start
+    }
+
+    /// Records that the operation drew `base..base + k` (nothing for
+    /// `k = 0`), so [`ServiceDriver::complete`] can fold its last value
+    /// into the witness of every later start.
+    pub fn drew(&mut self, base: u64, k: u64) {
+        if k > 0 {
+            self.last = Some(base + k - 1);
+        }
+    }
 }
 
 impl ServiceDriver {
-    /// A fresh driver with the clock at zero and nothing in flight.
+    /// A fresh driver with the clock at zero and nothing completed.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Opens an operation: assigns its start tick and registers it
-    /// in flight. The caller traverses the counter (unlocked), then
-    /// must pass the tick back to [`complete`] exactly once.
+    /// Opens an operation: assigns its start tick and reads its
+    /// witness, the largest value any operation completed so far has
+    /// drawn (0 for none). The caller traverses the counter (unlocked),
+    /// records what it drew with [`Bracket::drew`], then hands the
+    /// bracket to [`complete`].
     ///
     /// [`complete`]: ServiceDriver::complete
     ///
     /// # Panics
     ///
     /// Panics if the lock is poisoned (a prior holder panicked).
-    pub fn begin(&self) -> u64 {
+    pub fn begin(&self) -> Bracket {
         let mut s = self.inner.lock().expect("service clock poisoned");
         let start = s.clock;
         s.clock += 1;
-        s.pending.insert(start);
-        start
+        Bracket {
+            start,
+            witness: s.finished.witness(start),
+            last: None,
+        }
     }
 
-    /// Closes the operation opened with `start`: assigns the end tick,
-    /// deregisters it, and runs `f(end, min_pending_start)` before any
-    /// other operation can complete.
+    /// Closes `bracket`: assigns the end tick, folds the bracket's last
+    /// drawn value into the witness of later starts (a bracket that
+    /// drew nothing leaves it alone), and runs `f(end, witness)` before
+    /// any other operation can begin or complete. Because `f` runs
+    /// under the clock lock, callbacks across threads execute in strict
+    /// end-tick order.
     ///
-    /// `min_pending_start` is the smallest start tick still in flight
-    /// after this completion — or the end tick itself when nothing is
-    /// in flight, since any future [`begin`] draws a later tick. Every
-    /// future completion therefore has `start >= min_pending_start`,
-    /// which is the retirement bound streaming evaluators need.
-    /// Because `f` runs under the clock lock, callbacks across threads
-    /// execute in strict end-tick order.
+    /// The bracket is consumed, so it cannot complete twice:
     ///
-    /// [`begin`]: ServiceDriver::begin
+    /// ```compile_fail,E0382
+    /// let driver = cnet_engine::ServiceDriver::new();
+    /// let bracket = driver.begin();
+    /// driver.complete(bracket, |end, _| end);
+    /// driver.complete(bracket, |end, _| end); // use of moved value
+    /// ```
     ///
     /// # Panics
     ///
-    /// Panics if `start` is not in flight (double-complete or a tick
-    /// that never came from [`ServiceDriver::begin`]), or if the lock
-    /// is poisoned.
-    pub fn complete<R>(&self, start: u64, f: impl FnOnce(u64, u64) -> R) -> R {
+    /// Panics if the lock is poisoned.
+    pub fn complete<R>(&self, bracket: Bracket, f: impl FnOnce(u64, u64) -> R) -> R {
         let mut s = self.inner.lock().expect("service clock poisoned");
-        assert!(
-            s.pending.remove(&start),
-            "complete({start}): operation not in flight"
-        );
         let end = s.clock;
         s.clock += 1;
-        let min_pending_start = s.pending.first().copied().unwrap_or(end);
-        f(end, min_pending_start)
+        if let Some(last) = bracket.last {
+            s.finished.record(end, last);
+        }
+        f(end, bracket.witness)
     }
 
     /// Current logical-clock reading (ticks consumed so far).
@@ -107,20 +145,6 @@ impl ServiceDriver {
     pub fn clock(&self) -> u64 {
         self.inner.lock().expect("service clock poisoned").clock
     }
-
-    /// Operations currently in flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lock is poisoned.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("service clock poisoned")
-            .pending
-            .len()
-    }
 }
 
 #[cfg(test)]
@@ -130,66 +154,67 @@ mod tests {
     #[test]
     fn ticks_are_strictly_increasing_and_bracket_ops() {
         let d = ServiceDriver::new();
-        let s1 = d.begin();
-        let s2 = d.begin();
+        let mut b1 = d.begin();
+        let mut b2 = d.begin();
+        let (s1, s2) = (b1.start(), b2.start());
         assert!(s2 > s1);
-        assert_eq!(d.in_flight(), 2);
-        let (e2, min2) = d.complete(s2, |end, min| (end, min));
+        b2.drew(5, 3);
+        let (e2, w2) = d.complete(b2, |end, witness| (end, witness));
         assert!(e2 > s2);
-        // s1 still pending: it bounds future starts
-        assert_eq!(min2, s1);
-        let (e1, min1) = d.complete(s1, |end, min| (end, min));
+        // nothing had finished when either started
+        assert_eq!(w2, 0);
+        b1.drew(0, 1);
+        let (e1, w1) = d.complete(b1, |end, witness| (end, witness));
         assert!(e1 > e2);
-        // nothing pending: the end tick itself is the bound
-        assert_eq!(min1, e1);
-        assert_eq!(d.in_flight(), 0);
-        assert_eq!(d.clock(), 4);
+        assert_eq!(w1, 0);
+        // a later start sees the largest value drawn, 7
+        assert_eq!(d.complete(d.begin(), |_, witness| witness), 7);
+        // a bracket that drew nothing leaves the maximum alone
+        assert_eq!(d.complete(d.begin(), |_, witness| witness), 7);
+        assert_eq!(d.clock(), 8);
     }
 
+    /// Eight threads race 4 000 brackets, each drawing a distinct value:
+    /// callbacks run in end-tick order, and every bracket's witness is
+    /// the largest value among the brackets that ended before it
+    /// started, recomputed offline.
     #[test]
-    #[should_panic(expected = "not in flight")]
-    fn double_complete_is_rejected() {
-        let d = ServiceDriver::new();
-        let s = d.begin();
-        d.complete(s, |_, _| ());
-        d.complete(s, |_, _| ());
-    }
-
-    #[test]
-    fn callbacks_observe_end_tick_order_under_contention() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+    fn witnesses_are_exact_under_contention() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        const BRACKETS: u64 = 4_000;
         let d = ServiceDriver::new();
         let feed = Mutex::new(Vec::new());
-        let remaining = AtomicUsize::new(4_000);
+        let next_value = AtomicU64::new(0);
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 scope.spawn(|| loop {
-                    if remaining
-                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
-                        .is_err()
-                    {
+                    let value = next_value.fetch_add(1, Ordering::Relaxed);
+                    if value >= BRACKETS {
                         break;
                     }
-                    let start = d.begin();
+                    let mut bracket = d.begin();
+                    let start = bracket.start();
                     std::hint::spin_loop(); // the "traversal"
-                    d.complete(start, |end, min| {
-                        assert!(min <= end);
-                        feed.lock().unwrap().push((start, end, min));
+                    bracket.drew(value, 1);
+                    d.complete(bracket, |end, witness| {
+                        feed.lock().unwrap().push((start, end, value, witness));
                     });
                 });
             }
         });
         let feed = feed.into_inner().unwrap();
-        assert_eq!(feed.len(), 4_000);
-        // the whole point: feed order is end-tick order, and every
-        // later entry's start respects the earlier retirement bounds
-        let mut frontier = 0u64;
+        assert_eq!(feed.len(), BRACKETS as usize);
         for w in feed.windows(2) {
             assert!(w[0].1 < w[1].1, "ends out of order: {w:?}");
         }
-        for &(start, _, min) in &feed {
-            assert!(start >= frontier, "start {start} below frontier {frontier}");
-            frontier = frontier.max(min);
+        for &(start, _, value, witness) in &feed {
+            let expected = feed
+                .iter()
+                .filter(|b| b.1 < start)
+                .map(|b| b.2)
+                .max()
+                .unwrap_or(0);
+            assert_eq!(witness, expected, "bracket drawing {value}");
         }
     }
 }

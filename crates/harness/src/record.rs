@@ -353,7 +353,7 @@ pub(crate) mod tests {
         let mut r = record("soak", 1.0);
         let mut ev = cnet_obs::SloEvaluator::new(cnet_obs::SloPolicy::unbounded(), 2);
         ev.record(0, 10, 7, 50, 0, 0);
-        ev.record(20, 30, 2, 60, 0, 1);
+        ev.record(20, 30, 2, 60, 7, 1); // 7 finished first
         r.slo = Some(ev.snapshot(99));
         let text = serde::json::to_string(&r.to_value());
         assert!(text.contains("\"slo\""));

@@ -5,9 +5,9 @@
 //! traversal ratio `c2/c1 = (Tog + W)/Tog` — and this crate makes
 //! that quantity (plus the contention that produces it) observable in
 //! *live* runs: per-balancer toggle waits, lock acquisition/hold
-//! times, prism diffractions, wire latencies, and a streaming
-//! non-linearizability tracker that records violation *magnitude*,
-//! not just a count.
+//! times, prism diffractions, wire latencies, and an online
+//! Definition 2.4 evaluator ([`SloEvaluator`]) that records violation
+//! *magnitude*, not just a count.
 //!
 //! # Architecture: two always-compiled layers
 //!
@@ -33,7 +33,7 @@
 //! live one (DESIGN.md §7).
 //!
 //! The data model ([`LogHistogram`], [`MetricsSnapshot`],
-//! [`ViolationTracker`]) is shared by both layers and always
+//! [`SloEvaluator`]) is shared by both layers and always
 //! available, so harness records can *carry* metrics even in builds
 //! that cannot *produce* them.
 //!
@@ -54,7 +54,6 @@ pub mod noop;
 pub mod openloop;
 pub mod slo;
 pub mod snapshot;
-pub mod violation;
 
 pub use hist::{LogHistogram, BUCKETS};
 pub use openloop::{open_loop_metrics, OpenLoopMetrics, OpenLoopWindow};
@@ -63,7 +62,6 @@ pub use snapshot::{
     BalancerMetrics, FabricTelemetry, FrontendMetrics, LinkMetrics, MetricsSnapshot,
     NetworkMetrics, METRICS_SCHEMA_VERSION,
 };
-pub use violation::ViolationTracker;
 
 #[cfg(test)]
 mod tests {

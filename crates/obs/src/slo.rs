@@ -12,9 +12,9 @@
 //! * [`SloWindow`] — one closed equal-population window of completions
 //!   (the same windowing convention as [`crate::openloop`], but rolled
 //!   online instead of assembled post-hoc);
-//! * [`SloEvaluator`] — feeds a [`ViolationTracker`] in completion
-//!   order, closes a window every `window_ops` completions, and runs
-//!   the breach state machine;
+//! * [`SloEvaluator`] — grades each completion against the Definition
+//!   2.4 witness its caller read when it started, closes a window every
+//!   `window_ops` completions, and runs the breach state machine;
 //! * [`SloReport`] — the serializable snapshot (`SLO_SCHEMA_VERSION`),
 //!   also renderable as a `/metrics`-style text page.
 //!
@@ -32,7 +32,6 @@ use std::collections::VecDeque;
 use serde::impl_serde_struct;
 
 use crate::hist::LogHistogram;
-use crate::violation::ViolationTracker;
 
 /// Schema version of [`SloReport`]. Bump on any field change.
 pub const SLO_SCHEMA_VERSION: u32 = 1;
@@ -271,19 +270,20 @@ impl SloReport {
 
 /// The streaming evaluator a service feeds as operations complete.
 ///
-/// Feed order **must** be completion (end-tick) order — a service
-/// guarantees this by assigning the end tick and calling
-/// [`record_batch`] inside one critical section. Under that contract
-/// the per-window violation counts are *exactly* the offline
-/// Definition 2.4 sweep's, window by window (the integration suite in
-/// `cnet-serve` replays recorded histories to assert this).
-///
-/// [`record_batch`]: SloEvaluator::record_batch
+/// Each completion arrives with its *witness*: the largest value among
+/// the operations that finished before it started (Definition 2.4). A
+/// service reads it when the operation starts, under the lock that
+/// hands out its ticks (`cnet_engine::ServiceDriver`), so the
+/// per-window violation counts are *exactly* the offline Definition 2.4
+/// sweep's, window by window, in whatever order completions are fed
+/// (the integration suite in `cnet-serve` replays recorded histories to
+/// assert this).
 #[derive(Debug, Clone)]
 pub struct SloEvaluator {
     policy: SloPolicy,
     window_ops: u64,
-    tracker: ViolationTracker,
+    /// Every non-zero violation magnitude recorded.
+    magnitudes: LogHistogram,
     current: SloWindow,
     windows: VecDeque<SloWindow>,
     windows_closed: u64,
@@ -301,7 +301,7 @@ impl SloEvaluator {
         SloEvaluator {
             policy,
             window_ops: window_ops.max(1),
-            tracker: ViolationTracker::new(),
+            magnitudes: LogHistogram::default(),
             current: SloWindow::default(),
             windows: VecDeque::new(),
             windows_closed: 0,
@@ -313,60 +313,61 @@ impl SloEvaluator {
     }
 
     /// Records one completed operation and returns its violation
-    /// magnitude (0 = linearizable against everything seen so far):
-    /// [`record_batch`] with `k = 1`.
+    /// magnitude, `witness - value` or 0: [`record_batch`] with `k = 1`.
     ///
-    /// `start`/`end` are logical clock ticks, `value` the counter
-    /// position drawn, `sojourn_ns` host-time latency,
-    /// `min_pending_start` the smallest start tick over operations
-    /// still in flight (`u64::MAX` when none — callers promise every
-    /// future `record` has `start >=` this bound, which lets the
-    /// tracker retire old state), and `now_ms` the service uptime used
-    /// to timestamp breach onsets.
+    /// `value` is the counter position drawn, `sojourn_ns` host-time
+    /// latency, `witness` the largest value that finished before the
+    /// operation started, and `now_ms` the service uptime used to
+    /// timestamp breach onsets.
     ///
     /// [`record_batch`]: SloEvaluator::record_batch
     pub fn record(
         &mut self,
-        start: u64,
-        end: u64,
+        // unread until ROADMAP item 3 re-trues the ledger row passing them
+        _start: u64,
+        _end: u64,
         value: u64,
         sojourn_ns: u64,
-        min_pending_start: u64,
+        witness: u64,
         now_ms: u64,
     ) -> u64 {
-        self.record_batch(start, end, value, 1, sojourn_ns, min_pending_start, now_ms)
+        self.record_batch(value, 1, sojourn_ns, witness, now_ms)
     }
 
     /// Records the `k` operations of one clock bracket — a batch that
-    /// reserved `base..base + k` between `start` and `end` — at the
-    /// cost of one, and returns the largest of their violation
-    /// magnitudes (the first sibling's). `k = 0` records nothing.
+    /// reserved `base..base + k` — at the cost of one, and returns the
+    /// largest of their violation magnitudes (the first sibling's).
+    /// `k = 0` records nothing.
     ///
-    /// Every count, histogram and breach is exactly what `k`
-    /// [`record`] calls on `base, base + 1, …` leave behind (calls that
-    /// promise nothing past `start` until the last sibling is in): the
-    /// siblings share one witness ([`ViolationTracker::observe_run`]),
-    /// so their violation count, magnitude sum and maximum are closed
-    /// forms, cut where the run crosses a window boundary. `k` may
-    /// exceed `window_ops`; every window the run closes is closed at
-    /// `now_ms`, in order.
+    /// Siblings cannot witness one another (none ended before the
+    /// shared start), so one `witness` judges them all: sibling `j`
+    /// has magnitude `witness - base - j`, and only the violating
+    /// prefix — empty on a linearizable run — is visited, so the
+    /// magnitude histogram stays exact per operation. Every count,
+    /// histogram and breach is what `k` [`record`] calls on `base,
+    /// base + 1, …` with that witness leave behind: the window totals
+    /// are closed forms, cut where the run crosses a window boundary.
+    /// `k` may exceed `window_ops`; every window the run closes is
+    /// closed at `now_ms`, in order.
     ///
     /// [`record`]: SloEvaluator::record
-    #[allow(clippy::too_many_arguments)]
     pub fn record_batch(
         &mut self,
-        start: u64,
-        end: u64,
         base: u64,
         k: u64,
         sojourn_ns: u64,
-        min_pending_start: u64,
+        witness: u64,
         now_ms: u64,
     ) -> u64 {
-        let worst = self.tracker.observe_run(start, end, base, k);
-        self.tracker.retire(min_pending_start);
+        if k == 0 {
+            return 0;
+        }
+        let worst = witness.saturating_sub(base);
         // siblings `0..violating` violate, sibling `j` by `worst - j`
         let violating = worst.min(k);
+        for j in 0..violating {
+            self.magnitudes.record(worst - j);
+        }
         self.total.record_run(k, sojourn_ns, violating, worst);
         let mut fed = 0;
         while fed < k {
@@ -415,19 +416,12 @@ impl SloEvaluator {
         self.total.ops
     }
 
-    /// Entries the internal violation tracker currently retains —
-    /// bounded by retirement, observable for the soak tests.
-    #[must_use]
-    pub fn tracker_retained(&self) -> usize {
-        self.tracker.retained()
-    }
-
     /// Every non-zero violation magnitude recorded so far — the
     /// distribution behind `total`'s count, sum and maximum, in the
     /// form [`crate::NetworkMetrics::set_violations`] takes.
     #[must_use]
     pub fn violation_magnitudes(&self) -> &LogHistogram {
-        self.tracker.magnitude()
+        &self.magnitudes
     }
 
     /// Freezes the current state into a serializable report.
@@ -462,10 +456,11 @@ mod tests {
         }
     }
 
-    /// Sequential clean ops: start i*2, end i*2+1, value i.
+    /// Sequential clean ops: start i*2, end i*2+1, value i, each
+    /// witnessing its predecessor's value.
     fn feed_clean(ev: &mut SloEvaluator, n: u64) {
         for i in 0..n {
-            ev.record(i * 2, i * 2 + 1, i, 100, i * 2 + 2, i);
+            ev.record(i * 2, i * 2 + 1, i, 100, i.saturating_sub(1), i);
         }
     }
 
@@ -488,10 +483,10 @@ mod tests {
         // op A finishes at 10 holding 7; op B starts at 20 and draws 2:
         // magnitude-5 violation in window 0
         assert_eq!(ev.record(0, 10, 7, 50, 0, 0), 0);
-        assert_eq!(ev.record(20, 30, 2, 50, 0, 1), 5);
+        assert_eq!(ev.record(20, 30, 2, 50, 7, 1), 5);
         // window 1 clean
-        assert_eq!(ev.record(40, 50, 8, 50, 0, 2), 0);
-        assert_eq!(ev.record(60, 70, 9, 50, 0, 3), 0);
+        assert_eq!(ev.record(40, 50, 8, 50, 7, 2), 0);
+        assert_eq!(ev.record(60, 70, 9, 50, 8, 3), 0);
         let r = ev.snapshot(4);
         assert_eq!(r.windows.len(), 2);
         assert_eq!(r.windows[0].violations, 1);
@@ -514,10 +509,10 @@ mod tests {
         };
         let mut ev = SloEvaluator::new(policy, 1);
         ev.record(0, 10, 7, 50, 0, 5); // clean
-        ev.record(20, 30, 2, 50, 0, 6); // violation → breach onset @6
-        ev.record(40, 50, 3, 50, 0, 7); // violation (7 finished first) → still in breach
-        ev.record(60, 70, 9, 50, 0, 8); // clean → recovered
-        ev.record(80, 90, 4, 50, 0, 9); // violation → second onset @9
+        ev.record(20, 30, 2, 50, 7, 6); // violation → breach onset @6
+        ev.record(40, 50, 3, 50, 7, 7); // violation (7 finished first) → still in breach
+        ev.record(60, 70, 9, 50, 7, 8); // clean → recovered
+        ev.record(80, 90, 4, 50, 9, 9); // violation → second onset @9
         let r = ev.snapshot(10);
         assert_eq!(r.breaches, 2);
         assert_eq!(r.breach_timestamps_ms, vec![6, 9]);
@@ -533,27 +528,11 @@ mod tests {
             p99_latency_ns: 1_000,
         };
         let mut ev = SloEvaluator::new(policy, 2);
-        ev.record(0, 1, 0, 100, 2, 0);
-        ev.record(2, 3, 1, 1 << 20, 4, 1); // ~1ms sojourn blows the budget
+        ev.record(0, 1, 0, 100, 0, 0);
+        ev.record(2, 3, 1, 1 << 20, 0, 1); // ~1ms sojourn blows the budget
         let r = ev.snapshot(2);
         assert_eq!(r.breaches, 1);
         assert!(r.windows[0].p99_latency_ns() > 1_000);
-    }
-
-    #[test]
-    fn retirement_keeps_the_tracker_bounded() {
-        let mut ev = SloEvaluator::new(SloPolicy::unbounded(), 100);
-        // sequential ops with a perfect frontier: at most a handful of
-        // entries should ever be retained
-        for i in 0..10_000u64 {
-            ev.record(i * 2, i * 2 + 1, i, 10, i * 2 + 2, 0);
-        }
-        assert_eq!(ev.ops(), 10_000);
-        assert!(
-            ev.tracker_retained() <= 2,
-            "retained {} entries",
-            ev.tracker_retained()
-        );
     }
 
     #[test]
@@ -570,9 +549,9 @@ mod tests {
     fn report_round_trips_through_serde() {
         let mut ev = SloEvaluator::new(tight(), 3);
         ev.record(0, 10, 7, 50, 0, 0);
-        ev.record(20, 30, 2, 900, 0, 1);
-        ev.record(40, 50, 9, 60, 0, 2);
-        ev.record(60, 65, 10, 70, 0, 3);
+        ev.record(20, 30, 2, 900, 7, 1);
+        ev.record(40, 50, 9, 60, 7, 2);
+        ev.record(60, 65, 10, 70, 9, 3);
         let r = ev.snapshot(77);
         let text = serde::json::to_string_pretty(&r.to_value());
         let back = SloReport::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
@@ -592,7 +571,7 @@ mod tests {
     fn metrics_text_is_line_per_gauge() {
         let mut ev = SloEvaluator::new(tight(), 2);
         ev.record(0, 10, 7, 50, 0, 0);
-        ev.record(20, 30, 2, 50, 0, 1);
+        ev.record(20, 30, 2, 50, 7, 1);
         let text = ev.snapshot(9).to_metrics_text();
         assert!(text.contains("cnet_serve_ops_total 2\n"));
         assert!(text.contains("cnet_serve_violations_total 1\n"));
@@ -615,12 +594,8 @@ mod tests {
         ev.record(0, 10, 12, 50, 0, 1);
         // 10..21 against witness 12: siblings 10 and 11 violate (2, 1),
         // filling window 0 (3 of its 4 slots) and opening window 1
-        assert_eq!(ev.record_batch(20, 30, 10, 11, 70, 0, 2), 2);
-        assert_eq!(
-            ev.record_batch(20, 31, 0, 0, 70, 0, 3),
-            0,
-            "k = 0 is nothing"
-        );
+        assert_eq!(ev.record_batch(10, 11, 70, 12, 2), 2);
+        assert_eq!(ev.record_batch(0, 0, 70, 12, 3), 0, "k = 0 is nothing");
         let r = ev.snapshot(4);
         assert_eq!((r.windows_closed, r.current.ops, r.total.ops), (3, 0, 12));
         let per_window: Vec<_> = r
@@ -637,8 +612,9 @@ mod tests {
     }
 
     /// `record_batch` against the same siblings fed one by one through
-    /// `record`, each sibling but the last holding the retire bound at
-    /// its own `start` (its later siblings still carry it).
+    /// `record`, every sibling of a bracket judged by the bracket's
+    /// witness: the largest value among brackets that ended before it
+    /// started.
     #[test]
     fn record_batch_is_its_siblings_fed_one_by_one() {
         use rand::rngs::StdRng;
@@ -653,7 +629,6 @@ mod tests {
         let (mut violating_streams, mut straddles, mut multi_close, mut breaches) = (0, 0, 0, 0);
         for stream in 0..200 {
             let window_ops = rng.gen_range(1..=40u64);
-            let moving_frontier = stream % 2 == 1;
             // end-ordered brackets that overlap their predecessors;
             // bases hover around the largest value handed out so far,
             // so a witness lands before, inside or past a run
@@ -668,37 +643,32 @@ mod tests {
                     (start, end, base, k, rng.gen_range(0..5_000u64))
                 })
                 .collect();
-            let mut min_start_after = vec![u64::MAX; brackets.len() + 1];
-            for (i, b) in brackets.iter().enumerate().rev() {
-                min_start_after[i] = min_start_after[i + 1].min(b.0);
-            }
 
             let mut batched = SloEvaluator::new(policy, window_ops);
             let mut single = SloEvaluator::new(policy, window_ops);
             for (i, &(start, end, base, k, sojourn)) in brackets.iter().enumerate() {
-                let bound = if moving_frontier {
-                    min_start_after[i + 1]
-                } else {
-                    0
-                };
+                let witness = brackets
+                    .iter()
+                    .filter(|b| b.1 < start)
+                    .map(|b| b.2 + b.3 - 1)
+                    .max()
+                    .unwrap_or(0);
                 let now_ms = 3 * i as u64;
                 let room = window_ops - single.ops() % window_ops;
                 let mut worst = 0;
                 let mut violating = 0;
                 for j in 0..k {
-                    let sibling_bound = if j + 1 == k { bound } else { bound.min(start) };
-                    let m = single.record(start, end, base + j, sojourn, sibling_bound, now_ms);
+                    let m = single.record(start, end, base + j, sojourn, witness, now_ms);
                     worst = worst.max(m);
                     violating += u64::from(m > 0);
                 }
                 assert_eq!(
-                    batched.record_batch(start, end, base, k, sojourn, bound, now_ms),
+                    batched.record_batch(base, k, sojourn, witness, now_ms),
                     worst,
                     "stream {stream}, bracket {i}"
                 );
                 straddles += u64::from(violating > room);
                 multi_close += u64::from(k >= room + window_ops);
-                assert!(batched.tracker_retained() <= single.tracker_retained());
             }
             let uptime = 3 * brackets.len() as u64;
             let report = batched.snapshot(uptime);
@@ -723,6 +693,7 @@ mod tests {
         use proptest::prelude::*;
 
         /// Replays one synthetic end-sorted trace against a policy,
+        /// each operation judged by its Definition 2.4 witness,
         /// returning which windows breached.
         fn breached_windows(
             trace: &[(u64, u64, u64, u64)],
@@ -731,7 +702,13 @@ mod tests {
         ) -> (Vec<bool>, u64) {
             let mut ev = SloEvaluator::new(policy, window_ops);
             for (i, &(start, len, value, sojourn)) in trace.iter().enumerate() {
-                ev.record(start, start + len, value, sojourn, 0, i as u64);
+                let witness = trace
+                    .iter()
+                    .filter(|&&(s, l, _, _)| s + l < start)
+                    .map(|&(_, _, v, _)| v)
+                    .max()
+                    .unwrap_or(0);
+                ev.record(start, start + len, value, sojourn, witness, i as u64);
             }
             let r = ev.snapshot(0);
             (

@@ -33,7 +33,7 @@
 //!   ([`Runner::takes_next_pop`]) — decided by that comparison alone;
 //! * Definition 2.4 is graded without a table: a processor records its
 //!   *witness* (the largest value among completions that ended before
-//!   it started, from the two running maxima of `Completions`) when
+//!   it started, from `cnet_timing`'s `StartWitness`) when
 //!   its operation starts, and the completion grades
 //!   `witness - value`, 0 if negative.
 //!
@@ -44,6 +44,7 @@
 //! order, and therefore every statistic are bit-identical to the
 //! straightforward implementation (the golden-trace tests pin this).
 
+use cnet_timing::linearizability::StartWitness;
 use cnet_timing::Operation;
 use cnet_topology::{OutputCounts, Topology, WireEnd};
 
@@ -281,8 +282,9 @@ struct Runner<'a, Q> {
     arrival_rng: SimRng,
     /// Inter-arrival gaps for `ArrivalProcess::Trace`, else empty.
     trace_gaps: Vec<u64>,
-    /// Every completion so far, as far as Definition 2.4 needs it.
-    completions: Completions,
+    /// Every completion so far, as far as Definition 2.4 needs it:
+    /// pops are time-ordered, so a start reads its exact witness here.
+    completions: StartWitness,
     nonlinearizable: usize,
     stamp: u32,
     started_ops: usize,
@@ -316,49 +318,6 @@ struct Runner<'a, Q> {
     /// Metric recorder — zero-sized and inert without the `obs`
     /// feature, so the hot loop keeps its layout and speed.
     obs: SimObs,
-}
-
-/// Definition 2.4, graded as the run goes: an operation is
-/// non-linearizable when a completion that ended before it started
-/// returned a larger value. Pops are time-ordered, so when an operation
-/// starts at `t` every completion with `end < t` has already been
-/// recorded, and the only recorded ones it must not count are those at
-/// the latest completion tick, if that tick is `t` itself. Two running
-/// maxima split at that tick therefore give each starting operation its
-/// exact witness, and its completion grades
-/// `witness.saturating_sub(value)` — the verdict a table of every
-/// completion would give, with no table.
-#[derive(Debug, Default)]
-struct Completions {
-    /// The latest completion tick recorded.
-    last_end: u64,
-    /// The largest value among completions before `last_end`.
-    max_before_last: u64,
-    /// The largest value among all completions recorded.
-    max: u64,
-}
-
-impl Completions {
-    /// The largest value among completions with `end < start`, for an
-    /// operation starting now (`start` is the current event's time).
-    #[inline]
-    fn witness(&self, start: u64) -> u64 {
-        if self.last_end < start {
-            self.max
-        } else {
-            self.max_before_last
-        }
-    }
-
-    /// Records a completion at `end`, the current event's time.
-    #[inline]
-    fn record(&mut self, end: u64, value: u64) {
-        if end > self.last_end {
-            self.max_before_last = self.max;
-            self.last_end = end;
-        }
-        self.max = self.max.max(value);
-    }
 }
 
 fn mesh_cell(index: usize, side: usize) -> (i64, i64) {
@@ -537,7 +496,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             rng: SimRng::seed_from_u64(config.seed),
             arrival_rng: SimRng::seed_from_u64(config.seed ^ ARRIVAL_STREAM),
             trace_gaps,
-            completions: Completions::default(),
+            completions: StartWitness::default(),
             nonlinearizable: 0,
             stamp: 0,
             started_ops: 0,

@@ -9,8 +9,9 @@
 //! scheduled arrival, the open-loop latency that includes queueing
 //! delay whenever the service falls behind the schedule).
 //!
-//! Afterwards the collected trace is sorted into end-tick order and
-//! fed through a client-side [`SloEvaluator`] — an independent check
+//! Afterwards each reply's Definition 2.4 witness is recomputed from
+//! the collected ticks, and the trace is fed in end-tick order through
+//! a client-side [`SloEvaluator`] — an independent check
 //! of the server's own online accounting, and what `cnet drive` holds
 //! to its `--slo` policy.
 
@@ -24,6 +25,7 @@ use std::time::{Duration, Instant};
 use cnet_engine::arrival_schedule;
 use cnet_obs::{SloEvaluator, SloPolicy, SloReport};
 use cnet_proteus::{ArrivalProcess, Workload};
+use cnet_timing::linearizability::StartWitness;
 
 use crate::client::ServeClient;
 
@@ -188,21 +190,30 @@ pub fn drive(config: &DriveConfig) -> io::Result<DriveOutcome> {
     // replay in end-tick order — the order the server's logical clock
     // actually serialized the completions
     collected.sort_by_key(|c| (c.end, c.start, c.base));
-    // suffix-minimum of starts: what the tracker may safely retire past
-    let mut min_start_after = vec![u64::MAX; collected.len() + 1];
-    for (i, c) in collected.iter().enumerate().rev() {
-        min_start_after[i] = min_start_after[i + 1].min(c.start);
+    // each bracket's witness, from a sweep of the recorded ticks in
+    // time order: the ends at or before a start, then the start
+    let mut by_start: Vec<usize> = (0..collected.len()).collect();
+    by_start.sort_by_key(|&i| collected[i].start);
+    let mut witness = vec![0; collected.len()];
+    let mut finished = StartWitness::default();
+    let mut ended = collected.iter().peekable();
+    for i in by_start {
+        let start = collected[i].start;
+        while let Some(c) = ended.next_if(|c| c.end <= start) {
+            if let Some(last) = u64::from(c.k).checked_sub(1) {
+                finished.record(c.end, c.base + last);
+            }
+        }
+        witness[i] = finished.witness(start);
     }
     let mut evaluator = SloEvaluator::new(config.policy, config.window_ops);
     let mut values = 0u64;
-    for (i, c) in collected.iter().enumerate() {
+    for (c, witness) in collected.iter().zip(witness) {
         evaluator.record_batch(
-            c.start,
-            c.end,
             c.base,
             u64::from(c.k),
             c.sojourn_ns,
-            min_start_after[i + 1],
+            witness,
             c.scheduled_ns / 1_000_000,
         );
         values += u64::from(c.k);

@@ -10,7 +10,8 @@
 //!
 //! Definition 2.4 reads, per operation, "the prefix maximum of finished
 //! values, indexed by time, exceeds my value at my start". This module
-//! is the one place that table is stored or searched:
+//! is the one place that prefix maximum is kept, in three layouts with
+//! no overlap:
 //!
 //! * a whole trace ([`count_nonlinearizable`], [`magnitudes`]) is one
 //!   scan against a table whose layout is read off the trace
@@ -19,23 +20,22 @@
 //!   indexes it by tick and is built in `O(n + T)` with no sort; a
 //!   *sparse* one (simulator cycles) sorts the `(end, value)` pairs
 //!   once and looks a start up by binary search, `O(n log n)`;
-//! * a stream of completions ([`FinishedMax`]) grows that same sorted
-//!   table one operation at a time and may retire what no future
-//!   operation can start before. The service's SLO evaluator feeds it
-//!   as operations complete — the simulator does not: its completions
-//!   pop in time order, so it records each operation's witness from
-//!   two running maxima when the operation starts, with no table;
+//! * a feed in time order ([`StartWitness`]) — the simulator's events,
+//!   the service's clock brackets — needs no table: when an operation
+//!   starts, everything that finished before it has been recorded, so
+//!   two running maxima give its witness then and there, `O(1)` per
+//!   operation;
 //! * a set of *lanes* ([`lane_magnitudes`]) — a native run's per-thread
-//!   records, each lane already in time order — needs no table at all:
+//!   records, each lane already in time order — needs no table either:
 //!   a merge of the lanes visits every instant once in order, so the
 //!   prefix maximum is one scalar, `O(n log L)` over `L` lanes with
 //!   nothing allocated beyond the `L` cursors.
 //!
-//! Either way an operation's verdict is its *magnitude*: how far the
+//! Every way, an operation's verdict is its *magnitude*: how far the
 //! largest value that finished before it started lies above its own
 //! (0 for a linearizable operation). [`count_nonlinearizable_naive`],
 //! [`worst_witness`] and [`check_exhaustive`] are the reference
-//! implementations the table is tested against.
+//! implementations the three are tested against.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -63,151 +63,27 @@ pub fn is_dense_timeline(ops: &[Operation]) -> bool {
     dense_last_end(ops).is_some()
 }
 
-/// The prefix maximum of finished values in its sorted layout, the one
-/// that grows: feed it operations as they complete and it answers
-/// Definition 2.4 for each against everything fed before.
-///
-/// "Nothing has finished yet" reads 0: a maximum of 0 exceeds no
-/// value, so it needs no encoding of its own.
-///
-/// The verdicts are exact — equal to [`magnitudes`] over the whole
-/// trace — whenever every operation is fed after all those that
-/// finished before it started. Feeding in completion order (a service
-/// that assigns the end tick and feeds inside one critical section)
-/// guarantees that and makes each insert an append; any other order is inserted in place and judged
-/// against what has been fed so far.
-///
-/// # Example
-///
-/// ```
-/// use cnet_timing::linearizability::FinishedMax;
-///
-/// let mut finished = FinishedMax::new();
-/// assert_eq!(finished.observe(0, 3, 9), 0);
-/// // starts after value 9 finished, returns 1: eight positions late
-/// assert_eq!(finished.observe(4, 6, 1), 8);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct FinishedMax {
-    /// `(end, maximum value over this entry, every earlier one and
-    /// `floor`)`, ends ascending.
-    pairs: Vec<(Time, u64)>,
-    /// Maximum value over the retired operations.
-    floor: u64,
-    /// The largest `min_future_start` promised to [`Self::retire`].
-    frontier: Time,
-}
-
-impl FinishedMax {
-    /// An empty table.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The table over a whole trace: one sort, one running maximum.
-    fn sorted(ops: &[Operation]) -> Self {
-        let mut pairs: Vec<(Time, u64)> = ops.iter().map(|o| (o.end, o.value)).collect();
-        pairs.sort_unstable_by_key(|&(end, _)| end);
-        let mut running = 0;
-        for (_, value) in &mut pairs {
-            running = running.max(*value);
-            *value = running;
-        }
-        FinishedMax {
-            pairs,
-            ..Self::default()
-        }
-    }
-
-    /// The largest value among the operations fed so far with
-    /// `end < t` — the witness value of Definition 2.4 for an operation
-    /// starting at `t` — or 0 when there is none.
-    #[inline]
-    #[must_use]
-    pub fn before(&self, t: Time) -> u64 {
-        match self.pairs.partition_point(|&(end, _)| end < t) {
-            0 => self.floor,
-            idx => self.pairs[idx - 1].1,
-        }
-    }
-
-    /// Feeds one completed operation and returns its violation
-    /// magnitude against the operations fed so far: `before(start) -
-    /// value`, 0 when it is linearizable.
-    #[inline]
-    pub fn observe(&mut self, start: Time, end: Time, value: u64) -> u64 {
-        debug_assert!(
-            start >= self.frontier,
-            "observe(start={start}) breaks the retire({}) promise",
-            self.frontier
-        );
-        let magnitude = self.before(start).saturating_sub(value);
-        // completions arrive (nearly) in end order: scan from the back
-        let mut pos = self.pairs.len();
-        while pos > 0 && self.pairs[pos - 1].0 > end {
-            pos -= 1;
-        }
-        let below = if pos == 0 {
-            self.floor
-        } else {
-            self.pairs[pos - 1].1
-        };
-        self.pairs.insert(pos, (end, below.max(value)));
-        // running maxima ascend, so the first one already at `value`
-        // ends the fix-up
-        for (_, running) in &mut self.pairs[pos + 1..] {
-            if *running >= value {
-                break;
-            }
-            *running = value;
-        }
-        magnitude
-    }
-
-    /// Drops the entries no future operation can tell apart, bounding
-    /// the memory of an indefinitely running service.
-    ///
-    /// The caller promises that every later [`observe`] has
-    /// `start >= min_future_start` (for a service, the minimum start
-    /// tick over its in-flight operations). Operations with
-    /// `end < min_future_start` then finished before every future
-    /// start, so only their maximum value matters: it is folded into a
-    /// floor. No verdict changes.
-    ///
-    /// [`observe`]: FinishedMax::observe
-    #[inline]
-    pub fn retire(&mut self, min_future_start: Time) {
-        self.frontier = self.frontier.max(min_future_start);
-        let k = self
-            .pairs
-            .partition_point(|&(end, _)| end < min_future_start);
-        if k > 0 {
-            // running maxima are cumulative over the floor
-            self.floor = self.pairs[k - 1].1;
-            self.pairs.drain(..k);
-        }
-    }
-
-    /// Entries currently held (fed minus retired).
-    #[must_use]
-    pub fn retained(&self) -> usize {
-        self.pairs.len()
-    }
-}
-
 /// The table over a whole trace, in the layout the trace selects.
 enum Table {
     /// Slot `t` holds the maximum over `end < t`; the last slot (one
     /// past the last end) covers every later instant.
     Dense(Vec<u64>),
-    Sorted(FinishedMax),
+    /// `(end, maximum value over this entry and every earlier one)`,
+    /// ends ascending.
+    Sorted(Vec<(Time, u64)>),
 }
 
 impl Table {
     fn of(ops: &[Operation]) -> Self {
         let Some(last_end) = dense_last_end(ops) else {
-            return Table::Sorted(FinishedMax::sorted(ops));
+            let mut pairs: Vec<(Time, u64)> = ops.iter().map(|o| (o.end, o.value)).collect();
+            pairs.sort_unstable_by_key(|&(end, _)| end);
+            let mut running = 0;
+            for (_, value) in &mut pairs {
+                running = running.max(*value);
+                *value = running;
+            }
+            return Table::Sorted(pairs);
         };
         let mut slots = vec![0u64; last_end + 2];
         for o in ops {
@@ -222,12 +98,74 @@ impl Table {
         Table::Dense(slots)
     }
 
-    /// The largest value among operations with `end < t`.
+    /// The largest value among operations with `end < t`, 0 when there
+    /// is none (a maximum of 0 exceeds no value).
     fn before(&self, t: Time) -> u64 {
         match self {
             Table::Dense(slots) => slots[(t.min(slots.len() as u64 - 1)) as usize],
-            Table::Sorted(finished) => finished.before(t),
+            Table::Sorted(pairs) => match pairs.partition_point(|&(end, _)| end < t) {
+                0 => 0,
+                idx => pairs[idx - 1].1,
+            },
         }
+    }
+}
+
+/// Definition 2.4 for a feed in time order: each operation's *witness*
+/// — the largest value among completions with `end < start` — read when
+/// it starts, with no table.
+///
+/// Fed in time order, every completion with `end < t` has been recorded
+/// when an operation starts at `t`, and the only recorded ones it must
+/// not count are those at the latest end tick, if that tick is `t`
+/// itself. Two running maxima split at that tick give the exact
+/// witness, so ends and starts at one instant may come in either
+/// order. The operation's magnitude is then
+/// `witness.saturating_sub(value)` — the verdict [`magnitudes`] gives
+/// over the whole trace. "Nothing has finished yet" reads 0.
+///
+/// # Example
+///
+/// ```
+/// use cnet_timing::linearizability::StartWitness;
+///
+/// let mut finished = StartWitness::default();
+/// finished.record(3, 9); // value 9 finishes at tick 3
+/// assert_eq!(finished.witness(3), 0); // a start at 3 overlaps it
+/// assert_eq!(finished.witness(4), 9); // one at 4 returning 1 is 8 late
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct StartWitness {
+    /// The latest end tick recorded.
+    last_end: Time,
+    /// The largest value among completions before `last_end`.
+    max_before_last: u64,
+    /// The largest value among all completions recorded.
+    max: u64,
+}
+
+impl StartWitness {
+    /// The largest value among completions with `end < start`, for an
+    /// operation starting now: no recorded end lies past `start`.
+    #[inline]
+    #[must_use]
+    pub fn witness(&self, start: Time) -> u64 {
+        if self.last_end < start {
+            self.max
+        } else {
+            self.max_before_last
+        }
+    }
+
+    /// Records a completion of `value` at `end`, no earlier than any
+    /// end or start fed before it.
+    #[inline]
+    pub fn record(&mut self, end: Time, value: u64) {
+        if end > self.last_end {
+            self.max_before_last = self.max;
+            self.last_end = end;
+        }
+        self.max = self.max.max(value);
     }
 }
 

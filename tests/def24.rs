@@ -1,14 +1,15 @@
 //! Definition 2.4 is computed in one place,
 //! `timing::linearizability`: a whole trace is scanned against a
-//! tick-indexed or a sorted table, a stream of completions grows the
-//! sorted one, a set of sequential lanes is merged under one running
-//! maximum. This suite holds every form of that table — dense batch,
-//! sparse batch, end-ordered stream, reordered stream with retirement,
-//! the service's one-entry-per-bracket stream, the native run's lane
-//! sweep — to the quadratic reference, verdict by verdict, and the
-//! count to the permutation-search oracle. The simulator grades
-//! without a table (each operation against the witness it recorded
-//! when it started); its streamed count is held to the same reference.
+//! tick-indexed or a sorted table, a feed in time order reads each
+//! operation's witness from the start witness when it starts, a set of
+//! sequential lanes is merged under one running maximum. This suite
+//! holds every form — dense batch, sparse batch, the start-witness
+//! sweep with ends before starts at one instant and with starts before
+//! ends, the service's evaluator fed one record per bracket, the native
+//! run's lane sweep — to the quadratic reference, verdict by verdict,
+//! and the count to the permutation-search oracle. The simulator feeds
+//! the start witness as it runs; its streamed count is held to the same
+//! reference.
 
 use cnet_obs::{SloEvaluator, SloPolicy};
 use counting_networks::proteus::{
@@ -16,7 +17,7 @@ use counting_networks::proteus::{
 };
 use counting_networks::timing::linearizability::{
     check_exhaustive, count_nonlinearizable, count_nonlinearizable_naive, is_dense_timeline,
-    lane_magnitudes, magnitudes, worst_witness, FinishedMax, LaneOrderError, LaneRecord,
+    lane_magnitudes, magnitudes, worst_witness, LaneOrderError, LaneRecord, StartWitness,
 };
 use counting_networks::timing::Operation;
 use counting_networks::topology::{constructions, Topology};
@@ -55,24 +56,30 @@ fn relabelled(ops: &[Operation], relabel: impl Fn(u64) -> u64) -> Vec<Operation>
         .collect()
 }
 
-/// Feeds `ops` in `order` and returns the magnitudes by operation
-/// index. With `retire`, every feed is followed by the promise a
-/// service makes: the smallest start among the operations not fed yet.
-fn streamed(ops: &[Operation], order: &[usize], retire: bool) -> Vec<u64> {
-    let mut min_start_after = vec![u64::MAX; order.len() + 1];
-    for (k, &i) in order.iter().enumerate().rev() {
-        min_start_after[k] = min_start_after[k + 1].min(ops[i].start);
-    }
-    let mut finished = FinishedMax::new();
+/// Every operation's witness, by operation index, from one sweep of
+/// the trace's instants in time order through a [`StartWitness`]: at
+/// one instant, the ends before the starts (`ends_first`) or after.
+fn witnesses(ops: &[Operation], ends_first: bool) -> Vec<u64> {
+    // (instant, rank within it, is a start, operation)
+    let mut instants: Vec<(u64, bool, bool, usize)> = ops
+        .iter()
+        .enumerate()
+        .flat_map(|(i, o)| {
+            [
+                (o.start, ends_first, true, i),
+                (o.end, !ends_first, false, i),
+            ]
+        })
+        .collect();
+    instants.sort_unstable();
+    let mut finished = StartWitness::default();
     let mut out = vec![0; ops.len()];
-    for (k, &i) in order.iter().enumerate() {
-        out[i] = finished.observe(ops[i].start, ops[i].end, ops[i].value);
-        if retire {
-            finished.retire(min_start_after[k + 1]);
+    for (tick, _, is_start, i) in instants {
+        if is_start {
+            out[i] = finished.witness(tick);
+        } else {
+            finished.record(tick, ops[i].value);
         }
-    }
-    if retire {
-        assert_eq!(finished.retained(), 0, "nothing is in flight at the end");
     }
     out
 }
@@ -98,32 +105,16 @@ fn assert_one_verdict(ops: &[Operation], what: &str) {
         assert_eq!(count_nonlinearizable(trace), count, "{what}: {layout}");
     }
 
-    // stream, completion order: what the simulator and the service feed
-    let mut by_end: Vec<usize> = (0..ops.len()).collect();
-    by_end.sort_by_key(|&i| ops[i].end);
-    for retire in [false, true] {
-        assert_eq!(
-            streamed(ops, &by_end, retire),
-            expected,
-            "{what}: end-ordered stream, retire={retire}"
-        );
-    }
-
-    // stream, reordered: any order that feeds an operation after all
-    // those that finished before it started is exact — order by an
-    // instant drawn inside each operation's own interval
-    let mut rng = StdRng::seed_from_u64(0xD24 + ops.len() as u64);
-    for round in 0..4 {
-        let keys: Vec<(u64, u64)> = ops
+    // time order, ties either way: what the simulator and the service feed
+    for ends_first in [true, false] {
+        let got: Vec<u64> = ops
             .iter()
-            .map(|o| (rng.gen_range(o.start..=o.end), rng.gen_range(0..u64::MAX)))
+            .zip(witnesses(ops, ends_first))
+            .map(|(o, witness)| witness.saturating_sub(o.value))
             .collect();
-        let mut order: Vec<usize> = (0..ops.len()).collect();
-        order.sort_by_key(|&i| keys[i]);
         assert_eq!(
-            streamed(ops, &order, true),
-            expected,
-            "{what}: reordered stream {round}"
+            got, expected,
+            "{what}: start witness, ends_first={ends_first}"
         );
     }
 }
@@ -156,14 +147,6 @@ fn hand_checked_traces_get_one_verdict() {
     // end == start is overlap under the strict definition
     assert_one_verdict(&[op(0, 0, 5, 9), op(1, 5, 8, 0)], "touching");
     assert_one_verdict(&[], "empty");
-
-    // everything retired, then a violation against the floor alone
-    let mut finished = FinishedMax::new();
-    assert_eq!(finished.observe(0, 10, 7), 0);
-    finished.retire(20);
-    assert_eq!(finished.retained(), 0);
-    assert_eq!(finished.before(20), 7);
-    assert_eq!(finished.observe(20, 30, 2), 5);
 }
 
 #[test]
@@ -189,7 +172,7 @@ fn seeded_random_traces_get_one_verdict() {
 }
 
 /// What `cnet serve` feeds: one `record_batch` per clock bracket, `k`
-/// operations on `base..base + k` behind a single table entry. Its
+/// operations on `base..base + k` judged by the bracket's witness. Its
 /// totals are the batch sweep's over the same operations written out.
 #[test]
 fn brackets_fed_as_runs_get_the_verdict_of_their_operations() {
@@ -198,6 +181,7 @@ fn brackets_fed_as_runs_get_the_verdict_of_their_operations() {
     for round in 0..200 {
         let mut evaluator = SloEvaluator::new(SloPolicy::unbounded(), rng.gen_range(1..=50));
         let mut ops: Vec<Operation> = Vec::new();
+        let mut brackets: Vec<(usize, u64, u64)> = Vec::new(); // (token, base, k)
         let (mut end, mut hi) = (0u64, 0u64);
         for _ in 0..rng.gen_range(1..=40) {
             // end-ordered, overlapping; bases around the largest value
@@ -207,13 +191,17 @@ fn brackets_fed_as_runs_get_the_verdict_of_their_operations() {
             let k = rng.gen_range(1..=30u64);
             let base = rng.gen_range(hi.saturating_sub(k + 3)..=hi + 3);
             hi = hi.max(base + k - 1);
-            let worst = evaluator.record_batch(start, end, base, k, 0, 0, 0);
             let token = ops.len();
+            brackets.push((token, base, k));
             ops.extend((0..k).map(|j| op(token + j as usize, start, end, base + j)));
-            let first = magnitudes(&ops).nth(token);
-            assert_eq!(Some(worst), first, "round {round}: first sibling");
         }
-        let expected: Vec<u64> = magnitudes(&ops).filter(|&m| m > 0).collect();
+        let witness = witnesses(&ops, true);
+        let each: Vec<u64> = magnitudes(&ops).collect();
+        for &(token, base, k) in &brackets {
+            let worst = evaluator.record_batch(base, k, 0, witness[token], 0);
+            assert_eq!(worst, each[token], "round {round}: first sibling");
+        }
+        let expected: Vec<u64> = each.into_iter().filter(|&m| m > 0).collect();
         assert_eq!(expected.len(), count_nonlinearizable_naive(&ops));
         let total = evaluator.snapshot(0).total;
         assert_eq!(total.ops, ops.len() as u64, "round {round}");
@@ -405,20 +393,20 @@ fn random_lanes(rng: &mut StdRng, lanes: usize, n: usize) -> Vec<Vec<LaneRecord>
         quota[rng.gen_range(0..lanes)] += 1;
     }
     let mut out: Vec<Vec<LaneRecord>> = vec![Vec::new(); lanes];
-    let mut in_flight = vec![false; lanes];
+    let mut open = vec![false; lanes];
     let mut started = 0;
     for tick in 0..2 * n as u64 {
         let live: Vec<usize> = (0..lanes)
-            .filter(|&l| in_flight[l] || out[l].len() < quota[l])
+            .filter(|&l| open[l] || out[l].len() < quota[l])
             .collect();
         let lane = live[rng.gen_range(0..live.len())];
-        if in_flight[lane] {
+        if open[lane] {
             out[lane].last_mut().expect("an operation is in flight").1 = tick;
         } else {
             out[lane].push((tick, u64::MAX, started));
             started += 1;
         }
-        in_flight[lane] = !in_flight[lane];
+        open[lane] = !open[lane];
     }
     out
 }
