@@ -3,12 +3,14 @@
 //! The Definition 2.4 sweep against the quadratic reference, on traces
 //! of increasing size — the design-choice ablation called out in
 //! DESIGN.md. The random traces are sparse (`max end` ≈ 4n + 200, the
-//! sorted table); `native_lanes` is the dense timeline a native run
+//! sorted table); `native_trace` is the dense timeline a native run
 //! produces (every tick of `0..2n` once), graded through the
 //! tick-indexed table over its operations and through the lane sweep
-//! over the lanes themselves, on 2 and on 64 client threads.
+//! over each client's runs of the buffer, on 2 and on 64 client
+//! threads.
 
-use cnet_timing::linearizability::LaneRecord;
+use std::ops::Range;
+
 use cnet_timing::{linearizability, Operation};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -31,16 +33,24 @@ fn random_trace(n: usize, seed: u64) -> Vec<Operation> {
         .collect()
 }
 
-/// A native-shaped run of `n` operations as its client threads leave
+/// A native-shaped run of `n` operations as its client threads write
 /// it: `lanes` clients on one logical clock that hands out every tick
-/// of `0..2n` once. A client runs a burst of 1 to 64 operations and is
-/// preempted inside the next one, so every operation that straddles a
-/// switch overlaps the other clients' bursts; values are the start
-/// order with neighbours swapped now and then, so some operations
-/// violate.
-fn native_lanes(n: usize, lanes: usize, seed: u64) -> Vec<Vec<LaneRecord>> {
+/// of `0..2n` once, claiming chunks of 64 slots of one buffer in turn.
+/// A client runs a burst of 1 to 64 operations (fewer once its chunk
+/// and the buffer are spent) and is preempted inside the next one, so
+/// every operation that straddles a switch overlaps
+/// the other clients' bursts; values are the start order with
+/// neighbours swapped now and then, so some operations violate.
+/// Returns the buffer and each client's runs of it, in claim order.
+fn native_trace(n: usize, lanes: usize, seed: u64) -> (Vec<Operation>, Vec<Vec<Range<usize>>>) {
+    const CHUNK: usize = 64;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut out: Vec<Vec<LaneRecord>> = vec![Vec::new(); lanes];
+    let mut ops = vec![Operation::default(); n];
+    let mut runs: Vec<Vec<Range<usize>>> = vec![Vec::new(); lanes];
+    // per client: its next slot, the end of its claimed chunk, and the
+    // slot of the operation it was preempted in
+    let mut next = vec![(0, 0, None::<usize>); lanes];
+    let mut claimed = 0;
     let (mut tick, mut started) = (0u64, 0u64);
     let mut take = || {
         tick += 1;
@@ -48,39 +58,41 @@ fn native_lanes(n: usize, lanes: usize, seed: u64) -> Vec<Vec<LaneRecord>> {
     };
     let mut lane = 0;
     while (started as usize) < n {
-        let burst = rng.gen_range(1..=64u64).min(n as u64 - started);
-        for _ in 0..burst {
+        for _ in 0..rng.gen_range(1..=64) {
+            let (slot, chunk_end, open) = &mut next[lane];
+            if *slot == *chunk_end && claimed == n {
+                // nothing left to claim: the others finish their chunks
+                break;
+            }
             // the operation this client was preempted in ends first
-            if let Some(open) = out[lane].last_mut().filter(|r| r.1 == u64::MAX) {
-                open.1 = take();
+            if let Some(i) = open.take() {
+                ops[i].end = take();
+            }
+            if *slot == *chunk_end {
+                *slot = claimed;
+                *chunk_end = (claimed + CHUNK).min(n);
+                runs[lane].push(claimed..*chunk_end);
+                claimed = *chunk_end;
             }
             let swap = rng.gen_range(0..8) == 0;
             let value = if swap { started ^ 4 } else { started };
-            out[lane].push((take(), u64::MAX, value));
+            ops[*slot] = Operation {
+                token: *slot,
+                start: take(),
+                end: u64::MAX,
+                value,
+                ..Operation::default()
+            };
+            *open = Some(*slot);
+            *slot += 1;
             started += 1;
         }
         lane = (lane + 1) % lanes;
     }
-    let preempted = out.iter_mut().filter_map(|l| l.last_mut());
-    for open in preempted.filter(|r| r.1 == u64::MAX) {
-        open.1 = take();
+    for open in next.iter().filter_map(|&(_, _, open)| open) {
+        ops[open].end = take();
     }
-    out
-}
-
-/// The lanes as `stats_from_trace` lays them out: lane-major.
-fn operations_of(lanes: &[Vec<LaneRecord>]) -> Vec<Operation> {
-    let records = lanes.iter().flatten().enumerate();
-    records
-        .map(|(token, &(start, end, value))| Operation {
-            token,
-            input: 0,
-            start,
-            end,
-            counter: 0,
-            value,
-        })
-        .collect()
+    (ops, runs)
 }
 
 fn bench_checker(c: &mut Criterion) {
@@ -100,8 +112,8 @@ fn bench_checker(c: &mut Criterion) {
     }
     // one native run, graded both ways: the tick-indexed table over
     // its operations, and the lane sweep the engine's post-run uses
-    let two = native_lanes(1_000_000, 2, 42);
-    let trace = operations_of(&two);
+    // over each client's runs of the same buffer
+    let (trace, two) = native_trace(1_000_000, 2, 42);
     assert!(linearizability::is_dense_timeline(&trace));
     assert!(linearizability::count_nonlinearizable(&trace) > 0);
     group.throughput(Throughput::Elements(trace.len() as u64));
@@ -110,16 +122,23 @@ fn bench_checker(c: &mut Criterion) {
         &trace,
         |b, t| b.iter(|| linearizability::count_nonlinearizable(std::hint::black_box(t))),
     );
-    for lanes in [two, native_lanes(1_000_000, 64, 42)] {
+    for (trace, runs) in [(trace, two), native_trace(1_000_000, 64, 42)] {
+        let lanes: Vec<Vec<&[Operation]>> = runs
+            .iter()
+            .map(|lane| lane.iter().map(|run| &trace[run.clone()]).collect())
+            .collect();
         group.bench_with_input(
             BenchmarkId::new("lane_sweep", lanes.len()),
             &lanes,
             |b, lanes| {
                 b.iter(|| {
                     let mut count = 0usize;
-                    linearizability::lane_magnitudes(std::hint::black_box(lanes), |magnitude| {
-                        count += usize::from(magnitude > 0);
-                    })
+                    linearizability::lane_magnitudes(
+                        std::hint::black_box(lanes),
+                        |_, magnitude| {
+                            count += usize::from(magnitude > 0);
+                        },
+                    )
                     .expect("sequential lanes");
                     count
                 })

@@ -58,10 +58,11 @@ use std::time::Instant;
 
 use cnet_concurrent::audit::StressCounter;
 use cnet_proteus::{SimRng, Workload};
+use cnet_timing::Operation;
 use cnet_topology::Topology;
 
 use crate::counter::Executor;
-use crate::driver::{self, Readout, SpinSite, Trace};
+use crate::driver::{self, Readout, SpinSite, Trace, Widths};
 use crate::schedule::{arrival_schedule, THREAD_STREAM};
 use crate::{Backend, BackendSpec, CounterSpec, RunOutcome, SpecError};
 
@@ -148,12 +149,13 @@ struct Shared<'a> {
     arrivals: Vec<u64>,
     epoch: Instant,
     site: SpinSite,
+    widths: Widths,
     n_clients: usize,
 }
 
-/// One operation's record as harvested from a client:
-/// `(op, start, end, value, completion_ns)`.
-type OpRecord = (usize, u64, u64, u64, u64);
+/// One operation as harvested from a client: its record (token = op
+/// index) and its completion instant in nanoseconds.
+type OpRecord = (Operation, u64);
 
 /// One logical client: a hand-rolled future whose poll either waits
 /// (arrival instant not reached, or not its turn) or performs exactly
@@ -165,6 +167,7 @@ struct ClientTask<'a> {
     /// Global index of this client's next assigned op
     /// (`id`, `id + n`, `id + 2n`, …).
     next_op: usize,
+    input: u32,
     delayed: bool,
     rng: SimRng,
     done: Option<OpRecord>,
@@ -176,6 +179,7 @@ impl<'a> ClientTask<'a> {
             shared,
             id,
             next_op: id,
+            input: shared.widths.input(id),
             delayed: shared.workload.is_delayed(id),
             rng: SimRng::seed_from_u64(seed ^ (id as u64).wrapping_mul(THREAD_STREAM)),
             done: None,
@@ -209,7 +213,8 @@ impl Future for ClientTask<'_> {
         let end = sh.clock.fetch_add(1, Ordering::AcqRel);
         let completed_ns = sh.epoch.elapsed().as_nanos() as u64;
         sh.committed.store(op + 1, Ordering::Release);
-        task.done = Some((op, start, end, value, completed_ns));
+        let record = sh.widths.operation(op, task.input, start, end, value);
+        task.done = Some((record, completed_ns));
         task.next_op = op + sh.n_clients;
         if task.next_op >= sh.workload.total_ops {
             Poll::Ready(())
@@ -261,18 +266,20 @@ fn run_worker(chunks: Vec<&mut [ClientTask<'_>]>, out: &mut Vec<OpRecord>) {
 }
 
 /// The executor: builds the client arena, deals chunks to workers,
-/// runs to quiescence, and reassembles the records **in op order** on
-/// one lane, so trace token `i` is workload op `i` of client
-/// `i % n_clients` (which is what aligns the open-loop arrival and
-/// completion vectors).
+/// runs to quiescence, and writes each record **at its op index** in
+/// `operations`, one lane of one run, so trace token `i` is workload op
+/// `i` of client `i % n_clients` (which is what aligns the open-loop
+/// arrival and completion vectors).
 fn drive_async(
     counter: &(dyn StressCounter + '_),
     workload: &Workload,
     seed: u64,
     site: SpinSite,
+    widths: Widths,
     config: AsyncConfig,
+    mut operations: Vec<Operation>,
 ) -> (Trace, Vec<u64>, Vec<u64>) {
-    if workload.processors == 0 || workload.total_ops == 0 {
+    if operations.is_empty() {
         return (Trace::default(), Vec::new(), Vec::new());
     }
     let shared = Shared {
@@ -283,6 +290,7 @@ fn drive_async(
         arrivals: arrival_schedule(workload, seed),
         epoch: Instant::now(),
         site,
+        widths,
         n_clients: workload.processors,
     };
     let mut arena: Vec<ClientTask<'_>> = (0..workload.processors)
@@ -290,7 +298,7 @@ fn drive_async(
         .collect();
     let workers = config.workers.max(1).min(workload.processors);
     let chunk = config.chunk.max(1);
-    let mut records: Vec<OpRecord> = Vec::with_capacity(workload.total_ops);
+    let mut completions = vec![0u64; operations.len()];
     std::thread::scope(|scope| {
         let mut assignments: Vec<Vec<&mut [ClientTask<'_>]>> =
             (0..workers).map(|_| Vec::new()).collect();
@@ -306,20 +314,16 @@ fn drive_async(
             }));
         }
         for h in handles {
-            records.extend(h.join().expect("async worker panicked"));
+            for (record, completed_ns) in h.join().expect("async worker panicked") {
+                completions[record.token] = completed_ns;
+                operations[record.token] = record;
+            }
         }
     });
     drop(arena);
-    records.sort_unstable_by_key(|&(op, ..)| op);
-    let mut lane = Vec::with_capacity(records.len());
-    let mut completions = Vec::with_capacity(records.len());
-    for (_, start, end, value, completed_ns) in records {
-        lane.push((start, end, value));
-        completions.push(completed_ns);
-    }
     let trace = Trace {
-        lanes: vec![lane],
-        clients_per_lane: workload.processors,
+        runs: vec![vec![0..operations.len()]],
+        operations,
         clock_end: shared.clock.load(Ordering::Acquire),
     };
     (trace, shared.arrivals, completions)
@@ -337,18 +341,31 @@ impl Executor for Cooperative<'_> {
     fn execute<C: StressCounter>(
         self,
         counter: &C,
+        widths: Widths,
         site: SpinSite,
         readout: impl FnOnce(&Trace) -> Readout,
     ) -> RunOutcome {
         let Cooperative { backend, workload } = self;
+        let operations = driver::slots(workload);
         let started = Instant::now();
-        let (trace, arrivals, completions) =
-            drive_async(counter, workload, backend.seed, site, backend.config);
+        let (trace, arrivals, completions) = drive_async(
+            counter,
+            workload,
+            backend.seed,
+            site,
+            widths,
+            backend.config,
+            operations,
+        );
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         // snapshot export stays outside the timed window, like every
         // other backend's recorder freeze
         let read = readout(&trace);
-        let stats = driver::stats_from_trace(trace, read.counts, read.input_width, read.metrics);
+        let mut stats = driver::stats_from_trace(trace, read.counts, read.metrics);
+        // the one lane is shared round-robin: op i is client i % n's
+        for (i, client) in stats.completed_by.iter_mut().enumerate() {
+            *client = u32::try_from(i % workload.processors).expect("a client id fits u32");
+        }
         let open_loop = if workload.is_open_loop() && !stats.operations.is_empty() {
             let tokens = cnet_timing::linearizability::nonlinearizable_tokens(&stats.operations);
             Some(cnet_obs::open_loop_metrics(

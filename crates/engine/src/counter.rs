@@ -11,7 +11,7 @@ use cnet_concurrent::mp::{MpConfig, MpNetwork};
 use cnet_concurrent::network::{BalancerKind, NetworkCounter};
 use cnet_topology::{OutputCounts, Topology};
 
-use crate::driver::{Readout, SpinSite, Trace};
+use crate::driver::{Readout, SpinSite, Trace, Widths};
 use crate::{RunOutcome, SpecError};
 
 /// A native (`cnet-concurrent`) counter over a backend's topology.
@@ -49,13 +49,15 @@ pub enum CounterSpec {
 }
 
 /// What runs the clients against a freshly built counter: the client
-/// threads of [`crate::driver::run`] or the cooperative executor.
+/// threads of [`crate::driver::Threads`] or the cooperative executor.
 /// Generic over the concrete counter type, so each executor's hot loop
-/// is monomorphized per counter kind.
+/// is monomorphized per counter kind. `widths` label the records the
+/// clients write.
 pub(crate) trait Executor {
     fn execute<C: StressCounter>(
         self,
         counter: &C,
+        widths: Widths,
         site: SpinSite,
         readout: impl FnOnce(&Trace) -> Readout,
     ) -> RunOutcome;
@@ -118,32 +120,33 @@ impl CounterSpec {
     /// constructors run it first.
     pub(crate) fn run(&self, topology: &Topology, wait: u64, exec: impl Executor) -> RunOutcome {
         const CHECKED: &str = "the backend constructor checked the spec against the topology";
+        let width = topology.output_width();
         match *self {
             CounterSpec::Network(kind) => {
                 let counter = NetworkCounter::with_kind(topology, kind);
-                exec.execute(&counter, SpinSite::PerNode, |_| Readout {
+                let widths = Widths::new(counter.input_width(), width);
+                exec.execute(&counter, widths, SpinSite::PerNode, |_| Readout {
                     counts: counter.output_counts().into_iter().collect(),
-                    input_width: counter.input_width(),
                     metrics: counter.metrics_snapshot(wait),
                     frontend: None,
                 })
             }
             CounterSpec::Batch(kind, config) => {
                 let counter = CombiningCounter::with_kind(topology, kind, config);
-                exec.execute(&counter, SpinSite::PerNode, |_| Readout {
+                let widths = Widths::new(counter.input_width(), width);
+                exec.execute(&counter, widths, SpinSite::PerNode, |_| Readout {
                     counts: counter.output_counts().into_iter().collect(),
-                    input_width: counter.input_width(),
                     metrics: counter.metrics_snapshot(wait),
                     frontend: counter.frontend_metrics(),
                 })
             }
             CounterSpec::Shard(kind, policy, count) => {
-                let shard_width = topology.output_width() / count;
+                let shard_width = width / count;
                 let shards = Topology::shards(shard_width, count).expect(CHECKED);
                 let counter = ShardedCounter::with_kind(&shards, kind, policy);
-                exec.execute(&counter, SpinSite::PerNode, |_| Readout {
+                let widths = Widths::new(shard_width, width);
+                exec.execute(&counter, widths, SpinSite::PerNode, |_| Readout {
                     counts: interleave_shard_counts(counter.output_counts(), count),
-                    input_width: shard_width,
                     // contention metrics are per-shard; shard 0 is the
                     // representative (round-robin keeps loads within one op)
                     metrics: counter.shard_metrics(0, wait),
@@ -153,24 +156,23 @@ impl CounterSpec {
             CounterSpec::Mp(config) => {
                 // thread spawn is setup and stays outside the timed window
                 let net = MpNetwork::spawn(topology, config);
-                let width = topology.output_width();
-                exec.execute(&net, SpinSite::PerOp, |trace| Readout {
+                let widths = Widths::new(net.input_width(), width);
+                exec.execute(&net, widths, SpinSite::PerOp, |trace| Readout {
                     // the counter threads own their totals
                     counts: trace.tallies(width),
-                    input_width: net.input_width(),
                     metrics: net.metrics_snapshot(wait),
                     frontend: None,
                 })
             }
             CounterSpec::MpElim(config, elim) => {
                 let net = EliminatingMpNetwork::spawn(topology, config, elim);
-                exec.execute(&net, SpinSite::PerOp, |_| Readout {
+                let widths = Widths::new(net.input_width(), width);
+                exec.execute(&net, widths, SpinSite::PerOp, |_| Readout {
                     // shared-issue values are drawn from a global interval
                     // allocator, so value % width no longer names the
                     // landing counter; the counter threads' own tallies are
                     // the ground truth (a pair counts twice where it landed)
                     counts: net.output_counts().into_iter().collect(),
-                    input_width: net.input_width(),
                     metrics: net.metrics_snapshot(wait),
                     frontend: net.frontend_metrics(),
                 })

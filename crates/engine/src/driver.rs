@@ -3,18 +3,21 @@
 //! Reproduces the audit methodology of `cnet-concurrent::audit` —
 //! every operation bracketed by two ticks of a global logical clock —
 //! and adds the engine's workload semantics on top: a global op quota
-//! shared by all clients (claimed a chunk at a time by a closed loop),
+//! shared by all clients (the slots of the returned buffer, claimed a
+//! chunk at a time by a closed loop and written in place),
 //! the delayed-fraction/`W` mapping, the open-loop arrival schedules
 //! (seeded, nanoseconds of host time), and the one timed window
 //! ([`Threads`]).
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use cnet_concurrent::audit::StressCounter;
 use cnet_obs::{FrontendMetrics, LogHistogram, MetricsSnapshot};
 use cnet_proteus::{RunStats, SimRng, WaitMode, Workload};
-use cnet_timing::linearizability::{lane_magnitudes, LaneRecord};
+use cnet_timing::linearizability::lane_magnitudes;
 use cnet_timing::Operation;
 use cnet_topology::OutputCounts;
 
@@ -76,78 +79,154 @@ impl SpinSite {
     }
 }
 
-/// The raw trace of one native run: the `(start, end, value)` records
-/// exactly as the recording threads left them, plus the final
-/// logical-clock reading.
+/// A network's wire widths, which label every record a native run
+/// writes: a client enters on `client % input`, a value leaves on
+/// `value % output`. Read off the counter before the run, so a client
+/// thread writes its record whole.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Widths {
+    input: u32,
+    output: u64,
+}
+
+impl Widths {
+    pub fn new(input: usize, output: usize) -> Self {
+        Widths {
+            input: u32::try_from(input.max(1)).expect("a network width fits u32"),
+            output: output.max(1) as u64,
+        }
+    }
+
+    /// The input wire of `client`.
+    pub fn input(self, client: usize) -> u32 {
+        u32::try_from(client).expect("a client id fits u32") % self.input
+    }
+
+    /// Token `token`'s record: it entered on `input` and returned `value`
+    /// between the clock ticks `start` and `end`.
+    #[inline]
+    pub fn operation(
+        self,
+        token: usize,
+        input: u32,
+        start: u64,
+        end: u64,
+        value: u64,
+    ) -> Operation {
+        Operation {
+            token,
+            input,
+            start,
+            end,
+            counter: u32::try_from(value % self.output)
+                .expect("a counter index below the width fits u32"),
+            value,
+        }
+    }
+}
+
+/// The raw trace of one native run: every operation's record, written
+/// in place by the client that ran it, the slots each lane wrote, and
+/// the final logical-clock reading.
 ///
-/// Token order is lane-major. A lane carries `clients_per_lane` logical
-/// clients taking turns: one per lane for the thread-per-client
-/// backends, all of them on the single op-ordered lane of the async
-/// executor.
+/// Slot `i` holds token `i`. Lane `l` wrote the slot ranges `runs[l]`,
+/// in the order it claimed them: a [`drive`] thread claims chunks of
+/// the buffer one after another, so tokens follow claim order; the
+/// async executor's one lane is the whole buffer, op `i` being client
+/// `i % clients`'s.
 ///
-/// Every lane is one sequential stream, `start < end < next start`,
-/// which is what lets [`stats_from_trace`] grade the lanes as they
-/// stand. Both builders guarantee it: a [`drive`] thread takes its two
-/// clock ticks around each operation in program order, and the async
-/// executor admits op `i + 1` only after op `i` took its end tick.
+/// Every lane, read across its runs in order, is one sequential stream,
+/// `start < end < next start`, which is what lets [`stats_from_trace`]
+/// grade the lanes as they stand. Both builders guarantee it: a
+/// [`drive`] thread takes its two clock ticks around each operation in
+/// program order, and the async executor admits op `i + 1` only after
+/// op `i` took its end tick. The runs cover every slot exactly once, so
+/// no record the buffer was filled with before the run is returned.
 #[derive(Debug, Default)]
 pub(crate) struct Trace {
-    pub lanes: Vec<Vec<LaneRecord>>,
-    pub clients_per_lane: usize,
+    pub operations: Vec<Operation>,
+    pub runs: Vec<Vec<Range<usize>>>,
     pub clock_end: u64,
 }
 
 impl Trace {
-    /// Per-counter totals rebuilt from the returned values (`value =
-    /// index + width·k`), for the message-passing network, whose
-    /// counter threads own their totals.
+    /// Per-counter totals rebuilt from the returned operations, for the
+    /// message-passing network, whose counter threads own their totals.
     pub fn tallies(&self, width: usize) -> OutputCounts {
         let mut counts = OutputCounts::zeros(width);
-        for &(_, _, value) in self.lanes.iter().flatten() {
-            counts.increment((value % width.max(1) as u64) as usize);
+        for op in &self.operations {
+            counts.increment(op.counter as usize);
         }
         counts
     }
 }
 
+/// The buffer a native run returns, one zero record per operation
+/// (none without a client to write them). `resize` writes every page
+/// here, before the timed window, so no client faults one in on its
+/// clock.
+pub(crate) fn slots(workload: &Workload) -> Vec<Operation> {
+    let mut operations = Vec::new();
+    if workload.processors > 0 {
+        operations.resize(workload.total_ops, Operation::default());
+    }
+    operations
+}
+
 /// Drives `workload.processors` client threads against `counter` until
-/// `workload.total_ops` operations have been claimed, timestamping
-/// each with the global logical clock.
+/// every slot of `operations` holds an operation, timestamping each
+/// with the global logical clock. Returns each thread's runs of slots,
+/// in claim order, and the final clock reading.
 ///
-/// A closed loop claims the shared op quota a chunk at a time: at most
-/// 64, and at most 1/16 of a thread's fair share, so a thread that
-/// falls behind (a delayed one, or a descheduled one) strands no more
-/// than that behind it. With an arrival schedule op `i` must meet
-/// arrival `i`, so the chunk is one.
+/// The slots are handed out a chunk at a time from behind one lock. A
+/// closed loop's chunk is at most 64, and at most 1/16 of a thread's
+/// fair share, so a thread that falls behind (a delayed one, or a
+/// descheduled one) strands no more than that behind it. With an
+/// arrival schedule op `i` must meet arrival `i`, so the chunk is one.
 ///
 /// # Panics
 ///
 /// Panics if a client thread panics.
-fn drive(counter: &impl StressCounter, workload: &Workload, seed: u64, site: SpinSite) -> Trace {
-    if workload.processors == 0 || workload.total_ops == 0 {
-        return Trace::default();
+fn drive(
+    counter: &impl StressCounter,
+    workload: &Workload,
+    seed: u64,
+    site: SpinSite,
+    widths: Widths,
+    operations: &mut [Operation],
+) -> (Vec<Vec<Range<usize>>>, u64) {
+    if operations.is_empty() {
+        return (Vec::new(), 0);
     }
-    let (clock, next_op) = (&AtomicU64::new(0), &AtomicUsize::new(0));
+    let clock = &AtomicU64::new(0);
     let arrivals = &arrival_schedule(workload, seed);
     let chunk = if arrivals.is_empty() {
         (workload.total_ops / workload.processors / 16).clamp(1, 64)
     } else {
         1
     };
+    let dispenser = &Mutex::new(operations.chunks_mut(chunk).enumerate());
     let epoch = Instant::now();
-    let lanes = std::thread::scope(|scope| {
+    let runs = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workload.processors);
         for t in 0..workload.processors {
             let delayed = workload.is_delayed(t);
+            let input = widths.input(t);
             handles.push(scope.spawn(move || {
                 let mut rng = SimRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(THREAD_STREAM));
-                let mut ops = Vec::new();
+                let mut runs = Vec::new();
                 loop {
-                    let claimed = next_op.fetch_add(chunk, Ordering::Relaxed);
-                    if claimed >= workload.total_ops {
+                    // a statement of its own, so the lock is held for the
+                    // claim only
+                    let claim = dispenser
+                        .lock()
+                        .expect("no client panics holding it")
+                        .next();
+                    let Some((k, chunk_slots)) = claim else {
                         break;
-                    }
-                    for i in claimed..(claimed + chunk).min(workload.total_ops) {
+                    };
+                    let base = k * chunk;
+                    for (i, slot) in (base..).zip(chunk_slots.iter_mut()) {
                         if let Some(&at) = arrivals.get(i) {
                             // open loop: hold this token until its instant
                             while (epoch.elapsed().as_nanos() as u64) < at {
@@ -158,10 +237,11 @@ fn drive(counter: &impl StressCounter, workload: &Workload, seed: u64, site: Spi
                         let start = clock.fetch_add(1, Ordering::AcqRel);
                         let value = counter.next_stressed(t, per_node);
                         let end = clock.fetch_add(1, Ordering::AcqRel);
-                        ops.push((start, end, value));
+                        *slot = widths.operation(i, input, start, end, value);
                     }
+                    runs.push(base..base + chunk_slots.len());
                 }
-                ops
+                runs
             }));
         }
         handles
@@ -169,17 +249,12 @@ fn drive(counter: &impl StressCounter, workload: &Workload, seed: u64, site: Spi
             .map(|h| h.join().expect("client thread panicked"))
             .collect()
     });
-    Trace {
-        lanes,
-        clients_per_lane: 1,
-        clock_end: clock.load(Ordering::Acquire),
-    }
+    (runs, clock.load(Ordering::Acquire))
 }
 
 /// What a backend reads off its counter once the clients have joined.
 pub(crate) struct Readout {
     pub counts: OutputCounts,
-    pub input_width: usize,
     pub metrics: Option<MetricsSnapshot>,
     pub frontend: Option<FrontendMetrics>,
 }
@@ -187,8 +262,9 @@ pub(crate) struct Readout {
 /// The thread-per-client executor: one native run from spawn to
 /// [`RunOutcome`], so the timed window is defined once — `wall_ms` is
 /// [`drive`], spawn to join of the client threads, and nothing after
-/// it. The read-out (snapshot export, final tallies) and the trace
-/// assembly stay outside, like the simulator backend's recorder freeze.
+/// it. The returned buffer is sized and written before the window; the
+/// read-out (snapshot export, final tallies) and the grading stay
+/// outside, like the simulator backend's recorder freeze.
 pub(crate) struct Threads<'a> {
     pub backend: &'static str,
     pub workload: &'a Workload,
@@ -199,16 +275,30 @@ impl Executor for Threads<'_> {
     fn execute<C: StressCounter>(
         self,
         counter: &C,
+        widths: Widths,
         site: SpinSite,
         readout: impl FnOnce(&Trace) -> Readout,
     ) -> RunOutcome {
+        let mut operations = slots(self.workload);
         let started = Instant::now();
-        let trace = drive(counter, self.workload, self.seed, site);
+        let (runs, clock_end) = drive(
+            counter,
+            self.workload,
+            self.seed,
+            site,
+            widths,
+            &mut operations,
+        );
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+        let trace = Trace {
+            operations,
+            runs,
+            clock_end,
+        };
         let read = readout(&trace);
         RunOutcome {
             backend: self.backend,
-            stats: stats_from_trace(trace, read.counts, read.input_width, read.metrics),
+            stats: stats_from_trace(trace, read.counts, read.metrics),
             wall_ms,
             frontend: read.frontend,
             open_loop: None,
@@ -218,8 +308,8 @@ impl Executor for Threads<'_> {
 
 /// Assembles a [`RunStats`] from a native trace, uniform with the
 /// simulator's shape so every consumer (sweep, checker, records) works
-/// unchanged. This is the one copy a record makes on its way from the
-/// thread that took it to `RunStats::operations`.
+/// unchanged. The operations are returned where the clients wrote
+/// them; `completed_by` names the lane that wrote each slot.
 ///
 /// Native substrates have no simulated balancer instrumentation, so
 /// the toggle counters are zero and the `Tog` *fallback* fields are
@@ -230,21 +320,53 @@ impl Executor for Threads<'_> {
 /// in `metrics` with real per-balancer service times, and its
 /// violation fields are written here, from the same lane sweep as
 /// `nonlinearizable`.
+///
+/// # Panics
+///
+/// Panics unless the runs cover every slot exactly once and every lane
+/// is one sequential stream: a [`Trace`]'s invariants.
 pub(crate) fn stats_from_trace(
     trace: Trace,
     output_counts: OutputCounts,
-    input_width: usize,
     mut metrics: Option<MetricsSnapshot>,
 ) -> RunStats {
-    let output_width = output_counts.width().max(1) as u64;
-    let input_width = u32::try_from(input_width.max(1)).expect("a network width fits u32");
-    let per_lane = trace.clients_per_lane.max(1);
+    const UNCLAIMED: u32 = u32::MAX;
+    let Trace {
+        operations,
+        runs,
+        clock_end,
+    } = trace;
+    let mut completed_by = vec![UNCLAIMED; operations.len()];
+    let mut claimed = 0;
+    for (lane, lane_runs) in runs.iter().enumerate() {
+        let client = u32::try_from(lane).expect("a client id fits u32");
+        for run in lane_runs {
+            let slots = &mut completed_by[run.clone()];
+            assert!(
+                slots.iter().all(|&c| c == UNCLAIMED),
+                "lane {lane} claims slots {run:?}, which another run claimed"
+            );
+            slots.fill(client);
+            claimed += run.len();
+        }
+    }
+    assert_eq!(
+        claimed,
+        operations.len(),
+        "the runs leave a slot no client wrote"
+    );
     // the one Definition 2.4 pass of a native run, on the logical-clock
     // brackets in the order the lanes already hold them: the count
     // goes to the stats, the magnitudes to the probe snapshot when
     // there is one
+    let lanes: Vec<Vec<&[Operation]>> = runs
+        .iter()
+        .map(|lane| lane.iter().map(|run| &operations[run.clone()]).collect())
+        .collect();
     let mut magnitudes = LogHistogram::new();
-    lane_magnitudes(&trace.lanes, |magnitude| {
+    let mut total_latency = 0u64;
+    lane_magnitudes(&lanes, |op, magnitude| {
+        total_latency += op.end - op.start;
         if magnitude > 0 {
             magnitudes.record(magnitude);
         }
@@ -254,30 +376,8 @@ pub(crate) fn stats_from_trace(
     if let Some(m) = metrics.as_mut() {
         m.network.set_violations(magnitudes);
     }
-    let total = trace.lanes.iter().map(Vec::len).sum();
-    let mut operations = Vec::with_capacity(total);
-    let mut completed_by = Vec::with_capacity(total);
-    let mut total_latency = 0u64;
-    for (lane, records) in trace.lanes.into_iter().enumerate() {
-        for turns in records.chunks(per_lane) {
-            for (turn, &(start, end, value)) in turns.iter().enumerate() {
-                let client = u32::try_from(lane * per_lane + turn).expect("a client id fits u32");
-                operations.push(Operation {
-                    token: operations.len(),
-                    input: client % input_width,
-                    start,
-                    end,
-                    counter: u32::try_from(value % output_width)
-                        .expect("a counter index below the width fits u32"),
-                    value,
-                });
-                completed_by.push(client);
-                total_latency += end - start;
-            }
-        }
-    }
     RunStats {
-        sim_time: trace.clock_end,
+        sim_time: clock_end,
         node_visits: operations.len() as u64,
         node_wait_total: total_latency,
         operations,
@@ -297,16 +397,26 @@ pub(crate) fn stats_from_trace(
 mod tests {
     use super::*;
 
+    /// A trace of `(start, end, value)` records in slot order, lane `l`
+    /// having written the slot ranges `runs[l]`.
+    fn trace(records: &[(u64, u64, u64)], runs: Vec<Vec<Range<usize>>>) -> Trace {
+        let widths = Widths::new(4, 4);
+        let operations = records.iter().enumerate();
+        Trace {
+            operations: operations
+                .map(|(token, &(start, end, value))| widths.operation(token, 0, start, end, value))
+                .collect(),
+            runs,
+            clock_end: 2 * records.len() as u64,
+        }
+    }
+
     #[test]
     fn a_probe_snapshot_gets_the_verdict_of_the_trace_scan() {
         // value 7 finishes at tick 1, value 2 starts at tick 2
-        let trace = Trace {
-            lanes: vec![vec![(0, 1, 7)], vec![(2, 3, 2)]],
-            clients_per_lane: 1,
-            clock_end: 4,
-        };
+        let trace = trace(&[(0, 1, 7), (2, 3, 2)], vec![vec![0..1], vec![1..2]]);
         let probes = cnet_obs::live::NetObserver::new(1).snapshot(0);
-        let stats = stats_from_trace(trace, OutputCounts::zeros(4), 4, probes);
+        let stats = stats_from_trace(trace, OutputCounts::zeros(4), probes);
         assert_eq!(stats.nonlinearizable, 1);
         let network = stats.metrics.expect("the live layer snapshots").network;
         assert_eq!(network.nonlinearizable, 1);
@@ -317,22 +427,41 @@ mod tests {
 
     #[test]
     fn a_violation_only_the_interleaving_reveals_is_counted() {
-        // each lane alone counts upward; merged, thread 1 finishes
-        // value 5 at tick 3, before thread 0 starts values 1 and 2
-        let trace = Trace {
-            lanes: vec![
-                vec![(0, 1, 0), (4, 7, 1), (8, 9, 2)],
-                vec![(2, 3, 5), (5, 6, 6)],
-            ],
-            clients_per_lane: 1,
-            clock_end: 10,
-        };
-        let stats = stats_from_trace(trace, OutputCounts::zeros(4), 4, None);
+        // each lane alone counts upward; merged, lane 1 finishes value 5
+        // at tick 3, before lane 0 starts values 1 and 2 in its second run
+        let records = [(0, 1, 0), (2, 3, 5), (4, 7, 1), (8, 9, 2), (5, 6, 6)];
+        let runs = vec![vec![0..1, 2..4], vec![1..2, 4..5]];
+        let stats = stats_from_trace(trace(&records, runs), OutputCounts::zeros(4), None);
         assert_eq!(stats.nonlinearizable, 2);
         assert_eq!(
             cnet_timing::linearizability::nonlinearizable_tokens(&stats.operations),
-            [1, 2],
-            "lane-major tokens: thread 0's second and third operation"
+            [2, 3],
+            "claim-order tokens: lane 0's second run"
+        );
+        assert_eq!(stats.completed_by, [0, 1, 0, 0, 1]);
+        assert_eq!(stats.node_wait_total, 1 + 1 + 3 + 1 + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "leave a slot no client wrote")]
+    fn runs_that_leave_a_gap_are_refused() {
+        // slot 1 keeps the zero record it was filled with
+        let records = [(0, 1, 0), (0, 0, 0), (2, 3, 1)];
+        stats_from_trace(
+            trace(&records, vec![vec![0..1], vec![2..3]]),
+            OutputCounts::zeros(4),
+            None,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "which another run claimed")]
+    fn runs_that_overlap_are_refused() {
+        let records = [(0, 1, 0), (2, 3, 1)];
+        stats_from_trace(
+            trace(&records, vec![vec![0..2], vec![1..2]]),
+            OutputCounts::zeros(4),
+            None,
         );
     }
 

@@ -1,5 +1,6 @@
-//! The native post-run grades the lanes the client threads left
-//! behind (`linearizability::lane_magnitudes`, one running maximum);
+//! The native post-run grades each client thread's runs of the returned
+//! buffer as one lane (`linearizability::lane_magnitudes`, one running
+//! maximum);
 //! everyone downstream grades the `Operation`s it returns against the
 //! table. For every native family of the registry — client threads and
 //! the cooperative executor, closed loop and scheduled arrivals — on

@@ -1,11 +1,13 @@
-//! The shared op quota and the single-copy trace assembly of the
-//! thread-per-client driver, seen from outside.
+//! The shared op quota and the in-place trace of the thread-per-client
+//! driver, seen from outside.
 //!
-//! A closed loop claims the quota a chunk at a time (at most 64, at
-//! most 1/16 of a thread's fair share); whatever the chunk works out
-//! to, a run completes exactly `total_ops` operations with the values
-//! `0..total_ops`. With an arrival schedule op `i` still meets arrival
-//! `i`.
+//! A closed loop claims the slots of the returned buffer a chunk at a
+//! time (at most 64, at most 1/16 of a thread's fair share); whatever
+//! the chunk works out to, a run completes exactly `total_ops`
+//! operations with the values `0..total_ops`, slot `i` holds token `i`,
+//! and each thread's slots, read in order, are the operations it ran
+//! one after another. With an arrival schedule op `i` still meets
+//! arrival `i`.
 
 use cnet_concurrent::network::BalancerKind;
 use cnet_engine::{
@@ -69,15 +71,29 @@ fn every_quota_shape_completes_exactly_on_every_threaded_backend() {
                 workload.total_ops,
                 "{shape}"
             );
-            assert_eq!(outcome.stats.completed_by.len(), workload.total_ops);
-            assert!(
-                outcome
-                    .stats
-                    .completed_by
-                    .windows(2)
-                    .all(|w| w[0] <= w[1] && (w[1] as usize) < workload.processors),
-                "{shape}: tokens are not in thread-major order"
+            assert_eq!(
+                outcome.stats.completed_by.len(),
+                workload.total_ops,
+                "{shape}"
             );
+            let mut last_end = vec![None; workload.processors];
+            for (i, (op, &thread)) in outcome
+                .stats
+                .operations
+                .iter()
+                .zip(&outcome.stats.completed_by)
+                .enumerate()
+            {
+                assert_eq!(op.token, i, "{shape}: slot {i} holds another token");
+                let last = last_end
+                    .get_mut(thread as usize)
+                    .unwrap_or_else(|| panic!("{shape}: slot {i} names thread {thread}"));
+                assert!(
+                    op.start < op.end && last.is_none_or(|end| end < op.start),
+                    "{shape}: thread {thread}'s slots are not one sequential stream at {i}"
+                );
+                *last = Some(op.end);
+            }
         }
     }
 }
@@ -177,12 +193,16 @@ fn scheduled_arrivals_still_pair_op_i_with_arrival_i() {
         assert!(ol.latency.min() > 0, "{arrival:?}");
         assert!(ol.completion_span_ns > ol.arrival_span_ns, "{arrival:?}");
 
-        // the thread-per-client driver holds the same schedule
+        // the thread-per-client driver holds the same schedule; its
+        // chunk is one, so slot i is claim i
         let threaded = ShmBackend::network(&net, BalancerKind::WaitFree, seed).run(&Workload {
             processors: 4,
             ..workload
         });
         assert_eq!(threaded.stats.operations.len(), 600, "{arrival:?}");
         assert!(threaded.counts_exactly(), "{arrival:?}");
+        for (i, op) in threaded.stats.operations.iter().enumerate() {
+            assert_eq!(op.token, i, "{arrival:?}");
+        }
     }
 }

@@ -34,8 +34,9 @@ pub struct Event {
 /// network's width, held as `u32` like the simulator's and the compiled
 /// arena's indices (index with `as usize`). `token` stays `usize`: a
 /// served history numbers tokens by global completion count, which
-/// outgrows `u32`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// outgrows `u32`. The default is the all-zero record a native run
+/// fills its buffer with before its client threads write into it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Operation {
     /// Token id (index into the schedule).
     pub token: usize,

@@ -26,10 +26,10 @@
 //!   two running maxima give its witness then and there, `O(1)` per
 //!   operation;
 //! * a set of *lanes* ([`lane_magnitudes`]) — a native run's per-thread
-//!   records, each lane already in time order — needs no table either:
-//!   a merge of the lanes visits every instant once in order, so the
-//!   prefix maximum is one scalar, `O(n log L)` over `L` lanes with
-//!   nothing allocated beyond the `L` cursors.
+//!   operations, each lane a list of runs already in time order — needs
+//!   no table either: a merge of the lanes visits every instant once in
+//!   order, so the prefix maximum is one scalar, `O(n log L)` over `L`
+//!   lanes with nothing allocated beyond the `L` cursors.
 //!
 //! Every way, an operation's verdict is its *magnitude*: how far the
 //! largest value that finished before it started lies above its own
@@ -213,11 +213,6 @@ pub fn nonlinearizable_tokens(ops: &[Operation]) -> Vec<usize> {
     nonlinearizable(ops).map(|op| op.token).collect()
 }
 
-/// One record of a lane: `(start, end, value)`.
-pub type LaneRecord = (Time, Time, u64);
-
-const _: () = assert!(std::mem::size_of::<LaneRecord>() == 24);
-
 /// Why [`lane_magnitudes`] refused its input: record `index` of lane
 /// `lane` does not end after it starts, or does not start after its
 /// predecessor ended.
@@ -225,7 +220,7 @@ const _: () = assert!(std::mem::size_of::<LaneRecord>() == 24);
 pub struct LaneOrderError {
     /// The offending lane.
     pub lane: usize,
-    /// The offending record within it.
+    /// The offending record within it, counted across the lane's runs.
     pub index: usize,
 }
 
@@ -241,75 +236,103 @@ impl std::fmt::Display for LaneOrderError {
 
 impl std::error::Error for LaneOrderError {}
 
-/// A lane's next instant in the merge: the start of record `index`, or
-/// its end. Ordered by instant, a start before an end at the same one
-/// (`end == start` is overlap under the strict definition).
+/// A lane's next instant in the merge: the start of record `index` of
+/// run `run`, or its end. Ordered by instant, a start before an end at
+/// the same one (`end == start` is overlap under the strict definition).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct LaneCursor {
     tick: Time,
     at_end: bool,
     lane: usize,
+    run: usize,
     index: usize,
 }
 
-/// Refuses record `index` of `records` unless it is the next operation
-/// of one sequential client.
-fn sequential(lane: usize, records: &[LaneRecord], index: usize) -> Result<(), LaneOrderError> {
-    let (start, end, _) = records[index];
-    if start < end && (index == 0 || records[index - 1].1 < start) {
-        Ok(())
-    } else {
-        Err(LaneOrderError { lane, index })
+impl LaneCursor {
+    /// Moves to the start of the lane's first record at or after record
+    /// `index` of run `run`, past any empty run, and refuses it unless
+    /// it is the next operation of one sequential client: it ends after
+    /// it starts, and starts after `after`, its predecessor's end.
+    /// `Ok(false)` when the lane has no record left.
+    fn seek(
+        &mut self,
+        runs: &[&[Operation]],
+        mut run: usize,
+        mut index: usize,
+        after: Option<Time>,
+    ) -> Result<bool, LaneOrderError> {
+        while runs.get(run).is_some_and(|records| index == records.len()) {
+            (run, index) = (run + 1, 0);
+        }
+        let Some(op) = runs.get(run).map(|records| &records[index]) else {
+            return Ok(false);
+        };
+        if op.start < op.end && after.is_none_or(|end| end < op.start) {
+            (self.tick, self.at_end, self.run, self.index) = (op.start, false, run, index);
+            Ok(true)
+        } else {
+            let before: usize = runs[..run].iter().map(|records| records.len()).sum();
+            Err(LaneOrderError {
+                lane: self.lane,
+                index: before + index,
+            })
+        }
     }
 }
 
 /// Reports every operation's violation magnitude — the multiset
 /// [`magnitudes`] yields over the same operations — for a trace held as
-/// *lanes*: each lane one sequential stream of records with
+/// *lanes*: each lane one sequential stream of operations with
 /// `start < end < next start`, what a client thread that brackets its
-/// own operations with a shared clock leaves behind.
+/// own operations with a shared clock leaves behind. A lane is a list
+/// of *runs*, slices read one after another: the chunks of a shared
+/// buffer a thread wrote, in the order it claimed them.
 ///
 /// The lanes are merged by instant, the leading lane running on until
 /// the runner-up's next one; the maximum of finished values is then a
 /// single scalar, raised at an end and read at a start. `O(n log L)`
-/// for `n` records on `L` lanes (a heap operation per *run*, so a lane
-/// that leads for long stretches costs `O(1)` per record), no
-/// allocation beyond the `L` cursors. Magnitudes are reported in start
-/// order, not lane order.
+/// for `n` operations on `L` lanes (a heap operation per stretch a lane
+/// leads, so a lane that leads for long stretches costs `O(1)` per
+/// operation), no allocation beyond the `L` cursors. Each operation is
+/// reported with its magnitude in start order, not lane order.
 ///
 /// # Errors
 ///
 /// A lane that is not sequential would be merged out of order and
 /// mis-counted, so its first offending record is refused by
-/// `(lane, index)`; what was reported before the refusal is to be
-/// discarded.
+/// `(lane, index)`, the index counted across the lane's runs; what was
+/// reported before the refusal is to be discarded.
 ///
 /// # Example
 ///
 /// ```
 /// use cnet_timing::linearizability::lane_magnitudes;
+/// use cnet_timing::Operation;
 ///
-/// // value 7 finishes at tick 1 on one thread; another starts at
-/// // tick 2 and returns 2
-/// let lanes = [vec![(0, 1, 7), (4, 5, 8)], vec![(2, 3, 2)]];
+/// let op = |start, end, value| Operation { start, end, value, ..Operation::default() };
+/// // value 7 finishes at tick 1 on one thread, which then runs on in a
+/// // second run; another thread starts at tick 2 and returns 2
+/// let (one, two) = ([op(0, 1, 7), op(4, 5, 8)], [op(2, 3, 2)]);
+/// let lanes = [vec![&one[..1], &one[1..]], vec![&two[..]]];
 /// let mut seen = Vec::new();
-/// lane_magnitudes(&lanes, |magnitude| seen.push(magnitude)).unwrap();
-/// assert_eq!(seen, [0, 5, 0]);
+/// lane_magnitudes(&lanes, |op, magnitude| seen.push((op.value, magnitude))).unwrap();
+/// assert_eq!(seen, [(7, 0), (2, 5), (8, 0)]);
 /// ```
 pub fn lane_magnitudes(
-    lanes: &[Vec<LaneRecord>],
-    mut report: impl FnMut(u64),
+    lanes: &[Vec<&[Operation]>],
+    mut report: impl FnMut(&Operation, u64),
 ) -> Result<(), LaneOrderError> {
     let mut heads = BinaryHeap::with_capacity(lanes.len());
-    for (lane, records) in lanes.iter().enumerate() {
-        if let Some(&(tick, ..)) = records.first() {
-            sequential(lane, records, 0)?;
-            heads.push(Reverse(LaneCursor {
-                tick,
-                at_end: false,
-                lane,
-                index: 0,
-            }));
+    for (lane, runs) in lanes.iter().enumerate() {
+        let mut head = LaneCursor {
+            tick: 0,
+            at_end: false,
+            lane,
+            run: 0,
+            index: 0,
+        };
+        if head.seek(runs, 0, 0, None)? {
+            heads.push(Reverse(head));
         }
     }
     let mut running = 0u64;
@@ -319,24 +342,33 @@ pub fn lane_magnitudes(
         let bound = heads
             .peek()
             .map_or((Time::MAX, true), |Reverse(next)| (next.tick, next.at_end));
-        let records = &lanes[lead.lane];
-        while (lead.tick, lead.at_end) <= bound {
-            let (_, end, value) = records[lead.index];
-            if lead.at_end {
-                running = running.max(value);
-                lead.index += 1;
-                let Some(&(start, ..)) = records.get(lead.index) else {
-                    break;
-                };
-                sequential(lead.lane, records, lead.index)?;
-                (lead.tick, lead.at_end) = (start, false);
+        let runs = &lanes[lead.lane];
+        let mut records = runs[lead.run];
+        loop {
+            let op = &records[lead.index];
+            if !lead.at_end {
+                report(op, running.saturating_sub(op.value));
+                (lead.tick, lead.at_end) = (op.end, true);
             } else {
-                report(running.saturating_sub(value));
-                (lead.tick, lead.at_end) = (end, true);
+                running = running.max(op.value);
+                match records.get(lead.index + 1) {
+                    Some(next) if op.end < next.start && next.start < next.end => {
+                        lead.index += 1;
+                        (lead.tick, lead.at_end) = (next.start, false);
+                    }
+                    // the run's end, or a record to refuse: both are seek's
+                    _ => {
+                        if !lead.seek(runs, lead.run, lead.index + 1, Some(op.end))? {
+                            break;
+                        }
+                        records = runs[lead.run];
+                    }
+                }
             }
-        }
-        if lead.index < records.len() {
-            heads.push(Reverse(lead));
+            if (lead.tick, lead.at_end) > bound {
+                heads.push(Reverse(lead));
+                break;
+            }
         }
     }
     Ok(())
@@ -562,10 +594,25 @@ mod tests {
         assert_eq!(worst_witness(&ops, &ops[1]), None);
     }
 
-    fn swept(lanes: &[Vec<LaneRecord>]) -> Result<Vec<u64>, LaneOrderError> {
-        let mut seen = Vec::new();
-        lane_magnitudes(lanes, |magnitude| seen.push(magnitude))?;
-        Ok(seen)
+    /// The sweep's magnitudes over lanes of `(start, end, value)`
+    /// records, the same whether each lane is one run, runs of two, or
+    /// runs of one with an empty run between each two.
+    fn swept(lanes: &[Vec<(Time, Time, u64)>]) -> Result<Vec<u64>, LaneOrderError> {
+        let ops: Vec<Vec<Operation>> = lanes
+            .iter()
+            .map(|lane| lane.iter().map(|&(s, e, v)| op(0, s, e, v)).collect())
+            .collect();
+        let split = |runs: fn(&[Operation]) -> Vec<&[Operation]>| -> Result<Vec<u64>, _> {
+            let lanes: Vec<Vec<&[Operation]>> = ops.iter().map(|lane| runs(lane)).collect();
+            let mut seen = Vec::new();
+            lane_magnitudes(&lanes, |_, magnitude| seen.push(magnitude))?;
+            Ok(seen)
+        };
+        let whole = split(|lane| vec![lane]);
+        assert_eq!(split(|lane| lane.chunks(2).collect()), whole);
+        let gapped = split(|lane| lane.chunks(1).flat_map(|run| [run, &[]]).collect());
+        assert_eq!(gapped, whole);
+        whole
     }
 
     #[test]
@@ -597,6 +644,24 @@ mod tests {
             swept(&[vec![(0, 9, 0)], vec![(1, 4, 2), (3, 6, 1)]]),
             refused(1, 1)
         );
+    }
+
+    #[test]
+    fn a_record_out_of_order_in_a_later_run_is_refused_by_its_place_in_the_lane() {
+        let ops = [
+            op(0, 0, 1, 0),
+            op(1, 2, 3, 1),
+            op(2, 6, 7, 2),
+            op(3, 4, 5, 3),
+        ];
+        // lane 1's second run starts before its first run's last end
+        let lanes = [vec![&ops[..1]], vec![&ops[1..3], &[][..], &ops[3..]]];
+        let mut seen = 0;
+        assert_eq!(
+            lane_magnitudes(&lanes, |_, _| seen += 1),
+            Err(LaneOrderError { lane: 1, index: 2 })
+        );
+        assert!(seen <= 3);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use counting_networks::proteus::{
 };
 use counting_networks::timing::linearizability::{
     check_exhaustive, count_nonlinearizable, count_nonlinearizable_naive, is_dense_timeline,
-    lane_magnitudes, magnitudes, worst_witness, LaneOrderError, LaneRecord, StartWitness,
+    lane_magnitudes, magnitudes, worst_witness, LaneOrderError, StartWitness,
 };
 use counting_networks::timing::Operation;
 use counting_networks::topology::{constructions, Topology};
@@ -387,12 +387,12 @@ fn zero_count_iff_the_oracle_finds_a_linearization() {
 /// instants a random interleaving of the ticks `0..2n` — what the
 /// native driver's shared clock hands out. Values are the start order,
 /// which is a linearization; the caller perturbs them.
-fn random_lanes(rng: &mut StdRng, lanes: usize, n: usize) -> Vec<Vec<LaneRecord>> {
+fn random_lanes(rng: &mut StdRng, lanes: usize, n: usize) -> Vec<Vec<Operation>> {
     let mut quota = vec![0usize; lanes];
     for _ in 0..n {
         quota[rng.gen_range(0..lanes)] += 1;
     }
-    let mut out: Vec<Vec<LaneRecord>> = vec![Vec::new(); lanes];
+    let mut out: Vec<Vec<Operation>> = vec![Vec::new(); lanes];
     let mut open = vec![false; lanes];
     let mut started = 0;
     for tick in 0..2 * n as u64 {
@@ -401,9 +401,9 @@ fn random_lanes(rng: &mut StdRng, lanes: usize, n: usize) -> Vec<Vec<LaneRecord>
             .collect();
         let lane = live[rng.gen_range(0..live.len())];
         if open[lane] {
-            out[lane].last_mut().expect("an operation is in flight").1 = tick;
+            out[lane].last_mut().expect("an operation is in flight").end = tick;
         } else {
-            out[lane].push((tick, u64::MAX, started));
+            out[lane].push(op(0, tick, u64::MAX, started));
             started += 1;
         }
         open[lane] = !open[lane];
@@ -411,22 +411,40 @@ fn random_lanes(rng: &mut StdRng, lanes: usize, n: usize) -> Vec<Vec<LaneRecord>
     out
 }
 
-fn swept(lanes: &[Vec<LaneRecord>]) -> Result<Vec<u64>, LaneOrderError> {
+/// Each lane cut into runs of random length, empty ones among them —
+/// how a client thread's claimed chunks of the shared buffer read.
+fn random_runs<'a>(rng: &mut StdRng, lanes: &'a [Vec<Operation>]) -> Vec<Vec<&'a [Operation]>> {
+    lanes
+        .iter()
+        .map(|lane| {
+            let mut runs = Vec::new();
+            let mut rest = &lane[..];
+            while !rest.is_empty() {
+                let (run, tail) = rest.split_at(rng.gen_range(0..=rest.len().min(8)));
+                runs.push(run);
+                rest = tail;
+            }
+            runs
+        })
+        .collect()
+}
+
+fn swept(lanes: &[Vec<&[Operation]>]) -> Result<Vec<u64>, LaneOrderError> {
     let mut seen = Vec::new();
-    lane_magnitudes(lanes, |magnitude| seen.push(magnitude))?;
+    lane_magnitudes(lanes, |_, magnitude| seen.push(magnitude))?;
     seen.sort_unstable();
     Ok(seen)
 }
 
-/// What a native run grades: the lanes as the client threads left
-/// them. The sweep's magnitudes are the table's over the lane-major
-/// operations, its count the quadratic reference's and zero exactly
-/// when the oracle finds a counting order; a lane out of order is
-/// refused where it breaks.
+/// What a native run grades: each client thread's runs of the returned
+/// buffer, as one lane. The sweep's magnitudes are the table's over the
+/// same operations, its count the quadratic reference's and zero
+/// exactly when the oracle finds a counting order; a lane out of order
+/// is refused where it breaks, by its place in the lane across runs.
 #[test]
 fn sequential_lanes_get_the_verdict_of_their_operations() {
     assert_eq!(swept(&[]), Ok(vec![]));
-    assert_eq!(swept(&[vec![], vec![], vec![]]), Ok(vec![]));
+    assert_eq!(swept(&[vec![], vec![&[]], vec![]]), Ok(vec![]));
 
     let mut rng = StdRng::seed_from_u64(0x1A9E5);
     let (mut clean, mut violating) = (0, 0);
@@ -455,15 +473,10 @@ fn sequential_lanes_get_the_verdict_of_their_operations() {
             _ => values.shuffle(&mut rng),
         }
         for record in lanes.iter_mut().flatten() {
-            record.2 = values[record.2 as usize];
+            record.value = values[record.value as usize];
         }
 
-        let ops: Vec<Operation> = lanes
-            .iter()
-            .flatten()
-            .enumerate()
-            .map(|(token, &(start, end, value))| op(token, start, end, value))
-            .collect();
+        let ops: Vec<Operation> = lanes.iter().flatten().copied().collect();
         let mut expected: Vec<u64> = magnitudes(&ops).collect();
         expected.sort_unstable();
         let count = expected.iter().filter(|&&m| m > 0).count();
@@ -480,34 +493,35 @@ fn sequential_lanes_get_the_verdict_of_their_operations() {
 
         // as drawn (every tick of 0..2n once) and stretched: a strictly
         // increasing relabelling moves no verdict
-        let stretched: Vec<Vec<LaneRecord>> = lanes
+        let stretched: Vec<Vec<Operation>> = lanes
             .iter()
-            .map(|lane| {
-                lane.iter()
-                    .map(|&(start, end, value)| ((start + 1) << 20, (end + 1) << 20, value))
-                    .collect()
-            })
+            .map(|lane| relabelled(lane, |t| (t + 1) << 20))
             .collect();
         assert_eq!(
-            swept(&lanes).as_ref(),
+            swept(&random_runs(&mut rng, &lanes)).as_ref(),
             Ok(&expected),
             "round {round}: drawn"
         );
-        assert_eq!(swept(&stretched), Ok(expected), "round {round}: stretched");
+        assert_eq!(
+            swept(&random_runs(&mut rng, &stretched)),
+            Ok(expected),
+            "round {round}: stretched"
+        );
 
         // one record out of order: refused by name, whatever the values
+        // and wherever the lane's runs are cut
         let Some(lane) = (0..width).filter(|&l| !lanes[l].is_empty()).nth(round % 2) else {
             continue;
         };
         let index = rng.gen_range(0..lanes[lane].len());
         let record = &mut lanes[lane][index];
         match (rng.gen_range(0..3), index) {
-            (0, _) => record.1 = record.0,
-            (1, _) | (_, 0) => (record.0, record.1) = (record.1, record.0),
-            _ => lanes[lane][index].0 = lanes[lane][index - 1].1,
+            (0, _) => record.end = record.start,
+            (1, _) | (_, 0) => (record.start, record.end) = (record.end, record.start),
+            _ => lanes[lane][index].start = lanes[lane][index - 1].end,
         }
         assert_eq!(
-            swept(&lanes),
+            swept(&random_runs(&mut rng, &lanes)),
             Err(LaneOrderError { lane, index }),
             "round {round}"
         );
