@@ -3,10 +3,10 @@
 
 use std::io;
 
-use cnet_adversary::{
+use cnet_harness::{derive_seed, percent, pool, ResultTable};
+use cnet_timing::adversary::{
     bitonic_attack, intro_example, tree_attack, tree_attack_with_gap, wave_attack,
 };
-use cnet_harness::{derive_seed, percent, pool, ResultTable};
 use cnet_timing::executor::TimedExecutor;
 use cnet_timing::{measure, random, threshold as sweep, LinkTiming};
 use cnet_topology::constructions;

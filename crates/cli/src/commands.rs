@@ -3,15 +3,15 @@
 
 use std::fmt::Write as _;
 
-use cnet_adversary::{
-    bitonic_attack, intro_example, search_violations, tree_attack, wave_attack, Scenario,
-    SearchConfig,
-};
 use cnet_engine::{ArrivalProcess, AsyncConfig, BackendSpec, BalancerKind, CounterSpec, SpecError};
 use cnet_harness::{
     run_jobs_report, GridReport, Job, NativeSweep, ResultTable, RunRecord, KNEE_TOLERANCE,
 };
 use cnet_proteus::{SimConfig, WaitMode, Workload};
+use cnet_timing::adversary::{
+    bitonic_attack, intro_example, search_violations, tree_attack, wave_attack, Scenario,
+    SearchConfig,
+};
 use cnet_timing::executor::TimedExecutor;
 use cnet_timing::{interleave, io, measure, render, threshold as thresh, LinkTiming};
 use cnet_topology::{constructions, Topology, TopologyError};

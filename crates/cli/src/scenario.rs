@@ -21,8 +21,8 @@ use crate::args::{CliError, ParsedArgs};
 
 /// A parsed scenario description: one complete, reproducible run.
 ///
-/// Named `ScenarioSpec` — `cnet_adversary::Scenario` already names the
-/// adversarial schedule shapes.
+/// Named `ScenarioSpec` — `cnet_timing::adversary::Scenario` already
+/// names the adversarial schedule shapes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// Human-readable scenario name, echoed in the report.

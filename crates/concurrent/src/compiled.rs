@@ -8,11 +8,11 @@
 //! [`CompiledNet::compile`] does all of that work once, at
 //! construction:
 //!
-//! * every node becomes one `#[repr(align(64))]` [`Slot`] in a single
+//! * every node becomes one `#[repr(align(64))]` `Slot` in a single
 //!   contiguous arena, laid out in layer order so consecutive layers
 //!   are adjacent in memory and no two slots share a cache line (the
 //!   declanvk/counting-networks idiom for killing false sharing);
-//! * every successor is pre-resolved into a tagged [`Link`]: one `u32`
+//! * every successor is pre-resolved into a tagged `Link`: one `u32`
 //!   whose high bit says *arena slot* or *output counter*, so a hop
 //!   decodes with a mask instead of matching a `WireEnd` through two
 //!   `Vec` lookups — the index-threaded rendition of pointer-threaded
@@ -28,7 +28,7 @@
 //!   the compiled toggle and the compiled width-2 bitonic
 //!   exhaustively;
 //! * each [`BalancerKind`] gets its own monomorphized traversal loop
-//!   (the [`Route`] implementations), so the wait-free hop compiles to
+//!   (the `Route` implementations), so the wait-free hop compiles to
 //!   pure index chasing with zero allocation, no `Option`, and no
 //!   per-hop branch on the balancer style.
 //!

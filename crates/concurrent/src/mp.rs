@@ -132,7 +132,7 @@ impl MpNetwork {
     /// shared interval allocator instead of their local arrival counts
     /// — the mode that makes elimination pair tokens
     /// ([`MpNetwork::count_pair_on`]) gap-free. Sequentially it counts
-    /// exactly like [`MpNetwork::spawn`]; see [`SharedIssue`] for why
+    /// exactly like [`MpNetwork::spawn`]; see `SharedIssue` for why
     /// pairs need it.
     ///
     /// # Panics

@@ -142,7 +142,8 @@ impl RunRecord {
         }
     }
 
-    /// Builds a record straight from an engine [`RunOutcome`], tagging
+    /// Builds a record straight from an engine
+    /// [`RunOutcome`](cnet_engine::RunOutcome), tagging
     /// it with the backend that produced it.
     #[must_use]
     pub fn from_outcome(

@@ -20,7 +20,7 @@
 //!   operations served, which dumps expand and the final
 //!   [`ServeSummary`] hands back;
 //! * [`ServeClient`] — a typed blocking client;
-//! * [`drive`] / [`DriveConfig`] — the open-loop load generator that
+//! * [`drive()`] / [`DriveConfig`] — the open-loop load generator that
 //!   soaks a daemon and produces a gateable [`cnet_obs::SloReport`];
 //! * [`signal`] — `SIGTERM`/`SIGINT` as a polite drain request.
 

@@ -1,11 +1,10 @@
 //! Theorem 4.3 — bitonic counting networks are not linearizable for
 //! `c2 > 2·c1`.
 
-use cnet_timing::{LinkTiming, TimingSchedule};
 use cnet_topology::constructions;
 
-use crate::error::AdversaryError;
-use crate::scenario::Scenario;
+use super::Scenario;
+use crate::{LinkTiming, TimingError, TimingSchedule};
 
 /// Builds the Theorem 4.3 attack on `Bitonic[width]` using the token
 /// placement of Lemma 4.2:
@@ -25,14 +24,14 @@ use crate::scenario::Scenario;
 ///
 /// # Errors
 ///
-/// * [`AdversaryError::RatioTooSmall`] unless `h·(c2 - 2·c1) >= 3`
+/// * [`TimingError::RatioTooSmall`] unless `h·(c2 - 2·c1) >= 3`
 ///   (the discrete form of `c2 > 2·c1`, with room for the two 1-cycle
 ///   entry offsets).
-/// * [`AdversaryError::Topology`] if `width` is not a power of two
+/// * [`TimingError::Topology`] if `width` is not a power of two
 ///   `>= 4` (the paper handles `w = 2` via the Section 1 example).
-pub fn bitonic_attack(width: usize, timing: LinkTiming) -> Result<Scenario, AdversaryError> {
+pub fn bitonic_attack(width: usize, timing: LinkTiming) -> Result<Scenario, TimingError> {
     if width < 4 {
-        return Err(AdversaryError::Topology(
+        return Err(TimingError::Topology(
             cnet_topology::TopologyError::WidthNotPowerOfTwo { width },
         ));
     }
@@ -45,7 +44,7 @@ pub fn bitonic_attack(width: usize, timing: LinkTiming) -> Result<Scenario, Adve
         0
     };
     if slack < 3 {
-        return Err(AdversaryError::RatioTooSmall {
+        return Err(TimingError::RatioTooSmall {
             required: "h·(c2 - 2·c1) >= 3".into(),
             c1,
             c2,
@@ -134,7 +133,7 @@ mod tests {
         let timing = LinkTiming::new(10, 20).unwrap();
         assert!(matches!(
             bitonic_attack(8, timing),
-            Err(AdversaryError::RatioTooSmall { .. })
+            Err(TimingError::RatioTooSmall { .. })
         ));
     }
 
@@ -143,7 +142,7 @@ mod tests {
         let timing = LinkTiming::new(1, 100).unwrap();
         assert!(matches!(
             bitonic_attack(2, timing),
-            Err(AdversaryError::Topology(_))
+            Err(TimingError::Topology(_))
         ));
     }
 }

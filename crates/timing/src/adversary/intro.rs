@@ -1,11 +1,10 @@
 //! The paper's Section 1 example: even a depth-1 network is not
 //! linearizable once `c2` is large enough relative to `c1`.
 
-use cnet_timing::{LinkTiming, TimingSchedule};
 use cnet_topology::constructions;
 
-use crate::error::AdversaryError;
-use crate::scenario::Scenario;
+use super::Scenario;
+use crate::{LinkTiming, TimingError, TimingSchedule};
 
 /// Builds the introductory scenario on the width-2 network (one
 /// balancer `B`, counters `A_0`, `A_1`):
@@ -22,13 +21,13 @@ use crate::scenario::Scenario;
 ///
 /// # Errors
 ///
-/// Returns [`AdversaryError::RatioTooSmall`] unless `c2 > 2·c1 + 2`
+/// Returns [`TimingError::RatioTooSmall`] unless `c2 > 2·c1 + 2`
 /// (the discrete-time version of the paper's `c2 > 2·c1` with room for
 /// the two 1-cycle entry offsets).
-pub fn intro_example(timing: LinkTiming) -> Result<Scenario, AdversaryError> {
+pub fn intro_example(timing: LinkTiming) -> Result<Scenario, TimingError> {
     let (c1, c2) = (timing.c1(), timing.c2());
     if c2 <= 2 * c1 + 2 {
-        return Err(AdversaryError::RatioTooSmall {
+        return Err(TimingError::RatioTooSmall {
             required: "c2 > 2·c1 + 2".into(),
             c1,
             c2,
@@ -80,7 +79,7 @@ mod tests {
         let timing = LinkTiming::new(5, 10).unwrap();
         assert!(matches!(
             intro_example(timing),
-            Err(AdversaryError::RatioTooSmall { .. })
+            Err(TimingError::RatioTooSmall { .. })
         ));
         // boundary: c2 = 2 c1 + 2 still rejected
         let timing = LinkTiming::new(5, 12).unwrap();

@@ -1,8 +1,9 @@
 //! A packaged adversarial scenario: network, timing, and schedule.
 
-use cnet_timing::executor::TimedExecutor;
-use cnet_timing::{Execution, LinkTiming, TimingError, TimingSchedule};
 use cnet_topology::Topology;
+
+use crate::executor::TimedExecutor;
+use crate::{Execution, LinkTiming, TimingError, TimingSchedule};
 
 /// A complete adversarial construction ready to execute.
 ///
@@ -30,7 +31,7 @@ impl Scenario {
     /// # Errors
     ///
     /// Propagates executor errors; none occur for scenarios built by
-    /// this crate.
+    /// this module.
     pub fn execute(&self) -> Result<Execution, TimingError> {
         TimedExecutor::new(&self.topology).run(&self.schedule)
     }
@@ -41,7 +42,7 @@ impl Scenario {
     /// # Errors
     ///
     /// Returns the first inadmissible delay; none exist for scenarios
-    /// built by this crate.
+    /// built by this module.
     pub fn validate(&self) -> Result<(), TimingError> {
         self.schedule.validate(&self.topology, Some(self.timing))
     }

@@ -13,11 +13,10 @@
 //!   nothing, on any network — Corollary 3.9 checked over the whole
 //!   extremal-schedule box.
 
-use cnet_timing::executor::TimedExecutor;
-use cnet_timing::{LinkTiming, Time, TimingSchedule};
 use cnet_topology::Topology;
 
-use crate::error::AdversaryError;
+use crate::executor::TimedExecutor;
+use crate::{LinkTiming, Time, TimingError, TimingSchedule};
 
 /// Parameters of a [`search_violations`] run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,16 +71,14 @@ impl SearchOutcome {
 ///
 /// # Errors
 ///
-/// Returns [`AdversaryError::Timing`] for an empty configuration.
+/// Returns [`TimingError::EmptySchedule`] for an empty configuration.
 pub fn search_violations(
     topology: &Topology,
     timing: LinkTiming,
     config: &SearchConfig,
-) -> Result<SearchOutcome, AdversaryError> {
+) -> Result<SearchOutcome, TimingError> {
     if config.tokens == 0 || config.entry_candidates.is_empty() {
-        return Err(AdversaryError::Timing(
-            cnet_timing::TimingError::EmptySchedule,
-        ));
+        return Err(TimingError::EmptySchedule);
     }
     let h = topology.depth();
     let v = topology.input_width();
@@ -107,11 +104,9 @@ pub fn search_violations(
         for (i, &d) in digits.iter().enumerate() {
             let entry = config.entry_candidates[(d / 2) as usize];
             let pace = if d % 2 == 0 { timing.c1() } else { timing.c2() };
-            schedule
-                .push_delays(i % v, entry, &vec![pace; h])
-                .map_err(AdversaryError::Timing)?;
+            schedule.push_delays(i % v, entry, &vec![pace; h])?;
         }
-        let exec = executor.run(&schedule).map_err(AdversaryError::Timing)?;
+        let exec = executor.run(&schedule)?;
         if exec.nonlinearizable_count() > 0 {
             outcome.violating += 1;
             if outcome.witness.is_none() {

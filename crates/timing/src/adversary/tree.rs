@@ -1,11 +1,11 @@
 //! Theorem 4.1 — counting (diffracting) trees are not linearizable for
 //! `c2 > 2·c1` — and the tightness sweep for Theorem 3.6.
 
-use cnet_timing::{LinkTiming, Time, TimingSchedule};
 use cnet_topology::constructions;
 
-use crate::error::AdversaryError;
-use crate::scenario::Scenario;
+use super::Scenario;
+use crate::threshold::gap_schedule;
+use crate::{LinkTiming, Time, TimingError};
 
 /// Builds the Theorem 4.1 attack on a counting tree of the given
 /// width (`gap = 1`, the paper's `δ`). See [`tree_attack_with_gap`].
@@ -13,7 +13,7 @@ use crate::scenario::Scenario;
 /// # Errors
 ///
 /// As for [`tree_attack_with_gap`].
-pub fn tree_attack(width: usize, timing: LinkTiming) -> Result<Scenario, AdversaryError> {
+pub fn tree_attack(width: usize, timing: LinkTiming) -> Result<Scenario, TimingError> {
     tree_attack_with_gap(width, timing, 1)
 }
 
@@ -38,16 +38,16 @@ pub fn tree_attack(width: usize, timing: LinkTiming) -> Result<Scenario, Adversa
 ///
 /// # Errors
 ///
-/// * [`AdversaryError::RatioTooSmall`] unless `h·(c2 - 2·c1) >= 2`
+/// * [`TimingError::RatioTooSmall`] unless `h·(c2 - 2·c1) >= 2`
 ///   (the discrete form of `c2 > 2·c1`).
-/// * [`AdversaryError::GapTooLarge`] if `gap >= h·(c2 - 2·c1)`; beyond
+/// * [`TimingError::GapTooLarge`] if `gap >= h·(c2 - 2·c1)`; beyond
 ///   that point Theorem 3.6 *guarantees* no violation.
-/// * [`AdversaryError::Topology`] if `width` is not a power of two.
+/// * [`TimingError::Topology`] if `width` is not a power of two.
 pub fn tree_attack_with_gap(
     width: usize,
     timing: LinkTiming,
     gap: Time,
-) -> Result<Scenario, AdversaryError> {
+) -> Result<Scenario, TimingError> {
     let topology = constructions::counting_tree(width)?;
     let h = topology.depth();
     let (c1, c2) = (timing.c1(), timing.c2());
@@ -57,29 +57,22 @@ pub fn tree_attack_with_gap(
         0
     };
     if slack < 2 {
-        return Err(AdversaryError::RatioTooSmall {
+        return Err(TimingError::RatioTooSmall {
             required: "h·(c2 - 2·c1) >= 2".into(),
             c1,
             c2,
         });
     }
     if gap == 0 || gap >= slack {
-        return Err(AdversaryError::GapTooLarge {
+        return Err(TimingError::GapTooLarge {
             gap,
             max: slack - 1,
         });
     }
 
-    let mut schedule = TimingSchedule::new(h);
-    // T0 (token 0): toggles root first (tie broken by id), slow.
-    schedule.push_delays(0, 0, &vec![c2; h])?;
-    // T1 (token 1): fast; exits with value 1 at h·c1.
-    schedule.push_delays(0, 0, &vec![c1; h])?;
-    // The wave: 2^h - 1 fast tokens entering at h·c1 + gap.
-    let wave_entry = (h as Time) * c1 + gap;
-    for _ in 0..(width - 1) {
-        schedule.push_delays(0, wave_entry, &vec![c1; h])?;
-    }
+    // T0 the straggler, T1 the witness, and the wave of 2^h - 1, all
+    // on the tree's one input
+    let schedule = gap_schedule(&topology, timing, width - 1, gap)?;
     Ok(Scenario {
         name: "theorem-4.1-tree",
         topology,
@@ -134,7 +127,7 @@ mod tests {
         let timing = LinkTiming::new(10, 20).unwrap();
         assert!(matches!(
             tree_attack(8, timing),
-            Err(AdversaryError::RatioTooSmall { .. })
+            Err(TimingError::RatioTooSmall { .. })
         ));
     }
 
@@ -157,7 +150,7 @@ mod tests {
         // …and at the bound the constructor refuses (Theorem 3.6 territory)
         assert!(matches!(
             tree_attack_with_gap(8, timing, slack),
-            Err(AdversaryError::GapTooLarge { .. })
+            Err(TimingError::GapTooLarge { .. })
         ));
     }
 
@@ -166,7 +159,7 @@ mod tests {
         let timing = LinkTiming::new(1, 10).unwrap();
         assert!(matches!(
             tree_attack(6, timing),
-            Err(AdversaryError::Topology(_))
+            Err(TimingError::Topology(_))
         ));
     }
 }

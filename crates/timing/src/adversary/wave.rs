@@ -1,11 +1,10 @@
 //! Theorem 4.4 — bitonic networks suffer *mass* violations once
 //! `c2 > ((3 + log w)/2)·c1`.
 
-use cnet_timing::{LinkTiming, TimingSchedule};
 use cnet_topology::constructions;
 
-use crate::error::AdversaryError;
-use crate::scenario::Scenario;
+use super::Scenario;
+use crate::{LinkTiming, TimingError, TimingSchedule};
 
 /// Builds the three-wave attack of Theorem 4.4 on `Bitonic[width]`.
 ///
@@ -30,13 +29,13 @@ use crate::scenario::Scenario;
 ///
 /// # Errors
 ///
-/// * [`AdversaryError::RatioTooSmall`] unless
+/// * [`TimingError::RatioTooSmall`] unless
 ///   `h2·c2 >= (h + h2)·c1 + 3`.
-/// * [`AdversaryError::Topology`] if `width` is not a power of two
+/// * [`TimingError::Topology`] if `width` is not a power of two
 ///   `>= 4`.
-pub fn wave_attack(width: usize, timing: LinkTiming) -> Result<Scenario, AdversaryError> {
+pub fn wave_attack(width: usize, timing: LinkTiming) -> Result<Scenario, TimingError> {
     if width < 4 {
-        return Err(AdversaryError::Topology(
+        return Err(TimingError::Topology(
             cnet_topology::TopologyError::WidthNotPowerOfTwo { width },
         ));
     }
@@ -49,7 +48,7 @@ pub fn wave_attack(width: usize, timing: LinkTiming) -> Result<Scenario, Adversa
     // wave 3 must reach the counters before wave 1 does:
     //   2 + 2 h c1 < h1 c1 + h2 c2  <=>  h2 c2 > (h + h2) c1 + 2
     if (h2 as u64) * c2 < (h as u64 + h2 as u64) * c1 + 3 {
-        return Err(AdversaryError::RatioTooSmall {
+        return Err(TimingError::RatioTooSmall {
             required: "h2·c2 >= (h + h2)·c1 + 3, i.e. c2 > ((3 + log w)/2)·c1".into(),
             c1,
             c2,
@@ -111,7 +110,7 @@ mod tests {
         let s = wave_attack(8, timing).unwrap();
         let exec = s.execute().unwrap();
         // wave 3 tokens are ids 8..12; all should be flagged
-        let bad = cnet_timing::linearizability::nonlinearizable_tokens(exec.operations());
+        let bad = crate::linearizability::nonlinearizable_tokens(exec.operations());
         for t in 8..12 {
             assert!(
                 bad.contains(&t),
@@ -134,7 +133,7 @@ mod tests {
         let timing = LinkTiming::new(10, 25).unwrap();
         assert!(matches!(
             wave_attack(8, timing),
-            Err(AdversaryError::RatioTooSmall { .. })
+            Err(TimingError::RatioTooSmall { .. })
         ));
     }
 

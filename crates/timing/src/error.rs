@@ -1,9 +1,12 @@
 use std::error::Error;
 use std::fmt;
 
+use cnet_topology::TopologyError;
+
 use crate::link::Time;
 
-/// Errors raised while building or executing timing schedules.
+/// Errors raised while building or executing timing schedules, and
+/// while constructing the [`adversary`](crate::adversary) scenarios.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TimingError {
@@ -56,6 +59,27 @@ pub enum TimingError {
     },
     /// The schedule contains no tokens.
     EmptySchedule,
+    /// The requested `c2/c1` ratio is too small for an adversarial
+    /// construction to produce a violation (discrete time needs a
+    /// little slack over the paper's strict inequality).
+    RatioTooSmall {
+        /// A human-readable form of the required condition.
+        required: String,
+        /// The provided `c1`.
+        c1: Time,
+        /// The provided `c2`.
+        c2: Time,
+    },
+    /// The requested gap exceeds the largest gap for which the tree
+    /// attack still violates.
+    GapTooLarge {
+        /// The requested gap.
+        gap: Time,
+        /// The largest violating gap for these parameters.
+        max: Time,
+    },
+    /// An underlying network construction failed (bad width).
+    Topology(TopologyError),
 }
 
 impl fmt::Display for TimingError {
@@ -98,24 +122,30 @@ impl fmt::Display for TimingError {
                 "token {token} traverses link {link} in {delay} time units, outside [{c1}, {c2}]"
             ),
             TimingError::EmptySchedule => write!(f, "schedule contains no tokens"),
+            TimingError::RatioTooSmall { required, c1, c2 } => write!(
+                f,
+                "timing c1={c1}, c2={c2} too tame for this attack; need {required}"
+            ),
+            TimingError::GapTooLarge { gap, max } => {
+                write!(f, "gap {gap} exceeds the largest violating gap {max}")
+            }
+            TimingError::Topology(e) => write!(f, "topology: {e}"),
         }
     }
 }
 
-impl Error for TimingError {}
-
-impl From<cnet_topology::TopologyError> for TimingError {
-    fn from(e: cnet_topology::TopologyError) -> Self {
-        match e {
-            cnet_topology::TopologyError::InputOutOfRange { input, width } => {
-                TimingError::InputOutOfRange {
-                    token: usize::MAX,
-                    input,
-                    width,
-                }
-            }
-            other => panic!("unexpected topology error during timed execution: {other}"),
+impl Error for TimingError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            TimingError::Topology(e) => Some(e),
+            _ => None,
         }
+    }
+}
+
+impl From<TopologyError> for TimingError {
+    fn from(e: TopologyError) -> Self {
+        TimingError::Topology(e)
     }
 }
 
@@ -129,6 +159,27 @@ mod tests {
         assert!(e.to_string().contains("c1=5"));
         let e = TimingError::EmptySchedule;
         assert_eq!(e.to_string(), "schedule contains no tokens");
+        assert!(e.source().is_none());
+
+        let e = TimingError::RatioTooSmall {
+            required: "c2 > 2·c1 + 2".into(),
+            c1: 5,
+            c2: 10,
+        };
+        assert_eq!(
+            e.to_string(),
+            "timing c1=5, c2=10 too tame for this attack; need c2 > 2·c1 + 2"
+        );
+        assert!(e.source().is_none());
+        let e = TimingError::GapTooLarge { gap: 30, max: 29 };
+        assert_eq!(e.to_string(), "gap 30 exceeds the largest violating gap 29");
+
+        let e: TimingError = TopologyError::WidthNotPowerOfTwo { width: 3 }.into();
+        assert_eq!(
+            e.to_string(),
+            "topology: width 3 is not a power of two >= 2"
+        );
+        assert!(e.source().is_some());
     }
 
     #[test]

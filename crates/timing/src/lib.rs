@@ -28,6 +28,9 @@
 //! * [`threshold`] — empirical sweeps locating the largest
 //!   finish-to-start gap at which a network still violates, against
 //!   Theorem 3.6's bound.
+//! * [`adversary`] — the deterministic worst-case executions of
+//!   Sections 1 and 4 as replayable scenarios, and the exhaustive
+//!   extremal-schedule search.
 //! * [`io`] — CSV round-tripping for schedules and operation traces.
 //! * [`render`] — text and SVG execution timelines with violations
 //!   highlighted.
@@ -63,6 +66,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod adversary;
 pub mod execution;
 pub mod executor;
 pub mod interleave;

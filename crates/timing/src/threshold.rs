@@ -47,10 +47,11 @@ impl ThresholdReport {
 }
 
 /// Builds the gap-parametrized straggler/witness/wave schedule used by
-/// the sweep: one all-`c2` straggler and one all-`c1` witness enter at
-/// time 0 (the straggler first), and `wave` fast tokens enter `gap`
-/// after the witness exits.
-fn gap_schedule(
+/// the sweep and by [`crate::adversary::tree_attack_with_gap`]: one
+/// all-`c2` straggler and one all-`c1` witness enter at time 0 (the
+/// straggler first), and `wave` fast tokens enter `gap` after the
+/// witness exits.
+pub(crate) fn gap_schedule(
     topology: &Topology,
     timing: LinkTiming,
     wave: usize,

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example adversarial_schedules`
 
-use counting_networks::adversary::{
+use counting_networks::timing::adversary::{
     bitonic_attack, intro_example, tree_attack, wave_attack, Scenario,
 };
 use counting_networks::timing::LinkTiming;

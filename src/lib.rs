@@ -5,10 +5,10 @@
 //! * [`topology`] — the balancing-network model and the constructions
 //!   (bitonic, periodic, counting/diffracting tree, linearizing prefix).
 //! * [`timing`] — timing schedules, the `c2/c1` linearizability measure,
-//!   the timed executor, history variables, and the linearizability
-//!   checker.
-//! * [`adversary`] — deterministic worst-case schedules exhibiting the
-//!   paper's non-linearizable executions (Section 4).
+//!   the timed executor, history variables, the linearizability
+//!   checker, and ([`timing::adversary`]) the deterministic worst-case
+//!   schedules exhibiting the paper's non-linearizable executions
+//!   (Sections 1 and 4).
 //! * [`proteus`] — a discrete-event shared-memory multiprocessor
 //!   simulator reproducing the Section 5 study.
 //! * [`concurrent`] — native-atomics counting networks usable as real
@@ -17,10 +17,6 @@
 //!   the simulator, the shared-memory counters, and the
 //!   message-passing network, driven by one `Workload` vocabulary
 //!   (closed-loop, open-loop, bursty) into one `RunOutcome` shape.
-//! * [`structures`] — data structures built on those counters: FIFO
-//!   queues, relaxed pools, and timestamp oracles, with FIFO/causality
-//!   audits that surface counting non-linearizability at the
-//!   data-structure level.
 //!
 //! # Quickstart
 //!
@@ -37,10 +33,8 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-pub use cnet_adversary as adversary;
 pub use cnet_concurrent as concurrent;
 pub use cnet_engine as engine;
 pub use cnet_proteus as proteus;
-pub use cnet_structures as structures;
 pub use cnet_timing as timing;
 pub use cnet_topology as topology;

@@ -1,8 +1,8 @@
 //! Cross-crate checks of the automation layer: the attack search and
 //! topology serialization, working together with the simulator.
 
-use counting_networks::adversary::{search_violations, SearchConfig};
 use counting_networks::proteus::{SimConfig, Simulator, WaitMode, Workload};
+use counting_networks::timing::adversary::{search_violations, SearchConfig};
 use counting_networks::timing::executor::TimedExecutor;
 use counting_networks::timing::{knowledge, LinkTiming};
 use counting_networks::topology::{constructions, io as topo_io};

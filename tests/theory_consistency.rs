@@ -1,41 +1,99 @@
 //! Cross-crate consistency between the Section 3 theory (`cnet-timing`)
-//! and the Section 4 constructions (`cnet-adversary`).
+//! and the Section 4 constructions (`cnet_timing::adversary`).
 
-use counting_networks::adversary::{
-    bitonic_attack, intro_example, tree_attack, tree_attack_with_gap, wave_attack,
+use counting_networks::timing::adversary::{
+    bitonic_attack, intro_example, tree_attack, tree_attack_with_gap, wave_attack, Scenario,
 };
 use counting_networks::timing::executor::TimedExecutor;
-use counting_networks::timing::{knowledge, measure, random, LinkTiming};
+use counting_networks::timing::{knowledge, measure, random, LinkTiming, TimingError};
 use counting_networks::topology::constructions;
+use proptest::prelude::*;
 
-/// Every adversarial scenario must itself be admissible for its claimed
-/// timing bounds and deliver at least its promised violations.
-#[test]
-fn scenarios_are_admissible_and_violate() {
-    let timing = LinkTiming::new(10, 30).unwrap();
-    let wave_timing = LinkTiming::new(10, 50).unwrap();
-    let scenarios = [
-        intro_example(timing).unwrap(),
-        tree_attack(8, timing).unwrap(),
-        tree_attack(32, timing).unwrap(),
-        bitonic_attack(8, timing).unwrap(),
-        bitonic_attack(32, timing).unwrap(),
-        wave_attack(8, wave_timing).unwrap(),
-        wave_attack(32, wave_timing).unwrap(),
-    ];
-    for s in &scenarios {
-        s.validate()
-            .unwrap_or_else(|e| panic!("{} inadmissible: {e}", s.name));
-        let exec = s.execute().unwrap();
-        assert!(
-            exec.nonlinearizable_count() >= s.min_violations,
-            "{}: {} < {}",
-            s.name,
-            exec.nonlinearizable_count(),
-            s.min_violations
-        );
-        // quiescent step property still holds in every violating run
-        assert!(exec.output_counts().is_step(), "{}", s.name);
+/// Each constructor's result at `(width, timing)` beside the condition
+/// its `# Errors` section documents for `Ok`, with `h` the depth of the
+/// attacked network.
+fn constructors(
+    width: usize,
+    timing: LinkTiming,
+) -> [(&'static str, Result<Scenario, TimingError>, bool); 4] {
+    let (c1, c2) = (timing.c1(), timing.c2());
+    let slack = |h: usize| h as u64 * c2.saturating_sub(2 * c1);
+    let tree_h = constructions::counting_tree(width).unwrap().depth();
+    let bitonic_h = constructions::bitonic(width).unwrap().depth();
+    let merger_h = width.trailing_zeros() as u64;
+    [
+        ("intro", intro_example(timing), c2 > 2 * c1 + 2),
+        ("tree", tree_attack(width, timing), slack(tree_h) >= 2),
+        (
+            "bitonic",
+            bitonic_attack(width, timing),
+            slack(bitonic_h) >= 3,
+        ),
+        (
+            "wave",
+            wave_attack(width, timing),
+            merger_h * c2 >= (bitonic_h as u64 + merger_h) * c1 + 3,
+        ),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every constructor builds exactly when its documented condition
+    /// holds, and every scenario it builds is admissible for its own
+    /// timing bounds, delivers at least its promised violations, and
+    /// keeps the quiescent step property.
+    #[test]
+    fn scenarios_are_admissible_and_violate(
+        log_w in 2u32..=5,
+        c1 in 1u64..=20,
+        spread in 0u64..1_000_000,
+    ) {
+        let width = 1usize << log_w;
+        let timing = LinkTiming::new(c1, c1 + spread % (5 * c1 + 1)).unwrap();
+        for (name, built, documented) in constructors(width, timing) {
+            prop_assert_eq!(
+                built.is_ok(),
+                documented,
+                "{}: width {}, {}: {:?}",
+                name,
+                width,
+                timing,
+                built.as_ref().err()
+            );
+            let Ok(s) = built else { continue };
+            prop_assert!(s.validate().is_ok(), "{} inadmissible at {}", s.name, timing);
+            let exec = s.execute().unwrap();
+            prop_assert!(
+                exec.nonlinearizable_count() >= s.min_violations,
+                "{} at {}: {} < {}",
+                s.name,
+                timing,
+                exec.nonlinearizable_count(),
+                s.min_violations
+            );
+            prop_assert!(exec.output_counts().is_step(), "{} at {}", s.name, timing);
+        }
+    }
+
+    /// The attack constructors refuse wherever Corollary 3.9 applies.
+    #[test]
+    fn constructors_refuse_in_the_guaranteed_regime(
+        log_w in 2u32..=5,
+        c1 in 1u64..=20,
+        spread in 0u64..1_000_000,
+    ) {
+        let tame = LinkTiming::new(c1, c1 + spread % (c1 + 1)).unwrap();
+        prop_assert!(tame.guarantees_linearizability());
+        for (name, built, _) in constructors(1 << log_w, tame) {
+            prop_assert!(
+                matches!(built, Err(TimingError::RatioTooSmall { .. })),
+                "{} built at {}",
+                name,
+                tame
+            );
+        }
     }
 }
 
@@ -55,19 +113,6 @@ fn knowledge_lemmas_hold_on_adversarial_executions() {
             .unwrap_or_else(|e| panic!("{}: {e}", s.name));
         knowledge::verify_lemma_3_2(&s.topology, &exec, timing.c1())
             .unwrap_or_else(|e| panic!("{}: {e}", s.name));
-    }
-}
-
-/// The attack constructors refuse exactly where Corollary 3.9 applies.
-#[test]
-fn constructors_refuse_in_the_guaranteed_regime() {
-    for c1 in [1u64, 5, 10, 100] {
-        let tame = LinkTiming::new(c1, 2 * c1).unwrap();
-        assert!(tame.guarantees_linearizability());
-        assert!(intro_example(tame).is_err());
-        assert!(tree_attack(8, tame).is_err());
-        assert!(bitonic_attack(8, tame).is_err());
-        assert!(wave_attack(8, tame).is_err());
     }
 }
 
