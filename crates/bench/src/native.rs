@@ -12,10 +12,9 @@
 //!
 //! A cell's `wall_ms` runs from thread spawn to join, so per-op
 //! wall-clock is size-dependent: a cell pays a fixed spawn cost (up to
-//! 256 clients, plus one thread per balancer on the mp sweeps) that
-//! only a large `--ops` amortizes. The committed tables are taken at
-//! the `--ops` their header names, where us/op at `n = 4` is flat under
-//! doubling.
+//! 256 clients) that only a large `--ops` amortizes. The committed
+//! tables are taken at the `--ops` their header names, where us/op at
+//! `n = 4` is flat under doubling.
 //!
 //! These suites refuse to run on a build with the live probe layer
 //! ([`crate::DriveError::LiveProbes`]): a probe's clock reads cost
@@ -24,8 +23,8 @@
 use std::io;
 
 use cnet_engine::{
-    AsyncConfig, Backend, BackendSpec, BalancerKind, CombiningConfig, CounterSpec,
-    EliminationConfig, MpConfig, RoutePolicy, Workload,
+    AsyncConfig, Backend, BackendSpec, BalancerKind, CombiningConfig, CounterSpec, RoutePolicy,
+    Workload,
 };
 use cnet_harness::sweep::micros;
 use cnet_harness::{
@@ -132,13 +131,9 @@ impl Race<'_> {
 }
 
 /// The native perf sweep at `F = 0`, `W = 0` (raw traversal speed,
-/// nothing injected):
-///
-/// * **shm** — [`CounterSpec::Network`], the cache-line-aligned
-///   `CompiledNet` arena with relaxed toggle bits, the one native
-///   traversal;
-/// * **mp** — [`CounterSpec::Mp`], one thread per balancer and
-///   counter, tokens as messages.
+/// nothing injected) over [`CounterSpec::Network`]: the cache-line-aligned
+/// `CompiledNet` arena with relaxed toggle bits, the one native
+/// traversal.
 pub(crate) fn native(run: &mut Run<'_>) -> io::Result<()> {
     let net = constructions::bitonic(WIDTH).expect("width 16 is valid");
     writeln!(
@@ -151,13 +146,10 @@ pub(crate) fn native(run: &mut Run<'_>) -> io::Result<()> {
         run.args.ops
     )?;
     let race = Race {
-        sweeps: &[
-            (
-                "Native shm WaitFree",
-                CounterSpec::Network(BalancerKind::WaitFree),
-            ),
-            ("Native mp", CounterSpec::Mp(MpConfig { hop_spin: 0 })),
-        ],
+        sweeps: &[(
+            "Native shm WaitFree",
+            CounterSpec::Network(BalancerKind::WaitFree),
+        )],
         delayed_percent: 0,
         wait_cycles: 0,
         priced: false,
@@ -171,8 +163,8 @@ pub(crate) fn native(run: &mut Run<'_>) -> io::Result<()> {
 /// *shares* traversals has something real to win.
 const CONTENDED: (u32, u64) = (50, 1000);
 
-/// The elastic-frontend race — combining, sharding and elimination
-/// against the plain substrates, at equal hardware (4 shards of width 4
+/// The elastic-frontend race — combining and sharding against the
+/// plain network, at equal hardware (4 shards of width 4
 /// against one width-16 net), under `F = 50%, W = 1000`:
 ///
 /// * **shm plain** — [`CounterSpec::Network`], one traversal per
@@ -181,10 +173,7 @@ const CONTENDED: (u32, u64) = (50, 1000);
 ///   combiner claims up to 8 requests and walks the network once with
 ///   a width-`k` interval reservation;
 /// * **shm-shard:4** — [`CounterSpec::Shard`], four `bitonic(4)` shards
-///   behind a round-robin router;
-/// * **mp plain** / **mp-elim** — [`CounterSpec::Mp`] and
-///   [`CounterSpec::MpElim`], where paired operations enter the
-///   pipeline as one token.
+///   behind a round-robin router.
 ///
 /// Every cell reports throughput **and** its ordering cost — the
 /// Definition 2.4 non-linearizable fraction and the measured `c2/c1` —
@@ -211,18 +200,13 @@ pub(crate) fn frontend(run: &mut Run<'_>) -> io::Result<()> {
         max_batch: 8,
         spin: 256,
     };
-    let (kind, mp) = (BalancerKind::WaitFree, MpConfig::default());
+    let kind = BalancerKind::WaitFree;
     let sweeps = [
         ("Frontend shm plain", CounterSpec::Network(kind)),
         ("Frontend shm-batch:8", CounterSpec::Batch(kind, batch_cfg)),
         (
             "Frontend shm-shard:4",
             CounterSpec::Shard(kind, RoutePolicy::RoundRobin, 4),
-        ),
-        ("Frontend mp plain", CounterSpec::Mp(mp)),
-        (
-            "Frontend mp-elim",
-            CounterSpec::MpElim(mp, EliminationConfig::default()),
         ),
     ];
     let race = Race {

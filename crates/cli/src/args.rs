@@ -95,7 +95,6 @@ const VALUED: &[&str] = &[
     "open",
     "bursty",
     "trace",
-    "hop-spin",
     "socket",
     "window",
     "slo",

@@ -382,7 +382,7 @@ fn parse_arrival(args: &ParsedArgs) -> Result<ArrivalProcess, CliError> {
 /// simulated cycles, the native backends in logical-clock ticks, so the
 /// per-backend numbers are comparable in shape, not in units. The
 /// frontend flavors append a telemetry line (batch occupancy, shard
-/// imbalance, elimination hit rate) under the table.
+/// imbalance) under the table.
 pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let net = build_network(args)?;
     let kind = args.positional(0, "kind")?.to_string();
@@ -406,7 +406,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     } else {
         SimConfig::queue_lock(seed)
     };
-    let hop_spin = args.u64_opt("hop-spin")?.unwrap_or(0);
     let label = format!(
         "n={},F={}%,W={}",
         workload.processors, workload.delayed_percent, workload.wait_cycles
@@ -422,7 +421,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let mut telemetry = Vec::new();
     for name in args
         .str_opt("backend")
-        .unwrap_or("sim,shm,mp")
+        .unwrap_or("sim,shm")
         .split(',')
         .map(str::trim)
         .filter(|s| !s.is_empty())
@@ -433,11 +432,11 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         // what the flavor string cannot carry comes from the flags
         match &mut spec {
             BackendSpec::Sim(config) => *config = sim_config,
-            BackendSpec::Threads(counter) | BackendSpec::Async(counter, _) => match counter {
-                CounterSpec::Batch(_, combining) => combining.slots = workload.processors.max(1),
-                CounterSpec::Mp(mp) | CounterSpec::MpElim(mp, _) => mp.hop_spin = hop_spin,
-                _ => {}
-            },
+            BackendSpec::Threads(CounterSpec::Batch(_, combining))
+            | BackendSpec::Async(CounterSpec::Batch(_, combining), _) => {
+                combining.slots = workload.processors.max(1);
+            }
+            _ => {}
         }
         let backend = spec
             .build(&net, seed)
@@ -457,12 +456,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
                 telemetry.push(format!(
                     "{name}: shard imbalance {:.3}",
                     m.shard_imbalance()
-                ));
-            }
-            if m.elim_pairs + m.elim_solo > 0 {
-                telemetry.push(format!(
-                    "{name}: elimination hit rate {}",
-                    cnet_harness::percent(m.elimination_hit_rate())
                 ));
             }
         }
@@ -516,7 +509,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     }
     let _ = writeln!(
         out,
-        "\ntimes: sim in simulated cycles, shm/mp in host wall-clock / logical ticks"
+        "\ntimes: sim in simulated cycles, shm/async in host wall-clock / logical ticks"
     );
     Ok(out)
 }
@@ -535,6 +528,13 @@ pub fn saturate(args: &ParsedArgs) -> Result<String, CliError> {
     let ops = args.u64_opt("ops")?.unwrap_or(2000) as usize;
     let seed = args.u64_opt("seed")?.unwrap_or(1);
     let workers = args.u64_opt("threads")?.unwrap_or(2) as usize;
+    // the ladder's gaps are well-formed; the arena size may not be
+    Workload {
+        total_ops: ops,
+        ..Workload::paper(clients, 0, 0)
+    }
+    .validate()
+    .map_err(CliError::failed)?;
     let config = AsyncConfig {
         workers,
         ..AsyncConfig::default()
@@ -1047,10 +1047,22 @@ mod tests {
     }
 
     #[test]
+    fn a_workload_without_clients_is_refused_not_run() {
+        let cell = [
+            "bitonic", "8", "--n", "0", "--f", "0", "--w", "0", "--ops", "10",
+        ];
+        for entry in [simulate, run, saturate] {
+            let err = entry(&parse(&cell)).unwrap_err();
+            assert!(matches!(err, CliError::Failed(_)), "{err:?}");
+            assert!(err.to_string().contains("at least 1"), "{err}");
+        }
+    }
+
+    #[test]
     fn run_compares_all_backends_by_default() {
         let out = run(&parse(&["bitonic", "4", "--n", "4", "--ops", "200"])).unwrap();
-        for backend in ["sim", "shm", "mp"] {
-            assert!(out.contains(backend), "missing {backend} row:\n{out}");
+        for backend in ["sim", "shm"] {
+            assert!(has_row(&out, backend), "missing {backend} row:\n{out}");
         }
         assert!(!out.contains("FAIL"), "{out}");
     }
@@ -1084,7 +1096,7 @@ mod tests {
             "bitonic",
             "4",
             "--backend",
-            "sim,mp,shm-batch",
+            "sim,async,shm-batch",
             "--n",
             "2",
             "--ops",
@@ -1097,7 +1109,7 @@ mod tests {
         use serde::Deserialize as _;
         let grid = GridReport::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
         let backends: Vec<&str> = grid.records.iter().map(|r| r.backend.as_str()).collect();
-        assert_eq!(backends, ["sim", "mp", "shm-batch"]);
+        assert_eq!(backends, ["sim", "async", "shm-batch"]);
         // a record can be re-run from its own `backend` field
         for name in backends {
             let spec: BackendSpec = name.parse().unwrap();
@@ -1131,7 +1143,7 @@ mod tests {
             "bitonic",
             "16",
             "--backend",
-            "shm-batch:4,shm-shard:4,mp-elim",
+            "shm-batch:4,shm-shard:4",
             "--n",
             "4",
             "--ops",
@@ -1141,7 +1153,6 @@ mod tests {
         assert!(out.contains("shm-batch"), "{out}");
         assert!(out.contains("avg batch"), "{out}");
         assert!(out.contains("shard imbalance"), "{out}");
-        assert!(out.contains("elimination hit rate"), "{out}");
         // counting stays exact on every frontend; only the step column
         // may read `relaxed`
         assert!(!out.contains("FAIL"), "{out}");

@@ -39,8 +39,8 @@ pub const COMMANDS: &[(&str, &str, &[&str], Body)] = &[
         &["pad", "arity", "c1", "c2", "json"], commands::measure),
     ("simulate", "<kind> <width> [trace.csv] --n N --f PCT --w CYCLES [--ops N] [--prism] [--seed S] [--threads T] [--json PATH]",
         &["pad", "arity", "n", "f", "w", "ops", "random-wait", "prism", "seed", "threads", "json"], commands::simulate),
-    ("run", "<kind> <width> [--backend FLAVOR,...] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--open GAP | --bursty B,GAP | --trace FILE] [--hop-spin S] [--seed S] [--json PATH]",
-        &["pad", "arity", "backend", "n", "f", "w", "ops", "open", "bursty", "trace", "hop-spin", "prism", "seed", "json"], commands::run),
+    ("run", "<kind> <width> [--backend FLAVOR,...] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--open GAP | --bursty B,GAP | --trace FILE] [--seed S] [--json PATH]",
+        &["pad", "arity", "backend", "n", "f", "w", "ops", "open", "bursty", "trace", "prism", "seed", "json"], commands::run),
     ("scenario", "<file.json> [--json PATH]",
         &["json"], scenario::scenario),
     ("saturate", "<kind> <width> [--n N] [--ops N] [--threads T] [--seed S] [--json PATH]",
@@ -184,5 +184,9 @@ mod tests {
         assert!(e.to_string().contains("does not read --baseline"), "{e}");
         let e = run(&strs(&["topo", "bitonic", "4", "--bogus-flag"])).unwrap_err();
         assert!(e.to_string().contains("does not read --bogus-flag"), "{e}");
+        // no command reads --hop-spin
+        let e = run(&strs(&["run", "bitonic", "4", "--hop-spin", "5"])).unwrap_err();
+        assert!(matches!(e, CliError::Usage(_)), "{e}");
+        assert!(e.to_string().contains("does not read --hop-spin"), "{e}");
     }
 }

@@ -18,7 +18,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use cnet_timing::{linearizability, Operation};
 
 use crate::counter::{Counter, FetchAddCounter, LockCounter};
-use crate::mp::MpNetwork;
 use crate::network::NetworkCounter;
 
 /// A counter that can participate in a delayed stress run.
@@ -43,20 +42,6 @@ impl StressCounter for NetworkCounter {
 
     fn width(&self) -> usize {
         NetworkCounter::width(self)
-    }
-}
-
-impl StressCounter for MpNetwork {
-    fn next_stressed(&self, thread: usize, _spin: u64) -> u64 {
-        // hop delays are configured at spawn time (MpConfig::hop_spin);
-        // per-call injection would have to travel with the message
-        self.count_on(thread % self.input_width())
-    }
-
-    fn width(&self) -> usize {
-        // input width doubles as a sensible scatter label here; the
-        // checker ignores the counter field
-        self.input_width()
     }
 }
 
@@ -243,29 +228,5 @@ mod tests {
         assert!(report.operations.is_empty());
         assert!(report.counts_exactly());
         assert_eq!(report.nonlinearizable_ratio(), 0.0);
-    }
-}
-
-#[cfg(test)]
-mod mp_audit_tests {
-    use super::*;
-    use crate::mp::MpConfig;
-    use cnet_topology::constructions;
-
-    #[test]
-    fn message_passing_network_audits_cleanly() {
-        let net = constructions::bitonic(4).unwrap();
-        let mp = MpNetwork::spawn(&net, MpConfig::default());
-        let report = run_stress(
-            &mp,
-            StressConfig {
-                threads: 3,
-                ops_per_thread: 200,
-                delayed_threads: 0,
-                spin_per_node: 0,
-            },
-        );
-        assert_eq!(report.operations.len(), 600);
-        assert!(report.counts_exactly());
     }
 }

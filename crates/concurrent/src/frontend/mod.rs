@@ -3,7 +3,7 @@
 //!
 //! Every prior performance lever in this workspace made a *hop*
 //! cheaper; the frontends here make there be *fewer traversals per
-//! fetch-and-increment*. All three implement the existing counter
+//! fetch-and-increment*. Both implement the existing counter
 //! contract (and [`crate::audit::StressCounter`]), so they slot into
 //! the engine's backends unchanged:
 //!
@@ -16,24 +16,18 @@
 //! * [`sharded::ShardedCounter`] — an array of narrow networks behind
 //!   a cheap router (round-robin, thread-affinity, or load-aware),
 //!   racing one wide network at equal total width; values interleave
-//!   by residue class so shards never collide;
-//! * [`elimination::EliminatingMpNetwork`] — paired token exchange at
-//!   the message-passing ingress: a matched pair of operations enters
-//!   the actor pipeline as one token carrying two reply channels.
+//!   by residue class so shards never collide.
 //!
 //! Each frontend trades a quantifiable amount of ordering for
 //! throughput (batching makes the quiescent counts a `(k-1)`-relaxed
-//! step, elimination a 1-relaxed step, sharding relaxes the step to
-//! per-shard granularity) while the *counting property* — every value
-//! handed out exactly once, no gaps at quiescence — is preserved
-//! exactly. The differential tests pin that; the frontend bench
-//! measures the ordering spent via the Def-2.4 sweep and the
-//! exhaustive oracle.
+//! step, sharding relaxes the step to per-shard granularity) while the
+//! *counting property* — every value handed out exactly once, no gaps
+//! at quiescence — is preserved exactly. The differential tests pin
+//! that; the frontend bench measures the ordering spent via the
+//! Def-2.4 sweep and the exhaustive oracle.
 
 pub mod combining;
-pub mod elimination;
 pub mod sharded;
 
 pub use combining::{CombiningConfig, CombiningCounter};
-pub use elimination::{EliminatingMpNetwork, EliminationConfig};
 pub use sharded::{RoutePolicy, ShardedCounter};

@@ -24,12 +24,8 @@
 //!   lock (the safe-Rust behavioural equivalent of the paper's MCS
 //!   lock) and a balancer protected by one, mirroring the paper's
 //!   lock-based balancer implementation;
-//! * [`mp::MpNetwork`] — the message-passing realization the paper's
-//!   model also covers: one thread per balancer and counter, tokens as
-//!   messages on channels;
 //! * [`frontend`] — elastic frontends over the above: flat-combining
-//!   batch traversals, sharded routing over narrow networks, and
-//!   elimination pairing at the message-passing ingress — fewer
+//!   batch traversals and sharded routing over narrow networks — fewer
 //!   traversals per fetch-and-increment, at a measured ordering cost;
 //! * [`audit`] — a stress harness that timestamps every operation with
 //!   a global logical clock and feeds the trace to the `cnet-timing`
@@ -85,7 +81,6 @@ pub mod compiled;
 pub mod counter;
 pub mod frontend;
 pub mod lock;
-pub mod mp;
 pub mod network;
 pub(crate) mod prng;
 pub mod sync;
@@ -94,8 +89,5 @@ pub mod tree;
 
 pub use compiled::CompiledNet;
 pub use counter::Counter;
-pub use frontend::{
-    CombiningConfig, CombiningCounter, EliminatingMpNetwork, EliminationConfig, RoutePolicy,
-    ShardedCounter,
-};
+pub use frontend::{CombiningConfig, CombiningCounter, RoutePolicy, ShardedCounter};
 pub use network::NetworkCounter;

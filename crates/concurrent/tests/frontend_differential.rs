@@ -10,9 +10,7 @@
 //!   the plain network's for the same operation count;
 //! * **sharding (round-robin)** — each shard's block is an exact step
 //!   and the global value space is gap-free (residue classes partition
-//!   `0..n` exactly as the ticket router partitions the operations);
-//! * **elimination** — shared-issue tallies are a 1-relaxed step (a
-//!   pair tallies twice where its token landed), sum-preserving.
+//!   `0..n` exactly as the ticket router partitions the operations).
 //!
 //! Under the audit harness each frontend's trace must pass the
 //! Definition 2.4 checker's exact-count test, and on ≤16-operation
@@ -27,11 +25,7 @@
 use std::sync::Arc;
 
 use cnet_concurrent::audit::{run_stress, StressConfig, StressCounter};
-use cnet_concurrent::frontend::{
-    CombiningConfig, CombiningCounter, EliminatingMpNetwork, EliminationConfig, RoutePolicy,
-    ShardedCounter,
-};
-use cnet_concurrent::mp::MpConfig;
+use cnet_concurrent::frontend::{CombiningConfig, CombiningCounter, RoutePolicy, ShardedCounter};
 use cnet_concurrent::network::BalancerKind;
 use cnet_concurrent::testcfg;
 use cnet_concurrent::NetworkCounter;
@@ -119,22 +113,6 @@ fn quiescent_tally_sums_match_the_plain_network() {
             plain_sum,
             "sharded tallies lost an operation"
         );
-
-        let elim = Arc::new(EliminatingMpNetwork::spawn(
-            &net,
-            MpConfig::default(),
-            EliminationConfig { slots: 2, spin: 8 },
-        ));
-        assert_eq!(
-            hammer(&elim, cfg.threads, cfg.per_thread),
-            want,
-            "elimination missed or duplicated a value"
-        );
-        assert_eq!(
-            elim.output_counts().iter().sum::<u64>(),
-            plain_sum,
-            "elimination tallies lost an operation"
-        );
     });
 }
 
@@ -163,17 +141,11 @@ fn audit_traces_count_exactly_for_every_frontend() {
         let b = run_stress(&sharded, cfg);
         assert!(b.counts_exactly(), "sharded counting violated");
 
-        let elim =
-            EliminatingMpNetwork::spawn(&net, MpConfig::default(), EliminationConfig::default());
-        let c = run_stress(&elim, cfg);
-        assert!(c.counts_exactly(), "elimination counting violated");
-
         println!(
             "bitonic[16] frontends: Def-2.4 nonlinearizable ratio \
-             combining={:.4} sharded={:.4} elim={:.4}",
+             combining={:.4} sharded={:.4}",
             a.nonlinearizable_ratio(),
-            b.nonlinearizable_ratio(),
-            c.nonlinearizable_ratio()
+            b.nonlinearizable_ratio()
         );
     });
 }
@@ -198,16 +170,10 @@ fn exhaustive_oracle_agrees_with_the_sweep_on_tiny_traces() {
         let shards = Topology::shards(2, 2).unwrap();
         let sharded =
             ShardedCounter::with_kind(&shards, BalancerKind::WaitFree, RoutePolicy::RoundRobin);
-        let elim = EliminatingMpNetwork::spawn(
-            &net,
-            MpConfig::default(),
-            EliminationConfig { slots: 2, spin: 4 },
-        );
 
         let reports = [
             ("combining", run_stress(&combining, cfg)),
             ("sharded", run_stress(&sharded, cfg)),
-            ("elim", run_stress(&elim, cfg)),
         ];
         for (label, report) in reports {
             assert!(report.counts_exactly(), "{label} counting violated");

@@ -8,7 +8,6 @@
 use std::sync::Arc;
 
 use cnet_concurrent::counter::Counter;
-use cnet_concurrent::mp::{MpConfig, MpNetwork};
 use cnet_concurrent::network::{BalancerKind, NetworkCounter};
 use cnet_topology::constructions;
 
@@ -127,21 +126,6 @@ fn diffracting_tree_probes_are_keyed_by_arena_slot() {
         [ops, ops / 2, ops / 2, ops / 4, ops / 4, ops / 4, ops / 4],
         "layer order: root, then its two children, then the four leaves' parents"
     );
-}
-
-#[test]
-fn mp_network_records_ops_and_hops() {
-    let net = constructions::bitonic(4).unwrap();
-    let mp = MpNetwork::spawn(&net, MpConfig::default());
-    let ops = 100u64;
-    for expect in 0..ops {
-        assert_eq!(mp.next(), expect);
-    }
-    let snap = mp.metrics_snapshot(0).expect("obs feature is on");
-    assert_eq!(snap.network.operations, ops);
-    let toggles: u64 = snap.balancers.iter().map(|b| b.toggles).sum();
-    assert_eq!(toggles, ops * net.depth() as u64);
-    assert_eq!(snap.network.wire_latency_hist.count(), toggles);
 }
 
 #[test]

@@ -62,7 +62,7 @@ use cnet_timing::Operation;
 use cnet_topology::Topology;
 
 use crate::counter::Executor;
-use crate::driver::{self, Readout, SpinSite, Trace, Widths};
+use crate::driver::{self, Readout, Trace, Widths};
 use crate::schedule::{arrival_schedule, THREAD_STREAM};
 use crate::{Backend, BackendSpec, CounterSpec, RunOutcome, SpecError};
 
@@ -102,7 +102,7 @@ impl Default for AsyncConfig {
 ///
 /// The same seeded arrival schedules as the thread-per-client
 /// backends are replayed (same `ARRIVAL_STREAM`, nanoseconds of host
-/// time), so outcomes stay comparable with sim/shm/mp. See the
+/// time), so outcomes stay comparable with sim/shm. See the
 /// module docs for the turn-sequenced execution model and its
 /// determinism guarantee.
 #[derive(Debug, Clone, Copy)]
@@ -148,7 +148,6 @@ struct Shared<'a> {
     /// Open-loop arrival instants (empty when closed).
     arrivals: Vec<u64>,
     epoch: Instant,
-    site: SpinSite,
     widths: Widths,
     n_clients: usize,
 }
@@ -207,7 +206,7 @@ impl Future for ClientTask<'_> {
             return Poll::Pending;
         }
         // admitted: the traversal runs synchronously inside the poll
-        let per_node = sh.site.spin(sh.workload, task.delayed, &mut task.rng);
+        let per_node = driver::spin(sh.workload, task.delayed, &mut task.rng);
         let start = sh.clock.fetch_add(1, Ordering::AcqRel);
         let value = sh.counter.next_stressed(task.id, per_node);
         let end = sh.clock.fetch_add(1, Ordering::AcqRel);
@@ -274,7 +273,6 @@ fn drive_async(
     counter: &(dyn StressCounter + '_),
     workload: &Workload,
     seed: u64,
-    site: SpinSite,
     widths: Widths,
     config: AsyncConfig,
     mut operations: Vec<Operation>,
@@ -289,7 +287,6 @@ fn drive_async(
         committed: AtomicUsize::new(0),
         arrivals: arrival_schedule(workload, seed),
         epoch: Instant::now(),
-        site,
         widths,
         n_clients: workload.processors,
     };
@@ -342,8 +339,7 @@ impl Executor for Cooperative<'_> {
         self,
         counter: &C,
         widths: Widths,
-        site: SpinSite,
-        readout: impl FnOnce(&Trace) -> Readout,
+        readout: impl FnOnce() -> Readout,
     ) -> RunOutcome {
         let Cooperative { backend, workload } = self;
         let operations = driver::slots(workload);
@@ -352,7 +348,6 @@ impl Executor for Cooperative<'_> {
             counter,
             workload,
             backend.seed,
-            site,
             widths,
             backend.config,
             operations,
@@ -360,7 +355,7 @@ impl Executor for Cooperative<'_> {
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         // snapshot export stays outside the timed window, like every
         // other backend's recorder freeze
-        let read = readout(&trace);
+        let read = readout();
         let mut stats = driver::stats_from_trace(trace, read.counts, read.metrics);
         // the one lane is shared round-robin: op i is client i % n's
         for (i, client) in stats.completed_by.iter_mut().enumerate() {
@@ -506,7 +501,10 @@ mod tests {
     fn zero_work_degenerates_safely() {
         let net = constructions::bitonic(4).unwrap();
         let b = network(&net, BalancerKind::WaitFree, cfg(2, 8), 1);
-        assert!(b.run(&workload(0, 100)).stats.operations.is_empty());
+        assert_eq!(
+            b.try_run(&workload(0, 100)).err(),
+            Some(cnet_proteus::WorkloadError::NoClients)
+        );
         assert!(b.run(&workload(8, 0)).stats.operations.is_empty());
     }
 }

@@ -1,24 +1,20 @@
-//! Which native counter a run drives: construction, quiescent
-//! read-out and spin site of each kind, written once and shared by
-//! both executors (client threads, cooperative clients).
+//! Which native counter a run drives: construction and quiescent
+//! read-out of each kind, written once and shared by both executors
+//! (client threads, cooperative clients).
 
 use cnet_concurrent::audit::StressCounter;
-use cnet_concurrent::frontend::{
-    CombiningConfig, CombiningCounter, EliminatingMpNetwork, EliminationConfig, RoutePolicy,
-    ShardedCounter,
-};
-use cnet_concurrent::mp::{MpConfig, MpNetwork};
+use cnet_concurrent::frontend::{CombiningConfig, CombiningCounter, RoutePolicy, ShardedCounter};
 use cnet_concurrent::network::{BalancerKind, NetworkCounter};
 use cnet_topology::{OutputCounts, Topology};
 
-use crate::driver::{Readout, SpinSite, Trace, Widths};
+use crate::driver::{Readout, Widths};
 use crate::{RunOutcome, SpecError};
 
 /// A native (`cnet-concurrent`) counter over a backend's topology.
 ///
 /// Every kind keeps the counting property (values exactly `0..n`).
-/// The frontends — [`CounterSpec::Batch`], [`CounterSpec::Shard`],
-/// [`CounterSpec::MpElim`] — relax the quiescent step
+/// The frontends — [`CounterSpec::Batch`], [`CounterSpec::Shard`] —
+/// relax the quiescent step
 /// ([`CounterSpec::relaxes_step`]) and report
 /// [`RunOutcome::frontend`] telemetry on `obs` builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,16 +32,6 @@ pub enum CounterSpec {
     /// `output_width / count` each — the same total hardware, split
     /// behind a router. The step holds within each residue class.
     Shard(BalancerKind, RoutePolicy, usize),
-    /// [`MpNetwork`]: one thread per balancer and per counter, tokens
-    /// as messages along channels. The per-hop delay is fixed at spawn
-    /// time ([`MpConfig::hop_spin`]), so the delayed fraction's `W` is
-    /// spun client-side before each injection.
-    Mp(MpConfig),
-    /// [`EliminatingMpNetwork`]: operations that meet in the ingress
-    /// exchange enter the pipeline as one pair token and draw two
-    /// consecutive values. A pair tallies twice where it lands, so the
-    /// step is 1-relaxed.
-    MpElim(MpConfig, EliminationConfig),
 }
 
 /// What runs the clients against a freshly built counter: the client
@@ -58,8 +44,7 @@ pub(crate) trait Executor {
         self,
         counter: &C,
         widths: Widths,
-        site: SpinSite,
-        readout: impl FnOnce(&Trace) -> Readout,
+        readout: impl FnOnce() -> Readout,
     ) -> RunOutcome;
 }
 
@@ -83,10 +68,7 @@ impl CounterSpec {
     /// for throughput by design.
     #[must_use]
     pub fn relaxes_step(&self) -> bool {
-        matches!(
-            self,
-            CounterSpec::Batch(..) | CounterSpec::Shard(..) | CounterSpec::MpElim(..)
-        )
+        matches!(self, CounterSpec::Batch(..) | CounterSpec::Shard(..))
     }
 
     /// Checks that the counter can be built over `topology`.
@@ -111,8 +93,8 @@ impl CounterSpec {
     }
 
     /// Builds a fresh counter over `topology` and hands it to `exec`
-    /// together with its spin site and quiescent read-out. `wait` is
-    /// the workload's `W`, which the metrics snapshots record.
+    /// together with its quiescent read-out. `wait` is the workload's
+    /// `W`, which the metrics snapshots record.
     ///
     /// # Panics
     ///
@@ -125,7 +107,7 @@ impl CounterSpec {
             CounterSpec::Network(kind) => {
                 let counter = NetworkCounter::with_kind(topology, kind);
                 let widths = Widths::new(counter.input_width(), width);
-                exec.execute(&counter, widths, SpinSite::PerNode, |_| Readout {
+                exec.execute(&counter, widths, || Readout {
                     counts: counter.output_counts().into_iter().collect(),
                     metrics: counter.metrics_snapshot(wait),
                     frontend: None,
@@ -134,7 +116,7 @@ impl CounterSpec {
             CounterSpec::Batch(kind, config) => {
                 let counter = CombiningCounter::with_kind(topology, kind, config);
                 let widths = Widths::new(counter.input_width(), width);
-                exec.execute(&counter, widths, SpinSite::PerNode, |_| Readout {
+                exec.execute(&counter, widths, || Readout {
                     counts: counter.output_counts().into_iter().collect(),
                     metrics: counter.metrics_snapshot(wait),
                     frontend: counter.frontend_metrics(),
@@ -145,36 +127,12 @@ impl CounterSpec {
                 let shards = Topology::shards(shard_width, count).expect(CHECKED);
                 let counter = ShardedCounter::with_kind(&shards, kind, policy);
                 let widths = Widths::new(shard_width, width);
-                exec.execute(&counter, widths, SpinSite::PerNode, |_| Readout {
+                exec.execute(&counter, widths, || Readout {
                     counts: interleave_shard_counts(counter.output_counts(), count),
                     // contention metrics are per-shard; shard 0 is the
                     // representative (round-robin keeps loads within one op)
                     metrics: counter.shard_metrics(0, wait),
                     frontend: counter.frontend_metrics(),
-                })
-            }
-            CounterSpec::Mp(config) => {
-                // thread spawn is setup and stays outside the timed window
-                let net = MpNetwork::spawn(topology, config);
-                let widths = Widths::new(net.input_width(), width);
-                exec.execute(&net, widths, SpinSite::PerOp, |trace| Readout {
-                    // the counter threads own their totals
-                    counts: trace.tallies(width),
-                    metrics: net.metrics_snapshot(wait),
-                    frontend: None,
-                })
-            }
-            CounterSpec::MpElim(config, elim) => {
-                let net = EliminatingMpNetwork::spawn(topology, config, elim);
-                let widths = Widths::new(net.input_width(), width);
-                exec.execute(&net, widths, SpinSite::PerOp, |_| Readout {
-                    // shared-issue values are drawn from a global interval
-                    // allocator, so value % width no longer names the
-                    // landing counter; the counter threads' own tallies are
-                    // the ground truth (a pair counts twice where it landed)
-                    counts: net.output_counts().into_iter().collect(),
-                    metrics: net.metrics_snapshot(wait),
-                    frontend: net.frontend_metrics(),
                 })
             }
         }

@@ -40,42 +40,15 @@ pub(crate) fn validated(workload: &Workload) {
     }
 }
 
-/// Where a native backend applies the workload's `W`.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SpinSite {
-    /// Passed into the counter as a per-node spin
-    /// ([`StressCounter::next_stressed`]), mirroring the simulator's
-    /// "waits `W` cycles after traversing a node in the net".
-    PerNode,
-    /// Spun by the client before each injection — for substrates whose
-    /// per-hop delay is fixed at spawn time (the message-passing
-    /// network's `hop_spin`), where a per-node value cannot travel
-    /// with the token.
-    PerOp,
-}
-
-impl SpinSite {
-    /// Draws one operation's `W` and returns the per-node spin to hand
-    /// the counter; a [`SpinSite::PerOp`] site spins it here, before the
-    /// injection, and hands on 0.
-    #[inline]
-    pub(crate) fn spin(self, workload: &Workload, delayed: bool, rng: &mut SimRng) -> u64 {
-        let spin = match workload.wait_mode {
-            WaitMode::Fixed if delayed => workload.wait_cycles,
-            WaitMode::UniformRandom if workload.wait_cycles > 0 => {
-                rng.inclusive(workload.wait_cycles)
-            }
-            WaitMode::Fixed | WaitMode::UniformRandom => 0,
-        };
-        match self {
-            SpinSite::PerNode => spin,
-            SpinSite::PerOp => {
-                for _ in 0..spin {
-                    std::hint::spin_loop();
-                }
-                0
-            }
-        }
+/// Draws one operation's `W`: the per-node spin a client hands the
+/// counter ([`StressCounter::next_stressed`]), mirroring the
+/// simulator's "waits `W` cycles after traversing a node in the net".
+#[inline]
+pub(crate) fn spin(workload: &Workload, delayed: bool, rng: &mut SimRng) -> u64 {
+    match workload.wait_mode {
+        WaitMode::Fixed if delayed => workload.wait_cycles,
+        WaitMode::UniformRandom if workload.wait_cycles > 0 => rng.inclusive(workload.wait_cycles),
+        WaitMode::Fixed | WaitMode::UniformRandom => 0,
     }
 }
 
@@ -149,27 +122,12 @@ pub(crate) struct Trace {
     pub clock_end: u64,
 }
 
-impl Trace {
-    /// Per-counter totals rebuilt from the returned operations, for the
-    /// message-passing network, whose counter threads own their totals.
-    pub fn tallies(&self, width: usize) -> OutputCounts {
-        let mut counts = OutputCounts::zeros(width);
-        for op in &self.operations {
-            counts.increment(op.counter as usize);
-        }
-        counts
-    }
-}
-
-/// The buffer a native run returns, one zero record per operation
-/// (none without a client to write them). `resize` writes every page
-/// here, before the timed window, so no client faults one in on its
-/// clock.
+/// The buffer a native run returns, one zero record per operation.
+/// `resize` writes every page here, before the timed window, so no
+/// client faults one in on its clock.
 pub(crate) fn slots(workload: &Workload) -> Vec<Operation> {
     let mut operations = Vec::new();
-    if workload.processors > 0 {
-        operations.resize(workload.total_ops, Operation::default());
-    }
+    operations.resize(workload.total_ops, Operation::default());
     operations
 }
 
@@ -191,7 +149,6 @@ fn drive(
     counter: &impl StressCounter,
     workload: &Workload,
     seed: u64,
-    site: SpinSite,
     widths: Widths,
     operations: &mut [Operation],
 ) -> (Vec<Vec<Range<usize>>>, u64) {
@@ -233,7 +190,7 @@ fn drive(
                                 std::hint::spin_loop();
                             }
                         }
-                        let per_node = site.spin(workload, delayed, &mut rng);
+                        let per_node = spin(workload, delayed, &mut rng);
                         let start = clock.fetch_add(1, Ordering::AcqRel);
                         let value = counter.next_stressed(t, per_node);
                         let end = clock.fetch_add(1, Ordering::AcqRel);
@@ -276,26 +233,18 @@ impl Executor for Threads<'_> {
         self,
         counter: &C,
         widths: Widths,
-        site: SpinSite,
-        readout: impl FnOnce(&Trace) -> Readout,
+        readout: impl FnOnce() -> Readout,
     ) -> RunOutcome {
         let mut operations = slots(self.workload);
         let started = Instant::now();
-        let (runs, clock_end) = drive(
-            counter,
-            self.workload,
-            self.seed,
-            site,
-            widths,
-            &mut operations,
-        );
+        let (runs, clock_end) = drive(counter, self.workload, self.seed, widths, &mut operations);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let trace = Trace {
             operations,
             runs,
             clock_end,
         };
-        let read = readout(&trace);
+        let read = readout();
         RunOutcome {
             backend: self.backend,
             stats: stats_from_trace(trace, read.counts, read.metrics),

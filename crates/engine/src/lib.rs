@@ -5,12 +5,10 @@
 //! local wire-timing ratio `c2/c1`, not by network depth — is testable
 //! here because the *same* token stream can be pushed through
 //! different execution substrates and the timestamped histories
-//! compared. Before this crate the repo had four disjoint ways of
-//! doing that (the `cnet-proteus` event loop, harness-grid simulator
-//! cells, the shared-memory counters' ad-hoc thread loops, and
-//! `MpNetwork`'s channel threads), each with its own run loop,
-//! timestamping, and metrics handoff. The engine folds them behind
-//! three names:
+//! compared. The engine gives every substrate (the `cnet-proteus`
+//! event loop, client threads, cooperative clients) one run loop, one
+//! timestamping discipline and one metrics handoff, behind four
+//! names:
 //!
 //! * [`Backend`] — something that can execute a [`Workload`] against a
 //!   counting network and produce a [`RunOutcome`]. Three
@@ -19,11 +17,10 @@
 //!   client) and [`AsyncBackend`] (a cooperative executor multiplexing
 //!   millions of logical clients onto a small worker pool — the only
 //!   substrate where "clients" can mean `10^6`). The two native
-//!   executors drive any [`CounterSpec`]: the compiled network, the
-//!   combining and sharded frontends, the message-passing network
-//!   with or without elimination.
+//!   executors drive any [`CounterSpec`]: the compiled network or the
+//!   combining and sharded frontends over it.
 //! * [`BackendSpec`] — "which counter, driven how" as one parseable
-//!   value (`shm`, `shm-batch:8`, `async-mp`, …): the registry behind
+//!   value (`shm`, `shm-batch:8`, `async-shard`, …): the registry behind
 //!   `cnet run --backend` and the native benches, and the only place a
 //!   flavor is named.
 //! * [`Workload`] — re-exported from `cnet-proteus`, now carrying an
@@ -81,8 +78,7 @@ mod shm;
 mod sim;
 mod spec;
 
-pub use cnet_concurrent::frontend::{CombiningConfig, EliminationConfig, RoutePolicy};
-pub use cnet_concurrent::mp::MpConfig;
+pub use cnet_concurrent::frontend::{CombiningConfig, RoutePolicy};
 pub use cnet_concurrent::network::BalancerKind;
 pub use cnet_proteus::{ArrivalProcess, RunStats, SimConfig, WaitMode, Workload, WorkloadError};
 

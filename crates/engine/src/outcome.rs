@@ -19,9 +19,9 @@ pub struct RunOutcome {
     pub stats: RunStats,
     /// Host wall-clock spent executing, in milliseconds.
     pub wall_ms: f64,
-    /// Frontend telemetry (batch histogram, elimination hits, shard
-    /// routing) for the elastic-frontend backends. `None` on plain
-    /// backends and on probe-free (`obs`-less) builds.
+    /// Frontend telemetry (batch histogram, shard routing) for the
+    /// elastic-frontend backends. `None` on plain backends and on
+    /// probe-free (`obs`-less) builds.
     pub frontend: Option<cnet_obs::FrontendMetrics>,
     /// Open-loop telemetry — per-window sojourn latency against the
     /// seeded arrival schedule, the saturation atlas's raw material.

@@ -8,14 +8,13 @@ use crate::{Backend, BackendSpec, CounterSpec, RunOutcome, SpecError, Workload};
 
 /// Runs workloads on real OS threads, one per client, over a native
 /// (`cnet-concurrent`) counter — any [`CounterSpec`]: the compiled
-/// network, the elastic frontends, or the message-passing network.
+/// network or the elastic frontends.
 ///
 /// Every [`Backend::run`] builds a fresh counter, so runs never share
 /// state. `workload.processors` is the client-thread count,
-/// `wait_cycles` the spin of the delayed fraction (per node, or per
-/// operation on the message-passing counters), and the arrival process
-/// is honored on a deterministic seeded schedule interpreted in
-/// nanoseconds of host time.
+/// `wait_cycles` the per-node spin of the delayed fraction, and the
+/// arrival process is honored on a deterministic seeded schedule
+/// interpreted in nanoseconds of host time.
 #[derive(Debug, Clone, Copy)]
 pub struct ShmBackend<'a> {
     topology: &'a Topology,
@@ -71,7 +70,7 @@ impl Backend for ShmBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnet_concurrent::mp::MpConfig;
+    use cnet_proteus::WorkloadError;
     use cnet_topology::constructions;
 
     fn workload(threads: usize, ops: usize) -> Workload {
@@ -103,17 +102,6 @@ mod tests {
     }
 
     #[test]
-    fn delayed_clients_and_hop_spin_stay_correct_on_mp() {
-        let net = constructions::bitonic(2).unwrap();
-        let mp = CounterSpec::Mp(MpConfig { hop_spin: 200 });
-        let outcome = ShmBackend::new(&net, mp, 7).unwrap().run(&Workload {
-            total_ops: 120,
-            ..Workload::paper(2, 50, 300)
-        });
-        assert!(outcome.counts_exactly());
-    }
-
-    #[test]
     fn average_ratio_stays_finite_on_native_traces() {
         // the Tog fallback: node_visits/node_wait_total are populated
         // from the trace, so a positive W cannot divide by zero
@@ -129,7 +117,10 @@ mod tests {
     fn zero_work_degenerates_safely() {
         let net = constructions::bitonic(4).unwrap();
         let b = ShmBackend::network(&net, BalancerKind::WaitFree, 1);
-        assert!(b.run(&workload(0, 100)).stats.operations.is_empty());
+        assert_eq!(
+            b.try_run(&workload(0, 100)).err(),
+            Some(WorkloadError::NoClients)
+        );
         assert!(b.run(&workload(4, 0)).stats.operations.is_empty());
     }
 }

@@ -9,8 +9,7 @@
 use std::fmt;
 use std::str::FromStr;
 
-use cnet_concurrent::frontend::{CombiningConfig, EliminationConfig, RoutePolicy};
-use cnet_concurrent::mp::MpConfig;
+use cnet_concurrent::frontend::{CombiningConfig, RoutePolicy};
 use cnet_concurrent::network::BalancerKind;
 use cnet_proteus::SimConfig;
 use cnet_topology::Topology;
@@ -26,9 +25,8 @@ const DEFAULT_SHARDS: usize = 4;
 /// Which counter, driven by which executor.
 ///
 /// Values a flavor string cannot carry ([`CombiningConfig::slots`],
-/// [`MpConfig::hop_spin`], the [`AsyncConfig`], the simulator's machine
-/// model) are fields of the configs the variants hold: parse first,
-/// then set them.
+/// the [`AsyncConfig`], the simulator's machine model) are fields of
+/// the configs the variants hold: parse first, then set them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BackendSpec {
     /// The discrete-event simulator ([`SimBackend`]). The config's
@@ -83,7 +81,7 @@ impl BackendSpec {
     /// One spec per family, default parameters (`K = 8`, `S = 4`),
     /// in usage order.
     #[must_use]
-    pub fn all() -> [BackendSpec; 10] {
+    pub fn all() -> [BackendSpec; 7] {
         use BackendSpec::{Async, Sim, Threads};
         let kind = BalancerKind::WaitFree;
         let network = CounterSpec::Network(kind);
@@ -95,20 +93,15 @@ impl BackendSpec {
             },
         );
         let shard = CounterSpec::Shard(kind, RoutePolicy::RoundRobin, DEFAULT_SHARDS);
-        let mp = CounterSpec::Mp(MpConfig::default());
-        let elim = CounterSpec::MpElim(MpConfig::default(), EliminationConfig::default());
         let pool = AsyncConfig::default();
         [
             Sim(SimConfig::queue_lock(0)),
             Threads(network),
             Threads(batch),
             Threads(shard),
-            Threads(mp),
-            Threads(elim),
             Async(network, pool),
             Async(batch, pool),
             Async(shard, pool),
-            Async(mp, pool),
         ]
     }
 
@@ -116,18 +109,15 @@ impl BackendSpec {
     /// ([`Backend::name`]): the flavor without its parameter.
     #[must_use]
     pub fn name(&self) -> &'static str {
-        use CounterSpec::{Batch, Mp, MpElim, Network, Shard};
+        use CounterSpec::{Batch, Network, Shard};
         match self {
             BackendSpec::Sim(_) => "sim",
             BackendSpec::Threads(Network(_)) => "shm",
             BackendSpec::Threads(Batch(..)) => "shm-batch",
             BackendSpec::Threads(Shard(..)) => "shm-shard",
-            BackendSpec::Threads(Mp(_)) => "mp",
-            BackendSpec::Threads(MpElim(..)) => "mp-elim",
             BackendSpec::Async(Network(_), _) => "async",
             BackendSpec::Async(Batch(..), _) => "async-batch",
             BackendSpec::Async(Shard(..), _) => "async-shard",
-            BackendSpec::Async(Mp(_) | MpElim(..), _) => "async-mp",
         }
     }
 
@@ -283,8 +273,7 @@ mod tests {
     fn the_grammar_is_the_families_with_their_parameters() {
         assert_eq!(
             BackendSpec::grammar(),
-            "sim|shm|shm-batch[:N]|shm-shard[:N]|mp|mp-elim\
-             |async|async-batch[:N]|async-shard[:N]|async-mp"
+            "sim|shm|shm-batch[:N]|shm-shard[:N]|async|async-batch[:N]|async-shard[:N]"
         );
         let spec: BackendSpec = "async-shard:2".parse().unwrap();
         assert!(matches!(
@@ -301,7 +290,16 @@ mod tests {
     #[test]
     fn malformed_flavors_are_typed_errors() {
         let parse = |text: &str| text.parse::<BackendSpec>().unwrap_err();
-        for text in ["gpu", "shm-batchx", "", "shm-", "SHM"] {
+        for text in [
+            "gpu",
+            "shm-batchx",
+            "",
+            "shm-",
+            "SHM",
+            "mp",
+            "mp-elim",
+            "async-mp",
+        ] {
             assert_eq!(parse(text), SpecError::UnknownFamily(text.to_string()));
         }
         for text in [
@@ -353,7 +351,5 @@ mod tests {
         assert_eq!(m.batch_hist.sum() + m.solo_ops, 200);
         let m = run("shm-shard");
         assert_eq!(m.shard_ops.iter().sum::<u64>(), 200);
-        let m = run("mp-elim");
-        assert_eq!(2 * m.elim_pairs + m.elim_solo, 200);
     }
 }

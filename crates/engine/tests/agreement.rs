@@ -1,10 +1,10 @@
-//! Differential agreement across the four execution backends.
+//! Differential agreement across the three execution backends.
 //!
 //! The engine's contract is that a counting network is a counting
 //! network regardless of substrate: the simulator, the shared-memory
-//! counters, the message-passing network, and the cooperative async
-//! executor must all produce histories that count exactly and final
-//! totals with the step property, for the *same* seeded workload.
+//! counters, and the cooperative async executor must all produce
+//! histories that count exactly and final totals with the step
+//! property, for the *same* seeded workload.
 //! Timing (and therefore linearizability violations) legitimately
 //! differs between substrates; the semantic invariants may not.
 //!
@@ -12,7 +12,6 @@
 //! [`cnet_concurrent::testcfg::with_seed_report`]; set that variable to
 //! replay a failing configuration.
 
-use cnet_concurrent::mp::MpConfig;
 use cnet_concurrent::network::BalancerKind;
 use cnet_concurrent::testcfg;
 use cnet_engine::{
@@ -21,7 +20,7 @@ use cnet_engine::{
 use cnet_proteus::SimConfig;
 use cnet_topology::constructions;
 
-/// Runs `workload` through all four backends over the same topology
+/// Runs `workload` through all three backends over the same topology
 /// and audits every history against the backend-independent invariants.
 fn assert_backends_agree(workload: &Workload, seed: u64) {
     let net = constructions::bitonic(8).expect("valid width");
@@ -29,11 +28,10 @@ fn assert_backends_agree(workload: &Workload, seed: u64) {
     let specs = [
         BackendSpec::Sim(SimConfig::queue_lock(seed)),
         BackendSpec::Threads(network),
-        BackendSpec::Threads(CounterSpec::Mp(MpConfig::default())),
         BackendSpec::Async(network, AsyncConfig::default()),
     ];
     for spec in specs {
-        let backend = spec.build(&net, seed).expect("width 8 hosts all four");
+        let backend = spec.build(&net, seed).expect("width 8 hosts all three");
         let outcome = backend.run(workload);
         assert_eq!(
             outcome.stats.operations.len(),

@@ -8,23 +8,11 @@
 //! are one: the count, and on a live-probe build the magnitudes the
 //! snapshot carries.
 
-use cnet_engine::{ArrivalProcess, BackendSpec, CounterSpec, Workload, PROBES_LIVE};
+use cnet_engine::{ArrivalProcess, BackendSpec, Workload, PROBES_LIVE};
 use cnet_timing::linearizability::{count_nonlinearizable, magnitudes};
 use cnet_topology::constructions;
 
 const OPS: usize = 100_000;
-
-/// The message-passing substrates wake a thread per hop, 0.1–0.4 ms an
-/// operation on a two-CPU host: they get a twentieth of the run.
-fn ops_of(spec: &BackendSpec) -> usize {
-    use CounterSpec::{Mp, MpElim};
-    match spec {
-        BackendSpec::Threads(Mp(_) | MpElim(..)) | BackendSpec::Async(Mp(_) | MpElim(..), _) => {
-            OPS / 20
-        }
-        _ => OPS,
-    }
-}
 
 #[test]
 fn every_native_backend_reports_the_verdict_of_the_table() {
@@ -46,12 +34,12 @@ fn every_native_backend_reports_the_verdict_of_the_table() {
         ] {
             let what = format!("`{}`, {arrival:?}", backend.name());
             let outcome = backend.run(&Workload {
-                total_ops: ops_of(&spec),
+                total_ops: OPS,
                 arrival,
                 ..Workload::paper(clients, 0, 0)
             });
             let stats = &outcome.stats;
-            assert_eq!(stats.operations.len(), ops_of(&spec), "{what}");
+            assert_eq!(stats.operations.len(), OPS, "{what}");
             assert_eq!(
                 stats.nonlinearizable,
                 count_nonlinearizable(&stats.operations),

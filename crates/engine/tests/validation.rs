@@ -2,8 +2,10 @@
 //!
 //! `ArrivalProcess::Open { mean_gap: 0 }` and `Bursty { burst: 0, .. }`
 //! used to fall through into degenerate schedules (an all-zero gap
-//! stream, a burst that schedules nothing). Every backend now rejects
-//! them with the typed [`WorkloadError`] before any thread spawns:
+//! stream, a burst that schedules nothing), and a workload with no
+//! client into an empty history reported as a clean run. Every backend
+//! now rejects them with the typed [`WorkloadError`] before any thread
+//! spawns:
 //! [`Backend::try_run`] returns the error, [`Backend::run`] panics
 //! with its display text.
 
@@ -63,6 +65,17 @@ fn assert_rejects(backend: &dyn Backend) {
             .err(),
         Some(WorkloadError::UnreadableTrace),
         "backend `{}` accepted a missing trace file",
+        backend.name()
+    );
+    assert_eq!(
+        backend
+            .try_run(&Workload {
+                total_ops: 10,
+                ..Workload::paper(0, 0, 0)
+            })
+            .err(),
+        Some(WorkloadError::NoClients),
+        "backend `{}` accepted a workload with no client",
         backend.name()
     );
     let empty = trace_file("empty", "# instants only below this line\n\n42\n");

@@ -102,8 +102,6 @@ mod tests {
                 let f = obs::FrontendProbe::new(2);
                 f.record_batch(3);
                 f.record_solo();
-                f.record_pair();
-                f.record_elim_solo();
                 f.record_shard(1);
                 (o.snapshot(7), f.snapshot())
             }};
@@ -115,12 +113,9 @@ mod tests {
         let f = live_f.expect("live frontend probe snapshots");
         assert_eq!(f.batch_hist.count(), 1);
         assert_eq!(f.solo_ops, 1);
-        assert_eq!(f.elim_pairs, 1);
-        assert_eq!(f.elim_solo, 1);
         assert_eq!(f.shard_ops, vec![0, 1]);
         assert!((f.avg_batch() - 3.0).abs() < 1e-12);
         assert!((f.combiner_occupancy() - 0.75).abs() < 1e-12);
-        assert!((f.elimination_hit_rate() - 2.0 / 3.0).abs() < 1e-12);
         assert!((f.shard_imbalance() - 2.0).abs() < 1e-12);
         assert!(noop_f.is_none());
     }

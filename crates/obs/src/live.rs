@@ -175,15 +175,13 @@ impl BalancerProbe {
     }
 }
 
-/// Telemetry recorder for an elastic frontend (combining, sharding,
-/// elimination). Lock-free relaxed atomics like [`BalancerProbe`];
-/// snapshots are taken at quiescence.
+/// Telemetry recorder for an elastic frontend (combining, sharding).
+/// Lock-free relaxed atomics like [`BalancerProbe`]; snapshots are
+/// taken at quiescence.
 #[derive(Debug)]
 pub struct FrontendProbe {
     batch_hist: AtomicHistogram,
     solo: AtomicU64,
-    pairs: AtomicU64,
-    elim_solo: AtomicU64,
     shard_ops: Box<[AtomicU64]>,
 }
 
@@ -195,8 +193,6 @@ impl FrontendProbe {
         FrontendProbe {
             batch_hist: AtomicHistogram::new(),
             solo: AtomicU64::new(0),
-            pairs: AtomicU64::new(0),
-            elim_solo: AtomicU64::new(0),
             shard_ops: (0..shards).map(|_| AtomicU64::new(0)).collect(),
         }
     }
@@ -213,18 +209,6 @@ impl FrontendProbe {
         self.solo.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One elimination pair matched at the ingress.
-    #[inline]
-    pub fn record_pair(&self) {
-        self.pairs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One advertised operation timed out and went through alone.
-    #[inline]
-    pub fn record_elim_solo(&self) {
-        self.elim_solo.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// One operation was routed to shard `s`.
     #[inline]
     pub fn record_shard(&self, s: usize) {
@@ -237,8 +221,6 @@ impl FrontendProbe {
         Some(FrontendMetrics {
             batch_hist: self.batch_hist.snapshot(),
             solo_ops: self.solo.load(Ordering::Relaxed),
-            elim_pairs: self.pairs.load(Ordering::Relaxed),
-            elim_solo: self.elim_solo.load(Ordering::Relaxed),
             shard_ops: self
                 .shard_ops
                 .iter()

@@ -78,14 +78,6 @@ impl FrontendProbe {
 
     /// Discards the record.
     #[inline(always)]
-    pub fn record_pair(&self) {}
-
-    /// Discards the record.
-    #[inline(always)]
-    pub fn record_elim_solo(&self) {}
-
-    /// Discards the record.
-    #[inline(always)]
     pub fn record_shard(&self, _s: usize) {}
 
     /// Always `None`: the disabled layer has nothing to report.

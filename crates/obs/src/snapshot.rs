@@ -233,8 +233,8 @@ impl MetricsSnapshot {
 }
 
 /// Frontend-level telemetry: what an elastic frontend (combining,
-/// sharding, elimination) did *in front of* the network its
-/// [`MetricsSnapshot`] describes.
+/// sharding) did *in front of* the network its [`MetricsSnapshot`]
+/// describes.
 ///
 /// Kept as its own block — not a field of [`MetricsSnapshot`] — so the
 /// metrics schema the committed baselines embed is untouched; the
@@ -248,12 +248,6 @@ pub struct FrontendMetrics {
     /// Operations that bypassed combining entirely (publication CAS
     /// lost or the request was withdrawn after spinning).
     pub solo_ops: u64,
-    /// Elimination pairs matched at the ingress (each pair is two
-    /// operations served by one traversal).
-    pub elim_pairs: u64,
-    /// Operations that advertised for elimination, timed out, and
-    /// walked the network alone.
-    pub elim_solo: u64,
     /// Operations routed to each shard, by shard index.
     pub shard_ops: Vec<u64>,
 }
@@ -261,8 +255,6 @@ pub struct FrontendMetrics {
 serde::impl_serde_struct!(FrontendMetrics {
     batch_hist,
     solo_ops,
-    elim_pairs,
-    elim_solo,
     shard_ops,
 });
 
@@ -286,19 +278,6 @@ impl FrontendMetrics {
         let total = combined + self.solo_ops;
         if total > 0 {
             combined as f64 / total as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Fraction of elimination-frontend operations that matched a
-    /// partner (two per pair) instead of walking the network alone.
-    #[must_use]
-    pub fn elimination_hit_rate(&self) -> f64 {
-        let matched = 2 * self.elim_pairs;
-        let total = matched + self.elim_solo;
-        if total > 0 {
-            matched as f64 / total as f64
         } else {
             0.0
         }
@@ -435,8 +414,6 @@ mod tests {
         let f = FrontendMetrics {
             batch_hist,
             solo_ops: 3,
-            elim_pairs: 5,
-            elim_solo: 2,
             shard_ops: vec![10, 30],
         };
         let text = serde::json::to_string_pretty(&f.to_value());
@@ -444,7 +421,6 @@ mod tests {
         assert_eq!(back, f);
         assert!((f.avg_batch() - 6.0).abs() < 1e-12);
         assert!((f.combiner_occupancy() - 0.8).abs() < 1e-12);
-        assert!((f.elimination_hit_rate() - 10.0 / 12.0).abs() < 1e-12);
         assert!((f.shard_imbalance() - 1.5).abs() < 1e-12);
     }
 

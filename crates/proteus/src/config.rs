@@ -271,6 +271,10 @@ pub enum WorkloadError {
     /// larger value runs as 100% and records a number that was not
     /// measured.
     DelayedPercentOver100,
+    /// `processors == 0` with `total_ops > 0`: no client would run an
+    /// operation, so a run would report an empty history as a clean
+    /// one.
+    NoClients,
 }
 
 impl fmt::Display for WorkloadError {
@@ -305,6 +309,11 @@ impl fmt::Display for WorkloadError {
                 f,
                 "delayed_percent (F) is a percentage of the processors and \
                  must be at most 100"
+            ),
+            WorkloadError::NoClients => write!(
+                f,
+                "processors (n) must be at least 1 when total_ops > 0 \
+                 (no client would run an operation)"
             ),
         }
     }
@@ -483,6 +492,9 @@ impl Workload {
         if self.delayed_percent > 100 {
             return Err(WorkloadError::DelayedPercentOver100);
         }
+        if self.processors == 0 && self.total_ops > 0 {
+            return Err(WorkloadError::NoClients);
+        }
         self.arrival.validate()
     }
 }
@@ -633,6 +645,16 @@ mod tests {
             Workload::paper(4, 101, 0).validate(),
             Err(WorkloadError::DelayedPercentOver100)
         );
+        assert_eq!(
+            Workload::paper(0, 0, 0).validate(),
+            Err(WorkloadError::NoClients)
+        );
+        assert!(Workload {
+            total_ops: 0,
+            ..Workload::paper(0, 0, 0)
+        }
+        .validate()
+        .is_ok());
         // the error is a real std error with a self-explanatory message
         let msg = WorkloadError::ZeroMeanGap.to_string();
         assert!(msg.contains("mean_gap"), "unhelpful message: {msg}");

@@ -1,14 +1,15 @@
 //! One workload, three execution substrates.
 //!
 //! The engine's `Backend` trait runs the *same* seeded workload on the
-//! discrete-event simulator (`sim`), the native shared-memory counters
-//! (`shm`), and the message-passing actor network (`mp`) — three
-//! flavors of the `BackendSpec` registry, parsed from the same strings
-//! `cnet run --backend` takes — returning the same `RunOutcome` shape
-//! from each. The semantic invariants — every
-//! history a permutation of `0..n`, final counter totals with the step
-//! property — hold on all three; timing (and therefore linearizability
-//! violations) is each substrate's own.
+//! discrete-event simulator (`sim`), one OS thread per client over the
+//! native shared-memory counter (`shm`), and cooperative clients on a
+//! small worker pool over the same counter (`async`) — three flavors of
+//! the `BackendSpec` registry, parsed from the same strings `cnet run
+//! --backend` takes — returning the same `RunOutcome` shape from each.
+//! The semantic invariants — every history a permutation of `0..n`,
+//! final counter totals with the step property — hold on all three;
+//! timing (and therefore linearizability violations) is each
+//! substrate's own.
 //!
 //! Run with: `cargo run --release --example engine_backends`
 
@@ -18,13 +19,13 @@ use counting_networks::topology::constructions;
 fn show(title: &str, workload: &Workload, backends: &[Box<dyn Backend + '_>]) {
     println!("{title}");
     println!(
-        "  {:<4} {:>6} {:>10} {:>9} {:>8} {:>6}",
+        "  {:<5} {:>6} {:>10} {:>9} {:>8} {:>6}",
         "", "ops", "wall ms", "nonlin %", "counts", "step"
     );
     for backend in backends {
         let outcome = backend.run(workload);
         println!(
-            "  {:<4} {:>6} {:>10.2} {:>8.2}% {:>8} {:>6}",
+            "  {:<5} {:>6} {:>10.2} {:>8.2}% {:>8} {:>6}",
             outcome.backend,
             outcome.stats.operations.len(),
             outcome.wall_ms,
@@ -48,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net = constructions::bitonic(8)?;
     let seed = 42;
     let mut backends = Vec::new();
-    for flavor in ["sim", "shm", "mp"] {
+    for flavor in ["sim", "shm", "async"] {
         backends.push(flavor.parse::<BackendSpec>()?.build(&net, seed)?);
     }
 
@@ -92,7 +93,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "sim wall-clock includes building + running the discrete-event model;\n\
-         its *timestamps* are simulated cycles, while shm/mp timestamps are\n\
+         its *timestamps* are simulated cycles, while shm/async timestamps are\n\
          logical-clock ticks — shapes are comparable, units are not."
     );
     Ok(())

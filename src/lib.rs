@@ -14,9 +14,9 @@
 //! * [`concurrent`] — native-atomics counting networks usable as real
 //!   shared counters from many threads.
 //! * [`engine`] — the unified execution layer: one `Backend` trait over
-//!   the simulator, the shared-memory counters, and the
-//!   message-passing network, driven by one `Workload` vocabulary
-//!   (closed-loop, open-loop, bursty) into one `RunOutcome` shape.
+//!   the simulator and the shared-memory counters, driven by one
+//!   `Workload` vocabulary (closed-loop, open-loop, bursty) into one
+//!   `RunOutcome` shape.
 //!
 //! # Quickstart
 //!
