@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::str::FromStr;
 
 /// CLI failure: bad usage, a failed underlying operation, or a tripped
 /// quality gate.
@@ -108,36 +109,30 @@ const VALUED: &[&str] = &[
     "label",
 ];
 
-/// Valued options that may also appear bare, as a flag (`--json path`
-/// writes a file, a trailing `--json` selects stdout).
-const FLAG_OR_VALUED: &[&str] = &["json"];
-
 impl ParsedArgs {
     /// Splits raw arguments into positionals, options, and flags.
     ///
     /// # Errors
     ///
-    /// Returns a usage error when a valued option is missing its value.
+    /// Returns a usage error when a valued option is missing its value
+    /// or an option or switch is given twice.
     pub fn parse(raw: &[String]) -> Result<Self, CliError> {
         let mut out = ParsedArgs::default();
         let mut it = raw.iter().peekable();
         while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                if VALUED.contains(&name) {
-                    let next_is_value = it.peek().is_some_and(|v| !v.starts_with("--"));
-                    if next_is_value {
-                        let value = it.next().expect("peeked");
-                        out.options.insert(name.to_string(), value.clone());
-                    } else if FLAG_OR_VALUED.contains(&name) {
-                        out.flags.push(name.to_string());
-                    } else {
-                        return Err(CliError::usage(format!("--{name} needs a value")));
-                    }
-                } else {
-                    out.flags.push(name.to_string());
-                }
-            } else {
+            let Some(name) = a.strip_prefix("--") else {
                 out.positional.push(a.clone());
+                continue;
+            };
+            if out.options.contains_key(name) || out.flag(name) {
+                return Err(CliError::usage(format!("--{name} is given twice")));
+            }
+            if !VALUED.contains(&name) {
+                out.flags.push(name.to_string());
+            } else if let Some(value) = it.next_if(|v| !v.starts_with("--")) {
+                out.options.insert(name.to_string(), value.clone());
+            } else {
+                return Err(CliError::usage(format!("--{name} needs a value")));
             }
         }
         Ok(out)
@@ -155,29 +150,33 @@ impl ParsedArgs {
             .ok_or_else(|| CliError::usage(format!("missing <{name}> argument")))
     }
 
-    /// A required numeric option.
+    /// A required numeric option, parsed straight into `T`.
     ///
     /// # Errors
     ///
-    /// Returns a usage error if absent or non-numeric.
-    pub fn required_u64(&self, name: &str) -> Result<u64, CliError> {
-        self.u64_opt(name)?
+    /// Returns a usage error if absent, or as [`ParsedArgs::num`].
+    pub fn required<T: FromStr>(&self, name: &str) -> Result<T, CliError> {
+        self.num(name)?
             .ok_or_else(|| CliError::usage(format!("--{name} is required")))
     }
 
-    /// An optional numeric option.
+    /// An optional numeric option, parsed straight into `T`, so a value
+    /// `T` cannot hold is refused rather than wrapped by a cast.
     ///
     /// # Errors
     ///
-    /// Returns a usage error if present but non-numeric.
-    pub fn u64_opt(&self, name: &str) -> Result<Option<u64>, CliError> {
-        match self.options.get(name) {
-            None => Ok(None),
-            Some(v) => v
-                .parse()
-                .map(Some)
-                .map_err(|_| CliError::usage(format!("--{name} expects a number, got `{v}`"))),
-        }
+    /// Returns a usage error naming the option if its value is not a
+    /// `T`.
+    pub fn num<T: FromStr>(&self, name: &str) -> Result<Option<T>, CliError> {
+        self.options
+            .get(name)
+            .map(|v| {
+                v.parse().map_err(|_| {
+                    let ty = std::any::type_name::<T>();
+                    CliError::usage(format!("--{name} expects a {ty} number, got `{v}`"))
+                })
+            })
+            .transpose()
     }
 
     /// The `i`-th positional argument, if present.
@@ -223,15 +222,24 @@ mod tests {
         let a = ParsedArgs::parse(&strs(&["bitonic", "8", "--c1", "10", "--dot"])).unwrap();
         assert_eq!(a.positional(0, "kind").unwrap(), "bitonic");
         assert_eq!(a.positional(1, "width").unwrap(), "8");
-        assert_eq!(a.required_u64("c1").unwrap(), 10);
+        assert_eq!(a.required::<u64>("c1").unwrap(), 10);
         assert!(a.flag("dot"));
         assert!(!a.flag("svg"));
     }
 
     #[test]
     fn missing_value_is_usage_error() {
-        let e = ParsedArgs::parse(&strs(&["--c1"])).unwrap_err();
-        assert!(e.to_string().contains("--c1 needs a value"));
+        for raw in [
+            &["--c1"][..],
+            &["--json", "--ops", "10"],
+            &["--ops", "--json"],
+        ] {
+            let e = ParsedArgs::parse(&strs(raw)).unwrap_err();
+            assert!(
+                e.to_string().contains(&format!("{} needs a value", raw[0])),
+                "{e}"
+            );
+        }
     }
 
     #[test]
@@ -242,47 +250,35 @@ mod tests {
     }
 
     #[test]
-    fn bad_number_is_usage_error() {
-        let a = ParsedArgs::parse(&strs(&["--c1", "ten"])).unwrap();
-        assert!(a.required_u64("c1").is_err());
+    fn a_value_its_type_cannot_hold_is_usage_error() {
+        let a = ParsedArgs::parse(&strs(&["--c1", "ten", "--f", "4294967321"])).unwrap();
+        assert!(matches!(a.num::<u64>("c1"), Err(CliError::Usage(_))));
+        let e = a.num::<u32>("f").unwrap_err().to_string();
+        assert_eq!(e, "--f expects a u32 number, got `4294967321`");
+        assert_eq!(a.num::<u64>("f").unwrap(), Some(4_294_967_321));
     }
 
     #[test]
     fn missing_required_option() {
         let a = ParsedArgs::parse(&[]).unwrap();
-        let e = a.required_u64("c2").unwrap_err();
+        let e = a.required::<u64>("c2").unwrap_err();
         assert!(e.to_string().contains("--c2 is required"));
+        assert_eq!(a.num::<u64>("seed").unwrap(), None);
     }
 
     #[test]
-    fn optional_absent_is_none() {
-        let a = ParsedArgs::parse(&[]).unwrap();
-        assert_eq!(a.u64_opt("seed").unwrap(), None);
+    fn a_repeated_option_or_switch_is_usage_error() {
+        for raw in [&["--n", "4", "--n", "64"][..], &["--prism", "--prism"]] {
+            let e = ParsedArgs::parse(&strs(raw)).unwrap_err();
+            assert_eq!(e.to_string(), format!("{} is given twice", raw[0]));
+        }
     }
 
     #[test]
     fn json_and_threads_take_values() {
         let a = ParsedArgs::parse(&strs(&["--json", "out.json", "--threads", "4"])).unwrap();
         assert_eq!(a.str_opt("json"), Some("out.json"));
-        assert_eq!(a.u64_opt("threads").unwrap(), Some(4));
+        assert_eq!(a.num::<usize>("threads").unwrap(), Some(4));
         assert_eq!(a.str_opt("absent"), None);
-    }
-
-    #[test]
-    fn bare_json_is_a_flag() {
-        // trailing
-        let a = ParsedArgs::parse(&strs(&["--ops", "10", "--json"])).unwrap();
-        assert!(a.flag("json"));
-        assert_eq!(a.str_opt("json"), None);
-        // followed by another option
-        let a = ParsedArgs::parse(&strs(&["--json", "--ops", "10"])).unwrap();
-        assert!(a.flag("json"));
-        assert_eq!(a.u64_opt("ops").unwrap(), Some(10));
-    }
-
-    #[test]
-    fn other_valued_options_still_require_values() {
-        let e = ParsedArgs::parse(&strs(&["--ops", "--json"])).unwrap_err();
-        assert!(e.to_string().contains("--ops needs a value"));
     }
 }

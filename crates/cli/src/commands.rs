@@ -4,16 +4,14 @@
 use std::fmt::Write as _;
 
 use cnet_engine::{ArrivalProcess, AsyncConfig, BackendSpec, BalancerKind, CounterSpec, SpecError};
-use cnet_harness::{
-    run_jobs_report, GridReport, Job, NativeSweep, ResultTable, RunRecord, KNEE_TOLERANCE,
-};
+use cnet_harness::{GridReport, NativeSweep, ResultTable, RunRecord, KNEE_TOLERANCE};
 use cnet_proteus::{SimConfig, WaitMode, Workload};
 use cnet_timing::adversary::{
     bitonic_attack, intro_example, search_violations, tree_attack, wave_attack, Scenario,
     SearchConfig,
 };
 use cnet_timing::executor::TimedExecutor;
-use cnet_timing::{interleave, io, measure, render, threshold as thresh, LinkTiming};
+use cnet_timing::{interleave, measure, render, threshold as thresh, LinkTiming};
 use cnet_topology::{constructions, Topology, TopologyError};
 use serde::{Serialize as _, Value};
 
@@ -34,7 +32,7 @@ pub(crate) fn network_by_name(
 
 /// Builds the network named by the first two positionals (`kind`,
 /// `width`), honoring `--pad` and `--arity`.
-fn build_network(args: &ParsedArgs) -> Result<Topology, CliError> {
+pub(crate) fn build_network(args: &ParsedArgs) -> Result<Topology, CliError> {
     let kind = args.positional(0, "kind")?;
     let net = if kind == "file" {
         let path = args.positional(1, "topology file")?;
@@ -45,46 +43,24 @@ fn build_network(args: &ParsedArgs) -> Result<Topology, CliError> {
             .positional(1, "width")?
             .parse::<usize>()
             .map_err(|_| CliError::usage("width must be a number"))?;
-        let arity = args.u64_opt("arity")?.unwrap_or(2) as usize;
-        network_by_name(kind, width, arity)?
+        network_by_name(kind, width, args.num("arity")?.unwrap_or(2))?
     };
-    match args.u64_opt("pad")? {
-        Some(pad) => constructions::pad_inputs(&net, pad as usize).map_err(CliError::failed),
+    match args.num("pad")? {
+        Some(pad) => constructions::pad_inputs(&net, pad).map_err(CliError::failed),
         None => Ok(net),
     }
 }
 
 fn link_timing(args: &ParsedArgs) -> Result<LinkTiming, CliError> {
-    LinkTiming::new(args.required_u64("c1")?, args.required_u64("c2")?).map_err(CliError::failed)
+    LinkTiming::new(args.required("c1")?, args.required("c2")?).map_err(CliError::failed)
 }
 
 /// Writes a serde value as pretty JSON when `--json <path>` was given.
-fn write_json(args: &ParsedArgs, value: &Value) -> Result<(), CliError> {
+pub(crate) fn write_json(args: &ParsedArgs, value: &Value) -> Result<(), CliError> {
     if let Some(path) = args.str_opt("json") {
         std::fs::write(path, serde::json::to_string_pretty(value)).map_err(CliError::failed)?;
     }
     Ok(())
-}
-
-/// `cnet topo` — describe a network, optionally as Graphviz DOT.
-pub fn topo(args: &ParsedArgs) -> Result<String, CliError> {
-    let net = build_network(args)?;
-    if args.flag("dot") {
-        return Ok(net.to_dot());
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{} -> {} (inputs -> counters), depth {}, {} balancers",
-        net.input_width(),
-        net.output_width(),
-        net.depth(),
-        net.node_count()
-    );
-    for l in 1..=net.depth() {
-        let _ = writeln!(out, "  layer {l}: {} nodes", net.layer(l).len());
-    }
-    Ok(out)
 }
 
 /// `cnet measure` — the paper's linearizability measure for a network.
@@ -160,194 +136,11 @@ pub fn measure(args: &ParsedArgs) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `cnet simulate` — one Section 5 cell on the simulator, run through
-/// the shared experiment harness (so `--json` emits the same
-/// `GridReport` shape as the bench suites).
-pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
-    let net = build_network(args)?;
-    let workload = Workload {
-        total_ops: args.u64_opt("ops")?.unwrap_or(5000) as usize,
-        wait_mode: if args.flag("random-wait") {
-            WaitMode::UniformRandom
-        } else {
-            WaitMode::Fixed
-        },
-        ..Workload::paper(
-            args.required_u64("n")? as usize,
-            args.required_u64("f")? as u32,
-            args.required_u64("w")?,
-        )
-    };
-    workload.validate().map_err(CliError::failed)?;
-    let seed = args.u64_opt("seed")?.unwrap_or(1);
-    let config = if args.flag("prism") {
-        SimConfig::diffracting(seed)
-    } else {
-        SimConfig::queue_lock(seed)
-    };
-    let threads = args.u64_opt("threads")?.unwrap_or(1) as usize;
-    let job = Job {
-        label: format!(
-            "n={},F={}%,W={}",
-            workload.processors, workload.delayed_percent, workload.wait_cycles
-        ),
-        kind: args.positional(0, "kind")?.to_string(),
-        net: 0,
-        config,
-        workload: workload.clone(),
-    };
-    let (cells, grid) = run_jobs_report(
-        "cnet simulate",
-        seed,
-        std::slice::from_ref(&net),
-        std::slice::from_ref(&job),
-        threads,
-    );
-    let stats = &cells[0].stats;
-    if let Some(path) = args.positional_opt(2) {
-        std::fs::write(path, io::operations_to_csv(&stats.operations)).map_err(CliError::failed)?;
-    }
-    write_json(args, &grid.to_value())?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "ops: {}  sim time: {} cycles  throughput: {:.5} ops/cycle",
-        stats.operations.len(),
-        stats.sim_time,
-        stats.throughput()
-    );
-    let _ = writeln!(
-        out,
-        "Tog: {:.1}  avg c2/c1 = (Tog+W)/Tog: {:.2}",
-        stats.avg_toggle_wait(),
-        stats.average_ratio(workload.wait_cycles)
-    );
-    let _ = writeln!(
-        out,
-        "toggles: {}  diffracted pairs: {}  deepest lock queue: {}",
-        stats.toggle_count, stats.diffraction_pairs, stats.max_lock_queue
-    );
-    let _ = writeln!(
-        out,
-        "non-linearizable: {} / {} ({:.2}%)",
-        stats.nonlinearizable_count(),
-        stats.operations.len(),
-        stats.nonlinearizable_ratio() * 100.0
-    );
-    Ok(out)
-}
-
-/// `cnet observe` — run one Section 5 cell with the recording probe
-/// layer and report per-balancer contention plus the live `c2/c1`
-/// estimates, cross-checked against the offline `RunStats` ratio of
-/// the same run.
-pub fn observe(args: &ParsedArgs) -> Result<String, CliError> {
-    let kind = args.positional_opt(0).unwrap_or("bitonic");
-    let width = args.u64_opt("width")?.unwrap_or(32) as usize;
-    let net = network_by_name(kind, width, 2)?;
-    let workload = Workload {
-        total_ops: args.u64_opt("ops")?.unwrap_or(5000) as usize,
-        wait_mode: WaitMode::Fixed,
-        ..Workload::paper(
-            args.u64_opt("n")?.unwrap_or(64) as usize,
-            args.u64_opt("f")?.unwrap_or(25) as u32,
-            args.u64_opt("w")?.unwrap_or(1000),
-        )
-    };
-    workload.validate().map_err(CliError::failed)?;
-    let seed = args.u64_opt("seed")?.unwrap_or(0x0B5E);
-    let config = if args.flag("prism") {
-        SimConfig::diffracting(seed)
-    } else {
-        SimConfig::queue_lock(seed)
-    };
-    let job = Job {
-        label: format!(
-            "n={},F={}%,W={}",
-            workload.processors, workload.delayed_percent, workload.wait_cycles
-        ),
-        kind: kind.to_string(),
-        net: 0,
-        config,
-        workload: workload.clone(),
-    };
-    let (cells, _grid) = run_jobs_report(
-        "cnet observe",
-        seed,
-        std::slice::from_ref(&net),
-        std::slice::from_ref(&job),
-        1,
-    );
-    let stats = &cells[0].stats;
-    let Some(metrics) = stats.metrics.as_ref() else {
-        return Err(CliError::usage(
-            "this binary was built without the probe layer (cnet-proteus feature `obs`)",
-        ));
-    };
-    let w = workload.wait_cycles;
-    let mut table = ResultTable::new(
-        format!(
-            "per-balancer contention ({kind} width {width}, {})",
-            job.label
-        ),
-        &[
-            "visits",
-            "toggles",
-            "Tog",
-            "diffr",
-            "lock wait",
-            "lock hold",
-            "(Tog+W)/Tog",
-        ],
-    );
-    for b in metrics.balancers.iter().filter(|b| b.visits > 0) {
-        table.push_row(
-            format!("node {}", b.node),
-            vec![
-                b.visits.to_string(),
-                b.toggles.to_string(),
-                format!("{:.1}", b.avg_toggle_wait()),
-                b.diffracted.to_string(),
-                b.lock_wait_total.to_string(),
-                b.lock_hold_total.to_string(),
-                format!("{:.2}", b.average_ratio(w)),
-            ],
-        );
-    }
-    let offline = stats.average_ratio(w);
-    let live = &metrics.network;
-    let mut out = table.to_text();
-    let _ = writeln!(out);
-    let _ = writeln!(
-        out,
-        "operations: {}  wire latency c1/c2 estimate: {:.0}/{:.0} cycles",
-        live.operations, live.c1_estimate, live.c2_estimate
-    );
-    let _ = writeln!(
-        out,
-        "live Tog: {:.1}  live avg c2/c1 = (Tog+W)/Tog: {:.4}  offline (RunStats): {:.4}",
-        live.avg_toggle_wait, live.average_ratio, offline
-    );
-    let _ = writeln!(
-        out,
-        "non-linearizable: {}  magnitude total/max: {}/{}",
-        live.nonlinearizable, live.violation_magnitude_total, live.violation_magnitude_max
-    );
-    // bare `--json` selects stdout; `--json <path>` writes a file
-    if args.flag("json") {
-        out.push_str(&serde::json::to_string_pretty(&metrics.to_value()));
-        out.push('\n');
-    } else {
-        write_json(args, &metrics.to_value())?;
-    }
-    Ok(out)
-}
-
 /// Parses the workload arrival knobs: `--open MEAN_GAP` or
 /// `--bursty BURST,GAP`, defaulting to the paper's closed loop.
 fn parse_arrival(args: &ParsedArgs) -> Result<ArrivalProcess, CliError> {
     match (
-        args.u64_opt("open")?,
+        args.num("open")?,
         args.str_opt("bursty"),
         args.str_opt("trace"),
     ) {
@@ -387,20 +180,20 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
     let net = build_network(args)?;
     let kind = args.positional(0, "kind")?.to_string();
     let workload = Workload {
-        total_ops: args.u64_opt("ops")?.unwrap_or(2000) as usize,
+        total_ops: args.num("ops")?.unwrap_or(2000),
         wait_mode: WaitMode::Fixed,
         arrival: parse_arrival(args)?,
         ..Workload::paper(
-            args.u64_opt("n")?.unwrap_or(8) as usize,
-            args.u64_opt("f")?.unwrap_or(0) as u32,
-            args.u64_opt("w")?.unwrap_or(0),
+            args.num("n")?.unwrap_or(8),
+            args.num("f")?.unwrap_or(0),
+            args.num("w")?.unwrap_or(0),
         )
     };
     // reject a bad workload (e.g. an unreadable or unsorted --trace
     // file, --f over 100) once, before any backend's infallible `.run`
     // would panic
     workload.validate().map_err(CliError::failed)?;
-    let seed = args.u64_opt("seed")?.unwrap_or(1);
+    let seed = args.num("seed")?.unwrap_or(1);
     let sim_config = if args.flag("prism") {
         SimConfig::diffracting(seed)
     } else {
@@ -524,10 +317,10 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
 pub fn saturate(args: &ParsedArgs) -> Result<String, CliError> {
     let net = build_network(args)?;
     let kind = args.positional(0, "kind")?;
-    let clients = args.u64_opt("n")?.unwrap_or(256) as usize;
-    let ops = args.u64_opt("ops")?.unwrap_or(2000) as usize;
-    let seed = args.u64_opt("seed")?.unwrap_or(1);
-    let workers = args.u64_opt("threads")?.unwrap_or(2) as usize;
+    let clients = args.num("n")?.unwrap_or(256);
+    let ops = args.num("ops")?.unwrap_or(2000);
+    let seed = args.num("seed")?.unwrap_or(1);
+    let workers = args.num("threads")?.unwrap_or(2);
     // the ladder's gaps are well-formed; the arena size may not be
     Workload {
         total_ops: ops,
@@ -575,7 +368,7 @@ pub fn saturate(args: &ParsedArgs) -> Result<String, CliError> {
 fn attack_scenario(args: &ParsedArgs) -> Result<Scenario, CliError> {
     let name = args.positional(0, "attack")?;
     let timing = link_timing(args)?;
-    let width = args.u64_opt("width")?.unwrap_or(8) as usize;
+    let width = args.num("width")?.unwrap_or(8);
     match name {
         "intro" => intro_example(timing),
         "tree" => tree_attack(width, timing),
@@ -614,8 +407,8 @@ pub fn attack(args: &ParsedArgs) -> Result<String, CliError> {
 /// small token population.
 pub fn interleave_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     let net = build_network(args)?;
-    let tokens = args.u64_opt("tokens")?.unwrap_or(3) as usize;
-    let budget = args.u64_opt("budget")?.unwrap_or(2_000_000);
+    let tokens = args.num("tokens")?.unwrap_or(3);
+    let budget = args.num("budget")?.unwrap_or(2_000_000);
     let inputs: Vec<usize> = (0..tokens).map(|i| i % net.input_width()).collect();
     let r = interleave::enumerate_interleavings(&net, &inputs, budget).map_err(CliError::failed)?;
     let mut out = String::new();
@@ -644,9 +437,9 @@ pub fn interleave_cmd(args: &ParsedArgs) -> Result<String, CliError> {
 pub fn search(args: &ParsedArgs) -> Result<String, CliError> {
     let net = build_network(args)?;
     let timing = link_timing(args)?;
-    let tokens = args.u64_opt("tokens")?.unwrap_or(4) as usize;
+    let tokens = args.num("tokens")?.unwrap_or(4);
     let mut config = SearchConfig::for_network(&net, timing, tokens);
-    if let Some(budget) = args.u64_opt("budget")? {
+    if let Some(budget) = args.num("budget")? {
         config.budget = budget;
     }
     let out = search_violations(&net, timing, &config).map_err(CliError::failed)?;
@@ -722,86 +515,6 @@ pub fn threshold(args: &ParsedArgs) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `cnet verify` — exact counting-network check via the 0-1 principle.
-pub fn verify(args: &ParsedArgs) -> Result<String, CliError> {
-    let net = build_network(args)?;
-    let budget = args.u64_opt("budget")?.unwrap_or(1 << 22);
-    let verdict =
-        cnet_topology::verify::is_counting_network(&net, budget).map_err(CliError::failed)?;
-    Ok(match verdict {
-        cnet_topology::verify::CountingVerdict::Counting => format!(
-            "counting network: all {} zero-one inputs sort (AHS equivalence)
-",
-            1u64 << net.input_width()
-        ),
-        cnet_topology::verify::CountingVerdict::NotCounting { witness } => format!(
-            "NOT a counting network; witness 0-1 input: {witness:?}
-"
-        ),
-    })
-}
-
-/// `cnet check` — run the Definition 2.4 checker over a trace CSV.
-pub fn check(args: &ParsedArgs) -> Result<String, CliError> {
-    let path = args.positional(0, "trace.csv")?;
-    let csv = std::fs::read_to_string(path).map_err(CliError::failed)?;
-    let ops = io::operations_from_csv(&csv).map_err(CliError::failed)?;
-    let bad = cnet_timing::linearizability::count_nonlinearizable(&ops);
-    Ok(format!(
-        "{} operations, {} non-linearizable ({:.3}%)\n",
-        ops.len(),
-        bad,
-        if ops.is_empty() {
-            0.0
-        } else {
-            bad as f64 / ops.len() as f64 * 100.0
-        }
-    ))
-}
-
-/// `cnet windows` — violation density over time from a trace CSV.
-pub fn windows_cmd(args: &ParsedArgs) -> Result<String, CliError> {
-    let path = args.positional(0, "trace.csv")?;
-    let csv = std::fs::read_to_string(path).map_err(CliError::failed)?;
-    let ops = io::operations_from_csv(&csv).map_err(CliError::failed)?;
-    if ops.is_empty() {
-        return Ok("empty trace
-"
-        .into());
-    }
-    let span = ops.iter().map(|o| o.end).max().unwrap_or(1);
-    let width = args.u64_opt("w")?.unwrap_or_else(|| (span / 24).max(1));
-    let profile = cnet_timing::windows::density_profile(&cnet_timing::windows::violation_density(
-        &ops, width,
-    ));
-    Ok(profile)
-}
-
-/// `cnet run-schedule` — execute a schedule CSV on a network.
-pub fn run_schedule(args: &ParsedArgs) -> Result<String, CliError> {
-    let net = build_network(args)?;
-    let path = args.positional(2, "schedule.csv")?;
-    let csv = std::fs::read_to_string(path).map_err(CliError::failed)?;
-    let schedule = io::schedule_from_csv(&csv).map_err(CliError::failed)?;
-    let exec = TimedExecutor::new(&net)
-        .run(&schedule)
-        .map_err(CliError::failed)?;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{} tokens, {} violations, final counts {}",
-        schedule.len(),
-        exec.nonlinearizable_count(),
-        exec.output_counts()
-    );
-    if args.flag("svg") {
-        out.push_str(&render::svg_timeline(&exec));
-    } else {
-        out.push_str(&render::text_timeline(&exec, 72));
-    }
-    Ok(out)
-}
-
 /// Parses `--slo RATE,MAG,P99NS` into a policy (unbounded when the
 /// option is absent).
 fn slo_policy(args: &ParsedArgs) -> Result<cnet_obs::SloPolicy, CliError> {
@@ -846,22 +559,22 @@ pub fn serve(args: &ParsedArgs) -> Result<String, CliError> {
         .ok_or_else(|| CliError::usage("--socket PATH is required"))?;
     let mut config = cnet_serve::ServeConfig::new(socket);
     config.policy = slo_policy(args)?;
-    if let Some(w) = args.u64_opt("window")? {
+    if let Some(w) = args.num("window")? {
         config.window_ops = w;
     }
-    if let Some(h) = args.u64_opt("history")? {
-        config.history_cap = h as usize;
+    if let Some(h) = args.num("history")? {
+        config.history_cap = h;
     }
     if let Some(path) = args.str_opt("dump") {
         config.dump_path = Some(path.into());
     }
-    if let Some(secs) = args.u64_opt("dump-every")? {
+    if let Some(secs) = args.num::<u64>("dump-every")? {
         config.dump_every = std::time::Duration::from_secs(secs.max(1));
     }
     if let Some(label) = args.str_opt("label") {
         config.label = label.to_string();
     }
-    config.seed = args.u64_opt("seed")?.unwrap_or(0);
+    config.seed = args.num("seed")?.unwrap_or(0);
     config.kind = kind;
     config.watch_signals = true;
 
@@ -899,31 +612,30 @@ pub fn serve(args: &ParsedArgs) -> Result<String, CliError> {
 }
 
 /// `cnet drive` — soak a running daemon with open-loop load and judge
-/// the observed trace against `--slo`: exits 3 (via [`CliError::Gate`])
+/// the trace it saw against `--slo`: exits 3 (via [`CliError::Gate`])
 /// when the whole run or any window of it broke the policy.
 pub fn drive_cmd(args: &ParsedArgs) -> Result<String, CliError> {
     let socket = args
         .str_opt("socket")
         .ok_or_else(|| CliError::usage("--socket PATH is required"))?;
     let mut config = cnet_serve::DriveConfig::new(socket);
-    if let Some(c) = args.u64_opt("clients")? {
-        config.clients = (c as usize).max(1);
+    if let Some(c) = args.num::<usize>("clients")? {
+        config.clients = c.max(1);
     }
-    if let Some(r) = args.u64_opt("rate")? {
+    if let Some(r) = args.num::<u64>("rate")? {
         config.rate_per_sec = r.max(1);
     }
-    if let Some(s) = args.u64_opt("duration")? {
+    if let Some(s) = args.num::<u64>("duration")? {
         config.duration = std::time::Duration::from_secs(s.max(1));
     }
-    if let Some(b) = args.u64_opt("batch")? {
-        config.batch = u32::try_from(b.max(1))
-            .map_err(|_| CliError::usage("--batch is too large for a u32"))?;
+    if let Some(b) = args.num::<u32>("batch")? {
+        config.batch = b.max(1);
     }
-    if let Some(w) = args.u64_opt("window")? {
+    if let Some(w) = args.num("window")? {
         config.window_ops = w;
     }
     config.policy = slo_policy(args)?;
-    if let Some(seed) = args.u64_opt("seed")? {
+    if let Some(seed) = args.num("seed")? {
         config.seed = seed;
     }
 
@@ -987,31 +699,6 @@ mod tests {
     }
 
     #[test]
-    fn topo_describes_bitonic() {
-        let out = topo(&parse(&["bitonic", "8"])).unwrap();
-        assert!(out.contains("8 -> 8"));
-        assert!(out.contains("depth 6"));
-        assert!(out.contains("layer 6: 4 nodes"));
-    }
-
-    #[test]
-    fn topo_dot_output() {
-        let out = topo(&parse(&["single", "2", "--dot"])).unwrap();
-        assert!(out.starts_with("digraph"));
-    }
-
-    #[test]
-    fn topo_with_padding_and_arity() {
-        let out = topo(&parse(&["tree", "9", "--arity", "3", "--pad", "2"])).unwrap();
-        assert!(out.contains("depth 4"), "{out}");
-    }
-
-    #[test]
-    fn topo_rejects_unknown_kind() {
-        assert!(topo(&parse(&["torus", "8"])).is_err());
-    }
-
-    #[test]
     fn measure_reports_guarantee() {
         let out = measure(&parse(&["bitonic", "8", "--c1", "10", "--c2", "20"])).unwrap();
         assert!(out.contains("Corollary 3.9"));
@@ -1025,25 +712,30 @@ mod tests {
     }
 
     #[test]
-    fn simulate_small_cell() {
-        let out = simulate(&parse(&[
-            "bitonic", "8", "--n", "8", "--f", "50", "--w", "100", "--ops", "100",
-        ]))
-        .unwrap();
-        assert!(out.contains("ops: 100"));
-        assert!(out.contains("avg c2/c1"));
+    fn a_network_takes_pad_and_arity_or_comes_from_a_file() {
+        let timing = ["--c1", "10", "--c2", "20"];
+        let padded = [&["tree", "9", "--arity", "3", "--pad", "2"][..], &timing].concat();
+        let out = measure(&parse(&padded)).unwrap();
+        assert!(out.contains("depth h = 4"), "{out}");
+
+        let path = std::env::temp_dir().join(format!("cnet-cli-{}.topo", std::process::id()));
+        let net = constructions::bitonic(4).unwrap();
+        std::fs::write(&path, cnet_topology::io::to_text(&net)).unwrap();
+        let from_file = [&["file", path.to_str().unwrap()][..], &timing].concat();
+        let out = measure(&parse(&from_file)).unwrap();
+        assert!(out.contains("depth h = 3"), "{out}");
+        let missing = [&["file", "/nonexistent/net.topo"][..], &timing].concat();
+        assert!(measure(&parse(&missing)).is_err());
     }
 
     #[test]
     fn a_delayed_share_over_100_percent_is_refused_not_run() {
         let cell = ["bitonic", "8", "--n", "8", "--f", "200", "--w", "100"];
-        for entry in [simulate, run] {
+        for entry in [crate::cell::simulate, run] {
             let err = entry(&parse(&cell)).unwrap_err();
             assert!(matches!(err, CliError::Failed(_)), "{err:?}");
             assert!(err.to_string().contains("at most 100"), "{err}");
         }
-        let err = observe(&parse(&["--width", "8", "--f", "200"])).unwrap_err();
-        assert!(err.to_string().contains("at most 100"), "{err}");
     }
 
     #[test]
@@ -1051,7 +743,7 @@ mod tests {
         let cell = [
             "bitonic", "8", "--n", "0", "--f", "0", "--w", "0", "--ops", "10",
         ];
-        for entry in [simulate, run, saturate] {
+        for entry in [crate::cell::simulate, run, saturate] {
             let err = entry(&parse(&cell)).unwrap_err();
             assert!(matches!(err, CliError::Failed(_)), "{err:?}");
             assert!(err.to_string().contains("at least 1"), "{err}");
@@ -1278,31 +970,6 @@ mod tests {
     }
 
     #[test]
-    fn check_reads_trace_file() {
-        let dir = std::env::temp_dir().join("cnet-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("trace.csv");
-        std::fs::write(
-            &path,
-            "token,input,start,end,counter,value\n0,0,0,3,0,5\n1,0,4,6,0,1\n",
-        )
-        .unwrap();
-        let out = check(&parse(&[path.to_str().unwrap()])).unwrap();
-        assert!(out.contains("2 operations, 1 non-linearizable"));
-    }
-
-    #[test]
-    fn run_schedule_round_trip() {
-        let dir = std::env::temp_dir().join("cnet-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("schedule.csv");
-        // the intro example on the single balancer
-        std::fs::write(&path, "token,input,t1,t2\n0,0,0,8\n1,0,1,3\n2,0,4,6\n").unwrap();
-        let out = run_schedule(&parse(&["single", "2", path.to_str().unwrap()])).unwrap();
-        assert!(out.contains("3 tokens, 1 violations"), "{out}");
-    }
-
-    #[test]
     fn interleave_single_balancer() {
         let out = interleave_cmd(&parse(&["single", "2", "--tokens", "3"])).unwrap();
         assert!(out.contains("90 interleavings"), "{out}");
@@ -1314,42 +981,6 @@ mod tests {
         let out =
             interleave_cmd(&parse(&["single", "2", "--tokens", "3", "--budget", "5"])).unwrap();
         assert!(out.contains("budget reached"));
-    }
-
-    #[test]
-    fn simulate_writes_json_report_and_matches_across_threads() {
-        let dir = std::env::temp_dir().join("cnet-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sim.json");
-        let mut outputs = Vec::new();
-        for threads in ["1", "4"] {
-            let out = simulate(&parse(&[
-                "bitonic",
-                "8",
-                "--n",
-                "8",
-                "--f",
-                "50",
-                "--w",
-                "100",
-                "--ops",
-                "100",
-                "--threads",
-                threads,
-                "--json",
-                path.to_str().unwrap(),
-            ]))
-            .unwrap();
-            outputs.push(out);
-        }
-        assert_eq!(outputs[0], outputs[1], "thread count changes nothing");
-        let v = serde::json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(v.get("title"), Some(&Value::Str("cnet simulate".into())));
-        let records = match v.get("records") {
-            Some(Value::Array(r)) => r,
-            other => panic!("records array expected, got {other:?}"),
-        };
-        assert_eq!(records.len(), 1);
     }
 
     #[test]
@@ -1393,139 +1024,6 @@ mod tests {
     }
 
     #[test]
-    fn simulate_writes_trace() {
-        let dir = std::env::temp_dir().join("cnet-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("simtrace.csv");
-        let out = simulate(&parse(&[
-            "bitonic",
-            "8",
-            path.to_str().unwrap(),
-            "--n",
-            "8",
-            "--f",
-            "0",
-            "--w",
-            "0",
-            "--ops",
-            "50",
-        ]))
-        .unwrap();
-        assert!(out.contains("ops: 50"));
-        let csv = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(csv.lines().count(), 51, "header + 50 rows");
-        // and the check subcommand can read it back
-        let report = check(&parse(&[path.to_str().unwrap()])).unwrap();
-        assert!(report.contains("50 operations"));
-    }
-
-    #[test]
-    fn observe_reports_per_balancer_contention() {
-        let out = observe(&parse(&["--width", "8", "--n", "16", "--ops", "400"])).unwrap();
-        assert!(out.contains("per-balancer contention"), "{out}");
-        assert!(out.contains("node 0"));
-        assert!(out.contains("(Tog+W)/Tog"));
-        assert!(out.contains("live avg c2/c1"));
-    }
-
-    #[test]
-    fn live_ratio_matches_offline_sweep_within_tolerance() {
-        // the acceptance check: on a deterministic seed the live
-        // estimate and the offline RunStats ratio agree
-        let out = observe(&parse(&["--width", "32", "--ops", "5000"])).unwrap();
-        // the line carries three decimals: live Tog, live ratio,
-        // offline ratio — integers like "c2/c1" are filtered out by
-        // requiring a decimal point
-        let nums: Vec<f64> = out
-            .lines()
-            .find(|l| l.contains("live avg c2/c1"))
-            .expect("summary line present")
-            .split(|c: char| !(c.is_ascii_digit() || c == '.'))
-            .filter(|s| s.contains('.'))
-            .filter_map(|s| s.parse().ok())
-            .collect();
-        assert_eq!(nums.len(), 3, "Tog + two ratios: {nums:?}");
-        let (live, offline) = (nums[1], nums[2]);
-        assert!(
-            (live - offline).abs() / offline < 0.05,
-            "live {live} vs offline {offline}"
-        );
-    }
-
-    #[test]
-    fn bare_json_flag_prints_metrics_to_stdout() {
-        let out = observe(&parse(&[
-            "--width", "8", "--n", "8", "--ops", "200", "--json",
-        ]))
-        .unwrap();
-        let json_start = out.find('{').expect("JSON object in output");
-        let v = serde::json::from_str(&out[json_start..]).expect("valid JSON");
-        let snap = <cnet_obs::MetricsSnapshot as serde::Deserialize>::from_value(&v).unwrap();
-        assert_eq!(snap.schema_version, cnet_obs::METRICS_SCHEMA_VERSION);
-        assert_eq!(snap.network.operations, 200);
-        assert!(!snap.balancers.is_empty());
-    }
-
-    #[test]
-    fn json_path_writes_metrics_file() {
-        let dir = std::env::temp_dir().join("cnet-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("observe.json");
-        observe(&parse(&[
-            "--width",
-            "8",
-            "--n",
-            "8",
-            "--ops",
-            "200",
-            "--json",
-            path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let v = serde::json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let snap = <cnet_obs::MetricsSnapshot as serde::Deserialize>::from_value(&v).unwrap();
-        assert_eq!(snap.network.operations, 200);
-    }
-
-    #[test]
-    fn observe_is_deterministic_for_a_seed() {
-        let a = observe(&parse(&["--width", "8", "--ops", "300", "--seed", "7"])).unwrap();
-        let b = observe(&parse(&["--width", "8", "--ops", "300", "--seed", "7"])).unwrap();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn observe_prism_counts_diffractions() {
-        let out = observe(&parse(&[
-            "tree", "--width", "8", "--n", "32", "--ops", "500", "--prism",
-        ]))
-        .unwrap();
-        assert!(out.contains("per-balancer contention (tree"), "{out}");
-    }
-
-    #[test]
-    fn observe_rejects_unknown_kind() {
-        assert!(observe(&parse(&["torus", "--width", "8"])).is_err());
-    }
-
-    #[test]
-    fn topo_loads_a_file() {
-        let dir = std::env::temp_dir().join("cnet-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("net.topo");
-        let net = cnet_topology::constructions::bitonic(4).unwrap();
-        std::fs::write(&path, cnet_topology::io::to_text(&net)).unwrap();
-        let out = topo(&parse(&["file", path.to_str().unwrap()])).unwrap();
-        assert!(out.contains("4 -> 4"), "{out}");
-        assert!(out.contains("depth 3"));
-    }
-
-    #[test]
-    fn missing_file_is_an_error() {
-        assert!(topo(&parse(&["file", "/nonexistent/net.topo"])).is_err());
-    }
-
-    #[test]
     fn search_finds_the_intro_witness() {
         let out = search(&parse(&[
             "single", "2", "--c1", "2", "--c2", "8", "--tokens", "3",
@@ -1541,19 +1039,6 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("Corollary 3.9"), "{out}");
-    }
-
-    #[test]
-    fn verify_accepts_bitonic() {
-        let out = verify(&parse(&["bitonic", "8"])).unwrap();
-        assert!(out.contains("counting network: all 256"), "{out}");
-    }
-
-    #[test]
-    fn verify_rejects_a_lone_block() {
-        let out = verify(&parse(&["block", "8"])).unwrap();
-        assert!(out.contains("NOT a counting network"), "{out}");
-        assert!(out.contains("witness"));
     }
 
     fn temp(name: &str) -> String {
@@ -1655,22 +1140,5 @@ mod tests {
         for p in [&socket, &json] {
             let _ = std::fs::remove_file(p);
         }
-    }
-
-    #[test]
-    fn windows_profile_from_trace() {
-        let dir = std::env::temp_dir().join("cnet-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wtrace.csv");
-        std::fs::write(
-            &path,
-            "token,input,start,end,counter,value\n0,0,0,5,0,9\n1,0,6,20,0,0\n",
-        )
-        .unwrap();
-        let out = windows_cmd(&parse(&[path.to_str().unwrap()])).unwrap();
-        assert!(
-            out.contains('#'),
-            "the violation shows in the profile: {out}"
-        );
     }
 }

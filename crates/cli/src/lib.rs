@@ -19,8 +19,8 @@
 #![warn(missing_docs)]
 
 pub mod args;
+pub mod cell;
 pub mod commands;
-pub mod scenario;
 
 pub use args::{CliError, ParsedArgs};
 
@@ -30,23 +30,20 @@ pub type Body = fn(&ParsedArgs) -> Result<String, CliError>;
 /// Every subcommand, in the order `cnet help` lists them: its name, the
 /// synopsis printed after it, the options and switches it reads (any
 /// other is a usage error), and its body. `pad` and `arity` shape the
-/// network of every command that builds one from `<kind> <width>`.
+/// network of every command that builds one from `<kind> <width>`;
+/// the help footer names them once.
 #[rustfmt::skip] // one row per command
 pub const COMMANDS: &[(&str, &str, &[&str], Body)] = &[
-    ("topo", "<kind> <width> [--pad N] [--arity D] [--dot]",
-        &["pad", "arity", "dot"], commands::topo),
     ("measure", "<kind> <width> --c1 C1 --c2 C2 [--json PATH]",
         &["pad", "arity", "c1", "c2", "json"], commands::measure),
-    ("simulate", "<kind> <width> [trace.csv] --n N --f PCT --w CYCLES [--ops N] [--prism] [--seed S] [--threads T] [--json PATH]",
-        &["pad", "arity", "n", "f", "w", "ops", "random-wait", "prism", "seed", "threads", "json"], commands::simulate),
-    ("run", "<kind> <width> [--backend FLAVOR,...] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--open GAP | --bursty B,GAP | --trace FILE] [--seed S] [--json PATH]",
+    ("simulate", "<kind> <width> [trace.csv] --n N --f PCT --w CYCLES [--ops N] [--random-wait] [--prism] [--seed S] [--json PATH]",
+        &["pad", "arity", "n", "f", "w", "ops", "random-wait", "prism", "seed", "json"], cell::simulate),
+    ("run", "<kind> <width> [--backend FLAVOR,...] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--open GAP | --bursty B,GAP | --trace FILE] [--prism] [--seed S] [--json PATH]",
         &["pad", "arity", "backend", "n", "f", "w", "ops", "open", "bursty", "trace", "prism", "seed", "json"], commands::run),
     ("scenario", "<file.json> [--json PATH]",
-        &["json"], scenario::scenario),
+        &["json"], cell::scenario),
     ("saturate", "<kind> <width> [--n N] [--ops N] [--threads T] [--seed S] [--json PATH]",
         &["pad", "arity", "n", "ops", "threads", "seed", "json"], commands::saturate),
-    ("observe", "[kind] [--width W] [--n N] [--f PCT] [--w CYCLES] [--ops N] [--prism] [--seed S] [--json [PATH]]",
-        &["width", "n", "f", "w", "ops", "prism", "seed", "json"], commands::observe),
     ("attack", "<intro|tree|bitonic|wave> --width W --c1 C1 --c2 C2 [--svg]",
         &["width", "c1", "c2", "svg"], commands::attack),
     ("threshold", "<kind> <width> --c1 C1 --c2 C2 [--json PATH]",
@@ -55,14 +52,6 @@ pub const COMMANDS: &[(&str, &str, &[&str], Body)] = &[
         &["pad", "arity", "tokens", "budget"], commands::interleave_cmd),
     ("search", "<kind> <width> --c1 C1 --c2 C2 [--tokens N] [--budget N]",
         &["pad", "arity", "c1", "c2", "tokens", "budget"], commands::search),
-    ("verify", "<kind> <width> [--budget N]",
-        &["pad", "arity", "budget"], commands::verify),
-    ("check", "<trace.csv>",
-        &[], commands::check),
-    ("windows", "<trace.csv> [--w WIDTH]",
-        &["w"], commands::windows_cmd),
-    ("run-schedule", "<kind> <width> <schedule.csv> [--svg]",
-        &["pad", "arity", "svg"], commands::run_schedule),
     ("serve", "<kind> <width> --socket PATH [--window OPS] [--slo RATE,MAG,P99NS] [--dump PATH] [--dump-every SECS] [--history OPS] [--label L] [--seed S]",
         &["pad", "arity", "socket", "window", "slo", "dump", "dump-every", "history", "label", "seed"], commands::serve),
     ("drive", "--socket PATH [--clients N] [--rate REQ_PER_S] [--duration SECS] [--batch K] [--window OPS] [--slo RATE,MAG,P99NS] [--seed S] [--json PATH]",
@@ -107,7 +96,8 @@ pub fn usage() -> String {
     }
     text.push_str(
         "\nnetwork kinds: bitonic periodic tree merger block single, or `file <path>`\n\
-         for a topology in the cnet-topology text format\nbackend flavors: ",
+         for a topology in the cnet-topology text format; every <kind> <width>\n\
+         also takes [--pad N] [--arity D]\nbackend flavors: ",
     );
     text.push_str(&cnet_engine::BackendSpec::grammar().replace('|', " "));
     text.push('\n');
@@ -130,12 +120,11 @@ mod tests {
                 unknown.contains(&format!("\n  cnet {name} ")),
                 "{name}: {unknown}"
             );
-            // with no arguments a command either runs (`observe`) or
-            // reports what it misses; neither is the registry's error
-            if let Err(e) = run(&[(*name).to_string()]) {
-                assert!(matches!(e, CliError::Usage(_)), "{name}: {e}");
-                assert!(!e.to_string().contains("unknown command"), "{name}: {e}");
-            }
+            // with no arguments a command reports what it misses, which
+            // is not the registry's error
+            let e = run(&[(*name).to_string()]).unwrap_err();
+            assert!(matches!(e, CliError::Usage(_)), "{name}: {e}");
+            assert!(!e.to_string().contains("unknown command"), "{name}: {e}");
         }
         assert_eq!(run(&["help".to_string()]).unwrap(), usage());
     }
@@ -143,12 +132,22 @@ mod tests {
     #[test]
     fn every_command_refuses_an_option_it_does_not_read() {
         let strs = |v: &[&str]| v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
+        let footer = usage();
+        let footer = &footer[footer.find("\nnetwork kinds:").unwrap()..];
         for (name, synopsis, reads, _) in COMMANDS {
             // the synopsis offers nothing the command ignores
-            for word in synopsis.split([' ', '[', ']']) {
-                if let Some(flag) = word.strip_prefix("--") {
-                    assert!(reads.contains(&flag), "{name}: --{flag}");
-                }
+            let offered: Vec<&str> = synopsis
+                .split([' ', '[', ']'])
+                .filter_map(|word| word.strip_prefix("--"))
+                .collect();
+            for flag in &offered {
+                assert!(reads.contains(flag), "{name}: --{flag}");
+            }
+            // and names everything it reads, or the footer does
+            for flag in *reads {
+                let in_footer =
+                    matches!(*flag, "pad" | "arity") && footer.contains(&format!("[--{flag} "));
+                assert!(offered.contains(flag) || in_footer, "{name}: --{flag}");
             }
             // what it reads passes the gate, as an option or a switch
             for flag in *reads {
@@ -182,7 +181,7 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(e.to_string().contains("does not read --baseline"), "{e}");
-        let e = run(&strs(&["topo", "bitonic", "4", "--bogus-flag"])).unwrap_err();
+        let e = run(&strs(&["measure", "bitonic", "4", "--bogus-flag"])).unwrap_err();
         assert!(e.to_string().contains("does not read --bogus-flag"), "{e}");
         // no command reads --hop-spin
         let e = run(&strs(&["run", "bitonic", "4", "--hop-spin", "5"])).unwrap_err();

@@ -3,10 +3,10 @@
 //! A [`MetricsSnapshot`] is what a probe layer distils a run into: one
 //! [`BalancerMetrics`] row per node plus one network-level
 //! [`NetworkMetrics`]. The harness embeds it in `RunRecord` as the
-//! `metrics` JSON field; `cnet observe` renders it as a contention
-//! table. The block carries its own schema version — independent of
-//! the `RunRecord` envelope version — so readers can evolve the two at
-//! different cadences.
+//! `metrics` JSON field; `cnet simulate` and `cnet scenario` render it
+//! as a contention table. The block carries its own schema version —
+//! independent of the `RunRecord` envelope version — so readers can
+//! evolve the two at different cadences.
 
 use crate::hist::LogHistogram;
 use cnet_timing::measure;

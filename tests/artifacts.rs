@@ -9,7 +9,7 @@
 
 use std::path::{Path, PathBuf};
 
-use cnet_cli::scenario::ScenarioSpec;
+use cnet_cli::cell::ScenarioSpec;
 use cnet_harness::{GridReport, RunRecord, SCHEMA_VERSION};
 use counting_networks::proteus::SimConfig;
 use serde::{Deserialize, Serialize, Value};
