@@ -132,7 +132,7 @@ impl Race<'_> {
 
 /// The native perf sweep at `F = 0`, `W = 0` (raw traversal speed,
 /// nothing injected) over [`CounterSpec::Network`]: the cache-line-aligned
-/// `CompiledNet` arena with relaxed toggle bits, the one native
+/// `NetworkCounter` arena with relaxed toggle bits, the one native
 /// traversal.
 pub(crate) fn native(run: &mut Run<'_>) -> io::Result<()> {
     let net = constructions::bitonic(WIDTH).expect("width 16 is valid");

@@ -1,11 +1,12 @@
 //! The compiled native hot path: a validated [`Topology`] lowered into
 //! one contiguous, cache-line-aligned arena of node slots.
 //!
-//! The paper's model treats a balancer transition as a single cheap
-//! atomic event, but the original `NetworkCounter` traversal paid per
-//! hop for an `Option::expect`, a `Vec<Vec<WireEnd>>` double
-//! indirection, and an enum match the step property never required.
-//! [`CompiledNet::compile`] does all of that work once, at
+//! [`NetworkCounter`] is any validated topology as a real concurrent
+//! counter. The paper's model treats a balancer transition as a single
+//! cheap atomic event, but the pre-refactor traversal paid per hop for
+//! an `Option::expect`, a `Vec<Vec<WireEnd>>` double indirection, and
+//! an enum match the step property never required.
+//! [`NetworkCounter::with_kind`] does all of that work once, at
 //! construction:
 //!
 //! * every node becomes one `#[repr(align(64))]` `Slot` in a single
@@ -34,15 +35,16 @@
 //!
 //! Entries are validated once at build time; the only panic left on
 //! the hot path is the documented out-of-range `input` in
-//! [`CompiledNet::next_on`]. This is the only native traversal: the
-//! pre-refactor one is the differential oracle under `tests/`, and a
-//! diffracting tree is the [`BalancerKind::Diffracting`] plan over
-//! `constructions::counting_tree`.
+//! [`NetworkCounter::next_on`]. This is the only native traversal: the
+//! pre-refactor one is the differential oracle of `cnet-engine`'s
+//! tests, and a diffracting tree is the [`BalancerKind::Diffracting`]
+//! plan over `constructions::counting_tree`.
 
-use crate::sync::{AtomicU64, Ordering};
+use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 
 use cnet_topology::{Topology, WireEnd};
 
+use crate::counter::{Counter, StressCounter};
 use crate::lock::LockBalancer;
 use crate::network::BalancerKind;
 use crate::prng;
@@ -98,9 +100,9 @@ impl Route for BitToggle {
     }
 }
 
-/// Wait-free balancer for arbitrary fan-out: traversal count modulo
-/// fan-out, like `ToggleBalancer` but with the `Relaxed` ordering the
-/// step property actually needs.
+/// Wait-free balancer for arbitrary fan-out: the `t`-th traversal exits
+/// on port `t mod fan_out`, one `fetch_add` with the `Relaxed` ordering
+/// the step property actually needs.
 #[derive(Debug)]
 struct ModToggle {
     traversals: AtomicU64,
@@ -282,21 +284,27 @@ enum Plan {
 #[derive(Debug)]
 struct PaddedCounter(AtomicU64);
 
-/// A counting network compiled for traversal: the execution plan
-/// behind [`crate::network::NetworkCounter`].
+/// A counting network instantiated over shared atomics, compiled for
+/// traversal.
 ///
-/// Construction ([`CompiledNet::compile`]) validates and resolves
-/// everything; traversal ([`CompiledNet::next_on_with_delay`]) is pure
-/// index chasing over the arena. The structure is immutable after
-/// construction and every shared location is an atomic, so the type is
-/// `Send + Sync` by construction.
+/// Each call to [`Counter::next`] sends one token through the network:
+/// it enters on a round-robin-assigned input, toggles one balancer per
+/// layer, and performs a final `fetch_add` on the output counter it
+/// reaches. After any `n` completed calls the returned values are
+/// exactly `0..n` (the counting property), with the linearizability
+/// caveats the paper quantifies.
+///
+/// Construction ([`NetworkCounter::with_kind`]) validates and resolves
+/// everything; traversal ([`NetworkCounter::next_on_with_delay`]) is
+/// pure index chasing over the arena. Every shared location is an
+/// atomic, so the type is `Send + Sync` by construction.
 #[derive(Debug)]
-pub struct CompiledNet {
+pub struct NetworkCounter {
     plan: Plan,
     /// Entry arena slot per network input.
     entries: Box<[u32]>,
     counters: Box<[PaddedCounter]>,
-    /// Global interval allocator for [`CompiledNet::next_batch_on`]:
+    /// Global interval allocator for [`NetworkCounter::next_batch_on`]:
     /// one `fetch_add(k)` here reserves the contiguous value interval
     /// `[base, base + k)` regardless of which output counter the
     /// traversal landed on. Kept separate from the per-counter tallies
@@ -309,13 +317,22 @@ pub struct CompiledNet {
     /// Probe recorders keyed by arena slot (layer order); a set of
     /// ZSTs unless the `obs` feature is on.
     obs: crate::obs::NetObserver,
+    /// The round-robin input cursor of [`Counter::next`].
+    next_input: AtomicUsize,
 }
 
-impl CompiledNet {
-    /// Lowers a validated `topology` into the arena representation for
-    /// the chosen balancer implementation.
+impl NetworkCounter {
+    /// Builds a counter over `topology` with wait-free balancers.
     #[must_use]
-    pub fn compile(topology: &Topology, kind: BalancerKind) -> Self {
+    pub fn new(topology: &Topology) -> Self {
+        Self::with_kind(topology, BalancerKind::WaitFree)
+    }
+
+    /// Builds a counter over `topology` with the chosen balancer
+    /// implementation, lowering the topology into the arena: all
+    /// lowering and validation happens here.
+    #[must_use]
+    pub fn with_kind(topology: &Topology, kind: BalancerKind) -> Self {
         // arena slot per node index: layer order, layer 1 first
         // (construction is cold; traversal never touches NodeId again)
         let mut slot_of = vec![u32::MAX; topology.node_count()];
@@ -350,7 +367,7 @@ impl CompiledNet {
         let entries: Box<[u32]> = (0..topology.input_width())
             .map(|x| slot_of[topology.input(x).node.index()])
             .collect();
-        CompiledNet {
+        NetworkCounter {
             plan,
             entries,
             counters: (0..topology.output_width())
@@ -361,6 +378,7 @@ impl CompiledNet {
             depth: topology.depth(),
             input_width: topology.input_width(),
             obs: crate::obs::NetObserver::new(topology.node_count()),
+            next_input: AtomicUsize::new(0),
         }
     }
 
@@ -420,7 +438,7 @@ impl CompiledNet {
     /// k-batch lands on one counter, so the quiescent counts are only
     /// a `(k-1)`-relaxed step — the ordering cost the frontend bench
     /// measures. Values from this path come from a different allocator
-    /// than [`CompiledNet::next_on`]; a net must be driven exclusively
+    /// than [`NetworkCounter::next_on`]; a net must be driven exclusively
     /// through one of the two or values would collide (solo operations
     /// on a batching frontend call this with `k == 1`).
     ///
@@ -503,13 +521,36 @@ impl CompiledNet {
     /// The contention metrics recorded so far, or `None` when this
     /// build's probe layer is the disabled one (no `obs` feature).
     ///
-    /// Probes are keyed by *arena slot* — nodes in layer order, layer 1
-    /// first — which matches topology node ids for the standard
-    /// constructions (they add nodes layer by layer). Latencies are in
-    /// nanoseconds; meaningful at quiescence.
+    /// Meaningful at quiescence (no concurrent callers mid-operation);
+    /// `wait_cycles` is the workload's injected `W`, used for the live
+    /// `(Tog + W)/Tog` ratio. Probes are keyed by *arena slot* — nodes
+    /// in layer order, layer 1 first — which matches topology node ids
+    /// for the standard constructions (they add nodes layer by layer).
+    /// Latencies are in nanoseconds.
     #[must_use]
     pub fn metrics_snapshot(&self, wait_cycles: u64) -> Option<cnet_obs::MetricsSnapshot> {
         self.obs.snapshot(wait_cycles)
+    }
+}
+
+impl Counter for NetworkCounter {
+    fn next(&self) -> u64 {
+        let input = self.next_input.fetch_add(1, Ordering::Relaxed) % self.input_width;
+        self.next_on(input)
+    }
+}
+
+impl StressCounter for NetworkCounter {
+    fn next_stressed(&self, thread: usize, spin_per_node: u64) -> u64 {
+        self.next_on_with_delay(thread % self.input_width, spin_per_node)
+    }
+
+    fn width(&self) -> usize {
+        NetworkCounter::width(self)
+    }
+
+    fn input_width(&self) -> usize {
+        self.input_width
     }
 }
 
@@ -539,7 +580,7 @@ mod tests {
     #[test]
     fn waitfree_binary_topologies_take_the_bit_plan() {
         let net = constructions::bitonic(8).unwrap();
-        let c = CompiledNet::compile(&net, BalancerKind::WaitFree);
+        let c = NetworkCounter::with_kind(&net, BalancerKind::WaitFree);
         assert!(matches!(c.plan, Plan::Binary(_)));
         for expect in 0..64 {
             assert_eq!(c.next_on((expect % 8) as usize), expect);
@@ -550,7 +591,7 @@ mod tests {
     fn padded_networks_duplicate_fanout1_links() {
         let inner = constructions::bitonic(4).unwrap();
         let padded = constructions::pad_inputs(&inner, 2).unwrap();
-        let c = CompiledNet::compile(&padded, BalancerKind::WaitFree);
+        let c = NetworkCounter::with_kind(&padded, BalancerKind::WaitFree);
         assert!(matches!(c.plan, Plan::Binary(_)), "fan-out 1 stays binary");
         for expect in 0..32 {
             assert_eq!(c.next_on((expect % 4) as usize), expect);
@@ -567,7 +608,7 @@ mod tests {
             b.connect_counter(n, port, port).unwrap();
         }
         let net = b.finalize().unwrap();
-        let c = CompiledNet::compile(&net, BalancerKind::WaitFree);
+        let c = NetworkCounter::with_kind(&net, BalancerKind::WaitFree);
         assert!(matches!(c.plan, Plan::Wide(_)));
         let values: Vec<u64> = (0..9).map(|i| c.next_on((i % 3) as usize)).collect();
         assert_eq!(values, (0..9).collect::<Vec<u64>>());
@@ -582,7 +623,7 @@ mod tests {
             BalancerKind::Diffracting { slots: 2, spin: 8 },
             BalancerKind::Diffracting { slots: 0, spin: 0 },
         ] {
-            let c = CompiledNet::compile(&net, kind);
+            let c = NetworkCounter::with_kind(&net, kind);
             for expect in 0..40 {
                 assert_eq!(c.next_on((expect % 4) as usize), expect, "{kind:?}");
             }
@@ -597,7 +638,7 @@ mod tests {
             BalancerKind::Locked,
             BalancerKind::Diffracting { slots: 2, spin: 8 },
         ] {
-            let c = CompiledNet::compile(&net, kind);
+            let c = NetworkCounter::with_kind(&net, kind);
             // unequal batch sizes: the classic counterexample for a
             // per-counter interval scheme (it would gap); the global
             // allocator hands out exactly 0..total
@@ -616,7 +657,7 @@ mod tests {
     #[test]
     fn solo_batches_count_like_a_sequential_counter() {
         let net = constructions::bitonic(8).unwrap();
-        let c = CompiledNet::compile(&net, BalancerKind::WaitFree);
+        let c = NetworkCounter::with_kind(&net, BalancerKind::WaitFree);
         for expect in 0..64 {
             assert_eq!(c.next_batch_on((expect % 8) as usize, 1, 0), expect);
         }
@@ -630,7 +671,7 @@ mod tests {
     #[should_panic(expected = "at least one value")]
     fn zero_width_batch_panics() {
         let net = constructions::bitonic(2).unwrap();
-        let c = CompiledNet::compile(&net, BalancerKind::WaitFree);
+        let c = NetworkCounter::with_kind(&net, BalancerKind::WaitFree);
         let _ = c.next_batch_on(0, 0, 0);
     }
 
@@ -638,7 +679,7 @@ mod tests {
     #[should_panic(expected = "index out of bounds")]
     fn out_of_range_input_panics() {
         let net = constructions::bitonic(2).unwrap();
-        let c = CompiledNet::compile(&net, BalancerKind::WaitFree);
+        let c = NetworkCounter::with_kind(&net, BalancerKind::WaitFree);
         let _ = c.next_on(2);
     }
 }

@@ -5,7 +5,7 @@
 //! (Hendler, Incze, Shavit, Tzafrir) specialized to a counter, where
 //! combining is *exact*: a batch of `k` fetch-and-increments is one
 //! network traversal plus a single width-`k` interval reservation
-//! ([`crate::CompiledNet::next_batch_on`]), so the combined operations
+//! ([`NetworkCounter::next_batch_on`]), so the combined operations
 //! receive `k` consecutive values and the value space stays exactly
 //! `0..n`.
 //!
@@ -39,8 +39,7 @@ use crate::sync::{spin_loop, yield_now, AtomicU64, AtomicUsize, Ordering};
 
 use cnet_topology::Topology;
 
-use crate::audit::StressCounter;
-use crate::counter::Counter;
+use crate::counter::{Counter, StressCounter};
 use crate::network::{BalancerKind, NetworkCounter};
 
 /// Publication-slot states (see the module docs for the protocol).
@@ -86,7 +85,7 @@ impl Default for CombiningConfig {
 ///
 /// All traversals — combined and solo — go through the batch interval
 /// allocator, so values are handed out exactly once with no gaps; see
-/// [`crate::CompiledNet::next_batch_on`] for the allocator contract.
+/// [`NetworkCounter::next_batch_on`] for the allocator contract.
 #[derive(Debug)]
 pub struct CombiningCounter {
     net: NetworkCounter,
@@ -299,6 +298,10 @@ impl StressCounter for CombiningCounter {
 
     fn width(&self) -> usize {
         CombiningCounter::width(self)
+    }
+
+    fn input_width(&self) -> usize {
+        CombiningCounter::input_width(self)
     }
 }
 

@@ -4,7 +4,7 @@
 //! Every prior performance lever in this workspace made a *hop*
 //! cheaper; the frontends here make there be *fewer traversals per
 //! fetch-and-increment*. Both implement the existing counter
-//! contract (and [`crate::audit::StressCounter`]), so they slot into
+//! contract (and [`crate::counter::StressCounter`]), so they slot into
 //! the engine's backends unchanged:
 //!
 //! * [`combining::CombiningCounter`] — flat combining over a compiled

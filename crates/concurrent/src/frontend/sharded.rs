@@ -30,8 +30,7 @@ use crate::sync::{AtomicU64, AtomicUsize, Ordering};
 
 use cnet_topology::Topology;
 
-use crate::audit::StressCounter;
-use crate::counter::Counter;
+use crate::counter::{Counter, StressCounter};
 use crate::network::{BalancerKind, NetworkCounter};
 
 /// How the frontend picks a shard for an operation.
@@ -182,8 +181,12 @@ impl StressCounter for ShardedCounter {
 
     fn width(&self) -> usize {
         // value mod (S * shard_width) is unique per (shard, counter)
-        // pair — the natural counter label for the audit trace
+        // pair — the natural counter label for a stressed trace
         self.shards.len() * self.shards[0].net.width()
+    }
+
+    fn input_width(&self) -> usize {
+        self.shards[0].net.input_width()
     }
 }
 

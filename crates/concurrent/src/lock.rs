@@ -85,9 +85,8 @@ impl Drop for TicketGuard<'_> {
 /// A balancer implemented the way the paper's benchmark implements it:
 /// a toggle in a critical section protected by a FIFO queue lock.
 ///
-/// Functionally identical to
-/// [`crate::balancer::ToggleBalancer`] but serializes tokens through a
-/// lock, which is what makes the injected `W`-cycle delays of the
+/// Functionally a `fetch_add` toggle over the fan-out, but serializes
+/// tokens through a lock, which is what makes the injected `W`-cycle delays of the
 /// Section 5 benchmark visible as `Tog` (queueing time) — and it is
 /// the configuration the ablation benchmark compares against the
 /// wait-free toggle.
@@ -148,36 +147,34 @@ mod tests {
     #[test]
     fn lock_provides_mutual_exclusion() {
         let cfg = crate::testcfg::stress().with_per_thread(2000);
-        crate::testcfg::with_seed_report(crate::testcfg::seed(), |_| {
-            let lock = Arc::new(TicketLock::new());
-            let counter = Arc::new(std::sync::atomic::AtomicU64::new(0));
-            let shared = Arc::new(std::sync::atomic::AtomicU64::new(0));
-            let mut handles = Vec::new();
-            for _ in 0..cfg.threads {
-                let lock = Arc::clone(&lock);
-                let counter = Arc::clone(&counter);
-                let shared = Arc::clone(&shared);
-                let per_thread = cfg.per_thread;
-                handles.push(std::thread::spawn(move || {
-                    for _ in 0..per_thread {
-                        let _g = lock.lock();
-                        // non-atomic-style read-modify-write under the lock
-                        let v = shared.load(Ordering::Relaxed);
-                        shared.store(v + 1, Ordering::Relaxed);
-                        counter.fetch_add(1, Ordering::Relaxed);
-                    }
-                }));
-            }
-            for h in handles {
-                h.join().expect("no panic");
-            }
-            assert_eq!(
-                shared.load(Ordering::Relaxed),
-                cfg.total(),
-                "no lost updates"
-            );
-            assert!(!lock.is_contended());
-        });
+        let lock = Arc::new(TicketLock::new());
+        let counter = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let shared = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let mut handles = Vec::new();
+        for _ in 0..cfg.threads {
+            let lock = Arc::clone(&lock);
+            let counter = Arc::clone(&counter);
+            let shared = Arc::clone(&shared);
+            let per_thread = cfg.per_thread;
+            handles.push(std::thread::spawn(move || {
+                for _ in 0..per_thread {
+                    let _g = lock.lock();
+                    // non-atomic-style read-modify-write under the lock
+                    let v = shared.load(Ordering::Relaxed);
+                    shared.store(v + 1, Ordering::Relaxed);
+                    counter.fetch_add(1, Ordering::Relaxed);
+                }
+            }));
+        }
+        for h in handles {
+            h.join().expect("no panic");
+        }
+        assert_eq!(
+            shared.load(Ordering::Relaxed),
+            cfg.total(),
+            "no lost updates"
+        );
+        assert!(!lock.is_contended());
     }
 
     #[test]

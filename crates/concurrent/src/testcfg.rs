@@ -1,11 +1,18 @@
-//! Shared configuration for this crate's stress tests.
+//! Shared configuration for the workspace's stress tests.
 //!
-//! Every multi-threaded test in the crate draws its thread count and
-//! per-thread operation count from one place (overridable via
-//! `CNET_STRESS_THREADS` / `CNET_STRESS_OPS`), and wraps its body in
-//! [`with_seed_report`] so a failure prints the seed that reproduces
-//! it (settable via `CNET_TEST_SEED`). Public so integration tests can
-//! use it too; not part of the semantic API.
+//! Every multi-threaded test draws its thread count and per-thread
+//! operation count from one place (overridable via
+//! `CNET_STRESS_THREADS` / `CNET_STRESS_OPS`). A test that feeds a
+//! [`seed`] into its run wraps its body in [`with_seed_report`], so a
+//! failure prints the seed (settable via `CNET_TEST_SEED`).
+//!
+//! What a seed reproduces is the run's *inputs*: in an engine run, the
+//! arrival schedule and the per-operation `W` draws. It does not
+//! reproduce the interleaving of OS threads, which is the scheduler's;
+//! a failure that depends on one interleaving needs the modelcheck
+//! suite's replayable schedules instead. A test whose body reads no
+//! seed has nothing to report and runs unwrapped. Public so
+//! integration tests can use it too; not part of the semantic API.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -72,7 +79,7 @@ pub fn seed() -> u64 {
 
 /// Runs `f(seed)`; if it panics, prints
 /// `reproduce with CNET_TEST_SEED=<seed>` on the way out so the
-/// failing configuration is always recoverable from the test log.
+/// failing run's inputs are recoverable from the test log.
 pub fn with_seed_report<R>(seed: u64, f: impl FnOnce(u64) -> R) -> R {
     struct Guard(u64);
     impl Drop for Guard {

@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
-use cnet_concurrent::audit::StressCounter;
+use cnet_concurrent::StressCounter;
 use cnet_proteus::{SimRng, Workload};
 use cnet_timing::Operation;
 use cnet_topology::Topology;
@@ -141,7 +141,7 @@ struct Shared<'a> {
     counter: &'a (dyn StressCounter + 'a),
     workload: &'a Workload,
     /// Global logical clock: one tick on each side of every
-    /// traversal, the audit methodology of `cnet-concurrent::audit`.
+    /// traversal, as in the client loop of [`crate::driver`].
     clock: AtomicU64,
     /// The admission turnstile: the op index allowed to traverse next.
     committed: AtomicUsize,
@@ -273,7 +273,6 @@ fn drive_async(
     counter: &(dyn StressCounter + '_),
     workload: &Workload,
     seed: u64,
-    widths: Widths,
     config: AsyncConfig,
     mut operations: Vec<Operation>,
 ) -> (Trace, Vec<u64>, Vec<u64>) {
@@ -287,7 +286,7 @@ fn drive_async(
         committed: AtomicUsize::new(0),
         arrivals: arrival_schedule(workload, seed),
         epoch: Instant::now(),
-        widths,
+        widths: Widths::of(counter),
         n_clients: workload.processors,
     };
     let mut arena: Vec<ClientTask<'_>> = (0..workload.processors)
@@ -338,20 +337,13 @@ impl Executor for Cooperative<'_> {
     fn execute<C: StressCounter>(
         self,
         counter: &C,
-        widths: Widths,
         readout: impl FnOnce() -> Readout,
     ) -> RunOutcome {
         let Cooperative { backend, workload } = self;
         let operations = driver::slots(workload);
         let started = Instant::now();
-        let (trace, arrivals, completions) = drive_async(
-            counter,
-            workload,
-            backend.seed,
-            widths,
-            backend.config,
-            operations,
-        );
+        let (trace, arrivals, completions) =
+            drive_async(counter, workload, backend.seed, backend.config, operations);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         // snapshot export stays outside the timed window, like every
         // other backend's recorder freeze

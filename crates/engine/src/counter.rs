@@ -2,12 +2,12 @@
 //! read-out of each kind, written once and shared by both executors
 //! (client threads, cooperative clients).
 
-use cnet_concurrent::audit::StressCounter;
 use cnet_concurrent::frontend::{CombiningConfig, CombiningCounter, RoutePolicy, ShardedCounter};
 use cnet_concurrent::network::{BalancerKind, NetworkCounter};
+use cnet_concurrent::StressCounter;
 use cnet_topology::{OutputCounts, Topology};
 
-use crate::driver::{Readout, Widths};
+use crate::driver::Readout;
 use crate::{RunOutcome, SpecError};
 
 /// A native (`cnet-concurrent`) counter over a backend's topology.
@@ -37,13 +37,12 @@ pub enum CounterSpec {
 /// What runs the clients against a freshly built counter: the client
 /// threads of [`crate::driver::Threads`] or the cooperative executor.
 /// Generic over the concrete counter type, so each executor's hot loop
-/// is monomorphized per counter kind. `widths` label the records the
-/// clients write.
+/// is monomorphized per counter kind. The counter's widths label the
+/// records the clients write.
 pub(crate) trait Executor {
     fn execute<C: StressCounter>(
         self,
         counter: &C,
-        widths: Widths,
         readout: impl FnOnce() -> Readout,
     ) -> RunOutcome;
 }
@@ -106,8 +105,7 @@ impl CounterSpec {
         match *self {
             CounterSpec::Network(kind) => {
                 let counter = NetworkCounter::with_kind(topology, kind);
-                let widths = Widths::new(counter.input_width(), width);
-                exec.execute(&counter, widths, || Readout {
+                exec.execute(&counter, || Readout {
                     counts: counter.output_counts().into_iter().collect(),
                     metrics: counter.metrics_snapshot(wait),
                     frontend: None,
@@ -115,19 +113,16 @@ impl CounterSpec {
             }
             CounterSpec::Batch(kind, config) => {
                 let counter = CombiningCounter::with_kind(topology, kind, config);
-                let widths = Widths::new(counter.input_width(), width);
-                exec.execute(&counter, widths, || Readout {
+                exec.execute(&counter, || Readout {
                     counts: counter.output_counts().into_iter().collect(),
                     metrics: counter.metrics_snapshot(wait),
                     frontend: counter.frontend_metrics(),
                 })
             }
             CounterSpec::Shard(kind, policy, count) => {
-                let shard_width = width / count;
-                let shards = Topology::shards(shard_width, count).expect(CHECKED);
+                let shards = Topology::shards(width / count, count).expect(CHECKED);
                 let counter = ShardedCounter::with_kind(&shards, kind, policy);
-                let widths = Widths::new(shard_width, width);
-                exec.execute(&counter, widths, || Readout {
+                exec.execute(&counter, || Readout {
                     counts: interleave_shard_counts(counter.output_counts(), count),
                     // contention metrics are per-shard; shard 0 is the
                     // representative (round-robin keeps loads within one op)

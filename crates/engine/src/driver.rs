@@ -1,20 +1,21 @@
-//! The shared client loop for the native-thread backends.
+//! The client loop of the native-thread backends, and of
+//! [`crate::run_counter`].
 //!
-//! Reproduces the audit methodology of `cnet-concurrent::audit` —
-//! every operation bracketed by two ticks of a global logical clock —
-//! and adds the engine's workload semantics on top: a global op quota
-//! shared by all clients (the slots of the returned buffer, claimed a
-//! chunk at a time by a closed loop and written in place),
-//! the delayed-fraction/`W` mapping, the open-loop arrival schedules
-//! (seeded, nanoseconds of host time), and the one timed window
-//! ([`Threads`]).
+//! The paper's native measurement: every operation bracketed by two
+//! ticks of a global logical clock, so "completely precedes" has a
+//! sound witness. On top of it sit the engine's workload semantics: a
+//! global op quota shared by all clients (the slots of the returned
+//! buffer, claimed a chunk at a time by a closed loop and written in
+//! place), the delayed-fraction/`W` mapping, the open-loop arrival
+//! schedules (seeded, nanoseconds of host time), and the one timed
+//! window ([`Threads`]).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use cnet_concurrent::audit::StressCounter;
+use cnet_concurrent::StressCounter;
 use cnet_obs::{FrontendMetrics, LogHistogram, MetricsSnapshot};
 use cnet_proteus::{RunStats, SimRng, WaitMode, Workload};
 use cnet_timing::linearizability::lane_magnitudes;
@@ -68,6 +69,11 @@ impl Widths {
             input: u32::try_from(input.max(1)).expect("a network width fits u32"),
             output: output.max(1) as u64,
         }
+    }
+
+    /// The widths `counter` reports.
+    pub fn of(counter: &(impl StressCounter + ?Sized)) -> Self {
+        Widths::new(counter.input_width(), counter.width())
     }
 
     /// The input wire of `client`.
@@ -149,12 +155,12 @@ fn drive(
     counter: &impl StressCounter,
     workload: &Workload,
     seed: u64,
-    widths: Widths,
     operations: &mut [Operation],
 ) -> (Vec<Vec<Range<usize>>>, u64) {
     if operations.is_empty() {
         return (Vec::new(), 0);
     }
+    let widths = Widths::of(counter);
     let clock = &AtomicU64::new(0);
     let arrivals = &arrival_schedule(workload, seed);
     let chunk = if arrivals.is_empty() {
@@ -232,12 +238,11 @@ impl Executor for Threads<'_> {
     fn execute<C: StressCounter>(
         self,
         counter: &C,
-        widths: Widths,
         readout: impl FnOnce() -> Readout,
     ) -> RunOutcome {
         let mut operations = slots(self.workload);
         let started = Instant::now();
-        let (runs, clock_end) = drive(counter, self.workload, self.seed, widths, &mut operations);
+        let (runs, clock_end) = drive(counter, self.workload, self.seed, &mut operations);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         let trace = Trace {
             operations,

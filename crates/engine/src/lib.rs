@@ -38,9 +38,10 @@
 //! The simulator stamps operations in *simulated cycles* and is
 //! bit-for-bit deterministic. The native backends stamp operations
 //! with a global logical clock (one atomic `fetch_add` tick on each
-//! side of an operation, exactly the audit methodology of
-//! `cnet-concurrent::audit`), so "completely precedes" has a sound
-//! witness but actual interleaving is the OS scheduler's. Cross-domain
+//! side of an operation, the paper's measurement on real threads), so
+//! "completely precedes" has a sound witness but actual interleaving
+//! is the OS scheduler's. [`run_counter`] runs the same client threads
+//! over a counter the caller built. Cross-domain
 //! numbers are comparable in *shape* (ratios, violation counts), not
 //! in units.
 //!
@@ -87,7 +88,7 @@ pub use counter::CounterSpec;
 pub use outcome::RunOutcome;
 pub use schedule::arrival_schedule;
 pub use service::{Bracket, ServiceDriver};
-pub use shm::ShmBackend;
+pub use shm::{run_counter, ShmBackend};
 pub use sim::SimBackend;
 pub use spec::{BackendSpec, SpecError};
 

@@ -1,9 +1,12 @@
-//! The thread-per-client native backend.
+//! The thread-per-client native backend, and the same client threads
+//! over a counter the caller built.
 
 use cnet_concurrent::network::BalancerKind;
-use cnet_topology::Topology;
+use cnet_concurrent::StressCounter;
+use cnet_topology::{OutputCounts, Topology};
 
-use crate::driver::{self, Threads};
+use crate::counter::Executor;
+use crate::driver::{self, Readout, Threads};
 use crate::{Backend, BackendSpec, CounterSpec, RunOutcome, SpecError, Workload};
 
 /// Runs workloads on real OS threads, one per client, over a native
@@ -65,6 +68,37 @@ impl Backend for ShmBackend<'_> {
         };
         self.counter.run(self.topology, workload.wait_cycles, exec)
     }
+}
+
+/// Runs `workload` on one OS thread per client against `counter`, a
+/// counter the caller built: the client loop and grading of
+/// [`ShmBackend`] for counters no [`CounterSpec`] names (the
+/// centralized baselines, a test oracle). `seed` seeds the arrival
+/// schedule and the per-operation `W` draws; the interleaving is the
+/// OS scheduler's.
+///
+/// The counter stays the caller's, and so does its quiescent read-out:
+/// the outcome's `stats.output_counts` are zeros of the counter's
+/// width, `metrics` and `frontend` are `None`, and the backend name is
+/// `shm`. A counter that is not fresh hands out values past `0..n`, so
+/// [`RunOutcome::counts_exactly`] holds only for a fresh one.
+///
+/// # Panics
+///
+/// Panics on a degenerate workload ([`Workload::validate`]) or if a
+/// client thread panics.
+pub fn run_counter<C: StressCounter>(counter: &C, workload: &Workload, seed: u64) -> RunOutcome {
+    driver::validated(workload);
+    let exec = Threads {
+        backend: "shm",
+        workload,
+        seed,
+    };
+    exec.execute(counter, || Readout {
+        counts: OutputCounts::zeros(counter.width()),
+        metrics: None,
+        frontend: None,
+    })
 }
 
 #[cfg(test)]

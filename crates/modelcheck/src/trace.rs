@@ -1,10 +1,10 @@
 //! Logical-clock operation tracing inside model executions.
 //!
-//! Reproduces the measurement methodology of `cnet_concurrent::audit`
-//! under the scheduler: every operation is bracketed by two ticks of a
-//! shared virtual clock (a facade `fetch_add`, i.e. itself a yield
-//! point), so "completely precedes" has a sound witness in every
-//! explored interleaving. The resulting `cnet_timing::Operation`
+//! Reproduces the native measurement methodology of `cnet_engine`'s
+//! client threads under the scheduler: every operation is bracketed by
+//! two ticks of a shared virtual clock (a facade `fetch_add`, i.e.
+//! itself a yield point), so "completely precedes" has a sound witness
+//! in every explored interleaving. The resulting `cnet_timing::Operation`
 //! records feed both the Definition 2.4 sweep
 //! (`linearizability::count_nonlinearizable`) and the brute-force
 //! oracle (`linearizability::check_exhaustive`).

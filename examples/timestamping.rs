@@ -4,8 +4,8 @@
 //!
 //! Draws timestamps from four different shared counters under a skewed
 //! workload (half the threads artificially delayed inside the network),
-//! audits every run with a global logical clock, and reports both
-//! correctness properties:
+//! brackets every operation with a global logical clock (the engine's
+//! client threads), and reports both correctness properties:
 //!
 //! * **counting** — every value handed out exactly once (always holds);
 //! * **linearizability** — real-time order respected (holds for the
@@ -13,46 +13,42 @@
 //!
 //! Run with: `cargo run --release --example timestamping`
 
-use counting_networks::concurrent::audit::{run_stress, StressConfig, StressCounter};
-use counting_networks::concurrent::counter::{FetchAddCounter, LockCounter};
+use counting_networks::concurrent::counter::{FetchAddCounter, LockCounter, StressCounter};
 use counting_networks::concurrent::network::{BalancerKind, NetworkCounter};
+use counting_networks::engine::{run_counter, Workload};
 use counting_networks::topology::constructions;
 
-fn audit(name: &str, counter: &dyn StressCounter, delayed: usize, spin: u64) {
-    let config = StressConfig {
-        threads: 4,
-        ops_per_thread: 2_000,
-        delayed_threads: delayed,
-        spin_per_node: spin,
+fn audit(name: &str, counter: &impl StressCounter) {
+    // 4 threads × 2 000 operations; threads 0 and 1 spin 2 000
+    // iterations after each balancer
+    let workload = Workload {
+        total_ops: 8_000,
+        ..Workload::paper(4, 50, 2_000)
     };
-    let report = run_stress(counter, config);
+    let outcome = run_counter(counter, &workload, 1);
     println!(
         "{name:24} counts exactly: {:5}   non-linearizable: {:4} / {} ({:.3}%)",
-        report.counts_exactly(),
-        report.nonlinearizable_count(),
-        report.operations.len(),
-        report.nonlinearizable_ratio() * 100.0,
+        outcome.counts_exactly(),
+        outcome.stats.nonlinearizable_count(),
+        outcome.stats.operations.len(),
+        outcome.stats.nonlinearizable_ratio() * 100.0,
     );
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("timestamp oracles under a skewed 4-thread load (2 delayed threads)\n");
 
-    let fetch_add = FetchAddCounter::new();
-    audit("atomic fetch_add", &fetch_add, 2, 2_000);
-
-    let lock = LockCounter::new();
-    audit("mutex counter", &lock, 2, 2_000);
+    audit("atomic fetch_add", &FetchAddCounter::new());
+    audit("mutex counter", &LockCounter::new());
 
     let net = constructions::bitonic(8)?;
-    let bitonic = NetworkCounter::new(&net);
-    audit("bitonic[8] network", &bitonic, 2, 2_000);
+    audit("bitonic[8] network", &NetworkCounter::new(&net));
 
     let tree = NetworkCounter::with_kind(
         &constructions::counting_tree(8)?,
         BalancerKind::Diffracting { slots: 8, spin: 64 },
     );
-    audit("diffracting tree[8]", &tree, 2, 2_000);
+    audit("diffracting tree[8]", &tree);
 
     println!(
         "\nThe centralized counters are linearizable by construction but serialize\n\

@@ -2,8 +2,8 @@
 //! network, prove it counts, run it four different ways (sequential,
 //! timed, simulated, threaded), audit each, and render the result.
 
-use counting_networks::concurrent::audit::{run_stress, StressConfig};
 use counting_networks::concurrent::network::NetworkCounter;
+use counting_networks::engine::run_counter;
 use counting_networks::proteus::{SimConfig, Simulator, WaitMode, Workload};
 use counting_networks::timing::executor::TimedExecutor;
 use counting_networks::timing::{io as trace_io, random, render, LinkTiming};
@@ -52,16 +52,16 @@ fn end_to_end_pipeline() {
     assert_eq!(values, (0..400).collect::<Vec<u64>>());
     assert!(stats.program_order_violations() <= stats.nonlinearizable_count());
 
-    // 7. Real threads: the same topology as a native shared counter.
+    // 7. Real threads: the same topology as a native shared counter,
+    //    one of four clients spinning 100 iterations per node.
     let counter = NetworkCounter::new(&net);
-    let report = run_stress(
+    let outcome = run_counter(
         &counter,
-        StressConfig {
-            threads: 4,
-            ops_per_thread: 250,
-            delayed_threads: 1,
-            spin_per_node: 100,
+        &Workload {
+            total_ops: 1_000,
+            ..Workload::paper(4, 25, 100)
         },
+        7,
     );
-    assert!(report.counts_exactly());
+    assert!(outcome.counts_exactly());
 }
