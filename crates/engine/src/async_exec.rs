@@ -57,7 +57,7 @@ use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
 use cnet_concurrent::StressCounter;
-use cnet_proteus::{SimRng, Workload};
+use cnet_proteus::{ProcessMap, SimRng, Workload};
 use cnet_timing::Operation;
 use cnet_topology::Topology;
 
@@ -266,7 +266,7 @@ fn run_worker(chunks: Vec<&mut [ClientTask<'_>]>, out: &mut Vec<OpRecord>) {
 
 /// The executor: builds the client arena, deals chunks to workers,
 /// runs to quiescence, and writes each record **at its op index** in
-/// `operations`, one lane of one run, so trace token `i` is workload op
+/// `operations`, one lane of one chunk, so trace token `i` is workload op
 /// `i` of client `i % n_clients` (which is what aligns the open-loop
 /// arrival and completion vectors).
 fn drive_async(
@@ -277,7 +277,7 @@ fn drive_async(
     mut operations: Vec<Operation>,
 ) -> (Trace, Vec<u64>, Vec<u64>) {
     if operations.is_empty() {
-        return (Trace::default(), Vec::new(), Vec::new());
+        return (Trace::one_lane(operations, 0), Vec::new(), Vec::new());
     }
     let shared = Shared {
         counter,
@@ -317,11 +317,7 @@ fn drive_async(
         }
     });
     drop(arena);
-    let trace = Trace {
-        runs: vec![vec![0..operations.len()]],
-        operations,
-        clock_end: shared.clock.load(Ordering::Acquire),
-    };
+    let trace = Trace::one_lane(operations, shared.clock.load(Ordering::Acquire));
     (trace, shared.arrivals, completions)
 }
 
@@ -350,9 +346,11 @@ impl Executor for Cooperative<'_> {
         let read = readout();
         let mut stats = driver::stats_from_trace(trace, read.counts, read.metrics);
         // the one lane is shared round-robin: op i is client i % n's
-        for (i, client) in stats.completed_by.iter_mut().enumerate() {
-            *client = u32::try_from(i % workload.processors).expect("a client id fits u32");
-        }
+        stats.completed_by = ProcessMap::per_op(
+            (0..stats.operations.len())
+                .map(|i| u32::try_from(i % workload.processors).expect("a client id fits u32"))
+                .collect(),
+        );
         let open_loop = if workload.is_open_loop() && !stats.operations.is_empty() {
             let tokens = cnet_timing::linearizability::nonlinearizable_tokens(&stats.operations);
             Some(cnet_obs::open_loop_metrics(
@@ -449,7 +447,7 @@ mod tests {
         let net = constructions::bitonic(2).unwrap();
         let outcome = network(&net, BalancerKind::WaitFree, cfg(2, 4), 1).run(&workload(10, 35));
         // op i belongs to client i % 10 by static assignment
-        for (i, &client) in outcome.stats.completed_by.iter().enumerate() {
+        for (i, client) in outcome.stats.completed_by.iter().enumerate() {
             assert_eq!(client as usize, i % 10);
         }
     }

@@ -10,14 +10,13 @@
 //! schedules (seeded, nanoseconds of host time), and the one timed
 //! window ([`Threads`]).
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
 use cnet_concurrent::StressCounter;
 use cnet_obs::{FrontendMetrics, LogHistogram, MetricsSnapshot};
-use cnet_proteus::{RunStats, SimRng, WaitMode, Workload};
+use cnet_proteus::{ProcessMap, RunStats, SimRng, WaitMode, Workload};
 use cnet_timing::linearizability::lane_magnitudes;
 use cnet_timing::Operation;
 use cnet_topology::OutputCounts;
@@ -105,27 +104,48 @@ impl Widths {
 }
 
 /// The raw trace of one native run: every operation's record, written
-/// in place by the client that ran it, the slots each lane wrote, and
-/// the final logical-clock reading.
+/// in place by the client that ran it, the chunks of slots each lane
+/// claimed, and the final logical-clock reading.
 ///
-/// Slot `i` holds token `i`. Lane `l` wrote the slot ranges `runs[l]`,
-/// in the order it claimed them: a [`drive`] thread claims chunks of
-/// the buffer one after another, so tokens follow claim order; the
-/// async executor's one lane is the whole buffer, op `i` being client
-/// `i % clients`'s.
+/// Slot `i` holds token `i`. The slots are cut into chunks of `chunk`,
+/// the last one possibly partial, and lane `l` wrote the chunks
+/// `claims[l]`, in the order it claimed them: a [`drive`] thread claims
+/// chunks of the buffer one after another, so tokens follow claim
+/// order; the async executor's one lane claims the whole buffer as one
+/// chunk, op `i` being client `i % clients`'s.
 ///
-/// Every lane, read across its runs in order, is one sequential stream,
-/// `start < end < next start`, which is what lets [`stats_from_trace`]
-/// grade the lanes as they stand. Both builders guarantee it: a
-/// [`drive`] thread takes its two clock ticks around each operation in
-/// program order, and the async executor admits op `i + 1` only after
-/// op `i` took its end tick. The runs cover every slot exactly once, so
-/// no record the buffer was filled with before the run is returned.
-#[derive(Debug, Default)]
+/// Every lane, read across its chunks in order, is one sequential
+/// stream, `start < end < next start`, which is what lets
+/// [`stats_from_trace`] grade the lanes as they stand. Both builders
+/// guarantee it: a [`drive`] thread takes its two clock ticks around
+/// each operation in program order, and the async executor admits op
+/// `i + 1` only after op `i` took its end tick. The lanes claim every
+/// chunk exactly once, so no record the buffer was filled with before
+/// the run is returned.
+#[derive(Debug)]
 pub(crate) struct Trace {
     pub operations: Vec<Operation>,
-    pub runs: Vec<Vec<Range<usize>>>,
+    pub chunk: usize,
+    pub claims: Vec<Vec<u32>>,
     pub clock_end: u64,
+}
+
+impl Trace {
+    /// The trace of a run with one lane, which wrote every slot of
+    /// `operations` in order.
+    pub fn one_lane(operations: Vec<Operation>, clock_end: u64) -> Self {
+        let claims = if operations.is_empty() {
+            Vec::new()
+        } else {
+            vec![vec![0]]
+        };
+        Trace {
+            chunk: operations.len().max(1),
+            operations,
+            claims,
+            clock_end,
+        }
+    }
 }
 
 /// The buffer a native run returns, one zero record per operation.
@@ -139,8 +159,8 @@ pub(crate) fn slots(workload: &Workload) -> Vec<Operation> {
 
 /// Drives `workload.processors` client threads against `counter` until
 /// every slot of `operations` holds an operation, timestamping each
-/// with the global logical clock. Returns each thread's runs of slots,
-/// in claim order, and the final clock reading.
+/// with the global logical clock. Returns the trace: the buffer, each
+/// thread's chunks in claim order, and the final clock reading.
 ///
 /// The slots are handed out a chunk at a time from behind one lock. A
 /// closed loop's chunk is at most 64, and at most 1/16 of a thread's
@@ -155,10 +175,10 @@ fn drive(
     counter: &impl StressCounter,
     workload: &Workload,
     seed: u64,
-    operations: &mut [Operation],
-) -> (Vec<Vec<Range<usize>>>, u64) {
+    mut operations: Vec<Operation>,
+) -> Trace {
     if operations.is_empty() {
-        return (Vec::new(), 0);
+        return Trace::one_lane(operations, 0);
     }
     let widths = Widths::of(counter);
     let clock = &AtomicU64::new(0);
@@ -170,14 +190,14 @@ fn drive(
     };
     let dispenser = &Mutex::new(operations.chunks_mut(chunk).enumerate());
     let epoch = Instant::now();
-    let runs = std::thread::scope(|scope| {
+    let claims = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workload.processors);
         for t in 0..workload.processors {
             let delayed = workload.is_delayed(t);
             let input = widths.input(t);
             handles.push(scope.spawn(move || {
                 let mut rng = SimRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(THREAD_STREAM));
-                let mut runs = Vec::new();
+                let mut claims = Vec::new();
                 loop {
                     // a statement of its own, so the lock is held for the
                     // claim only
@@ -202,9 +222,9 @@ fn drive(
                         let end = clock.fetch_add(1, Ordering::AcqRel);
                         *slot = widths.operation(i, input, start, end, value);
                     }
-                    runs.push(base..base + chunk_slots.len());
+                    claims.push(u32::try_from(k).expect("a chunk index fits u32"));
                 }
-                runs
+                claims
             }));
         }
         handles
@@ -212,7 +232,12 @@ fn drive(
             .map(|h| h.join().expect("client thread panicked"))
             .collect()
     });
-    (runs, clock.load(Ordering::Acquire))
+    Trace {
+        operations,
+        chunk,
+        claims,
+        clock_end: clock.load(Ordering::Acquire),
+    }
 }
 
 /// What a backend reads off its counter once the clients have joined.
@@ -240,15 +265,10 @@ impl Executor for Threads<'_> {
         counter: &C,
         readout: impl FnOnce() -> Readout,
     ) -> RunOutcome {
-        let mut operations = slots(self.workload);
+        let operations = slots(self.workload);
         let started = Instant::now();
-        let (runs, clock_end) = drive(counter, self.workload, self.seed, &mut operations);
+        let trace = drive(counter, self.workload, self.seed, operations);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
-        let trace = Trace {
-            operations,
-            runs,
-            clock_end,
-        };
         let read = readout();
         RunOutcome {
             backend: self.backend,
@@ -263,7 +283,8 @@ impl Executor for Threads<'_> {
 /// Assembles a [`RunStats`] from a native trace, uniform with the
 /// simulator's shape so every consumer (sweep, checker, records) works
 /// unchanged. The operations are returned where the clients wrote
-/// them; `completed_by` names the lane that wrote each slot.
+/// them; `completed_by` names the lane that claimed each chunk, one
+/// owner per chunk rather than per operation.
 ///
 /// Native substrates have no simulated balancer instrumentation, so
 /// the toggle counters are zero and the `Tog` *fallback* fields are
@@ -277,8 +298,8 @@ impl Executor for Threads<'_> {
 ///
 /// # Panics
 ///
-/// Panics unless the runs cover every slot exactly once and every lane
-/// is one sequential stream: a [`Trace`]'s invariants.
+/// Panics unless the lanes claim every chunk exactly once and every
+/// lane is one sequential stream: a [`Trace`]'s invariants.
 pub(crate) fn stats_from_trace(
     trace: Trace,
     output_counts: OutputCounts,
@@ -287,35 +308,40 @@ pub(crate) fn stats_from_trace(
     const UNCLAIMED: u32 = u32::MAX;
     let Trace {
         operations,
-        runs,
+        chunk,
+        claims,
         clock_end,
     } = trace;
-    let mut completed_by = vec![UNCLAIMED; operations.len()];
-    let mut claimed = 0;
-    for (lane, lane_runs) in runs.iter().enumerate() {
+    let len = operations.len();
+    let mut owners = vec![UNCLAIMED; len.div_ceil(chunk)];
+    for (lane, lane_claims) in claims.iter().enumerate() {
         let client = u32::try_from(lane).expect("a client id fits u32");
-        for run in lane_runs {
-            let slots = &mut completed_by[run.clone()];
+        for &k in lane_claims {
+            let owner = owners
+                .get_mut(k as usize)
+                .unwrap_or_else(|| panic!("lane {lane} claims chunk {k}, past the last slot"));
             assert!(
-                slots.iter().all(|&c| c == UNCLAIMED),
-                "lane {lane} claims slots {run:?}, which another run claimed"
+                *owner == UNCLAIMED,
+                "lane {lane} claims chunk {k}, which another lane claimed"
             );
-            slots.fill(client);
-            claimed += run.len();
+            *owner = client;
         }
     }
-    assert_eq!(
-        claimed,
-        operations.len(),
-        "the runs leave a slot no client wrote"
+    assert!(
+        !owners.contains(&UNCLAIMED),
+        "the claims leave a slot no client wrote"
     );
     // the one Definition 2.4 pass of a native run, on the logical-clock
     // brackets in the order the lanes already hold them: the count
     // goes to the stats, the magnitudes to the probe snapshot when
     // there is one
-    let lanes: Vec<Vec<&[Operation]>> = runs
+    let slots_of = |k: u32| {
+        let start = k as usize * chunk;
+        &operations[start..len.min(start + chunk)]
+    };
+    let lanes: Vec<Vec<&[Operation]>> = claims
         .iter()
-        .map(|lane| lane.iter().map(|run| &operations[run.clone()]).collect())
+        .map(|lane| lane.iter().map(|&k| slots_of(k)).collect())
         .collect();
     let mut magnitudes = LogHistogram::new();
     let mut total_latency = 0u64;
@@ -332,10 +358,10 @@ pub(crate) fn stats_from_trace(
     }
     RunStats {
         sim_time: clock_end,
-        node_visits: operations.len() as u64,
+        node_visits: len as u64,
         node_wait_total: total_latency,
+        completed_by: ProcessMap::chunked(chunk, owners, len),
         operations,
-        completed_by,
         output_counts,
         toggle_count: 0,
         toggle_wait_total: 0,
@@ -351,16 +377,18 @@ pub(crate) fn stats_from_trace(
 mod tests {
     use super::*;
 
-    /// A trace of `(start, end, value)` records in slot order, lane `l`
-    /// having written the slot ranges `runs[l]`.
-    fn trace(records: &[(u64, u64, u64)], runs: Vec<Vec<Range<usize>>>) -> Trace {
+    /// A trace of `(start, end, value)` records in slot order, cut into
+    /// chunks of `chunk` slots, lane `l` having claimed the chunks
+    /// `claims[l]`.
+    fn trace(records: &[(u64, u64, u64)], chunk: usize, claims: Vec<Vec<u32>>) -> Trace {
         let widths = Widths::new(4, 4);
         let operations = records.iter().enumerate();
         Trace {
             operations: operations
                 .map(|(token, &(start, end, value))| widths.operation(token, 0, start, end, value))
                 .collect(),
-            runs,
+            chunk,
+            claims,
             clock_end: 2 * records.len() as u64,
         }
     }
@@ -368,7 +396,7 @@ mod tests {
     #[test]
     fn a_probe_snapshot_gets_the_verdict_of_the_trace_scan() {
         // value 7 finishes at tick 1, value 2 starts at tick 2
-        let trace = trace(&[(0, 1, 7), (2, 3, 2)], vec![vec![0..1], vec![1..2]]);
+        let trace = trace(&[(0, 1, 7), (2, 3, 2)], 1, vec![vec![0], vec![1]]);
         let probes = cnet_obs::live::NetObserver::new(1).snapshot(0);
         let stats = stats_from_trace(trace, OutputCounts::zeros(4), probes);
         assert_eq!(stats.nonlinearizable, 1);
@@ -382,38 +410,61 @@ mod tests {
     #[test]
     fn a_violation_only_the_interleaving_reveals_is_counted() {
         // each lane alone counts upward; merged, lane 1 finishes value 5
-        // at tick 3, before lane 0 starts values 1 and 2 in its second run
+        // at tick 3, before lane 0 starts values 1 and 2 in its later chunks
         let records = [(0, 1, 0), (2, 3, 5), (4, 7, 1), (8, 9, 2), (5, 6, 6)];
-        let runs = vec![vec![0..1, 2..4], vec![1..2, 4..5]];
-        let stats = stats_from_trace(trace(&records, runs), OutputCounts::zeros(4), None);
+        let claims = vec![vec![0, 2, 3], vec![1, 4]];
+        let stats = stats_from_trace(trace(&records, 1, claims), OutputCounts::zeros(4), None);
         assert_eq!(stats.nonlinearizable, 2);
         assert_eq!(
             cnet_timing::linearizability::nonlinearizable_tokens(&stats.operations),
             [2, 3],
-            "claim-order tokens: lane 0's second run"
+            "claim-order tokens: lane 0's later chunks"
         );
-        assert_eq!(stats.completed_by, [0, 1, 0, 0, 1]);
+        assert_eq!(stats.completed_by, ProcessMap::per_op(vec![0, 1, 0, 0, 1]));
         assert_eq!(stats.node_wait_total, 1 + 1 + 3 + 1 + 1);
     }
 
     #[test]
+    fn each_claimed_chunk_names_its_lane_once() {
+        // chunks of 2 slots, the last one partial: lane 1 wrote slots
+        // 0, 1 and 4, lane 0 slots 2 and 3
+        let records = [(0, 1, 0), (2, 3, 1), (4, 5, 2), (6, 7, 3), (8, 9, 4)];
+        let claims = vec![vec![1], vec![0, 2]];
+        let stats = stats_from_trace(trace(&records, 2, claims), OutputCounts::zeros(4), None);
+        assert_eq!(stats.nonlinearizable, 0);
+        assert_eq!(stats.completed_by, ProcessMap::per_op(vec![1, 1, 0, 0, 1]));
+        assert_eq!(stats.completed_by.process_of(4), 1);
+    }
+
+    #[test]
     #[should_panic(expected = "leave a slot no client wrote")]
-    fn runs_that_leave_a_gap_are_refused() {
+    fn claims_that_leave_a_gap_are_refused() {
         // slot 1 keeps the zero record it was filled with
         let records = [(0, 1, 0), (0, 0, 0), (2, 3, 1)];
         stats_from_trace(
-            trace(&records, vec![vec![0..1], vec![2..3]]),
+            trace(&records, 1, vec![vec![0], vec![2]]),
             OutputCounts::zeros(4),
             None,
         );
     }
 
     #[test]
-    #[should_panic(expected = "which another run claimed")]
-    fn runs_that_overlap_are_refused() {
+    #[should_panic(expected = "which another lane claimed")]
+    fn claims_that_overlap_are_refused() {
         let records = [(0, 1, 0), (2, 3, 1)];
         stats_from_trace(
-            trace(&records, vec![vec![0..2], vec![1..2]]),
+            trace(&records, 1, vec![vec![0, 1], vec![1]]),
+            OutputCounts::zeros(4),
+            None,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "past the last slot")]
+    fn a_claim_past_the_buffer_is_refused() {
+        let records = [(0, 1, 0), (2, 3, 1), (4, 5, 2)];
+        stats_from_trace(
+            trace(&records, 2, vec![vec![0], vec![2]]),
             OutputCounts::zeros(4),
             None,
         );

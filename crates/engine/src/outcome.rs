@@ -82,7 +82,7 @@ mod tests {
             backend: "test",
             stats: RunStats {
                 operations,
-                completed_by: vec![0; n],
+                completed_by: cnet_proteus::ProcessMap::per_op(vec![0; n]),
                 output_counts: OutputCounts::zeros(2),
                 sim_time: 2 * n as u64,
                 toggle_count: 0,

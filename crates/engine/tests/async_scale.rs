@@ -45,7 +45,7 @@ fn many_clients_one_process_exact_tally() {
         assert!(outcome.has_step_property());
         assert_eq!(outcome.stats.output_counts.total() as usize, clients);
         // static assignment at one op per client: client i performed op i
-        for (i, &client) in outcome.stats.completed_by.iter().enumerate() {
+        for (i, client) in outcome.stats.completed_by.iter().enumerate() {
             assert_eq!(client as usize, i);
         }
     });

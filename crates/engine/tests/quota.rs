@@ -77,11 +77,11 @@ fn every_quota_shape_completes_exactly_on_every_threaded_backend() {
                 "{shape}"
             );
             let mut last_end = vec![None; workload.processors];
-            for (i, (op, &thread)) in outcome
+            for (i, (op, thread)) in outcome
                 .stats
                 .operations
                 .iter()
-                .zip(&outcome.stats.completed_by)
+                .zip(outcome.stats.completed_by.iter())
                 .enumerate()
             {
                 assert_eq!(op.token, i, "{shape}: slot {i} holds another token");
@@ -176,7 +176,7 @@ fn scheduled_arrivals_still_pair_op_i_with_arrival_i() {
         for (i, op) in outcome.stats.operations.iter().enumerate() {
             assert_eq!((op.token, op.start), (i, 2 * i as u64), "{arrival:?}");
             assert_eq!(
-                outcome.stats.completed_by[i] as usize,
+                outcome.stats.completed_by.process_of(i) as usize,
                 i % clients,
                 "{arrival:?}"
             );

@@ -246,7 +246,7 @@ pub(crate) mod tests {
     fn record(label: &str, wall_ms: f64) -> RunRecord {
         let stats = RunStats {
             operations: vec![],
-            completed_by: vec![],
+            completed_by: cnet_proteus::ProcessMap::per_op(vec![]),
             output_counts: cnet_topology::OutputCounts::zeros(2),
             sim_time: 10,
             toggle_count: 2,

@@ -67,4 +67,4 @@ pub use config::{
 pub use cnet_topology::{Fabric, FabricError, FabricShape, LinkSpec, RetryPolicy, SwitchSpec};
 pub use rng::SimRng;
 pub use sim::{MetricsRecorder, Simulator};
-pub use stats::{FabricStats, RunStats, StatsSummary};
+pub use stats::{FabricStats, ProcessMap, RunStats, StatsSummary};

@@ -53,7 +53,7 @@ use crate::node::{LockBank, Prism};
 use crate::obs::SimObs;
 use crate::queue::{EventQueue, Queue};
 use crate::rng::SimRng;
-use crate::stats::{FabricStats, RunStats};
+use crate::stats::{FabricStats, ProcessMap, RunStats};
 
 // src/fabric.rs, a child of this module: the handlers there are
 // methods of the private `Runner`
@@ -584,7 +584,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
         }
         let stats = RunStats {
             operations: self.operations,
-            completed_by: self.completed_by,
+            completed_by: ProcessMap::per_op(self.completed_by),
             nonlinearizable: self.nonlinearizable,
             output_counts: self.counters.iter().copied().collect::<OutputCounts>(),
             sim_time: self.sim_time,
@@ -1276,7 +1276,7 @@ mod open_loop_tests {
         let w = open_wl(6, 120, 10);
         let stats = Simulator::new(&net, SimConfig::queue_lock(2)).run(&w);
         assert_eq!(stats.completed_by.len(), 120);
-        assert!(stats.completed_by.iter().all(|&c| c < 6));
+        assert!(stats.completed_by.iter().all(|c| c < 6));
     }
 
     #[test]

@@ -16,8 +16,10 @@ pub struct RunStats {
     pub operations: Vec<Operation>,
     /// The processor that performed each operation, parallel to
     /// `operations` (the `Operation::input` field holds the *network
-    /// input*, which several processors can share).
-    pub completed_by: Vec<u32>,
+    /// input*, which several processors can share). The simulator and
+    /// a served history name one per operation; a native run names one
+    /// per chunk of slots its client threads claimed.
+    pub completed_by: ProcessMap,
     /// Final per-counter totals (must form a step — checked in tests).
     pub output_counts: OutputCounts,
     /// The simulated time at which the last operation completed.
@@ -113,7 +115,7 @@ impl RunStats {
         // look processes up by index in the completed_by map — no
         // clone-and-retag of the trace
         program_order::count_program_order_violations_by(&self.operations, |i| {
-            self.completed_by[i] as usize
+            self.completed_by.process_of(i) as usize
         })
     }
 
@@ -180,6 +182,90 @@ impl RunStats {
         }
     }
 }
+
+/// The processor behind each operation of a run, stored once per
+/// fixed-size chunk of slots: operation `i` is processor
+/// `owners[i / chunk]`'s.
+///
+/// A chunk of one slot is a per-operation map (the simulator's, a
+/// served history's). A native run's client threads claim the returned
+/// buffer a chunk at a time, so its map holds one owner per claimed
+/// chunk: 4 B per chunk instead of 4 B per operation. Two maps are
+/// equal when they name the same processor for every operation,
+/// whatever their chunks.
+#[derive(Debug, Clone)]
+pub struct ProcessMap {
+    chunk: usize,
+    owners: Vec<u32>,
+    len: usize,
+}
+
+impl ProcessMap {
+    /// A map naming one processor per operation: operation `i` is
+    /// `owners[i]`'s.
+    #[must_use]
+    pub fn per_op(owners: Vec<u32>) -> Self {
+        ProcessMap {
+            chunk: 1,
+            len: owners.len(),
+            owners,
+        }
+    }
+
+    /// A map over `len` operations in chunks of `chunk` slots, the last
+    /// one possibly partial: operation `i` is `owners[i / chunk]`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk` is zero, or unless `owners` names one
+    /// processor per chunk (`len.div_ceil(chunk)` of them).
+    #[must_use]
+    pub fn chunked(chunk: usize, owners: Vec<u32>, len: usize) -> Self {
+        assert!(chunk > 0, "a chunk holds at least one slot");
+        assert_eq!(
+            owners.len(),
+            len.div_ceil(chunk),
+            "one owner per chunk of {chunk} slots over {len} operations"
+        );
+        ProcessMap { chunk, owners, len }
+    }
+
+    /// The number of operations the map covers.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the map covers no operation.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The processor that performed operation `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not below [`Self::len`].
+    #[must_use]
+    pub fn process_of(&self, i: usize) -> u32 {
+        assert!(i < self.len, "operation {i} of {}", self.len);
+        self.owners[i / self.chunk]
+    }
+
+    /// The processor of every operation, in operation order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        (0..self.len).map(|i| self.owners[i / self.chunk])
+    }
+}
+
+impl PartialEq for ProcessMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for ProcessMap {}
 
 /// Always-on counters of the interconnect-fabric dynamics (see
 /// [`cnet_topology::fabric`]): what the wire refused and what the
@@ -294,7 +380,7 @@ mod tests {
         let nonlinearizable = cnet_timing::linearizability::count_nonlinearizable(&ops);
         RunStats {
             operations: ops,
-            completed_by: vec![0; n],
+            completed_by: ProcessMap::per_op(vec![0; n]),
             output_counts: OutputCounts::zeros(2),
             sim_time: 100,
             toggle_count: 4,
@@ -376,6 +462,83 @@ mod tests {
 }
 
 #[cfg(test)]
+mod process_map_tests {
+    use super::ProcessMap;
+    use crate::SimRng;
+    use proptest::prelude::*;
+
+    #[test]
+    fn an_empty_map_is_empty_in_every_form() {
+        let chunked = ProcessMap::chunked(64, Vec::new(), 0);
+        assert!(chunked.is_empty());
+        assert_eq!(chunked.iter().len(), 0);
+        assert_eq!(chunked, ProcessMap::per_op(Vec::new()));
+    }
+
+    #[test]
+    fn a_partial_last_chunk_covers_only_its_slots() {
+        let map = ProcessMap::chunked(4, vec![1, 2, 3], 10);
+        assert_eq!(map.len(), 10);
+        assert_eq!(map.process_of(9), 3);
+        assert_eq!(
+            map.iter().collect::<Vec<_>>(),
+            [1, 1, 1, 1, 2, 2, 2, 2, 3, 3]
+        );
+        assert_ne!(
+            map,
+            ProcessMap::per_op(vec![1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3])
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "operation 10 of 10")]
+    fn no_processor_is_named_past_the_last_operation() {
+        let _ = ProcessMap::chunked(4, vec![1, 2, 3], 10).process_of(10);
+    }
+
+    #[test]
+    #[should_panic(expected = "one owner per chunk")]
+    fn an_owner_list_of_the_wrong_length_is_refused() {
+        let _ = ProcessMap::chunked(4, vec![1, 2], 10);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// A chunked map and its per-operation expansion agree on
+        /// everything a reader can ask, and compare equal both ways.
+        #[test]
+        fn a_chunked_map_reads_as_its_per_op_expansion(
+            len in 0usize..700,
+            chunk in 1usize..=128,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = SimRng::seed_from_u64(seed);
+            let owners: Vec<u32> = (0..len.div_ceil(chunk)).map(|_| rng.below(8) as u32).collect();
+            let expanded: Vec<u32> = (0..len).map(|i| owners[i / chunk]).collect();
+            let map = ProcessMap::chunked(chunk, owners, len);
+            let per_op = ProcessMap::per_op(expanded.clone());
+            prop_assert_eq!(map.len(), len);
+            prop_assert_eq!(per_op.len(), len);
+            for (i, &owner) in expanded.iter().enumerate() {
+                prop_assert_eq!(map.process_of(i), owner);
+                prop_assert_eq!(per_op.process_of(i), owner);
+            }
+            prop_assert_eq!(map.iter().collect::<Vec<_>>(), expanded.clone());
+            prop_assert_eq!(per_op.iter().collect::<Vec<_>>(), expanded.clone());
+            prop_assert_eq!(&map, &per_op);
+            prop_assert_eq!(&per_op, &map);
+            if let Some((last, rest)) = expanded.split_last() {
+                // one operation's owner changed is another map
+                let mut other = rest.to_vec();
+                other.push(last + 1);
+                prop_assert!(map != ProcessMap::per_op(other));
+            }
+        }
+    }
+}
+
+#[cfg(test)]
 mod consistency_tests {
     use super::*;
     use crate::{SimConfig, Simulator, Workload};
@@ -406,7 +569,7 @@ mod consistency_tests {
         let nonlinearizable = cnet_timing::linearizability::count_nonlinearizable(&ops);
         let stats = RunStats {
             operations: ops,
-            completed_by: vec![0, 1], // different processors
+            completed_by: ProcessMap::per_op(vec![0, 1]), // different processors
             output_counts: OutputCounts::zeros(2),
             sim_time: 3,
             toggle_count: 1,
@@ -464,7 +627,7 @@ mod consistency_tests {
         ];
         let stats = RunStats {
             operations: ops,
-            completed_by: vec![0, 0, 0],
+            completed_by: ProcessMap::per_op(vec![0, 0, 0]),
             output_counts: OutputCounts::zeros(2),
             sim_time: 8,
             toggle_count: 1,

@@ -168,7 +168,7 @@ fn trace_hash(stats: &RunStats) -> u64 {
         mix(op.counter as u64);
         mix(op.value);
     }
-    for &p in &stats.completed_by {
+    for p in stats.completed_by.iter() {
         mix(p as u64);
     }
     h

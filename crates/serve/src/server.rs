@@ -46,7 +46,7 @@ use cnet_concurrent::NetworkCounter;
 use cnet_engine::ServiceDriver;
 use cnet_harness::RunRecord;
 use cnet_obs::{SloEvaluator, SloPolicy, SloReport};
-use cnet_proteus::{RunStats, Workload};
+use cnet_proteus::{ProcessMap, RunStats, Workload};
 use cnet_timing::Operation;
 use cnet_topology::{OutputCounts, Topology};
 
@@ -372,7 +372,7 @@ impl Core {
         let total_ops = operations.len();
         let stats = RunStats {
             operations,
-            completed_by,
+            completed_by: ProcessMap::per_op(completed_by),
             output_counts: OutputCounts::from(self.counter.output_counts()),
             sim_time: self.driver.clock(),
             toggle_count: 0,

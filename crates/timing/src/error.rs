@@ -57,6 +57,14 @@ pub enum TimingError {
         /// Allowed maximum.
         c2: Time,
     },
+    /// A schedule file's row carries a token id other than its row
+    /// index (a swapped, repeated or skipped id).
+    TokenIdMismatch {
+        /// The 0-based data row.
+        row: usize,
+        /// The id the row carries.
+        id: u64,
+    },
     /// The schedule contains no tokens.
     EmptySchedule,
     /// The requested `c2/c1` ratio is too small for an adversarial
@@ -121,6 +129,12 @@ impl fmt::Display for TimingError {
                 f,
                 "token {token} traverses link {link} in {delay} time units, outside [{c1}, {c2}]"
             ),
+            TimingError::TokenIdMismatch { row, id } => {
+                write!(
+                    f,
+                    "row {row} carries token id {id}; ids must be 0, 1, 2, ... in order"
+                )
+            }
             TimingError::EmptySchedule => write!(f, "schedule contains no tokens"),
             TimingError::RatioTooSmall { required, c1, c2 } => write!(
                 f,
@@ -171,6 +185,11 @@ mod tests {
             "timing c1=5, c2=10 too tame for this attack; need c2 > 2·c1 + 2"
         );
         assert!(e.source().is_none());
+        let e = TimingError::TokenIdMismatch { row: 1, id: 0 };
+        assert_eq!(
+            e.to_string(),
+            "row 1 carries token id 0; ids must be 0, 1, 2, ... in order"
+        );
         let e = TimingError::GapTooLarge { gap: 30, max: 29 };
         assert_eq!(e.to_string(), "gap 30 exceeds the largest violating gap 29");
 

@@ -54,10 +54,11 @@ pub fn schedule_to_csv(schedule: &TimingSchedule) -> String {
 /// # Errors
 ///
 /// Returns [`TimingError::DepthMismatch`] or
-/// [`TimingError::NonMonotonicTimes`] for malformed rows, and
-/// [`TimingError::EmptySchedule`] for a header-only file. Any
-/// non-numeric field is reported as a `DepthMismatch` on the offending
-/// token (the row is unusable either way).
+/// [`TimingError::NonMonotonicTimes`] for malformed rows,
+/// [`TimingError::TokenIdMismatch`] for a row whose id is not its row
+/// index, and [`TimingError::EmptySchedule`] for a header-only file.
+/// Any non-numeric field is reported as a `DepthMismatch` on the
+/// offending token (the row is unusable either way).
 pub fn schedule_from_csv(csv: &str) -> Result<TimingSchedule, TimingError> {
     let mut lines = csv.lines().filter(|l| !l.trim().is_empty());
     let header = lines.next().ok_or(TimingError::EmptySchedule)?;
@@ -83,6 +84,10 @@ pub fn schedule_from_csv(csv: &str) -> Result<TimingSchedule, TimingError> {
                 expected: depth + 1,
             })
         };
+        let id = parse(fields[0])?;
+        if id != row as u64 {
+            return Err(TimingError::TokenIdMismatch { row, id });
+        }
         let input = parse(fields[1])? as usize;
         let times: Vec<Time> = fields[2..]
             .iter()
@@ -234,6 +239,24 @@ mod tests {
             schedule_from_csv(csv),
             Err(TimingError::NonMonotonicTimes { .. })
         ));
+    }
+
+    #[test]
+    fn a_row_whose_id_is_not_its_index_is_refused() {
+        let header = "token,input,t1,t2\n";
+        // rows 0 and 1 swapped
+        let swapped = format!("{header}1,0,5,9\n0,1,6,10\n");
+        assert_eq!(
+            schedule_from_csv(&swapped),
+            Err(TimingError::TokenIdMismatch { row: 0, id: 1 })
+        );
+        // row 1 repeats id 0
+        let repeated = format!("{header}0,0,5,9\n0,1,6,10\n");
+        assert_eq!(
+            schedule_from_csv(&repeated),
+            Err(TimingError::TokenIdMismatch { row: 1, id: 0 })
+        );
+        assert!(schedule_from_csv(&format!("{header}0,0,5,9\n1,1,6,10\n")).is_ok());
     }
 
     #[test]

@@ -44,9 +44,9 @@ pub fn count_program_order_violations(ops: &[Operation], process_of: ProcessOf) 
 }
 
 /// Like [`count_program_order_violations`], but the process of each
-/// operation is looked up *by index* — so a caller holding a parallel
-/// `completed_by` map (the simulator's [`RunStats`]) needs neither to
-/// clone nor to re-tag the trace.
+/// operation is looked up *by index* — so a caller holding a
+/// `completed_by` map beside the trace ([`RunStats`], per operation or
+/// per chunk of slots) needs neither to clone nor to re-tag it.
 ///
 /// A process's program order is the start order of its operations.
 /// Recorded traces list each process's operations in that order

@@ -3,7 +3,8 @@
 //! exactly once and keeps its quiescent step property; driven
 //! sequentially, the one native traversal returns what the topology
 //! crate's own router routes; driven by the engine's client threads,
-//! the centralized counters grade linearizable.
+//! the centralized counters grade linearizable and a run's processor
+//! map names the thread that wrote each record.
 //!
 //! Thread/op counts come from the shared
 //! [`counting_networks::concurrent::testcfg`] helper (overridable via
@@ -16,6 +17,7 @@ use counting_networks::concurrent::counter::{Counter, FetchAddCounter, LockCount
 use counting_networks::concurrent::network::{BalancerKind, NetworkCounter};
 use counting_networks::concurrent::testcfg;
 use counting_networks::engine::{run_counter, Backend, ShmBackend, Workload};
+use counting_networks::timing::program_order::count_program_order_violations_by;
 use counting_networks::topology::constructions;
 use counting_networks::topology::router::SequentialRouter;
 
@@ -211,6 +213,43 @@ fn centralized_counters_stay_linearizable_under_audit() {
                     "{name} at {threads} threads"
                 );
             }
+        }
+    });
+}
+
+/// A native run's processor map comes from the chunks its client
+/// threads claimed; each record's `input` comes from the client that
+/// wrote it, and on a 16-input network client `t` enters on input
+/// `t`. The two witnesses must name the same thread for every slot,
+/// the last, partial chunk included, and the program-order count read
+/// through the map must be the one over its per-operation expansion.
+#[test]
+fn the_processor_map_names_the_thread_that_wrote_each_record() {
+    let per_thread = testcfg::stress().with_per_thread(1_500).per_thread;
+    let net = constructions::bitonic(16).unwrap();
+    testcfg::with_seed_report(testcfg::seed(), |seed| {
+        for threads in [2, 4] {
+            let workload = Workload {
+                total_ops: threads * per_thread,
+                ..Workload::paper(threads, 0, 0)
+            };
+            let outcome = ShmBackend::network(&net, BalancerKind::WaitFree, seed).run(&workload);
+            assert!(outcome.counts_exactly(), "{threads} threads");
+            let stats = &outcome.stats;
+            assert_eq!(stats.completed_by.len(), stats.operations.len());
+            for (i, op) in stats.operations.iter().enumerate() {
+                assert_eq!(
+                    stats.completed_by.process_of(i),
+                    op.input,
+                    "slot {i} at {threads} threads"
+                );
+            }
+            let per_op: Vec<u32> = stats.completed_by.iter().collect();
+            assert_eq!(
+                stats.program_order_violations(),
+                count_program_order_violations_by(&stats.operations, |i| per_op[i] as usize),
+                "{threads} threads"
+            );
         }
     });
 }

@@ -1,13 +1,16 @@
 //! A native run's heap peaks at what it returns per operation: the
-//! 40-byte `Operation` its client thread writes in place, and the 4-byte
-//! processor id beside it. Two threads interleave their chunks of the
-//! buffer, so the trace assembly is counted too. Every allocation in
-//! the process is counted, so this file holds one test.
+//! 40-byte `Operation` its client thread writes in place, and nothing
+//! else per operation. The processor map, the claim lists and the
+//! lanes the grader reads are per 64-slot chunk (24 B a chunk, about
+//! 24 KiB at 2^16 operations). Two threads interleave their chunks of
+//! the buffer, so the trace assembly is counted too. Every allocation
+//! in the process is counted, so this file holds one test.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cnet_engine::{Backend, BalancerKind, ShmBackend, Workload};
+use cnet_concurrent::network::NetworkCounter;
+use cnet_engine::{run_counter, Workload};
 use cnet_topology::constructions;
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
@@ -42,21 +45,21 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 const OPS: usize = 1 << 16;
 
 #[test]
-fn a_native_run_peaks_at_an_operation_and_a_processor_id_per_op() {
+fn a_native_run_peaks_at_its_operations() {
     let net = constructions::bitonic(16).unwrap();
     let workload = Workload {
         total_ops: OPS,
         ..Workload::paper(2, 0, 0)
     };
-    let backend = ShmBackend::network(&net, BalancerKind::WaitFree, 24301);
+    let counter = NetworkCounter::new(&net);
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);
-    let outcome = backend.run(&workload);
+    let outcome = run_counter(&counter, &workload, 24301);
     let peak = PEAK.load(Ordering::Relaxed) - before;
     assert!(outcome.counts_exactly());
     assert_eq!(outcome.stats.operations.len(), OPS);
     assert_eq!(outcome.stats.completed_by.len(), OPS);
-    let budget = OPS * (40 + 4) + 256 * 1024;
+    let budget = OPS * 40 + 64 * 1024;
     assert!(
         peak <= budget,
         "heap peak {peak} B is over {budget} B ({:.1} B/op)",
