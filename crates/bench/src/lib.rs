@@ -34,7 +34,8 @@ mod sim;
 
 use std::io::{self, Write};
 
-use cnet_harness::{run_jobs_report, BenchArgs, BenchReport, CellRun, Job, ResultTable};
+use cnet_harness::{run_jobs_report, BenchArgs, BenchReport, Job, ResultTable, RunRecord};
+use cnet_proteus::RunStats;
 use cnet_topology::Topology;
 
 /// One named experiment of the driver.
@@ -114,11 +115,32 @@ struct Run<'a> {
     report: BenchReport,
 }
 
+/// One executed cell of a suite: its record and what the suite kept of
+/// its trace (`()` for every suite but `consistency` and `fabric`).
+struct Cell<K> {
+    record: RunRecord,
+    kept: K,
+}
+
 impl Run<'_> {
-    /// Runs an explicit job list on the harness pool and records the
-    /// sweep in the report.
-    fn jobs(&mut self, title: &str, nets: &[Topology], jobs: &[Job]) -> Vec<CellRun> {
-        let (cells, grid) = run_jobs_report(title, self.seed, nets, jobs, self.args.threads);
+    /// Runs an explicit job list on the harness pool, records the sweep
+    /// in the report, and returns each cell's record beside what `keep`
+    /// made of its stats in the worker that ran it ([`run_jobs_report`]).
+    fn jobs<K: Send>(
+        &mut self,
+        title: &str,
+        nets: &[Topology],
+        jobs: &[Job],
+        keep: impl Fn(RunStats) -> K + Sync,
+    ) -> Vec<Cell<K>> {
+        let (kept, grid) = run_jobs_report(title, self.seed, nets, jobs, self.args.threads, keep);
+        let cells = grid
+            .records
+            .iter()
+            .cloned()
+            .zip(kept)
+            .map(|(record, kept)| Cell { record, kept })
+            .collect();
         self.report.push_grid(grid);
         cells
     }
@@ -137,11 +159,11 @@ impl Run<'_> {
 }
 
 /// The table most sweeps print: one row per cell, labelled by the cell.
-fn cell_table(
+fn cell_table<K>(
     title: impl Into<String>,
     columns: &[&str],
-    cells: &[CellRun],
-    row: impl Fn(&CellRun) -> Vec<String>,
+    cells: &[Cell<K>],
+    row: impl Fn(&Cell<K>) -> Vec<String>,
 ) -> ResultTable {
     let mut table = ResultTable::new(title, columns);
     for cell in cells {

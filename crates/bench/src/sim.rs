@@ -5,17 +5,17 @@
 use std::io;
 
 use cnet_harness::{
-    derive_cell_seed, derive_seed, percent, CellRun, Grid, GridOutcome, Job, NetworkKind,
-    ResultTable, PAPER_WAITS, PAPER_WIDTH,
+    derive_cell_seed, derive_seed, percent, Grid, GridOutcome, Job, NetworkKind, ResultTable,
+    PAPER_WAITS, PAPER_WIDTH,
 };
 use cnet_proteus::{
     Fabric, FabricShape, LinkSpec, PrismConfig, RetryPolicy, SimConfig, SwitchSpec, WaitMode,
     Workload,
 };
-use cnet_timing::windows;
+use cnet_timing::windows::{self, Window};
 use cnet_topology::constructions;
 
-use crate::{cell_table, Run};
+use crate::{cell_table, Cell, Run};
 
 const KINDS: [NetworkKind; 2] = [NetworkKind::Bitonic, NetworkKind::DiffractingTree];
 
@@ -29,7 +29,7 @@ fn workload(run: &Run<'_>, n: usize, f: u32, w: u64, wait_mode: WaitMode) -> Wor
 }
 
 /// A cell's non-linearizability ratio as a percentage.
-fn nonlin(cell: &CellRun) -> String {
+fn nonlin<K>(cell: &Cell<K>) -> String {
     percent(cell.record.stats.nonlinearizable_ratio)
 }
 
@@ -130,7 +130,7 @@ pub(crate) fn controls(run: &mut Run<'_>) -> io::Result<()> {
             "{} — control scenarios (non-linearizability ratio)",
             kind.label()
         );
-        let cells = run.jobs(&title, std::slice::from_ref(&net), &jobs);
+        let cells = run.jobs(&title, std::slice::from_ref(&net), &jobs, drop);
 
         let mut table = ResultTable::new(&title, &PAPER_WAITS.map(|w| format!("W={w}")));
         for (row, (label, _, _)) in cells.chunks(PAPER_WAITS.len()).zip(scenarios) {
@@ -169,12 +169,26 @@ pub(crate) fn consistency(run: &mut Run<'_>) -> io::Result<()> {
             })
             .collect();
         let title = format!("{} — linearizability vs program order", kind.label());
-        let cells = run.jobs(&title, std::slice::from_ref(&net), &jobs);
+        // what the tables read off a cell's trace, taken in the worker
+        // that ran it: the two counts, and the density profile a cell
+        // with violations may be printed with
+        let cells = run.jobs(&title, std::slice::from_ref(&net), &jobs, |stats| {
+            let lin = stats.nonlinearizable_count();
+            let density = if lin == 0 {
+                Vec::new()
+            } else {
+                windows::violation_density(&stats.operations, (stats.sim_time / 24).max(1))
+            };
+            Consistency {
+                lin,
+                po: stats.program_order_violations(),
+                density,
+            }
+        });
 
         let columns = ["nonlin", "program-order", "invisible share"];
         let table = cell_table(&title, &columns, &cells, |cell| {
-            let lin = cell.stats.nonlinearizable_count();
-            let po = cell.stats.program_order_violations();
+            let Consistency { lin, po, .. } = cell.kept;
             let invisible = if lin == 0 {
                 "-".to_string()
             } else {
@@ -187,20 +201,29 @@ pub(crate) fn consistency(run: &mut Run<'_>) -> io::Result<()> {
         let worst = cells
             .iter()
             .rev()
-            .max_by_key(|c| c.stats.nonlinearizable_count())
-            .filter(|c| c.stats.nonlinearizable_count() > 0);
+            .max_by_key(|c| c.kept.lin)
+            .filter(|c| c.kept.lin > 0);
         if let Some(cell) = worst {
             writeln!(
                 run.out,
                 "violation density over time (worst cell, W = {}):",
                 cell.record.wait_cycles
             )?;
-            let width = (cell.stats.sim_time / 24).max(1);
-            let density = windows::violation_density(&cell.stats.operations, width);
-            writeln!(run.out, "{}", windows::density_profile(&density))?;
+            writeln!(run.out, "{}", windows::density_profile(&cell.kept.density))?;
         }
     }
     Ok(())
+}
+
+/// What the `consistency` suite keeps of a cell's trace.
+struct Consistency {
+    /// Definition 2.4 violations.
+    lin: usize,
+    /// Violations a single process observes (program order).
+    po: usize,
+    /// The violation density over 24 windows of the run; empty for a
+    /// clean cell.
+    density: Vec<Window>,
 }
 
 /// The motivation experiment — counting networks "eliminate sequential
@@ -248,11 +271,11 @@ pub(crate) fn scaling(run: &mut Run<'_>) -> io::Result<()> {
         "throughput, ops/kilocycle ({} ops, counter cost {counter_cost})",
         run.args.ops
     );
-    let cells = run.jobs(&title, &nets, &jobs);
+    let cells = run.jobs(&title, &nets, &jobs, drop);
 
     let mut table = ResultTable::new(&title, &concurrency.map(|n| format!("n={n}")));
     for (row, (name, _)) in cells.chunks(concurrency.len()).zip(rows) {
-        let per_kilocycle = |c: &CellRun| format!("{:.2}", c.record.stats.throughput * 1000.0);
+        let per_kilocycle = |c: &Cell<()>| format!("{:.2}", c.record.stats.throughput * 1000.0);
         table.push_row(name, row.iter().map(per_kilocycle).collect());
     }
     run.table_csv(&table)
@@ -283,7 +306,7 @@ pub(crate) fn ablation_balancer(run: &mut Run<'_>) -> io::Result<()> {
         "balancer-cost ablation (bitonic32, n=64, F=50%, W=1000, {} ops)",
         run.args.ops
     );
-    let cells = run.jobs(&title, std::slice::from_ref(&net), &jobs);
+    let cells = run.jobs(&title, std::slice::from_ref(&net), &jobs, drop);
     let columns = ["Tog", "avg c2/c1", "mean latency", "max queue", "nonlin"];
     run.table_csv(&cell_table(&title, &columns, &cells, |cell| {
         let s = &cell.record.stats;
@@ -334,7 +357,7 @@ pub(crate) fn ablation_jitter(run: &mut Run<'_>) -> io::Result<()> {
         "jitter ablation (n=256, F=50%, W=10000, {} ops)",
         run.args.ops
     );
-    let cells = run.jobs(&title, &nets, &jobs);
+    let cells = run.jobs(&title, &nets, &jobs, drop);
     let mut table = ResultTable::new(&title, &["bitonic nonlin", "tree nonlin"]);
     for (pair, jitter) in cells.chunks(2).zip(jitters) {
         table.push_row(
@@ -387,7 +410,7 @@ pub(crate) fn ablation_prism(run: &mut Run<'_>) -> io::Result<()> {
         "prism ablation (tree32, n=64, F=50%, W=1000, {} ops)",
         run.args.ops
     );
-    let cells = run.jobs(&title, std::slice::from_ref(&net), &jobs);
+    let cells = run.jobs(&title, std::slice::from_ref(&net), &jobs, drop);
     let columns = ["Tog", "diffracted", "mean latency", "nonlin"];
     run.table_csv(&cell_table(&title, &columns, &cells, |cell| {
         let s = &cell.record.stats;
@@ -462,7 +485,11 @@ pub(crate) fn fabric(run: &mut Run<'_>) -> io::Result<()> {
     }
 
     let title = "fabric sweep (bitonic 16, n=16, F=25%, W=10000)";
-    let cells = run.jobs(title, &nets, &jobs);
+    // the fabric counters and the delivered-token total, taken in the
+    // worker that ran the cell
+    let cells = run.jobs(title, &nets, &jobs, |stats| {
+        (stats.fabric, stats.output_counts.total())
+    });
     let columns = [
         "nonlin %",
         "avg c2/c1",
@@ -473,7 +500,7 @@ pub(crate) fn fabric(run: &mut Run<'_>) -> io::Result<()> {
     ];
     run.table_csv(&cell_table(title, &columns, &cells, |cell| {
         let s = &cell.record.stats;
-        let f = cell.stats.fabric;
+        let (f, _) = cell.kept;
         vec![
             percent(s.nonlinearizable_ratio),
             format!("{:.2}", s.average_ratio),
@@ -487,18 +514,17 @@ pub(crate) fn fabric(run: &mut Run<'_>) -> io::Result<()> {
     // the sweep is only meaningful if the lossy cells actually
     // exercised the retry machinery and still delivered every token
     for cell in &cells {
+        let (_, delivered) = cell.kept;
         assert_eq!(
-            cell.stats.output_counts.total(),
-            run.args.ops as u64,
+            delivered, run.args.ops as u64,
             "{}: tokens were lost",
             cell.record.label
         );
     }
-    let lossiest = cells.last().expect("cells");
+    let (lossiest, _) = cells.last().expect("cells").kept;
     assert!(
-        lossiest.stats.fabric.loss_drops > 0,
-        "the 1% loss cell must drop: {:?}",
-        lossiest.stats.fabric
+        lossiest.loss_drops > 0,
+        "the 1% loss cell must drop: {lossiest:?}"
     );
     Ok(())
 }
@@ -538,7 +564,7 @@ pub(crate) fn perf(run: &mut Run<'_>) -> io::Result<()> {
                 workload: workload(run, n, 25, w, WaitMode::Fixed),
             })
             .collect();
-        let cells = run.jobs(kind.label(), std::slice::from_ref(&net), &jobs);
+        let cells = run.jobs(kind.label(), std::slice::from_ref(&net), &jobs, drop);
         let title = format!("{} — wall-clock", kind.label());
         let columns = ["wall ms", "ms/kop", "sim cycles", "sim thpt"];
         run.table(&cell_table(title, &columns, &cells, |c| {

@@ -72,31 +72,34 @@ pub struct Job {
     pub workload: Workload,
 }
 
-/// One executed cell: the serializable record plus the full in-memory
-/// stats for callers that need the operation trace.
-#[derive(Debug, Clone)]
-pub struct CellRun {
-    /// The serializable summary.
-    pub record: RunRecord,
-    /// The complete measurement (operation trace included).
-    pub stats: RunStats,
-}
-
-/// Executes `jobs` over `threads` workers and returns the cells in
-/// submission order, independent of the thread count, with the sweep's
-/// [`GridReport`].
+/// Executes `jobs` over `threads` workers and returns, in submission
+/// order and independent of the thread count, what `keep` made of each
+/// cell, beside the sweep's [`GridReport`].
+///
+/// The worker that ran a cell builds its [`RunRecord`] (into
+/// `report.records`, in the same order as the returned vector) and then
+/// hands the cell's [`RunStats`] to `keep` before it takes the next job.
+/// The operation trace is dropped there unless `keep` returns it, so at
+/// most `threads` traces are alive at once. [`Grid::run`] keeps
+/// nothing; `cnet-bench`'s `consistency` and `fabric` suites keep the
+/// few numbers they read off the trace.
 ///
 /// # Panics
 ///
 /// Panics if a job's `net` index is out of bounds for `nets`.
 #[must_use]
-pub fn run_jobs_report(
+pub fn run_jobs_report<K, F>(
     title: &str,
     base_seed: u64,
     nets: &[Topology],
     jobs: &[Job],
     threads: usize,
-) -> (Vec<CellRun>, GridReport) {
+    keep: F,
+) -> (Vec<K>, GridReport)
+where
+    K: Send,
+    F: Fn(RunStats) -> K + Sync,
+{
     let started = Instant::now();
     let cells = pool::run_indexed(jobs.len(), threads, |i| {
         let job = &jobs[i];
@@ -113,19 +116,17 @@ pub fn run_jobs_report(
             job.config.seed,
             &outcome,
         );
-        CellRun {
-            record,
-            stats: outcome.stats,
-        }
+        (record, keep(outcome.stats))
     });
+    let (records, kept) = cells.into_iter().unzip();
     let report = GridReport {
         title: title.to_string(),
         base_seed,
         threads,
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        records: cells.iter().map(|c| c.record.clone()).collect(),
+        records,
     };
-    (cells, report)
+    (kept, report)
 }
 
 /// A declarative `(W, n)` sweep over one network kind — the shape of
@@ -205,32 +206,40 @@ impl Grid {
         jobs
     }
 
-    /// Runs the whole grid over `threads` workers.
+    /// Runs the whole grid over `threads` workers and keeps each
+    /// cell's [`RunRecord`] only: every cell's trace is dropped in the
+    /// worker that ran it ([`run_jobs_report`]).
     #[must_use]
     pub fn run(&self, threads: usize) -> GridOutcome {
         let nets = [self.kind.build(self.width)];
-        let (cells, report) =
-            run_jobs_report(&self.title, self.base_seed, &nets, &self.jobs(), threads);
+        let (_, report) = run_jobs_report(
+            &self.title,
+            self.base_seed,
+            &nets,
+            &self.jobs(),
+            threads,
+            drop,
+        );
         GridOutcome {
             wait_values: self.wait_values.clone(),
             concurrency: self.concurrency.clone(),
-            cells,
             report,
         }
     }
 }
 
-/// A finished grid run: the cells, the sweep axes (for table layout),
-/// and the serializable report.
+/// A finished grid run: the sweep axes (for table layout) and the
+/// serializable report, whose `records` are the cells, rows outer,
+/// columns inner. It holds no operation trace; a caller that needs one
+/// runs [`Grid::jobs`] through [`run_jobs_report`] with a `keep` that
+/// returns it.
 #[derive(Debug, Clone)]
 pub struct GridOutcome {
     /// The `W` axis, in row order.
     pub wait_values: Vec<u64>,
     /// The `n` axis, in column order.
     pub concurrency: Vec<usize>,
-    /// The executed cells, rows outer, columns inner.
-    pub cells: Vec<CellRun>,
-    /// The serializable report.
+    /// The serializable report, one record per cell.
     pub report: GridReport,
 }
 
@@ -241,10 +250,11 @@ impl GridOutcome {
     ///
     /// Panics when the coordinates are not part of the grid.
     #[must_use]
-    pub fn cell(&self, wait_cycles: u64, processors: usize) -> &CellRun {
-        self.cells
+    pub fn cell(&self, wait_cycles: u64, processors: usize) -> &RunRecord {
+        self.report
+            .records
             .iter()
-            .find(|c| c.record.wait_cycles == wait_cycles && c.record.processors == processors)
+            .find(|r| r.wait_cycles == wait_cycles && r.processors == processors)
             .expect("coordinates inside the grid")
     }
 
@@ -252,16 +262,16 @@ impl GridOutcome {
     /// `W`, one column per `n`.
     #[must_use]
     pub fn ratio_table(&self, title: &str) -> ResultTable {
-        self.table(title, |c| percent(c.record.stats.nonlinearizable_ratio))
+        self.table(title, |r| percent(r.stats.nonlinearizable_ratio))
     }
 
     /// The average-`c2/c1` table (Figure 7).
     #[must_use]
     pub fn average_ratio_table(&self, title: &str) -> ResultTable {
-        self.table(title, |c| format!("{:.2}", c.record.stats.average_ratio))
+        self.table(title, |r| format!("{:.2}", r.stats.average_ratio))
     }
 
-    fn table(&self, title: &str, cell: impl Fn(&CellRun) -> String) -> ResultTable {
+    fn table(&self, title: &str, cell: impl Fn(&RunRecord) -> String) -> ResultTable {
         let columns: Vec<String> = self.concurrency.iter().map(|n| format!("n={n}")).collect();
         let mut table = ResultTable::new(title, &columns);
         for &w in &self.wait_values {
@@ -309,9 +319,9 @@ mod tests {
         seeds.dedup();
         assert_eq!(seeds.len(), 4, "every cell gets its own seed");
         let outcome = grid.run(1);
-        for c in &outcome.cells {
-            assert_eq!(c.record.stats.completed_ops, 200);
-            assert_eq!(c.stats.operations.len(), 200);
+        assert_eq!(outcome.report.records.len(), 4);
+        for record in &outcome.report.records {
+            assert_eq!(record.stats.completed_ops, 200);
         }
         let t = outcome.ratio_table("t");
         assert!(t.to_text().contains("W=1000"));
@@ -331,6 +341,33 @@ mod tests {
                 assert_eq!(
                     parallel.report.canonical(),
                     sequential.report.canonical(),
+                    "{} at {threads} threads",
+                    kind.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn grid_run_and_job_list_share_one_executor() {
+        // `Grid::run` is `run_jobs_report` over `Grid::jobs`: the two
+        // entry points must not drift apart
+        for kind in [NetworkKind::Bitonic, NetworkKind::DiffractingTree] {
+            let grid = tiny_grid(kind);
+            let nets = [kind.build(grid.width)];
+            for threads in [1, 4] {
+                let (kept, report) = run_jobs_report(
+                    &grid.title,
+                    grid.base_seed,
+                    &nets,
+                    &grid.jobs(),
+                    threads,
+                    |stats| stats.operations.len(),
+                );
+                assert_eq!(kept, vec![200; 4], "{} at {threads}", kind.label());
+                assert_eq!(
+                    grid.run(threads).report.canonical(),
+                    report.canonical(),
                     "{} at {threads} threads",
                     kind.label()
                 );

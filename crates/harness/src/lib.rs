@@ -40,7 +40,7 @@ pub mod sweep;
 pub mod table;
 
 pub use args::BenchArgs;
-pub use grid::{run_jobs_report, CellRun, Grid, GridOutcome, Job, NetworkKind};
+pub use grid::{run_jobs_report, Grid, GridOutcome, Job, NetworkKind};
 pub use record::{native_cell_reps, GridReport, RunRecord, SchemaVersion, SCHEMA_VERSION};
 pub use report::BenchReport;
 pub use seed::{derive_cell_seed, derive_seed};

@@ -89,6 +89,16 @@ pub enum TopologyError {
         /// The offending name.
         kind: String,
     },
+    /// A line of the text format ([`crate::io::from_text`]) cannot be
+    /// loaded: it is malformed, declares a node with no inputs or no
+    /// outputs, or names a port count or counter index that the file
+    /// has too few lines to wire.
+    BadLine {
+        /// The 1-based line number.
+        line: usize,
+        /// What is wrong with the line.
+        detail: String,
+    },
     /// A token was injected on a nonexistent network input.
     InputOutOfRange {
         /// The offending network-input index.
@@ -142,6 +152,7 @@ impl fmt::Display for TopologyError {
                 f,
                 "unknown network kind `{kind}` (bitonic|periodic|tree|merger|block|single)"
             ),
+            TopologyError::BadLine { line, detail } => write!(f, "line {line}: {detail}"),
             TopologyError::InputOutOfRange { input, width } => {
                 write!(f, "input {input} out of range for input width {width}")
             }

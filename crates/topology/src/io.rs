@@ -75,18 +75,19 @@ pub fn to_text(topology: &Topology) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`TopologyError::UnknownNode`] for references to undeclared
-/// nodes, the usual builder errors for bad wiring, and
-/// [`TopologyError::NotUniform`]-class errors from final validation.
-/// Malformed lines are reported as `UnknownNode` on a sentinel id with
-/// the line number (the row is unusable either way).
+/// Returns [`TopologyError::BadLine`], naming the line, for a malformed
+/// line, a node with a zero fan-in or fan-out, and a fan-in, fan-out or
+/// counter index that is at least the text's line count (a valid file
+/// spends one `wire` or `input` line on every port, so it never names
+/// one that large). References to undeclared nodes are
+/// [`TopologyError::UnknownNode`]; bad wiring gets the usual builder
+/// errors, and final validation the [`TopologyError::NotUniform`]-class
+/// ones.
 pub fn from_text(text: &str) -> Result<Topology, TopologyError> {
     let mut builder = TopologyBuilder::new();
     let mut nodes: Vec<NodeId> = Vec::new();
+    let line_count = text.lines().count();
 
-    let malformed = |line_no: usize| TopologyError::UnknownNode {
-        node: NodeId(usize::MAX - line_no),
-    };
     let lookup = |nodes: &[NodeId], idx: usize| -> Result<NodeId, TopologyError> {
         nodes
             .get(idx)
@@ -99,15 +100,38 @@ pub fn from_text(text: &str) -> Result<Topology, TopologyError> {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
+        let bad = |detail: String| TopologyError::BadLine {
+            line: line_no + 1,
+            detail,
+        };
         let fields: Vec<&str> = line.split_whitespace().collect();
-        let num =
-            |s: &str| -> Result<usize, TopologyError> { s.parse().map_err(|_| malformed(line_no)) };
+        let num = |s: &str| -> Result<usize, TopologyError> {
+            s.parse()
+                .map_err(|_| bad(format!("`{s}` is not a non-negative integer")))
+        };
+        // a fan-in, fan-out or counter index the file cannot wire
+        let within = |what: &str, s: &str| -> Result<usize, TopologyError> {
+            let n = num(s)?;
+            if n >= line_count {
+                return Err(bad(format!(
+                    "{what} {n} needs more lines than the file's {line_count}"
+                )));
+            }
+            Ok(n)
+        };
         match fields.as_slice() {
             ["node", id, fan_in, fan_out] => {
                 if num(id)? != nodes.len() {
-                    return Err(malformed(line_no));
+                    return Err(bad(format!(
+                        "node ids must be dense: expected {}",
+                        nodes.len()
+                    )));
                 }
-                nodes.push(builder.add_node(num(fan_in)?, num(fan_out)?));
+                if num(fan_in)? == 0 || num(fan_out)? == 0 {
+                    return Err(bad("a node needs a positive fan-in and fan-out".to_string()));
+                }
+                let (fan_in, fan_out) = (within("fan-in", fan_in)?, within("fan-out", fan_out)?);
+                nodes.push(builder.add_node(fan_in, fan_out));
             }
             ["wire", from, out_port, "node", to, in_port] => {
                 let from = lookup(&nodes, num(from)?)?;
@@ -116,13 +140,13 @@ pub fn from_text(text: &str) -> Result<Topology, TopologyError> {
             }
             ["wire", from, out_port, "counter", index] => {
                 let from = lookup(&nodes, num(from)?)?;
-                builder.connect_counter(from, num(out_port)?, num(index)?)?;
+                builder.connect_counter(from, num(out_port)?, within("counter index", index)?)?;
             }
             ["input", node, port] => {
                 let node = lookup(&nodes, num(node)?)?;
                 builder.add_input(node, num(port)?)?;
             }
-            _ => return Err(malformed(line_no)),
+            _ => return Err(bad(format!("not a node, wire or input line: `{line}`"))),
         }
     }
     builder.finalize()
@@ -171,7 +195,7 @@ mod tests {
 
     #[test]
     fn undeclared_node_rejected() {
-        let text = "node 0 2 2\nwire 0 0 node 7 0\n";
+        let text = "node 0 2 2\nwire 0 0 node 7 0\ninput 0 0\ninput 0 1\n";
         assert!(matches!(
             from_text(text),
             Err(TopologyError::UnknownNode { .. })
@@ -186,9 +210,53 @@ mod tests {
 
     #[test]
     fn malformed_lines_rejected() {
-        assert!(from_text("node 0 two 2\n").is_err());
-        assert!(from_text("wiring 0 0 counter 0\n").is_err());
-        assert!(from_text("node 0 2\n").is_err());
+        assert_eq!(bad_line("node 0 two 2\n").0, 1);
+        assert_eq!(bad_line("wiring 0 0 counter 0\n").0, 1);
+        assert_eq!(bad_line("node 0 2\n").0, 1);
+        assert_eq!(bad_line("node 0 1 1\nwiring 0 0 counter 0\n").0, 2);
+    }
+
+    /// The line and message of the `BadLine` error `text` must give.
+    fn bad_line(text: &str) -> (usize, String) {
+        match from_text(text) {
+            Err(TopologyError::BadLine { line, detail }) => (line, detail),
+            other => panic!("{text:?} gave {other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_fan_in_is_a_typed_error() {
+        let (line, detail) = bad_line("# header\nnode 0 0 2\ninput 0 0\n");
+        assert_eq!(line, 2);
+        assert!(detail.contains("positive fan-in"), "{detail}");
+    }
+
+    #[test]
+    fn zero_fan_out_is_a_typed_error() {
+        let (line, _) = bad_line("node 0 2 0\ninput 0 0\ninput 0 1\n");
+        assert_eq!(line, 1);
+    }
+
+    #[test]
+    fn overflowing_counter_index_is_a_typed_error() {
+        let text = "node 0 1 1\nwire 0 0 counter 18446744073709551615\ninput 0 0\n";
+        let (line, detail) = bad_line(text);
+        assert_eq!(line, 2);
+        assert!(detail.starts_with("counter index"), "{detail}");
+    }
+
+    #[test]
+    fn ports_and_counters_beyond_the_file_are_refused() {
+        // refused before anything is sized by the number
+        let (_, detail) = bad_line("node 0 1 1000000000000\ninput 0 0\n");
+        assert!(detail.starts_with("fan-out"), "{detail}");
+        let (_, detail) = bad_line("node 0 1000000000000 1\nwire 0 0 counter 0\n");
+        assert!(detail.starts_with("fan-in"), "{detail}");
+        let (line, _) = bad_line("node 0 1 1\nwire 0 0 counter 3\ninput 0 0\n");
+        assert_eq!(line, 2);
+        // a valid file spends a line per port, so it is never refused
+        let text = "node 0 1 2\nwire 0 0 counter 0\nwire 0 1 counter 1\ninput 0 0\n";
+        assert_eq!(from_text(text).unwrap().output_width(), 2);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use counting_networks::proteus::{SimConfig, Simulator, WaitMode, Workload};
 use counting_networks::timing::adversary::{search_violations, SearchConfig};
 use counting_networks::timing::executor::TimedExecutor;
 use counting_networks::timing::{knowledge, LinkTiming};
-use counting_networks::topology::{constructions, io as topo_io};
+use counting_networks::topology::{constructions, io as topo_io, TopologyError};
 
 /// The automated search's witnesses are genuine: admissible schedules
 /// whose executions violate, and whose knowledge lemmas still hold.
@@ -49,4 +49,23 @@ fn serialized_topology_simulates_identically() {
     let a = Simulator::new(&net, SimConfig::queue_lock(9)).run(&wl);
     let b = Simulator::new(&reloaded, SimConfig::queue_lock(9)).run(&wl);
     assert_eq!(a.operations, b.operations);
+}
+
+/// A hostile topology file is refused with a typed error naming its
+/// line, never a panic and never an allocation sized by the file's
+/// numbers: zero fan-in, zero fan-out, a counter index at `u64::MAX`,
+/// a fan-out of 10^12.
+#[test]
+fn hostile_topology_text_is_a_typed_error() {
+    for (text, line) in [
+        ("node 0 0 2\n", 1),
+        ("node 0 2 0\n", 1),
+        ("node 0 1 1\nwire 0 0 counter 18446744073709551615\n", 2),
+        ("# header\nnode 0 1 1000000000000\ninput 0 0\n", 2),
+    ] {
+        match topo_io::from_text(text) {
+            Err(TopologyError::BadLine { line: at, .. }) => assert_eq!(at, line, "{text:?}"),
+            other => panic!("{text:?} gave {other:?}"),
+        }
+    }
 }
