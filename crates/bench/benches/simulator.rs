@@ -9,7 +9,8 @@
 //! second constant-delay lane beside the toggles' (see `cnet-proteus`'s
 //! `queue` module).
 
-use cnet_proteus::{SimConfig, Simulator, WaitMode, Workload};
+use cnet_engine::{WaitMode, Workload};
+use cnet_proteus::{SimConfig, Simulator};
 use cnet_topology::constructions;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 

@@ -34,8 +34,8 @@ mod sim;
 
 use std::io::{self, Write};
 
-use cnet_harness::{run_jobs_report, BenchArgs, BenchReport, Job, ResultTable, RunRecord};
-use cnet_proteus::RunStats;
+use cnet_engine::{RunRecord, RunStats};
+use cnet_harness::{run_jobs_report, BenchArgs, BenchReport, Job, ResultTable};
 use cnet_topology::Topology;
 
 /// One named experiment of the driver.

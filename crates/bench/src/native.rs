@@ -23,12 +23,12 @@
 use std::io;
 
 use cnet_engine::{
-    AsyncConfig, Backend, BackendSpec, BalancerKind, CombiningConfig, CounterSpec, RoutePolicy,
+    AsyncConfig, Backend, BalancerKind, CombiningConfig, CounterSpec, RoutePolicy, RunRecord,
     Workload,
 };
 use cnet_harness::sweep::micros;
 use cnet_harness::{
-    derive_cell_seed, percent, NativeSweep, ResultTable, RunRecord, KNEE_TOLERANCE,
+    derive_cell_seed, percent, BackendSpec, NativeSweep, ResultTable, KNEE_TOLERANCE,
 };
 use cnet_timing::linearizability;
 use cnet_topology::{constructions, Topology};

@@ -4,13 +4,13 @@
 
 use std::io;
 
+use cnet_engine::{WaitMode, Workload};
 use cnet_harness::{
     derive_cell_seed, derive_seed, percent, Grid, GridOutcome, Job, NetworkKind, ResultTable,
     PAPER_WAITS, PAPER_WIDTH,
 };
 use cnet_proteus::{
-    Fabric, FabricShape, LinkSpec, PrismConfig, RetryPolicy, SimConfig, SwitchSpec, WaitMode,
-    Workload,
+    Fabric, FabricShape, LinkSpec, PrismConfig, RetryPolicy, SimConfig, SwitchSpec,
 };
 use cnet_timing::windows::{self, Window};
 use cnet_topology::constructions;
@@ -488,7 +488,8 @@ pub(crate) fn fabric(run: &mut Run<'_>) -> io::Result<()> {
     // the fabric counters and the delivered-token total, taken in the
     // worker that ran the cell
     let cells = run.jobs(title, &nets, &jobs, |stats| {
-        (stats.fabric, stats.output_counts.total())
+        let sim = stats.sim.expect("a simulated run keeps its counters");
+        (sim.fabric, stats.output_counts.total())
     });
     let columns = [
         "nonlin %",

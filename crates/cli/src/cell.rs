@@ -17,9 +17,9 @@
 
 use std::fmt::Write as _;
 
-use cnet_engine::{Backend, SimBackend};
-use cnet_harness::{GridReport, ResultTable, RunRecord};
-use cnet_proteus::{SimConfig, WaitMode, Workload};
+use cnet_engine::{Backend, RunRecord, WaitMode, Workload};
+use cnet_harness::{GridReport, ResultTable};
+use cnet_proteus::{SimBackend, SimConfig};
 use cnet_topology::Topology;
 use serde::{Deserialize as _, Serialize as _};
 
@@ -193,7 +193,10 @@ fn run_cell(
         summary.nonlinearizable_ratio * 100.0,
         summary.program_order_violations,
     );
-    let f = stats.fabric;
+    let f = stats
+        .sim
+        .expect("a simulated run keeps its counters")
+        .fabric;
     let _ = writeln!(
         out,
         "fabric attempts: {}  loss drops: {}  full drops: {}  nack retries: {}  \
@@ -286,7 +289,8 @@ fn run_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnet_proteus::{ArrivalProcess, Fabric, FabricShape, LinkSpec};
+    use cnet_engine::ArrivalProcess;
+    use cnet_proteus::{Fabric, FabricShape, LinkSpec};
 
     fn sample() -> ScenarioSpec {
         ScenarioSpec {
@@ -403,13 +407,13 @@ mod tests {
         assert!(out.contains("output counts form a step: yes"), "{out}");
         let value = serde::json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
         let spec = ScenarioSpec::from_value(&value).unwrap();
-        let outcome = cnet_engine::SimBackend::new(&spec.network().unwrap(), spec.config)
+        let outcome = SimBackend::new(&spec.network().unwrap(), spec.config)
             .try_run(&spec.workload)
             .unwrap();
         assert!(
-            outcome.stats.fabric.loss_drops > 0,
+            outcome.stats.sim.unwrap().fabric.loss_drops > 0,
             "1% loss over ~44k hop attempts must drop something: {:?}",
-            outcome.stats.fabric
+            outcome.stats.sim
         );
         assert_eq!(outcome.stats.output_counts.total(), 2000);
     }

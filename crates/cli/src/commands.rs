@@ -3,9 +3,12 @@
 
 use std::fmt::Write as _;
 
-use cnet_engine::{ArrivalProcess, AsyncConfig, BackendSpec, BalancerKind, CounterSpec, SpecError};
-use cnet_harness::{GridReport, NativeSweep, ResultTable, RunRecord, KNEE_TOLERANCE};
-use cnet_proteus::{SimConfig, WaitMode, Workload};
+use cnet_engine::{
+    ArrivalProcess, AsyncConfig, BalancerKind, CounterSpec, RunRecord, SpecError, WaitMode,
+    Workload,
+};
+use cnet_harness::{BackendSpec, GridReport, NativeSweep, ResultTable, KNEE_TOLERANCE};
+use cnet_proteus::SimConfig;
 use cnet_timing::adversary::{
     bitonic_attack, intro_example, search_violations, tree_attack, wave_attack, Scenario,
     SearchConfig,

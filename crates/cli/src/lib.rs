@@ -7,7 +7,7 @@
 //! [`COMMANDS`] is the one list of subcommands — dispatch and `cnet
 //! help` both read it, so run `cnet help` for every synopsis, the
 //! network kinds and the backend flavors (the grammar of
-//! [`cnet_engine::BackendSpec`]). Its `reads` column is what a command
+//! [`cnet_harness::BackendSpec`]). Its `reads` column is what a command
 //! accepts: an option or switch outside it is a usage error naming it,
 //! so a stale flag is never ignored.
 //!
@@ -99,7 +99,7 @@ pub fn usage() -> String {
          for a topology in the cnet-topology text format; every <kind> <width>\n\
          also takes [--pad N] [--arity D]\nbackend flavors: ",
     );
-    text.push_str(&cnet_engine::BackendSpec::grammar().replace('|', " "));
+    text.push_str(&cnet_harness::BackendSpec::grammar().replace('|', " "));
     text.push('\n');
     text
 }

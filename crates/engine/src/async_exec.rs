@@ -56,15 +56,15 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
+use crate::{ProcessMap, SimRng, Workload};
 use cnet_concurrent::StressCounter;
-use cnet_proteus::{ProcessMap, SimRng, Workload};
 use cnet_timing::Operation;
 use cnet_topology::Topology;
 
 use crate::counter::Executor;
 use crate::driver::{self, Readout, Trace, Widths};
 use crate::schedule::{arrival_schedule, THREAD_STREAM};
-use crate::{Backend, BackendSpec, CounterSpec, RunOutcome, SpecError};
+use crate::{Backend, CounterSpec, RunOutcome, SpecError};
 
 /// Polls a waiting client spins this many times before yielding the
 /// OS thread — long enough to catch a near-committed turn without a
@@ -374,7 +374,7 @@ impl Executor for Cooperative<'_> {
 
 impl Backend for AsyncBackend<'_> {
     fn name(&self) -> &'static str {
-        BackendSpec::Async(self.counter, self.config).name()
+        self.counter.family(true)
     }
 
     fn run(&self, workload: &Workload) -> RunOutcome {
@@ -390,8 +390,8 @@ impl Backend for AsyncBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ArrivalProcess;
     use cnet_concurrent::network::BalancerKind;
-    use cnet_proteus::ArrivalProcess;
     use cnet_topology::constructions;
 
     fn workload(clients: usize, ops: usize) -> Workload {
@@ -493,7 +493,7 @@ mod tests {
         let b = network(&net, BalancerKind::WaitFree, cfg(2, 8), 1);
         assert_eq!(
             b.try_run(&workload(0, 100)).err(),
-            Some(cnet_proteus::WorkloadError::NoClients)
+            Some(crate::WorkloadError::NoClients)
         );
         assert!(b.run(&workload(8, 0)).stats.operations.is_empty());
     }

@@ -2,13 +2,15 @@
 //! read-out of each kind, written once and shared by both executors
 //! (client threads, cooperative clients).
 
+use std::fmt;
+
 use cnet_concurrent::frontend::{CombiningConfig, CombiningCounter, RoutePolicy, ShardedCounter};
 use cnet_concurrent::network::{BalancerKind, NetworkCounter};
 use cnet_concurrent::StressCounter;
 use cnet_topology::{OutputCounts, Topology};
 
 use crate::driver::Readout;
-use crate::{RunOutcome, SpecError};
+use crate::RunOutcome;
 
 /// A native (`cnet-concurrent`) counter over a backend's topology.
 ///
@@ -33,6 +35,50 @@ pub enum CounterSpec {
     /// behind a router. The step holds within each residue class.
     Shard(BalancerKind, RoutePolicy, usize),
 }
+
+/// Why a backend flavor string or a counter × topology pair was
+/// refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// The text before the `:` names no backend family.
+    UnknownFamily {
+        /// The flavor string as given.
+        given: String,
+        /// The accepted flavors, `|`-separated, for the message.
+        families: String,
+    },
+    /// The text after the `:` is not a positive integer, or the family
+    /// takes no parameter.
+    BadParameter(String),
+    /// `shards` cannot split an output width of `width` into
+    /// power-of-two shard widths `>= 2`.
+    ShardSplit {
+        /// Requested shard count.
+        shards: usize,
+        /// The topology's output width.
+        width: usize,
+    },
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::UnknownFamily { given, families } => {
+                write!(f, "unknown backend `{given}` ({families})")
+            }
+            SpecError::BadParameter(given) => write!(
+                f,
+                "bad backend parameter in `{given}` (want `:N`, N >= 1, on a family that takes one)"
+            ),
+            SpecError::ShardSplit { shards, width } => write!(
+                f,
+                "{shards} shards cannot split width {width} into powers of two >= 2"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
 
 /// What runs the clients against a freshly built counter: the client
 /// threads of [`crate::driver::Threads`] or the cooperative executor.
@@ -63,6 +109,25 @@ fn interleave_shard_counts(shard_major: Vec<u64>, count: usize) -> OutputCounts 
 }
 
 impl CounterSpec {
+    /// The family name of this counter driven by one OS thread per
+    /// client ([`crate::ShmBackend`], `pooled == false`) or by
+    /// cooperative clients ([`crate::AsyncBackend`], `pooled ==
+    /// true`): the one table of native family names, which the
+    /// backends' [`crate::Backend::name`] and every registry read.
+    #[must_use]
+    pub fn family(&self, pooled: bool) -> &'static str {
+        let [threads, cooperative] = match self {
+            CounterSpec::Network(_) => ["shm", "async"],
+            CounterSpec::Batch(..) => ["shm-batch", "async-batch"],
+            CounterSpec::Shard(..) => ["shm-shard", "async-shard"],
+        };
+        if pooled {
+            cooperative
+        } else {
+            threads
+        }
+    }
+
     /// Whether the counter trades the exact quiescent step property
     /// for throughput by design.
     #[must_use]

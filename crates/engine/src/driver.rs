@@ -14,9 +14,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::{ProcessMap, RunStats, SimRng, WaitMode, Workload};
 use cnet_concurrent::StressCounter;
 use cnet_obs::{FrontendMetrics, LogHistogram, MetricsSnapshot};
-use cnet_proteus::{ProcessMap, RunStats, SimRng, WaitMode, Workload};
 use cnet_timing::linearizability::lane_magnitudes;
 use cnet_timing::Operation;
 use cnet_topology::OutputCounts;
@@ -26,7 +26,7 @@ use crate::schedule::{arrival_schedule, THREAD_STREAM};
 use crate::RunOutcome;
 
 /// Every backend's first move: reject degenerate workloads with the
-/// typed [`cnet_proteus::WorkloadError`] before any thread spawns.
+/// typed [`crate::WorkloadError`] before any thread spawns.
 /// The fallible path is [`crate::Backend::try_run`]; `run` keeps its
 /// infallible signature by construction-checking here.
 ///
@@ -287,8 +287,8 @@ impl Executor for Threads<'_> {
 /// owner per chunk rather than per operation.
 ///
 /// Native substrates have no simulated balancer instrumentation, so
-/// the toggle counters are zero and the `Tog` *fallback* fields are
-/// populated instead: `node_visits` = operations, `node_wait_total` =
+/// `sim` is `None` and the `Tog` *fallback* fields are populated
+/// instead: `node_visits` = operations, `node_wait_total` =
 /// summed op latency, making `avg_toggle_wait` the mean op latency in
 /// logical-clock ticks and keeping `average_ratio` finite. When the
 /// `obs` feature is on, the substrate's own probe snapshot rides along
@@ -363,11 +363,7 @@ pub(crate) fn stats_from_trace(
         completed_by: ProcessMap::chunked(chunk, owners, len),
         operations,
         output_counts,
-        toggle_count: 0,
-        toggle_wait_total: 0,
-        diffraction_pairs: 0,
-        max_lock_queue: 0,
-        fabric: cnet_proteus::FabricStats::default(),
+        sim: None,
         nonlinearizable,
         metrics,
     }
@@ -473,7 +469,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "mean_gap >= 1")]
     fn validated_rejects_degenerate_open_gap() {
-        use cnet_proteus::ArrivalProcess;
+        use crate::ArrivalProcess;
         validated(&Workload {
             arrival: ArrivalProcess::Open { mean_gap: 0 },
             ..Workload::paper(2, 0, 0)

@@ -5,33 +5,33 @@
 //! local wire-timing ratio `c2/c1`, not by network depth — is testable
 //! here because the *same* token stream can be pushed through
 //! different execution substrates and the timestamped histories
-//! compared. The engine gives every substrate (the `cnet-proteus`
-//! event loop, client threads, cooperative clients) one run loop, one
-//! timestamping discipline and one metrics handoff, behind four
-//! names:
+//! compared. Definitions 2.2 and 2.4 judge any timed execution, so the
+//! engine owns the vocabulary of a run, and every substrate is a
+//! backend of it:
 //!
+//! * [`Workload`] — what to run: `n` clients, the delayed fraction `F`
+//!   and its wait `W`, the operation count, and an [`ArrivalProcess`]
+//!   (the paper's closed loop, or open-loop / bursty / trace-replayed
+//!   arrivals on a deterministic seeded schedule drawn from
+//!   [`SimRng`]).
 //! * [`Backend`] — something that can execute a [`Workload`] against a
-//!   counting network and produce a [`RunOutcome`]. Three
-//!   implementations ship: [`SimBackend`] (the deterministic
-//!   discrete-event simulator), [`ShmBackend`] (one real thread per
-//!   client) and [`AsyncBackend`] (a cooperative executor multiplexing
-//!   millions of logical clients onto a small worker pool — the only
-//!   substrate where "clients" can mean `10^6`). The two native
-//!   executors drive any [`CounterSpec`]: the compiled network or the
-//!   combining and sharded frontends over it.
-//! * [`BackendSpec`] — "which counter, driven how" as one parseable
-//!   value (`shm`, `shm-batch:8`, `async-shard`, …): the registry behind
-//!   `cnet run --backend` and the native benches, and the only place a
-//!   flavor is named.
-//! * [`Workload`] — re-exported from `cnet-proteus`, now carrying an
-//!   [`ArrivalProcess`]: the paper's closed loop, or open-loop /
-//!   bursty arrivals on a deterministic seeded schedule.
+//!   counting network and produce a [`RunOutcome`]. Two
+//!   implementations ship here: [`ShmBackend`] (one real thread per
+//!   client) and [`AsyncBackend`] (a cooperative executor
+//!   multiplexing millions of logical clients onto a small worker
+//!   pool — the only substrate where "clients" can mean `10^6`). Both
+//!   drive any [`CounterSpec`]: the compiled network or the combining
+//!   and sharded frontends over it. The discrete-event simulator is
+//!   `cnet-proteus`'s `SimBackend`, and `cnet-harness`'s
+//!   `BackendSpec` names every family as one parseable value.
 //! * [`RunOutcome`] — the backend name, a full [`RunStats`]
-//!   (timestamped operation trace, per-counter totals, contention
-//!   counters, optional [`cnet_obs::MetricsSnapshot`]), and the
-//!   host wall-clock. Consumed uniformly by
-//!   `timing::linearizability`, `timing::program_order` and the
-//!   harness's `RunRecord`.
+//!   (timestamped operation trace, per-counter totals, the `Tog`
+//!   fallback counters, the simulator's own [`SimCounters`] when it
+//!   produced the run, optional [`cnet_obs::MetricsSnapshot`]), and
+//!   the host wall-clock. Consumed uniformly by
+//!   `timing::linearizability`, `timing::program_order` and
+//!   [`RunRecord`], the serializable record every report, dump and
+//!   committed artifact is made of.
 //!
 //! # Timestamp domains
 //!
@@ -48,17 +48,17 @@
 //! # Example
 //!
 //! ```
-//! use cnet_engine::{Backend, ShmBackend, SimBackend, Workload};
-//! use cnet_proteus::SimConfig;
+//! use cnet_engine::{AsyncBackend, AsyncConfig, Backend, CounterSpec, ShmBackend, Workload};
 //! use cnet_topology::constructions;
 //!
 //! let net = constructions::bitonic(4)?;
 //! let workload = Workload { total_ops: 200, ..Workload::paper(4, 0, 0) };
+//! let counter = CounterSpec::Network(Default::default());
 //!
 //! // the same workload, two substrates
-//! let sim = SimBackend::new(&net, SimConfig::queue_lock(7)).run(&workload);
-//! let shm = ShmBackend::network(&net, Default::default(), 7).run(&workload);
-//! for outcome in [&sim, &shm] {
+//! let threads = ShmBackend::new(&net, counter, 7)?.run(&workload);
+//! let pooled = AsyncBackend::new(&net, counter, AsyncConfig::default(), 7)?.run(&workload);
+//! for outcome in [&threads, &pooled] {
 //!     assert_eq!(outcome.stats.operations.len(), 200);
 //!     assert!(outcome.counts_exactly());
 //! }
@@ -73,24 +73,27 @@ mod async_exec;
 mod counter;
 mod driver;
 mod outcome;
+mod record;
+mod rng;
 mod schedule;
 mod service;
 mod shm;
-mod sim;
-mod spec;
+mod stats;
+mod workload;
 
 pub use cnet_concurrent::frontend::{CombiningConfig, RoutePolicy};
 pub use cnet_concurrent::network::BalancerKind;
-pub use cnet_proteus::{ArrivalProcess, RunStats, SimConfig, WaitMode, Workload, WorkloadError};
 
 pub use async_exec::{AsyncBackend, AsyncConfig};
-pub use counter::CounterSpec;
+pub use counter::{CounterSpec, SpecError};
 pub use outcome::RunOutcome;
+pub use record::{RunRecord, SchemaVersion, SCHEMA_VERSION};
+pub use rng::SimRng;
 pub use schedule::arrival_schedule;
 pub use service::{Bracket, ServiceDriver};
 pub use shm::{run_counter, ShmBackend};
-pub use sim::SimBackend;
-pub use spec::{BackendSpec, SpecError};
+pub use stats::{FabricStats, ProcessMap, RunStats, SimCounters, StatsSummary};
+pub use workload::{ArrivalProcess, WaitMode, Workload, WorkloadError};
 
 /// Whether this build of the engine records through the live probe
 /// layer (the `obs` feature — which Cargo unifies on for every crate of
@@ -110,8 +113,9 @@ pub const PROBES_LIVE: bool = cfg!(feature = "obs");
 /// substrates in one invocation.
 pub trait Backend {
     /// Short identifier recorded in the outcome (and, downstream, in
-    /// the harness `RunRecord`): the family string of
-    /// [`BackendSpec::name`].
+    /// its [`RunRecord`]): the backend's family, `sim` for the
+    /// simulator, [`CounterSpec::family`] for a native counter under
+    /// its executor.
     fn name(&self) -> &'static str;
 
     /// Executes the workload to completion and returns the unified

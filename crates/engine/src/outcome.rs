@@ -1,13 +1,13 @@
 //! The unified result of one backend run.
 
-use cnet_proteus::RunStats;
+use crate::RunStats;
 
 /// What every backend hands back: the full measurement of one run.
 ///
 /// `stats` carries the timestamped operation trace (simulated cycles
-/// for [`crate::SimBackend`], logical-clock ticks for the native
-/// backends), the per-counter totals, the contention counters behind
-/// the paper's `Tog`, and the optional `cnet-obs` metrics snapshot.
+/// for the simulator, logical-clock ticks for the native backends),
+/// the per-counter totals, the contention counters behind the paper's
+/// `Tog`, and the optional `cnet-obs` metrics snapshot.
 /// `wall_ms` is host wall-clock around the run itself — workload
 /// execution plus metric recording, with snapshot export outside the
 /// window, matching what the perf baselines have always measured.
@@ -82,16 +82,12 @@ mod tests {
             backend: "test",
             stats: RunStats {
                 operations,
-                completed_by: cnet_proteus::ProcessMap::per_op(vec![0; n]),
+                completed_by: crate::ProcessMap::per_op(vec![0; n]),
                 output_counts: OutputCounts::zeros(2),
                 sim_time: 2 * n as u64,
-                toggle_count: 0,
-                toggle_wait_total: 0,
-                diffraction_pairs: 0,
                 node_visits: 0,
                 node_wait_total: 0,
-                max_lock_queue: 0,
-                fabric: cnet_proteus::FabricStats::default(),
+                sim: None,
                 nonlinearizable: 0,
                 metrics: None,
             },

@@ -1,21 +1,24 @@
-//! The simulator's inlined PRNG.
+//! The inlined PRNG every backend draws from.
 //!
 //! `SimRng` is a SplitMix64 generator whose output stream is
 //! *bit-identical* to the vendored `rand::rngs::StdRng` (same state
 //! update, same avalanche constants, same Lemire-with-one-rejection
-//! range reduction), so swapping it into the hot loop changes no seeded
-//! artifact: the golden-trace tests in `tests/golden.rs` pin this
-//! equivalence against fixtures captured before the swap.
+//! range reduction), so swapping it into the simulator's hot loop
+//! changed no seeded artifact: the golden-trace tests in
+//! `cnet-proteus` pin this equivalence against fixtures captured
+//! before the swap.
 //!
 //! What it removes is the *call shape*: the vendored `rand` samples
 //! through `&mut dyn RngCore` (one virtual call per draw, opaque to the
 //! inliner), while `SimRng`'s draw methods are concrete, `#[inline]`,
 //! and monomorphic — the simulator's two or three draws per event
-//! compile down to a handful of multiply/xor/shift instructions.
+//! compile down to a handful of multiply/xor/shift instructions, across
+//! the crate boundary.
 //!
-//! Seeds reach a `SimRng` through `SimConfig::seed`, which the
-//! experiment harness derives per grid cell with
-//! `cnet_harness::seed::derive_cell_seed`.
+//! The simulator seeds one from its configuration's seed, which the
+//! experiment harness derives per grid cell; the native drivers seed
+//! the arrival schedule and every client's `W` draws from a run's seed
+//! ([`crate::arrival_schedule`]).
 
 /// SplitMix64, stream-compatible with the vendored `StdRng`.
 #[derive(Debug, Clone)]

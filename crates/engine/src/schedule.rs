@@ -6,7 +6,7 @@
 //! backend's run loop, so the thread-per-client driver and the
 //! cooperative async executor draw from exactly the same instants.
 
-use cnet_proteus::{ArrivalProcess, SimRng, Workload};
+use crate::{ArrivalProcess, SimRng, Workload};
 
 /// Seed perturbation for the arrival-schedule stream; the same
 /// constant the simulator uses, so a given `(seed, workload)` pair

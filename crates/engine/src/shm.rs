@@ -7,7 +7,7 @@ use cnet_topology::{OutputCounts, Topology};
 
 use crate::counter::Executor;
 use crate::driver::{self, Readout, Threads};
-use crate::{Backend, BackendSpec, CounterSpec, RunOutcome, SpecError, Workload};
+use crate::{Backend, CounterSpec, RunOutcome, SpecError, Workload};
 
 /// Runs workloads on real OS threads, one per client, over a native
 /// (`cnet-concurrent`) counter — any [`CounterSpec`]: the compiled
@@ -56,7 +56,7 @@ impl<'a> ShmBackend<'a> {
 
 impl Backend for ShmBackend<'_> {
     fn name(&self) -> &'static str {
-        BackendSpec::Threads(self.counter).name()
+        self.counter.family(false)
     }
 
     fn run(&self, workload: &Workload) -> RunOutcome {
@@ -90,7 +90,7 @@ impl Backend for ShmBackend<'_> {
 pub fn run_counter<C: StressCounter>(counter: &C, workload: &Workload, seed: u64) -> RunOutcome {
     driver::validated(workload);
     let exec = Threads {
-        backend: "shm",
+        backend: CounterSpec::Network(BalancerKind::default()).family(false),
         workload,
         seed,
     };
@@ -104,7 +104,7 @@ pub fn run_counter<C: StressCounter>(counter: &C, workload: &Workload, seed: u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cnet_proteus::WorkloadError;
+    use crate::WorkloadError;
     use cnet_topology::constructions;
 
     fn workload(threads: usize, ops: usize) -> Workload {
@@ -145,6 +145,17 @@ mod tests {
             ..Workload::paper(2, 100, 500)
         });
         assert!(outcome.stats.average_ratio(500).is_finite());
+    }
+
+    #[test]
+    #[should_panic(expected = "burst >= 1")]
+    fn infallible_run_panics_with_the_typed_message() {
+        let net = constructions::bitonic(8).unwrap();
+        let _ = ShmBackend::network(&net, BalancerKind::WaitFree, 1).run(&Workload {
+            total_ops: 10,
+            arrival: crate::ArrivalProcess::Bursty { burst: 0, gap: 100 },
+            ..Workload::paper(2, 0, 0)
+        });
     }
 
     #[test]

@@ -2,11 +2,11 @@
 
 use std::time::Instant;
 
-use cnet_engine::{Backend, SimBackend};
-use cnet_proteus::{RunStats, SimConfig, WaitMode, Workload};
+use cnet_engine::{Backend, RunRecord, RunStats, WaitMode, Workload};
+use cnet_proteus::{SimBackend, SimConfig};
 use cnet_topology::{constructions, Topology};
 
-use crate::record::{GridReport, RunRecord};
+use crate::record::GridReport;
 use crate::seed::derive_cell_seed;
 use crate::table::{percent, ResultTable};
 use crate::{pool, PAPER_CONCURRENCY, PAPER_WAITS, PAPER_WIDTH};

@@ -11,14 +11,17 @@
 //!   a bounded `std::thread::scope` worker pool and merges results back
 //!   into submission order, so a grid's measurements are identical for
 //!   any `--threads` value (wall-clock timings are the one exception);
-//! * **records** — serde-serializable [`RunRecord`]/[`GridReport`]
-//!   summaries of every cell, with per-cell wall-clock, emitted as JSON
-//!   next to the aligned-text/CSV tables;
+//! * **reports** — a serde-serializable [`GridReport`] over every
+//!   cell's [`RunRecord`] (the engine's record of a run), with per-cell
+//!   wall-clock, emitted as JSON next to the aligned-text/CSV tables;
 //! * **uniform flags** — [`BenchArgs`] gives every suite the same
 //!   `--ops`, `--seed`, `--threads`, `--json <path>` surface, and
 //!   refuses the ones a suite does not read;
+//! * **the backend registry** — [`BackendSpec`] names every backend
+//!   family, the simulator's and the engine's native ones, as one
+//!   parseable value (`sim`, `shm-batch:8`, `async-shard`, …);
 //! * **native sweeps** — [`NativeSweep`] runs one
-//!   [`cnet_engine::BackendSpec`] best-of-N over a list of cells, the
+//!   [`BackendSpec`] best-of-N over a list of cells, the
 //!   loop the host-time suites share, and owns the open-loop gap
 //!   ladder and knee rule (`cnet-bench saturation`, `cnet saturate`).
 //!
@@ -36,14 +39,18 @@ pub mod pool;
 pub mod record;
 pub mod report;
 pub mod seed;
+pub mod spec;
 pub mod sweep;
 pub mod table;
 
 pub use args::BenchArgs;
 pub use grid::{run_jobs_report, Grid, GridOutcome, Job, NetworkKind};
-pub use record::{native_cell_reps, GridReport, RunRecord, SchemaVersion, SCHEMA_VERSION};
+// the engine's record under the name the repository benchmark imports
+pub use cnet_engine::RunRecord;
+pub use record::{native_cell_reps, GridReport};
 pub use report::BenchReport;
 pub use seed::{derive_cell_seed, derive_seed};
+pub use spec::BackendSpec;
 pub use sweep::{GapLadder, NativeSweep, GAP_LADDER, KNEE_TOLERANCE};
 pub use table::{percent, ResultTable};
 

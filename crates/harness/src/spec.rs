@@ -1,6 +1,10 @@
-//! The backend registry: the one place a backend flavor is named.
+//! The backend registry: every backend family, simulated and native,
+//! as one parseable value.
 //!
 //! A [`BackendSpec`] is "which counter, driven how" as a plain value.
+//! It lives here, in the first crate that sees every backend; the
+//! family names themselves are [`SimBackend::NAME`] and the engine's
+//! [`CounterSpec::family`].
 //! Its text form is `family[:N]` — [`BackendSpec::name`] plus, for the
 //! families that take one, the batch width or shard count — and
 //! [`BackendSpec::all`] lists one default-parameter spec per family,
@@ -9,12 +13,12 @@
 use std::fmt;
 use std::str::FromStr;
 
-use cnet_concurrent::frontend::{CombiningConfig, RoutePolicy};
-use cnet_concurrent::network::BalancerKind;
-use cnet_proteus::SimConfig;
+use cnet_engine::{
+    AsyncBackend, AsyncConfig, Backend, BalancerKind, CombiningConfig, CounterSpec, RoutePolicy,
+    ShmBackend, SpecError, Workload,
+};
+use cnet_proteus::{SimBackend, SimConfig};
 use cnet_topology::Topology;
-
-use crate::{AsyncBackend, AsyncConfig, Backend, CounterSpec, ShmBackend, SimBackend, Workload};
 
 /// Batch width of a bare `shm-batch` / `async-batch`.
 const DEFAULT_BATCH: u64 = 8;
@@ -38,44 +42,6 @@ pub enum BackendSpec {
     /// counter ([`AsyncBackend`]).
     Async(CounterSpec, AsyncConfig),
 }
-
-/// Why a backend flavor string or a spec × topology pair was refused.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SpecError {
-    /// The text before the `:` names no backend family.
-    UnknownFamily(String),
-    /// The text after the `:` is not a positive integer, or the family
-    /// takes no parameter.
-    BadParameter(String),
-    /// `shards` cannot split an output width of `width` into
-    /// power-of-two shard widths `>= 2`.
-    ShardSplit {
-        /// Requested shard count.
-        shards: usize,
-        /// The topology's output width.
-        width: usize,
-    },
-}
-
-impl fmt::Display for SpecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SpecError::UnknownFamily(given) => {
-                write!(f, "unknown backend `{given}` ({})", BackendSpec::grammar())
-            }
-            SpecError::BadParameter(given) => write!(
-                f,
-                "bad backend parameter in `{given}` (want `:N`, N >= 1, on a family that takes one)"
-            ),
-            SpecError::ShardSplit { shards, width } => write!(
-                f,
-                "{shards} shards cannot split width {width} into powers of two >= 2"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for SpecError {}
 
 impl BackendSpec {
     /// One spec per family, default parameters (`K = 8`, `S = 4`),
@@ -109,15 +75,10 @@ impl BackendSpec {
     /// ([`Backend::name`]): the flavor without its parameter.
     #[must_use]
     pub fn name(&self) -> &'static str {
-        use CounterSpec::{Batch, Network, Shard};
         match self {
-            BackendSpec::Sim(_) => "sim",
-            BackendSpec::Threads(Network(_)) => "shm",
-            BackendSpec::Threads(Batch(..)) => "shm-batch",
-            BackendSpec::Threads(Shard(..)) => "shm-shard",
-            BackendSpec::Async(Network(_), _) => "async",
-            BackendSpec::Async(Batch(..), _) => "async-batch",
-            BackendSpec::Async(Shard(..), _) => "async-shard",
+            BackendSpec::Sim(_) => SimBackend::NAME,
+            BackendSpec::Threads(counter) => counter.family(false),
+            BackendSpec::Async(counter, _) => counter.family(true),
         }
     }
 
@@ -226,7 +187,10 @@ impl FromStr for BackendSpec {
         let mut spec = Self::all()
             .into_iter()
             .find(|spec| spec.name() == family)
-            .ok_or_else(|| SpecError::UnknownFamily(text.to_string()))?;
+            .ok_or_else(|| SpecError::UnknownFamily {
+                given: text.to_string(),
+                families: Self::grammar(),
+            })?;
         if let Some(parameter) = parameter {
             let n = parameter.parse::<usize>().ok().filter(|&n| n > 0);
             if !n.is_some_and(|n| spec.set_parameter(n)) {
@@ -300,7 +264,13 @@ mod tests {
             "mp-elim",
             "async-mp",
         ] {
-            assert_eq!(parse(text), SpecError::UnknownFamily(text.to_string()));
+            assert_eq!(
+                parse(text),
+                SpecError::UnknownFamily {
+                    given: text.to_string(),
+                    families: BackendSpec::grammar(),
+                }
+            );
         }
         for text in [
             "shm-batch:0",

@@ -6,12 +6,13 @@
 
 use std::time::Instant;
 
-use cnet_engine::{ArrivalProcess, BackendSpec, SpecError, Workload};
+use cnet_engine::{ArrivalProcess, RunRecord, SpecError, Workload};
 use cnet_obs::OpenLoopMetrics;
 use cnet_topology::Topology;
 
-use crate::record::{native_cell_reps, GridReport, RunRecord};
+use crate::record::{native_cell_reps, GridReport};
 use crate::table::ResultTable;
+use crate::BackendSpec;
 
 /// Mean inter-arrival gaps of an open-loop saturation sweep,
 /// nanoseconds, subcritical first. The offered rate of a cell is

@@ -12,12 +12,10 @@
 //! [`cnet_concurrent::testcfg::with_seed_report`]; set that variable to
 //! replay a failing configuration.
 
-use cnet_concurrent::network::BalancerKind;
 use cnet_concurrent::testcfg;
-use cnet_engine::{
-    ArrivalProcess, AsyncConfig, Backend, BackendSpec, CounterSpec, SimBackend, Workload,
-};
-use cnet_proteus::SimConfig;
+use cnet_engine::{ArrivalProcess, AsyncConfig, Backend, BalancerKind, CounterSpec, Workload};
+use cnet_harness::BackendSpec;
+use cnet_proteus::{SimBackend, SimConfig};
 use cnet_topology::constructions;
 
 /// Runs `workload` through all three backends over the same topology

@@ -8,7 +8,8 @@
 //! are one: the count, and on a live-probe build the magnitudes the
 //! snapshot carries.
 
-use cnet_engine::{ArrivalProcess, BackendSpec, Workload, PROBES_LIVE};
+use cnet_engine::{ArrivalProcess, Workload, PROBES_LIVE};
+use cnet_harness::BackendSpec;
 use cnet_timing::linearizability::{count_nonlinearizable, magnitudes};
 use cnet_topology::constructions;
 

@@ -7,11 +7,12 @@
 //! now rejects them with the typed [`WorkloadError`] before any thread
 //! spawns:
 //! [`Backend::try_run`] returns the error, [`Backend::run`] panics
-//! with its display text.
+//! with its display text (`cnet-engine`'s `shm` unit tests pin the
+//! panic).
 
-use cnet_concurrent::network::BalancerKind;
-use cnet_engine::{ArrivalProcess, Backend, BackendSpec, ShmBackend, Workload, WorkloadError};
-use cnet_topology::{constructions, Topology};
+use cnet_engine::{ArrivalProcess, Backend, Workload, WorkloadError};
+use cnet_harness::BackendSpec;
+use cnet_topology::constructions;
 
 fn zero_gap() -> Workload {
     Workload {
@@ -118,13 +119,9 @@ fn assert_rejects(backend: &dyn Backend) {
     assert_eq!(ok.stats.operations.len(), 10);
 }
 
-fn net() -> Topology {
-    constructions::bitonic(8).expect("valid width")
-}
-
 #[test]
 fn every_registered_backend_rejects_degenerate_arrivals() {
-    let net = net();
+    let net = constructions::bitonic(8).expect("valid width");
     for spec in BackendSpec::all() {
         assert_rejects(
             spec.build(&net, 1)
@@ -132,11 +129,4 @@ fn every_registered_backend_rejects_degenerate_arrivals() {
                 .as_ref(),
         );
     }
-}
-
-#[test]
-#[should_panic(expected = "burst >= 1")]
-fn infallible_run_panics_with_the_typed_message() {
-    let net = net();
-    let _ = ShmBackend::network(&net, BalancerKind::WaitFree, 1).run(&zero_burst());
 }

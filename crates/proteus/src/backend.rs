@@ -2,14 +2,14 @@
 
 use std::time::Instant;
 
-use cnet_proteus::{SimConfig, Simulator, Workload};
+use cnet_engine::{Backend, RunOutcome, Workload};
 use cnet_topology::Topology;
 
-use crate::{Backend, BackendSpec, RunOutcome};
+use crate::{SimConfig, Simulator};
 
-/// Runs workloads on the `cnet-proteus` deterministic discrete-event
-/// simulator — the substrate of the paper's Section 5 study and of
-/// every committed figure table.
+/// Runs workloads on the deterministic discrete-event simulator — the
+/// substrate of the paper's Section 5 study and of every committed
+/// figure table — behind the engine's [`Backend`] trait.
 ///
 /// The run loop is byte-compatible with what the harness always did:
 /// the wall-clock window covers simulation plus metric *recording*,
@@ -23,6 +23,10 @@ pub struct SimBackend<'a> {
 }
 
 impl<'a> SimBackend<'a> {
+    /// The simulator's family name, [`Backend::name`] of every
+    /// `SimBackend`.
+    pub const NAME: &'static str = "sim";
+
     /// A backend simulating `topology` under the given machine model.
     #[must_use]
     pub fn new(topology: &'a Topology, config: SimConfig) -> Self {
@@ -38,11 +42,13 @@ impl<'a> SimBackend<'a> {
 
 impl Backend for SimBackend<'_> {
     fn name(&self) -> &'static str {
-        BackendSpec::Sim(self.config).name()
+        Self::NAME
     }
 
     fn run(&self, workload: &Workload) -> RunOutcome {
-        crate::driver::validated(workload);
+        if let Err(e) = workload.validate() {
+            panic!("invalid workload: {e}");
+        }
         let sim = Simulator::new(self.topology, self.config);
         let started = Instant::now();
         let (mut stats, recorder) = sim.run_instrumented(workload);
@@ -84,7 +90,7 @@ mod tests {
 
     #[test]
     fn open_loop_workloads_run_through_the_backend() {
-        use cnet_proteus::ArrivalProcess;
+        use cnet_engine::ArrivalProcess;
         let net = constructions::counting_tree(8).unwrap();
         let outcome = SimBackend::new(&net, SimConfig::diffracting(11)).run(&Workload {
             total_ops: 250,

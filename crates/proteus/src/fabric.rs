@@ -257,7 +257,8 @@ impl<Q: Queue<Ev>> Runner<'_, Q> {
 pub(super) mod tests {
     use cnet_topology::{constructions, FabricShape, LinkSpec, RetryPolicy, SwitchSpec};
 
-    use crate::{ArrivalProcess, RunStats, SimConfig, Simulator, Workload};
+    use crate::{SimConfig, Simulator};
+    use cnet_engine::{ArrivalProcess, FabricStats, RunStats, Workload};
 
     fn wl(processors: usize, ops: usize) -> Workload {
         Workload {
@@ -322,9 +323,9 @@ pub(super) mod tests {
             let stats = run_shape(shape, 0, false, 400);
             assert_counts_exactly(&stats, 400);
             assert!(
-                stats.fabric.attempts >= 400,
+                stats.sim.unwrap().fabric.attempts >= 400,
                 "{shape:?}: attempts {}",
-                stats.fabric.attempts
+                stats.sim.unwrap().fabric.attempts
             );
         }
     }
@@ -333,7 +334,7 @@ pub(super) mod tests {
     fn degenerate_fabric_records_no_fabric_stats() {
         let net = constructions::bitonic(8).unwrap();
         let stats = Simulator::new(&net, SimConfig::queue_lock(0xFAB)).run(&wl(16, 200));
-        assert_eq!(stats.fabric, crate::FabricStats::default());
+        assert_eq!(stats.sim.unwrap().fabric, FabricStats::default());
         assert!(stats.summary(0).fabric.is_none());
     }
 
@@ -343,11 +344,15 @@ pub(super) mod tests {
         // completes with a unique value — retransmission never loses
         // or duplicates a token
         let stats = run_shape(FabricShape::OneBigSwitch, 50_000, false, 400);
-        assert!(stats.fabric.loss_drops > 0, "{:?}", stats.fabric);
         assert!(
-            stats.fabric.attempts > 400,
+            stats.sim.unwrap().fabric.loss_drops > 0,
+            "{:?}",
+            stats.sim.unwrap().fabric
+        );
+        assert!(
+            stats.sim.unwrap().fabric.attempts > 400,
             "losses must force extra attempts: {:?}",
-            stats.fabric
+            stats.sim.unwrap().fabric
         );
         assert_counts_exactly(&stats, 400);
     }
@@ -375,8 +380,17 @@ pub(super) mod tests {
             },
         )
         .run(&open);
-        assert!(nacked.fabric.nack_retries > 0, "{:?}", nacked.fabric);
-        assert_eq!(nacked.fabric.full_drops, 0, "{:?}", nacked.fabric);
+        assert!(
+            nacked.sim.unwrap().fabric.nack_retries > 0,
+            "{:?}",
+            nacked.sim.unwrap().fabric
+        );
+        assert_eq!(
+            nacked.sim.unwrap().fabric.full_drops,
+            0,
+            "{:?}",
+            nacked.sim.unwrap().fabric
+        );
         assert_counts_exactly(&nacked, 600);
 
         let dropped = Simulator::new(
@@ -387,8 +401,17 @@ pub(super) mod tests {
             },
         )
         .run(&open);
-        assert!(dropped.fabric.full_drops > 0, "{:?}", dropped.fabric);
-        assert_eq!(dropped.fabric.nack_retries, 0, "{:?}", dropped.fabric);
+        assert!(
+            dropped.sim.unwrap().fabric.full_drops > 0,
+            "{:?}",
+            dropped.sim.unwrap().fabric
+        );
+        assert_eq!(
+            dropped.sim.unwrap().fabric.nack_retries,
+            0,
+            "{:?}",
+            dropped.sim.unwrap().fabric
+        );
         assert_counts_exactly(&dropped, 600);
     }
 
@@ -397,12 +420,12 @@ pub(super) mod tests {
         // every refused attempt is either retried later or forced
         // through once the budget runs out; the counters must agree
         let stats = run_shape(FabricShape::PerStage, 20_000, false, 500);
-        let refused = stats.fabric.loss_drops + stats.fabric.full_drops;
-        assert_eq!(stats.fabric.refusals(), refused);
-        assert!(stats.fabric.forced_deliveries <= refused);
+        let refused = stats.sim.unwrap().fabric.loss_drops + stats.sim.unwrap().fabric.full_drops;
+        assert_eq!(stats.sim.unwrap().fabric.refusals(), refused);
+        assert!(stats.sim.unwrap().fabric.forced_deliveries <= refused);
         assert_eq!(
-            stats.fabric.retries(),
-            refused - stats.fabric.forced_deliveries
+            stats.sim.unwrap().fabric.retries(),
+            refused - stats.sim.unwrap().fabric.forced_deliveries
         );
         assert_counts_exactly(&stats, 500);
     }
@@ -412,7 +435,7 @@ pub(super) mod tests {
         let a = run_shape(FabricShape::TwoTier { spines: 2 }, 10_000, true, 300);
         let b = run_shape(FabricShape::TwoTier { spines: 2 }, 10_000, true, 300);
         assert_eq!(a.operations, b.operations);
-        assert_eq!(a.fabric, b.fabric);
+        assert_eq!(a.sim.unwrap().fabric, b.sim.unwrap().fabric);
         assert_eq!(a.sim_time, b.sim_time);
     }
 
@@ -420,9 +443,9 @@ pub(super) mod tests {
     fn queue_depth_telemetry_sees_contention() {
         let stats = run_shape(FabricShape::OneBigSwitch, 0, false, 400);
         assert!(
-            stats.fabric.max_queue_depth > 1,
+            stats.sim.unwrap().fabric.max_queue_depth > 1,
             "16 procs through one switch must queue: {:?}",
-            stats.fabric
+            stats.sim.unwrap().fabric
         );
     }
 
@@ -443,7 +466,11 @@ pub(super) mod tests {
             ..SimConfig::queue_lock(0xFAB)
         };
         let stats = Simulator::new(&net, config).run(&wl(8, 100));
-        assert!(stats.fabric.forced_deliveries > 0, "{:?}", stats.fabric);
+        assert!(
+            stats.sim.unwrap().fabric.forced_deliveries > 0,
+            "{:?}",
+            stats.sim.unwrap().fabric
+        );
         assert_counts_exactly(&stats, 100);
     }
 }

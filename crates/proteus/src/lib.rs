@@ -28,10 +28,18 @@
 //! Everything is seeded and event-ordering is deterministic, so every
 //! run is exactly reproducible.
 //!
+//! The simulator is one backend of `cnet-engine`: it runs the engine's
+//! [`Workload`](cnet_engine::Workload) and returns the engine's
+//! [`RunStats`](cnet_engine::RunStats), with its balancer and fabric
+//! counters in [`RunStats::sim`](cnet_engine::RunStats::sim).
+//! [`SimBackend`] puts it behind the engine's
+//! [`Backend`](cnet_engine::Backend) trait.
+//!
 //! # Example
 //!
 //! ```
-//! use cnet_proteus::{SimConfig, Simulator, WaitMode, Workload};
+//! use cnet_engine::{WaitMode, Workload};
+//! use cnet_proteus::{SimConfig, Simulator};
 //! use cnet_topology::constructions;
 //!
 //! let net = constructions::bitonic(8)?;
@@ -51,20 +59,18 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod backend;
 mod config;
 mod node;
 mod obs;
 mod queue;
-pub mod rng;
 mod sim;
-mod stats;
 
-pub use config::{
-    ArrivalProcess, Placement, PrismConfig, SimConfig, WaitMode, Workload, WorkloadError,
-};
+pub use backend::SimBackend;
+// the engine's PRNG under the name the repository benchmark imports
+pub use cnet_engine::SimRng;
+pub use config::{Placement, PrismConfig, SimConfig};
 // the fabric vocabulary SimConfig embeds, re-exported so simulator
 // users need not name cnet-topology for wire-model configuration
 pub use cnet_topology::{Fabric, FabricError, FabricShape, LinkSpec, RetryPolicy, SwitchSpec};
-pub use rng::SimRng;
 pub use sim::{MetricsRecorder, Simulator};
-pub use stats::{FabricStats, ProcessMap, RunStats, StatsSummary};

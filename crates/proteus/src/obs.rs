@@ -9,7 +9,7 @@
 //! per-operation latencies and the violation magnitudes the event
 //! loop's Definition 2.4 grading hands it, and [`SimObs::finish`]
 //! freezes it all into the [`cnet_obs::MetricsSnapshot`] carried by
-//! [`crate::RunStats::metrics`].
+//! [`cnet_engine::RunStats::metrics`].
 //!
 //! Recording never draws from the simulation RNG and never schedules
 //! events, so enabling `obs` cannot change what is simulated: every

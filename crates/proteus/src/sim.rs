@@ -44,16 +44,17 @@
 //! order, and therefore every statistic are bit-identical to the
 //! straightforward implementation (the golden-trace tests pin this).
 
+use cnet_engine::{
+    ArrivalProcess, FabricStats, ProcessMap, RunStats, SimCounters, SimRng, WaitMode, Workload,
+};
 use cnet_timing::linearizability::StartWitness;
 use cnet_timing::Operation;
 use cnet_topology::{OutputCounts, Topology, WireEnd};
 
-use crate::config::{ArrivalProcess, Placement, SimConfig, WaitMode, Workload};
+use crate::config::{Placement, SimConfig};
 use crate::node::{LockBank, Prism};
 use crate::obs::SimObs;
 use crate::queue::{EventQueue, Queue};
-use crate::rng::SimRng;
-use crate::stats::{FabricStats, ProcessMap, RunStats};
 
 // src/fabric.rs, a child of this module: the handlers there are
 // methods of the private `Runner`
@@ -588,13 +589,15 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             nonlinearizable: self.nonlinearizable,
             output_counts: self.counters.iter().copied().collect::<OutputCounts>(),
             sim_time: self.sim_time,
-            toggle_count: self.toggle_count,
-            toggle_wait_total: self.toggle_wait_total,
-            diffraction_pairs: self.diffraction_pairs,
             node_visits: self.node_visits,
             node_wait_total: self.node_wait_total,
-            max_lock_queue: self.max_lock_queue,
-            fabric: self.fabric_stats,
+            sim: Some(SimCounters {
+                toggle_count: self.toggle_count,
+                toggle_wait_total: self.toggle_wait_total,
+                diffraction_pairs: self.diffraction_pairs,
+                max_lock_queue: self.max_lock_queue,
+                fabric: self.fabric_stats,
+            }),
             metrics: None,
         };
         (stats, self.obs)
@@ -915,6 +918,17 @@ mod tests {
     }
 
     #[test]
+    fn program_order_at_most_linearizability_on_real_runs() {
+        let net = constructions::counting_tree(16).unwrap();
+        let wl = Workload {
+            total_ops: 1500,
+            ..Workload::paper(32, 50, 10_000)
+        };
+        let stats = Simulator::new(&net, SimConfig::diffracting(29)).run(&wl);
+        assert!(stats.program_order_violations() <= stats.nonlinearizable_count());
+    }
+
+    #[test]
     fn completes_exactly_total_ops() {
         let net = constructions::bitonic(4).unwrap();
         let sim = Simulator::new(&net, SimConfig::queue_lock(1));
@@ -974,7 +988,7 @@ mod tests {
         assert_eq!(values, (0..300).collect::<Vec<u64>>());
         assert!(stats.output_counts.is_step());
         assert!(
-            stats.diffraction_pairs > 0,
+            stats.sim.unwrap().diffraction_pairs > 0,
             "prisms should see collisions at n=16"
         );
     }
@@ -1478,8 +1492,16 @@ mod queue_differential_tests {
             assert_eq!(stats.operations, oracle.operations, "{what}");
             assert_eq!(stats.completed_by, oracle.completed_by, "{what}");
             assert_eq!(stats.sim_time, oracle.sim_time, "{what}");
-            assert_eq!(stats.max_lock_queue, oracle.max_lock_queue, "{what}");
-            assert_eq!(stats.fabric, oracle.fabric, "{what}");
+            assert_eq!(
+                stats.sim.unwrap().max_lock_queue,
+                oracle.sim.unwrap().max_lock_queue,
+                "{what}"
+            );
+            assert_eq!(
+                stats.sim.unwrap().fabric,
+                oracle.sim.unwrap().fabric,
+                "{what}"
+            );
             assert_eq!(metrics, oracle_metrics, "{what}");
             // the streamed verdict is the whole-trace one
             assert_eq!(
@@ -1487,8 +1509,8 @@ mod queue_differential_tests {
                 count_nonlinearizable(&stats.operations),
                 "{what}"
             );
-            pairs += stats.diffraction_pairs;
-            retries += stats.fabric.retries();
+            pairs += stats.sim.unwrap().diffraction_pairs;
+            retries += stats.sim.unwrap().fabric.retries();
         }
         // both lanes, the hand-off and the fabric's retry path were
         // exercised

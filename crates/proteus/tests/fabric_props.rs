@@ -16,10 +16,8 @@
 //!   (Definition 2.1 — the gap-free shape), loss and backpressure
 //!   notwithstanding.
 
-use cnet_proteus::{
-    ArrivalProcess, Fabric, FabricShape, FabricStats, LinkSpec, RetryPolicy, RunStats, SimConfig,
-    Simulator, SwitchSpec, WaitMode, Workload,
-};
+use cnet_engine::{ArrivalProcess, FabricStats, RunStats, WaitMode, Workload};
+use cnet_proteus::{Fabric, FabricShape, LinkSpec, RetryPolicy, SimConfig, Simulator, SwitchSpec};
 use cnet_topology::constructions;
 use proptest::prelude::*;
 
@@ -158,7 +156,7 @@ proptest! {
             ArrivalProcess::Closed
         };
         let stats = run(fabric, procs, ops, arrival, seed);
-        let f = stats.fabric;
+        let f = stats.sim.unwrap().fabric;
         prop_assert_eq!(
             f.refusals(),
             f.loss_drops + f.full_drops + f.nack_retries
@@ -201,7 +199,7 @@ proptest! {
             retry: RetryPolicy::default(),
         };
         let stats = run(fabric, procs, ops, ArrivalProcess::Closed, seed);
-        let f = stats.fabric;
+        let f = stats.sim.unwrap().fabric;
         prop_assert_eq!(f.loss_drops, 0);
         prop_assert_eq!(f.full_drops, 0, "NACKs must preempt tail drops: {:?}", f);
         prop_assert_eq!(f.refusals(), f.nack_retries);

@@ -17,7 +17,8 @@
 //! but only do so for an *intentional* stream change — regeneration
 //! erases the evidence the tests exist to provide.
 
-use cnet_proteus::{Placement, RunStats, SimConfig, Simulator, WaitMode, Workload};
+use cnet_engine::{RunStats, WaitMode, Workload};
+use cnet_proteus::{Placement, SimConfig, Simulator};
 use cnet_topology::constructions;
 use serde::{json, Value};
 
@@ -190,10 +191,13 @@ fn snapshot(stats: &RunStats) -> Value {
             "program_order_violations".to_string(),
             Value::Uint(stats.program_order_violations() as u64),
         ),
-        ("toggle_count".to_string(), Value::Uint(stats.toggle_count)),
+        (
+            "toggle_count".to_string(),
+            Value::Uint(stats.sim.unwrap().toggle_count),
+        ),
         (
             "diffraction_pairs".to_string(),
-            Value::Uint(stats.diffraction_pairs),
+            Value::Uint(stats.sim.unwrap().diffraction_pairs),
         ),
         (
             "first_values".to_string(),

@@ -2,7 +2,8 @@
 //! the probes must agree with the run-wide counters and with
 //! `cnet-timing`'s offline computation on the very same trace.
 
-use cnet_proteus::{SimConfig, Simulator, Workload};
+use cnet_engine::Workload;
+use cnet_proteus::{SimConfig, Simulator};
 use cnet_timing::linearizability;
 use cnet_topology::constructions;
 
@@ -34,8 +35,8 @@ fn per_balancer_sums_equal_the_run_totals() {
     let toggle_wait: u64 = m.balancers.iter().map(|b| b.toggle_wait_total).sum();
     let visits: u64 = m.balancers.iter().map(|b| b.visits).sum();
     let node_wait: u64 = m.balancers.iter().map(|b| b.wait_hist.sum()).sum();
-    assert_eq!(toggles, stats.toggle_count);
-    assert_eq!(toggle_wait, stats.toggle_wait_total);
+    assert_eq!(toggles, stats.sim.unwrap().toggle_count);
+    assert_eq!(toggle_wait, stats.sim.unwrap().toggle_wait_total);
     assert_eq!(visits, stats.node_visits);
     assert_eq!(node_wait, stats.node_wait_total);
 }
@@ -46,7 +47,7 @@ fn diffracting_runs_attribute_pairs_per_node() {
     let stats = Simulator::new(&net, SimConfig::diffracting(11)).run(&workload(64, 0, 1000));
     let m = stats.metrics.as_ref().unwrap();
     let diffracted: u64 = m.balancers.iter().map(|b| b.diffracted).sum();
-    assert_eq!(diffracted, 2 * stats.diffraction_pairs);
+    assert_eq!(diffracted, 2 * stats.sim.unwrap().diffraction_pairs);
     let visits: u64 = m.balancers.iter().map(|b| b.visits).sum();
     assert_eq!(visits, stats.node_visits);
 }
@@ -195,11 +196,11 @@ fn fabric_block_localizes_queueing_and_matches_run_stats() {
     // per-queue refusals sum to the run-wide drop counter
     let drops: u64 = fabric.links.iter().map(|l| l.drops).sum();
     let nacks: u64 = fabric.links.iter().map(|l| l.nacks).sum();
-    assert_eq!(drops, stats.fabric.full_drops);
-    assert_eq!(nacks, stats.fabric.nack_retries);
+    assert_eq!(drops, stats.sim.unwrap().fabric.full_drops);
+    assert_eq!(nacks, stats.sim.unwrap().fabric.nack_retries);
     // the peak depth the block reports is the run-wide peak
     let peak = fabric.links.iter().map(|l| l.max_depth).max().unwrap();
-    assert_eq!(peak, stats.fabric.max_queue_depth);
+    assert_eq!(peak, stats.sim.unwrap().fabric.max_queue_depth);
     // wire latencies now include queueing: c2 estimate must exceed the
     // bare propagation delay
     assert!(m.network.c2_estimate > 20.0);

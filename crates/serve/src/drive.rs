@@ -22,9 +22,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use cnet_engine::arrival_schedule;
+use cnet_engine::{arrival_schedule, ArrivalProcess, Workload};
 use cnet_obs::{SloEvaluator, SloPolicy, SloReport};
-use cnet_proteus::{ArrivalProcess, Workload};
 use cnet_timing::linearizability::StartWitness;
 
 use crate::client::ServeClient;

@@ -15,7 +15,7 @@
 //! * [`proto`] — the wire format (five requests, six responses);
 //! * [`CounterServer`] / [`ServeConfig`] / [`ServerHandle`] — the
 //!   daemon, its drain-then-flush shutdown, and its periodic
-//!   schema-v6 [`cnet_harness::RunRecord`] dumps;
+//!   schema-v6 [`cnet_engine::RunRecord`] dumps;
 //! * [`History`] — the bounded, run-length record of the last
 //!   operations served, which dumps expand and the final
 //!   [`ServeSummary`] hands back;

@@ -43,10 +43,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use cnet_concurrent::NetworkCounter;
-use cnet_engine::ServiceDriver;
-use cnet_harness::RunRecord;
+use cnet_engine::{ProcessMap, RunRecord, RunStats, ServiceDriver, Workload};
 use cnet_obs::{SloEvaluator, SloPolicy, SloReport};
-use cnet_proteus::{ProcessMap, RunStats, Workload};
 use cnet_timing::Operation;
 use cnet_topology::{OutputCounts, Topology};
 
@@ -375,13 +373,9 @@ impl Core {
             completed_by: ProcessMap::per_op(completed_by),
             output_counts: OutputCounts::from(self.counter.output_counts()),
             sim_time: self.driver.clock(),
-            toggle_count: 0,
-            toggle_wait_total: 0,
-            diffraction_pairs: 0,
             node_visits: 0,
             node_wait_total: 0,
-            max_lock_queue: 0,
-            fabric: cnet_proteus::FabricStats::default(),
+            sim: None,
             nonlinearizable,
             metrics,
         };

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use cnet_harness::RunRecord;
+use cnet_engine::RunRecord;
 use cnet_obs::SloPolicy;
 use cnet_serve::{drive, CounterServer, DriveConfig, ServeClient, ServeConfig, ServeSummary};
 use cnet_timing::linearizability;

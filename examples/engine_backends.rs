@@ -13,7 +13,8 @@
 //!
 //! Run with: `cargo run --release --example engine_backends`
 
-use counting_networks::engine::{ArrivalProcess, Backend, BackendSpec, Workload};
+use cnet_harness::BackendSpec;
+use counting_networks::engine::{ArrivalProcess, Backend, Workload};
 use counting_networks::topology::constructions;
 
 fn show(title: &str, workload: &Workload, backends: &[Box<dyn Backend + '_>]) {

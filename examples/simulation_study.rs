@@ -9,7 +9,8 @@
 //!
 //! Run with: `cargo run --release --example simulation_study`
 
-use counting_networks::proteus::{SimConfig, Simulator, WaitMode, Workload};
+use counting_networks::engine::{WaitMode, Workload};
+use counting_networks::proteus::{SimConfig, Simulator};
 use counting_networks::topology::constructions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -10,7 +10,8 @@
 use std::path::{Path, PathBuf};
 
 use cnet_cli::cell::ScenarioSpec;
-use cnet_harness::{GridReport, RunRecord, SCHEMA_VERSION};
+use cnet_engine::{Backend, BalancerKind, RunRecord, ShmBackend, Workload, SCHEMA_VERSION};
+use cnet_harness::GridReport;
 use counting_networks::proteus::SimConfig;
 use serde::{Deserialize, Serialize, Value};
 
@@ -118,6 +119,55 @@ fn the_soak_record_and_the_scenario_load() {
         ScenarioSpec::from_value(&json(&root("examples/scenario_lossy_fabric.json"))).unwrap();
     assert!(!scenario.config.fabric.is_degenerate());
     scenario.network().unwrap();
+}
+
+/// The field names of a record's `stats` object.
+fn stats_keys(record: &Value) -> Vec<String> {
+    let Some(Value::Object(stats)) = record.get("stats") else {
+        panic!("a record without a stats object");
+    };
+    let mut keys: Vec<String> = stats.iter().map(|(key, _)| key.clone()).collect();
+    keys.sort();
+    keys
+}
+
+/// A native run has no simulator counters (`RunStats::sim` is `None`);
+/// its record still writes the committed native shape: the four
+/// counters as zeros and no `fabric`.
+#[test]
+fn a_native_record_has_the_committed_native_stats_shape() {
+    let report = json(&root("results/BENCH_native.json"));
+    let Some(Value::Array(grids)) = report.get("grids") else {
+        panic!("no grids");
+    };
+    let Some(Value::Array(records)) = grids[0].get("records") else {
+        panic!("no records");
+    };
+    let committed = &records[0];
+    assert_eq!(committed.get("backend"), Some(&Value::Str("shm".into())));
+
+    let net = counting_networks::topology::constructions::bitonic(8).unwrap();
+    let workload = Workload {
+        total_ops: 200,
+        ..Workload::paper(2, 0, 0)
+    };
+    let outcome = ShmBackend::network(&net, BalancerKind::WaitFree, 3).run(&workload);
+    assert!(outcome.stats.sim.is_none());
+    let record = RunRecord::from_outcome("n=2", "bitonic", &workload, 3, &outcome);
+    let fresh = record.to_value();
+    assert_eq!(stats_keys(&fresh), stats_keys(committed));
+    for counter in [
+        "toggle_count",
+        "toggle_wait_total",
+        "diffraction_pairs",
+        "max_lock_queue",
+    ] {
+        let Some(stats) = fresh.get("stats") else {
+            panic!("no stats");
+        };
+        assert_eq!(stats.get(counter), Some(&Value::Uint(0)), "{counter}");
+    }
+    assert!(!stats_keys(&fresh).contains(&"fabric".to_string()));
 }
 
 /// One committed record, as an editable field list.

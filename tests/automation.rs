@@ -1,7 +1,8 @@
 //! Cross-crate checks of the automation layer: the attack search and
 //! topology serialization, working together with the simulator.
 
-use counting_networks::proteus::{SimConfig, Simulator, WaitMode, Workload};
+use counting_networks::engine::{WaitMode, Workload};
+use counting_networks::proteus::{SimConfig, Simulator};
 use counting_networks::timing::adversary::{search_violations, SearchConfig};
 use counting_networks::timing::executor::TimedExecutor;
 use counting_networks::timing::{knowledge, LinkTiming};

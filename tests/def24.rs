@@ -12,9 +12,8 @@
 //! reference.
 
 use cnet_obs::{SloEvaluator, SloPolicy};
-use counting_networks::proteus::{
-    ArrivalProcess, Fabric, SimConfig, Simulator, WaitMode, Workload,
-};
+use counting_networks::engine::{ArrivalProcess, WaitMode, Workload};
+use counting_networks::proteus::{Fabric, SimConfig, Simulator};
 use counting_networks::timing::linearizability::{
     check_exhaustive, count_nonlinearizable, count_nonlinearizable_naive, is_dense_timeline,
     lane_magnitudes, magnitudes, worst_witness, LaneOrderError, StartWitness,

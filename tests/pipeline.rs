@@ -4,7 +4,8 @@
 
 use counting_networks::concurrent::network::NetworkCounter;
 use counting_networks::engine::run_counter;
-use counting_networks::proteus::{SimConfig, Simulator, WaitMode, Workload};
+use counting_networks::engine::{WaitMode, Workload};
+use counting_networks::proteus::{SimConfig, Simulator};
 use counting_networks::timing::executor::TimedExecutor;
 use counting_networks::timing::{io as trace_io, random, render, LinkTiming};
 use counting_networks::topology::router::SequentialRouter;

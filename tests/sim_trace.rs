@@ -9,7 +9,8 @@
 //! existed (one binary heap at `n = 4`, the bucket wheel at `n = 256`);
 //! any event-queue or handler change must reproduce them bit for bit.
 
-use counting_networks::proteus::{SimConfig, Simulator, Workload};
+use counting_networks::engine::Workload;
+use counting_networks::proteus::{SimConfig, Simulator};
 use counting_networks::topology::constructions;
 
 /// FNV-1a over a stream of `u64` words, little-endian byte by byte.
@@ -63,7 +64,7 @@ fn trace_hash(tree: bool, n: usize, w: u64) -> u64 {
         }
     }
     h.word(stats.sim_time);
-    h.word(stats.max_lock_queue);
+    h.word(stats.sim.unwrap().max_lock_queue);
     h.0
 }
 

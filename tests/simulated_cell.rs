@@ -9,8 +9,10 @@ use std::path::{Path, PathBuf};
 
 use cnet_cli::cell::ScenarioSpec;
 use cnet_cli::CliError;
-use cnet_harness::{GridReport, RunRecord};
-use counting_networks::proteus::{SimConfig, WaitMode, Workload};
+use cnet_engine::RunRecord;
+use cnet_harness::GridReport;
+use counting_networks::engine::{WaitMode, Workload};
+use counting_networks::proteus::SimConfig;
 use serde::{Deserialize, Serialize, Value};
 
 fn cnet(args: &[&str]) -> Result<String, CliError> {

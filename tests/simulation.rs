@@ -1,7 +1,8 @@
 //! Cross-crate checks of the Section 5 simulator against the model,
 //! the checker, and the paper's qualitative claims.
 
-use counting_networks::proteus::{PrismConfig, SimConfig, Simulator, WaitMode, Workload};
+use counting_networks::engine::{WaitMode, Workload};
+use counting_networks::proteus::{PrismConfig, SimConfig, Simulator};
 use counting_networks::timing::linearizability;
 use counting_networks::topology::{constructions, OutputCounts};
 
@@ -109,9 +110,9 @@ fn prism_ablation_preserves_counting() {
     )
     .run(&workload(32, 0, 0, 800));
     let without = Simulator::new(&net, SimConfig::queue_lock(2)).run(&workload(32, 0, 0, 800));
-    assert!(with.diffraction_pairs > 0);
-    assert_eq!(without.diffraction_pairs, 0);
-    assert!(with.toggle_count < without.toggle_count);
+    assert!(with.sim.unwrap().diffraction_pairs > 0);
+    assert_eq!(without.sim.unwrap().diffraction_pairs, 0);
+    assert!(with.sim.unwrap().toggle_count < without.sim.unwrap().toggle_count);
     for stats in [&with, &without] {
         let counts: OutputCounts = stats.output_counts.as_slice().iter().copied().collect();
         assert_eq!(counts.total(), 800);
@@ -127,6 +128,9 @@ fn facade_runs_are_deterministic() {
     let a = Simulator::new(&net, SimConfig::diffracting(42)).run(&workload(16, 25, 1000, 500));
     let b = Simulator::new(&net, SimConfig::diffracting(42)).run(&workload(16, 25, 1000, 500));
     assert_eq!(a.operations, b.operations);
-    assert_eq!(a.toggle_count, b.toggle_count);
-    assert_eq!(a.diffraction_pairs, b.diffraction_pairs);
+    assert_eq!(a.sim.unwrap().toggle_count, b.sim.unwrap().toggle_count);
+    assert_eq!(
+        a.sim.unwrap().diffraction_pairs,
+        b.sim.unwrap().diffraction_pairs
+    );
 }
