@@ -148,17 +148,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "burst >= 1")]
-    fn infallible_run_panics_with_the_typed_message() {
-        let net = constructions::bitonic(8).unwrap();
-        let _ = ShmBackend::network(&net, BalancerKind::WaitFree, 1).run(&Workload {
-            total_ops: 10,
-            arrival: crate::ArrivalProcess::Bursty { burst: 0, gap: 100 },
-            ..Workload::paper(2, 0, 0)
-        });
-    }
-
-    #[test]
     fn zero_work_degenerates_safely() {
         let net = constructions::bitonic(4).unwrap();
         let b = ShmBackend::network(&net, BalancerKind::WaitFree, 1);

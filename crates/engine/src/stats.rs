@@ -73,24 +73,16 @@ impl RunStats {
         }
     }
 
-    /// The simulator's toggle counters `(wait total, count)`, zero
-    /// when the run had none.
-    fn toggles(&self) -> (u64, u64) {
-        self.sim
-            .as_ref()
-            .map_or((0, 0), |sim| (sim.toggle_wait_total, sim.toggle_count))
-    }
-
     /// The average time a token waits before toggling a balancer — the
     /// paper's `Tog`. Falls back to the all-visit average when no
     /// toggles happened (a fully-diffracted run, or a backend without
     /// [`SimCounters`]), so the ratio below is always defined.
     #[must_use]
     pub fn avg_toggle_wait(&self) -> f64 {
-        let (toggle_wait_total, toggle_count) = self.toggles();
+        let sim = self.sim.unwrap_or_default();
         measure::avg_toggle_wait(
-            toggle_wait_total,
-            toggle_count,
+            sim.toggle_wait_total,
+            sim.toggle_count,
             self.node_wait_total,
             self.node_visits,
         )
@@ -103,10 +95,10 @@ impl RunStats {
     /// and a positive `W`.
     #[must_use]
     pub fn average_ratio(&self, wait_cycles: u64) -> f64 {
-        let (toggle_wait_total, toggle_count) = self.toggles();
+        let sim = self.sim.unwrap_or_default();
         measure::average_ratio(
-            toggle_wait_total,
-            toggle_count,
+            sim.toggle_wait_total,
+            sim.toggle_count,
             self.node_wait_total,
             self.node_visits,
             wait_cycles,
@@ -126,23 +118,6 @@ impl RunStats {
         program_order::count_program_order_violations_by(&self.operations, |i| {
             self.completed_by.process_of(i) as usize
         })
-    }
-
-    /// Operation-latency histogram over power-of-two buckets: entry
-    /// `i` counts operations with latency in `[2^i, 2^(i+1))` cycles
-    /// (entry 0 also includes zero-latency operations).
-    #[must_use]
-    pub fn latency_histogram(&self) -> Vec<u64> {
-        let mut buckets: Vec<u64> = Vec::new();
-        for op in &self.operations {
-            let lat = op.end - op.start;
-            let b = (64 - lat.max(1).leading_zeros()) as usize - 1;
-            if buckets.len() <= b {
-                buckets.resize(b + 1, 0);
-            }
-            buckets[b] += 1;
-        }
-        buckets
     }
 
     /// Mean operation latency in simulated cycles.
@@ -492,31 +467,6 @@ mod tests {
         s.sim = None;
         assert!((s.avg_toggle_wait() - 5.0).abs() < 1e-12);
     }
-
-    #[test]
-    fn a_run_without_simulator_counters_summarises_them_as_zero() {
-        let mut s = stats_with(vec![op(0, 0, 10, 0)]);
-        s.sim = None;
-        let summary = s.summary(100);
-        assert_eq!(
-            (
-                summary.toggle_count,
-                summary.toggle_wait_total,
-                summary.diffraction_pairs,
-                summary.max_lock_queue
-            ),
-            (0, 0, 0, 0)
-        );
-        assert_eq!(summary.fabric, None);
-        // zero counters with an idle wire write the same summary
-        s.sim = Some(SimCounters::default());
-        assert_eq!(s.summary(100), summary);
-        // a fabric that did anything is written
-        let mut sim = SimCounters::default();
-        sim.fabric.attempts = 3;
-        s.sim = Some(sim);
-        assert_eq!(s.summary(100).fabric.map(|f| f.attempts), Some(3));
-    }
 }
 
 #[cfg(test)]
@@ -636,47 +586,5 @@ mod consistency_tests {
         };
         assert_eq!(stats.nonlinearizable_count(), 1);
         assert_eq!(stats.program_order_violations(), 0);
-    }
-
-    #[test]
-    fn latency_histogram_buckets_by_power_of_two() {
-        let ops = vec![
-            Operation {
-                token: 0,
-                input: 0,
-                start: 0,
-                end: 1,
-                counter: 0,
-                value: 0,
-            }, // 1 -> b0
-            Operation {
-                token: 1,
-                input: 0,
-                start: 0,
-                end: 3,
-                counter: 0,
-                value: 1,
-            }, // 3 -> b1
-            Operation {
-                token: 2,
-                input: 0,
-                start: 0,
-                end: 8,
-                counter: 0,
-                value: 2,
-            }, // 8 -> b3
-        ];
-        let stats = RunStats {
-            operations: ops,
-            completed_by: ProcessMap::per_op(vec![0, 0, 0]),
-            output_counts: OutputCounts::zeros(2),
-            sim_time: 8,
-            node_visits: 1,
-            node_wait_total: 1,
-            sim: None,
-            nonlinearizable: 0,
-            metrics: None,
-        };
-        assert_eq!(stats.latency_histogram(), vec![1, 1, 0, 1]);
     }
 }

@@ -160,20 +160,16 @@ impl fmt::Display for WorkloadError {
 impl std::error::Error for WorkloadError {}
 
 impl ArrivalProcess {
-    /// Checks the process for degenerate parameters.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`WorkloadError`] naming the degenerate field.
-    pub fn validate(&self) -> Result<(), WorkloadError> {
-        self.last_arrival(1).map(|_| ())
-    }
-
     /// The latest instant at which the last of `total_ops` arrivals
     /// can fall, from the instant-0 first one: every gap of an open
     /// loop at its `2·mean_gap` maximum, one `gap` per completed burst,
     /// or the recorded gaps cycled over the run. `None` when that sum
     /// overflows `u64`.
+    ///
+    /// # Errors
+    ///
+    /// The [`WorkloadError`] naming a degenerate parameter: a zero mean
+    /// gap or burst, or a trace file [`Self::load_trace`] refuses.
     fn last_arrival(&self, total_ops: usize) -> Result<Option<u64>, WorkloadError> {
         let gaps = total_ops.saturating_sub(1) as u64;
         Ok(match self {
@@ -453,25 +449,24 @@ mod tests {
 
     #[test]
     fn validate_rejects_degenerate_arrivals() {
+        let valid = |arrival| {
+            Workload {
+                arrival,
+                ..Workload::paper(4, 0, 0)
+            }
+            .validate()
+        };
         assert_eq!(
-            ArrivalProcess::Open { mean_gap: 0 }.validate(),
+            valid(ArrivalProcess::Open { mean_gap: 0 }),
             Err(WorkloadError::ZeroMeanGap)
         );
         assert_eq!(
-            ArrivalProcess::Bursty { burst: 0, gap: 100 }.validate(),
+            valid(ArrivalProcess::Bursty { burst: 0, gap: 100 }),
             Err(WorkloadError::ZeroBurst)
         );
-        assert!(ArrivalProcess::Closed.validate().is_ok());
-        assert!(ArrivalProcess::Open { mean_gap: 1 }.validate().is_ok());
-        assert!(ArrivalProcess::Bursty { burst: 1, gap: 0 }
-            .validate()
-            .is_ok());
-
-        let bad = Workload {
-            arrival: ArrivalProcess::Open { mean_gap: 0 },
-            ..Workload::paper(4, 0, 0)
-        };
-        assert_eq!(bad.validate(), Err(WorkloadError::ZeroMeanGap));
+        assert!(valid(ArrivalProcess::Closed).is_ok());
+        assert!(valid(ArrivalProcess::Open { mean_gap: 1 }).is_ok());
+        assert!(valid(ArrivalProcess::Bursty { burst: 1, gap: 0 }).is_ok());
         assert!(Workload::paper(4, 0, 0).validate().is_ok());
         assert!(Workload::paper(4, 100, 0).validate().is_ok());
         assert_eq!(

@@ -67,25 +67,21 @@ impl GridReport {
 pub(crate) mod tests {
     use super::*;
 
-    use cnet_engine::{ProcessMap, RunStats, Workload};
+    use cnet_engine::Workload;
+    use cnet_proteus::{SimConfig, Simulator};
     use serde::{Deserialize as _, Serialize as _};
 
     fn record(label: &str, wall_ms: f64) -> RunRecord {
-        let stats = RunStats {
-            operations: vec![],
-            completed_by: ProcessMap::per_op(vec![]),
-            output_counts: cnet_topology::OutputCounts::zeros(2),
-            sim_time: 10,
-            node_visits: 2,
-            node_wait_total: 20,
-            sim: None,
-            nonlinearizable: 0,
-            metrics: None,
+        let net = cnet_topology::constructions::bitonic(4).unwrap();
+        let workload = Workload {
+            total_ops: 20,
+            ..Workload::paper(4, 25, 100)
         };
+        let stats = Simulator::new(&net, SimConfig::queue_lock(42)).run(&workload);
         RunRecord::measure(
             label,
             "Bitonic Counting Network",
-            &Workload::paper(4, 25, 100),
+            &workload,
             42,
             &stats,
             wall_ms,

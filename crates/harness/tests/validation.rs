@@ -7,8 +7,8 @@
 //! now rejects them with the typed [`WorkloadError`] before any thread
 //! spawns:
 //! [`Backend::try_run`] returns the error, [`Backend::run`] panics
-//! with its display text (`cnet-engine`'s `shm` unit tests pin the
-//! panic).
+//! with its display text (`cnet-engine`'s `tests/validation.rs` pins
+//! the panic).
 
 use cnet_engine::{ArrivalProcess, Backend, Workload, WorkloadError};
 use cnet_harness::BackendSpec;

@@ -32,12 +32,6 @@ impl<'a> SimBackend<'a> {
     pub fn new(topology: &'a Topology, config: SimConfig) -> Self {
         SimBackend { topology, config }
     }
-
-    /// The machine-model configuration this backend runs with.
-    #[must_use]
-    pub fn config(&self) -> SimConfig {
-        self.config
-    }
 }
 
 impl Backend for SimBackend<'_> {

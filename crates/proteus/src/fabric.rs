@@ -133,10 +133,10 @@ impl<Q: Queue<Ev>> Runner<'_, Q> {
     /// the hop's first fabric queue.
     pub(super) fn fabric_send(&mut self, now: u64, proc: u32) {
         let link = self.config.fabric.link;
-        self.fabric_stats.attempts += 1;
+        self.sim.fabric.attempts += 1;
         if link.loss_per_million > 0 && self.rng.below(1_000_000) < u64::from(link.loss_per_million)
         {
-            self.fabric_stats.loss_drops += 1;
+            self.sim.fabric.loss_drops += 1;
             if self.fail_hop(now, proc, false) {
                 return;
             }
@@ -163,7 +163,7 @@ impl<Q: Queue<Ev>> Runner<'_, Q> {
         let p = &mut self.procs[proc as usize];
         p.attempts += 1;
         if p.attempts >= retry.max_attempts {
-            self.fabric_stats.forced_deliveries += 1;
+            self.sim.fabric.forced_deliveries += 1;
             return false;
         }
         let backoff = retry.backoff(p.attempts);
@@ -186,7 +186,7 @@ impl<Q: Queue<Ev>> Runner<'_, Q> {
         if cap > 0 && self.fabric_locks.occupancy(q) >= cap {
             if self.config.fabric.backpressure {
                 // NACK: the sender learns immediately and backs off
-                self.fabric_stats.nack_retries += 1;
+                self.sim.fabric.nack_retries += 1;
                 self.obs.fabric_nack(q);
                 if self.fail_hop(now, proc, true) {
                     return;
@@ -194,7 +194,7 @@ impl<Q: Queue<Ev>> Runner<'_, Q> {
             } else {
                 // drop-tail: the token vanishes; the sender only
                 // notices after a detection timeout
-                self.fabric_stats.full_drops += 1;
+                self.sim.fabric.full_drops += 1;
                 self.obs.fabric_drop(q);
                 if self.fail_hop(now, proc, false) {
                     return;
@@ -207,7 +207,7 @@ impl<Q: Queue<Ev>> Runner<'_, Q> {
         }
         // otherwise queued FIFO; FabricServe is scheduled on release
         let depth = u64::from(self.fabric_locks.occupancy(q));
-        self.fabric_stats.max_queue_depth = self.fabric_stats.max_queue_depth.max(depth);
+        self.sim.fabric.max_queue_depth = self.sim.fabric.max_queue_depth.max(depth);
         self.obs.fabric_depth(q, depth);
     }
 
@@ -305,6 +305,13 @@ pub(super) mod tests {
         Simulator::new(&net, config).run(&wl(16, ops))
     }
 
+    fn fabric_of(stats: &RunStats) -> FabricStats {
+        stats
+            .sim
+            .expect("a simulated run keeps its counters")
+            .fabric
+    }
+
     fn assert_counts_exactly(stats: &RunStats, ops: usize) {
         let mut values: Vec<u64> = stats.operations.iter().map(|o| o.value).collect();
         values.sort_unstable();
@@ -322,11 +329,8 @@ pub(super) mod tests {
         ] {
             let stats = run_shape(shape, 0, false, 400);
             assert_counts_exactly(&stats, 400);
-            assert!(
-                stats.sim.unwrap().fabric.attempts >= 400,
-                "{shape:?}: attempts {}",
-                stats.sim.unwrap().fabric.attempts
-            );
+            let attempts = fabric_of(&stats).attempts;
+            assert!(attempts >= 400, "{shape:?}: attempts {attempts}");
         }
     }
 
@@ -334,7 +338,7 @@ pub(super) mod tests {
     fn degenerate_fabric_records_no_fabric_stats() {
         let net = constructions::bitonic(8).unwrap();
         let stats = Simulator::new(&net, SimConfig::queue_lock(0xFAB)).run(&wl(16, 200));
-        assert_eq!(stats.sim.unwrap().fabric, FabricStats::default());
+        assert_eq!(fabric_of(&stats), FabricStats::default());
         assert!(stats.summary(0).fabric.is_none());
     }
 
@@ -344,16 +348,9 @@ pub(super) mod tests {
         // completes with a unique value — retransmission never loses
         // or duplicates a token
         let stats = run_shape(FabricShape::OneBigSwitch, 50_000, false, 400);
-        assert!(
-            stats.sim.unwrap().fabric.loss_drops > 0,
-            "{:?}",
-            stats.sim.unwrap().fabric
-        );
-        assert!(
-            stats.sim.unwrap().fabric.attempts > 400,
-            "losses must force extra attempts: {:?}",
-            stats.sim.unwrap().fabric
-        );
+        let f = fabric_of(&stats);
+        assert!(f.loss_drops > 0, "{f:?}");
+        assert!(f.attempts > 400, "losses must force extra attempts: {f:?}");
         assert_counts_exactly(&stats, 400);
     }
 
@@ -380,17 +377,9 @@ pub(super) mod tests {
             },
         )
         .run(&open);
-        assert!(
-            nacked.sim.unwrap().fabric.nack_retries > 0,
-            "{:?}",
-            nacked.sim.unwrap().fabric
-        );
-        assert_eq!(
-            nacked.sim.unwrap().fabric.full_drops,
-            0,
-            "{:?}",
-            nacked.sim.unwrap().fabric
-        );
+        let f = fabric_of(&nacked);
+        assert!(f.nack_retries > 0, "{f:?}");
+        assert_eq!(f.full_drops, 0, "{f:?}");
         assert_counts_exactly(&nacked, 600);
 
         let dropped = Simulator::new(
@@ -401,17 +390,9 @@ pub(super) mod tests {
             },
         )
         .run(&open);
-        assert!(
-            dropped.sim.unwrap().fabric.full_drops > 0,
-            "{:?}",
-            dropped.sim.unwrap().fabric
-        );
-        assert_eq!(
-            dropped.sim.unwrap().fabric.nack_retries,
-            0,
-            "{:?}",
-            dropped.sim.unwrap().fabric
-        );
+        let f = fabric_of(&dropped);
+        assert!(f.full_drops > 0, "{f:?}");
+        assert_eq!(f.nack_retries, 0, "{f:?}");
         assert_counts_exactly(&dropped, 600);
     }
 
@@ -420,13 +401,11 @@ pub(super) mod tests {
         // every refused attempt is either retried later or forced
         // through once the budget runs out; the counters must agree
         let stats = run_shape(FabricShape::PerStage, 20_000, false, 500);
-        let refused = stats.sim.unwrap().fabric.loss_drops + stats.sim.unwrap().fabric.full_drops;
-        assert_eq!(stats.sim.unwrap().fabric.refusals(), refused);
-        assert!(stats.sim.unwrap().fabric.forced_deliveries <= refused);
-        assert_eq!(
-            stats.sim.unwrap().fabric.retries(),
-            refused - stats.sim.unwrap().fabric.forced_deliveries
-        );
+        let f = fabric_of(&stats);
+        let refused = f.loss_drops + f.full_drops;
+        assert_eq!(f.refusals(), refused);
+        assert!(f.forced_deliveries <= refused);
+        assert_eq!(f.retries(), refused - f.forced_deliveries);
         assert_counts_exactly(&stats, 500);
     }
 
@@ -435,17 +414,17 @@ pub(super) mod tests {
         let a = run_shape(FabricShape::TwoTier { spines: 2 }, 10_000, true, 300);
         let b = run_shape(FabricShape::TwoTier { spines: 2 }, 10_000, true, 300);
         assert_eq!(a.operations, b.operations);
-        assert_eq!(a.sim.unwrap().fabric, b.sim.unwrap().fabric);
+        assert_eq!(fabric_of(&a), fabric_of(&b));
         assert_eq!(a.sim_time, b.sim_time);
     }
 
     #[test]
     fn queue_depth_telemetry_sees_contention() {
         let stats = run_shape(FabricShape::OneBigSwitch, 0, false, 400);
+        let f = fabric_of(&stats);
         assert!(
-            stats.sim.unwrap().fabric.max_queue_depth > 1,
-            "16 procs through one switch must queue: {:?}",
-            stats.sim.unwrap().fabric
+            f.max_queue_depth > 1,
+            "16 procs through one switch must queue: {f:?}"
         );
     }
 
@@ -466,11 +445,8 @@ pub(super) mod tests {
             ..SimConfig::queue_lock(0xFAB)
         };
         let stats = Simulator::new(&net, config).run(&wl(8, 100));
-        assert!(
-            stats.sim.unwrap().fabric.forced_deliveries > 0,
-            "{:?}",
-            stats.sim.unwrap().fabric
-        );
+        let f = fabric_of(&stats);
+        assert!(f.forced_deliveries > 0, "{f:?}");
         assert_counts_exactly(&stats, 100);
     }
 }

@@ -73,4 +73,4 @@ pub use config::{Placement, PrismConfig, SimConfig};
 // the fabric vocabulary SimConfig embeds, re-exported so simulator
 // users need not name cnet-topology for wire-model configuration
 pub use cnet_topology::{Fabric, FabricError, FabricShape, LinkSpec, RetryPolicy, SwitchSpec};
-pub use sim::{MetricsRecorder, Simulator};
+pub use sim::Simulator;

@@ -45,7 +45,7 @@
 //! straightforward implementation (the golden-trace tests pin this).
 
 use cnet_engine::{
-    ArrivalProcess, FabricStats, ProcessMap, RunStats, SimCounters, SimRng, WaitMode, Workload,
+    arrival_schedule, ProcessMap, RunStats, SimCounters, SimRng, WaitMode, Workload,
 };
 use cnet_timing::linearizability::StartWitness;
 use cnet_timing::Operation;
@@ -136,12 +136,6 @@ thread_local! {
     static HANDED_OFF: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Seed perturbation for the arrival-schedule RNG stream. Open-loop
-/// gaps draw from their own generator so the main stream (prism slots,
-/// jitter, random waits) is untouched — closed-loop traces stay
-/// bit-identical whether or not this stream exists.
-const ARRIVAL_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
-
 /// A balancer's toggle: the `t`-th token through it leaves on output
 /// `t mod fan_out`, kept as the output the next token takes.
 #[derive(Debug, Clone, Copy)]
@@ -225,11 +219,12 @@ impl<'a> Simulator<'a> {
     /// unfrozen so the caller can keep snapshot assembly out of its
     /// own timing window: the returned [`RunStats`] has `metrics:
     /// None`, and [`MetricsRecorder::finish`] builds the snapshot.
-    /// The harness times cells around this call — recording stays
-    /// inside the measurement, export does not, mirroring how report
-    /// serialization is already outside the per-cell wall-clock.
+    /// [`crate::SimBackend`] times its window around this call —
+    /// recording stays inside the measurement, export does not,
+    /// mirroring how report serialization is already outside the
+    /// per-cell wall-clock.
     #[must_use]
-    pub fn run_instrumented(&self, workload: &Workload) -> (RunStats, MetricsRecorder) {
+    pub(crate) fn run_instrumented(&self, workload: &Workload) -> (RunStats, MetricsRecorder) {
         let (stats, obs) =
             Runner::<EventQueue<Ev>>::new(self.topology, self.config, workload).run();
         (
@@ -247,7 +242,7 @@ impl<'a> Simulator<'a> {
 /// Without the `obs` feature this holds the zero-sized inert recorder
 /// and [`MetricsRecorder::finish`] returns `None`.
 #[derive(Debug)]
-pub struct MetricsRecorder {
+pub(crate) struct MetricsRecorder {
     obs: SimObs,
     wait_cycles: u64,
     toggle_cost: u64,
@@ -256,7 +251,7 @@ pub struct MetricsRecorder {
 impl MetricsRecorder {
     /// Freezes the recorder into the run's metrics snapshot.
     #[must_use]
-    pub fn finish(self) -> Option<cnet_obs::MetricsSnapshot> {
+    pub(crate) fn finish(self) -> Option<cnet_obs::MetricsSnapshot> {
         self.obs.finish(self.wait_cycles, self.toggle_cost)
     }
 }
@@ -278,11 +273,12 @@ struct Runner<'a, Q> {
     output_width: u64,
     procs: Vec<Proc>,
     rng: SimRng,
-    /// Separate RNG stream for open-loop arrival gaps (see
-    /// [`ARRIVAL_STREAM`]); never drawn from in closed-loop runs.
-    arrival_rng: SimRng,
-    /// Inter-arrival gaps for `ArrivalProcess::Trace`, else empty.
-    trace_gaps: Vec<u64>,
+    /// Token `i`'s arrival instant under an open-loop arrival process,
+    /// else empty: the engine's schedule, the one every backend
+    /// replays for a `(seed, workload)` pair. It draws from a stream
+    /// of its own, so the main stream (prism slots, jitter, random
+    /// waits) is the same whether or not arrivals are scheduled.
+    arrivals: Vec<u64>,
     /// Every completion so far, as far as Definition 2.4 needs it:
     /// pops are time-ordered, so a start reads its exact witness here.
     completions: StartWitness,
@@ -291,12 +287,10 @@ struct Runner<'a, Q> {
     started_ops: usize,
     operations: Vec<Operation>,
     completed_by: Vec<u32>,
-    toggle_count: u64,
-    toggle_wait_total: u64,
-    diffraction_pairs: u64,
+    /// Toggles, prism pairs, lock queues and the fabric's refusals.
+    sim: SimCounters,
     node_visits: u64,
     node_wait_total: u64,
-    max_lock_queue: u64,
     sim_time: u64,
     /// Flat routing table: output `out` of node `i` is
     /// `routes[route_base[i] + out]`.
@@ -315,7 +309,6 @@ struct Runner<'a, Q> {
     /// on.
     fabric_stage: Vec<u32>,
     fabric_stage_base: Vec<u32>,
-    fabric_stats: FabricStats,
     /// Metric recorder — zero-sized and inert without the `obs`
     /// feature, so the hot loop keeps its layout and speed.
     obs: SimObs,
@@ -340,7 +333,7 @@ fn hop_cost(placement: Placement, from: (i64, i64), to: (i64, i64)) -> u64 {
 /// run's configuration — the bucket-wheel horizon. Saturating: an
 /// astronomically large parameter simply overflows into the queue's
 /// heap fallback.
-fn schedule_horizon(config: &SimConfig, workload: &Workload, trace_gaps: &[u64]) -> u64 {
+fn schedule_horizon(config: &SimConfig, workload: &Workload, arrivals: &[u64]) -> u64 {
     let mesh_max = match config.placement {
         Placement::Uniform => 0,
         Placement::Mesh { side, per_hop } => per_hop.saturating_mul(2 * (side.max(1) as u64 - 1)),
@@ -348,12 +341,7 @@ fn schedule_horizon(config: &SimConfig, workload: &Workload, trace_gaps: &[u64])
     let prism_max = config
         .prism
         .map_or(0, |p| p.spin_window.saturating_add(p.pair_cost));
-    let arrival_max = match workload.arrival {
-        ArrivalProcess::Closed => 0,
-        ArrivalProcess::Open { mean_gap } => mean_gap.saturating_mul(2),
-        ArrivalProcess::Bursty { gap, .. } => gap,
-        ArrivalProcess::Trace { .. } => trace_gaps.iter().copied().max().unwrap_or(0),
-    };
+    let arrival_max = arrivals.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
     let step = [
         config.fabric.link.delay,
         config.fabric.link.jitter,
@@ -423,14 +411,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
 
         let plan = QueuePlan::new(topology, &config.fabric, &routes);
 
-        // trace-replay gaps, read once per run; `Backend::try_run`
-        // validated the file, so a failure here is a caller skipping
-        // validation (or a race on the file between the two reads)
-        let trace_gaps = match &workload.arrival {
-            ArrivalProcess::Trace { path } => ArrivalProcess::load_trace(path)
-                .expect("trace workload must be validated before running"),
-            _ => Vec::new(),
-        };
+        let arrivals = arrival_schedule(workload, config.seed);
 
         // Closed loop: one slot per re-injecting processor, as always.
         // Open loop: every arriving token is its own slot (several from
@@ -477,10 +458,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
         Runner {
             config,
             workload,
-            queue: Q::with_horizon(
-                schedule_horizon(&config, workload, &trace_gaps),
-                token_slots,
-            ),
+            queue: Q::with_horizon(schedule_horizon(&config, workload, &arrivals), token_slots),
             toggles: route_base
                 .windows(2)
                 .map(|outs| Toggle {
@@ -495,20 +473,16 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             output_width: width as u64,
             procs,
             rng: SimRng::seed_from_u64(config.seed),
-            arrival_rng: SimRng::seed_from_u64(config.seed ^ ARRIVAL_STREAM),
-            trace_gaps,
+            arrivals,
             completions: StartWitness::default(),
             nonlinearizable: 0,
             stamp: 0,
             started_ops: 0,
             operations: Vec::with_capacity(workload.total_ops),
             completed_by: Vec::with_capacity(workload.total_ops),
-            toggle_count: 0,
-            toggle_wait_total: 0,
-            diffraction_pairs: 0,
+            sim: SimCounters::default(),
             node_visits: 0,
             node_wait_total: 0,
-            max_lock_queue: 0,
             sim_time: 0,
             routes,
             route_base,
@@ -517,7 +491,6 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             fabric_capacity: plan.capacity,
             fabric_stage: plan.stage,
             fabric_stage_base: plan.stage_base,
-            fabric_stats: FabricStats::default(),
             obs: SimObs::new(node_count),
         }
     }
@@ -591,13 +564,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             sim_time: self.sim_time,
             node_visits: self.node_visits,
             node_wait_total: self.node_wait_total,
-            sim: Some(SimCounters {
-                toggle_count: self.toggle_count,
-                toggle_wait_total: self.toggle_wait_total,
-                diffraction_pairs: self.diffraction_pairs,
-                max_lock_queue: self.max_lock_queue,
-                fabric: self.fabric_stats,
-            }),
+            sim: Some(self.sim),
             metrics: None,
         };
         (stats, self.obs)
@@ -624,13 +591,10 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
     }
 
     fn start_op(&mut self, now: u64, proc: u32) {
-        if self.workload.is_open_loop() {
-            // schedule the next token's arrival before serving this one
-            let next = proc as usize + 1;
-            if next < self.workload.total_ops {
-                let gap = self.arrival_gap(next);
-                self.push(now + gap, Ev::StartOp { proc: next as u32 });
-            }
+        // open loop: schedule the next token's arrival before serving
+        // this one (a closed loop has no arrivals)
+        if let Some(&at) = self.arrivals.get(proc as usize + 1) {
+            self.push(at, Ev::StartOp { proc: proc + 1 });
         }
         if self.started_ops >= self.workload.total_ops {
             return; // quota reached: this processor retires
@@ -644,33 +608,6 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             self.arrive_node(now, proc, entry);
         } else {
             self.push(now, Ev::ArriveNode { proc, node: entry });
-        }
-    }
-
-    /// Cycles between token `token - 1`'s arrival and token `token`'s,
-    /// under the workload's open-loop arrival process.
-    fn arrival_gap(&mut self, token: usize) -> u64 {
-        match self.workload.arrival {
-            ArrivalProcess::Closed => 0,
-            ArrivalProcess::Open { mean_gap } => {
-                if mean_gap == 0 {
-                    0
-                } else {
-                    self.arrival_rng.inclusive(mean_gap.saturating_mul(2))
-                }
-            }
-            ArrivalProcess::Bursty { burst, gap } => {
-                if token.is_multiple_of(burst.max(1) as usize) {
-                    gap
-                } else {
-                    0
-                }
-            }
-            ArrivalProcess::Trace { .. } => {
-                // token k replays recorded gap k-1, cycling when the
-                // run outlives the recording
-                self.trace_gaps[(token - 1) % self.trace_gaps.len()]
-            }
         }
     }
 
@@ -694,7 +631,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
                         // `pair_cost`.
                         let pair_cost = self.config.prism.expect("prism configured").pair_cost;
                         let occupant_wait = now - self.procs[occupant.proc as usize].arrive_time;
-                        self.diffraction_pairs += 1;
+                        self.sim.diffraction_pairs += 1;
                         self.node_visits += 2;
                         self.node_wait_total += occupant_wait;
                         self.obs.diffraction(node as usize, occupant_wait);
@@ -744,7 +681,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             );
         } else {
             let depth = u64::from(self.locks.queue_len(node as usize));
-            self.max_lock_queue = self.max_lock_queue.max(depth);
+            self.sim.max_lock_queue = self.sim.max_lock_queue.max(depth);
         }
         // otherwise the processor spins in the FIFO queue; ToggleDone
         // for it will be scheduled by the releasing holder
@@ -752,8 +689,8 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
 
     fn toggle_done(&mut self, now: u64, proc: u32, node: u32) {
         let wait = now - self.procs[proc as usize].arrive_time;
-        self.toggle_count += 1;
-        self.toggle_wait_total += wait;
+        self.sim.toggle_count += 1;
+        self.sim.toggle_wait_total += wait;
         self.node_visits += 1;
         self.node_wait_total += wait;
         self.obs.toggle(node as usize, wait);
@@ -1253,6 +1190,7 @@ mod degenerate_workload_tests {
 #[cfg(test)]
 mod open_loop_tests {
     use super::*;
+    use cnet_engine::ArrivalProcess;
     use cnet_topology::constructions;
 
     fn open_wl(processors: usize, ops: usize, mean_gap: u64) -> Workload {
@@ -1373,6 +1311,7 @@ mod open_loop_tests {
 mod queue_differential_tests {
     use super::*;
     use crate::queue::HeapQueue;
+    use cnet_engine::ArrivalProcess;
     use cnet_timing::linearizability::count_nonlinearizable;
     use cnet_topology::{constructions, FabricShape, LinkSpec};
 
@@ -1492,16 +1431,7 @@ mod queue_differential_tests {
             assert_eq!(stats.operations, oracle.operations, "{what}");
             assert_eq!(stats.completed_by, oracle.completed_by, "{what}");
             assert_eq!(stats.sim_time, oracle.sim_time, "{what}");
-            assert_eq!(
-                stats.sim.unwrap().max_lock_queue,
-                oracle.sim.unwrap().max_lock_queue,
-                "{what}"
-            );
-            assert_eq!(
-                stats.sim.unwrap().fabric,
-                oracle.sim.unwrap().fabric,
-                "{what}"
-            );
+            assert_eq!(stats.sim, oracle.sim, "{what}");
             assert_eq!(metrics, oracle_metrics, "{what}");
             // the streamed verdict is the whole-trace one
             assert_eq!(
@@ -1525,6 +1455,7 @@ mod queue_differential_tests {
 #[cfg(test)]
 mod trace_arrival_tests {
     use super::*;
+    use cnet_engine::ArrivalProcess;
     use cnet_topology::constructions;
 
     fn trace_workload(path: &std::path::Path, ops: usize) -> Workload {
