@@ -56,7 +56,6 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
-use crate::{ProcessMap, SimRng, Workload};
 use cnet_concurrent::StressCounter;
 use cnet_timing::Operation;
 use cnet_topology::Topology;
@@ -64,7 +63,7 @@ use cnet_topology::Topology;
 use crate::counter::Executor;
 use crate::driver::{self, Readout, Trace, Widths};
 use crate::schedule::{arrival_schedule, THREAD_STREAM};
-use crate::{Backend, CounterSpec, RunOutcome, SpecError};
+use crate::{Backend, CounterSpec, ProcessMap, RunOutcome, SimRng, SpecError, Workload};
 
 /// Polls a waiting client spins this many times before yielding the
 /// OS thread — long enough to catch a near-committed turn without a

@@ -14,7 +14,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::{ProcessMap, RunStats, SimRng, WaitMode, Workload};
 use cnet_concurrent::StressCounter;
 use cnet_obs::{FrontendMetrics, LogHistogram, MetricsSnapshot};
 use cnet_timing::linearizability::lane_magnitudes;
@@ -23,7 +22,7 @@ use cnet_topology::OutputCounts;
 
 use crate::counter::Executor;
 use crate::schedule::{arrival_schedule, THREAD_STREAM};
-use crate::RunOutcome;
+use crate::{ProcessMap, RunOutcome, RunStats, SimRng, WaitMode, Workload};
 
 /// Every backend's first move: reject degenerate workloads with the
 /// typed [`crate::WorkloadError`] before any thread spawns.

@@ -1,26 +1,28 @@
-//! The seeded arrival schedules shared by every native substrate.
+//! The seeded arrival schedule every backend replays.
 //!
 //! One `(seed, workload)` pair must mean one token stream no matter
 //! which backend replays it — that is what makes the differential
 //! suites meaningful. The schedule lives here, outside any one
-//! backend's run loop, so the thread-per-client driver and the
-//! cooperative async executor draw from exactly the same instants.
+//! backend's run loop, so the simulator, the thread-per-client driver
+//! and the cooperative async executor draw from exactly the same
+//! instants.
 
 use crate::{ArrivalProcess, SimRng, Workload};
 
-/// Seed perturbation for the arrival-schedule stream; the same
-/// constant the simulator uses, so a given `(seed, workload)` pair
-/// draws the same gap sequence on every backend.
+/// Seed perturbation for the arrival-schedule stream: open-loop gaps
+/// draw from a generator of their own, so a run's other streams (the
+/// simulator's prism slots, jitter and random waits) are the same
+/// whether or not arrivals are scheduled.
 pub(crate) const ARRIVAL_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Per-thread (or per-client) seed spread for
 /// `WaitMode::UniformRandom` draws.
 pub(crate) const THREAD_STREAM: u64 = 0xD1B5_4A32_D192_ED03;
 
-/// The open-loop arrival instants (nanoseconds from run start), empty
-/// for closed-loop workloads. Token `i` may not be injected before
-/// instant `i` — the native analogue of the simulator's lazily chained
-/// `StartOp` events, from the same gap formulas and seed stream.
+/// The open-loop arrival instants, empty for closed-loop workloads:
+/// token `i` may not be injected before instant `i`. The simulator
+/// reads them as cycles, the native backends as nanoseconds from run
+/// start.
 ///
 /// Public so external load generators (`cnet drive`) can pace traffic
 /// on exactly the schedule the in-process backends would use for the
