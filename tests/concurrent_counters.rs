@@ -30,7 +30,7 @@ const NO_PRISM: BalancerKind = BalancerKind::Diffracting { slots: 0, spin: 0 };
 // Kept (rather than ported onto the engine) because it exercises the
 // bare `Counter` facade, round-robin input cursor included; the
 // engine-driven equivalents live below and in
-// `crates/engine/tests/agreement.rs`.
+// `crates/harness/tests/agreement.rs`.
 fn hammer(counter: Arc<dyn Counter>, cfg: testcfg::StressParams) -> Vec<u64> {
     let mut handles = Vec::new();
     for _ in 0..cfg.threads {
