@@ -89,7 +89,7 @@ pub use counter::{CounterSpec, SpecError};
 pub use outcome::RunOutcome;
 pub use record::{RunRecord, SchemaVersion, SCHEMA_VERSION};
 pub use rng::SimRng;
-pub use schedule::arrival_schedule;
+pub use schedule::{arrival_schedule, Arrivals};
 pub use service::{Bracket, ServiceDriver};
 pub use shm::{run_counter, ShmBackend};
 pub use stats::{FabricStats, ProcessMap, RunStats, SimCounters, StatsSummary};

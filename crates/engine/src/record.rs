@@ -99,7 +99,13 @@ impl_serde_struct!(RunRecord {
 } omit_empty { metrics, open_loop, slo });
 
 impl RunRecord {
-    /// Builds a record from a finished simulator run.
+    /// The backend family [`RunRecord::measure`] names. The
+    /// simulator's backend takes its name from here, so the string is
+    /// written once.
+    pub const DEFAULT_BACKEND: &'static str = "sim";
+
+    /// Builds a record of a finished run under
+    /// [`RunRecord::DEFAULT_BACKEND`].
     #[must_use]
     pub fn measure(
         label: impl Into<String>,
@@ -109,7 +115,15 @@ impl RunRecord {
         stats: &RunStats,
         wall_ms: f64,
     ) -> Self {
-        Self::measure_on("sim", label, kind, workload, seed, stats, wall_ms)
+        Self::measure_on(
+            Self::DEFAULT_BACKEND,
+            label,
+            kind,
+            workload,
+            seed,
+            stats,
+            wall_ms,
+        )
     }
 
     /// Builds a record from a finished run on a named engine backend.

@@ -28,44 +28,105 @@ pub(crate) const THREAD_STREAM: u64 = 0xD1B5_4A32_D192_ED03;
 /// on exactly the schedule the in-process backends would use for the
 /// same `(seed, workload)` pair.
 pub fn arrival_schedule(workload: &Workload, seed: u64) -> Vec<u64> {
-    if !workload.is_open_loop() {
-        return Vec::new();
-    }
-    let mut rng = SimRng::seed_from_u64(seed ^ ARRIVAL_STREAM);
-    // trace replay reads the recorded gaps once; `Backend::try_run`
-    // validated the file before any schedule is built
-    let trace_gaps = match &workload.arrival {
-        ArrivalProcess::Trace { path } => ArrivalProcess::load_trace(path)
-            .expect("trace workload must be validated before scheduling"),
-        _ => Vec::new(),
-    };
-    let mut at = 0u64;
-    (0..workload.total_ops)
-        .map(|token| {
-            if token > 0 {
-                at += match workload.arrival {
-                    ArrivalProcess::Closed => 0,
-                    ArrivalProcess::Open { mean_gap } => {
-                        if mean_gap == 0 {
-                            0
-                        } else {
-                            rng.inclusive(mean_gap.saturating_mul(2))
-                        }
-                    }
-                    ArrivalProcess::Bursty { burst, gap } => {
-                        if token.is_multiple_of(burst.max(1) as usize) {
-                            gap
-                        } else {
-                            0
-                        }
-                    }
-                    ArrivalProcess::Trace { .. } => trace_gaps[(token - 1) % trace_gaps.len()],
-                };
-            }
-            at
-        })
-        .collect()
+    Arrivals::new(workload, seed).collect()
 }
+
+/// The instants of [`arrival_schedule`], drawn one at a time. A
+/// backend that starts tokens in order (the simulator) reads them as
+/// it goes instead of holding 8 B per operation.
+#[derive(Debug, Clone)]
+pub struct Arrivals<'a> {
+    arrival: &'a ArrivalProcess,
+    rng: SimRng,
+    trace_gaps: Vec<u64>,
+    token: usize,
+    len: usize,
+    at: u64,
+}
+
+impl<'a> Arrivals<'a> {
+    /// The arrival stream of `workload` under `seed`.
+    ///
+    /// # Panics
+    ///
+    /// If a trace workload's file cannot be read: `Backend::try_run`
+    /// validates it before any schedule is built.
+    #[must_use]
+    pub fn new(workload: &'a Workload, seed: u64) -> Self {
+        // trace replay reads the recorded gaps once
+        let trace_gaps = match &workload.arrival {
+            ArrivalProcess::Trace { path } => ArrivalProcess::load_trace(path)
+                .expect("trace workload must be validated before scheduling"),
+            _ => Vec::new(),
+        };
+        Arrivals {
+            arrival: &workload.arrival,
+            rng: SimRng::seed_from_u64(seed ^ ARRIVAL_STREAM),
+            trace_gaps,
+            token: 0,
+            len: if workload.is_open_loop() {
+                workload.total_ops
+            } else {
+                0
+            },
+            at: 0,
+        }
+    }
+
+    /// The largest gap the process allows between two consecutive
+    /// arrivals (0 for a closed loop), whichever gaps this run draws.
+    #[must_use]
+    pub fn max_gap(&self) -> u64 {
+        match *self.arrival {
+            ArrivalProcess::Closed => 0,
+            ArrivalProcess::Open { mean_gap } => mean_gap.saturating_mul(2),
+            ArrivalProcess::Bursty { gap, .. } => gap,
+            ArrivalProcess::Trace { .. } => self.trace_gaps.iter().copied().max().unwrap_or(0),
+        }
+    }
+}
+
+impl Iterator for Arrivals<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        if self.token >= self.len {
+            return None;
+        }
+        let token = self.token;
+        self.token += 1;
+        if token > 0 {
+            self.at += match *self.arrival {
+                ArrivalProcess::Closed => 0,
+                ArrivalProcess::Open { mean_gap } => {
+                    if mean_gap == 0 {
+                        0
+                    } else {
+                        self.rng.inclusive(mean_gap.saturating_mul(2))
+                    }
+                }
+                ArrivalProcess::Bursty { burst, gap } => {
+                    if token.is_multiple_of(burst.max(1) as usize) {
+                        gap
+                    } else {
+                        0
+                    }
+                }
+                ArrivalProcess::Trace { .. } => {
+                    self.trace_gaps[(token - 1) % self.trace_gaps.len()]
+                }
+            };
+        }
+        Some(self.at)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = self.len - self.token;
+        (left, Some(left))
+    }
+}
+
+impl ExactSizeIterator for Arrivals<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -125,5 +186,23 @@ mod tests {
             arrival_schedule(&w, 1),
             vec![0, 0, 0, 100, 100, 100, 200, 200, 200]
         );
+    }
+
+    #[test]
+    fn drawn_arrivals_stay_within_the_process_bound() {
+        let w = Workload {
+            total_ops: 200,
+            arrival: ArrivalProcess::Open { mean_gap: 30 },
+            ..Workload::paper(4, 0, 0)
+        };
+        let arrivals = Arrivals::new(&w, 9);
+        assert_eq!(arrivals.len(), 200);
+        assert_eq!(arrivals.max_gap(), 60);
+        let drawn: Vec<u64> = arrivals.collect();
+        assert!(drawn.windows(2).all(|p| p[1] - p[0] <= 60));
+        assert_eq!(drawn, arrival_schedule(&w, 9));
+        let closed = Workload::paper(4, 0, 0);
+        assert_eq!(Arrivals::new(&closed, 9).max_gap(), 0);
+        assert_eq!(Arrivals::new(&closed, 9).next(), None);
     }
 }

@@ -120,6 +120,23 @@ impl RunStats {
         })
     }
 
+    /// Operation-latency histogram over power-of-two buckets: entry
+    /// `i` counts operations with latency in `[2^i, 2^(i+1))` cycles
+    /// (entry 0 also includes zero-latency operations).
+    #[must_use]
+    pub fn latency_histogram(&self) -> Vec<u64> {
+        let mut buckets: Vec<u64> = Vec::new();
+        for op in &self.operations {
+            let lat = op.end - op.start;
+            let b = (64 - lat.max(1).leading_zeros()) as usize - 1;
+            if buckets.len() <= b {
+                buckets.resize(b + 1, 0);
+            }
+            buckets[b] += 1;
+        }
+        buckets
+    }
+
     /// Mean operation latency in simulated cycles.
     #[must_use]
     pub fn mean_latency(&self) -> f64 {
@@ -586,5 +603,51 @@ mod consistency_tests {
         };
         assert_eq!(stats.nonlinearizable_count(), 1);
         assert_eq!(stats.program_order_violations(), 0);
+    }
+
+    #[test]
+    fn latency_histogram_buckets_by_power_of_two() {
+        let ops = vec![
+            Operation {
+                token: 0,
+                input: 0,
+                start: 0,
+                end: 1,
+                counter: 0,
+                value: 0,
+            }, // 1 -> b0
+            Operation {
+                token: 1,
+                input: 0,
+                start: 0,
+                end: 3,
+                counter: 0,
+                value: 1,
+            }, // 3 -> b1
+            Operation {
+                token: 2,
+                input: 0,
+                start: 0,
+                end: 8,
+                counter: 0,
+                value: 2,
+            }, // 8 -> b3
+        ];
+        let stats = RunStats {
+            operations: ops,
+            completed_by: ProcessMap::per_op(vec![0, 0, 0]),
+            output_counts: OutputCounts::zeros(2),
+            sim_time: 8,
+            node_visits: 1,
+            node_wait_total: 1,
+            sim: Some(SimCounters {
+                toggle_count: 1,
+                toggle_wait_total: 1,
+                ..SimCounters::default()
+            }),
+            nonlinearizable: 0,
+            metrics: None,
+        };
+        assert_eq!(stats.latency_histogram(), vec![1, 1, 0, 1]);
     }
 }

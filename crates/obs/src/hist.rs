@@ -1,7 +1,7 @@
 //! HDR-style log-bucketed histograms.
 //!
 //! Both histograms use the same bucketing as
-//! `RunStats::latency_histogram` in `cnet-proteus`: bucket `i` counts
+//! `RunStats::latency_histogram` in `cnet-engine`: bucket `i` counts
 //! samples in `[2^i, 2^(i+1))` and bucket 0 additionally absorbs zero.
 //! Sixty-four buckets cover the whole `u64` range, so recording never
 //! saturates or clips.

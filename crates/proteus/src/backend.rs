@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use cnet_engine::{Backend, RunOutcome, Workload};
+use cnet_engine::{Backend, RunOutcome, RunRecord, Workload};
 use cnet_topology::Topology;
 
 use crate::{SimConfig, Simulator};
@@ -24,8 +24,8 @@ pub struct SimBackend<'a> {
 
 impl<'a> SimBackend<'a> {
     /// The simulator's family name, [`Backend::name`] of every
-    /// `SimBackend`.
-    pub const NAME: &'static str = "sim";
+    /// `SimBackend`: the backend [`RunRecord::measure`] writes.
+    pub const NAME: &'static str = RunRecord::DEFAULT_BACKEND;
 
     /// A backend simulating `topology` under the given machine model.
     #[must_use]

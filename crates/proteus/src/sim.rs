@@ -44,9 +44,7 @@
 //! order, and therefore every statistic are bit-identical to the
 //! straightforward implementation (the golden-trace tests pin this).
 
-use cnet_engine::{
-    arrival_schedule, ProcessMap, RunStats, SimCounters, SimRng, WaitMode, Workload,
-};
+use cnet_engine::{Arrivals, ProcessMap, RunStats, SimCounters, SimRng, WaitMode, Workload};
 use cnet_timing::linearizability::StartWitness;
 use cnet_timing::Operation;
 use cnet_topology::{OutputCounts, Topology, WireEnd};
@@ -192,12 +190,6 @@ impl<'a> Simulator<'a> {
         self.topology
     }
 
-    /// The machine-model configuration.
-    #[must_use]
-    pub fn config(&self) -> SimConfig {
-        self.config
-    }
-
     /// Runs the workload to completion and returns the measurements.
     ///
     /// Processors start staggered by one cycle each (ids `0..n` start
@@ -273,12 +265,13 @@ struct Runner<'a, Q> {
     output_width: u64,
     procs: Vec<Proc>,
     rng: SimRng,
-    /// Token `i`'s arrival instant under an open-loop arrival process,
-    /// else empty: the engine's schedule, the one every backend
-    /// replays for a `(seed, workload)` pair. It draws from a stream
-    /// of its own, so the main stream (prism slots, jitter, random
-    /// waits) is the same whether or not arrivals are scheduled.
-    arrivals: Vec<u64>,
+    /// The arrival instants not yet scheduled under an open-loop
+    /// arrival process, else empty: the engine's schedule, the one
+    /// every backend replays for a `(seed, workload)` pair, drawn as
+    /// tokens start. It draws from a stream of its own, so the main
+    /// stream (prism slots, jitter, random waits) is the same whether
+    /// or not arrivals are scheduled.
+    arrivals: Arrivals<'a>,
     /// Every completion so far, as far as Definition 2.4 needs it:
     /// pops are time-ordered, so a start reads its exact witness here.
     completions: StartWitness,
@@ -333,7 +326,7 @@ fn hop_cost(placement: Placement, from: (i64, i64), to: (i64, i64)) -> u64 {
 /// run's configuration — the bucket-wheel horizon. Saturating: an
 /// astronomically large parameter simply overflows into the queue's
 /// heap fallback.
-fn schedule_horizon(config: &SimConfig, workload: &Workload, arrivals: &[u64]) -> u64 {
+fn schedule_horizon(config: &SimConfig, workload: &Workload, arrivals: &Arrivals<'_>) -> u64 {
     let mesh_max = match config.placement {
         Placement::Uniform => 0,
         Placement::Mesh { side, per_hop } => per_hop.saturating_mul(2 * (side.max(1) as u64 - 1)),
@@ -341,7 +334,6 @@ fn schedule_horizon(config: &SimConfig, workload: &Workload, arrivals: &[u64]) -
     let prism_max = config
         .prism
         .map_or(0, |p| p.spin_window.saturating_add(p.pair_cost));
-    let arrival_max = arrivals.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
     let step = [
         config.fabric.link.delay,
         config.fabric.link.jitter,
@@ -350,7 +342,7 @@ fn schedule_horizon(config: &SimConfig, workload: &Workload, arrivals: &[u64]) -
         workload.wait_cycles,
         prism_max,
         mesh_max,
-        arrival_max,
+        arrivals.max_gap(),
         fabric::horizon(&config.fabric),
         1,
     ]
@@ -411,7 +403,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
 
         let plan = QueuePlan::new(topology, &config.fabric, &routes);
 
-        let arrivals = arrival_schedule(workload, config.seed);
+        let arrivals = Arrivals::new(workload, config.seed);
 
         // Closed loop: one slot per re-injecting processor, as always.
         // Open loop: every arriving token is its own slot (several from
@@ -542,8 +534,10 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
     fn run(mut self) -> (RunStats, SimObs) {
         if self.workload.is_open_loop() {
             // arrivals chain lazily: each StartOp schedules the next
-            if !self.procs.is_empty() && self.workload.total_ops > 0 {
-                self.push(0, Ev::StartOp { proc: 0 });
+            if !self.procs.is_empty() {
+                if let Some(at) = self.arrivals.next() {
+                    self.push(at, Ev::StartOp { proc: 0 });
+                }
             }
         } else {
             for p in 0..self.workload.processors {
@@ -593,7 +587,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
     fn start_op(&mut self, now: u64, proc: u32) {
         // open loop: schedule the next token's arrival before serving
         // this one (a closed loop has no arrivals)
-        if let Some(&at) = self.arrivals.get(proc as usize + 1) {
+        if let Some(at) = self.arrivals.next() {
             self.push(at, Ev::StartOp { proc: proc + 1 });
         }
         if self.started_ops >= self.workload.total_ops {
