@@ -34,13 +34,12 @@ pub fn arrival_schedule(workload: &Workload, seed: u64) -> Vec<u64> {
 /// The instants of [`arrival_schedule`], drawn one at a time. A
 /// backend that starts tokens in order (the simulator) reads them as
 /// it goes instead of holding 8 B per operation.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Arrivals<'a> {
     arrival: &'a ArrivalProcess,
     rng: SimRng,
     trace_gaps: Vec<u64>,
-    token: usize,
-    len: usize,
+    tokens: std::ops::Range<usize>,
     at: u64,
 }
 
@@ -59,16 +58,16 @@ impl<'a> Arrivals<'a> {
                 .expect("trace workload must be validated before scheduling"),
             _ => Vec::new(),
         };
+        let len = if workload.is_open_loop() {
+            workload.total_ops
+        } else {
+            0
+        };
         Arrivals {
             arrival: &workload.arrival,
             rng: SimRng::seed_from_u64(seed ^ ARRIVAL_STREAM),
             trace_gaps,
-            token: 0,
-            len: if workload.is_open_loop() {
-                workload.total_ops
-            } else {
-                0
-            },
+            tokens: 0..len,
             at: 0,
         }
     }
@@ -90,11 +89,7 @@ impl Iterator for Arrivals<'_> {
     type Item = u64;
 
     fn next(&mut self) -> Option<u64> {
-        if self.token >= self.len {
-            return None;
-        }
-        let token = self.token;
-        self.token += 1;
+        let token = self.tokens.next()?;
         if token > 0 {
             self.at += match *self.arrival {
                 ArrivalProcess::Closed => 0,
@@ -121,8 +116,7 @@ impl Iterator for Arrivals<'_> {
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = self.len - self.token;
-        (left, Some(left))
+        self.tokens.size_hint()
     }
 }
 
@@ -139,6 +133,7 @@ mod tests {
             ..Workload::paper(4, 0, 0)
         };
         assert!(arrival_schedule(&w, 7).is_empty());
+        assert_eq!(Arrivals::new(&w, 7).max_gap(), 0);
     }
 
     #[test]
@@ -155,6 +150,11 @@ mod tests {
         assert_eq!(a[0], 0);
         assert!(a.windows(2).all(|p| p[0] <= p[1]));
         assert_ne!(a, arrival_schedule(&w, 43), "seed must matter");
+        // drawn lazily, the same stream, inside the process's bound
+        let arrivals = Arrivals::new(&w, 42);
+        assert_eq!((arrivals.len(), arrivals.max_gap()), (50, 600));
+        assert!(a.windows(2).all(|p| p[1] - p[0] <= 600));
+        assert_eq!(arrivals.collect::<Vec<_>>(), a);
     }
 
     #[test]
@@ -186,23 +186,5 @@ mod tests {
             arrival_schedule(&w, 1),
             vec![0, 0, 0, 100, 100, 100, 200, 200, 200]
         );
-    }
-
-    #[test]
-    fn drawn_arrivals_stay_within_the_process_bound() {
-        let w = Workload {
-            total_ops: 200,
-            arrival: ArrivalProcess::Open { mean_gap: 30 },
-            ..Workload::paper(4, 0, 0)
-        };
-        let arrivals = Arrivals::new(&w, 9);
-        assert_eq!(arrivals.len(), 200);
-        assert_eq!(arrivals.max_gap(), 60);
-        let drawn: Vec<u64> = arrivals.collect();
-        assert!(drawn.windows(2).all(|p| p[1] - p[0] <= 60));
-        assert_eq!(drawn, arrival_schedule(&w, 9));
-        let closed = Workload::paper(4, 0, 0);
-        assert_eq!(Arrivals::new(&closed, 9).max_gap(), 0);
-        assert_eq!(Arrivals::new(&closed, 9).next(), None);
     }
 }

@@ -640,11 +640,7 @@ mod consistency_tests {
             sim_time: 8,
             node_visits: 1,
             node_wait_total: 1,
-            sim: Some(SimCounters {
-                toggle_count: 1,
-                toggle_wait_total: 1,
-                ..SimCounters::default()
-            }),
+            sim: None,
             nonlinearizable: 0,
             metrics: None,
         };
