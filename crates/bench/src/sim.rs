@@ -9,9 +9,7 @@ use cnet_harness::{
     derive_cell_seed, derive_seed, percent, Grid, GridOutcome, Job, NetworkKind, ResultTable,
     PAPER_WAITS, PAPER_WIDTH,
 };
-use cnet_proteus::{
-    Fabric, FabricShape, LinkSpec, PrismConfig, RetryPolicy, SimConfig, SwitchSpec,
-};
+use cnet_proteus::{Fabric, LinkSpec, PrismConfig, RetryPolicy, SimConfig, SwitchSpec};
 use cnet_timing::windows::{self, Window};
 use cnet_topology::constructions;
 
@@ -428,7 +426,6 @@ pub(crate) fn ablation_prism(run: &mut Run<'_>) -> io::Result<()> {
 /// service 8, at the given loss rate and egress queue depth.
 fn fabric_cell(loss_per_million: u32, capacity: u32) -> Fabric {
     Fabric {
-        shape: FabricShape::OneBigSwitch,
         link: LinkSpec {
             delay: 20,
             jitter: 200,

@@ -21,7 +21,7 @@ use cnet_engine::{Backend, RunRecord, WaitMode, Workload};
 use cnet_harness::{GridReport, ResultTable};
 use cnet_proteus::{SimBackend, SimConfig};
 use cnet_topology::Topology;
-use serde::{Deserialize as _, Serialize as _};
+use serde::{Deserialize as _, Serialize as _, Value};
 
 use crate::args::{CliError, ParsedArgs};
 use crate::commands::{build_network, network_by_name, write_json};
@@ -103,13 +103,34 @@ pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
 }
 
 /// `cnet scenario <file>` — the cell read from a [`ScenarioSpec`] file.
+/// A key the spec does not read is refused, not skipped, so a file
+/// naming a removed or misspelled knob cannot run as the default.
 pub fn scenario(args: &ParsedArgs) -> Result<String, CliError> {
     let path = args.positional(0, "scenario file")?;
     let text = std::fs::read_to_string(path).map_err(CliError::failed)?;
     let value = serde::json::from_str(&text).map_err(CliError::failed)?;
     let spec = ScenarioSpec::from_value(&value).map_err(CliError::failed)?;
+    if let Some(key) = unread_key(&value, &spec.to_value()) {
+        return Err(CliError::failed(serde::Error::new(format!(
+            "unknown key `{key}` in scenario file `{path}`"
+        ))));
+    }
     let net = spec.network()?;
     run_cell("scenario", spec, &net, None, args)
+}
+
+/// The dotted path of the first key in `doc` that `written` — what
+/// was parsed from `doc`, written back — does not hold.
+fn unread_key(doc: &Value, written: &Value) -> Option<String> {
+    let Value::Object(fields) = doc else {
+        return None;
+    };
+    fields
+        .iter()
+        .find_map(|(key, value)| match written.get(key) {
+            None => Some(key.clone()),
+            Some(known) => unread_key(value, known).map(|inner| format!("{key}.{inner}")),
+        })
 }
 
 /// Validates and runs one cell on `net`, writes its trace and JSON
@@ -159,9 +180,8 @@ fn run_cell(
     } else {
         let _ = writeln!(
             out,
-            "fabric: {:?}, link delay {} jitter {} service {} cap {} loss {}/1M, \
+            "fabric: link delay {} jitter {} service {} cap {} loss {}/1M, \
              switch service {} cap {}, {}",
-            fabric.shape,
             fabric.link.delay,
             fabric.link.jitter,
             fabric.link.service,
@@ -290,7 +310,7 @@ fn run_cell(
 mod tests {
     use super::*;
     use cnet_engine::ArrivalProcess;
-    use cnet_proteus::{Fabric, FabricShape, LinkSpec};
+    use cnet_proteus::{Fabric, LinkSpec};
 
     fn sample() -> ScenarioSpec {
         ScenarioSpec {
@@ -299,7 +319,6 @@ mod tests {
             width: 16,
             config: SimConfig {
                 fabric: Fabric {
-                    shape: FabricShape::TwoTier { spines: 2 },
                     link: LinkSpec {
                         delay: 20,
                         jitter: 100,
@@ -416,6 +435,40 @@ mod tests {
             outcome.stats.sim
         );
         assert_eq!(outcome.stats.output_counts.total(), 2000);
+    }
+
+    #[test]
+    fn a_key_the_spec_does_not_read_is_refused_by_path() {
+        let text = include_str!("../../../examples/scenario_lossy_fabric.json");
+        for (i, (from, to, names)) in [
+            (
+                "\"seed\": 42",
+                "\"placement\": \"Uniform\", \"seed\": 42",
+                "unknown key `config.placement`",
+            ),
+            (
+                "\"fabric\": {",
+                "\"fabric\": { \"shape\": \"OneBigSwitch\",",
+                "unknown key `config.fabric.shape`",
+            ),
+            (
+                "\"backpressure\"",
+                "\"backpresure\"",
+                "field `config`: field `fabric`: missing field `backpressure`",
+            ),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert!(text.contains(from), "{from}");
+            let path =
+                std::env::temp_dir().join(format!("cnet-scenario-key-{i}-{}", std::process::id()));
+            std::fs::write(&path, text.replacen(from, to, 1)).unwrap();
+            let args = ParsedArgs::parse(&[path.to_str().unwrap().to_string()]).unwrap();
+            let err = scenario(&args).unwrap_err();
+            assert!(err.to_string().contains(names), "{err}");
+            assert_eq!(err.exit_code(), 2);
+        }
     }
 
     #[test]

@@ -228,8 +228,9 @@ impl ArrivalProcess {
     }
 }
 
-// `ArrivalProcess` has struct variants, so serde is hand-written like
-// `Placement`'s: `"Closed"`, `{"Open": {"mean_gap": …}}`, or
+// `ArrivalProcess` has struct variants, which the derive-replacement
+// macros do not cover, so serde is hand-written in serde's externally
+// tagged encoding: `"Closed"`, `{"Open": {"mean_gap": …}}`, or
 // `{"Bursty": {"burst": …, "gap": …}}`.
 impl Serialize for ArrivalProcess {
     fn to_value(&self) -> Value {

@@ -1,8 +1,7 @@
 //! HDR-style log-bucketed histograms.
 //!
-//! Both histograms use the same bucketing as
-//! `RunStats::latency_histogram` in `cnet-engine`: bucket `i` counts
-//! samples in `[2^i, 2^(i+1))` and bucket 0 additionally absorbs zero.
+//! Both histograms bucket by powers of two: bucket `i` counts samples
+//! in `[2^i, 2^(i+1))` and bucket 0 additionally absorbs zero.
 //! Sixty-four buckets cover the whole `u64` range, so recording never
 //! saturates or clips.
 
@@ -178,8 +177,7 @@ impl LogHistogram {
         &self.buckets
     }
 
-    /// Buckets with trailing zeros trimmed — the serialized form, and
-    /// directly comparable to `RunStats::latency_histogram`.
+    /// Buckets with trailing zeros trimmed — the serialized form.
     #[must_use]
     pub fn trimmed_buckets(&self) -> Vec<u64> {
         let last = self

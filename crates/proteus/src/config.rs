@@ -1,7 +1,7 @@
 //! The simulated machine's configuration.
 
 use cnet_topology::Fabric;
-use serde::{impl_serde_struct, Deserialize, Error, Serialize, Value};
+use serde::impl_serde_struct;
 
 /// Configuration of the prism (diffraction) arrays placed in front of
 /// tree balancers, per Shavit and Zemach.
@@ -49,64 +49,6 @@ impl Default for PrismConfig {
     }
 }
 
-/// Where balancers, counters, and processors live on the simulated
-/// machine, which determines wire-traversal distances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// Distances are ignored: every wire costs the fabric's link delay (+ jitter).
-    /// This is the calibration the Figure 5–7 runs use.
-    #[default]
-    Uniform,
-    /// Alewife-style square mesh: every balancer, counter, and
-    /// processor has a home cell on a `side x side` grid (assigned
-    /// round-robin by index), and each wire traversal additionally
-    /// costs `per_hop` cycles per Manhattan hop between the source and
-    /// destination homes.
-    Mesh {
-        /// Mesh side length (cells per row/column).
-        side: usize,
-        /// Extra cycles per mesh hop.
-        per_hop: u64,
-    },
-}
-
-// `Placement` has a struct variant, so the derive-replacement macros do
-// not cover it; the encoding is `"Uniform"` or
-// `{"Mesh": {"side": …, "per_hop": …}}`, matching serde's externally
-// tagged default.
-impl Serialize for Placement {
-    fn to_value(&self) -> Value {
-        match self {
-            Placement::Uniform => Value::Str("Uniform".to_string()),
-            Placement::Mesh { side, per_hop } => Value::Object(vec![(
-                "Mesh".to_string(),
-                Value::Object(vec![
-                    ("side".to_string(), side.to_value()),
-                    ("per_hop".to_string(), per_hop.to_value()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl Deserialize for Placement {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) if s == "Uniform" => Ok(Placement::Uniform),
-            Value::Object(_) => {
-                let mesh = v
-                    .get("Mesh")
-                    .ok_or_else(|| Error::new("expected a `Mesh` placement object"))?;
-                Ok(Placement::Mesh {
-                    side: mesh.field("side")?,
-                    per_hop: mesh.field("per_hop")?,
-                })
-            }
-            other => Err(Error::new(format!("unknown Placement: {other:?}"))),
-        }
-    }
-}
-
 /// Machine-model parameters of the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
@@ -127,8 +69,6 @@ pub struct SimConfig {
     /// Prism arrays, for diffracting-tree runs; `None` gives plain
     /// queue-lock balancers everywhere.
     pub prism: Option<PrismConfig>,
-    /// Physical placement: uniform distances or an Alewife-style mesh.
-    pub placement: Placement,
     /// PRNG seed (prism slot choices, random waits).
     pub seed: u64,
 }
@@ -138,7 +78,6 @@ impl_serde_struct!(SimConfig {
     toggle_cost,
     counter_cost,
     prism,
-    placement,
     seed,
 });
 
@@ -157,7 +96,6 @@ impl SimConfig {
             toggle_cost: 200,
             counter_cost: 0,
             prism: None,
-            placement: Placement::Uniform,
             seed,
         }
     }
@@ -180,6 +118,7 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::{Deserialize, Serialize};
 
     #[test]
     fn prism_slots_halve_per_layer() {
@@ -202,11 +141,7 @@ mod tests {
 
     #[test]
     fn config_serde_round_trip() {
-        let mut cfg = SimConfig::diffracting(42);
-        cfg.placement = Placement::Mesh {
-            side: 16,
-            per_hop: 3,
-        };
+        let cfg = SimConfig::diffracting(42);
         assert_eq!(SimConfig::from_value(&cfg.to_value()).unwrap(), cfg);
 
         let plain = SimConfig::queue_lock(7);

@@ -1,5 +1,6 @@
-//! The queued interconnect of a simulated run: per-route queue paths,
-//! lossy transmission, drop-tail / NACK admission and retransmission.
+//! The queued interconnect of a simulated run: the one shared switch
+//! and the per-destination link queues, lossy transmission, drop-tail
+//! / NACK admission and retransmission.
 //!
 //! Everything here is dormant on the degenerate fabric every paper
 //! figure uses: [`QueuePlan::new`] then builds no queues, `depart()`
@@ -7,9 +8,9 @@
 //! ever scheduled. A child module of [`super`] so the handlers can
 //! stay methods of its private `Runner`.
 
-use cnet_topology::{Fabric, FabricShape, Topology};
+use cnet_topology::{Fabric, Topology};
 
-use super::{Ev, Route, Runner, COUNTER_BIT};
+use super::{Ev, Runner, COUNTER_BIT};
 use crate::queue::Queue;
 
 /// The farthest a fabric queue or retry can push one schedule: a
@@ -28,102 +29,33 @@ pub(super) fn horizon(fabric: &Fabric) -> u64 {
     }
 }
 
-/// The fabric queues of a run and the path each route takes through
-/// them.
+/// The fabric queues of a run. Every hop takes the same path: the
+/// shared switch, then its destination's link queue.
 pub(super) struct QueuePlan {
     /// Per-queue service cycles.
     pub(super) service: Vec<u64>,
     /// Per-queue drop-tail capacities, parallel to `service`.
     pub(super) capacity: Vec<u32>,
-    /// Route `r` traverses `stage[stage_base[r]..stage_base[r + 1]]`.
-    pub(super) stage: Vec<u32>,
-    pub(super) stage_base: Vec<u32>,
 }
 
 impl QueuePlan {
-    /// The degenerate fabric gets *no* queues (`stage_base` stays
-    /// empty) — `depart()` branches on that and takes the exact legacy
-    /// wire path, RNG draw for RNG draw. Non-degenerate fabrics give
-    /// every route a queue path: the shared switch tier (per the
-    /// shape), then the destination's link queue; a Mesh wire has only
-    /// its own private queue.
-    pub(super) fn new(topology: &Topology, fabric: &Fabric, routes: &[Route]) -> Self {
-        let node_count = topology.node_count();
-        let width = topology.output_width();
-        let mut service: Vec<u64> = Vec::new();
-        let mut capacity: Vec<u32> = Vec::new();
-        let mut stage: Vec<u32> = Vec::new();
-        let mut stage_base: Vec<u32> = Vec::new();
-        if !fabric.is_degenerate() {
-            stage_base.push(0);
-            if fabric.shape == FabricShape::Mesh {
-                for _ in 0..routes.len() {
-                    let q = service.len() as u32;
-                    service.push(fabric.link.service);
-                    capacity.push(fabric.link.capacity);
-                    stage.push(q);
-                    stage_base.push(stage.len() as u32);
-                }
-            } else {
-                // per-destination link queues: nodes first, counters
-                // after
-                let dest_count = node_count + width;
-                for _ in 0..dest_count {
-                    service.push(fabric.link.service);
-                    capacity.push(fabric.link.capacity);
-                }
-                // the shared switch tier
-                let first_switch = dest_count as u32;
-                let depth = topology.depth();
-                let mut node_stage = vec![0u32; node_count];
-                if fabric.shape == FabricShape::PerStage {
-                    for id in topology.iter_nodes() {
-                        node_stage[id.index()] = topology.layer_of(id) as u32 - 1;
-                    }
-                }
-                let switch_count = match fabric.shape {
-                    FabricShape::OneBigSwitch => 1,
-                    // one switch per network layer, plus the counter
-                    // stage past the last layer
-                    FabricShape::PerStage => depth + 1,
-                    FabricShape::TwoTier { spines } => spines as usize,
-                    FabricShape::Mesh => unreachable!("handled above"),
-                };
-                for _ in 0..switch_count {
-                    service.push(fabric.switch.service);
-                    capacity.push(fabric.switch.capacity);
-                }
-                for (r, route) in routes.iter().enumerate() {
-                    let dest_q = if route.target & COUNTER_BIT == 0 {
-                        route.target
-                    } else {
-                        node_count as u32 + (route.target & !COUNTER_BIT)
-                    };
-                    let switch_q = first_switch
-                        + match fabric.shape {
-                            FabricShape::OneBigSwitch => 0,
-                            FabricShape::PerStage => {
-                                if route.target & COUNTER_BIT == 0 {
-                                    node_stage[route.target as usize]
-                                } else {
-                                    depth as u32
-                                }
-                            }
-                            FabricShape::TwoTier { spines } => r as u32 % spines,
-                            FabricShape::Mesh => unreachable!("handled above"),
-                        };
-                    stage.push(switch_q);
-                    stage.push(dest_q);
-                    stage_base.push(stage.len() as u32);
-                }
-            }
+    /// The degenerate fabric gets *no* queues — `depart()` branches on
+    /// that and takes the exact legacy wire path, RNG draw for RNG
+    /// draw. Otherwise queue ids are the destinations' link queues,
+    /// nodes first and counters after, then the switch last.
+    pub(super) fn new(topology: &Topology, fabric: &Fabric) -> Self {
+        if fabric.is_degenerate() {
+            return QueuePlan {
+                service: Vec::new(),
+                capacity: Vec::new(),
+            };
         }
-        QueuePlan {
-            service,
-            capacity,
-            stage,
-            stage_base,
-        }
+        let links = topology.node_count() + topology.output_width();
+        let mut service = vec![fabric.link.service; links];
+        let mut capacity = vec![fabric.link.capacity; links];
+        service.push(fabric.switch.service);
+        capacity.push(fabric.switch.capacity);
+        QueuePlan { service, capacity }
     }
 }
 
@@ -147,8 +79,7 @@ impl<Q: Queue<Ev>> Runner<'_, Q> {
         } else {
             self.rng.inclusive(link.jitter)
         };
-        let cost = self.routes[self.procs[proc as usize].hop_route as usize].cost;
-        self.push(now + jitter + cost, Ev::FabricArrive { proc });
+        self.push(now + jitter + link.delay, Ev::FabricArrive { proc });
     }
 
     /// Registers a failed attempt (a loss or a refused enqueue) on
@@ -179,9 +110,7 @@ impl<Q: Queue<Ev>> Runner<'_, Q> {
     /// The token reaches its current fabric queue stage: drop-tail /
     /// NACK check against the queue's capacity, then FIFO admission.
     pub(super) fn fabric_arrive(&mut self, now: u64, proc: u32) {
-        let p = &self.procs[proc as usize];
-        let base = self.fabric_stage_base[p.hop_route as usize] as usize;
-        let q = self.fabric_stage[base + p.hop_stage as usize] as usize;
+        let q = self.hop_queue(proc);
         let cap = self.fabric_capacity[q];
         if cap > 0 && self.fabric_locks.occupancy(q) >= cap {
             if self.config.fabric.backpressure {
@@ -215,47 +144,57 @@ impl<Q: Queue<Ev>> Runner<'_, Q> {
     /// waiter, then advance this token to the next stage or deliver it
     /// to its destination node/counter.
     pub(super) fn fabric_serve(&mut self, now: u64, proc: u32) {
-        let route_idx = self.procs[proc as usize].hop_route as usize;
-        let stage = self.procs[proc as usize].hop_stage as usize;
-        let base = self.fabric_stage_base[route_idx] as usize;
-        let stages = self.fabric_stage_base[route_idx + 1] as usize - base;
-        let q = self.fabric_stage[base + stage] as usize;
+        let q = self.hop_queue(proc);
         self.obs.fabric_served(q);
         if let Some(next) = self.fabric_locks.release(q) {
             self.push(now + self.fabric_service[q], Ev::FabricServe { proc: next });
         }
-        if stage + 1 < stages {
-            self.procs[proc as usize].hop_stage += 1;
+        let p = &mut self.procs[proc as usize];
+        if !p.at_link {
+            // through the switch: on to the destination's link queue
+            p.at_link = true;
             self.push(now, Ev::FabricArrive { proc });
             return;
         }
         // delivered: record the hop's true wire latency and hand the
         // token to its destination
-        let route = self.routes[route_idx];
-        self.obs.wire(now - self.procs[proc as usize].hop_depart);
-        if route.target & COUNTER_BIT == 0 {
-            self.push(
-                now,
-                Ev::ArriveNode {
-                    proc,
-                    node: route.target,
-                },
-            );
+        let target = self.routes[p.hop_route as usize];
+        self.obs.wire(now - p.hop_depart);
+        if target & COUNTER_BIT == 0 {
+            self.push(now, Ev::ArriveNode { proc, node: target });
         } else {
             self.push(
                 now,
                 Ev::ArriveCounter {
                     proc,
-                    counter: route.target & !COUNTER_BIT,
+                    counter: target & !COUNTER_BIT,
                 },
             );
+        }
+    }
+
+    /// The fabric queue `proc`'s hop is in: the switch (the last
+    /// queue) until it has been served there, then the destination's
+    /// link queue. Counters' link queues follow the nodes', as their
+    /// locks do in the balancer `LockBank`, so both share
+    /// `counter_lock_base`.
+    fn hop_queue(&self, proc: u32) -> usize {
+        let p = &self.procs[proc as usize];
+        if !p.at_link {
+            return self.fabric_service.len() - 1;
+        }
+        let target = self.routes[p.hop_route as usize];
+        if target & COUNTER_BIT == 0 {
+            target as usize
+        } else {
+            self.counter_lock_base + (target & !COUNTER_BIT) as usize
         }
     }
 }
 
 #[cfg(test)]
 pub(super) mod tests {
-    use cnet_topology::{constructions, FabricShape, LinkSpec, RetryPolicy, SwitchSpec};
+    use cnet_topology::{constructions, LinkSpec, RetryPolicy, SwitchSpec};
 
     use crate::{SimConfig, Simulator};
     use cnet_engine::{ArrivalProcess, FabricStats, RunStats, Workload};
@@ -267,15 +206,10 @@ pub(super) mod tests {
         }
     }
 
-    /// A queued fabric: finite per-queue service and capacity, a
-    /// configurable loss rate, one shape per test.
-    pub(in crate::sim) fn fabric(
-        shape: FabricShape,
-        loss_per_million: u32,
-        backpressure: bool,
-    ) -> crate::Fabric {
+    /// A queued fabric: finite per-queue service and capacity and a
+    /// configurable loss rate.
+    pub(in crate::sim) fn fabric(loss_per_million: u32, backpressure: bool) -> crate::Fabric {
         crate::Fabric {
-            shape,
             link: LinkSpec {
                 delay: 20,
                 jitter: 40,
@@ -296,10 +230,10 @@ pub(super) mod tests {
         }
     }
 
-    fn run_shape(shape: FabricShape, loss: u32, backpressure: bool, ops: usize) -> RunStats {
+    fn run_queued(loss: u32, backpressure: bool, ops: usize) -> RunStats {
         let net = constructions::bitonic(8).unwrap();
         let config = SimConfig {
-            fabric: fabric(shape, loss, backpressure),
+            fabric: fabric(loss, backpressure),
             ..SimConfig::queue_lock(0xFAB)
         };
         Simulator::new(&net, config).run(&wl(16, ops))
@@ -320,21 +254,6 @@ pub(super) mod tests {
     }
 
     #[test]
-    fn every_shape_counts_exactly() {
-        for shape in [
-            FabricShape::OneBigSwitch,
-            FabricShape::PerStage,
-            FabricShape::TwoTier { spines: 3 },
-            FabricShape::Mesh,
-        ] {
-            let stats = run_shape(shape, 0, false, 400);
-            assert_counts_exactly(&stats, 400);
-            let attempts = fabric_of(&stats).attempts;
-            assert!(attempts >= 400, "{shape:?}: attempts {attempts}");
-        }
-    }
-
-    #[test]
     fn degenerate_fabric_records_no_fabric_stats() {
         let net = constructions::bitonic(8).unwrap();
         let stats = Simulator::new(&net, SimConfig::queue_lock(0xFAB)).run(&wl(16, 200));
@@ -347,7 +266,7 @@ pub(super) mod tests {
         // 5% loss: drops must be observed, yet every op still
         // completes with a unique value — retransmission never loses
         // or duplicates a token
-        let stats = run_shape(FabricShape::OneBigSwitch, 50_000, false, 400);
+        let stats = run_queued(50_000, false, 400);
         let f = fabric_of(&stats);
         assert!(f.loss_drops > 0, "{f:?}");
         assert!(f.attempts > 400, "losses must force extra attempts: {f:?}");
@@ -365,9 +284,9 @@ pub(super) mod tests {
             link: LinkSpec {
                 capacity: 1,
                 service: 60,
-                ..fabric(FabricShape::OneBigSwitch, 0, backpressure).link
+                ..fabric(0, backpressure).link
             },
-            ..fabric(FabricShape::OneBigSwitch, 0, backpressure)
+            ..fabric(0, backpressure)
         };
         let nacked = Simulator::new(
             &net,
@@ -400,7 +319,7 @@ pub(super) mod tests {
     fn refusal_accounting_balances() {
         // every refused attempt is either retried later or forced
         // through once the budget runs out; the counters must agree
-        let stats = run_shape(FabricShape::PerStage, 20_000, false, 500);
+        let stats = run_queued(20_000, false, 500);
         let f = fabric_of(&stats);
         let refused = f.loss_drops + f.full_drops;
         assert_eq!(f.refusals(), refused);
@@ -411,8 +330,8 @@ pub(super) mod tests {
 
     #[test]
     fn fabric_runs_are_reproducible() {
-        let a = run_shape(FabricShape::TwoTier { spines: 2 }, 10_000, true, 300);
-        let b = run_shape(FabricShape::TwoTier { spines: 2 }, 10_000, true, 300);
+        let a = run_queued(10_000, true, 300);
+        let b = run_queued(10_000, true, 300);
         assert_eq!(a.operations, b.operations);
         assert_eq!(fabric_of(&a), fabric_of(&b));
         assert_eq!(a.sim_time, b.sim_time);
@@ -420,12 +339,14 @@ pub(super) mod tests {
 
     #[test]
     fn queue_depth_telemetry_sees_contention() {
-        let stats = run_shape(FabricShape::OneBigSwitch, 0, false, 400);
+        let stats = run_queued(0, false, 400);
         let f = fabric_of(&stats);
         assert!(
             f.max_queue_depth > 1,
             "16 procs through one switch must queue: {f:?}"
         );
+        assert!(f.attempts >= 400, "{f:?}");
+        assert_counts_exactly(&stats, 400);
     }
 
     #[test]
@@ -440,7 +361,7 @@ pub(super) mod tests {
                     backoff_cap: 32,
                     max_attempts: 2,
                 },
-                ..fabric(FabricShape::OneBigSwitch, 1_000_000, false)
+                ..fabric(1_000_000, false)
             },
             ..SimConfig::queue_lock(0xFAB)
         };

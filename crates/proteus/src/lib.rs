@@ -69,8 +69,8 @@ mod sim;
 pub use backend::SimBackend;
 // the engine's PRNG under the name the repository benchmark imports
 pub use cnet_engine::SimRng;
-pub use config::{Placement, PrismConfig, SimConfig};
+pub use config::{PrismConfig, SimConfig};
 // the fabric vocabulary SimConfig embeds, re-exported so simulator
 // users need not name cnet-topology for wire-model configuration
-pub use cnet_topology::{Fabric, FabricError, FabricShape, LinkSpec, RetryPolicy, SwitchSpec};
+pub use cnet_topology::{Fabric, FabricError, LinkSpec, RetryPolicy, SwitchSpec};
 pub use sim::Simulator;

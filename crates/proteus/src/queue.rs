@@ -95,7 +95,7 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Largest bucket ring the wheel will allocate: 2^14 head/tail pairs
 /// is 128 KiB — comfortably L2-resident, and wide enough that every
 /// non-delay schedule (links, jitter, toggles, counters, prism
-/// windows, mesh hops) lands in the ring even when `W` does not.
+/// windows, fabric queues) lands in the ring even when `W` does not.
 pub(crate) const MAX_RING: u64 = 1 << 14;
 
 /// Constant-delay FIFO lanes beside the wheel (see the module docs).

@@ -9,12 +9,10 @@
 //! * every FIFO lock (balancers *and* counters) in one [`LockBank`]
 //!   threaded through a single per-processor `next` array — no
 //!   per-lock heap buffers;
-//! * wiring flattened into a routing table of `(target, fixed cost)`
-//!   entries, where the fixed cost folds the link cost and the mesh
-//!   hop distance computed once at construction — the topology graph
-//!   is never consulted while events are in flight; a processor's
-//!   injected `WaitMode::Fixed` wait is likewise worked out once per
-//!   run;
+//! * wiring flattened into a routing table of targets built once at
+//!   construction — the topology graph is never consulted while
+//!   events are in flight; a processor's injected `WaitMode::Fixed`
+//!   wait is likewise worked out once per run;
 //! * events packed to `u32` fields so queue entries stay small;
 //! * one event queue for every run ([`crate::queue`]), which sorts
 //!   only what arrives unsorted: `ToggleDone` is always pushed
@@ -49,7 +47,7 @@ use cnet_timing::linearizability::StartWitness;
 use cnet_timing::Operation;
 use cnet_topology::{OutputCounts, Topology, WireEnd};
 
-use crate::config::{Placement, SimConfig};
+use crate::config::SimConfig;
 use crate::node::{LockBank, Prism};
 use crate::obs::SimObs;
 use crate::queue::{EventQueue, Queue};
@@ -80,9 +78,10 @@ enum Ev {
     /// (Re)transmit the current hop onto the fabric: loss draw,
     /// jitter draw, propagation (non-degenerate fabrics only).
     FabricSend { proc: u32 },
-    /// Arrive at the current fabric queue stage of the hop.
+    /// Arrive at the hop's current fabric queue: the switch, then the
+    /// destination's link queue.
     FabricArrive { proc: u32 },
-    /// The fabric queue finishes serving this token at its stage.
+    /// The fabric queue finishes serving this token.
     FabricServe { proc: u32 },
     /// Arrive at an output counter (and queue if it is busy).
     ArriveCounter { proc: u32, counter: u32 },
@@ -105,8 +104,9 @@ struct Proc {
     /// Route index of the hop currently in the fabric (non-degenerate
     /// fabrics only).
     hop_route: u32,
-    /// Which stage of the hop's queue path the token is in.
-    hop_stage: u32,
+    /// Whether the hop has passed the switch and is at its
+    /// destination's link queue.
+    at_link: bool,
     /// Failed transmission attempts on the current hop.
     attempts: u32,
     /// When the current hop left its node, for wire-latency telemetry.
@@ -153,17 +153,6 @@ impl Toggle {
         }
         out as usize
     }
-}
-
-/// One precomputed wire: where output `out` of a node leads and what
-/// the traversal costs before jitter and injected waits.
-#[derive(Debug, Clone, Copy)]
-struct Route {
-    /// Destination node index, or counter index with [`COUNTER_BIT`]
-    /// set.
-    target: u32,
-    /// The link delay plus the mesh hop cost between the two homes.
-    cost: u64,
 }
 
 /// The deterministic discrete-event simulator.
@@ -285,41 +274,25 @@ struct Runner<'a, Q> {
     node_visits: u64,
     node_wait_total: u64,
     sim_time: u64,
-    /// Flat routing table: output `out` of node `i` is
-    /// `routes[route_base[i] + out]`.
-    routes: Vec<Route>,
+    /// Flat routing table: output `out` of node `i` leads to
+    /// `routes[route_base[i] + out]`, a node index, or a counter index
+    /// with [`COUNTER_BIT`] set.
+    routes: Vec<u32>,
     route_base: Vec<u32>,
     /// Fabric queue FIFO state; an empty bank on the degenerate
     /// fabric, whose wires never queue.
     fabric_locks: LockBank,
     /// Per-fabric-queue service cycles / drop-tail capacities,
-    /// parallel to `fabric_locks`.
+    /// parallel to `fabric_locks`. Empty on the degenerate fabric.
     fabric_service: Vec<u64>,
     fabric_capacity: Vec<u32>,
-    /// Per-route queue paths: route `r` traverses
-    /// `fabric_stage[fabric_stage_base[r]..fabric_stage_base[r + 1]]`.
-    /// Empty on the degenerate fabric — the flag `depart()` branches
-    /// on.
-    fabric_stage: Vec<u32>,
-    fabric_stage_base: Vec<u32>,
+    /// Whether hops queue in the fabric: set once per run from
+    /// [`cnet_topology::Fabric::is_degenerate`], the flag `depart()`
+    /// branches on.
+    queued: bool,
     /// Metric recorder — zero-sized and inert without the `obs`
     /// feature, so the hot loop keeps its layout and speed.
     obs: SimObs,
-}
-
-fn mesh_cell(index: usize, side: usize) -> (i64, i64) {
-    ((index % side) as i64, ((index / side) % side) as i64)
-}
-
-/// Extra wire cost from mesh distance between two homes.
-fn hop_cost(placement: Placement, from: (i64, i64), to: (i64, i64)) -> u64 {
-    match placement {
-        Placement::Uniform => 0,
-        Placement::Mesh { per_hop, .. } => {
-            let d = (from.0 - to.0).unsigned_abs() + (from.1 - to.1).unsigned_abs();
-            per_hop * d
-        }
-    }
 }
 
 /// The farthest ahead of "now" any single schedule can land, from the
@@ -327,10 +300,6 @@ fn hop_cost(placement: Placement, from: (i64, i64), to: (i64, i64)) -> u64 {
 /// astronomically large parameter simply overflows into the queue's
 /// heap fallback.
 fn schedule_horizon(config: &SimConfig, workload: &Workload, arrivals: &Arrivals<'_>) -> u64 {
-    let mesh_max = match config.placement {
-        Placement::Uniform => 0,
-        Placement::Mesh { side, per_hop } => per_hop.saturating_mul(2 * (side.max(1) as u64 - 1)),
-    };
     let prism_max = config
         .prism
         .map_or(0, |p| p.spin_window.saturating_add(p.pair_cost));
@@ -341,7 +310,6 @@ fn schedule_horizon(config: &SimConfig, workload: &Workload, arrivals: &Arrivals
         config.counter_cost,
         workload.wait_cycles,
         prism_max,
-        mesh_max,
         arrivals.max_gap(),
         fabric::horizon(&config.fabric),
         1,
@@ -357,16 +325,6 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
         let node_count = topology.node_count();
         let width = topology.output_width();
 
-        // mesh homes (identity cost under uniform placement)
-        let node_home = |i: usize| match config.placement {
-            Placement::Uniform => (0, 0),
-            Placement::Mesh { side, .. } => mesh_cell(i, side.max(1)),
-        };
-        let counter_home = |c: usize| match config.placement {
-            Placement::Uniform => (0, 0),
-            Placement::Mesh { side, .. } => mesh_cell(c + node_count, side.max(1)),
-        };
-
         // flatten the wiring into the routing table
         let mut route_base = vec![0u32; node_count + 1];
         for id in topology.iter_nodes() {
@@ -375,17 +333,13 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
         for i in 0..node_count {
             route_base[i + 1] += route_base[i];
         }
-        let mut routes = vec![Route { target: 0, cost: 0 }; route_base[node_count] as usize];
+        let mut routes = vec![0u32; route_base[node_count] as usize];
         for id in topology.iter_nodes() {
-            let from = node_home(id.index());
+            let base = route_base[id.index()] as usize;
             for out in 0..topology.fan_out(id) {
-                let (target, to) = match topology.output_wire(id, out) {
-                    WireEnd::Node { node, .. } => (node.index() as u32, node_home(node.index())),
-                    WireEnd::Counter { index } => (index as u32 | COUNTER_BIT, counter_home(index)),
-                };
-                routes[route_base[id.index()] as usize + out] = Route {
-                    target,
-                    cost: config.fabric.link.delay + hop_cost(config.placement, from, to),
+                routes[base + out] = match topology.output_wire(id, out) {
+                    WireEnd::Node { node, .. } => node.index() as u32,
+                    WireEnd::Counter { index } => index as u32 | COUNTER_BIT,
                 };
             }
         }
@@ -401,7 +355,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             }
         }
 
-        let plan = QueuePlan::new(topology, &config.fabric, &routes);
+        let plan = QueuePlan::new(topology, &config.fabric);
 
         let arrivals = Arrivals::new(workload, config.seed);
 
@@ -439,7 +393,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
                     op_start: 0,
                     arrive_time: 0,
                     hop_route: 0,
-                    hop_stage: 0,
+                    at_link: false,
                     attempts: 0,
                     hop_depart: 0,
                     witness: 0,
@@ -481,8 +435,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             fabric_locks: LockBank::new(plan.service.len(), token_slots),
             fabric_service: plan.service,
             fabric_capacity: plan.capacity,
-            fabric_stage: plan.stage,
-            fabric_stage_base: plan.stage_base,
+            queued: !config.fabric.is_degenerate(),
             obs: SimObs::new(node_count),
         }
     }
@@ -722,7 +675,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             }
         };
         let route_idx = self.route_base[node as usize] as usize + out;
-        if self.fabric_stage_base.is_empty() {
+        if !self.queued {
             // degenerate fabric: the legacy flat wire, draw for draw —
             // the golden-trace suite pins this path bit-identically
             let jitter = if self.config.fabric.link.jitter == 0 {
@@ -730,23 +683,18 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
             } else {
                 self.rng.inclusive(self.config.fabric.link.jitter)
             };
-            let route = self.routes[route_idx];
-            self.obs.wire(jitter + wait + route.cost);
-            let arrival = t + jitter + wait + route.cost;
-            if route.target & COUNTER_BIT == 0 {
-                self.push(
-                    arrival,
-                    Ev::ArriveNode {
-                        proc,
-                        node: route.target,
-                    },
-                );
+            let delay = self.config.fabric.link.delay;
+            let target = self.routes[route_idx];
+            self.obs.wire(jitter + wait + delay);
+            let arrival = t + jitter + wait + delay;
+            if target & COUNTER_BIT == 0 {
+                self.push(arrival, Ev::ArriveNode { proc, node: target });
             } else {
                 self.push(
                     arrival,
                     Ev::ArriveCounter {
                         proc,
-                        counter: route.target & !COUNTER_BIT,
+                        counter: target & !COUNTER_BIT,
                     },
                 );
             }
@@ -757,7 +705,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
         // attempt inside `fabric_send`
         let p = &mut self.procs[proc as usize];
         p.hop_route = route_idx as u32;
-        p.hop_stage = 0;
+        p.at_link = false;
         p.attempts = 0;
         p.hop_depart = t;
         self.push(t + wait, Ev::FabricSend { proc });
@@ -1069,81 +1017,6 @@ mod counter_cost_tests {
 }
 
 #[cfg(test)]
-mod mesh_tests {
-    use super::*;
-    use cnet_topology::constructions;
-
-    fn wl(processors: usize, ops: usize) -> Workload {
-        Workload {
-            total_ops: ops,
-            ..Workload::paper(processors, 0, 0)
-        }
-    }
-
-    #[test]
-    fn mesh_placement_counts_exactly() {
-        let net = constructions::bitonic(8).unwrap();
-        let config = SimConfig {
-            placement: Placement::Mesh {
-                side: 4,
-                per_hop: 15,
-            },
-            ..SimConfig::queue_lock(5)
-        };
-        let stats = Simulator::new(&net, config).run(&wl(16, 400));
-        let mut values: Vec<u64> = stats.operations.iter().map(|o| o.value).collect();
-        values.sort_unstable();
-        assert_eq!(values, (0..400).collect::<Vec<u64>>());
-        assert!(stats.output_counts.is_step());
-    }
-
-    #[test]
-    fn mesh_distance_raises_latency() {
-        let net = constructions::bitonic(16).unwrap();
-        let flat = Simulator::new(&net, SimConfig::queue_lock(5)).run(&wl(8, 300));
-        let meshed = Simulator::new(
-            &net,
-            SimConfig {
-                placement: Placement::Mesh {
-                    side: 8,
-                    per_hop: 40,
-                },
-                ..SimConfig::queue_lock(5)
-            },
-        )
-        .run(&wl(8, 300));
-        assert!(
-            meshed.mean_latency() > flat.mean_latency(),
-            "mesh {} vs flat {}",
-            meshed.mean_latency(),
-            flat.mean_latency()
-        );
-    }
-
-    #[test]
-    fn mesh_skew_widens_c2_c1_and_can_violate() {
-        // mesh distances make some paths structurally slower than
-        // others, an organic (non-injected) source of c2/c1 spread
-        let net = constructions::counting_tree(32).unwrap();
-        let config = SimConfig {
-            placement: Placement::Mesh {
-                side: 3,
-                per_hop: 600,
-            },
-            ..SimConfig::diffracting(7)
-        };
-        let stats = Simulator::new(&net, config).run(&wl(32, 3000));
-        // counting still exact
-        assert_eq!(stats.operations.len(), 3000);
-        let mut values: Vec<u64> = stats.operations.iter().map(|o| o.value).collect();
-        values.sort_unstable();
-        assert_eq!(values, (0..3000).collect::<Vec<u64>>());
-        // the ratio is whatever it is; the run must simply be well-formed
-        assert!(stats.sim_time > 0);
-    }
-}
-
-#[cfg(test)]
 mod degenerate_workload_tests {
     use super::*;
     use cnet_topology::constructions;
@@ -1307,13 +1180,13 @@ mod queue_differential_tests {
     use crate::queue::HeapQueue;
     use cnet_engine::ArrivalProcess;
     use cnet_timing::linearizability::count_nonlinearizable;
-    use cnet_topology::{constructions, FabricShape, LinkSpec};
+    use cnet_topology::{constructions, LinkSpec};
 
     /// The fabric suite's queued fabric, losing 2 % of its
     /// transmissions and NACKing a two-deep link queue: retries and
     /// backoff run in every such case.
     fn lossy_nack_fabric() -> crate::Fabric {
-        let lossy = super::fabric::tests::fabric(FabricShape::PerStage, 20_000, true);
+        let lossy = super::fabric::tests::fabric(20_000, true);
         crate::Fabric {
             link: LinkSpec {
                 capacity: 2,

@@ -17,19 +17,16 @@
 //!   notwithstanding.
 
 use cnet_engine::{ArrivalProcess, FabricStats, RunStats, WaitMode, Workload};
-use cnet_proteus::{Fabric, FabricShape, LinkSpec, RetryPolicy, SimConfig, Simulator, SwitchSpec};
+use cnet_proteus::{Fabric, LinkSpec, RetryPolicy, SimConfig, Simulator, SwitchSpec};
 use cnet_topology::constructions;
 use proptest::prelude::*;
 
 /// Builds a fabric from raw scalars such that every emitted value
 /// passes `Fabric::validate`: bounded queues get a nonzero service
-/// time, spine counts start at 1, and the backoff cap stays above the
-/// base. (The vendored proptest shim has no `prop_map`, so the
+/// time, and the backoff cap stays above the base. (The vendored proptest shim has no `prop_map`, so the
 /// assembly happens in the test body via this helper.)
 #[allow(clippy::too_many_arguments)]
 fn fabric_from(
-    shape_pick: u32,
-    spines: u32,
     link_service: u64,
     link_cap: u32,
     loss: u32,
@@ -38,14 +35,7 @@ fn fabric_from(
     backpressure: u32,
     max_attempts: u32,
 ) -> Fabric {
-    let shape = match shape_pick % 4 {
-        0 => FabricShape::OneBigSwitch,
-        1 => FabricShape::PerStage,
-        2 => FabricShape::TwoTier { spines },
-        _ => FabricShape::Mesh,
-    };
     Fabric {
-        shape,
         link: LinkSpec {
             delay: 20,
             jitter: 40,
@@ -97,8 +87,6 @@ proptest! {
     /// keep the step property.
     #[test]
     fn no_token_is_lost_or_duplicated(
-        shape_pick in 0u32..4,
-        spines in 1u32..4,
         link_service in 0u64..12,
         link_cap in 0u32..6,
         loss in 0u32..100_000,
@@ -111,7 +99,7 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let fabric = fabric_from(
-            shape_pick, spines, link_service, link_cap, loss,
+            link_service, link_cap, loss,
             switch_service, switch_cap, backpressure, max_attempts,
         );
         prop_assert!(fabric.validate().is_ok(), "{:?}", fabric);
@@ -132,8 +120,6 @@ proptest! {
     /// degenerate fabric records no fabric activity at all.
     #[test]
     fn drops_and_retries_balance(
-        shape_pick in 0u32..4,
-        spines in 1u32..4,
         link_service in 0u64..12,
         link_cap in 0u32..6,
         loss in 0u32..100_000,
@@ -147,7 +133,7 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let fabric = fabric_from(
-            shape_pick, spines, link_service, link_cap, loss,
+            link_service, link_cap, loss,
             switch_service, switch_cap, backpressure, max_attempts,
         );
         let arrival = if open == 1 {
@@ -186,7 +172,6 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let fabric = Fabric {
-            shape: FabricShape::OneBigSwitch,
             link: LinkSpec {
                 delay: 20,
                 jitter: 0,

@@ -164,11 +164,10 @@ fn degenerate_fabric_records_no_fabric_block() {
 
 #[test]
 fn fabric_block_localizes_queueing_and_matches_run_stats() {
-    use cnet_proteus::{Fabric, FabricShape, LinkSpec, RetryPolicy, SwitchSpec};
+    use cnet_proteus::{Fabric, LinkSpec, RetryPolicy, SwitchSpec};
     let net = constructions::bitonic(8).unwrap();
     let config = SimConfig {
         fabric: Fabric {
-            shape: FabricShape::OneBigSwitch,
             link: LinkSpec {
                 delay: 20,
                 jitter: 0,

@@ -1,17 +1,15 @@
-//! Composable interconnect-fabric descriptions.
+//! The interconnect-fabric description.
 //!
 //! The simulator's original machine model priced every wire as one
 //! latency draw (a fixed link cost plus uniform jitter). A [`Fabric`] replaces
-//! that flat wire with a small composable description of the
-//! interconnect between balancers:
+//! that flat wire with a small description of the interconnect between
+//! balancers:
 //!
 //! * a [`LinkSpec`] — propagation delay plus a finite drop-tail egress
 //!   queue with a configurable service rate and random loss;
-//! * a [`SwitchSpec`] — the shared queue of a switch that multiplexes
-//!   many links through one egress port;
-//! * a [`FabricShape`] — how links and switches compose into a
-//!   topology: one big switch, a switch per network stage, a two-tier
-//!   spine, or a full mesh of private wires;
+//! * a [`SwitchSpec`] — the one shared switch every wire lands on,
+//!   which multiplexes all links through one egress queue before each
+//!   token enters its destination's link queue;
 //! * a [`RetryPolicy`] — what a sender does when the fabric refuses a
 //!   token: capped exponential backoff, either after an immediate NACK
 //!   (backpressure) or after a detection timeout (silent drop).
@@ -19,15 +17,15 @@
 //! This crate holds only the *description* and its validation; the
 //! dynamics (queue occupancy, loss draws, retry scheduling) live in
 //! the simulator, which interprets the description against its event
-//! queue. The legacy wire is the *degenerate* fabric — one big switch,
-//! unbounded zero-service queues, zero loss — and the simulator is
+//! queue. The legacy wire is the *degenerate* fabric — unbounded
+//! zero-service queues, zero loss — and the simulator is
 //! required (and golden-trace tested) to reproduce the pre-fabric
 //! event stream exactly in that case.
 
 use std::error::Error;
 use std::fmt;
 
-use serde::{impl_serde_struct, Deserialize, Error as SerdeError, Serialize, Value};
+use serde::impl_serde_struct;
 
 /// One wire's timing and queueing model.
 ///
@@ -127,75 +125,14 @@ impl RetryPolicy {
     }
 }
 
-/// How links and switches compose into an interconnect topology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FabricShape {
-    /// Every wire lands on one central switch: all traffic shares the
-    /// switch queue, then fans out through per-destination link
-    /// queues. The degenerate (legacy-wire) shape.
-    #[default]
-    OneBigSwitch,
-    /// One switch per network stage (layer): tokens bound for layer
-    /// `l` share that layer's switch queue before their destination's
-    /// link queue — contention mirrors the network's own structure.
-    PerStage,
-    /// A leaf/spine fabric: each wire is spread (deterministically,
-    /// by route index) over `spines` spine switches, then lands in the
-    /// destination link queue. More spines, less shared contention.
-    TwoTier {
-        /// Number of spine switches (at least 1).
-        spines: u32,
-    },
-    /// A dedicated wire per (node output → destination) pair: private
-    /// link queues, no shared switch queue at all.
-    Mesh,
-}
-
-// `FabricShape` has a struct variant, so serde is hand-written like
-// `Placement`'s: `"OneBigSwitch"`, `"PerStage"`, `"Mesh"`, or
-// `{"TwoTier": {"spines": …}}`.
-impl Serialize for FabricShape {
-    fn to_value(&self) -> Value {
-        match self {
-            FabricShape::OneBigSwitch => Value::Str("OneBigSwitch".to_string()),
-            FabricShape::PerStage => Value::Str("PerStage".to_string()),
-            FabricShape::Mesh => Value::Str("Mesh".to_string()),
-            FabricShape::TwoTier { spines } => Value::Object(vec![(
-                "TwoTier".to_string(),
-                Value::Object(vec![("spines".to_string(), spines.to_value())]),
-            )]),
-        }
-    }
-}
-
-impl Deserialize for FabricShape {
-    fn from_value(v: &Value) -> Result<Self, SerdeError> {
-        match v {
-            Value::Str(s) if s == "OneBigSwitch" => Ok(FabricShape::OneBigSwitch),
-            Value::Str(s) if s == "PerStage" => Ok(FabricShape::PerStage),
-            Value::Str(s) if s == "Mesh" => Ok(FabricShape::Mesh),
-            Value::Object(_) => {
-                let tier = v
-                    .get("TwoTier")
-                    .ok_or_else(|| SerdeError::new("expected a `TwoTier` fabric shape object"))?;
-                Ok(FabricShape::TwoTier {
-                    spines: tier.field("spines")?,
-                })
-            }
-            other => Err(SerdeError::new(format!("unknown FabricShape: {other:?}"))),
-        }
-    }
-}
-
-/// The full interconnect description: a shape composed from one link
-/// model, one switch model, and a retry policy.
+/// The full interconnect description: every wire goes through one
+/// shared switch, then its destination's link queue, under one retry
+/// policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fabric {
-    /// How the queues compose.
-    pub shape: FabricShape,
     /// Per-destination link model (every wire shares it).
     pub link: LinkSpec,
-    /// Shared switch-stage model (ignored by [`FabricShape::Mesh`]).
+    /// The shared switch every wire lands on.
     pub switch: SwitchSpec,
     /// `true`: a full queue NACKs and the sender retries after capped
     /// exponential backoff. `false`: a full queue silently drops and
@@ -207,7 +144,6 @@ pub struct Fabric {
 }
 
 impl_serde_struct!(Fabric {
-    shape,
     link,
     switch,
     backpressure,
@@ -221,14 +157,12 @@ impl Default for Fabric {
 }
 
 impl Fabric {
-    /// The degenerate fabric equivalent to the legacy flat wire: one
-    /// big switch, unbounded zero-service queues, zero loss. The
-    /// simulator reproduces the pre-fabric event stream exactly for
-    /// this shape.
+    /// The degenerate fabric equivalent to the legacy flat wire:
+    /// unbounded zero-service queues, zero loss. The simulator
+    /// reproduces the pre-fabric event stream exactly for this fabric.
     #[must_use]
     pub fn degenerate(delay: u64, jitter: u64) -> Self {
         Fabric {
-            shape: FabricShape::OneBigSwitch,
             link: LinkSpec {
                 delay,
                 jitter,
@@ -251,8 +185,7 @@ impl Fabric {
     /// order, same events) when this holds.
     #[must_use]
     pub fn is_degenerate(&self) -> bool {
-        self.shape == FabricShape::OneBigSwitch
-            && self.link.service == 0
+        self.link.service == 0
             && self.link.capacity == 0
             && self.link.loss_per_million == 0
             && self.switch.service == 0
@@ -285,9 +218,6 @@ impl Fabric {
                 cap: self.retry.backoff_cap,
             });
         }
-        if let FabricShape::TwoTier { spines: 0 } = self.shape {
-            return Err(FabricError::ZeroSpines);
-        }
         Ok(())
     }
 }
@@ -318,8 +248,6 @@ pub enum FabricError {
         /// The configured cap.
         cap: u64,
     },
-    /// `TwoTier { spines: 0 }`: a spine tier with no switches.
-    ZeroSpines,
 }
 
 impl fmt::Display for FabricError {
@@ -341,9 +269,6 @@ impl fmt::Display for FabricError {
                 f,
                 "retry backoff_cap ({cap}) must be >= backoff_base ({base})"
             ),
-            FabricError::ZeroSpines => {
-                write!(f, "TwoTier fabric requires at least one spine switch")
-            }
         }
     }
 }
@@ -353,6 +278,7 @@ impl Error for FabricError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::{Deserialize, Serialize};
 
     #[test]
     fn degenerate_fabric_is_degenerate() {
@@ -386,10 +312,6 @@ mod tests {
                     service: 5,
                     capacity: 0,
                 },
-                ..base
-            },
-            Fabric {
-                shape: FabricShape::Mesh,
                 ..base
             },
         ] {
@@ -443,11 +365,6 @@ mod tests {
             bad_cap.validate(),
             Err(FabricError::BackoffCapBelowBase { .. })
         ));
-        let bad_spines = Fabric {
-            shape: FabricShape::TwoTier { spines: 0 },
-            ..base
-        };
-        assert_eq!(bad_spines.validate(), Err(FabricError::ZeroSpines));
     }
 
     #[test]
@@ -474,38 +391,23 @@ mod tests {
 
     #[test]
     fn fabric_serde_round_trip() {
-        let shapes = [
-            FabricShape::OneBigSwitch,
-            FabricShape::PerStage,
-            FabricShape::TwoTier { spines: 4 },
-            FabricShape::Mesh,
-        ];
-        for shape in shapes {
-            let f = Fabric {
-                shape,
-                link: LinkSpec {
-                    delay: 20,
-                    jitter: 200,
-                    service: 8,
-                    capacity: 16,
-                    loss_per_million: 10_000,
-                },
-                switch: SwitchSpec {
-                    service: 4,
-                    capacity: 64,
-                },
-                backpressure: true,
-                retry: RetryPolicy::default(),
-            };
-            let text = serde::json::to_string(&f.to_value());
-            let back = Fabric::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
-            assert_eq!(back, f);
-        }
-    }
-
-    #[test]
-    fn shape_rejects_unknown_encodings() {
-        assert!(FabricShape::from_value(&Value::Str("Torus".to_string())).is_err());
-        assert!(FabricShape::from_value(&Value::Uint(3)).is_err());
+        let f = Fabric {
+            link: LinkSpec {
+                delay: 20,
+                jitter: 200,
+                service: 8,
+                capacity: 16,
+                loss_per_million: 10_000,
+            },
+            switch: SwitchSpec {
+                service: 4,
+                capacity: 64,
+            },
+            backpressure: true,
+            retry: RetryPolicy::default(),
+        };
+        let text = serde::json::to_string(&f.to_value());
+        let back = Fabric::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
+        assert_eq!(back, f);
     }
 }

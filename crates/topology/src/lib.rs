@@ -61,6 +61,6 @@ mod error;
 
 pub use balancer::BalancerState;
 pub use error::TopologyError;
-pub use fabric::{Fabric, FabricError, FabricShape, LinkSpec, RetryPolicy, SwitchSpec};
+pub use fabric::{Fabric, FabricError, LinkSpec, RetryPolicy, SwitchSpec};
 pub use step::OutputCounts;
 pub use topology::{NodeId, PortRef, Topology, TopologyBuilder, WireEnd};

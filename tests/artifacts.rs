@@ -221,7 +221,6 @@ fn a_sim_config_spelled_with_the_flat_wire_fields_is_refused() {
         "toggle_cost": 200,
         "counter_cost": 0,
         "prism": null,
-        "placement": "Uniform",
         "seed": 5
     }"#;
     let err = SimConfig::from_value(&serde::json::from_str(flat).unwrap()).unwrap_err();
