@@ -3,8 +3,9 @@
 //!
 //! Bitonic and periodic networks are *layered* networks in which every
 //! layer pairs up all `w` wires into `w/2` two-input balancers. This
-//! module represents such a network abstractly as a list of layers of
-//! wire pairs, then *realizes* it as a validated [`Topology`]. A
+//! module holds such a network as one table of wire pairs, `w/2` slots
+//! per layer, that the recursive constructions write each balancer into
+//! at its own depth, then *realizes* it as a validated [`Topology`]. A
 //! balancer on the pair `(i, j)` routes its first output back onto wire
 //! `i` and its second onto wire `j`, so a wire keeps its identity
 //! through the whole network; the construction's output ordering is a
@@ -16,57 +17,39 @@ use crate::topology::{NodeId, Topology, TopologyBuilder};
 /// A logical wire index, stable through the whole construction.
 pub(super) type Wire = usize;
 
-/// One layer: the set of balancers `(first wire, second wire)` acting
-/// in parallel. Every wire of the network appears exactly once.
-pub(super) type Layer = Vec<(Wire, Wire)>;
-
-/// An ordered list of layers under construction.
-#[derive(Debug, Clone, Default)]
-pub(super) struct LayerList {
-    layers: Vec<Layer>,
+/// A layered pair network under construction: `depth` layers of
+/// `width / 2` balancer slots, each layer filled in the order its
+/// balancers are written.
+#[derive(Debug)]
+pub(super) struct Layers {
+    half: usize,
+    pairs: Vec<(Wire, Wire)>,
+    /// Balancers written so far into each layer.
+    filled: Vec<usize>,
 }
 
-impl LayerList {
-    pub(super) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends a complete layer.
-    pub(super) fn push(&mut self, layer: Layer) {
-        self.layers.push(layer);
-    }
-
-    /// Appends a layer consisting of a single balancer.
-    pub(super) fn push_single(&mut self, a: Wire, b: Wire) {
-        self.layers.push(vec![(a, b)]);
-    }
-
-    /// Appends two equally deep sub-networks side by side: layer `i` of
-    /// the result is the union of layer `i` of each part. The recursive
-    /// constructions only ever compose sub-networks of equal depth;
-    /// unequal depths would break uniformity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two parts have different depths.
-    pub(super) fn extend_parallel(&mut self, a: LayerList, b: LayerList) {
-        assert_eq!(
-            a.layers.len(),
-            b.layers.len(),
-            "parallel sub-networks must have equal depth"
-        );
-        for (mut la, lb) in a.layers.into_iter().zip(b.layers) {
-            la.extend(lb);
-            self.layers.push(la);
+impl Layers {
+    /// An empty network of `depth` layers on `width` wires.
+    pub(super) fn new(width: usize, depth: usize) -> Self {
+        Layers {
+            half: width / 2,
+            pairs: vec![(0, 0); depth * (width / 2)],
+            filled: vec![0; depth],
         }
     }
 
-    pub(super) fn iter(&self) -> impl Iterator<Item = &Layer> {
-        self.layers.iter()
-    }
-
-    pub(super) fn depth(&self) -> usize {
-        self.layers.len()
+    /// Writes the balancer on wires `(a, b)` into the next free slot of
+    /// `layer` (0-based). Two sub-networks written at the same depth
+    /// therefore sit side by side, the one written first first in every
+    /// layer they share.
+    pub(super) fn put(&mut self, layer: usize, a: Wire, b: Wire) {
+        let filled = &mut self.filled[layer];
+        debug_assert!(
+            *filled < self.half,
+            "layer {layer} already covers every wire"
+        );
+        self.pairs[layer * self.half + *filled] = (a, b);
+        *filled += 1;
     }
 }
 
@@ -77,56 +60,47 @@ impl LayerList {
 /// (a permutation of `0..width`).
 pub(super) fn realize(
     width: usize,
-    layers: &LayerList,
+    layers: &Layers,
     outs: &[Wire],
 ) -> Result<Topology, TopologyError> {
     debug_assert_eq!(outs.len(), width);
-    debug_assert!(layers.depth() > 0, "a network needs at least one layer");
+    debug_assert!(
+        !layers.filled.is_empty(),
+        "a network needs at least one layer"
+    );
 
     let mut b = TopologyBuilder::new();
 
     // The node currently producing each wire's value, as
-    // (node, out_port); None before the first layer.
-    let mut producer: Vec<Option<(NodeId, usize)>> = vec![None; width];
-    // Input ports consuming each wire in layer 1, recorded so network
-    // inputs can be declared in wire order afterwards.
-    let mut first_layer_consumer: Vec<Option<(NodeId, usize)>> = vec![None; width];
-
-    for (depth, layer) in layers.iter().enumerate() {
+    // (node, out_port). A layer uses every wire once, so it is updated
+    // in place.
+    let mut producer = vec![(NodeId(0), 0); width];
+    for (depth, layer) in layers.pairs.chunks(layers.half).enumerate() {
         debug_assert_eq!(
-            layer.len() * 2,
-            width,
+            layers.filled[depth], layers.half,
             "layer {depth} must cover every wire exactly once"
         );
-        let mut new_producer = producer.clone();
         for &(wa, wb) in layer {
             let node = b.add_node(2, 2);
-            for (in_port, wire) in [(0usize, wa), (1usize, wb)] {
-                match producer[wire] {
-                    Some((src, src_port)) => b.connect(src, src_port, node, in_port)?,
-                    None => {
-                        debug_assert_eq!(depth, 0, "wire {wire} first consumed after layer 1");
-                        first_layer_consumer[wire] = Some((node, in_port));
-                    }
+            for (port, wire) in [(0usize, wa), (1usize, wb)] {
+                if depth > 0 {
+                    let (src, src_port) = producer[wire];
+                    b.connect(src, src_port, node, port)?;
                 }
+                producer[wire] = (node, port);
             }
-            new_producer[wa] = Some((node, 0));
-            new_producer[wb] = Some((node, 1));
         }
-        producer = new_producer;
-
         if depth == 0 {
-            // Declare network inputs x_0..x_{w-1} in wire order.
-            for consumer in &first_layer_consumer {
-                let (node, port) =
-                    consumer.expect("every wire is consumed in layer 1 of a full-cover network");
+            // Declare network inputs x_0..x_{w-1} in wire order: layer
+            // 1 takes each wire in on the port it sends it out of.
+            for &(node, port) in &producer {
                 b.add_input(node, port)?;
             }
         }
     }
 
     for (k, &wire) in outs.iter().enumerate() {
-        let (node, port) = producer[wire].expect("all wires produced after the last layer");
+        let (node, port) = producer[wire];
         b.connect_counter(node, port, k)?;
     }
 
@@ -139,8 +113,9 @@ mod tests {
 
     #[test]
     fn realize_single_layer() {
-        let mut layers = LayerList::new();
-        layers.push(vec![(0, 1), (2, 3)]);
+        let mut layers = Layers::new(4, 1);
+        layers.put(0, 0, 1);
+        layers.put(0, 2, 3);
         let t = realize(4, &layers, &[0, 1, 2, 3]).unwrap();
         assert_eq!(t.depth(), 1);
         assert_eq!(t.node_count(), 2);
@@ -151,8 +126,8 @@ mod tests {
     #[test]
     fn realize_respects_output_permutation() {
         use crate::router::SequentialRouter;
-        let mut layers = LayerList::new();
-        layers.push(vec![(0, 1)]);
+        let mut layers = Layers::new(2, 1);
+        layers.put(0, 0, 1);
         // counters swapped relative to wires: out0 <- wire 1, out1 <- wire 0
         let t = realize(2, &layers, &[1, 0]).unwrap();
         let mut r = SequentialRouter::new(&t);
@@ -163,24 +138,20 @@ mod tests {
     }
 
     #[test]
-    fn extend_parallel_merges_layers() {
-        let mut a = LayerList::new();
-        a.push(vec![(0, 1)]);
-        let mut b = LayerList::new();
-        b.push(vec![(2, 3)]);
-        let mut all = LayerList::new();
-        all.extend_parallel(a, b);
-        assert_eq!(all.depth(), 1);
-        assert_eq!(all.iter().next().unwrap().len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "equal depth")]
-    fn extend_parallel_rejects_unequal_depths() {
-        let mut a = LayerList::new();
-        a.push(vec![(0, 1)]);
-        let b = LayerList::new();
-        let mut all = LayerList::new();
-        all.extend_parallel(a, b);
+    fn sub_networks_at_one_depth_sit_side_by_side_in_write_order() {
+        // two 2-layer halves written at depth 0, the lower half first
+        let mut layers = Layers::new(4, 2);
+        for half in [[2, 3], [0, 1]] {
+            layers.put(0, half[0], half[1]);
+            layers.put(1, half[0], half[1]);
+        }
+        let t = realize(4, &layers, &[0, 1, 2, 3]).unwrap();
+        for l in 1..=2 {
+            assert_eq!(t.layer(l).len(), 2);
+        }
+        // the lower half's balancers come first in each layer, so they
+        // get the lower node ids
+        assert_eq!(t.input(2).node, NodeId(0));
+        assert_eq!(t.input(0).node, NodeId(1));
     }
 }

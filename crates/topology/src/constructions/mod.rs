@@ -29,7 +29,7 @@ pub use tree::{counting_tree, counting_tree_d};
 use crate::error::TopologyError;
 use crate::topology::{Topology, TopologyBuilder};
 
-use comparator::{Layer, LayerList, Wire};
+use comparator::{Layers, Wire};
 
 /// The width-2 counting network of the paper's introduction: a single
 /// 2-in/2-out balancer feeding two counters.
@@ -92,6 +92,12 @@ fn check_width(width: usize) -> Result<(), TopologyError> {
     Ok(())
 }
 
+/// The depth of `Bitonic[width]`: `log w (log w + 1) / 2`.
+fn bitonic_depth(width: usize) -> usize {
+    let lg = width.trailing_zeros() as usize;
+    lg * (lg + 1) / 2
+}
+
 /// Builds `Bitonic[width]`, the bitonic counting network of Aspnes,
 /// Herlihy, and Shavit.
 ///
@@ -112,27 +118,25 @@ fn check_width(width: usize) -> Result<(), TopologyError> {
 /// ```
 pub fn bitonic(width: usize) -> Result<Topology, TopologyError> {
     check_width(width)?;
-    let wires: Vec<Wire> = (0..width).collect();
-    let mut layers = LayerList::new();
-    let outs = bitonic_rec(&wires, &mut layers);
-    comparator::realize(width, &layers, &outs)
+    let mut layers = Layers::new(width, bitonic_depth(width));
+    let mut wires: Vec<Wire> = (0..width).collect();
+    bitonic_rec(&mut wires, &mut vec![0; width], 0, &mut layers);
+    comparator::realize(width, &layers, &wires)
 }
 
-/// Recursively appends the layers of `Bitonic[len(ins)]` operating on
-/// the given wires, returning the ordered output wires.
-fn bitonic_rec(ins: &[Wire], layers: &mut LayerList) -> Vec<Wire> {
-    let w = ins.len();
+/// Recursively writes the balancers of `Bitonic[len(wires)]` on the
+/// given wires into `layers` from layer `at` on, and leaves `wires` in
+/// the sub-network's output order. `scratch` is at least as long as
+/// `wires`.
+fn bitonic_rec(wires: &mut [Wire], scratch: &mut [Wire], at: usize, layers: &mut Layers) {
+    let w = wires.len();
     if w == 1 {
-        return ins.to_vec();
+        return;
     }
-    let (lo, hi) = ins.split_at(w / 2);
-    let mut upper = LayerList::new();
-    let mut lower = LayerList::new();
-    let a = bitonic_rec(lo, &mut upper);
-    let b = bitonic_rec(hi, &mut lower);
-    layers.extend_parallel(upper, lower);
-    let merged_in: Vec<Wire> = a.into_iter().chain(b).collect();
-    merger_rec(&merged_in, layers)
+    let (lo, hi) = wires.split_at_mut(w / 2);
+    bitonic_rec(lo, scratch, at, layers);
+    bitonic_rec(hi, scratch, at, layers);
+    merger_rec(wires, scratch, at + bitonic_depth(w / 2), layers);
 }
 
 /// Builds the merging network `Merger[width]` as a standalone topology.
@@ -148,44 +152,46 @@ fn bitonic_rec(ins: &[Wire], layers: &mut LayerList) -> Vec<Wire> {
 /// power of two `>= 2`.
 pub fn merger(width: usize) -> Result<Topology, TopologyError> {
     check_width(width)?;
-    let wires: Vec<Wire> = (0..width).collect();
-    let mut layers = LayerList::new();
-    let outs = merger_rec(&wires, &mut layers);
-    comparator::realize(width, &layers, &outs)
+    let mut layers = Layers::new(width, width.trailing_zeros() as usize);
+    let mut wires: Vec<Wire> = (0..width).collect();
+    merger_rec(&mut wires, &mut vec![0; width], 0, &mut layers);
+    comparator::realize(width, &layers, &wires)
 }
 
-/// Recursively appends the layers of `Merger[len(ins)]`, returning the
-/// ordered output wires.
+/// Recursively writes the balancers of `Merger[len(wires)]` from layer
+/// `at` on, leaving `wires` in the merger's output order.
 ///
 /// For `w > 2` the construction follows the paper's Figure 4 / the AHS
 /// recursion: `Merger_1[w/2]` merges the even-indexed wires of the
 /// first half with the odd-indexed wires of the second half,
 /// `Merger_2[w/2]` the remaining wires; a final row of `w/2` balancers
 /// combines output `i` of each sub-merger into outputs `2i`, `2i + 1`.
-fn merger_rec(ins: &[Wire], layers: &mut LayerList) -> Vec<Wire> {
-    let w = ins.len();
+fn merger_rec(wires: &mut [Wire], scratch: &mut [Wire], at: usize, layers: &mut Layers) {
+    let w = wires.len();
     debug_assert!(w >= 2 && w.is_power_of_two());
     if w == 2 {
-        layers.push_single(ins[0], ins[1]);
-        return vec![ins[0], ins[1]];
+        layers.put(at, wires[0], wires[1]);
+        return;
     }
-    let (x, xp) = ins.split_at(w / 2);
-    let m1_in: Vec<Wire> = even(x).chain(odd(xp)).collect();
-    let m2_in: Vec<Wire> = odd(x).chain(even(xp)).collect();
-    let mut l1 = LayerList::new();
-    let mut l2 = LayerList::new();
-    let z = merger_rec(&m1_in, &mut l1);
-    let zp = merger_rec(&m2_in, &mut l2);
-    layers.extend_parallel(l1, l2);
-    let mut final_layer = Vec::with_capacity(w / 2);
-    let mut outs = Vec::with_capacity(w);
-    for i in 0..w / 2 {
-        final_layer.push((z[i], zp[i]));
-        outs.push(z[i]);
-        outs.push(zp[i]);
+    let h = w / 2;
+    scratch[..w].copy_from_slice(wires);
+    let (x, xp) = scratch[..w].split_at(h);
+    let m_in = even(x).chain(odd(xp)).chain(odd(x)).chain(even(xp));
+    for (slot, wire) in wires.iter_mut().zip(m_in) {
+        *slot = wire;
     }
-    layers.push(final_layer);
-    outs
+    let (m1, m2) = wires.split_at_mut(h);
+    merger_rec(m1, scratch, at, layers);
+    merger_rec(m2, scratch, at, layers);
+    // `wires` now holds z, the first sub-merger's outputs, then z'
+    scratch[..w].copy_from_slice(wires);
+    let last = at + h.trailing_zeros() as usize;
+    for i in 0..h {
+        let (z, zp) = (scratch[i], scratch[h + i]);
+        layers.put(last, z, zp);
+        wires[2 * i] = z;
+        wires[2 * i + 1] = zp;
+    }
 }
 
 /// Builds the periodic counting network of Aspnes, Herlihy, and Shavit:
@@ -205,14 +211,7 @@ fn merger_rec(ins: &[Wire], layers: &mut LayerList) -> Vec<Wire> {
 /// # Ok::<(), cnet_topology::TopologyError>(())
 /// ```
 pub fn periodic(width: usize) -> Result<Topology, TopologyError> {
-    check_width(width)?;
-    let mut wires: Vec<Wire> = (0..width).collect();
-    let mut layers = LayerList::new();
-    let rounds = width.trailing_zeros();
-    for _ in 0..rounds {
-        wires = block_rec(&wires, &mut layers);
-    }
-    comparator::realize(width, &layers, &wires)
+    blocks(width, width.trailing_zeros() as usize)
 }
 
 /// Builds a single `Block[width]` network (depth `log width`) as a
@@ -224,33 +223,37 @@ pub fn periodic(width: usize) -> Result<Topology, TopologyError> {
 /// Returns [`TopologyError::WidthNotPowerOfTwo`] unless `width` is a
 /// power of two `>= 2`.
 pub fn block(width: usize) -> Result<Topology, TopologyError> {
-    check_width(width)?;
-    let wires: Vec<Wire> = (0..width).collect();
-    let mut layers = LayerList::new();
-    let outs = block_rec(&wires, &mut layers);
-    comparator::realize(width, &layers, &outs)
+    blocks(width, 1)
 }
 
-/// Recursively appends the layers of `Block[len(ins)]` — the *balanced*
-/// block of Dowd, Perl, Rudolph, and Saks that the AHS periodic network
-/// is built from: a reflection layer pairing wire `i` with wire
+/// `rounds` consecutive copies of `Block[width]`. A block leaves every
+/// wire where it found it, so the outputs are the wires in order.
+fn blocks(width: usize, rounds: usize) -> Result<Topology, TopologyError> {
+    check_width(width)?;
+    let lg = width.trailing_zeros() as usize;
+    let mut layers = Layers::new(width, rounds * lg);
+    for round in 0..rounds {
+        block_rec(0, width, round * lg, &mut layers);
+    }
+    let wires: Vec<Wire> = (0..width).collect();
+    comparator::realize(width, &layers, &wires)
+}
+
+/// Recursively writes the balancers of `Block[w]` on wires
+/// `first..first + w` from layer `at` on — the *balanced* block of
+/// Dowd, Perl, Rudolph, and Saks that the AHS periodic network is
+/// built from: a reflection layer pairing wire `i` with wire
 /// `w - 1 - i`, followed by two parallel `Block[w/2]` networks on the
 /// two halves.
-fn block_rec(ins: &[Wire], layers: &mut LayerList) -> Vec<Wire> {
-    let w = ins.len();
+fn block_rec(first: Wire, w: usize, at: usize, layers: &mut Layers) {
     debug_assert!(w >= 2 && w.is_power_of_two());
-    if w == 2 {
-        layers.push_single(ins[0], ins[1]);
-        return vec![ins[0], ins[1]];
+    for i in 0..w / 2 {
+        layers.put(at, first + i, first + w - 1 - i);
     }
-    let reflection: Layer = (0..w / 2).map(|i| (ins[i], ins[w - 1 - i])).collect();
-    layers.push(reflection);
-    let mut la = LayerList::new();
-    let mut lb = LayerList::new();
-    let a = block_rec(&ins[..w / 2], &mut la);
-    let b = block_rec(&ins[w / 2..], &mut lb);
-    layers.extend_parallel(la, lb);
-    a.into_iter().chain(b).collect()
+    if w > 2 {
+        block_rec(first, w / 2, at + 1, layers);
+        block_rec(first + w / 2, w / 2, at + 1, layers);
+    }
 }
 
 fn even(xs: &[Wire]) -> impl Iterator<Item = Wire> + '_ {

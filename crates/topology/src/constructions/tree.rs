@@ -43,8 +43,7 @@ pub fn counting_tree_d(width: usize, arity: usize) -> Result<Topology, TopologyE
         return Err(TopologyError::WidthNotPowerOfTwo { width });
     }
     let mut b = TopologyBuilder::new();
-    let counters: Vec<usize> = (0..width).collect();
-    let root = subtree_d(&mut b, &counters, arity)?;
+    let root = subtree(&mut b, 0, 1, width, arity)?;
     b.add_input(root, 0)?;
     b.finalize()
 }
@@ -63,23 +62,27 @@ fn is_power_of(width: usize, arity: usize) -> bool {
     true
 }
 
-/// Recursively builds a `d`-ary subtree over `counters`; child `i`
-/// receives the counters at positions congruent to `i` mod `arity`.
-fn subtree_d(
+/// Recursively builds the `arity`-ary subtree whose `leaves` leaves
+/// feed counters `first`, `first + stride`, `first + 2·stride`, …;
+/// child `i` receives the counters at positions congruent to `i` mod
+/// `arity`, the progression from `first + i·stride` in steps of
+/// `stride·arity`. Returns the subtree root.
+fn subtree(
     b: &mut TopologyBuilder,
-    counters: &[usize],
+    first: usize,
+    stride: usize,
+    leaves: usize,
     arity: usize,
 ) -> Result<NodeId, TopologyError> {
-    debug_assert!(counters.len() >= arity);
+    debug_assert!(leaves >= arity);
     let node = b.add_node(1, arity);
-    if counters.len() == arity {
-        for (port, &c) in counters.iter().enumerate() {
-            b.connect_counter(node, port, c)?;
-        }
-    } else {
-        for port in 0..arity {
-            let share: Vec<usize> = counters.iter().copied().skip(port).step_by(arity).collect();
-            let child = subtree_d(b, &share, arity)?;
+    for port in 0..arity {
+        // the first counter of this port's share
+        let share = first + port * stride;
+        if leaves == arity {
+            b.connect_counter(node, port, share)?;
+        } else {
+            let child = subtree(b, share, stride * arity, leaves / arity, arity)?;
             b.connect(node, port, child, 0)?;
         }
     }
@@ -106,34 +109,7 @@ fn subtree_d(
 /// # Ok::<(), cnet_topology::TopologyError>(())
 /// ```
 pub fn counting_tree(width: usize) -> Result<Topology, TopologyError> {
-    if width < 2 || !width.is_power_of_two() {
-        return Err(TopologyError::WidthNotPowerOfTwo { width });
-    }
-    let mut b = TopologyBuilder::new();
-    let counters: Vec<usize> = (0..width).collect();
-    let root = subtree(&mut b, &counters)?;
-    b.add_input(root, 0)?;
-    b.finalize()
-}
-
-/// Recursively builds the subtree whose leaves feed `counters`
-/// (interleaved: first output gets the even-position counters, second
-/// output the odd-position ones), returning the subtree root.
-fn subtree(b: &mut TopologyBuilder, counters: &[usize]) -> Result<NodeId, TopologyError> {
-    debug_assert!(counters.len() >= 2 && counters.len().is_power_of_two());
-    let node = b.add_node(1, 2);
-    if counters.len() == 2 {
-        b.connect_counter(node, 0, counters[0])?;
-        b.connect_counter(node, 1, counters[1])?;
-    } else {
-        let evens: Vec<usize> = counters.iter().copied().step_by(2).collect();
-        let odds: Vec<usize> = counters.iter().copied().skip(1).step_by(2).collect();
-        let left = subtree(b, &evens)?;
-        let right = subtree(b, &odds)?;
-        b.connect(node, 0, left, 0)?;
-        b.connect(node, 1, right, 0)?;
-    }
-    Ok(node)
+    counting_tree_d(width, 2)
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 //!   links between an input node and an output counter.
 
 use std::fmt;
+use std::ops::Range;
 
 use crate::error::TopologyError;
 
@@ -63,16 +64,6 @@ pub enum WireEnd {
     },
 }
 
-#[derive(Debug, Clone)]
-pub(crate) struct Node {
-    pub(crate) fan_in: usize,
-    pub(crate) fan_out: usize,
-    /// Wire target per output port; `None` while building.
-    pub(crate) outputs: Vec<Option<WireEnd>>,
-    /// Whether each input port has been driven; used for validation.
-    pub(crate) inputs_driven: Vec<bool>,
-}
-
 /// Incremental builder for a [`Topology`].
 ///
 /// # Example
@@ -94,12 +85,34 @@ pub(crate) struct Node {
 /// assert_eq!(net.output_width(), 2);
 /// # Ok::<(), cnet_topology::TopologyError>(())
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TopologyBuilder {
-    nodes: Vec<Node>,
+    /// Per node, the index of its first output port in `outputs`, then
+    /// one past the last node's: node `i` owns
+    /// `outputs[out_start[i]..out_start[i + 1]]`.
+    out_start: Vec<usize>,
+    /// The same offsets into `driven`, for input ports.
+    in_start: Vec<usize>,
+    /// Wire target per output port; `None` while building.
+    outputs: Vec<Option<WireEnd>>,
+    /// Whether each input port has been driven; used for validation.
+    driven: Vec<bool>,
     inputs: Vec<PortRef>,
     /// Which counter indices have been wired.
     counters: Vec<bool>,
+}
+
+impl Default for TopologyBuilder {
+    fn default() -> Self {
+        TopologyBuilder {
+            out_start: vec![0],
+            in_start: vec![0],
+            outputs: Vec::new(),
+            driven: Vec::new(),
+            inputs: Vec::new(),
+            counters: Vec::new(),
+        }
+    }
 }
 
 impl TopologyBuilder {
@@ -118,13 +131,11 @@ impl TopologyBuilder {
     pub fn add_node(&mut self, fan_in: usize, fan_out: usize) -> NodeId {
         assert!(fan_in > 0, "node fan-in must be positive");
         assert!(fan_out > 0, "node fan-out must be positive");
-        let id = NodeId(self.nodes.len());
-        self.nodes.push(Node {
-            fan_in,
-            fan_out,
-            outputs: vec![None; fan_out],
-            inputs_driven: vec![false; fan_in],
-        });
+        let id = NodeId(self.out_start.len() - 1);
+        self.outputs.resize(self.outputs.len() + fan_out, None);
+        self.driven.resize(self.driven.len() + fan_in, false);
+        self.out_start.push(self.outputs.len());
+        self.in_start.push(self.driven.len());
         id
     }
 
@@ -138,8 +149,8 @@ impl TopologyBuilder {
     /// Returns an error if the node or port does not exist or the port
     /// is already driven.
     pub fn add_input(&mut self, node: NodeId, port: usize) -> Result<usize, TopologyError> {
-        self.check_in_port(node, port)?;
-        self.drive_input(node, port)?;
+        let slot = self.in_port(node, port)?;
+        self.drive_input(node, port, slot)?;
         self.inputs.push(PortRef { node, port });
         Ok(self.inputs.len() - 1)
     }
@@ -157,18 +168,18 @@ impl TopologyBuilder {
         to: NodeId,
         in_port: usize,
     ) -> Result<(), TopologyError> {
-        self.check_out_port(from, out_port)?;
-        self.check_in_port(to, in_port)?;
+        let out_slot = self.out_port(from, out_port)?;
+        let in_slot = self.in_port(to, in_port)?;
         self.wire_output(
             from,
             out_port,
+            out_slot,
             WireEnd::Node {
                 node: to,
                 port: in_port,
             },
         )?;
-        self.drive_input(to, in_port)?;
-        Ok(())
+        self.drive_input(to, in_port, in_slot)
     }
 
     /// Wires output `out_port` of `from` to output counter `counter`.
@@ -183,55 +194,50 @@ impl TopologyBuilder {
         out_port: usize,
         counter: usize,
     ) -> Result<(), TopologyError> {
-        self.check_out_port(from, out_port)?;
+        let slot = self.out_port(from, out_port)?;
         if counter >= self.counters.len() {
             self.counters.resize(counter + 1, false);
         }
         if self.counters[counter] {
             return Err(TopologyError::CounterAlreadyDriven { counter });
         }
-        self.wire_output(from, out_port, WireEnd::Counter { index: counter })?;
+        self.wire_output(from, out_port, slot, WireEnd::Counter { index: counter })?;
         self.counters[counter] = true;
         Ok(())
     }
 
-    fn check_node(&self, node: NodeId) -> Result<&Node, TopologyError> {
-        self.nodes
-            .get(node.0)
-            .ok_or(TopologyError::UnknownNode { node })
-    }
-
-    fn check_in_port(&self, node: NodeId, port: usize) -> Result<(), TopologyError> {
-        let n = self.check_node(node)?;
-        if port >= n.fan_in {
+    /// The index of `port` in a flat port table whose per-node offsets
+    /// are `starts`.
+    fn port_slot(starts: &[usize], node: NodeId, port: usize) -> Result<usize, TopologyError> {
+        let (Some(&first), Some(&end)) = (starts.get(node.0), starts.get(node.0 + 1)) else {
+            return Err(TopologyError::UnknownNode { node });
+        };
+        if port >= end - first {
             return Err(TopologyError::PortOutOfRange {
                 node,
                 port,
-                available: n.fan_in,
+                available: end - first,
             });
         }
-        Ok(())
+        Ok(first + port)
     }
 
-    fn check_out_port(&self, node: NodeId, port: usize) -> Result<(), TopologyError> {
-        let n = self.check_node(node)?;
-        if port >= n.fan_out {
-            return Err(TopologyError::PortOutOfRange {
-                node,
-                port,
-                available: n.fan_out,
-            });
-        }
-        Ok(())
+    fn in_port(&self, node: NodeId, port: usize) -> Result<usize, TopologyError> {
+        Self::port_slot(&self.in_start, node, port)
+    }
+
+    fn out_port(&self, node: NodeId, port: usize) -> Result<usize, TopologyError> {
+        Self::port_slot(&self.out_start, node, port)
     }
 
     fn wire_output(
         &mut self,
         node: NodeId,
         port: usize,
+        slot: usize,
         end: WireEnd,
     ) -> Result<(), TopologyError> {
-        let slot = &mut self.nodes[node.0].outputs[port];
+        let slot = &mut self.outputs[slot];
         if slot.is_some() {
             return Err(TopologyError::OutputAlreadyWired { node, port });
         }
@@ -239,8 +245,8 @@ impl TopologyBuilder {
         Ok(())
     }
 
-    fn drive_input(&mut self, node: NodeId, port: usize) -> Result<(), TopologyError> {
-        let slot = &mut self.nodes[node.0].inputs_driven[port];
+    fn drive_input(&mut self, node: NodeId, port: usize, slot: usize) -> Result<(), TopologyError> {
+        let slot = &mut self.driven[slot];
         if *slot {
             return Err(TopologyError::InputAlreadyDriven { node, port });
         }
@@ -261,64 +267,80 @@ impl TopologyBuilder {
         if self.counters.is_empty() {
             return Err(TopologyError::NoOutputs);
         }
-        for (c, wired) in self.counters.iter().enumerate() {
-            if !wired {
-                return Err(TopologyError::UnwiredCounter { counter: c });
+        if let Some(c) = self.counters.iter().position(|wired| !wired) {
+            return Err(TopologyError::UnwiredCounter { counter: c });
+        }
+        for i in 0..self.out_start.len() - 1 {
+            let node = NodeId(i);
+            if let Some(p) = self.driven[span(&self.in_start, i)].iter().position(|d| !d) {
+                return Err(TopologyError::UndrivenInput { node, port: p });
+            }
+            let outputs = &self.outputs[span(&self.out_start, i)];
+            if let Some(p) = outputs.iter().position(Option::is_none) {
+                return Err(TopologyError::UnwiredOutput { node, port: p });
             }
         }
-        for (i, n) in self.nodes.iter().enumerate() {
-            for (p, driven) in n.inputs_driven.iter().enumerate() {
-                if !driven {
-                    return Err(TopologyError::UndrivenInput {
-                        node: NodeId(i),
-                        port: p,
-                    });
-                }
-            }
-            for (p, out) in n.outputs.iter().enumerate() {
-                if out.is_none() {
-                    return Err(TopologyError::UnwiredOutput {
-                        node: NodeId(i),
-                        port: p,
-                    });
-                }
-            }
-        }
+        let outputs: Vec<WireEnd> = self.outputs.into_iter().flatten().collect();
 
-        let layers = assign_layers(&self.nodes, &self.inputs)?;
-        let depth = check_uniformity(&self.nodes, &layers, self.counters.len())?;
+        let node_layer = assign_layers(&self.out_start, &outputs, &self.inputs)?;
+        let depth = check_uniformity(&self.out_start, &outputs, &node_layer)?;
 
-        let mut layer_nodes: Vec<Vec<NodeId>> = vec![Vec::new(); depth];
-        for (i, layer) in layers.iter().enumerate() {
-            layer_nodes[layer - 1].push(NodeId(i));
+        // Counting sort by layer, stable in node id: layer `l` ends up
+        // in `layer_nodes[layer_start[l - 1]..layer_start[l]]`.
+        let mut layer_start = vec![0; depth + 1];
+        for &l in &node_layer {
+            layer_start[l - 1] += 1;
         }
+        for l in 1..depth {
+            layer_start[l] += layer_start[l - 1];
+        }
+        let mut layer_nodes = vec![NodeId(0); node_layer.len()];
+        for (i, &l) in node_layer.iter().enumerate().rev() {
+            layer_start[l - 1] -= 1;
+            layer_nodes[layer_start[l - 1]] = NodeId(i);
+        }
+        layer_start[depth] = node_layer.len();
 
         Ok(Topology {
-            nodes: self.nodes,
+            out_start: self.out_start,
+            in_start: self.in_start,
+            outputs,
             inputs: self.inputs,
             output_width: self.counters.len(),
-            node_layer: layers,
+            node_layer,
             layer_nodes,
-            depth,
+            layer_start,
         })
     }
+}
+
+/// The ports of node `i` in a flat port table whose per-node offsets
+/// are `starts`.
+fn span(starts: &[usize], i: usize) -> Range<usize> {
+    starts[i]..starts[i + 1]
 }
 
 /// Assigns a 1-based layer to every node: input nodes are layer 1 and a
 /// wire always goes from layer `i` to layer `i + 1`. Fails if the graph
 /// is cyclic, a node is unreachable, or a node is reachable at two
 /// different distances (non-uniformity).
-fn assign_layers(nodes: &[Node], inputs: &[PortRef]) -> Result<Vec<usize>, TopologyError> {
-    let mut layer: Vec<Option<usize>> = vec![None; nodes.len()];
-    let mut queue: Vec<NodeId> = Vec::new();
+fn assign_layers(
+    out_start: &[usize],
+    outputs: &[WireEnd],
+    inputs: &[PortRef],
+) -> Result<Vec<usize>, TopologyError> {
+    let nodes = out_start.len() - 1;
+    // 0 until the node is reached
+    let mut layer = vec![0; nodes];
+    let mut queue: Vec<usize> = Vec::with_capacity(nodes);
     for pr in inputs {
         match layer[pr.node.0] {
-            None => {
-                layer[pr.node.0] = Some(1);
-                queue.push(pr.node);
+            0 => {
+                layer[pr.node.0] = 1;
+                queue.push(pr.node.0);
             }
-            Some(1) => {} // several network inputs on the same node is fine
-            Some(_) => unreachable!("input node already at deeper layer before BFS"),
+            1 => {} // several network inputs on the same node is fine
+            _ => unreachable!("input node already at deeper layer before BFS"),
         }
     }
     // BFS; since edges strictly increase the layer, a cycle would force a
@@ -327,25 +349,25 @@ fn assign_layers(nodes: &[Node], inputs: &[PortRef]) -> Result<Vec<usize>, Topol
     while head < queue.len() {
         let u = queue[head];
         head += 1;
-        let lu = layer[u.0].expect("queued node has a layer");
-        if lu > nodes.len() {
+        let lu = layer[u];
+        if lu > nodes {
             return Err(TopologyError::Cyclic);
         }
-        for out in nodes[u.0].outputs.iter().flatten() {
+        for out in &outputs[span(out_start, u)] {
             if let WireEnd::Node { node: v, .. } = *out {
                 match layer[v.0] {
-                    None => {
-                        layer[v.0] = Some(lu + 1);
-                        queue.push(v);
+                    0 => {
+                        layer[v.0] = lu + 1;
+                        queue.push(v.0);
                     }
-                    Some(lv) if lv == lu + 1 => {}
-                    Some(lv) => {
+                    lv if lv == lu + 1 => {}
+                    lv => {
                         // Re-visiting at a *greater* depth means either a
                         // cycle or unequal path lengths. Distinguish by
                         // bounding: keep relaxing; if depth exceeds the
                         // node count it is a cycle, otherwise the paths
                         // are unequal.
-                        if lu + 1 > nodes.len() {
+                        if lu + 1 > nodes {
                             return Err(TopologyError::Cyclic);
                         }
                         return Err(TopologyError::NotUniform {
@@ -360,18 +382,12 @@ fn assign_layers(nodes: &[Node], inputs: &[PortRef]) -> Result<Vec<usize>, Topol
             }
         }
     }
-    let mut out = Vec::with_capacity(nodes.len());
-    for (i, l) in layer.iter().enumerate() {
-        match l {
-            Some(l) => out.push(*l),
-            None => {
-                return Err(TopologyError::NotUniform {
-                    detail: format!("node n{i} is not reachable from any input"),
-                })
-            }
-        }
+    if let Some(i) = layer.iter().position(|&l| l == 0) {
+        return Err(TopologyError::NotUniform {
+            detail: format!("node n{i} is not reachable from any input"),
+        });
     }
-    Ok(out)
+    Ok(layer)
 }
 
 /// Checks that all counters hang off last-layer nodes (equal-length
@@ -379,14 +395,13 @@ fn assign_layers(nodes: &[Node], inputs: &[PortRef]) -> Result<Vec<usize>, Topol
 /// network depth `h` = number of links from an input node to a counter,
 /// which equals the number of balancer layers.
 fn check_uniformity(
-    nodes: &[Node],
+    out_start: &[usize],
+    outputs: &[WireEnd],
     layers: &[usize],
-    _output_width: usize,
 ) -> Result<usize, TopologyError> {
     let depth = *layers.iter().max().expect("at least one node");
-    for (i, n) in nodes.iter().enumerate() {
-        let l = layers[i];
-        for out in n.outputs.iter().flatten() {
+    for (i, &l) in layers.iter().enumerate() {
+        for out in &outputs[span(out_start, i)] {
             match *out {
                 WireEnd::Counter { index } => {
                     if l != depth {
@@ -421,12 +436,18 @@ fn check_uniformity(
 /// executions.
 #[derive(Debug, Clone)]
 pub struct Topology {
-    nodes: Vec<Node>,
+    // Flat tables, so a clone is a handful of array copies: node `i`'s
+    // output wires are `outputs[out_start[i]..out_start[i + 1]]`, its
+    // fan-in is `in_start[i + 1] - in_start[i]`, and layer `l` is
+    // `layer_nodes[layer_start[l - 1]..layer_start[l]]`.
+    out_start: Vec<usize>,
+    in_start: Vec<usize>,
+    outputs: Vec<WireEnd>,
     inputs: Vec<PortRef>,
     output_width: usize,
     node_layer: Vec<usize>,
-    layer_nodes: Vec<Vec<NodeId>>,
-    depth: usize,
+    layer_nodes: Vec<NodeId>,
+    layer_start: Vec<usize>,
 }
 
 impl Topology {
@@ -447,18 +468,19 @@ impl Topology {
     /// layers).
     #[must_use]
     pub fn depth(&self) -> usize {
-        self.depth
+        self.layer_start.len() - 1
     }
 
     /// The number of balancing nodes.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.node_layer.len()
     }
 
     /// Builds `count` equal bitonic networks of output width `width` —
     /// the shard array behind a sharded counter frontend, in one call
-    /// instead of hand-built narrow nets at every use site.
+    /// instead of hand-built narrow nets at every use site. The network
+    /// is built once and cloned.
     ///
     /// Returns [`TopologyError::NoShards`] when `count == 0` and
     /// [`TopologyError::WidthNotPowerOfTwo`] unless `width` is a power
@@ -479,9 +501,7 @@ impl Topology {
         if count == 0 {
             return Err(TopologyError::NoShards);
         }
-        (0..count)
-            .map(|_| crate::constructions::bitonic(width))
-            .collect()
+        Ok(vec![crate::constructions::bitonic(width)?; count])
     }
 
     /// The 1-based layer of `node` (Definition: layer `i` holds the
@@ -502,7 +522,7 @@ impl Topology {
     /// Panics if `layer` is 0 or greater than [`Self::depth`].
     #[must_use]
     pub fn layer(&self, layer: usize) -> &[NodeId] {
-        &self.layer_nodes[layer - 1]
+        &self.layer_nodes[self.layer_start[layer - 1]..self.layer_start[layer]]
     }
 
     /// The `(node, in_port)` pair behind network input `x_input`.
@@ -518,13 +538,13 @@ impl Topology {
     /// Fan-in of `node`.
     #[must_use]
     pub fn fan_in(&self, node: NodeId) -> usize {
-        self.nodes[node.0].fan_in
+        span(&self.in_start, node.0).len()
     }
 
     /// Fan-out of `node`.
     #[must_use]
     pub fn fan_out(&self, node: NodeId) -> usize {
-        self.nodes[node.0].fan_out
+        self.wires(node.0).len()
     }
 
     /// Where output `port` of `node` is wired.
@@ -534,12 +554,17 @@ impl Topology {
     /// Panics if the node or port is out of range.
     #[must_use]
     pub fn output_wire(&self, node: NodeId, port: usize) -> WireEnd {
-        self.nodes[node.0].outputs[port].expect("finalized topology has no dangling outputs")
+        self.wires(node.0)[port]
+    }
+
+    /// The output wires of node `i`, by port.
+    fn wires(&self, i: usize) -> &[WireEnd] {
+        &self.outputs[span(&self.out_start, i)]
     }
 
     /// Iterates over all node ids in layer order (layer 1 first).
     pub fn iter_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.layer_nodes.iter().flatten().copied()
+        self.layer_nodes.iter().copied()
     }
 
     /// Renders the network in Graphviz DOT format (for debugging and
@@ -548,12 +573,8 @@ impl Topology {
     pub fn to_dot(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::from("digraph counting_network {\n  rankdir=LR;\n");
-        for (i, _) in self.nodes.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "  n{i} [shape=box,label=\"n{i}\\nL{}\"];",
-                self.node_layer[i]
-            );
+        for (i, layer) in self.node_layer.iter().enumerate() {
+            let _ = writeln!(s, "  n{i} [shape=box,label=\"n{i}\\nL{layer}\"];");
         }
         for c in 0..self.output_width {
             let _ = writeln!(s, "  c{c} [shape=circle,label=\"Y{c}\"];");
@@ -562,9 +583,9 @@ impl Topology {
             let _ = writeln!(s, "  x{x} [shape=plaintext,label=\"x{x}\"];");
             let _ = writeln!(s, "  x{x} -> n{};", pr.node.0);
         }
-        for (i, n) in self.nodes.iter().enumerate() {
-            for (p, out) in n.outputs.iter().enumerate() {
-                match out.expect("finalized") {
+        for i in 0..self.node_count() {
+            for (p, out) in self.wires(i).iter().enumerate() {
+                match *out {
                     WireEnd::Node { node, port } => {
                         let _ = writeln!(s, "  n{i} -> n{} [label=\"{p}->{port}\"];", node.0);
                     }
