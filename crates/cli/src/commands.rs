@@ -7,7 +7,7 @@ use cnet_engine::{
     ArrivalProcess, AsyncConfig, BalancerKind, CounterSpec, RunRecord, SpecError, WaitMode,
     Workload,
 };
-use cnet_harness::{BackendSpec, GridReport, NativeSweep, ResultTable, KNEE_TOLERANCE};
+use cnet_harness::{BackendSpec, GridReport, NativeSweep, ResultTable, GAP_LADDER, KNEE_TOLERANCE};
 use cnet_proteus::SimConfig;
 use cnet_timing::adversary::{
     bitonic_attack, intro_example, search_violations, tree_attack, wave_attack, Scenario,
@@ -192,10 +192,8 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
             args.num("w")?.unwrap_or(0),
         )
     };
-    // reject a bad workload (e.g. an unreadable or unsorted --trace
-    // file, --f over 100) once, before any backend's infallible `.run`
-    // would panic
-    workload.validate().map_err(CliError::failed)?;
+    // checked once, for every backend: a --trace file is read here
+    let workload = workload.check().map_err(CliError::failed)?;
     let seed = args.num("seed")?.unwrap_or(1);
     let sim_config = if args.flag("prism") {
         SimConfig::diffracting(seed)
@@ -237,7 +235,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         let backend = spec
             .build(&net, seed)
             .map_err(|e| CliError::usage(format!("`{name}`: {e}")))?;
-        let outcome = backend.run(&workload);
+        let outcome = backend.run_checked(&workload);
         if let Some(m) = &outcome.frontend {
             // each frontend fills its own block of the telemetry
             let name = outcome.backend;
@@ -324,12 +322,16 @@ pub fn saturate(args: &ParsedArgs) -> Result<String, CliError> {
     let ops = args.num("ops")?.unwrap_or(2000);
     let seed = args.num("seed")?.unwrap_or(1);
     let workers = args.num("threads")?.unwrap_or(2);
-    // the ladder's gaps are well-formed; the arena size may not be
+    // the arena size and op count may not be well-formed: the ladder
+    // descends, so its first gap's schedule is the longest
     Workload {
         total_ops: ops,
+        arrival: ArrivalProcess::Open {
+            mean_gap: GAP_LADDER[0],
+        },
         ..Workload::paper(clients, 0, 0)
     }
-    .validate()
+    .check()
     .map_err(CliError::failed)?;
     let config = AsyncConfig {
         workers,

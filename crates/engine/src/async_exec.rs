@@ -63,7 +63,9 @@ use cnet_topology::Topology;
 use crate::counter::Executor;
 use crate::driver::{self, Readout, Trace, Widths};
 use crate::schedule::{arrival_schedule, THREAD_STREAM};
-use crate::{Backend, CounterSpec, ProcessMap, RunOutcome, SimRng, SpecError, Workload};
+use crate::{
+    Backend, CheckedWorkload, CounterSpec, ProcessMap, RunOutcome, SimRng, SpecError, Workload,
+};
 
 /// Polls a waiting client spins this many times before yielding the
 /// OS thread — long enough to catch a near-committed turn without a
@@ -270,7 +272,7 @@ fn run_worker(chunks: Vec<&mut [ClientTask<'_>]>, out: &mut Vec<OpRecord>) {
 /// arrival and completion vectors).
 fn drive_async(
     counter: &(dyn StressCounter + '_),
-    workload: &Workload,
+    workload: &CheckedWorkload,
     seed: u64,
     config: AsyncConfig,
     mut operations: Vec<Operation>,
@@ -325,7 +327,7 @@ fn drive_async(
 /// open-loop telemetry block on open-loop workloads.
 struct Cooperative<'a> {
     backend: &'a AsyncBackend<'a>,
-    workload: &'a Workload,
+    workload: &'a CheckedWorkload,
 }
 
 impl Executor for Cooperative<'_> {
@@ -376,8 +378,7 @@ impl Backend for AsyncBackend<'_> {
         self.counter.family(true)
     }
 
-    fn run(&self, workload: &Workload) -> RunOutcome {
-        driver::validated(workload);
+    fn run_checked(&self, workload: &CheckedWorkload) -> RunOutcome {
         let exec = Cooperative {
             backend: self,
             workload,

@@ -22,22 +22,7 @@ use cnet_topology::OutputCounts;
 
 use crate::counter::Executor;
 use crate::schedule::{arrival_schedule, THREAD_STREAM};
-use crate::{ProcessMap, RunOutcome, RunStats, SimRng, WaitMode, Workload};
-
-/// Every backend's first move: reject degenerate workloads with the
-/// typed [`crate::WorkloadError`] before any thread spawns.
-/// The fallible path is [`crate::Backend::try_run`]; `run` keeps its
-/// infallible signature by construction-checking here.
-///
-/// # Panics
-///
-/// Panics with the error's display text when the workload is
-/// degenerate.
-pub(crate) fn validated(workload: &Workload) {
-    if let Err(e) = workload.validate() {
-        panic!("invalid workload: {e}");
-    }
-}
+use crate::{CheckedWorkload, ProcessMap, RunOutcome, RunStats, SimRng, WaitMode, Workload};
 
 /// Draws one operation's `W`: the per-node spin a client hands the
 /// counter ([`StressCounter::next_stressed`]), mirroring the
@@ -172,7 +157,7 @@ pub(crate) fn slots(workload: &Workload) -> Vec<Operation> {
 /// Panics if a client thread panics.
 fn drive(
     counter: &impl StressCounter,
-    workload: &Workload,
+    workload: &CheckedWorkload,
     seed: u64,
     mut operations: Vec<Operation>,
 ) -> Trace {
@@ -254,7 +239,7 @@ pub(crate) struct Readout {
 /// outside, like the simulator backend's recorder freeze.
 pub(crate) struct Threads<'a> {
     pub backend: &'static str,
-    pub workload: &'a Workload,
+    pub workload: &'a CheckedWorkload,
     pub seed: u64,
 }
 
@@ -463,15 +448,5 @@ mod tests {
             OutputCounts::zeros(4),
             None,
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "mean_gap >= 1")]
-    fn validated_rejects_degenerate_open_gap() {
-        use crate::ArrivalProcess;
-        validated(&Workload {
-            arrival: ArrivalProcess::Open { mean_gap: 0 },
-            ..Workload::paper(2, 0, 0)
-        });
     }
 }

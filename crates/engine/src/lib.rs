@@ -14,9 +14,11 @@
 //!   (the paper's closed loop, or open-loop / bursty / trace-replayed
 //!   arrivals on a deterministic seeded schedule drawn from
 //!   [`SimRng`]).
-//! * [`Backend`] — something that can execute a [`Workload`] against a
-//!   counting network and produce a [`RunOutcome`]. Two
-//!   implementations ship here: [`ShmBackend`] (one real thread per
+//! * [`Backend`] — something that can execute a [`CheckedWorkload`]
+//!   against a counting network and produce a [`RunOutcome`]. A
+//!   workload is checked once ([`Workload::check`]), which also reads
+//!   a trace workload's file; no backend validates or reads it again.
+//!   Two implementations ship here: [`ShmBackend`] (one real thread per
 //!   client) and [`AsyncBackend`] (a cooperative executor
 //!   multiplexing millions of logical clients onto a small worker
 //!   pool — the only substrate where "clients" can mean `10^6`). Both
@@ -93,7 +95,7 @@ pub use schedule::{arrival_schedule, Arrivals};
 pub use service::{Bracket, ServiceDriver};
 pub use shm::{run_counter, ShmBackend};
 pub use stats::{FabricStats, ProcessMap, RunStats, SimCounters, StatsSummary};
-pub use workload::{ArrivalProcess, WaitMode, Workload, WorkloadError};
+pub use workload::{ArrivalProcess, CheckedWorkload, WaitMode, Workload, WorkloadError};
 
 /// Whether this build of the engine records through the live probe
 /// layer (the `obs` feature — which Cargo unifies on for every crate of
@@ -104,13 +106,14 @@ pub use workload::{ArrivalProcess, WaitMode, Workload, WorkloadError};
 pub const PROBES_LIVE: bool = cfg!(feature = "obs");
 
 /// An execution substrate: builds (or owns) a counter over a topology
-/// and can run a [`Workload`] against it.
+/// and can run a [`CheckedWorkload`] against it.
 ///
-/// Implementations are stateless across runs — each [`Backend::run`]
-/// drives a fresh counter, so outcomes never leak state between
-/// workloads. The trait is object-safe; heterogeneous backend lists
+/// Implementations are stateless across runs — each run drives a
+/// fresh counter, so outcomes never leak state between workloads. The
+/// trait is object-safe; heterogeneous backend lists
 /// (`Vec<Box<dyn Backend>>`) are how the CLI's `cnet run` compares
-/// substrates in one invocation.
+/// substrates in one invocation, checking the workload once and
+/// handing the checked value to each.
 pub trait Backend {
     /// Short identifier recorded in the outcome (and, downstream, in
     /// its [`RunRecord`]): the backend's family, `sim` for the
@@ -118,16 +121,22 @@ pub trait Backend {
     /// its executor.
     fn name(&self) -> &'static str;
 
-    /// Executes the workload to completion and returns the unified
-    /// outcome.
+    /// Executes the checked workload to completion and returns the
+    /// unified outcome.
+    fn run_checked(&self, workload: &CheckedWorkload) -> RunOutcome;
+
+    /// Checks the workload ([`Workload::check`]), then executes it.
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate workload ([`Workload::validate`]); use
-    /// [`Backend::try_run`] for the fallible path.
-    fn run(&self, workload: &Workload) -> RunOutcome;
+    /// Panics with the [`WorkloadError`]'s text on a degenerate
+    /// workload; use [`Backend::try_run`] for the fallible path.
+    fn run(&self, workload: &Workload) -> RunOutcome {
+        self.try_run(workload)
+            .unwrap_or_else(|e| panic!("invalid workload: {e}"))
+    }
 
-    /// Validates the workload, then executes it — the fallible
+    /// Checks the workload, then executes it — the fallible
     /// counterpart of [`Backend::run`] for callers (the CLI, the
     /// benches) that surface [`WorkloadError`] instead of panicking.
     ///
@@ -136,7 +145,6 @@ pub trait Backend {
     /// Returns the [`WorkloadError`] naming the degenerate field,
     /// without starting the run.
     fn try_run(&self, workload: &Workload) -> Result<RunOutcome, WorkloadError> {
-        workload.validate()?;
-        Ok(self.run(workload))
+        Ok(self.run_checked(&workload.check()?))
     }
 }

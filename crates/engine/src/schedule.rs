@@ -7,7 +7,7 @@
 //! and the cooperative async executor draw from exactly the same
 //! instants.
 
-use crate::{ArrivalProcess, SimRng, Workload};
+use crate::{ArrivalProcess, CheckedWorkload, SimRng};
 
 /// Seed perturbation for the arrival-schedule stream: open-loop gaps
 /// draw from a generator of their own, so a run's other streams (the
@@ -27,7 +27,7 @@ pub(crate) const THREAD_STREAM: u64 = 0xD1B5_4A32_D192_ED03;
 /// Public so external load generators (`cnet drive`) can pace traffic
 /// on exactly the schedule the in-process backends would use for the
 /// same `(seed, workload)` pair.
-pub fn arrival_schedule(workload: &Workload, seed: u64) -> Vec<u64> {
+pub fn arrival_schedule(workload: &CheckedWorkload, seed: u64) -> Vec<u64> {
     Arrivals::new(workload, seed).collect()
 }
 
@@ -38,26 +38,15 @@ pub fn arrival_schedule(workload: &Workload, seed: u64) -> Vec<u64> {
 pub struct Arrivals<'a> {
     arrival: &'a ArrivalProcess,
     rng: SimRng,
-    trace_gaps: Vec<u64>,
+    trace_gaps: &'a [u64],
     tokens: std::ops::Range<usize>,
     at: u64,
 }
 
 impl<'a> Arrivals<'a> {
     /// The arrival stream of `workload` under `seed`.
-    ///
-    /// # Panics
-    ///
-    /// If a trace workload's file cannot be read: `Backend::try_run`
-    /// validates it before any schedule is built.
     #[must_use]
-    pub fn new(workload: &'a Workload, seed: u64) -> Self {
-        // trace replay reads the recorded gaps once
-        let trace_gaps = match &workload.arrival {
-            ArrivalProcess::Trace { path } => ArrivalProcess::load_trace(path)
-                .expect("trace workload must be validated before scheduling"),
-            _ => Vec::new(),
-        };
+    pub fn new(workload: &'a CheckedWorkload, seed: u64) -> Self {
         let len = if workload.is_open_loop() {
             workload.total_ops
         } else {
@@ -66,7 +55,7 @@ impl<'a> Arrivals<'a> {
         Arrivals {
             arrival: &workload.arrival,
             rng: SimRng::seed_from_u64(seed ^ ARRIVAL_STREAM),
-            trace_gaps,
+            trace_gaps: &workload.trace_gaps,
             tokens: 0..len,
             at: 0,
         }
@@ -93,15 +82,9 @@ impl Iterator for Arrivals<'_> {
         if token > 0 {
             self.at += match *self.arrival {
                 ArrivalProcess::Closed => 0,
-                ArrivalProcess::Open { mean_gap } => {
-                    if mean_gap == 0 {
-                        0
-                    } else {
-                        self.rng.inclusive(mean_gap.saturating_mul(2))
-                    }
-                }
+                ArrivalProcess::Open { mean_gap } => self.rng.inclusive(mean_gap * 2),
                 ArrivalProcess::Bursty { burst, gap } => {
-                    if token.is_multiple_of(burst.max(1) as usize) {
+                    if token.is_multiple_of(burst as usize) {
                         gap
                     } else {
                         0
@@ -125,13 +108,16 @@ impl ExactSizeIterator for Arrivals<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Workload;
 
     #[test]
     fn closed_loop_has_no_schedule() {
         let w = Workload {
             total_ops: 100,
             ..Workload::paper(4, 0, 0)
-        };
+        }
+        .check()
+        .unwrap();
         assert!(arrival_schedule(&w, 7).is_empty());
         assert_eq!(Arrivals::new(&w, 7).max_gap(), 0);
     }
@@ -142,7 +128,9 @@ mod tests {
             total_ops: 50,
             arrival: ArrivalProcess::Open { mean_gap: 300 },
             ..Workload::paper(4, 0, 0)
-        };
+        }
+        .check()
+        .unwrap();
         let a = arrival_schedule(&w, 42);
         let b = arrival_schedule(&w, 42);
         assert_eq!(a, b);
@@ -168,7 +156,9 @@ mod tests {
                 path: path.to_str().unwrap().to_string(),
             },
             ..Workload::paper(2, 0, 0)
-        };
+        }
+        .check()
+        .unwrap();
         let schedule = arrival_schedule(&w, 1);
         assert_eq!(schedule, vec![0, 40, 75, 75, 130, 170, 205]);
         // no RNG stream involved: the seed must NOT matter
@@ -181,7 +171,9 @@ mod tests {
             total_ops: 9,
             arrival: ArrivalProcess::Bursty { burst: 3, gap: 100 },
             ..Workload::paper(2, 0, 0)
-        };
+        }
+        .check()
+        .unwrap();
         assert_eq!(
             arrival_schedule(&w, 1),
             vec![0, 0, 0, 100, 100, 100, 200, 200, 200]

@@ -6,14 +6,14 @@ use cnet_concurrent::StressCounter;
 use cnet_topology::{OutputCounts, Topology};
 
 use crate::counter::Executor;
-use crate::driver::{self, Readout, Threads};
-use crate::{Backend, CounterSpec, RunOutcome, SpecError, Workload};
+use crate::driver::{Readout, Threads};
+use crate::{Backend, CheckedWorkload, CounterSpec, RunOutcome, SpecError};
 
 /// Runs workloads on real OS threads, one per client, over a native
 /// (`cnet-concurrent`) counter — any [`CounterSpec`]: the compiled
 /// network or the elastic frontends.
 ///
-/// Every [`Backend::run`] builds a fresh counter, so runs never share
+/// Every run builds a fresh counter, so runs never share
 /// state. `workload.processors` is the client-thread count,
 /// `wait_cycles` the per-node spin of the delayed fraction, and the
 /// arrival process is honored on a deterministic seeded schedule
@@ -59,8 +59,7 @@ impl Backend for ShmBackend<'_> {
         self.counter.family(false)
     }
 
-    fn run(&self, workload: &Workload) -> RunOutcome {
-        driver::validated(workload);
+    fn run_checked(&self, workload: &CheckedWorkload) -> RunOutcome {
         let exec = Threads {
             backend: self.name(),
             workload,
@@ -85,10 +84,12 @@ impl Backend for ShmBackend<'_> {
 ///
 /// # Panics
 ///
-/// Panics on a degenerate workload ([`Workload::validate`]) or if a
-/// client thread panics.
-pub fn run_counter<C: StressCounter>(counter: &C, workload: &Workload, seed: u64) -> RunOutcome {
-    driver::validated(workload);
+/// Panics if a client thread panics.
+pub fn run_counter<C: StressCounter>(
+    counter: &C,
+    workload: &CheckedWorkload,
+    seed: u64,
+) -> RunOutcome {
     let exec = Threads {
         backend: CounterSpec::Network(BalancerKind::default()).family(false),
         workload,
@@ -104,7 +105,7 @@ pub fn run_counter<C: StressCounter>(counter: &C, workload: &Workload, seed: u64
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WorkloadError;
+    use crate::{Workload, WorkloadError};
     use cnet_topology::constructions;
 
     fn workload(threads: usize, ops: usize) -> Workload {

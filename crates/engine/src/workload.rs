@@ -61,8 +61,8 @@ pub enum ArrivalProcess {
     /// line; blank lines and `#` comments are skipped. The successive
     /// differences become the gap sequence, cycled when `total_ops`
     /// outruns the recording. Every backend sees the identical
-    /// schedule: the file is read once, deterministically, with no RNG
-    /// involved.
+    /// schedule: [`Workload::check`] reads the file once into the
+    /// checked workload every backend replays, with no RNG involved.
     Trace {
         /// Path to the trace file, resolved at run time.
         path: String,
@@ -71,8 +71,8 @@ pub enum ArrivalProcess {
 
 /// A workload that cannot be meaningfully executed.
 ///
-/// Every backend rejects these at the top of its run instead of
-/// quietly degrading: an open-loop process with a zero mean gap is a
+/// [`Workload::check`] refuses these, so no backend runs one instead
+/// of quietly degrading: an open-loop process with a zero mean gap is a
 /// closed-loop burst wearing an open-loop label (every token "arrives"
 /// at instant 0), and a zero-size burst has no defined schedule at
 /// all. Both used to fall through to degenerate schedules that
@@ -163,14 +163,17 @@ impl ArrivalProcess {
     /// The latest instant at which the last of `total_ops` arrivals
     /// can fall, from the instant-0 first one: every gap of an open
     /// loop at its `2·mean_gap` maximum, one `gap` per completed burst,
-    /// or the recorded gaps cycled over the run. `None` when that sum
-    /// overflows `u64`.
+    /// or a trace's recorded `trace_gaps` cycled over the run. `None`
+    /// when that sum overflows `u64`.
     ///
     /// # Errors
     ///
-    /// The [`WorkloadError`] naming a degenerate parameter: a zero mean
-    /// gap or burst, or a trace file [`Self::load_trace`] refuses.
-    fn last_arrival(&self, total_ops: usize) -> Result<Option<u64>, WorkloadError> {
+    /// [`WorkloadError::ZeroMeanGap`] or [`WorkloadError::ZeroBurst`].
+    fn last_arrival(
+        &self,
+        trace_gaps: &[u64],
+        total_ops: usize,
+    ) -> Result<Option<u64>, WorkloadError> {
         let gaps = total_ops.saturating_sub(1) as u64;
         Ok(match self {
             ArrivalProcess::Open { mean_gap: 0 } => return Err(WorkloadError::ZeroMeanGap),
@@ -180,13 +183,12 @@ impl ArrivalProcess {
                 .checked_mul(*mean_gap)
                 .and_then(|sum| sum.checked_mul(2)),
             ArrivalProcess::Bursty { burst, gap } => gap.checked_mul(gaps / u64::from(*burst)),
-            ArrivalProcess::Trace { path } => {
-                let trace = Self::load_trace(path)?;
-                let len = trace.len() as u64;
+            ArrivalProcess::Trace { .. } => {
+                let len = trace_gaps.len() as u64;
                 // a recording's gaps sum to its last instant minus its
                 // first, so neither sum below can overflow
-                let cycle: u64 = trace.iter().sum();
-                let rest: u64 = trace[..(gaps % len) as usize].iter().sum();
+                let cycle: u64 = trace_gaps.iter().sum();
+                let rest: u64 = trace_gaps[..(gaps % len) as usize].iter().sum();
                 cycle
                     .checked_mul(gaps / len)
                     .and_then(|sum| sum.checked_add(rest))
@@ -194,12 +196,8 @@ impl ArrivalProcess {
         })
     }
 
-    /// Reads a trace file into its inter-arrival gap sequence.
-    ///
-    /// Validation and the backends both come through here, so a
-    /// workload that passed [`Workload::validate`] replays the exact
-    /// gaps validation saw (absent a file race, which the backends
-    /// surface as the same error).
+    /// Reads a trace file into its inter-arrival gap sequence: the one
+    /// place a trace file is read, reached only from [`Workload::check`].
     ///
     /// # Errors
     ///
@@ -207,7 +205,7 @@ impl ArrivalProcess {
     /// [`WorkloadError::UnsortedTrace`] on a decreasing instant, and
     /// [`WorkloadError::EmptyTrace`] when fewer than two instants
     /// remain after stripping comments and blank lines.
-    pub fn load_trace(path: &str) -> Result<Vec<u64>, WorkloadError> {
+    fn load_trace(path: &str) -> Result<Vec<u64>, WorkloadError> {
         let text = std::fs::read_to_string(path).map_err(|_| WorkloadError::UnreadableTrace)?;
         let mut instants: Vec<u64> = Vec::new();
         for line in text.lines() {
@@ -343,23 +341,52 @@ impl Workload {
         self.arrival != ArrivalProcess::Closed
     }
 
-    /// Checks the workload for degenerate parameters every backend
-    /// must reject (see [`WorkloadError`]).
+    /// Checks the workload once for every degenerate parameter (see
+    /// [`WorkloadError`]) and returns the one form a backend runs. A
+    /// trace workload's file is read here, and only here.
     ///
     /// # Errors
     ///
     /// Returns the [`WorkloadError`] naming the degenerate field.
-    pub fn validate(&self) -> Result<(), WorkloadError> {
+    pub fn check(&self) -> Result<CheckedWorkload, WorkloadError> {
         if self.delayed_percent > 100 {
             return Err(WorkloadError::DelayedPercentOver100);
         }
         if self.processors == 0 && self.total_ops > 0 {
             return Err(WorkloadError::NoClients);
         }
-        match self.arrival.last_arrival(self.total_ops)? {
-            Some(last) if last <= u64::MAX / 2 => Ok(()),
+        let trace_gaps = match &self.arrival {
+            ArrivalProcess::Trace { path } => ArrivalProcess::load_trace(path)?,
+            _ => Vec::new(),
+        };
+        match self.arrival.last_arrival(&trace_gaps, self.total_ops)? {
+            Some(last) if last <= u64::MAX / 2 => Ok(CheckedWorkload {
+                workload: self.clone(),
+                trace_gaps,
+            }),
             _ => Err(WorkloadError::ArrivalOverflow),
         }
+    }
+}
+
+/// A [`Workload`] that passed [`Workload::check`], which is the only
+/// way to make one: what every backend, [`crate::Arrivals`] and
+/// [`crate::arrival_schedule`] accept. A trace workload's gaps ride
+/// along, read from its file once, so every backend handed this value
+/// replays the same schedule and none reads the file again. It reads
+/// as the workload it checked.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckedWorkload {
+    workload: Workload,
+    /// A trace's inter-arrival gaps; empty for every other process.
+    pub(crate) trace_gaps: Vec<u64>,
+}
+
+impl std::ops::Deref for CheckedWorkload {
+    type Target = Workload;
+
+    fn deref(&self) -> &Workload {
+        &self.workload
     }
 }
 
@@ -432,14 +459,14 @@ mod tests {
             ArrivalProcess::load_trace("/nonexistent/cnet-trace"),
             Err(WorkloadError::UnreadableTrace)
         );
-        // validate() routes through the same loader
+        // the check routes through the same loader
         let w = Workload {
             arrival: ArrivalProcess::Trace {
                 path: unsorted.to_str().unwrap().to_string(),
             },
             ..Workload::paper(2, 0, 0)
         };
-        assert_eq!(w.validate(), Err(WorkloadError::UnsortedTrace));
+        assert_eq!(w.check().map(drop), Err(WorkloadError::UnsortedTrace));
     }
 
     #[test]
@@ -449,13 +476,14 @@ mod tests {
     }
 
     #[test]
-    fn validate_rejects_degenerate_arrivals() {
+    fn check_rejects_degenerate_arrivals() {
         let valid = |arrival| {
             Workload {
                 arrival,
                 ..Workload::paper(4, 0, 0)
             }
-            .validate()
+            .check()
+            .map(drop)
         };
         assert_eq!(
             valid(ArrivalProcess::Open { mean_gap: 0 }),
@@ -468,21 +496,21 @@ mod tests {
         assert!(valid(ArrivalProcess::Closed).is_ok());
         assert!(valid(ArrivalProcess::Open { mean_gap: 1 }).is_ok());
         assert!(valid(ArrivalProcess::Bursty { burst: 1, gap: 0 }).is_ok());
-        assert!(Workload::paper(4, 0, 0).validate().is_ok());
-        assert!(Workload::paper(4, 100, 0).validate().is_ok());
+        assert!(Workload::paper(4, 0, 0).check().is_ok());
+        assert!(Workload::paper(4, 100, 0).check().is_ok());
         assert_eq!(
-            Workload::paper(4, 101, 0).validate(),
+            Workload::paper(4, 101, 0).check().map(drop),
             Err(WorkloadError::DelayedPercentOver100)
         );
         assert_eq!(
-            Workload::paper(0, 0, 0).validate(),
+            Workload::paper(0, 0, 0).check().map(drop),
             Err(WorkloadError::NoClients)
         );
         assert!(Workload {
             total_ops: 0,
             ..Workload::paper(0, 0, 0)
         }
-        .validate()
+        .check()
         .is_ok());
         // the error is a real std error with a self-explanatory message
         let msg = WorkloadError::ZeroMeanGap.to_string();
@@ -501,7 +529,11 @@ mod tests {
     fn an_open_schedule_past_half_the_range_is_refused() {
         // 4 ops: 3 gaps of at most 2·mean_gap each
         let edge = u64::MAX / 2 / 6;
-        let open = |mean_gap, ops| arrivals(ArrivalProcess::Open { mean_gap }, ops).validate();
+        let open = |mean_gap, ops| {
+            arrivals(ArrivalProcess::Open { mean_gap }, ops)
+                .check()
+                .map(drop)
+        };
         assert_eq!(open(edge, 4), Ok(()));
         assert_eq!(open(edge + 1, 4), Err(WorkloadError::ArrivalOverflow));
         assert_eq!(open(u64::MAX, 4), Err(WorkloadError::ArrivalOverflow));
@@ -514,20 +546,20 @@ mod tests {
         let bursty = |burst, gap, ops| arrivals(ArrivalProcess::Bursty { burst, gap }, ops);
         // 4 ops in bursts of 1: 3 gaps
         assert_eq!(
-            bursty(1, u64::MAX, 4).validate(),
+            bursty(1, u64::MAX, 4).check().map(drop),
             Err(WorkloadError::ArrivalOverflow)
         );
         assert_eq!(
-            bursty(1, u64::MAX / 6 + 1, 4).validate(),
+            bursty(1, u64::MAX / 6 + 1, 4).check().map(drop),
             Err(WorkloadError::ArrivalOverflow)
         );
-        assert_eq!(bursty(1, u64::MAX / 6, 4).validate(), Ok(()));
+        assert_eq!(bursty(1, u64::MAX / 6, 4).check().map(drop), Ok(()));
         // 4 ops in one burst of 4: no gap is ever taken
-        assert_eq!(bursty(4, u64::MAX, 4).validate(), Ok(()));
+        assert_eq!(bursty(4, u64::MAX, 4).check().map(drop), Ok(()));
         // 5 ops in bursts of 4: one gap
-        assert_eq!(bursty(4, u64::MAX / 2, 5).validate(), Ok(()));
+        assert_eq!(bursty(4, u64::MAX / 2, 5).check().map(drop), Ok(()));
         assert_eq!(
-            bursty(4, u64::MAX / 2 + 1, 5).validate(),
+            bursty(4, u64::MAX / 2 + 1, 5).check().map(drop),
             Err(WorkloadError::ArrivalOverflow)
         );
     }
@@ -545,27 +577,27 @@ mod tests {
         };
         // one gap of ~2^64: a second arrival already overflows the bound
         let far = trace("far", "0\n18446744073709551615\n");
-        assert_eq!(arrivals(far.clone(), 1).validate(), Ok(()));
+        assert_eq!(arrivals(far.clone(), 1).check().map(drop), Ok(()));
         assert_eq!(
-            arrivals(far.clone(), 2).validate(),
+            arrivals(far.clone(), 2).check().map(drop),
             Err(WorkloadError::ArrivalOverflow)
         );
         assert_eq!(
-            arrivals(far, 4).validate(),
+            arrivals(far, 4).check().map(drop),
             Err(WorkloadError::ArrivalOverflow)
         );
         // a gap of 2^63 is past half the range on its own
         let half = trace("half", "0\n9223372036854775808\n");
         assert_eq!(
-            arrivals(half, 2).validate(),
+            arrivals(half, 2).check().map(drop),
             Err(WorkloadError::ArrivalOverflow)
         );
         // gaps 1 and G cycled: 2k + 1 ops take k + k·G cycles
         let g = u64::MAX / 2 / 3 - 1;
         let cycled = trace("cycled", &format!("0\n1\n{}\n", g + 1));
-        assert_eq!(arrivals(cycled.clone(), 7).validate(), Ok(()));
+        assert_eq!(arrivals(cycled.clone(), 7).check().map(drop), Ok(()));
         assert_eq!(
-            arrivals(cycled, 9).validate(),
+            arrivals(cycled, 9).check().map(drop),
             Err(WorkloadError::ArrivalOverflow)
         );
     }

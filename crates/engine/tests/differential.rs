@@ -129,7 +129,9 @@ fn stressed_output_counts_are_identical() {
     let workload = Workload {
         total_ops: cfg.total() as usize,
         ..Workload::paper(cfg.threads, 0, 0)
-    };
+    }
+    .check()
+    .expect("a well-formed workload");
     testcfg::with_seed_report(testcfg::seed(), |seed| {
         for (name, net) in grid() {
             for kind in kinds() {
@@ -168,7 +170,9 @@ fn audit_traces_count_exactly_for_both() {
     let workload = Workload {
         total_ops: threads * 300,
         ..Workload::paper(threads, one_delayed, 50)
-    };
+    }
+    .check()
+    .expect("a well-formed workload");
     testcfg::with_seed_report(testcfg::seed(), |seed| {
         let net = constructions::bitonic(16).unwrap();
         for kind in kinds() {

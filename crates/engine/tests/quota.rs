@@ -84,7 +84,9 @@ fn scheduled_arrivals_still_pair_op_i_with_arrival_i() {
             total_ops: 600,
             arrival: arrival.clone(),
             ..Workload::paper(clients, 0, 0)
-        };
+        }
+        .check()
+        .expect("a well-formed workload");
         let schedule = arrival_schedule(&workload, seed);
         let config = AsyncConfig {
             workers: 2,
@@ -94,7 +96,7 @@ fn scheduled_arrivals_still_pair_op_i_with_arrival_i() {
         let network = CounterSpec::Network(BalancerKind::WaitFree);
         let outcome = AsyncBackend::new(&net, network, config, seed)
             .expect("every topology hosts its own network counter")
-            .run(&workload);
+            .run_checked(&workload);
         assert!(outcome.counts_exactly(), "{arrival:?}");
         // token i is op i, admitted in schedule order by client i % n
         for (i, op) in outcome.stats.operations.iter().enumerate() {
@@ -121,7 +123,7 @@ fn scheduled_arrivals_still_pair_op_i_with_arrival_i() {
         // chunk is one, so slot i is claim i
         let threaded = ShmBackend::network(&net, BalancerKind::WaitFree, seed).run(&Workload {
             processors: 4,
-            ..workload
+            ..Workload::clone(&workload)
         });
         assert_eq!(threaded.stats.operations.len(), 600, "{arrival:?}");
         assert!(threaded.counts_exactly(), "{arrival:?}");

@@ -1,7 +1,7 @@
-//! A degenerate workload through the infallible path: every backend
-//! validates first, so [`Backend::run`] panics with the typed
-//! [`cnet_engine::WorkloadError`]'s display text before any thread
-//! spawns. The registry-wide rejection through [`Backend::try_run`] is
+//! A degenerate workload through the infallible path: [`Backend::run`]
+//! checks the workload once ([`Workload::check`]) and panics with the
+//! typed [`cnet_engine::WorkloadError`]'s display text before any
+//! thread spawns. The registry-wide rejection through [`Backend::try_run`] is
 //! `cnet-harness`'s `tests/validation.rs`.
 
 use cnet_engine::{ArrivalProcess, Backend, BalancerKind, ShmBackend, Workload};

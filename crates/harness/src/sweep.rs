@@ -85,7 +85,8 @@ impl NativeSweep<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if a run loses the counting property.
+    /// Panics if [`Workload::check`] refuses a cell's workload or a run
+    /// loses the counting property.
     pub fn run(
         &self,
         cells: impl IntoIterator<Item = (String, u64, Workload)>,
@@ -99,9 +100,12 @@ impl NativeSweep<'_> {
             if reps > self.best_of {
                 eprintln!("note: {title} {label}: single hardware thread, best-of-{reps}");
             }
+            let workload = workload
+                .check()
+                .unwrap_or_else(|e| panic!("{title} {label}: invalid workload: {e}"));
             let mut best: Option<RunRecord> = None;
             for _ in 0..reps {
-                let outcome = backend.run(&workload);
+                let outcome = backend.run_checked(&workload);
                 assert!(
                     outcome.counts_exactly(),
                     "{title} {label}: counting property violated"

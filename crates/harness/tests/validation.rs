@@ -3,12 +3,12 @@
 //! `ArrivalProcess::Open { mean_gap: 0 }` and `Bursty { burst: 0, .. }`
 //! used to fall through into degenerate schedules (an all-zero gap
 //! stream, a burst that schedules nothing), and a workload with no
-//! client into an empty history reported as a clean run. Every backend
-//! now rejects them with the typed [`WorkloadError`] before any thread
-//! spawns:
-//! [`Backend::try_run`] returns the error, [`Backend::run`] panics
-//! with its display text (`cnet-engine`'s `tests/validation.rs` pins
-//! the panic).
+//! client into an empty history reported as a clean run.
+//! [`Workload::check`] now refuses them with the typed
+//! [`WorkloadError`] before any thread spawns, on every backend:
+//! [`Backend::try_run`] checks once and returns the error,
+//! [`Backend::run`] panics with its display text (`cnet-engine`'s
+//! `tests/validation.rs` pins the panic).
 
 use cnet_engine::{ArrivalProcess, Backend, Workload, WorkloadError};
 use cnet_harness::BackendSpec;

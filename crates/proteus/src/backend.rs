@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use cnet_engine::{Backend, RunOutcome, RunRecord, Workload};
+use cnet_engine::{Backend, CheckedWorkload, RunOutcome, RunRecord};
 use cnet_topology::Topology;
 
 use crate::{SimConfig, Simulator};
@@ -39,10 +39,7 @@ impl Backend for SimBackend<'_> {
         Self::NAME
     }
 
-    fn run(&self, workload: &Workload) -> RunOutcome {
-        if let Err(e) = workload.validate() {
-            panic!("invalid workload: {e}");
-        }
+    fn run_checked(&self, workload: &CheckedWorkload) -> RunOutcome {
         let sim = Simulator::new(self.topology, self.config);
         let started = Instant::now();
         let (mut stats, recorder) = sim.run_instrumented(workload);
@@ -61,6 +58,7 @@ impl Backend for SimBackend<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cnet_engine::Workload;
     use cnet_topology::constructions;
 
     #[test]

@@ -42,7 +42,9 @@
 //! order, and therefore every statistic are bit-identical to the
 //! straightforward implementation (the golden-trace tests pin this).
 
-use cnet_engine::{Arrivals, ProcessMap, RunStats, SimCounters, SimRng, WaitMode, Workload};
+use cnet_engine::{
+    Arrivals, CheckedWorkload, ProcessMap, RunStats, SimCounters, SimRng, WaitMode, Workload,
+};
 use cnet_timing::linearizability::StartWitness;
 use cnet_timing::Operation;
 use cnet_topology::{OutputCounts, Topology, WireEnd};
@@ -189,9 +191,17 @@ impl<'a> Simulator<'a> {
     /// Every run, whatever its processor count, arrival process or
     /// fabric, goes through the one production event queue (the
     /// crate-private `queue` module).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`cnet_engine::WorkloadError`]'s text when
+    /// [`Workload::check`] refuses the workload.
     #[must_use]
     pub fn run(&self, workload: &Workload) -> RunStats {
-        let (mut stats, recorder) = self.run_instrumented(workload);
+        let workload = workload
+            .check()
+            .unwrap_or_else(|e| panic!("invalid workload: {e}"));
+        let (mut stats, recorder) = self.run_instrumented(&workload);
         stats.metrics = recorder.finish();
         stats
     }
@@ -205,7 +215,10 @@ impl<'a> Simulator<'a> {
     /// mirroring how report serialization is already outside the
     /// per-cell wall-clock.
     #[must_use]
-    pub(crate) fn run_instrumented(&self, workload: &Workload) -> (RunStats, MetricsRecorder) {
+    pub(crate) fn run_instrumented(
+        &self,
+        workload: &CheckedWorkload,
+    ) -> (RunStats, MetricsRecorder) {
         let (stats, obs) =
             Runner::<EventQueue<Ev>>::new(self.topology, self.config, workload).run();
         (
@@ -239,7 +252,7 @@ impl MetricsRecorder {
 
 struct Runner<'a, Q> {
     config: SimConfig,
-    workload: &'a Workload,
+    workload: &'a CheckedWorkload,
     queue: Q,
     /// Dense per-node toggle state, indexed by `NodeId::index`.
     toggles: Vec<Toggle>,
@@ -321,7 +334,7 @@ fn schedule_horizon(config: &SimConfig, workload: &Workload, arrivals: &Arrivals
 }
 
 impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
-    fn new(topology: &'a Topology, config: SimConfig, workload: &'a Workload) -> Self {
+    fn new(topology: &'a Topology, config: SimConfig, workload: &'a CheckedWorkload) -> Self {
         let node_count = topology.node_count();
         let width = topology.output_width();
 
@@ -363,9 +376,7 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
         // Open loop: every arriving token is its own slot (several from
         // the same logical client can be in flight at once); token `i`
         // borrows processor `i mod n`'s injected wait and input wire.
-        let token_slots = if workload.processors == 0 {
-            0
-        } else if workload.is_open_loop() {
+        let token_slots = if workload.is_open_loop() {
             workload.total_ops
         } else {
             workload.processors
@@ -487,10 +498,8 @@ impl<'a, Q: Queue<Ev>> Runner<'a, Q> {
     fn run(mut self) -> (RunStats, SimObs) {
         if self.workload.is_open_loop() {
             // arrivals chain lazily: each StartOp schedules the next
-            if !self.procs.is_empty() {
-                if let Some(at) = self.arrivals.next() {
-                    self.push(at, Ev::StartOp { proc: 0 });
-                }
+            if let Some(at) = self.arrivals.next() {
+                self.push(at, Ev::StartOp { proc: 0 });
             }
         } else {
             for p in 0..self.workload.processors {
@@ -1034,13 +1043,13 @@ mod degenerate_workload_tests {
     }
 
     #[test]
-    fn zero_processors_complete_nothing() {
+    #[should_panic(expected = "invalid workload: processors (n) must be at least 1")]
+    fn zero_processors_are_refused() {
         let net = constructions::bitonic(4).unwrap();
-        let stats = Simulator::new(&net, SimConfig::queue_lock(1)).run(&Workload {
+        let _ = Simulator::new(&net, SimConfig::queue_lock(1)).run(&Workload {
             total_ops: 100,
             ..Workload::paper(0, 0, 0)
         });
-        assert!(stats.operations.is_empty());
     }
 
     #[test]
@@ -1139,25 +1148,6 @@ mod open_loop_tests {
     }
 
     #[test]
-    fn open_loop_zero_gap_is_a_thundering_herd() {
-        let net = constructions::bitonic(8).unwrap();
-        let stats = Simulator::new(&net, SimConfig::queue_lock(6)).run(&open_wl(4, 200, 0));
-        assert_eq!(stats.operations.len(), 200);
-        assert!(stats.output_counts.is_step());
-    }
-
-    #[test]
-    fn open_loop_zero_processors_completes_nothing() {
-        let net = constructions::bitonic(4).unwrap();
-        let stats = Simulator::new(&net, SimConfig::queue_lock(1)).run(&Workload {
-            total_ops: 50,
-            arrival: ArrivalProcess::Open { mean_gap: 10 },
-            ..Workload::paper(0, 0, 0)
-        });
-        assert!(stats.operations.is_empty());
-    }
-
-    #[test]
     fn closed_loop_field_matches_legacy_behaviour() {
         // the arrival field's Closed default must not perturb the
         // existing closed-loop stream: same seed, same trace as a
@@ -1233,7 +1223,7 @@ mod queue_differential_tests {
     fn simulate<Q: Queue<Ev>>(
         net: &Topology,
         config: SimConfig,
-        workload: &Workload,
+        workload: &CheckedWorkload,
     ) -> (RunStats, Option<cnet_obs::MetricsSnapshot>) {
         let (stats, obs) = Runner::<Q>::new(net, config, workload).run();
         (stats, obs.finish(workload.wait_cycles, config.toggle_cost))
@@ -1279,7 +1269,7 @@ mod queue_differential_tests {
                 arrival: match rng.below(3) {
                     0 => ArrivalProcess::Closed,
                     1 => ArrivalProcess::Open {
-                        mean_gap: rng.below(300),
+                        mean_gap: rng.below(300).max(1),
                     },
                     _ => ArrivalProcess::Bursty {
                         burst: 1 + rng.below(8) as u32,
@@ -1287,7 +1277,9 @@ mod queue_differential_tests {
                     },
                 },
                 ..Workload::paper(processors, rng.below(101) as u32, wait)
-            };
+            }
+            .check()
+            .expect("a well-formed workload");
             let handed_off = HANDED_OFF.with(std::cell::Cell::get);
             let (oracle, oracle_metrics) =
                 simulate::<Unfused<HeapQueue<Ev>>>(&net, config, &workload);
@@ -1372,8 +1364,8 @@ mod trace_arrival_tests {
     }
 
     #[test]
-    #[should_panic(expected = "validated")]
-    fn running_an_unvalidated_bad_trace_panics() {
+    #[should_panic(expected = "invalid workload: ArrivalProcess::Trace file is unreadable")]
+    fn running_an_unreadable_trace_panics_with_the_typed_error() {
         let net = constructions::bitonic(4).unwrap();
         let w = trace_workload(std::path::Path::new("/nonexistent/cnet-trace"), 10);
         let _ = Simulator::new(&net, SimConfig::queue_lock(1)).run(&w);

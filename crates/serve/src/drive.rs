@@ -108,6 +108,9 @@ pub struct DriveOutcome {
 /// Fails fast if the *first* connection cannot be established (the
 /// daemon is not there); individual request failures afterwards are
 /// counted, not fatal — the survivors still make a judgeable trace.
+/// A schedule [`Workload::check`] refuses (its last arrival past half
+/// the clock's range) is [`io::ErrorKind::InvalidInput`], before any
+/// connection.
 pub fn drive(config: &DriveConfig) -> io::Result<DriveOutcome> {
     let total = config.total_requests();
     let mean_gap_ns = (1_000_000_000u64 / config.rate_per_sec.max(1)).max(1);
@@ -117,7 +120,9 @@ pub fn drive(config: &DriveConfig) -> io::Result<DriveOutcome> {
             mean_gap: mean_gap_ns,
         },
         ..Workload::paper(config.clients.max(1), 0, 0)
-    };
+    }
+    .check()
+    .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
     let schedule = Arc::new(arrival_schedule(&workload, config.seed));
 
     // fail fast while we still can — and hold the probe connection

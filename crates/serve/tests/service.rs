@@ -72,6 +72,17 @@ fn serve_then_drive_reports_clean_slo() {
 /// feed-in-end-order contract, checked against the independently
 /// implemented sweep in `cnet-timing`.
 #[test]
+fn a_schedule_past_half_the_clock_is_refused_before_connecting() {
+    // no server: the check refuses the schedule first
+    let mut config = DriveConfig::new(socket_path("overflow"));
+    config.rate_per_sec = 1_000_000_000;
+    config.duration = Duration::from_secs(u64::MAX / 1_000_000_000);
+    let e = drive(&config).unwrap_err();
+    assert_eq!(e.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(e.to_string().contains("u64::MAX / 2"), "{e}");
+}
+
+#[test]
 fn online_windows_match_offline_replay_exactly() {
     online_windows_match_offline_replay("replay", 256, 8, 250, |t, i| 1 + ((t + i) % 4));
 }

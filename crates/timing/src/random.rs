@@ -45,44 +45,6 @@ pub fn uniform_schedule(
     Ok(s)
 }
 
-/// Mirrors the paper's Section 5 workload at the schedule level: a
-/// fraction of tokens (`delayed_percent`) is *slow* — every one of its
-/// links takes the maximum `c2` — while the rest traverse every link in
-/// the minimum `c1`.
-///
-/// # Errors
-///
-/// Returns [`TimingError::EmptySchedule`] if `tokens == 0`.
-///
-/// # Panics
-///
-/// Panics if `delayed_percent > 100`.
-pub fn delayed_fraction_schedule(
-    topology: &Topology,
-    timing: LinkTiming,
-    tokens: usize,
-    delayed_percent: u32,
-    max_gap: Time,
-    seed: u64,
-) -> Result<TimingSchedule, TimingError> {
-    assert!(delayed_percent <= 100, "a percentage is at most 100");
-    if tokens == 0 {
-        return Err(TimingError::EmptySchedule);
-    }
-    let mut rng = StdRng::seed_from_u64(seed);
-    let h = topology.depth();
-    let mut s = TimingSchedule::new(h);
-    let mut entry: Time = 0;
-    for _ in 0..tokens {
-        entry += rng.gen_range(0..=max_gap);
-        let input = rng.gen_range(0..topology.input_width());
-        let slow = rng.gen_range(0..100) < delayed_percent;
-        let d = if slow { timing.c2() } else { timing.c1() };
-        s.push_delays(input, entry, &vec![d; h])?;
-    }
-    Ok(s)
-}
-
 /// The randomized straggler/witness/wave pattern distilled from the
 /// paper's Section 4 attacks — the schedule family that actually
 /// elicits violations with non-trivial probability:
@@ -214,27 +176,6 @@ mod tests {
         for w in s.tokens().windows(2) {
             assert!(w[0].entry() <= w[1].entry());
         }
-    }
-
-    #[test]
-    fn delayed_fraction_produces_two_speeds() {
-        let net = constructions::counting_tree(8).unwrap();
-        let timing = LinkTiming::new(2, 10).unwrap();
-        let s = delayed_fraction_schedule(&net, timing, 200, 50, 3, 1).unwrap();
-        let h = net.depth() as u64;
-        let (mut slow, mut fast) = (0, 0);
-        for t in s.tokens() {
-            let span = t.exit() - t.entry();
-            if span == h * timing.c2() {
-                slow += 1;
-            } else if span == h * timing.c1() {
-                fast += 1;
-            } else {
-                panic!("token neither fully slow nor fully fast");
-            }
-        }
-        assert_eq!(slow + fast, 200);
-        assert!(slow > 50 && fast > 50, "roughly half each: {slow}/{fast}");
     }
 
     #[test]

@@ -282,7 +282,13 @@ impl TopologyBuilder {
         }
         let outputs: Vec<WireEnd> = self.outputs.into_iter().flatten().collect();
 
-        let node_layer = assign_layers(&self.out_start, &outputs, &self.inputs)?;
+        let node_layer = assign_layers(&self.out_start, &outputs, &self.inputs).map_err(|e| {
+            if is_cyclic(&self.out_start, &outputs) {
+                TopologyError::Cyclic
+            } else {
+                e
+            }
+        })?;
         let depth = check_uniformity(&self.out_start, &outputs, &node_layer)?;
 
         // Counting sort by layer, stable in node id: layer `l` ends up
@@ -321,9 +327,10 @@ fn span(starts: &[usize], i: usize) -> Range<usize> {
 }
 
 /// Assigns a 1-based layer to every node: input nodes are layer 1 and a
-/// wire always goes from layer `i` to layer `i + 1`. Fails if the graph
-/// is cyclic, a node is unreachable, or a node is reachable at two
-/// different distances (non-uniformity).
+/// wire always goes from layer `i` to layer `i + 1`. Fails if a node is
+/// unreachable or reachable at two different distances
+/// (non-uniformity), which every cycle causes: a layering that succeeds
+/// has none, so [`is_cyclic`] is asked only when this fails.
 fn assign_layers(
     out_start: &[usize],
     outputs: &[WireEnd],
@@ -343,16 +350,11 @@ fn assign_layers(
             _ => unreachable!("input node already at deeper layer before BFS"),
         }
     }
-    // BFS; since edges strictly increase the layer, a cycle would force a
-    // node's layer to exceed the node count.
     let mut head = 0;
     while head < queue.len() {
         let u = queue[head];
         head += 1;
         let lu = layer[u];
-        if lu > nodes {
-            return Err(TopologyError::Cyclic);
-        }
         for out in &outputs[span(out_start, u)] {
             if let WireEnd::Node { node: v, .. } = *out {
                 match layer[v.0] {
@@ -362,14 +364,6 @@ fn assign_layers(
                     }
                     lv if lv == lu + 1 => {}
                     lv => {
-                        // Re-visiting at a *greater* depth means either a
-                        // cycle or unequal path lengths. Distinguish by
-                        // bounding: keep relaxing; if depth exceeds the
-                        // node count it is a cycle, otherwise the paths
-                        // are unequal.
-                        if lu + 1 > nodes {
-                            return Err(TopologyError::Cyclic);
-                        }
                         return Err(TopologyError::NotUniform {
                             detail: format!(
                                 "node {v} reachable at distances {} and {}",
@@ -388,6 +382,33 @@ fn assign_layers(
         });
     }
     Ok(layer)
+}
+
+/// Whether the wiring has a cycle, by Kahn's pass over every node:
+/// peeling in-degree-zero nodes leaves exactly the nodes on or behind a
+/// cycle.
+fn is_cyclic(out_start: &[usize], outputs: &[WireEnd]) -> bool {
+    let nodes = out_start.len() - 1;
+    let mut in_degree = vec![0usize; nodes];
+    for out in outputs {
+        if let WireEnd::Node { node, .. } = *out {
+            in_degree[node.0] += 1;
+        }
+    }
+    let mut ready: Vec<usize> = (0..nodes).filter(|&u| in_degree[u] == 0).collect();
+    let mut peeled = 0;
+    while let Some(u) = ready.pop() {
+        peeled += 1;
+        for out in &outputs[span(out_start, u)] {
+            if let WireEnd::Node { node: v, .. } = *out {
+                in_degree[v.0] -= 1;
+                if in_degree[v.0] == 0 {
+                    ready.push(v.0);
+                }
+            }
+        }
+    }
+    peeled < nodes
 }
 
 /// Checks that all counters hang off last-layer nodes (equal-length
@@ -813,5 +834,24 @@ mod tests {
         let t = b.finalize().unwrap();
         let ids: Vec<NodeId> = t.iter_nodes().collect();
         assert_eq!(ids, vec![a, c]);
+    }
+
+    #[test]
+    fn a_two_node_cycle_is_cyclic() {
+        // a and c feed each other; d beside them makes the cycle
+        // shorter than the node count
+        let mut b = TopologyBuilder::new();
+        let a = b.add_node(2, 2);
+        let c = b.add_node(1, 2);
+        let d = b.add_node(2, 2);
+        b.add_input(a, 0).unwrap();
+        b.add_input(d, 0).unwrap();
+        b.add_input(d, 1).unwrap();
+        b.connect(a, 0, c, 0).unwrap();
+        b.connect(c, 0, a, 1).unwrap();
+        for (node, port, counter) in [(a, 1, 0), (c, 1, 1), (d, 0, 2), (d, 1, 3)] {
+            b.connect_counter(node, port, counter).unwrap();
+        }
+        assert_eq!(b.finalize().unwrap_err(), TopologyError::Cyclic);
     }
 }

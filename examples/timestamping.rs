@@ -24,7 +24,9 @@ fn audit(name: &str, counter: &impl StressCounter) {
     let workload = Workload {
         total_ops: 8_000,
         ..Workload::paper(4, 50, 2_000)
-    };
+    }
+    .check()
+    .expect("a well-formed workload");
     let outcome = run_counter(counter, &workload, 1);
     println!(
         "{name:24} counts exactly: {:5}   non-linearizable: {:4} / {} ({:.3}%)",

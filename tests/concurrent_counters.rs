@@ -174,7 +174,9 @@ fn audited_stress_preserves_counting_under_heavy_skew() {
     let workload = Workload {
         total_ops: cfg.total() as usize,
         ..Workload::paper(cfg.threads, 50, 5_000)
-    };
+    }
+    .check()
+    .expect("a well-formed workload");
     testcfg::with_seed_report(testcfg::seed(), |seed| {
         let net = constructions::bitonic(4).unwrap();
         let outcome = run_counter(&NetworkCounter::new(&net), &workload, seed);
@@ -198,7 +200,9 @@ fn centralized_counters_stay_linearizable_under_audit() {
             let workload = Workload {
                 total_ops: threads * per_thread,
                 ..Workload::paper(threads, 0, 0)
-            };
+            }
+            .check()
+            .expect("a well-formed workload");
             let outcomes = [
                 (
                     "fetch_add",

@@ -61,7 +61,9 @@ fn end_to_end_pipeline() {
         &Workload {
             total_ops: 1_000,
             ..Workload::paper(4, 25, 100)
-        },
+        }
+        .check()
+        .expect("a well-formed workload"),
         7,
     );
     assert!(outcome.counts_exactly());

@@ -50,7 +50,9 @@ fn a_native_run_peaks_at_its_operations() {
     let workload = Workload {
         total_ops: OPS,
         ..Workload::paper(2, 0, 0)
-    };
+    }
+    .check()
+    .expect("a well-formed workload");
     let counter = NetworkCounter::new(&net);
     let before = LIVE.load(Ordering::Relaxed);
     PEAK.store(before, Ordering::Relaxed);

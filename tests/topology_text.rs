@@ -160,9 +160,7 @@ fn mutate(net: &Topology, kind: usize, a: usize, b: usize) -> (String, fn(&Topol
             }
             let q = b % net.fan_in(y);
             t.swap_targets((u, p), t.source_of(y, q));
-            (t.text(), |e| {
-                matches!(e, TopologyError::NotUniform { .. } | TopologyError::Cyclic)
-            })
+            (t.text(), |e| matches!(e, TopologyError::Cyclic))
         }
         // an unequal path: a node short of the last layer feeds a
         // counter, and the counter's last-layer node its old target
