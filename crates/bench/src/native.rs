@@ -92,7 +92,7 @@ impl Race<'_> {
                 let seed = derive_cell_seed(run.seed, title, 0, 0, n);
                 (format!("n={n}"), seed, workload)
             });
-            let grid = sweep.run(cells).expect("width 16 hosts every counter");
+            let grid = sweep.run(cells).expect("every cell checks on width 16");
             let mut table =
                 ResultTable::new(format!("{title} — {measures} (best of {BEST_OF})"), columns);
             for r in &grid.records {
@@ -296,7 +296,7 @@ pub(crate) fn saturation(run: &mut Run<'_>) -> io::Result<()> {
         chunk: 1024,
         windows: 8,
     };
-    let spec = BackendSpec::Async(CounterSpec::Network(BalancerKind::WaitFree), config);
+    let spec = BackendSpec::Async(config);
     let nets = [
         (
             "bitonic",
@@ -330,7 +330,7 @@ pub(crate) fn saturation(run: &mut Run<'_>) -> io::Result<()> {
             let seed = |i: usize| derive_cell_seed(run.seed, &title, i as u32, 0, arena);
             let ladder = sweep
                 .gap_ladder(curve, arena, ops, seed)
-                .expect("every topology hosts its own network counter");
+                .expect("every cell checks on every topology");
             run.table(&ladder.curve)?;
             let knee = match ladder.knee() {
                 Some((gap, open)) => vec![

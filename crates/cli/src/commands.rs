@@ -4,10 +4,9 @@
 use std::fmt::Write as _;
 
 use cnet_engine::{
-    ArrivalProcess, AsyncConfig, BalancerKind, CounterSpec, RunRecord, SpecError, WaitMode,
-    Workload,
+    ArrivalProcess, AsyncConfig, CounterSpec, RunRecord, SpecError, WaitMode, Workload,
 };
-use cnet_harness::{BackendSpec, GridReport, NativeSweep, ResultTable, GAP_LADDER, KNEE_TOLERANCE};
+use cnet_harness::{BackendSpec, GridReport, NativeSweep, ResultTable, KNEE_TOLERANCE};
 use cnet_proteus::SimConfig;
 use cnet_timing::adversary::{
     bitonic_attack, intro_example, search_violations, tree_attack, wave_attack, Scenario,
@@ -226,8 +225,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         // what the flavor string cannot carry comes from the flags
         match &mut spec {
             BackendSpec::Sim(config) => *config = sim_config,
-            BackendSpec::Threads(CounterSpec::Batch(_, combining))
-            | BackendSpec::Async(CounterSpec::Batch(_, combining), _) => {
+            BackendSpec::Threads(CounterSpec::Batch(_, combining)) => {
                 combining.slots = workload.processors.max(1);
             }
             _ => {}
@@ -322,17 +320,6 @@ pub fn saturate(args: &ParsedArgs) -> Result<String, CliError> {
     let ops = args.num("ops")?.unwrap_or(2000);
     let seed = args.num("seed")?.unwrap_or(1);
     let workers = args.num("threads")?.unwrap_or(2);
-    // the arena size and op count may not be well-formed: the ladder
-    // descends, so its first gap's schedule is the longest
-    Workload {
-        total_ops: ops,
-        arrival: ArrivalProcess::Open {
-            mean_gap: GAP_LADDER[0],
-        },
-        ..Workload::paper(clients, 0, 0)
-    }
-    .check()
-    .map_err(CliError::failed)?;
     let config = AsyncConfig {
         workers,
         ..AsyncConfig::default()
@@ -341,7 +328,7 @@ pub fn saturate(args: &ParsedArgs) -> Result<String, CliError> {
         title: "cnet saturate",
         kind,
         net: &net,
-        spec: &BackendSpec::Async(CounterSpec::Network(BalancerKind::WaitFree), config),
+        spec: &BackendSpec::Async(config),
         best_of: 1,
         base_seed: seed,
         threads: workers,
@@ -875,8 +862,8 @@ mod tests {
     }
 
     #[test]
-    fn run_rejects_bad_async_shard_split() {
-        assert!(run(&parse(&["bitonic", "4", "--backend", "async-shard:4"])).is_err());
+    fn run_rejects_bad_shm_shard_split() {
+        assert!(run(&parse(&["bitonic", "4", "--backend", "shm-shard:4"])).is_err());
     }
 
     #[test]

@@ -56,16 +56,14 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::task::{Context, Poll, Waker};
 use std::time::Instant;
 
+use cnet_concurrent::network::{BalancerKind, NetworkCounter};
 use cnet_concurrent::StressCounter;
 use cnet_timing::Operation;
 use cnet_topology::Topology;
 
-use crate::counter::Executor;
-use crate::driver::{self, Readout, Trace, Widths};
+use crate::driver::{self, Trace, Widths};
 use crate::schedule::{arrival_schedule, THREAD_STREAM};
-use crate::{
-    Backend, CheckedWorkload, CounterSpec, ProcessMap, RunOutcome, SimRng, SpecError, Workload,
-};
+use crate::{Backend, CheckedWorkload, ProcessMap, RunOutcome, SimRng, Workload};
 
 /// Polls a waiting client spins this many times before yielding the
 /// OS thread — long enough to catch a near-committed turn without a
@@ -101,6 +99,11 @@ impl Default for AsyncConfig {
 /// clients onto [`AsyncConfig::workers`] OS threads — the only
 /// backend where "processors" can plausibly be `10^6`.
 ///
+/// Every run drives a fresh [`NetworkCounter`]. The frontends stay
+/// with [`crate::ShmBackend`]: under turn-sequenced admission one
+/// operation traverses at a time, so a combiner would only ever serve
+/// itself and a shard router would have no contention to spread.
+///
 /// The same seeded arrival schedules as the thread-per-client
 /// backends are replayed (same `ARRIVAL_STREAM`, nanoseconds of host
 /// time), so outcomes stay comparable with sim/shm. See the
@@ -109,37 +112,31 @@ impl Default for AsyncConfig {
 #[derive(Debug, Clone, Copy)]
 pub struct AsyncBackend<'a> {
     topology: &'a Topology,
-    counter: CounterSpec,
+    kind: BalancerKind,
     config: AsyncConfig,
     seed: u64,
 }
 
 impl<'a> AsyncBackend<'a> {
-    /// A backend driving `counter` built over `topology`.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`SpecError`] of [`CounterSpec::check`] when the
-    /// counter cannot be built over this topology.
-    pub fn new(
-        topology: &'a Topology,
-        counter: CounterSpec,
-        config: AsyncConfig,
-        seed: u64,
-    ) -> Result<Self, SpecError> {
-        counter.check(topology)?;
-        Ok(AsyncBackend {
+    /// The family name every outcome of this backend carries.
+    pub const NAME: &'static str = "async";
+
+    /// A backend driving a [`NetworkCounter`] with `kind` balancers
+    /// built over `topology`.
+    #[must_use]
+    pub fn new(topology: &'a Topology, kind: BalancerKind, config: AsyncConfig, seed: u64) -> Self {
+        AsyncBackend {
             topology,
-            counter,
+            kind,
             config,
             seed,
-        })
+        }
     }
 }
 
 /// State shared by every client and worker of one run.
 struct Shared<'a> {
-    counter: &'a (dyn StressCounter + 'a),
+    counter: &'a NetworkCounter,
     workload: &'a Workload,
     /// Global logical clock: one tick on each side of every
     /// traversal, as in the client loop of [`crate::driver`].
@@ -271,7 +268,7 @@ fn run_worker(chunks: Vec<&mut [ClientTask<'_>]>, out: &mut Vec<OpRecord>) {
 /// `i` of client `i % n_clients` (which is what aligns the open-loop
 /// arrival and completion vectors).
 fn drive_async(
-    counter: &(dyn StressCounter + '_),
+    counter: &NetworkCounter,
     workload: &CheckedWorkload,
     seed: u64,
     config: AsyncConfig,
@@ -322,30 +319,23 @@ fn drive_async(
     (trace, shared.arrivals, completions)
 }
 
-/// The cooperative executor over one run's workload: runs the counter
-/// under [`drive_async`] and assembles the full outcome, including the
-/// open-loop telemetry block on open-loop workloads.
-struct Cooperative<'a> {
-    backend: &'a AsyncBackend<'a>,
-    workload: &'a CheckedWorkload,
-}
+impl Backend for AsyncBackend<'_> {
+    fn name(&self) -> &'static str {
+        Self::NAME
+    }
 
-impl Executor for Cooperative<'_> {
-    fn execute<C: StressCounter>(
-        self,
-        counter: &C,
-        readout: impl FnOnce() -> Readout,
-    ) -> RunOutcome {
-        let Cooperative { backend, workload } = self;
+    fn run_checked(&self, workload: &CheckedWorkload) -> RunOutcome {
+        let counter = NetworkCounter::with_kind(self.topology, self.kind);
         let operations = driver::slots(workload);
         let started = Instant::now();
         let (trace, arrivals, completions) =
-            drive_async(counter, workload, backend.seed, backend.config, operations);
+            drive_async(&counter, workload, self.seed, self.config, operations);
         let wall_ms = started.elapsed().as_secs_f64() * 1e3;
         // snapshot export stays outside the timed window, like every
         // other backend's recorder freeze
-        let read = readout();
-        let mut stats = driver::stats_from_trace(trace, read.counts, read.metrics);
+        let counts = counter.output_counts().into_iter().collect();
+        let metrics = counter.metrics_snapshot(workload.wait_cycles);
+        let mut stats = driver::stats_from_trace(trace, counts, metrics);
         // the one lane is shared round-robin: op i is client i % n's
         stats.completed_by = ProcessMap::per_op(
             (0..stats.operations.len())
@@ -358,32 +348,18 @@ impl Executor for Cooperative<'_> {
                 &arrivals,
                 &completions,
                 &tokens,
-                backend.config.windows,
+                self.config.windows,
             ))
         } else {
             None
         };
         RunOutcome {
-            backend: backend.name(),
+            backend: Self::NAME,
             stats,
             wall_ms,
-            frontend: read.frontend,
+            frontend: None,
             open_loop,
         }
-    }
-}
-
-impl Backend for AsyncBackend<'_> {
-    fn name(&self) -> &'static str {
-        self.counter.family(true)
-    }
-
-    fn run_checked(&self, workload: &CheckedWorkload) -> RunOutcome {
-        let exec = Cooperative {
-            backend: self,
-            workload,
-        };
-        self.counter.run(self.topology, workload.wait_cycles, exec)
     }
 }
 
@@ -391,7 +367,6 @@ impl Backend for AsyncBackend<'_> {
 mod tests {
     use super::*;
     use crate::ArrivalProcess;
-    use cnet_concurrent::network::BalancerKind;
     use cnet_topology::constructions;
 
     fn workload(clients: usize, ops: usize) -> Workload {
@@ -399,15 +374,6 @@ mod tests {
             total_ops: ops,
             ..Workload::paper(clients, 0, 0)
         }
-    }
-
-    fn network(
-        net: &Topology,
-        kind: BalancerKind,
-        config: AsyncConfig,
-        seed: u64,
-    ) -> AsyncBackend<'_> {
-        AsyncBackend::new(net, CounterSpec::Network(kind), config, seed).unwrap()
     }
 
     fn cfg(workers: usize, chunk: usize) -> AsyncConfig {
@@ -421,7 +387,8 @@ mod tests {
     #[test]
     fn network_flavor_counts_exactly_with_more_clients_than_workers() {
         let net = constructions::bitonic(4).unwrap();
-        let outcome = network(&net, BalancerKind::WaitFree, cfg(2, 16), 3).run(&workload(100, 500));
+        let outcome =
+            AsyncBackend::new(&net, BalancerKind::WaitFree, cfg(2, 16), 3).run(&workload(100, 500));
         assert_eq!(outcome.backend, "async");
         assert_eq!(outcome.stats.operations.len(), 500);
         assert!(outcome.counts_exactly());
@@ -434,7 +401,8 @@ mod tests {
     #[test]
     fn trace_is_in_op_order_with_serial_clock_brackets() {
         let net = constructions::bitonic(4).unwrap();
-        let outcome = network(&net, BalancerKind::WaitFree, cfg(3, 8), 9).run(&workload(64, 300));
+        let outcome =
+            AsyncBackend::new(&net, BalancerKind::WaitFree, cfg(3, 8), 9).run(&workload(64, 300));
         for (i, op) in outcome.stats.operations.iter().enumerate() {
             assert_eq!(op.token, i);
             assert_eq!(op.start, 2 * i as u64);
@@ -445,7 +413,8 @@ mod tests {
     #[test]
     fn closed_loop_clients_take_turns_round_robin() {
         let net = constructions::bitonic(2).unwrap();
-        let outcome = network(&net, BalancerKind::WaitFree, cfg(2, 4), 1).run(&workload(10, 35));
+        let outcome =
+            AsyncBackend::new(&net, BalancerKind::WaitFree, cfg(2, 4), 1).run(&workload(10, 35));
         // op i belongs to client i % 10 by static assignment
         for (i, client) in outcome.stats.completed_by.iter().enumerate() {
             assert_eq!(client as usize, i % 10);
@@ -455,11 +424,12 @@ mod tests {
     #[test]
     fn open_loop_outcomes_carry_telemetry() {
         let net = constructions::bitonic(4).unwrap();
-        let outcome = network(&net, BalancerKind::WaitFree, cfg(2, 8), 11).run(&Workload {
-            total_ops: 200,
-            arrival: ArrivalProcess::Open { mean_gap: 100 },
-            ..Workload::paper(32, 0, 0)
-        });
+        let outcome =
+            AsyncBackend::new(&net, BalancerKind::WaitFree, cfg(2, 8), 11).run(&Workload {
+                total_ops: 200,
+                arrival: ArrivalProcess::Open { mean_gap: 100 },
+                ..Workload::paper(32, 0, 0)
+            });
         assert_eq!(outcome.stats.operations.len(), 200);
         assert!(outcome.counts_exactly());
         let ol = outcome.open_loop.expect("open-loop runs carry telemetry");
@@ -472,14 +442,15 @@ mod tests {
     #[test]
     fn closed_loop_outcomes_have_no_telemetry_block() {
         let net = constructions::bitonic(4).unwrap();
-        let outcome = network(&net, BalancerKind::WaitFree, cfg(1, 64), 2).run(&workload(16, 100));
+        let outcome =
+            AsyncBackend::new(&net, BalancerKind::WaitFree, cfg(1, 64), 2).run(&workload(16, 100));
         assert!(outcome.open_loop.is_none());
     }
 
     #[test]
     fn delayed_fraction_and_bursty_arrivals_stay_correct() {
         let net = constructions::bitonic(4).unwrap();
-        let outcome = network(&net, BalancerKind::Locked, cfg(2, 8), 13).run(&Workload {
+        let outcome = AsyncBackend::new(&net, BalancerKind::Locked, cfg(2, 8), 13).run(&Workload {
             total_ops: 150,
             arrival: ArrivalProcess::Bursty { burst: 8, gap: 500 },
             ..Workload::paper(24, 50, 100)
@@ -490,7 +461,7 @@ mod tests {
     #[test]
     fn zero_work_degenerates_safely() {
         let net = constructions::bitonic(4).unwrap();
-        let b = network(&net, BalancerKind::WaitFree, cfg(2, 8), 1);
+        let b = AsyncBackend::new(&net, BalancerKind::WaitFree, cfg(2, 8), 1);
         assert_eq!(
             b.try_run(&workload(0, 100)).err(),
             Some(crate::WorkloadError::NoClients)

@@ -1,6 +1,5 @@
-//! Which native counter a run drives: construction and quiescent
-//! read-out of each kind, written once and shared by both executors
-//! (client threads, cooperative clients).
+//! Which native counter a thread-per-client run drives: construction
+//! and quiescent read-out of each kind, written once.
 
 use std::fmt;
 
@@ -12,7 +11,8 @@ use cnet_topology::{OutputCounts, Topology};
 use crate::driver::Readout;
 use crate::RunOutcome;
 
-/// A native (`cnet-concurrent`) counter over a backend's topology.
+/// A native (`cnet-concurrent`) counter over a [`crate::ShmBackend`]'s
+/// topology.
 ///
 /// Every kind keeps the counting property (values exactly `0..n`).
 /// The frontends — [`CounterSpec::Batch`], [`CounterSpec::Shard`] —
@@ -81,10 +81,9 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 /// What runs the clients against a freshly built counter: the client
-/// threads of [`crate::driver::Threads`] or the cooperative executor.
-/// Generic over the concrete counter type, so each executor's hot loop
-/// is monomorphized per counter kind. The counter's widths label the
-/// records the clients write.
+/// threads of [`crate::driver::Threads`]. Generic over the concrete
+/// counter type, so the hot loop is monomorphized per counter kind.
+/// The counter's widths label the records the clients write.
 pub(crate) trait Executor {
     fn execute<C: StressCounter>(
         self,
@@ -110,21 +109,14 @@ fn interleave_shard_counts(shard_major: Vec<u64>, count: usize) -> OutputCounts 
 
 impl CounterSpec {
     /// The family name of this counter driven by one OS thread per
-    /// client ([`crate::ShmBackend`], `pooled == false`) or by
-    /// cooperative clients ([`crate::AsyncBackend`], `pooled ==
-    /// true`): the one table of native family names, which the
-    /// backends' [`crate::Backend::name`] and every registry read.
+    /// client ([`crate::ShmBackend`]): the one table of its family
+    /// names, which [`crate::Backend::name`] and every registry read.
     #[must_use]
-    pub fn family(&self, pooled: bool) -> &'static str {
-        let [threads, cooperative] = match self {
-            CounterSpec::Network(_) => ["shm", "async"],
-            CounterSpec::Batch(..) => ["shm-batch", "async-batch"],
-            CounterSpec::Shard(..) => ["shm-shard", "async-shard"],
-        };
-        if pooled {
-            cooperative
-        } else {
-            threads
+    pub fn family(&self) -> &'static str {
+        match self {
+            CounterSpec::Network(_) => "shm",
+            CounterSpec::Batch(..) => "shm-batch",
+            CounterSpec::Shard(..) => "shm-shard",
         }
     }
 

@@ -55,7 +55,7 @@ impl Widths {
     }
 
     /// The widths `counter` reports.
-    pub fn of(counter: &(impl StressCounter + ?Sized)) -> Self {
+    pub fn of(counter: &impl StressCounter) -> Self {
         Widths::new(counter.input_width(), counter.width())
     }
 

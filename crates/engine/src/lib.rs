@@ -21,11 +21,13 @@
 //!   Two implementations ship here: [`ShmBackend`] (one real thread per
 //!   client) and [`AsyncBackend`] (a cooperative executor
 //!   multiplexing millions of logical clients onto a small worker
-//!   pool — the only substrate where "clients" can mean `10^6`). Both
-//!   drive any [`CounterSpec`]: the compiled network or the combining
-//!   and sharded frontends over it. The discrete-event simulator is
-//!   `cnet-proteus`'s `SimBackend`, and `cnet-harness`'s
-//!   `BackendSpec` names every family as one parseable value.
+//!   pool — the only substrate where "clients" can mean `10^6`). The
+//!   first drives any [`CounterSpec`]: the compiled network or the
+//!   combining and sharded frontends over it. The second admits one
+//!   operation at a time, so it drives the compiled network only. The
+//!   discrete-event simulator is `cnet-proteus`'s `SimBackend`, and
+//!   `cnet-harness`'s `BackendSpec` names every family as one
+//!   parseable value.
 //! * [`RunOutcome`] — the backend name, a full [`RunStats`]
 //!   (timestamped operation trace, per-counter totals, the `Tog`
 //!   fallback counters, the simulator's own [`SimCounters`] when it
@@ -50,16 +52,16 @@
 //! # Example
 //!
 //! ```
-//! use cnet_engine::{AsyncBackend, AsyncConfig, Backend, CounterSpec, ShmBackend, Workload};
+//! use cnet_engine::{AsyncBackend, AsyncConfig, Backend, BalancerKind, ShmBackend, Workload};
 //! use cnet_topology::constructions;
 //!
 //! let net = constructions::bitonic(4)?;
 //! let workload = Workload { total_ops: 200, ..Workload::paper(4, 0, 0) };
-//! let counter = CounterSpec::Network(Default::default());
+//! let kind = BalancerKind::WaitFree;
 //!
 //! // the same workload, two substrates
-//! let threads = ShmBackend::new(&net, counter, 7)?.run(&workload);
-//! let pooled = AsyncBackend::new(&net, counter, AsyncConfig::default(), 7)?.run(&workload);
+//! let threads = ShmBackend::network(&net, kind, 7).run(&workload);
+//! let pooled = AsyncBackend::new(&net, kind, AsyncConfig::default(), 7).run(&workload);
 //! for outcome in [&threads, &pooled] {
 //!     assert_eq!(outcome.stats.operations.len(), 200);
 //!     assert!(outcome.counts_exactly());
@@ -91,7 +93,7 @@ pub use counter::{CounterSpec, SpecError};
 pub use outcome::RunOutcome;
 pub use record::{RunRecord, SchemaVersion, SCHEMA_VERSION};
 pub use rng::SimRng;
-pub use schedule::{arrival_schedule, Arrivals};
+pub use schedule::{arrival_schedule, closed_loop_schedule, Arrivals};
 pub use service::{Bracket, ServiceDriver};
 pub use shm::{run_counter, ShmBackend};
 pub use stats::{FabricStats, ProcessMap, RunStats, SimCounters, StatsSummary};
@@ -117,8 +119,8 @@ pub const PROBES_LIVE: bool = cfg!(feature = "obs");
 pub trait Backend {
     /// Short identifier recorded in the outcome (and, downstream, in
     /// its [`RunRecord`]): the backend's family, `sim` for the
-    /// simulator, [`CounterSpec::family`] for a native counter under
-    /// its executor.
+    /// simulator, [`AsyncBackend::NAME`] for the cooperative executor,
+    /// [`CounterSpec::family`] for a native counter on client threads.
     fn name(&self) -> &'static str;
 
     /// Executes the checked workload to completion and returns the

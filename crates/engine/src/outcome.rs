@@ -20,8 +20,9 @@ pub struct RunOutcome {
     /// Host wall-clock spent executing, in milliseconds.
     pub wall_ms: f64,
     /// Frontend telemetry (batch histogram, shard routing) for the
-    /// elastic-frontend backends. `None` on plain backends and on
-    /// probe-free (`obs`-less) builds.
+    /// elastic frontends on client threads (`shm-batch`, `shm-shard`).
+    /// `None` on every other family and on probe-free (`obs`-less)
+    /// builds.
     pub frontend: Option<cnet_obs::FrontendMetrics>,
     /// Open-loop telemetry — per-window sojourn latency against the
     /// seeded arrival schedule, the saturation atlas's raw material.

@@ -6,7 +6,20 @@
 //! backend's run loop, so the simulator, the thread-per-client driver
 //! and the cooperative async executor draw from exactly the same
 //! instants.
+//!
+//! A closed loop has no arrival instants: each processor starts its
+//! next operation when its last one returns. In the paper's Section 2
+//! model a token's exit time does not depend on its path, so the whole
+//! loop is a timing schedule computed up front
+//! ([`closed_loop_schedule`]).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use cnet_timing::schedule::{TimingSchedule, TokenSchedule};
+use cnet_topology::Topology;
+
+use crate::driver::spin;
 use crate::{ArrivalProcess, CheckedWorkload, SimRng};
 
 /// Seed perturbation for the arrival-schedule stream: open-loop gaps
@@ -18,6 +31,59 @@ pub(crate) const ARRIVAL_STREAM: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Per-thread (or per-client) seed spread for
 /// `WaitMode::UniformRandom` draws.
 pub(crate) const THREAD_STREAM: u64 = 0xD1B5_4A32_D192_ED03;
+
+/// The fixed cost of one hop of [`closed_loop_schedule`], in cycles.
+const HOP_CYCLES: u64 = 200;
+
+/// The most a hop of [`closed_loop_schedule`] adds to [`HOP_CYCLES`]:
+/// the uniform jitter that keeps two tokens from moving in lockstep.
+const HOP_JITTER: u64 = 200;
+
+/// The closed loop of `workload` as a Definition 2.2 timing schedule
+/// over `topology`, under `seed`; `None` when the workload's arrivals
+/// are scheduled (open, bursty or trace-replayed).
+///
+/// Processor `p` enters on input `p mod w`, and each of its tokens
+/// enters when its previous one exits. Every hop costs
+/// `200 + U[0, 200]` cycles plus the processor's per-node wait, which
+/// is the native clients' draw: `W` on every hop of a processor that
+/// [`crate::Workload::is_delayed`] under the fixed wait mode. The
+/// schedule's tokens are the first `total_ops` entries in time order,
+/// ties to the lower processor, numbered by entry.
+///
+/// # Panics
+///
+/// Panics if an instant of the schedule passes `u64::MAX`.
+#[must_use]
+pub fn closed_loop_schedule(
+    workload: &CheckedWorkload,
+    topology: &Topology,
+    seed: u64,
+) -> Option<TimingSchedule> {
+    if workload.is_open_loop() {
+        return None;
+    }
+    let width = topology.input_width();
+    let mut rng = SimRng::seed_from_u64(seed);
+    let mut delays = vec![0; topology.depth()];
+    let mut schedule = TimingSchedule::new(delays.len());
+    // every processor's next entry, earliest first
+    let mut entries: BinaryHeap<Reverse<(u64, usize)>> =
+        (0..workload.processors).map(|p| Reverse((0, p))).collect();
+    for _ in 0..workload.total_ops {
+        let Reverse((entry, p)) = entries.pop().expect("a checked run has a processor");
+        let delayed = workload.is_delayed(p);
+        for delay in &mut delays {
+            *delay = HOP_CYCLES + rng.inclusive(HOP_JITTER) + spin(workload, delayed, &mut rng);
+        }
+        let token = TokenSchedule::from_delays(p % width, entry, &delays);
+        entries.push(Reverse((token.exit(), p)));
+        schedule
+            .push(token)
+            .expect("every hop takes at least HOP_CYCLES and no instant wraps");
+    }
+    Some(schedule)
+}
 
 /// The open-loop arrival instants, empty for closed-loop workloads:
 /// token `i` may not be injected before instant `i`. The simulator
@@ -163,6 +229,46 @@ mod tests {
         assert_eq!(schedule, vec![0, 40, 75, 75, 130, 170, 205]);
         // no RNG stream involved: the seed must NOT matter
         assert_eq!(schedule, arrival_schedule(&w, 2));
+    }
+
+    #[test]
+    fn a_closed_loop_schedule_chains_each_processor_in_entry_order() {
+        let net = cnet_topology::constructions::bitonic(4).unwrap();
+        let w = Workload {
+            total_ops: 40,
+            ..Workload::paper(6, 50, 1000)
+        }
+        .check()
+        .unwrap();
+        let schedule = closed_loop_schedule(&w, &net, 3).unwrap();
+        assert_eq!(schedule, closed_loop_schedule(&w, &net, 3).unwrap());
+        assert_eq!((schedule.len(), schedule.depth()), (40, net.depth()));
+        let tokens = schedule.tokens();
+        assert!(tokens.windows(2).all(|t| t[0].entry() <= t[1].entry()));
+        // processors 0..6 enter first, at 0, on inputs p mod 4; the
+        // first three are delayed, so each of their hops pays W
+        let hops = |t: &TokenSchedule| t.times.windows(2).map(|h| h[1] - h[0]).collect::<Vec<_>>();
+        for (p, t) in tokens[..6].iter().enumerate() {
+            assert_eq!((t.entry(), t.input), (0, p % 4));
+            let range = if p < 3 { 1200..=1400 } else { 200..=400 };
+            assert!(hops(t).iter().all(|h| range.contains(h)), "{p}");
+        }
+        // every later token enters on the input, at the exit, of an
+        // earlier one: its processor's previous operation
+        for (i, t) in tokens.iter().enumerate().skip(6) {
+            let previous = tokens[..i]
+                .iter()
+                .any(|e| (e.exit(), e.input) == (t.entry(), t.input));
+            assert!(previous, "token {i}");
+        }
+        let open = Workload {
+            total_ops: 10,
+            arrival: ArrivalProcess::Open { mean_gap: 100 },
+            ..Workload::paper(2, 0, 0)
+        }
+        .check()
+        .unwrap();
+        assert!(closed_loop_schedule(&open, &net, 3).is_none());
     }
 
     #[test]

@@ -56,7 +56,7 @@ impl<'a> ShmBackend<'a> {
 
 impl Backend for ShmBackend<'_> {
     fn name(&self) -> &'static str {
-        self.counter.family(false)
+        self.counter.family()
     }
 
     fn run_checked(&self, workload: &CheckedWorkload) -> RunOutcome {
@@ -91,7 +91,7 @@ pub fn run_counter<C: StressCounter>(
     seed: u64,
 ) -> RunOutcome {
     let exec = Threads {
-        backend: CounterSpec::Network(BalancerKind::default()).family(false),
+        backend: CounterSpec::Network(BalancerKind::default()).family(),
         workload,
         seed,
     };

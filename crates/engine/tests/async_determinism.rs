@@ -19,13 +19,13 @@
 
 use cnet_concurrent::network::BalancerKind;
 use cnet_concurrent::testcfg;
-use cnet_engine::{ArrivalProcess, AsyncBackend, AsyncConfig, Backend, CounterSpec, Workload};
+use cnet_engine::{ArrivalProcess, AsyncBackend, AsyncConfig, Backend, Workload};
 use cnet_timing::linearizability::{check_exhaustive, count_nonlinearizable};
 use cnet_timing::Operation;
 use cnet_topology::{constructions, Topology};
 use proptest::prelude::*;
 
-const NETWORK: CounterSpec = CounterSpec::Network(BalancerKind::WaitFree);
+const KIND: BalancerKind = BalancerKind::WaitFree;
 
 /// The executor grids the determinism claim must hold over: worker
 /// pools of 1 (fully sequential), 2, and 8 (more workers than the
@@ -41,8 +41,7 @@ fn run_grid(net: &Topology, workload: &Workload, seed: u64) -> Vec<Vec<Operation
                 chunk,
                 windows: 4,
             };
-            AsyncBackend::new(net, NETWORK, config, seed)
-                .expect("every topology hosts its own network counter")
+            AsyncBackend::new(net, KIND, config, seed)
                 .run(workload)
                 .stats
                 .operations
@@ -132,9 +131,7 @@ proptest! {
     ) {
         let net = constructions::bitonic(4).expect("valid width");
         let config = AsyncConfig { workers: 2, chunk: 2, windows: 2 };
-        let outcome = AsyncBackend::new(&net, NETWORK, config, seed)
-            .expect("every topology hosts its own network counter")
-            .run(&Workload {
+        let outcome = AsyncBackend::new(&net, KIND, config, seed).run(&Workload {
             total_ops: ops,
             ..Workload::paper(clients, 0, 0)
         });

@@ -10,7 +10,7 @@
 
 use cnet_concurrent::network::BalancerKind;
 use cnet_concurrent::testcfg;
-use cnet_engine::{AsyncBackend, AsyncConfig, Backend, CounterSpec, Workload};
+use cnet_engine::{AsyncBackend, AsyncConfig, Backend, Workload};
 use cnet_topology::constructions;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -33,9 +33,7 @@ fn many_clients_one_process_exact_tally() {
             total_ops: clients,
             ..Workload::paper(clients, 0, 0)
         };
-        let network = CounterSpec::Network(BalancerKind::WaitFree);
-        let outcome = AsyncBackend::new(&net, network, AsyncConfig::default(), seed)
-            .expect("every topology hosts its own network counter")
+        let outcome = AsyncBackend::new(&net, BalancerKind::WaitFree, AsyncConfig::default(), seed)
             .run(&workload);
         assert_eq!(outcome.stats.operations.len(), clients);
         assert!(

@@ -8,8 +8,7 @@
 
 use cnet_concurrent::network::BalancerKind;
 use cnet_engine::{
-    arrival_schedule, ArrivalProcess, AsyncBackend, AsyncConfig, Backend, CounterSpec, ShmBackend,
-    Workload,
+    arrival_schedule, ArrivalProcess, AsyncBackend, AsyncConfig, Backend, ShmBackend, Workload,
 };
 use cnet_timing::linearizability::count_nonlinearizable;
 use cnet_timing::Operation;
@@ -93,10 +92,8 @@ fn scheduled_arrivals_still_pair_op_i_with_arrival_i() {
             chunk: 8,
             windows: 4,
         };
-        let network = CounterSpec::Network(BalancerKind::WaitFree);
-        let outcome = AsyncBackend::new(&net, network, config, seed)
-            .expect("every topology hosts its own network counter")
-            .run_checked(&workload);
+        let outcome =
+            AsyncBackend::new(&net, BalancerKind::WaitFree, config, seed).run_checked(&workload);
         assert!(outcome.counts_exactly(), "{arrival:?}");
         // token i is op i, admitted in schedule order by client i % n
         for (i, op) in outcome.stats.operations.iter().enumerate() {

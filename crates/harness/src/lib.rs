@@ -19,7 +19,7 @@
 //!   refuses the ones a suite does not read;
 //! * **the backend registry** — [`BackendSpec`] names every backend
 //!   family, the simulator's and the engine's native ones, as one
-//!   parseable value (`sim`, `shm-batch:8`, `async-shard`, …);
+//!   parseable value (`sim`, `shm-batch:8`, `async`, …);
 //! * **native sweeps** — [`NativeSweep`] runs one
 //!   [`BackendSpec`] best-of-N over a list of cells, the
 //!   loop the host-time suites share, and owns the open-loop gap
@@ -51,7 +51,7 @@ pub use record::{native_cell_reps, GridReport};
 pub use report::BenchReport;
 pub use seed::{derive_cell_seed, derive_seed};
 pub use spec::BackendSpec;
-pub use sweep::{GapLadder, NativeSweep, GAP_LADDER, KNEE_TOLERANCE};
+pub use sweep::{GapLadder, NativeSweep, SweepError, GAP_LADDER, KNEE_TOLERANCE};
 pub use table::{percent, ResultTable};
 
 /// The concurrency levels used throughout the paper's Section 5.

@@ -3,8 +3,8 @@
 //!
 //! A [`BackendSpec`] is "which counter, driven how" as a plain value.
 //! It lives here, in the first crate that sees every backend; the
-//! family names themselves are [`SimBackend::NAME`] and the engine's
-//! [`CounterSpec::family`].
+//! family names themselves are [`SimBackend::NAME`],
+//! [`AsyncBackend::NAME`] and the engine's [`CounterSpec::family`].
 //! Its text form is `family[:N]` — [`BackendSpec::name`] plus, for the
 //! families that take one, the batch width or shard count — and
 //! [`BackendSpec::all`] lists one default-parameter spec per family,
@@ -20,10 +20,10 @@ use cnet_engine::{
 use cnet_proteus::{SimBackend, SimConfig};
 use cnet_topology::Topology;
 
-/// Batch width of a bare `shm-batch` / `async-batch`.
+/// Batch width of a bare `shm-batch`.
 const DEFAULT_BATCH: u64 = 8;
 
-/// Shard count of a bare `shm-shard` / `async-shard`.
+/// Shard count of a bare `shm-shard`.
 const DEFAULT_SHARDS: usize = 4;
 
 /// Which counter, driven by which executor.
@@ -38,16 +38,16 @@ pub enum BackendSpec {
     Sim(SimConfig),
     /// One OS thread per client over a native counter ([`ShmBackend`]).
     Threads(CounterSpec),
-    /// Cooperative clients on a small worker pool over a native
-    /// counter ([`AsyncBackend`]).
-    Async(CounterSpec, AsyncConfig),
+    /// Cooperative clients on a small worker pool over the compiled
+    /// network with wait-free balancers ([`AsyncBackend`]).
+    Async(AsyncConfig),
 }
 
 impl BackendSpec {
     /// One spec per family, default parameters (`K = 8`, `S = 4`),
     /// in usage order.
     #[must_use]
-    pub fn all() -> [BackendSpec; 7] {
+    pub fn all() -> [BackendSpec; 5] {
         use BackendSpec::{Async, Sim, Threads};
         let kind = BalancerKind::WaitFree;
         let network = CounterSpec::Network(kind);
@@ -59,15 +59,12 @@ impl BackendSpec {
             },
         );
         let shard = CounterSpec::Shard(kind, RoutePolicy::RoundRobin, DEFAULT_SHARDS);
-        let pool = AsyncConfig::default();
         [
             Sim(SimConfig::queue_lock(0)),
             Threads(network),
             Threads(batch),
             Threads(shard),
-            Async(network, pool),
-            Async(batch, pool),
-            Async(shard, pool),
+            Async(AsyncConfig::default()),
         ]
     }
 
@@ -77,16 +74,8 @@ impl BackendSpec {
     pub fn name(&self) -> &'static str {
         match self {
             BackendSpec::Sim(_) => SimBackend::NAME,
-            BackendSpec::Threads(counter) => counter.family(false),
-            BackendSpec::Async(counter, _) => counter.family(true),
-        }
-    }
-
-    /// The native counter; `None` for the simulator.
-    fn counter(&self) -> Option<&CounterSpec> {
-        match self {
-            BackendSpec::Sim(_) => None,
-            BackendSpec::Threads(counter) | BackendSpec::Async(counter, _) => Some(counter),
+            BackendSpec::Threads(counter) => counter.family(),
+            BackendSpec::Async(_) => AsyncBackend::NAME,
         }
     }
 
@@ -94,7 +83,7 @@ impl BackendSpec {
     /// design here, not a failure ([`CounterSpec::relaxes_step`]).
     #[must_use]
     pub fn relaxes_step(&self) -> bool {
-        self.counter().is_some_and(CounterSpec::relaxes_step)
+        matches!(self, BackendSpec::Threads(counter) if counter.relaxes_step())
     }
 
     /// How many OS threads drive clients at once when this spec runs
@@ -105,15 +94,17 @@ impl BackendSpec {
         match self {
             BackendSpec::Sim(_) => 1,
             BackendSpec::Threads(_) => workload.processors,
-            BackendSpec::Async(_, config) => config.workers,
+            BackendSpec::Async(config) => config.workers,
         }
     }
 
     /// The `:N` of the text form: batch width or shard count.
     fn parameter(&self) -> Option<usize> {
-        match self.counter()? {
-            CounterSpec::Batch(_, config) => usize::try_from(config.max_batch).ok(),
-            CounterSpec::Shard(_, _, shards) => Some(*shards),
+        match self {
+            BackendSpec::Threads(CounterSpec::Batch(_, config)) => {
+                usize::try_from(config.max_batch).ok()
+            }
+            BackendSpec::Threads(CounterSpec::Shard(_, _, shards)) => Some(*shards),
             _ => None,
         }
     }
@@ -121,10 +112,8 @@ impl BackendSpec {
     /// Sets the `:N`; `false` when the family takes none.
     fn set_parameter(&mut self, n: usize) -> bool {
         match self {
-            BackendSpec::Threads(CounterSpec::Batch(_, config))
-            | BackendSpec::Async(CounterSpec::Batch(_, config), _) => config.max_batch = n as u64,
-            BackendSpec::Threads(CounterSpec::Shard(_, _, shards))
-            | BackendSpec::Async(CounterSpec::Shard(_, _, shards), _) => *shards = n,
+            BackendSpec::Threads(CounterSpec::Batch(_, config)) => config.max_batch = n as u64,
+            BackendSpec::Threads(CounterSpec::Shard(_, _, shards)) => *shards = n,
             _ => return false,
         }
         true
@@ -159,9 +148,12 @@ impl BackendSpec {
                 Box::new(SimBackend::new(topology, SimConfig { seed, ..config }))
             }
             BackendSpec::Threads(counter) => Box::new(ShmBackend::new(topology, counter, seed)?),
-            BackendSpec::Async(counter, config) => {
-                Box::new(AsyncBackend::new(topology, counter, config, seed)?)
-            }
+            BackendSpec::Async(config) => Box::new(AsyncBackend::new(
+                topology,
+                BalancerKind::WaitFree,
+                config,
+                seed,
+            )),
         })
     }
 }
@@ -237,14 +229,14 @@ mod tests {
     fn the_grammar_is_the_families_with_their_parameters() {
         assert_eq!(
             BackendSpec::grammar(),
-            "sim|shm|shm-batch[:N]|shm-shard[:N]|async|async-batch[:N]|async-shard[:N]"
+            "sim|shm|shm-batch[:N]|shm-shard[:N]|async"
         );
-        let spec: BackendSpec = "async-shard:2".parse().unwrap();
+        let spec: BackendSpec = "shm-shard:2".parse().unwrap();
         assert!(matches!(
             spec,
-            BackendSpec::Async(CounterSpec::Shard(_, _, 2), _)
+            BackendSpec::Threads(CounterSpec::Shard(_, _, 2))
         ));
-        assert_eq!(spec.to_string(), "async-shard:2");
+        assert_eq!(spec.to_string(), "shm-shard:2");
         assert_eq!(
             "shm-batch".parse::<BackendSpec>().unwrap().to_string(),
             "shm-batch:8"
@@ -263,6 +255,9 @@ mod tests {
             "mp",
             "mp-elim",
             "async-mp",
+            "async-batch",
+            "async-batch:8",
+            "async-shard:4",
         ] {
             assert_eq!(
                 parse(text),
@@ -279,6 +274,7 @@ mod tests {
             "shm-shard:-1",
             "shm:3",
             "sim:1",
+            "async:2",
         ] {
             assert_eq!(parse(text), SpecError::BadParameter(text.to_string()));
         }
@@ -299,7 +295,7 @@ mod tests {
         );
         // shard width 1 is not a balancing network
         assert_eq!(
-            refused("async-shard:4", &narrow),
+            refused("shm-shard:4", &narrow),
             Some(SpecError::ShardSplit {
                 shards: 4,
                 width: 4

@@ -4,9 +4,10 @@
 //! ladder with its knee rule, shared by the `saturation` suite and
 //! `cnet saturate`.
 
+use std::fmt;
 use std::time::Instant;
 
-use cnet_engine::{ArrivalProcess, RunRecord, SpecError, Workload};
+use cnet_engine::{ArrivalProcess, RunRecord, SpecError, Workload, WorkloadError};
 use cnet_obs::OpenLoopMetrics;
 use cnet_topology::Topology;
 
@@ -45,6 +46,31 @@ impl GapLadder {
     }
 }
 
+/// Why a [`NativeSweep`] stopped before its last cell.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SweepError {
+    /// The network cannot host the sweep's spec.
+    Spec(SpecError),
+    /// [`Workload::check`] refused the cell under this label.
+    Cell {
+        /// The cell's label, as its record would have carried it.
+        label: String,
+        /// Why the check refused it.
+        error: WorkloadError,
+    },
+}
+
+impl fmt::Display for SweepError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SweepError::Spec(e) => e.fmt(f),
+            SweepError::Cell { label, error } => write!(f, "cell {label}: {error}"),
+        }
+    }
+}
+
+impl std::error::Error for SweepError {}
+
 /// A histogram bound in nanoseconds as microseconds, one decimal.
 #[must_use]
 pub fn micros(ns: u64) -> String {
@@ -81,28 +107,30 @@ impl NativeSweep<'_> {
     ///
     /// # Errors
     ///
-    /// Returns the [`SpecError`] when the network cannot host the spec.
+    /// Returns [`SweepError::Spec`] when the network cannot host the
+    /// spec, and [`SweepError::Cell`] for the first cell whose workload
+    /// [`Workload::check`] refuses; the cells before it have run.
     ///
     /// # Panics
     ///
-    /// Panics if [`Workload::check`] refuses a cell's workload or a run
-    /// loses the counting property.
+    /// Panics if a run loses the counting property.
     pub fn run(
         &self,
         cells: impl IntoIterator<Item = (String, u64, Workload)>,
-    ) -> Result<GridReport, SpecError> {
+    ) -> Result<GridReport, SweepError> {
         let title = self.title;
         let started = Instant::now();
         let mut records = Vec::new();
         for (label, seed, workload) in cells {
-            let backend = self.spec.build(self.net, seed)?;
             let reps = native_cell_reps(self.spec.client_threads(&workload), self.best_of);
+            let workload = match workload.check() {
+                Ok(workload) => workload,
+                Err(error) => return Err(SweepError::Cell { label, error }),
+            };
+            let backend = self.spec.build(self.net, seed).map_err(SweepError::Spec)?;
             if reps > self.best_of {
                 eprintln!("note: {title} {label}: single hardware thread, best-of-{reps}");
             }
-            let workload = workload
-                .check()
-                .unwrap_or_else(|e| panic!("{title} {label}: invalid workload: {e}"));
             let mut best: Option<RunRecord> = None;
             for _ in 0..reps {
                 let outcome = backend.run_checked(&workload);
@@ -133,7 +161,7 @@ impl NativeSweep<'_> {
     ///
     /// # Errors
     ///
-    /// Returns the [`SpecError`] when the network cannot host the spec.
+    /// As for [`NativeSweep::run`].
     ///
     /// # Panics
     ///
@@ -145,7 +173,7 @@ impl NativeSweep<'_> {
         clients: usize,
         ops: usize,
         seed: impl Fn(usize) -> u64,
-    ) -> Result<GapLadder, SpecError> {
+    ) -> Result<GapLadder, SweepError> {
         let cells = GAP_LADDER.iter().enumerate().map(|(i, &gap)| {
             let workload = Workload {
                 total_ops: ops,

@@ -26,7 +26,7 @@ fn assert_backends_agree(workload: &Workload, seed: u64) {
     let specs = [
         BackendSpec::Sim(SimConfig::queue_lock(seed)),
         BackendSpec::Threads(network),
-        BackendSpec::Async(network, AsyncConfig::default()),
+        BackendSpec::Async(AsyncConfig::default()),
     ];
     for spec in specs {
         let backend = spec.build(&net, seed).expect("width 8 hosts all three");

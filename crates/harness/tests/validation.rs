@@ -8,10 +8,11 @@
 //! [`WorkloadError`] before any thread spawns, on every backend:
 //! [`Backend::try_run`] checks once and returns the error,
 //! [`Backend::run`] panics with its display text (`cnet-engine`'s
-//! `tests/validation.rs` pins the panic).
+//! `tests/validation.rs` pins the panic). A [`NativeSweep`] returns the
+//! refusal as a [`SweepError`] naming the cell.
 
 use cnet_engine::{ArrivalProcess, Backend, Workload, WorkloadError};
-use cnet_harness::BackendSpec;
+use cnet_harness::{BackendSpec, NativeSweep, SweepError, GAP_LADDER};
 use cnet_topology::constructions;
 
 fn zero_gap() -> Workload {
@@ -129,4 +130,45 @@ fn every_registered_backend_rejects_degenerate_arrivals() {
                 .as_ref(),
         );
     }
+}
+
+#[test]
+fn a_sweep_cell_the_check_refuses_is_a_typed_error() {
+    let net = constructions::bitonic(4).expect("valid width");
+    let [_, shm, .., pooled] = BackendSpec::all();
+    let sweep = |spec| NativeSweep {
+        title: "refused",
+        kind: "bitonic",
+        net: &net,
+        spec,
+        best_of: 1,
+        base_seed: 1,
+        threads: 1,
+    };
+    let ok = Workload {
+        total_ops: 8,
+        ..Workload::paper(2, 0, 0)
+    };
+    let cells = [
+        ("ok".to_string(), 1, ok),
+        ("zero-gap".to_string(), 2, zero_gap()),
+    ];
+    assert_eq!(
+        sweep(&shm).run(cells).err(),
+        Some(SweepError::Cell {
+            label: "zero-gap".to_string(),
+            error: WorkloadError::ZeroMeanGap,
+        })
+    );
+    // the ladder's widest gap overflows first, before any cell runs
+    let e = sweep(&pooled)
+        .gap_ladder("refused".to_string(), 16, usize::MAX, |_| 1)
+        .err();
+    assert_eq!(
+        e,
+        Some(SweepError::Cell {
+            label: format!("gap={}ns", GAP_LADDER[0]),
+            error: WorkloadError::ArrivalOverflow,
+        })
+    );
 }

@@ -1,4 +1,4 @@
-//! The `cnet` front door offers exactly the registry's seven backend
+//! The `cnet` front door offers exactly the registry's five backend
 //! families (`cnet_harness::BackendSpec`). A flavor outside it is a
 //! typed usage error that lists the grammar, a workload with no client
 //! or with arrival instants past half the clock's range is refused
@@ -34,9 +34,22 @@ fn an_unregistered_flavor_is_a_usage_error_listing_the_grammar() {
         .unwrap_err();
         assert!(matches!(e, CliError::Usage(_)), "{flavor}: {e:?}");
         assert!(
-            e.to_string().contains(
-                "(sim|shm|shm-batch[:N]|shm-shard[:N]|async|async-batch[:N]|async-shard[:N])"
-            ),
+            e.to_string()
+                .contains("(sim|shm|shm-batch[:N]|shm-shard[:N]|async)"),
+            "{flavor}: {e}"
+        );
+    }
+}
+
+#[test]
+fn the_deleted_async_frontends_are_usage_errors() {
+    for flavor in ["async-batch", "async-batch:8", "async-shard:4"] {
+        let e = cnet(&["run", "bitonic", "4", "--backend", flavor]).unwrap_err();
+        assert!(matches!(e, CliError::Usage(_)), "{flavor}: {e:?}");
+        assert_eq!(e.exit_code(), 2);
+        assert!(
+            e.to_string()
+                .contains("(sim|shm|shm-batch[:N]|shm-shard[:N]|async)"),
             "{flavor}: {e}"
         );
     }
@@ -62,16 +75,13 @@ fn a_run_without_clients_is_refused() {
 }
 
 #[test]
-fn help_lists_the_seven_families() {
+fn help_lists_the_five_families() {
     let help = cnet(&["help"]).unwrap();
     let flavors = help
         .lines()
         .find_map(|line| line.strip_prefix("backend flavors: "))
         .expect("help names the backend flavors");
-    assert_eq!(
-        flavors,
-        "sim shm shm-batch[:N] shm-shard[:N] async async-batch[:N] async-shard[:N]"
-    );
+    assert_eq!(flavors, "sim shm shm-batch[:N] shm-shard[:N] async");
 }
 
 /// A trace whose two instants lie ~2^64 cycles apart: four operations
