@@ -5,6 +5,8 @@ use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
 
+use crate::Command;
+
 /// CLI failure: bad usage, a failed underlying operation, or a tripped
 /// quality gate.
 #[derive(Debug)]
@@ -75,64 +77,41 @@ pub struct ParsedArgs {
     flags: Vec<String>,
 }
 
-/// The option keys that take a value; everything else starting with
-/// `--` is a boolean flag.
-const VALUED: &[&str] = &[
-    "c1",
-    "c2",
-    "n",
-    "f",
-    "w",
-    "ops",
-    "seed",
-    "pad",
-    "arity",
-    "width",
-    "tokens",
-    "budget",
-    "threads",
-    "json",
-    "backend",
-    "open",
-    "bursty",
-    "trace",
-    "socket",
-    "window",
-    "slo",
-    "clients",
-    "rate",
-    "duration",
-    "dump",
-    "dump-every",
-    "batch",
-    "history",
-    "label",
-];
+/// The switches: options that take no value. Every other option a
+/// command reads takes one.
+const SWITCHES: &[&str] = &["prism", "random-wait", "svg"];
 
 impl ParsedArgs {
-    /// Splits raw arguments into positionals, options, and flags.
+    /// Splits the arguments of one command, a row of
+    /// [`COMMANDS`](crate::COMMANDS), into positionals, options and
+    /// switches, against the options and switches that command reads.
     ///
     /// # Errors
     ///
-    /// Returns a usage error when a valued option is missing its value
-    /// or an option or switch is given twice.
-    pub fn parse(raw: &[String]) -> Result<Self, CliError> {
+    /// Returns a usage error when an option is one the command does not
+    /// read, is given twice, or is missing its value.
+    pub fn parse(raw: &[String], (name, synopsis, reads, _): &Command) -> Result<Self, CliError> {
         let mut out = ParsedArgs::default();
         let mut it = raw.iter().peekable();
         while let Some(a) = it.next() {
-            let Some(name) = a.strip_prefix("--") else {
+            let Some(flag) = a.strip_prefix("--") else {
                 out.positional.push(a.clone());
                 continue;
             };
-            if out.options.contains_key(name) || out.flag(name) {
-                return Err(CliError::usage(format!("--{name} is given twice")));
+            if !reads.contains(&flag) {
+                return Err(CliError::usage(format!(
+                    "`cnet {name}` does not read --{flag}\nusage: cnet {name} {synopsis}"
+                )));
             }
-            if !VALUED.contains(&name) {
-                out.flags.push(name.to_string());
+            if out.options.contains_key(flag) || out.flag(flag) {
+                return Err(CliError::usage(format!("--{flag} is given twice")));
+            }
+            if SWITCHES.contains(&flag) {
+                out.flags.push(flag.to_string());
             } else if let Some(value) = it.next_if(|v| !v.starts_with("--")) {
-                out.options.insert(name.to_string(), value.clone());
+                out.options.insert(flag.to_string(), value.clone());
             } else {
-                return Err(CliError::usage(format!("--{name} needs a value")));
+                return Err(CliError::usage(format!("--{flag} needs a value")));
             }
         }
         Ok(out)
@@ -196,45 +175,61 @@ impl ParsedArgs {
     pub fn flag(&self, name: &str) -> bool {
         self.flags.iter().any(|f| f == name)
     }
-
-    /// The first option or switch passed that is not in `reads` (names
-    /// without the leading `--`), if any.
-    #[must_use]
-    pub fn unread(&self, reads: &[&str]) -> Option<&str> {
-        self.options
-            .keys()
-            .chain(&self.flags)
-            .map(String::as_str)
-            .find(|name| !reads.contains(name))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn strs(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| (*s).to_string()).collect()
+    /// Parses `raw` as the arguments of `cnet {name}`.
+    fn parse(name: &str, raw: &[&str]) -> Result<ParsedArgs, CliError> {
+        let raw: Vec<String> = raw.iter().map(|s| (*s).to_string()).collect();
+        ParsedArgs::parse(&raw, crate::command(name).unwrap())
     }
 
     #[test]
     fn parses_mixed_arguments() {
-        let a = ParsedArgs::parse(&strs(&["bitonic", "8", "--c1", "10", "--dot"])).unwrap();
-        assert_eq!(a.positional(0, "kind").unwrap(), "bitonic");
-        assert_eq!(a.positional(1, "width").unwrap(), "8");
+        let a = parse("attack", &["tree", "--c1", "10", "--svg", "8"]).unwrap();
+        assert_eq!(a.positional(0, "scenario").unwrap(), "tree");
+        assert_eq!(a.positional(1, "extra").unwrap(), "8");
         assert_eq!(a.required::<u64>("c1").unwrap(), 10);
-        assert!(a.flag("dot"));
-        assert!(!a.flag("svg"));
+        assert!(a.flag("svg"));
+        assert!(!a.flag("prism"));
+    }
+
+    #[test]
+    fn an_option_the_command_does_not_read_is_refused_at_parse() {
+        let e = parse("attack", &["tree", "--prism"]).unwrap_err();
+        assert!(
+            e.to_string()
+                .starts_with("`cnet attack` does not read --prism\nusage: cnet attack <"),
+            "{e}"
+        );
+        // before its value is looked at, so the value is not the error
+        let e = parse("measure", &["--ops"]).unwrap_err();
+        assert!(e.to_string().contains("does not read --ops"), "{e}");
+    }
+
+    #[test]
+    fn every_switch_is_read_by_some_command() {
+        for switch in SWITCHES {
+            assert!(
+                crate::COMMANDS
+                    .iter()
+                    .any(|(_, _, reads, _)| reads.contains(switch)),
+                "--{switch}"
+            );
+        }
     }
 
     #[test]
     fn missing_value_is_usage_error() {
-        for raw in [
-            &["--c1"][..],
-            &["--json", "--ops", "10"],
-            &["--ops", "--json"],
+        for (name, raw) in [
+            ("measure", &["--c1"][..]),
+            ("simulate", &["--json", "--ops", "10"]),
+            ("simulate", &["--ops", "--json"]),
         ] {
-            let e = ParsedArgs::parse(&strs(raw)).unwrap_err();
+            let e = parse(name, raw).unwrap_err();
             assert!(
                 e.to_string().contains(&format!("{} needs a value", raw[0])),
                 "{e}"
@@ -244,15 +239,15 @@ mod tests {
 
     #[test]
     fn missing_positional_is_usage_error() {
-        let a = ParsedArgs::parse(&[]).unwrap();
+        let a = parse("measure", &[]).unwrap();
         let e = a.positional(0, "kind").unwrap_err();
         assert!(e.to_string().contains("<kind>"));
     }
 
     #[test]
     fn a_value_its_type_cannot_hold_is_usage_error() {
-        let a = ParsedArgs::parse(&strs(&["--c1", "ten", "--f", "4294967321"])).unwrap();
-        assert!(matches!(a.num::<u64>("c1"), Err(CliError::Usage(_))));
+        let a = parse("simulate", &["--n", "ten", "--f", "4294967321"]).unwrap();
+        assert!(matches!(a.num::<u64>("n"), Err(CliError::Usage(_))));
         let e = a.num::<u32>("f").unwrap_err().to_string();
         assert_eq!(e, "--f expects a u32 number, got `4294967321`");
         assert_eq!(a.num::<u64>("f").unwrap(), Some(4_294_967_321));
@@ -260,7 +255,7 @@ mod tests {
 
     #[test]
     fn missing_required_option() {
-        let a = ParsedArgs::parse(&[]).unwrap();
+        let a = parse("measure", &[]).unwrap();
         let e = a.required::<u64>("c2").unwrap_err();
         assert!(e.to_string().contains("--c2 is required"));
         assert_eq!(a.num::<u64>("seed").unwrap(), None);
@@ -269,14 +264,14 @@ mod tests {
     #[test]
     fn a_repeated_option_or_switch_is_usage_error() {
         for raw in [&["--n", "4", "--n", "64"][..], &["--prism", "--prism"]] {
-            let e = ParsedArgs::parse(&strs(raw)).unwrap_err();
+            let e = parse("simulate", raw).unwrap_err();
             assert_eq!(e.to_string(), format!("{} is given twice", raw[0]));
         }
     }
 
     #[test]
     fn json_and_threads_take_values() {
-        let a = ParsedArgs::parse(&strs(&["--json", "out.json", "--threads", "4"])).unwrap();
+        let a = parse("saturate", &["--json", "out.json", "--threads", "4"]).unwrap();
         assert_eq!(a.str_opt("json"), Some("out.json"));
         assert_eq!(a.num::<usize>("threads").unwrap(), Some(4));
         assert_eq!(a.str_opt("absent"), None);

@@ -312,6 +312,11 @@ mod tests {
     use cnet_engine::ArrivalProcess;
     use cnet_proteus::{Fabric, LinkSpec};
 
+    /// Parses `raw` as the arguments of `cnet {name}`.
+    fn parse(name: &str, raw: &[String]) -> ParsedArgs {
+        ParsedArgs::parse(raw, crate::command(name).unwrap()).unwrap()
+    }
+
     fn sample() -> ScenarioSpec {
         ScenarioSpec {
             name: "lossy".to_string(),
@@ -354,12 +359,14 @@ mod tests {
         let path = std::env::temp_dir().join(format!("cnet-scenario-{}", std::process::id()));
         std::fs::write(&path, serde::json::to_string_pretty(&spec.to_value())).unwrap();
         let json = std::env::temp_dir().join(format!("cnet-scenario-out-{}", std::process::id()));
-        let args = ParsedArgs::parse(&[
-            path.to_str().unwrap().to_string(),
-            "--json".to_string(),
-            json.to_str().unwrap().to_string(),
-        ])
-        .unwrap();
+        let args = parse(
+            "scenario",
+            &[
+                path.to_str().unwrap().to_string(),
+                "--json".to_string(),
+                json.to_str().unwrap().to_string(),
+            ],
+        );
         let out = scenario(&args).unwrap();
         assert!(out.contains("scenario `lossy`: bitonic width 16"), "{out}");
         assert!(out.contains("ops: 500"), "{out}");
@@ -384,7 +391,8 @@ mod tests {
     #[test]
     fn simulate_writes_the_operation_trace() {
         let path = std::env::temp_dir().join(format!("cnet-simtrace-{}.csv", std::process::id()));
-        let args = ParsedArgs::parse(
+        let args = parse(
+            "simulate",
             &[
                 "bitonic",
                 "8",
@@ -399,8 +407,7 @@ mod tests {
                 "50",
             ]
             .map(String::from),
-        )
-        .unwrap();
+        );
         let out = simulate(&args).unwrap();
         assert!(out.contains("ops: 50 "), "{out}");
         let csv = std::fs::read_to_string(&path).unwrap();
@@ -417,7 +424,7 @@ mod tests {
             env!("CARGO_MANIFEST_DIR"),
             "/../../examples/scenario_lossy_fabric.json"
         );
-        let args = ParsedArgs::parse(&[path.to_string()]).unwrap();
+        let args = parse("scenario", &[path.to_string()]);
         let out = scenario(&args).unwrap();
         assert!(out.contains("non-linearizable (Def 2.4):"), "{out}");
         assert!(out.contains("backpressure (NACK)"), "{out}");
@@ -464,7 +471,7 @@ mod tests {
             let path =
                 std::env::temp_dir().join(format!("cnet-scenario-key-{i}-{}", std::process::id()));
             std::fs::write(&path, text.replacen(from, to, 1)).unwrap();
-            let args = ParsedArgs::parse(&[path.to_str().unwrap().to_string()]).unwrap();
+            let args = parse("scenario", &[path.to_str().unwrap().to_string()]);
             let err = scenario(&args).unwrap_err();
             assert!(err.to_string().contains(names), "{err}");
             assert_eq!(err.exit_code(), 2);
@@ -489,7 +496,7 @@ mod tests {
             let path =
                 std::env::temp_dir().join(format!("cnet-scenario-{names}-{}", std::process::id()));
             std::fs::write(&path, serde::json::to_string_pretty(&spec.to_value())).unwrap();
-            let args = ParsedArgs::parse(&[path.to_str().unwrap().to_string()]).unwrap();
+            let args = parse("scenario", &[path.to_str().unwrap().to_string()]);
             let err = scenario(&args).unwrap_err();
             assert!(err.to_string().contains(names), "{err}");
         }

@@ -679,8 +679,14 @@ pub fn drive_cmd(args: &ParsedArgs) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
+    /// Parses `v` as the arguments of the first command that reads
+    /// every option in it.
     fn parse(v: &[&str]) -> ParsedArgs {
-        ParsedArgs::parse(&v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>()).unwrap()
+        let raw: Vec<String> = v.iter().map(|s| (*s).to_string()).collect();
+        crate::COMMANDS
+            .iter()
+            .find_map(|command| ParsedArgs::parse(&raw, command).ok())
+            .expect("some command reads these arguments")
     }
 
     /// Whether a `cnet run` table has a row for this backend family.

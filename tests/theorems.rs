@@ -8,14 +8,17 @@
 //! `200 + U[0, 200]` cycles plus `W` on a delayed processor — the
 //! per-processor reading of `F`.
 //!
-//! Seeds are the schedules' inputs. A case runs seeds `base..base + 3`,
+//! Seeds are the schedules' inputs. A case runs seeds from `base`,
 //! `base` = `CNET_TEST_SEED` or 0, and a failure prints
 //! `reproduce with CNET_TEST_SEED=<base>`.
 
 use cnet_concurrent::testcfg;
 use cnet_engine::{closed_loop_schedule, Workload};
 use cnet_timing::executor::TimedExecutor;
+use cnet_timing::{random, LinkTiming, TimingSchedule};
 use cnet_topology::{constructions, Topology};
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Seeds per cell; a cell's share is their mean.
 const SEEDS: u64 = 3;
@@ -67,6 +70,119 @@ fn the_model_share_falls_from_n_equals_w_to_eight_w() {
         assert!(
             many < few,
             "bitonic(8), F = 50 %, W = 10^4: the share at n = 8w ({many}) is not below n = w ({few})"
+        );
+    });
+}
+
+/// Drawn cases per network family.
+const CASES: u64 = 160;
+
+/// Draws case `seed`, described by its first value: width
+/// `w ∈ {2, 4, 8, 16}`, `network(w, rng)` padded by 1–4
+/// one-in/one-out balancers on half the cases, `c1 ≤ c2 ≤ 2·c1` with
+/// `c2 = 2·c1` on a quarter of them, and a uniform or burst schedule
+/// from `timing::random`.
+fn draw(
+    seed: u64,
+    network: impl Fn(usize, &mut StdRng) -> (String, Topology),
+) -> (String, Topology, TimingSchedule) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let w = 1 << rng.gen_range(1..=4);
+    let (mut name, mut net) = network(w, &mut rng);
+    if rng.gen_bool(0.5) {
+        let pad = rng.gen_range(1..=4);
+        net = constructions::pad_inputs(&net, pad).expect("a valid network pads");
+        name = format!("pad_inputs({name}, {pad})");
+    }
+    let c1 = rng.gen_range(1..=20);
+    let c2 = if rng.gen_bool(0.25) {
+        2 * c1
+    } else {
+        rng.gen_range(c1..=2 * c1)
+    };
+    let timing = LinkTiming::new(c1, c2).expect("c1 <= c2");
+    let h = net.depth() as u64;
+    let schedule_seed = rng.next_u64();
+    let (what, schedule) = if rng.gen_bool(0.5) {
+        let (tokens, max_gap) = (rng.gen_range(1..=120), rng.gen_range(0..=3 * c1));
+        (
+            format!("uniform_schedule(tokens {tokens}, max_gap {max_gap}, seed {schedule_seed})"),
+            random::uniform_schedule(&net, timing, tokens, max_gap, schedule_seed),
+        )
+    } else {
+        let (waves, size, gap) = (
+            rng.gen_range(1..=6),
+            rng.gen_range(1..=2 * w),
+            rng.gen_range(0..=h * c2),
+        );
+        (
+            format!("burst_schedule(waves {waves}, size {size}, gap {gap}, seed {schedule_seed})"),
+            random::burst_schedule(&net, timing, waves, size, gap, schedule_seed),
+        )
+    };
+    let case = format!("{name}, c1 {c1}, c2 {c2}, {what}");
+    (case, net, schedule.expect("a nonempty schedule"))
+}
+
+/// A bitonic, periodic or counting-tree network of width `w`.
+fn counting_network(w: usize, rng: &mut StdRng) -> (String, Topology) {
+    let (name, net) = match rng.gen_range(0..3) {
+        0 => ("bitonic", constructions::bitonic(w)),
+        1 => ("periodic", constructions::periodic(w)),
+        _ => ("counting_tree", constructions::counting_tree(w)),
+    };
+    (format!("{name}({w})"), net.expect("a power-of-two width"))
+}
+
+/// Theorem 3.6 through Corollaries 3.9–3.11: on a uniform counting
+/// network, an execution whose every link delay lies in `[c1, c2]` with
+/// `c2 ≤ 2·c1` has no Definition 2.4 violation.
+///
+/// The bound is inclusive. At `c2 = 2·c1` a later token can enter at
+/// the very cycle an earlier one exits, and Definition 2.4 orders a
+/// pair only on a strict `end < start` (`Operation::precedes`). So a
+/// pair that shares that cycle is concurrent, and neither order of its
+/// values is a violation.
+///
+/// The same draw over `topology::random::random_layered` networks,
+/// which balance but almost never count, must find a network that
+/// fails to count or to linearize, so the property says something.
+#[test]
+fn theorem_3_6_no_violation_at_ratio_two_on_random_uniform_networks() {
+    testcfg::with_seed_report(base_seed(), |base| {
+        for seed in base..base + CASES {
+            let (case, net, schedule) = draw(seed, counting_network);
+            let execution = TimedExecutor::new(&net)
+                .run(&schedule)
+                .expect("the schedule fits its network");
+            assert_eq!(
+                execution.nonlinearizable_count(),
+                0,
+                "case {seed}: {case}: {:?}",
+                execution.violations()
+            );
+            assert!(execution.output_counts().is_step(), "case {seed}: {case}");
+        }
+
+        let random_layered = |w: usize, rng: &mut StdRng| {
+            let log = w.trailing_zeros() as usize;
+            let depth = rng.gen_range(1..=log * (log + 1) / 2);
+            let seed = rng.next_u64();
+            let net = cnet_topology::random::random_layered(w, depth, seed).expect("an even width");
+            (format!("random_layered({w}, {depth}, {seed})"), net)
+        };
+        let failing = (base..base + CASES)
+            .filter(|&seed| {
+                let (_, net, schedule) = draw(seed, random_layered);
+                let execution = TimedExecutor::new(&net)
+                    .run(&schedule)
+                    .expect("the schedule fits its network");
+                !execution.output_counts().is_step() || !execution.is_linearizable()
+            })
+            .count();
+        assert!(
+            failing > 0,
+            "no random layered network of {CASES} failed to count or to linearize"
         );
     });
 }
