@@ -15,13 +15,14 @@
 //!   executions of Section 4 replayed through the timed executor;
 //! * `consistency`, `scaling`, `ablation_balancer`, `ablation_jitter`,
 //!   `ablation_prism`, `fabric` — simulator sweeps beyond the figures;
-//! * `perf`, `native`, `frontend`, `saturation` — host wall-clock
-//!   sweeps; their numbers are reported, not judged here (the
-//!   repository benchmark under `benchmark/` is what compares host
-//!   time between two commits).
+//! * `native`, `frontend`, `saturation` — host wall-clock sweeps over
+//!   the native counters; their numbers are reported, not judged here
+//!   (the repository benchmark under `benchmark/` is what compares
+//!   host time between two commits).
 //!
-//! Flags: `--ops N --seed S --threads T --json PATH`; a suite refuses
-//! the ones it does not read. The stdout of a suite whose
+//! Flags: `--ops N --seed S --threads T --json PATH`, parsed by the
+//! `cnet` grammar ([`ParsedArgs`]); a suite refuses the ones it does
+//! not read. The stdout of a suite whose
 //! [`Suite::host_time`] is false is a function of its arguments alone,
 //! which `tests/results.rs` holds to the committed tables.
 
@@ -33,9 +34,12 @@ mod replay;
 mod sim;
 
 use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 
-use cnet_engine::{RunRecord, RunStats};
-use cnet_harness::{run_jobs_report, BenchArgs, BenchReport, Job, ResultTable};
+use cnet_engine::{RunRecord, RunStats, Workload, WorkloadError};
+use cnet_harness::{
+    run_jobs_report, BenchReport, CliError, Job, ParsedArgs, ResultTable, SweepError,
+};
 use cnet_topology::Topology;
 
 /// One named experiment of the driver.
@@ -45,25 +49,35 @@ pub struct Suite {
     pub name: &'static str,
     /// The published base seed (`--seed` overrides it).
     pub seed: u64,
-    /// The harness flags the suite reads; any other is a usage error.
+    /// The flags the suite reads, of [`FLAGS`]; any other is a usage
+    /// error.
     pub reads: &'static [&'static str],
     /// Whether stdout carries host wall-clock (and so differs run to
     /// run); such a suite is checked by its own assertions only, the
     /// others also byte for byte against `results/<name>.txt`.
     pub host_time: bool,
-    body: fn(&mut Run<'_>) -> io::Result<()>,
+    body: fn(&mut Run<'_>) -> Result<(), DriveError>,
 }
 
-const ALL: &[&str] = &["--ops", "--seed", "--threads", "--json"];
+/// Every flag a suite can read, with its value placeholder, in usage
+/// order.
+pub const FLAGS: [(&str, &str); 4] = [
+    ("ops", "N"),
+    ("seed", "S"),
+    ("threads", "T"),
+    ("json", "PATH"),
+];
+
+const ALL: &[&str] = &["ops", "seed", "threads", "json"];
 /// Fixed constructions: nothing to size and nothing to seed.
-const REPLAY: &[&str] = &["--threads", "--json"];
+const REPLAY: &[&str] = &["threads", "json"];
 /// Real-thread sweeps over the native counters: each cell spawns its
 /// own client threads. The suites on this surface are the ones
 /// [`DriveError::LiveProbes`] guards.
-const NATIVE: &[&str] = &["--ops", "--seed", "--json"];
+const NATIVE: &[&str] = &["ops", "seed", "json"];
 
 /// The registry, in the order EXPERIMENTS.md presents the results.
-pub static SUITES: [Suite; 17] = [
+pub static SUITES: [Suite; 16] = [
     suite("figure5", 0xF165, ALL, false, sim::figure5),
     suite("figure6", 0xF166, ALL, false, sim::figure6),
     suite("figure7", 0xF167, ALL, false, sim::figure7),
@@ -83,7 +97,6 @@ pub static SUITES: [Suite; 17] = [
     ),
     suite("ablation_jitter", 0xA1, ALL, false, sim::ablation_jitter),
     suite("fabric", 0xFAB, ALL, false, sim::fabric),
-    suite("perf", 0x9EBF, ALL, true, sim::perf),
     suite("native", 0x7A7E, NATIVE, true, native::native),
     suite("frontend", 0xF207, NATIVE, true, native::frontend),
     suite("saturation", 0x5A70, NATIVE, true, native::saturation),
@@ -94,7 +107,7 @@ const fn suite(
     seed: u64,
     reads: &'static [&'static str],
     host_time: bool,
-    body: fn(&mut Run<'_>) -> io::Result<()>,
+    body: fn(&mut Run<'_>) -> Result<(), DriveError>,
 ) -> Suite {
     Suite {
         name,
@@ -108,7 +121,11 @@ const fn suite(
 /// One invocation of a suite: its arguments, where its tables go, and
 /// the report they accumulate in.
 struct Run<'a> {
-    args: BenchArgs,
+    /// Operations per cell (`--ops`, default 5000 — the paper's count).
+    ops: usize,
+    /// Worker threads (`--threads`, default 1). Any value produces the
+    /// same measurements; more threads only change wall-clock.
+    threads: usize,
     /// The base seed: `--seed`, or the suite's published default.
     seed: u64,
     out: &'a mut dyn Write,
@@ -133,7 +150,7 @@ impl Run<'_> {
         jobs: &[Job],
         keep: impl Fn(RunStats) -> K + Sync,
     ) -> Vec<Cell<K>> {
-        let (kept, grid) = run_jobs_report(title, self.seed, nets, jobs, self.args.threads, keep);
+        let (kept, grid) = run_jobs_report(title, self.seed, nets, jobs, self.threads, keep);
         let cells = grid
             .records
             .iter()
@@ -146,15 +163,15 @@ impl Run<'_> {
     }
 
     /// Prints `table` as aligned text and records it in the report.
-    fn table(&mut self, table: &ResultTable) -> io::Result<()> {
+    fn table(&mut self, table: &ResultTable) -> Result<(), DriveError> {
         self.report.push_table(table);
-        writeln!(self.out, "{}", table.to_text())
+        Ok(writeln!(self.out, "{}", table.to_text())?)
     }
 
     /// [`Run::table`], then the same table as CSV.
-    fn table_csv(&mut self, table: &ResultTable) -> io::Result<()> {
+    fn table_csv(&mut self, table: &ResultTable) -> Result<(), DriveError> {
         self.table(table)?;
-        writeln!(self.out, "{}", table.to_csv())
+        Ok(writeln!(self.out, "{}", table.to_csv())?)
     }
 }
 
@@ -175,8 +192,10 @@ fn cell_table<K>(
 /// Why [`drive`] ran no suite to the end.
 #[derive(Debug)]
 pub enum DriveError {
-    /// A malformed invocation; the message ends with the usage line of
-    /// the suite, or with the registry when no suite was named.
+    /// A malformed invocation, or one whose cells no run can hold. The
+    /// message names what was refused; a flag the suite does not read
+    /// comes with the suite's usage line, an unknown suite with the
+    /// registry.
     Usage(String),
     /// Writing the tables or the JSON report failed.
     Io(io::Error),
@@ -192,6 +211,20 @@ pub enum DriveError {
 impl From<io::Error> for DriveError {
     fn from(e: io::Error) -> Self {
         DriveError::Io(e)
+    }
+}
+
+/// A flag the grammar refuses is a malformed invocation.
+impl From<CliError> for DriveError {
+    fn from(e: CliError) -> Self {
+        DriveError::Usage(e.to_string())
+    }
+}
+
+/// A native cell the workload check refuses is a malformed invocation.
+impl From<SweepError> for DriveError {
+    fn from(e: SweepError) -> Self {
+        DriveError::Usage(e.to_string())
     }
 }
 
@@ -229,19 +262,52 @@ pub fn drive(argv: &[String], out: &mut dyn Write) -> Result<(), DriveError> {
             names()
         )));
     };
-    let args = BenchArgs::parse_from(suite.name, suite.reads, flags).map_err(|msg| {
-        let usage = BenchArgs::usage(suite.name, suite.reads);
-        DriveError::Usage(format!("{msg}\n{usage}"))
-    })?;
+    let command = format!("cnet-bench {}", suite.name);
+    let synopsis: Vec<String> = FLAGS
+        .iter()
+        .filter(|(flag, _)| suite.reads.contains(flag))
+        .map(|(flag, value)| format!("[--{flag} {value}]"))
+        .collect();
+    let args = ParsedArgs::parse(flags, &command, &synopsis.join(" "), suite.reads)?;
+    if let Some(extra) = args.positional_opt(0) {
+        return Err(DriveError::Usage(format!(
+            "`{command}` takes no argument `{extra}`"
+        )));
+    }
+    let ops = args.num("ops")?.unwrap_or(5000);
+    let threads = args.num("threads")?.unwrap_or(1);
+    if ops == 0 {
+        return Err(DriveError::Usage(
+            "--ops must be at least 1 (a 0-op sweep measures nothing)".into(),
+        ));
+    }
+    if ops > Workload::MAX_OPS {
+        return Err(DriveError::Usage(format!(
+            "--ops {ops}: {}",
+            WorkloadError::TooManyOps
+        )));
+    }
+    if threads == 0 {
+        return Err(DriveError::Usage("--threads must be at least 1".into()));
+    }
+    // the report goes to --json, or into `results/` when the working
+    // directory has one
+    let json = args.str_opt("json").map(PathBuf::from).or_else(|| {
+        let results = Path::new("results");
+        results
+            .is_dir()
+            .then(|| results.join(format!("BENCH_{}.json", suite.name)))
+    });
     if cnet_engine::PROBES_LIVE && suite.reads == NATIVE {
         return Err(DriveError::LiveProbes(suite.name));
     }
     let mut run = Run {
-        seed: args.seed.unwrap_or(suite.seed),
-        report: BenchReport::new(suite.name, args.threads),
-        args,
+        ops,
+        threads,
+        seed: args.num("seed")?.unwrap_or(suite.seed),
+        report: BenchReport::new(suite.name, threads),
         out,
     };
     (suite.body)(&mut run)?;
-    Ok(run.report.emit(&run.args)?)
+    Ok(run.report.emit(json.as_deref())?)
 }

@@ -20,8 +20,6 @@
 //! ([`crate::DriveError::LiveProbes`]): a probe's clock reads cost
 //! several times the operation they bracket.
 
-use std::io;
-
 use cnet_engine::{
     AsyncConfig, Backend, BalancerKind, CombiningConfig, CounterSpec, RoutePolicy, RunRecord,
     Workload,
@@ -33,7 +31,7 @@ use cnet_harness::{
 use cnet_timing::linearizability;
 use cnet_topology::{constructions, Topology};
 
-use crate::Run;
+use crate::{DriveError, Run};
 
 /// Network width of every sweep.
 const WIDTH: usize = 16;
@@ -62,8 +60,8 @@ struct Race<'a> {
 impl Race<'_> {
     /// Runs every sweep at every [`CONCURRENCY`], printing one table
     /// per sweep and then the headline speedup table, if any.
-    fn run(&self, run: &mut Run<'_>, net: &Topology) -> io::Result<()> {
-        let ops = run.args.ops;
+    fn run(&self, run: &mut Run<'_>, net: &Topology) -> Result<(), DriveError> {
+        let ops = run.ops;
         let per_op_us = |r: &RunRecord| r.wall_ms / ops as f64 * 1e3;
         let (measures, columns) = if self.priced {
             let columns = &["wall ms", "us/op", "nonlin %", "avg c2/c1", "backend"][..];
@@ -92,7 +90,7 @@ impl Race<'_> {
                 let seed = derive_cell_seed(run.seed, title, 0, 0, n);
                 (format!("n={n}"), seed, workload)
             });
-            let grid = sweep.run(cells).expect("every cell checks on width 16");
+            let grid = sweep.run(cells)?;
             let mut table =
                 ResultTable::new(format!("{title} — {measures} (best of {BEST_OF})"), columns);
             for r in &grid.records {
@@ -134,7 +132,7 @@ impl Race<'_> {
 /// nothing injected) over [`CounterSpec::Network`]: the cache-line-aligned
 /// `NetworkCounter` arena with relaxed toggle bits, the one native
 /// traversal.
-pub(crate) fn native(run: &mut Run<'_>) -> io::Result<()> {
+pub(crate) fn native(run: &mut Run<'_>) -> Result<(), DriveError> {
     let net = constructions::bitonic(WIDTH).expect("width 16 is valid");
     writeln!(
         run.out,
@@ -143,7 +141,7 @@ pub(crate) fn native(run: &mut Run<'_>) -> io::Result<()> {
     writeln!(
         run.out,
         "(bitonic[{WIDTH}], {} operations per cell, F = 0, W = 0)\n",
-        run.args.ops
+        run.ops
     )?;
     let race = Race {
         sweeps: &[(
@@ -180,7 +178,7 @@ const CONTENDED: (u32, u64) = (50, 1000);
 /// since the race is only meaningful priced. A final section replays a
 /// ≤16-operation trace per frontend through the brute-force oracle and
 /// cross-checks it against the sweep counter.
-pub(crate) fn frontend(run: &mut Run<'_>) -> io::Result<()> {
+pub(crate) fn frontend(run: &mut Run<'_>) -> Result<(), DriveError> {
     let (delayed_percent, wait_cycles) = CONTENDED;
     let net = constructions::bitonic(WIDTH).expect("width 16 is valid");
     writeln!(
@@ -190,7 +188,7 @@ pub(crate) fn frontend(run: &mut Run<'_>) -> io::Result<()> {
     writeln!(
         run.out,
         "(bitonic[{WIDTH}] hardware, {} operations per cell, F = {delayed_percent}%, W = {wait_cycles})\n",
-        run.args.ops
+        run.ops
     )?;
 
     // wide publication array: at n = 256 the default 8 slots would
@@ -278,19 +276,10 @@ fn oracle_row(backend: &dyn Backend, label: &str) -> Vec<String> {
 /// sojourn-latency quantiles); a final table collects one knee per
 /// (topology, arena) pair, and the atlas is gated on every sweep having
 /// one.
-pub(crate) fn saturation(run: &mut Run<'_>) -> io::Result<()> {
+pub(crate) fn saturation(run: &mut Run<'_>) -> Result<(), DriveError> {
     /// OS worker threads under the client arena.
     const WORKERS: usize = 2;
-    let ops = run.args.ops;
-    writeln!(
-        run.out,
-        "Saturation atlas — open-loop gap sweeps over the async executor, best of {BEST_OF}"
-    )?;
-    writeln!(
-        run.out,
-        "(width-{WIDTH} networks, {ops} operations per cell, {WORKERS} workers, knee at lag <= {KNEE_TOLERANCE})\n"
-    )?;
-
+    let ops = run.ops;
     let config = AsyncConfig {
         workers: WORKERS,
         chunk: 1024,
@@ -307,11 +296,9 @@ pub(crate) fn saturation(run: &mut Run<'_>) -> io::Result<()> {
             constructions::counting_tree(WIDTH).expect("valid width"),
         ),
     ];
-    let mut knees = ResultTable::new(
-        format!("Saturation knees — smallest gap with lag <= {KNEE_TOLERANCE}"),
-        &["knee gap ns", "offered kops/s", "lag", "p99 us"],
-    );
-    let mut found_all = true;
+    // every sweep runs before anything is printed, so a cell the check
+    // refuses leaves no partial atlas on stdout
+    let mut ladders = Vec::new();
     for (name, net) in &nets {
         // logical-client arena sizes: the executor multiplexes these
         // onto its workers, so the axis prices the polling sweep
@@ -328,25 +315,40 @@ pub(crate) fn saturation(run: &mut Run<'_>) -> io::Result<()> {
             };
             let curve = format!("{title} — open-loop curve (best of {BEST_OF})");
             let seed = |i: usize| derive_cell_seed(run.seed, &title, i as u32, 0, arena);
-            let ladder = sweep
-                .gap_ladder(curve, arena, ops, seed)
-                .expect("every cell checks on every topology");
-            run.table(&ladder.curve)?;
-            let knee = match ladder.knee() {
-                Some((gap, open)) => vec![
-                    gap.to_string(),
-                    format!("{:.1}", open.offered_rate() / 1e3),
-                    format!("{:.3}", open.lag_ratio()),
-                    micros(open.latency.quantile_upper_bound(0.99)),
-                ],
-                None => {
-                    found_all = false;
-                    vec!["none".into(), "-".into(), "-".into(), "-".into()]
-                }
-            };
-            knees.push_row(title, knee);
-            run.report.push_grid(ladder.grid);
+            let ladder = sweep.gap_ladder(curve, arena, ops, seed)?;
+            ladders.push((title, ladder));
         }
+    }
+
+    writeln!(
+        run.out,
+        "Saturation atlas — open-loop gap sweeps over the async executor, best of {BEST_OF}"
+    )?;
+    writeln!(
+        run.out,
+        "(width-{WIDTH} networks, {ops} operations per cell, {WORKERS} workers, knee at lag <= {KNEE_TOLERANCE})\n"
+    )?;
+    let mut knees = ResultTable::new(
+        format!("Saturation knees — smallest gap with lag <= {KNEE_TOLERANCE}"),
+        &["knee gap ns", "offered kops/s", "lag", "p99 us"],
+    );
+    let mut found_all = true;
+    for (title, ladder) in ladders {
+        run.table(&ladder.curve)?;
+        let knee = match ladder.knee() {
+            Some((gap, open)) => vec![
+                gap.to_string(),
+                format!("{:.1}", open.offered_rate() / 1e3),
+                format!("{:.3}", open.lag_ratio()),
+                micros(open.latency.quantile_upper_bound(0.99)),
+            ],
+            None => {
+                found_all = false;
+                vec!["none".into(), "-".into(), "-".into(), "-".into()]
+            }
+        };
+        knees.push_row(title, knee);
+        run.report.push_grid(ladder.grid);
     }
     run.table(&knees)?;
     assert!(

@@ -1,8 +1,6 @@
 //! The timed-executor suites: the paper's adversarial constructions
 //! replayed exactly, with no simulator in the loop.
 
-use std::io;
-
 use cnet_harness::{derive_seed, percent, pool, ResultTable};
 use cnet_timing::adversary::{
     bitonic_attack, intro_example, tree_attack, tree_attack_with_gap, wave_attack,
@@ -11,12 +9,12 @@ use cnet_timing::executor::TimedExecutor;
 use cnet_timing::{measure, random, threshold as sweep, LinkTiming};
 use cnet_topology::constructions;
 
-use crate::Run;
+use crate::{DriveError, Run};
 
 /// The paper's **Section 1 and Section 4 adversarial executions**
 /// through the timed executor, with the violations each produces, plus
 /// the Theorem 3.6 tightness sweep on trees.
-pub(crate) fn section4(run: &mut Run<'_>) -> io::Result<()> {
+pub(crate) fn section4(run: &mut Run<'_>) -> Result<(), DriveError> {
     writeln!(run.out, "Section 1 & 4 adversarial executions\n")?;
 
     let timing = LinkTiming::new(10, 30).expect("valid timing"); // ratio 3
@@ -95,17 +93,17 @@ pub(crate) fn section4(run: &mut Run<'_>) -> io::Result<()> {
         );
     }
     run.report.push_table(&gap_table);
-    writeln!(
+    Ok(writeln!(
         run.out,
         "  gap {slack:4} -> refused: Theorem 3.6 guarantees linearization order"
-    )
+    )?)
 }
 
 /// Empirical Theorem 3.6 tightness across networks and ratios: for
 /// each, the largest finish-start gap at which the straggler/wave
 /// family still violates, as a fraction of the theoretical bound
 /// `h·c2 - 2·h·c1`.
-pub(crate) fn threshold(run: &mut Run<'_>) -> io::Result<()> {
+pub(crate) fn threshold(run: &mut Run<'_>) -> Result<(), DriveError> {
     let networks = [
         ("tree16", constructions::counting_tree(16).expect("valid")),
         ("tree32", constructions::counting_tree(32).expect("valid")),
@@ -118,7 +116,7 @@ pub(crate) fn threshold(run: &mut Run<'_>) -> io::Result<()> {
         "largest violating gap / Theorem 3.6 bound (straggler-wave family)",
         &columns,
     );
-    let cells = pool::run_indexed(networks.len() * ratios.len(), run.args.threads, |i| {
+    let cells = pool::run_indexed(networks.len() * ratios.len(), run.threads, |i| {
         let (_, net) = &networks[i / ratios.len()];
         let (c1, c2) = ratios[i % ratios.len()];
         let timing = LinkTiming::new(c1, c2).expect("valid timing");
@@ -149,9 +147,9 @@ pub(crate) fn threshold(run: &mut Run<'_>) -> io::Result<()> {
 /// cliff at `pad = 4` — the corollary's bound is conservative for this
 /// attack family, and exact families achieving larger pads require the
 /// full paper's tightness construction.
-pub(crate) fn ablation_prefix(run: &mut Run<'_>) -> io::Result<()> {
+pub(crate) fn ablation_prefix(run: &mut Run<'_>) -> Result<(), DriveError> {
     let base = run.seed;
-    let tokens = run.args.ops.min(3000);
+    let tokens = run.ops.min(3000);
     let timing = LinkTiming::new(10, 30).expect("valid timing"); // ratio 3 => k = 4
     let inner = constructions::counting_tree(16).expect("valid width");
     let h = inner.depth();
@@ -169,7 +167,7 @@ pub(crate) fn ablation_prefix(run: &mut Run<'_>) -> io::Result<()> {
         &["depth", "violating trials", "nonlin ops"],
     );
     let pads = [0usize, 1, 2, 3, 4, 5, 6, 7, 8, 10];
-    let rows = pool::run_indexed(pads.len(), run.args.threads, |i| {
+    let rows = pool::run_indexed(pads.len(), run.threads, |i| {
         let pad = pads[i];
         let net = constructions::pad_inputs(&inner, pad).expect("padding");
         let mut violating_trials = 0usize;

@@ -1,8 +1,5 @@
-//! The simulator suites: the Section 5 figures and control runs, the
-//! sweeps EXPERIMENTS.md adds to them, and the simulator's own
-//! wall-clock sweep.
-
-use std::io;
+//! The simulator suites: the Section 5 figures and control runs, and
+//! the sweeps EXPERIMENTS.md adds to them.
 
 use cnet_engine::{WaitMode, Workload};
 use cnet_harness::{
@@ -13,14 +10,14 @@ use cnet_proteus::{Fabric, LinkSpec, PrismConfig, RetryPolicy, SimConfig, Switch
 use cnet_timing::windows::{self, Window};
 use cnet_topology::constructions;
 
-use crate::{cell_table, Cell, Run};
+use crate::{cell_table, Cell, DriveError, Run};
 
 const KINDS: [NetworkKind; 2] = [NetworkKind::Bitonic, NetworkKind::DiffractingTree];
 
 /// The paper's workload at `(n, F, W)`, sized by `--ops`.
 fn workload(run: &Run<'_>, n: usize, f: u32, w: u64, wait_mode: WaitMode) -> Workload {
     Workload {
-        total_ops: run.args.ops,
+        total_ops: run.ops,
         wait_mode,
         ..Workload::paper(n, f, w)
     }
@@ -38,21 +35,17 @@ fn figures(
     heading: &str,
     fractions: &[u32],
     cell: fn(&GridOutcome, &str) -> ResultTable,
-) -> io::Result<()> {
+) -> Result<(), DriveError> {
     writeln!(run.out, "{heading}")?;
-    writeln!(
-        run.out,
-        "({} operations per cell, width 32)\n",
-        run.args.ops
-    )?;
+    writeln!(run.out, "({} operations per cell, width 32)\n", run.ops)?;
     for &f in fractions {
         for kind in KINDS {
-            let mut grid = Grid::paper(kind, f, run.args.ops, run.seed);
+            let mut grid = Grid::paper(kind, f, run.ops, run.seed);
             // grids of several fractions share one report: tell them apart
             if fractions.len() > 1 {
                 grid.title = format!("{} — F = {f}%", kind.label());
             }
-            let outcome = grid.run(run.args.threads);
+            let outcome = grid.run(run.threads);
             run.table_csv(&cell(&outcome, &grid.title))?;
             let records = &outcome.report.records;
             let observed = records.iter().filter(|r| r.metrics.is_some()).count();
@@ -69,20 +62,20 @@ fn figures(
 
 /// **Figure 5**: non-linearizability ratios with `F = 25%` of the
 /// processors delayed, `W ∈ {100, …, 100000}` × `n ∈ {4, …, 256}`.
-pub(crate) fn figure5(run: &mut Run<'_>) -> io::Result<()> {
+pub(crate) fn figure5(run: &mut Run<'_>) -> Result<(), DriveError> {
     let heading = "Figure 5 — non-linearizability ratios, F = 25% delayed processors";
     figures(run, heading, &[25], GridOutcome::ratio_table)
 }
 
 /// **Figure 6**: the Figure 5 grid with `F = 50%`.
-pub(crate) fn figure6(run: &mut Run<'_>) -> io::Result<()> {
+pub(crate) fn figure6(run: &mut Run<'_>) -> Result<(), DriveError> {
     let heading = "Figure 6 — non-linearizability ratios, F = 50% delayed processors";
     figures(run, heading, &[50], GridOutcome::ratio_table)
 }
 
 /// **Figure 7**: the average `c2/c1 = (Tog + W)/Tog` measured during
 /// the simulations, for both networks and both delayed fractions.
-pub(crate) fn figure7(run: &mut Run<'_>) -> io::Result<()> {
+pub(crate) fn figure7(run: &mut Run<'_>) -> Result<(), DriveError> {
     let heading = "Figure 7 — average c2/c1 = (Tog + W)/Tog";
     figures(run, heading, &[50, 25], GridOutcome::average_ratio_table)
 }
@@ -90,11 +83,11 @@ pub(crate) fn figure7(run: &mut Run<'_>) -> io::Result<()> {
 /// The Section 5 **control runs**, all of which the paper reports as
 /// violation-free: `F = 0%` and `F = 100%` at every `W`, `W = 0`, and
 /// uniform-random waits in `[0, W]` after each node.
-pub(crate) fn controls(run: &mut Run<'_>) -> io::Result<()> {
+pub(crate) fn controls(run: &mut Run<'_>) -> Result<(), DriveError> {
     writeln!(
         run.out,
         "Section 5 control runs ({} operations per cell, width 32, n = 64)\n",
-        run.args.ops
+        run.ops
     )?;
     let n = 64;
     let scenarios: [(&str, u32, WaitMode); 3] = [
@@ -147,12 +140,12 @@ pub(crate) fn controls(run: &mut Run<'_>) -> io::Result<()> {
 /// program-order count), and where in the run the violations cluster.
 /// The paper remarks that linearizability "is related to (but not
 /// identical with)" sequential consistency; this quantifies the gap.
-pub(crate) fn consistency(run: &mut Run<'_>) -> io::Result<()> {
+pub(crate) fn consistency(run: &mut Run<'_>) -> Result<(), DriveError> {
     let n = 64;
     writeln!(
         run.out,
         "consistency breakdown (n = {n}, F = 50%, width 32, {} ops/cell)\n",
-        run.args.ops
+        run.ops
     )?;
     for kind in KINDS {
         let net = kind.build(PAPER_WIDTH);
@@ -229,7 +222,7 @@ struct Consistency {
 /// counter vs `Bitonic[32]` vs the width-32 diffracting tree as
 /// concurrency grows, with a 100-cycle fetch-and-increment at every
 /// counter. The centralized counter is flat; the networks scale.
-pub(crate) fn scaling(run: &mut Run<'_>) -> io::Result<()> {
+pub(crate) fn scaling(run: &mut Run<'_>) -> Result<(), DriveError> {
     let counter_cost = 100;
     let nets = [
         constructions::serial_line(1),
@@ -267,7 +260,7 @@ pub(crate) fn scaling(run: &mut Run<'_>) -> io::Result<()> {
 
     let title = format!(
         "throughput, ops/kilocycle ({} ops, counter cost {counter_cost})",
-        run.args.ops
+        run.ops
     );
     let cells = run.jobs(&title, &nets, &jobs, drop);
 
@@ -284,7 +277,7 @@ pub(crate) fn scaling(run: &mut Run<'_>) -> io::Result<()> {
 /// `W = 1000`. A cheaper balancer means a smaller measured `Tog`, hence
 /// a *larger* effective `(Tog + W)/Tog` — the paper's reason for
 /// keeping balancers slow enough that the `W` waits dominate `c2/c1`.
-pub(crate) fn ablation_balancer(run: &mut Run<'_>) -> io::Result<()> {
+pub(crate) fn ablation_balancer(run: &mut Run<'_>) -> Result<(), DriveError> {
     let net = constructions::bitonic(32).expect("valid width");
     let jobs: Vec<Job> = [1u64, 10, 50, 200, 800]
         .iter()
@@ -302,7 +295,7 @@ pub(crate) fn ablation_balancer(run: &mut Run<'_>) -> io::Result<()> {
 
     let title = format!(
         "balancer-cost ablation (bitonic32, n=64, F=50%, W=1000, {} ops)",
-        run.args.ops
+        run.ops
     );
     let cells = run.jobs(&title, std::slice::from_ref(&net), &jobs, drop);
     let columns = ["Tog", "avg c2/c1", "mean latency", "max queue", "nonlin"];
@@ -323,7 +316,7 @@ pub(crate) fn ablation_balancer(run: &mut Run<'_>) -> io::Result<()> {
 /// the deterministic queue locks serialize the saturated network and
 /// violations vanish at large `n`; this makes the claim a table:
 /// violations at `n = 256, W = 10000, F = 50%` as the jitter grows.
-pub(crate) fn ablation_jitter(run: &mut Run<'_>) -> io::Result<()> {
+pub(crate) fn ablation_jitter(run: &mut Run<'_>) -> Result<(), DriveError> {
     let nets = [
         constructions::bitonic(32).expect("valid width"),
         constructions::counting_tree(32).expect("valid width"),
@@ -351,10 +344,7 @@ pub(crate) fn ablation_jitter(run: &mut Run<'_>) -> io::Result<()> {
         }
     }
 
-    let title = format!(
-        "jitter ablation (n=256, F=50%, W=10000, {} ops)",
-        run.args.ops
-    );
+    let title = format!("jitter ablation (n=256, F=50%, W=10000, {} ops)", run.ops);
     let cells = run.jobs(&title, &nets, &jobs, drop);
     let mut table = ResultTable::new(&title, &["bitonic nonlin", "tree nonlin"]);
     for (pair, jitter) in cells.chunks(2).zip(jitters) {
@@ -370,7 +360,7 @@ pub(crate) fn ablation_jitter(run: &mut Run<'_>) -> io::Result<()> {
 /// diffracting tree at `n = 64`, `F = 50%`, `W = 1000`: the measured
 /// `Tog`, the diffraction rate, operation latency, and the
 /// non-linearizability ratio. `slots = 0` disables diffraction.
-pub(crate) fn ablation_prism(run: &mut Run<'_>) -> io::Result<()> {
+pub(crate) fn ablation_prism(run: &mut Run<'_>) -> Result<(), DriveError> {
     let net = constructions::counting_tree(32).expect("valid width");
     let sweep = [
         (0usize, 0u64),
@@ -406,7 +396,7 @@ pub(crate) fn ablation_prism(run: &mut Run<'_>) -> io::Result<()> {
 
     let title = format!(
         "prism ablation (tree32, n=64, F=50%, W=1000, {} ops)",
-        run.args.ops
+        run.ops
     );
     let cells = run.jobs(&title, std::slice::from_ref(&net), &jobs, drop);
     let columns = ["Tog", "diffracted", "mean latency", "nonlin"];
@@ -450,7 +440,7 @@ fn fabric_cell(loss_per_million: u32, capacity: u32) -> Fabric {
 /// stretches: a width-16 bitonic network under `loss ∈ {0, 0.1%, 1%}`
 /// × egress queue depth `∈ {unbounded, 16, 4}`, plus the legacy
 /// degenerate wire as the reference cell.
-pub(crate) fn fabric(run: &mut Run<'_>) -> io::Result<()> {
+pub(crate) fn fabric(run: &mut Run<'_>) -> Result<(), DriveError> {
     writeln!(
         run.out,
         "Fabric degradation sweep — width-16 bitonic, n=16, F=25%, W=10000"
@@ -458,7 +448,7 @@ pub(crate) fn fabric(run: &mut Run<'_>) -> io::Result<()> {
     writeln!(
         run.out,
         "({} operations per cell, NACK backpressure, service 8)\n",
-        run.args.ops
+        run.ops
     )?;
     let nets = [constructions::bitonic(16).expect("valid width")];
     let cell = |label: String, config: SimConfig| Job {
@@ -514,7 +504,7 @@ pub(crate) fn fabric(run: &mut Run<'_>) -> io::Result<()> {
     for cell in &cells {
         let (_, delivered) = cell.kept;
         assert_eq!(
-            delivered, run.args.ops as u64,
+            delivered, run.ops as u64,
             "{}: tokens were lost",
             cell.record.label
         );
@@ -524,55 +514,5 @@ pub(crate) fn fabric(run: &mut Run<'_>) -> io::Result<()> {
         lossiest.loss_drops > 0,
         "the 1% loss cell must drop: {lossiest:?}"
     );
-    Ok(())
-}
-
-/// The simulator perf sweep: wall-clock per cell across both network
-/// kinds and the `(n, W)` corners that exercise every regime of the
-/// event queue (a handful of pending events at small `n`, hundreds at
-/// large `n`, the far spill at `W = 100000`; the tree cells fill both
-/// constant-delay lanes). Wall-clock is the *only* interesting output;
-/// the simulated measurements are covered by the figure suites.
-pub(crate) fn perf(run: &mut Run<'_>) -> io::Result<()> {
-    const CELLS: [(usize, u64); 8] = [
-        (4, 100),
-        (4, 100_000),
-        (16, 10_000),
-        (64, 100),
-        (64, 10_000),
-        (256, 100),
-        (256, 10_000),
-        (256, 100_000),
-    ];
-    let ops = run.args.ops;
-    writeln!(run.out, "Simulator perf sweep — host wall-clock per cell")?;
-    writeln!(
-        run.out,
-        "({ops} operations per cell, width {PAPER_WIDTH}, F = 25% delayed)\n"
-    )?;
-    for kind in KINDS {
-        let net = kind.build(PAPER_WIDTH);
-        let jobs: Vec<Job> = CELLS
-            .iter()
-            .map(|&(n, w)| Job {
-                label: format!("W={w},n={n}"),
-                kind: kind.label().to_string(),
-                net: 0,
-                config: kind.config(derive_cell_seed(run.seed, kind.label(), 25, w, n)),
-                workload: workload(run, n, 25, w, WaitMode::Fixed),
-            })
-            .collect();
-        let cells = run.jobs(kind.label(), std::slice::from_ref(&net), &jobs, drop);
-        let title = format!("{} — wall-clock", kind.label());
-        let columns = ["wall ms", "ms/kop", "sim cycles", "sim thpt"];
-        run.table(&cell_table(title, &columns, &cells, |c| {
-            vec![
-                format!("{:.2}", c.record.wall_ms),
-                format!("{:.3}", c.record.wall_ms / ops as f64 * 1e3),
-                format!("{}", c.record.stats.sim_time),
-                format!("{:.5}", c.record.stats.throughput),
-            ]
-        }))?;
-    }
     Ok(())
 }

@@ -17,14 +17,14 @@
 
 use std::fmt::Write as _;
 
-use cnet_engine::{Backend, RunRecord, WaitMode, Workload};
+use cnet_engine::{Backend, CheckedWorkload, RunRecord, WaitMode, Workload};
 use cnet_harness::{GridReport, ResultTable};
 use cnet_proteus::{SimBackend, SimConfig};
 use cnet_topology::Topology;
 use serde::{Deserialize as _, Serialize as _, Value};
 
-use crate::args::{CliError, ParsedArgs};
 use crate::commands::{build_network, network_by_name, write_json};
+use crate::{CliError, ParsedArgs};
 
 /// One complete, reproducible simulated cell: a scenario file's
 /// contents, or what `cnet simulate` builds from its flags.
@@ -65,6 +65,40 @@ impl ScenarioSpec {
     pub fn network(&self) -> Result<Topology, CliError> {
         network_by_name(&self.kind, self.width, 2)
     }
+
+    /// Checks the two parts of the cell a run would otherwise refuse
+    /// midway: the fabric, and the workload, which comes back checked.
+    ///
+    /// # Errors
+    ///
+    /// Returns a failed error naming what was refused.
+    pub fn check(&self) -> Result<CheckedWorkload, CliError> {
+        self.config.fabric.validate().map_err(CliError::failed)?;
+        self.workload.check().map_err(CliError::failed)
+    }
+}
+
+/// Loads the scenario file at `path` into a cell that can only run: it
+/// is read, parsed, refused on a key the spec does not read, its
+/// network built and its fabric and workload checked, before anything
+/// runs.
+///
+/// # Errors
+///
+/// Returns a usage error for an unknown network kind and a failed
+/// error for every other refusal, each naming what it refused.
+pub fn load_scenario(path: &str) -> Result<(ScenarioSpec, Topology, CheckedWorkload), CliError> {
+    let text = std::fs::read_to_string(path).map_err(CliError::failed)?;
+    let value = serde::json::from_str(&text).map_err(CliError::failed)?;
+    let spec = ScenarioSpec::from_value(&value).map_err(CliError::failed)?;
+    if let Some(key) = unread_key(&value, &spec.to_value()) {
+        return Err(CliError::failed(serde::Error::new(format!(
+            "unknown key `{key}` in scenario file `{path}`"
+        ))));
+    }
+    let net = spec.network()?;
+    let workload = spec.check()?;
+    Ok((spec, net, workload))
 }
 
 /// `cnet simulate <kind> <width> [trace.csv]` — the cell spelled as
@@ -99,24 +133,23 @@ pub fn simulate(args: &ParsedArgs) -> Result<String, CliError> {
         },
         workload,
     };
-    run_cell("simulate", spec, &net, args.positional_opt(2), args)
+    let workload = spec.check()?;
+    run_cell(
+        "simulate",
+        spec,
+        &net,
+        &workload,
+        args.positional_opt(2),
+        args,
+    )
 }
 
 /// `cnet scenario <file>` — the cell read from a [`ScenarioSpec`] file.
 /// A key the spec does not read is refused, not skipped, so a file
 /// naming a removed or misspelled knob cannot run as the default.
 pub fn scenario(args: &ParsedArgs) -> Result<String, CliError> {
-    let path = args.positional(0, "scenario file")?;
-    let text = std::fs::read_to_string(path).map_err(CliError::failed)?;
-    let value = serde::json::from_str(&text).map_err(CliError::failed)?;
-    let spec = ScenarioSpec::from_value(&value).map_err(CliError::failed)?;
-    if let Some(key) = unread_key(&value, &spec.to_value()) {
-        return Err(CliError::failed(serde::Error::new(format!(
-            "unknown key `{key}` in scenario file `{path}`"
-        ))));
-    }
-    let net = spec.network()?;
-    run_cell("scenario", spec, &net, None, args)
+    let (spec, net, workload) = load_scenario(args.positional(0, "scenario file")?)?;
+    run_cell("scenario", spec, &net, &workload, None, args)
 }
 
 /// The dotted path of the first key in `doc` that `written` — what
@@ -133,33 +166,27 @@ fn unread_key(doc: &Value, written: &Value) -> Option<String> {
         })
 }
 
-/// Validates and runs one cell on `net`, writes its trace and JSON
-/// record when asked, and renders the report; `command` names the
-/// loader in both.
+/// Runs one checked cell on `net`, writes its trace and JSON record
+/// when asked, and renders the report; `command` names the loader in
+/// both.
 fn run_cell(
     command: &str,
     spec: ScenarioSpec,
     net: &Topology,
+    workload: &CheckedWorkload,
     trace: Option<&str>,
     args: &ParsedArgs,
 ) -> Result<String, CliError> {
     let ScenarioSpec {
-        name,
-        kind,
-        config,
-        workload,
-        ..
+        name, kind, config, ..
     } = spec;
-    config.fabric.validate().map_err(CliError::failed)?;
-    let outcome = SimBackend::new(net, config)
-        .try_run(&workload)
-        .map_err(CliError::failed)?;
+    let outcome = SimBackend::new(net, config).run_checked(workload);
     let stats = &outcome.stats;
     if let Some(path) = trace {
         let csv = cnet_timing::io::operations_to_csv(&stats.operations);
         std::fs::write(path, csv).map_err(CliError::failed)?;
     }
-    let record = RunRecord::from_outcome(name, &kind, &workload, config.seed, &outcome);
+    let record = RunRecord::from_outcome(name, &kind, workload, config.seed, &outcome);
     let summary = &record.stats;
 
     let mut out = String::new();
@@ -314,7 +341,7 @@ mod tests {
 
     /// Parses `raw` as the arguments of `cnet {name}`.
     fn parse(name: &str, raw: &[String]) -> ParsedArgs {
-        ParsedArgs::parse(raw, crate::command(name).unwrap()).unwrap()
+        crate::parse(raw, crate::command(name).unwrap()).unwrap()
     }
 
     fn sample() -> ScenarioSpec {

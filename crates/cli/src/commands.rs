@@ -3,10 +3,8 @@
 
 use std::fmt::Write as _;
 
-use cnet_engine::{
-    ArrivalProcess, AsyncConfig, CounterSpec, RunRecord, SpecError, WaitMode, Workload,
-};
-use cnet_harness::{BackendSpec, GridReport, NativeSweep, ResultTable, KNEE_TOLERANCE};
+use cnet_engine::{ArrivalProcess, CounterSpec, RunRecord, SpecError, WaitMode, Workload};
+use cnet_harness::{BackendSpec, GridReport, ResultTable};
 use cnet_proteus::SimConfig;
 use cnet_timing::adversary::{
     bitonic_attack, intro_example, search_violations, tree_attack, wave_attack, Scenario,
@@ -17,7 +15,7 @@ use cnet_timing::{interleave, measure, render, threshold as thresh, LinkTiming};
 use cnet_topology::{constructions, Topology, TopologyError};
 use serde::{Serialize as _, Value};
 
-use crate::args::{CliError, ParsedArgs};
+use crate::{CliError, ParsedArgs};
 
 /// [`constructions::by_name`] for the CLI: an unknown kind is a usage
 /// error, a width the kind cannot take a failed operation.
@@ -303,57 +301,6 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
         out,
         "\ntimes: sim in simulated cycles, shm/async in host wall-clock / logical ticks"
     );
-    Ok(out)
-}
-
-/// `cnet saturate` — sweep open-loop arrival gaps over the async
-/// executor and locate the network's saturation knee.
-///
-/// The in-process face of the saturation atlas (`cnet-bench
-/// saturation`): one topology, one client-arena size, one run per gap
-/// of the shared ladder ([`cnet_harness::GAP_LADDER`]) and the same
-/// knee rule.
-pub fn saturate(args: &ParsedArgs) -> Result<String, CliError> {
-    let net = build_network(args)?;
-    let kind = args.positional(0, "kind")?;
-    let clients = args.num("n")?.unwrap_or(256);
-    let ops = args.num("ops")?.unwrap_or(2000);
-    let seed = args.num("seed")?.unwrap_or(1);
-    let workers = args.num("threads")?.unwrap_or(2);
-    let config = AsyncConfig {
-        workers,
-        ..AsyncConfig::default()
-    };
-    let sweep = NativeSweep {
-        title: "cnet saturate",
-        kind,
-        net: &net,
-        spec: &BackendSpec::Async(config),
-        best_of: 1,
-        base_seed: seed,
-        threads: workers,
-    };
-    let title = format!("saturation sweep ({kind}, n={clients}, {ops} ops per gap, async backend)");
-    let ladder = sweep
-        .gap_ladder(title, clients, ops, |_| seed)
-        .map_err(CliError::failed)?;
-    write_json(args, &ladder.grid.to_value())?;
-    let mut out = ladder.curve.to_text();
-    match ladder.knee() {
-        Some((gap, open)) => {
-            let _ = writeln!(
-                out,
-                "knee: gap={gap}ns ({:.1} kops/s offered) — smallest gap with lag <= {KNEE_TOLERANCE}",
-                open.offered_rate() / 1e3
-            );
-        }
-        None => {
-            let _ = writeln!(
-                out,
-                "knee: none (every gap saturated at lag > {KNEE_TOLERANCE})"
-            );
-        }
-    }
     Ok(out)
 }
 
@@ -685,7 +632,7 @@ mod tests {
         let raw: Vec<String> = v.iter().map(|s| (*s).to_string()).collect();
         crate::COMMANDS
             .iter()
-            .find_map(|command| ParsedArgs::parse(&raw, command).ok())
+            .find_map(|command| crate::parse(&raw, command).ok())
             .expect("some command reads these arguments")
     }
 
@@ -741,7 +688,7 @@ mod tests {
         let cell = [
             "bitonic", "8", "--n", "0", "--f", "0", "--w", "0", "--ops", "10",
         ];
-        for entry in [crate::cell::simulate, run, saturate] {
+        for entry in [crate::cell::simulate, run] {
             let err = entry(&parse(&cell)).unwrap_err();
             assert!(matches!(err, CliError::Failed(_)), "{err:?}");
             assert!(err.to_string().contains("at least 1"), "{err}");
@@ -870,36 +817,6 @@ mod tests {
     #[test]
     fn run_rejects_bad_shm_shard_split() {
         assert!(run(&parse(&["bitonic", "4", "--backend", "shm-shard:4"])).is_err());
-    }
-
-    #[test]
-    fn saturate_locates_a_knee_and_writes_grid_json() {
-        let dir = std::env::temp_dir().join("cnet-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("saturate.json");
-        let out = saturate(&parse(&[
-            "bitonic",
-            "4",
-            "--n",
-            "8",
-            "--ops",
-            "300",
-            "--seed",
-            "7",
-            "--json",
-            path.to_str().unwrap(),
-        ]))
-        .unwrap();
-        assert!(out.contains("saturation sweep"), "{out}");
-        assert!(out.contains("knee:"), "{out}");
-        use serde::Deserialize as _;
-        let text = std::fs::read_to_string(&path).unwrap();
-        let grid = GridReport::from_value(&serde::json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(grid.records.len(), 8, "one record per swept gap");
-        assert!(
-            grid.records.iter().all(|r| r.open_loop.is_some()),
-            "every record carries the open-loop block"
-        );
     }
 
     #[test]

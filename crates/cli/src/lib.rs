@@ -18,11 +18,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod args;
 pub mod cell;
 pub mod commands;
 
-pub use args::{CliError, ParsedArgs};
+pub use cnet_harness::{CliError, ParsedArgs};
 
 /// A subcommand's body: parsed arguments to a report.
 pub type Body = fn(&ParsedArgs) -> Result<String, CliError>;
@@ -46,8 +45,6 @@ pub const COMMANDS: &[Command] = &[
         &["pad", "arity", "backend", "n", "f", "w", "ops", "open", "bursty", "trace", "prism", "seed", "json"], commands::run),
     ("scenario", "<file.json> [--json PATH]",
         &["json"], cell::scenario),
-    ("saturate", "<kind> <width> [--n N] [--ops N] [--threads T] [--seed S] [--json PATH]",
-        &["pad", "arity", "n", "ops", "threads", "seed", "json"], commands::saturate),
     ("attack", "<intro|tree|bitonic|wave> --width W --c1 C1 --c2 C2 [--svg]",
         &["width", "c1", "c2", "svg"], commands::attack),
     ("threshold", "<kind> <width> --c1 C1 --c2 C2 [--json PATH]",
@@ -81,7 +78,17 @@ pub fn run(raw: &[String]) -> Result<String, CliError> {
             usage()
         )));
     };
-    body(&ParsedArgs::parse(rest, command)?)
+    body(&parse(rest, command)?)
+}
+
+/// Splits `raw` into the arguments of `command`, a row of
+/// [`COMMANDS`], against the options and switches it reads.
+///
+/// # Errors
+///
+/// As for [`ParsedArgs::parse`].
+pub fn parse(raw: &[String], (name, synopsis, reads, _): &Command) -> Result<ParsedArgs, CliError> {
+    ParsedArgs::parse(raw, &format!("cnet {name}"), synopsis, reads)
 }
 
 /// The row of [`COMMANDS`] named `name`, if there is one.
@@ -134,6 +141,18 @@ mod tests {
     }
 
     #[test]
+    fn every_switch_is_read_by_some_command() {
+        for switch in cnet_harness::args::SWITCHES {
+            assert!(
+                COMMANDS
+                    .iter()
+                    .any(|(_, _, reads, _)| reads.contains(switch)),
+                "--{switch}"
+            );
+        }
+    }
+
+    #[test]
     fn every_command_refuses_an_option_it_does_not_read() {
         let strs = |v: &[&str]| v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
         let footer = usage();
@@ -156,7 +175,7 @@ mod tests {
             // what it reads passes the gate
             for flag in *reads {
                 let raw = strs(&[&format!("--{flag}"), "1"]);
-                let args = ParsedArgs::parse(&raw, command(name).unwrap());
+                let args = parse(&raw, command(name).unwrap());
                 assert!(args.is_ok(), "{name}: {raw:?}");
             }
             // anything else is refused by name, before the body runs

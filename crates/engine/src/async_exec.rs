@@ -112,7 +112,6 @@ impl Default for AsyncConfig {
 #[derive(Debug, Clone, Copy)]
 pub struct AsyncBackend<'a> {
     topology: &'a Topology,
-    kind: BalancerKind,
     config: AsyncConfig,
     seed: u64,
 }
@@ -121,13 +120,12 @@ impl<'a> AsyncBackend<'a> {
     /// The family name every outcome of this backend carries.
     pub const NAME: &'static str = "async";
 
-    /// A backend driving a [`NetworkCounter`] with `kind` balancers
-    /// built over `topology`.
+    /// A backend driving a [`NetworkCounter`] with wait-free
+    /// balancers built over `topology`.
     #[must_use]
-    pub fn new(topology: &'a Topology, kind: BalancerKind, config: AsyncConfig, seed: u64) -> Self {
+    pub fn new(topology: &'a Topology, config: AsyncConfig, seed: u64) -> Self {
         AsyncBackend {
             topology,
-            kind,
             config,
             seed,
         }
@@ -325,7 +323,7 @@ impl Backend for AsyncBackend<'_> {
     }
 
     fn run_checked(&self, workload: &CheckedWorkload) -> RunOutcome {
-        let counter = NetworkCounter::with_kind(self.topology, self.kind);
+        let counter = NetworkCounter::with_kind(self.topology, BalancerKind::WaitFree);
         let operations = driver::slots(workload);
         let started = Instant::now();
         let (trace, arrivals, completions) =
@@ -387,8 +385,7 @@ mod tests {
     #[test]
     fn network_flavor_counts_exactly_with_more_clients_than_workers() {
         let net = constructions::bitonic(4).unwrap();
-        let outcome =
-            AsyncBackend::new(&net, BalancerKind::WaitFree, cfg(2, 16), 3).run(&workload(100, 500));
+        let outcome = AsyncBackend::new(&net, cfg(2, 16), 3).run(&workload(100, 500));
         assert_eq!(outcome.backend, "async");
         assert_eq!(outcome.stats.operations.len(), 500);
         assert!(outcome.counts_exactly());
@@ -401,8 +398,7 @@ mod tests {
     #[test]
     fn trace_is_in_op_order_with_serial_clock_brackets() {
         let net = constructions::bitonic(4).unwrap();
-        let outcome =
-            AsyncBackend::new(&net, BalancerKind::WaitFree, cfg(3, 8), 9).run(&workload(64, 300));
+        let outcome = AsyncBackend::new(&net, cfg(3, 8), 9).run(&workload(64, 300));
         for (i, op) in outcome.stats.operations.iter().enumerate() {
             assert_eq!(op.token, i);
             assert_eq!(op.start, 2 * i as u64);
@@ -413,8 +409,7 @@ mod tests {
     #[test]
     fn closed_loop_clients_take_turns_round_robin() {
         let net = constructions::bitonic(2).unwrap();
-        let outcome =
-            AsyncBackend::new(&net, BalancerKind::WaitFree, cfg(2, 4), 1).run(&workload(10, 35));
+        let outcome = AsyncBackend::new(&net, cfg(2, 4), 1).run(&workload(10, 35));
         // op i belongs to client i % 10 by static assignment
         for (i, client) in outcome.stats.completed_by.iter().enumerate() {
             assert_eq!(client as usize, i % 10);
@@ -424,12 +419,11 @@ mod tests {
     #[test]
     fn open_loop_outcomes_carry_telemetry() {
         let net = constructions::bitonic(4).unwrap();
-        let outcome =
-            AsyncBackend::new(&net, BalancerKind::WaitFree, cfg(2, 8), 11).run(&Workload {
-                total_ops: 200,
-                arrival: ArrivalProcess::Open { mean_gap: 100 },
-                ..Workload::paper(32, 0, 0)
-            });
+        let outcome = AsyncBackend::new(&net, cfg(2, 8), 11).run(&Workload {
+            total_ops: 200,
+            arrival: ArrivalProcess::Open { mean_gap: 100 },
+            ..Workload::paper(32, 0, 0)
+        });
         assert_eq!(outcome.stats.operations.len(), 200);
         assert!(outcome.counts_exactly());
         let ol = outcome.open_loop.expect("open-loop runs carry telemetry");
@@ -442,15 +436,14 @@ mod tests {
     #[test]
     fn closed_loop_outcomes_have_no_telemetry_block() {
         let net = constructions::bitonic(4).unwrap();
-        let outcome =
-            AsyncBackend::new(&net, BalancerKind::WaitFree, cfg(1, 64), 2).run(&workload(16, 100));
+        let outcome = AsyncBackend::new(&net, cfg(1, 64), 2).run(&workload(16, 100));
         assert!(outcome.open_loop.is_none());
     }
 
     #[test]
     fn delayed_fraction_and_bursty_arrivals_stay_correct() {
         let net = constructions::bitonic(4).unwrap();
-        let outcome = AsyncBackend::new(&net, BalancerKind::Locked, cfg(2, 8), 13).run(&Workload {
+        let outcome = AsyncBackend::new(&net, cfg(2, 8), 13).run(&Workload {
             total_ops: 150,
             arrival: ArrivalProcess::Bursty { burst: 8, gap: 500 },
             ..Workload::paper(24, 50, 100)
@@ -461,7 +454,7 @@ mod tests {
     #[test]
     fn zero_work_degenerates_safely() {
         let net = constructions::bitonic(4).unwrap();
-        let b = AsyncBackend::new(&net, BalancerKind::WaitFree, cfg(2, 8), 1);
+        let b = AsyncBackend::new(&net, cfg(2, 8), 1);
         assert_eq!(
             b.try_run(&workload(0, 100)).err(),
             Some(crate::WorkloadError::NoClients)

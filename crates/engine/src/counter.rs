@@ -5,10 +5,9 @@ use std::fmt;
 
 use cnet_concurrent::frontend::{CombiningConfig, CombiningCounter, RoutePolicy, ShardedCounter};
 use cnet_concurrent::network::{BalancerKind, NetworkCounter};
-use cnet_concurrent::StressCounter;
 use cnet_topology::{OutputCounts, Topology};
 
-use crate::driver::Readout;
+use crate::driver::{Readout, Threads};
 use crate::RunOutcome;
 
 /// A native (`cnet-concurrent`) counter over a [`crate::ShmBackend`]'s
@@ -80,18 +79,6 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// What runs the clients against a freshly built counter: the client
-/// threads of [`crate::driver::Threads`]. Generic over the concrete
-/// counter type, so the hot loop is monomorphized per counter kind.
-/// The counter's widths label the records the clients write.
-pub(crate) trait Executor {
-    fn execute<C: StressCounter>(
-        self,
-        counter: &C,
-        readout: impl FnOnce() -> Readout,
-    ) -> RunOutcome;
-}
-
 /// Re-indexes a [`ShardedCounter`]'s shard-major tallies into the
 /// natural counter order of the values it returns: the frontend labels
 /// a value `s + S·local`, so `value % (S·w)` is *interleaved* —
@@ -148,15 +135,15 @@ impl CounterSpec {
         }
     }
 
-    /// Builds a fresh counter over `topology` and hands it to `exec`
-    /// together with its quiescent read-out. `wait` is the workload's
-    /// `W`, which the metrics snapshots record.
+    /// Builds a fresh counter over `topology`, runs `exec`'s clients
+    /// against it and takes its quiescent read-out. `wait` is the
+    /// workload's `W`, which the metrics snapshots record.
     ///
     /// # Panics
     ///
     /// Panics if [`CounterSpec::check`] fails; the backend
     /// constructors run it first.
-    pub(crate) fn run(&self, topology: &Topology, wait: u64, exec: impl Executor) -> RunOutcome {
+    pub(crate) fn run(&self, topology: &Topology, wait: u64, exec: Threads<'_>) -> RunOutcome {
         const CHECKED: &str = "the backend constructor checked the spec against the topology";
         let width = topology.output_width();
         match *self {

@@ -20,7 +20,6 @@ use cnet_timing::linearizability::lane_magnitudes;
 use cnet_timing::Operation;
 use cnet_topology::OutputCounts;
 
-use crate::counter::Executor;
 use crate::schedule::{arrival_schedule, THREAD_STREAM};
 use crate::{CheckedWorkload, ProcessMap, RunOutcome, RunStats, SimRng, WaitMode, Workload};
 
@@ -243,8 +242,12 @@ pub(crate) struct Threads<'a> {
     pub seed: u64,
 }
 
-impl Executor for Threads<'_> {
-    fn execute<C: StressCounter>(
+impl Threads<'_> {
+    /// Runs the clients against `counter`, then calls `readout`.
+    /// Generic over the concrete counter type, so the hot loop is
+    /// monomorphized per counter kind; the counter's widths label the
+    /// records the clients write.
+    pub(crate) fn execute<C: StressCounter>(
         self,
         counter: &C,
         readout: impl FnOnce() -> Readout,

@@ -17,14 +17,16 @@
 //! * [`Backend`] — something that can execute a [`CheckedWorkload`]
 //!   against a counting network and produce a [`RunOutcome`]. A
 //!   workload is checked once ([`Workload::check`]), which also reads
-//!   a trace workload's file; no backend validates or reads it again.
+//!   a trace workload's file and refuses an op count no run could
+//!   record; no backend validates or reads it again.
 //!   Two implementations ship here: [`ShmBackend`] (one real thread per
 //!   client) and [`AsyncBackend`] (a cooperative executor
 //!   multiplexing millions of logical clients onto a small worker
 //!   pool — the only substrate where "clients" can mean `10^6`). The
 //!   first drives any [`CounterSpec`]: the compiled network or the
 //!   combining and sharded frontends over it. The second admits one
-//!   operation at a time, so it drives the compiled network only. The
+//!   operation at a time, so it drives the compiled network only, with
+//!   wait-free balancers. The
 //!   discrete-event simulator is `cnet-proteus`'s `SimBackend`, and
 //!   `cnet-harness`'s `BackendSpec` names every family as one
 //!   parseable value.
@@ -61,7 +63,7 @@
 //!
 //! // the same workload, two substrates
 //! let threads = ShmBackend::network(&net, kind, 7).run(&workload);
-//! let pooled = AsyncBackend::new(&net, kind, AsyncConfig::default(), 7).run(&workload);
+//! let pooled = AsyncBackend::new(&net, AsyncConfig::default(), 7).run(&workload);
 //! for outcome in [&threads, &pooled] {
 //!     assert_eq!(outcome.stats.operations.len(), 200);
 //!     assert!(outcome.counts_exactly());

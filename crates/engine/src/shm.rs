@@ -5,7 +5,6 @@ use cnet_concurrent::network::BalancerKind;
 use cnet_concurrent::StressCounter;
 use cnet_topology::{OutputCounts, Topology};
 
-use crate::counter::Executor;
 use crate::driver::{Readout, Threads};
 use crate::{Backend, CheckedWorkload, CounterSpec, RunOutcome, SpecError};
 

@@ -4,6 +4,7 @@
 
 use std::fmt;
 
+use cnet_timing::Operation;
 use serde::{impl_serde_struct, impl_serde_unit_enum, Deserialize, Error, Serialize, Value};
 
 /// How injected delays are applied.
@@ -91,8 +92,9 @@ pub enum WorkloadError {
     /// `ArrivalProcess::Trace`: an instant is smaller than its
     /// predecessor — arrival times must be non-decreasing.
     UnsortedTrace,
-    /// `ArrivalProcess::Trace`: the file cannot be read, or a line is
-    /// not an unsigned integer instant.
+    /// `ArrivalProcess::Trace`: the path is not a regular file, the
+    /// file cannot be read, or a line is not an unsigned integer
+    /// instant.
     UnreadableTrace,
     /// `delayed_percent > 100`: `F` is a share of the processors; a
     /// larger value runs as 100% and records a number that was not
@@ -102,6 +104,9 @@ pub enum WorkloadError {
     /// operation, so a run would report an empty history as a clean
     /// one.
     NoClients,
+    /// `total_ops > Workload::MAX_OPS`: the run's record buffer would
+    /// exceed `isize::MAX` bytes, which no allocation can hold.
+    TooManyOps,
     /// The last of `total_ops` arrivals can fall past `u64::MAX / 2`
     /// cycles (or nanoseconds): the schedule's running sum would wrap,
     /// or a native client would wait centuries for its instant. The
@@ -147,6 +152,11 @@ impl fmt::Display for WorkloadError {
                 f,
                 "processors (n) must be at least 1 when total_ops > 0 \
                  (no client would run an operation)"
+            ),
+            WorkloadError::TooManyOps => write!(
+                f,
+                "total_ops is more operations than one run can record (at most {})",
+                Workload::MAX_OPS
             ),
             WorkloadError::ArrivalOverflow => write!(
                 f,
@@ -201,11 +211,16 @@ impl ArrivalProcess {
     ///
     /// # Errors
     ///
-    /// [`WorkloadError::UnreadableTrace`] on IO or parse failure,
+    /// [`WorkloadError::UnreadableTrace`] on a path that is not a
+    /// regular file, on IO or parse failure,
     /// [`WorkloadError::UnsortedTrace`] on a decreasing instant, and
     /// [`WorkloadError::EmptyTrace`] when fewer than two instants
     /// remain after stripping comments and blank lines.
     fn load_trace(path: &str) -> Result<Vec<u64>, WorkloadError> {
+        // a FIFO would block the open, and a device could stream forever
+        if !std::fs::metadata(path).is_ok_and(|m| m.is_file()) {
+            return Err(WorkloadError::UnreadableTrace);
+        }
         let text = std::fs::read_to_string(path).map_err(|_| WorkloadError::UnreadableTrace)?;
         let mut instants: Vec<u64> = Vec::new();
         for line in text.lines() {
@@ -311,6 +326,11 @@ impl_serde_struct!(Workload {
 });
 
 impl Workload {
+    /// The most operations one run can record: a run keeps one
+    /// [`Operation`] per operation, and an allocation holds at most
+    /// `isize::MAX` bytes.
+    pub const MAX_OPS: usize = isize::MAX as usize / std::mem::size_of::<Operation>();
+
     /// The paper's exact benchmark shape: `n` processors, `F`% delayed
     /// by `W` cycles, 5000 operations, closed loop.
     #[must_use]
@@ -359,13 +379,17 @@ impl Workload {
             ArrivalProcess::Trace { path } => ArrivalProcess::load_trace(path)?,
             _ => Vec::new(),
         };
-        match self.arrival.last_arrival(&trace_gaps, self.total_ops)? {
-            Some(last) if last <= u64::MAX / 2 => Ok(CheckedWorkload {
-                workload: self.clone(),
-                trace_gaps,
-            }),
-            _ => Err(WorkloadError::ArrivalOverflow),
+        let last = self.arrival.last_arrival(&trace_gaps, self.total_ops)?;
+        if last.is_none_or(|last| last > u64::MAX / 2) {
+            return Err(WorkloadError::ArrivalOverflow);
         }
+        if self.total_ops > Workload::MAX_OPS {
+            return Err(WorkloadError::TooManyOps);
+        }
+        Ok(CheckedWorkload {
+            workload: self.clone(),
+            trace_gaps,
+        })
     }
 }
 
@@ -455,10 +479,12 @@ mod tests {
             ArrivalProcess::load_trace(unsorted.to_str().unwrap()),
             Err(WorkloadError::UnsortedTrace)
         );
-        assert_eq!(
-            ArrivalProcess::load_trace("/nonexistent/cnet-trace"),
-            Err(WorkloadError::UnreadableTrace)
-        );
+        for not_a_file in ["/nonexistent/cnet-trace", dir.to_str().unwrap()] {
+            assert_eq!(
+                ArrivalProcess::load_trace(not_a_file),
+                Err(WorkloadError::UnreadableTrace)
+            );
+        }
         // the check routes through the same loader
         let w = Workload {
             arrival: ArrivalProcess::Trace {
@@ -512,6 +538,24 @@ mod tests {
         }
         .check()
         .is_ok());
+        // an op count whose records no allocation can hold
+        let ops = |total_ops| {
+            Workload {
+                total_ops,
+                ..Workload::paper(4, 0, 0)
+            }
+            .check()
+            .map(|checked| checked.total_ops)
+        };
+        assert_eq!(ops(Workload::MAX_OPS), Ok(Workload::MAX_OPS));
+        assert_eq!(ops(Workload::MAX_OPS + 1), Err(WorkloadError::TooManyOps));
+        assert_eq!(ops(usize::MAX), Err(WorkloadError::TooManyOps));
+        assert!(
+            Workload::MAX_OPS
+                .checked_mul(size_of::<Operation>())
+                .unwrap()
+                <= isize::MAX as usize
+        );
         // the error is a real std error with a self-explanatory message
         let msg = WorkloadError::ZeroMeanGap.to_string();
         assert!(msg.contains("mean_gap"), "unhelpful message: {msg}");

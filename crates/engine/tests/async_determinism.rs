@@ -17,15 +17,12 @@
 //!
 //! Failures print `reproduce with CNET_TEST_SEED=<seed>`.
 
-use cnet_concurrent::network::BalancerKind;
 use cnet_concurrent::testcfg;
 use cnet_engine::{ArrivalProcess, AsyncBackend, AsyncConfig, Backend, Workload};
 use cnet_timing::linearizability::{check_exhaustive, count_nonlinearizable};
 use cnet_timing::Operation;
 use cnet_topology::{constructions, Topology};
 use proptest::prelude::*;
-
-const KIND: BalancerKind = BalancerKind::WaitFree;
 
 /// The executor grids the determinism claim must hold over: worker
 /// pools of 1 (fully sequential), 2, and 8 (more workers than the
@@ -41,7 +38,7 @@ fn run_grid(net: &Topology, workload: &Workload, seed: u64) -> Vec<Vec<Operation
                 chunk,
                 windows: 4,
             };
-            AsyncBackend::new(net, KIND, config, seed)
+            AsyncBackend::new(net, config, seed)
                 .run(workload)
                 .stats
                 .operations
@@ -131,7 +128,7 @@ proptest! {
     ) {
         let net = constructions::bitonic(4).expect("valid width");
         let config = AsyncConfig { workers: 2, chunk: 2, windows: 2 };
-        let outcome = AsyncBackend::new(&net, KIND, config, seed).run(&Workload {
+        let outcome = AsyncBackend::new(&net, config, seed).run(&Workload {
             total_ops: ops,
             ..Workload::paper(clients, 0, 0)
         });

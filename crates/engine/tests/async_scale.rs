@@ -8,7 +8,6 @@
 //! — this test is the existence proof for the ROADMAP's
 //! "millions of users" regime.
 
-use cnet_concurrent::network::BalancerKind;
 use cnet_concurrent::testcfg;
 use cnet_engine::{AsyncBackend, AsyncConfig, Backend, Workload};
 use cnet_topology::constructions;
@@ -33,8 +32,7 @@ fn many_clients_one_process_exact_tally() {
             total_ops: clients,
             ..Workload::paper(clients, 0, 0)
         };
-        let outcome = AsyncBackend::new(&net, BalancerKind::WaitFree, AsyncConfig::default(), seed)
-            .run(&workload);
+        let outcome = AsyncBackend::new(&net, AsyncConfig::default(), seed).run(&workload);
         assert_eq!(outcome.stats.operations.len(), clients);
         assert!(
             outcome.counts_exactly(),

@@ -92,8 +92,7 @@ fn scheduled_arrivals_still_pair_op_i_with_arrival_i() {
             chunk: 8,
             windows: 4,
         };
-        let outcome =
-            AsyncBackend::new(&net, BalancerKind::WaitFree, config, seed).run_checked(&workload);
+        let outcome = AsyncBackend::new(&net, config, seed).run_checked(&workload);
         assert!(outcome.counts_exactly(), "{arrival:?}");
         // token i is op i, admitted in schedule order by client i % n
         for (i, op) in outcome.stats.operations.iter().enumerate() {

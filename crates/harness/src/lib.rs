@@ -14,16 +14,16 @@
 //! * **reports** — a serde-serializable [`GridReport`] over every
 //!   cell's [`RunRecord`] (the engine's record of a run), with per-cell
 //!   wall-clock, emitted as JSON next to the aligned-text/CSV tables;
-//! * **uniform flags** — [`BenchArgs`] gives every suite the same
-//!   `--ops`, `--seed`, `--threads`, `--json <path>` surface, and
-//!   refuses the ones a suite does not read;
+//! * **one command-line grammar** — [`ParsedArgs`] parses the
+//!   arguments of every `cnet` command and every `cnet-bench` suite
+//!   against the options it reads, and refuses any other by name;
 //! * **the backend registry** — [`BackendSpec`] names every backend
 //!   family, the simulator's and the engine's native ones, as one
 //!   parseable value (`sim`, `shm-batch:8`, `async`, …);
 //! * **native sweeps** — [`NativeSweep`] runs one
 //!   [`BackendSpec`] best-of-N over a list of cells, the
 //!   loop the host-time suites share, and owns the open-loop gap
-//!   ladder and knee rule (`cnet-bench saturation`, `cnet saturate`).
+//!   ladder and knee rule (`cnet-bench saturation`).
 //!
 //! The harness compares no run with another: host time is judged from
 //! outside by the repository benchmark (`BENCHMARK.json`,
@@ -43,7 +43,7 @@ pub mod spec;
 pub mod sweep;
 pub mod table;
 
-pub use args::BenchArgs;
+pub use args::{CliError, ParsedArgs};
 pub use grid::{run_jobs_report, Grid, GridOutcome, Job, NetworkKind};
 // the engine's record under the name the repository benchmark imports
 pub use cnet_engine::RunRecord;

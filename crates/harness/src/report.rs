@@ -7,7 +7,6 @@ use std::time::Instant;
 
 use serde::{Serialize, Value};
 
-use crate::args::BenchArgs;
 use crate::record::GridReport;
 use crate::table::ResultTable;
 
@@ -74,15 +73,15 @@ impl BenchReport {
         std::fs::write(path, serde::json::to_string_pretty(&self.to_value()))
     }
 
-    /// Writes the report to the destination [`BenchArgs::json_path`]
-    /// resolves — or nowhere, silently, when there is none.
+    /// Writes the report to `path` and says so on stderr — or nowhere,
+    /// silently, when there is no path.
     ///
     /// # Errors
     ///
     /// Propagates a failure to write the report, naming the path.
-    pub fn emit(&self, args: &BenchArgs) -> io::Result<()> {
-        if let Some(path) = args.json_path() {
-            self.write(&path)
+    pub fn emit(&self, path: Option<&Path>) -> io::Result<()> {
+        if let Some(path) = path {
+            self.write(path)
                 .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", path.display())))?;
             eprintln!("wrote {}", path.display());
         }
@@ -115,9 +114,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("report.json");
         let report = BenchReport::new("demo", 1);
-        let raw = ["--json", path.to_str().unwrap()].map(String::from);
-        let args = BenchArgs::parse_from("demo", &["--json"], &raw).unwrap();
-        report.emit(&args).unwrap();
+        report.emit(Some(&path)).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         let v = serde::json::from_str(&text).unwrap();
         assert_eq!(v.get("threads"), Some(&Value::Uint(1)));

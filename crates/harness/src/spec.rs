@@ -148,12 +148,7 @@ impl BackendSpec {
                 Box::new(SimBackend::new(topology, SimConfig { seed, ..config }))
             }
             BackendSpec::Threads(counter) => Box::new(ShmBackend::new(topology, counter, seed)?),
-            BackendSpec::Async(config) => Box::new(AsyncBackend::new(
-                topology,
-                BalancerKind::WaitFree,
-                config,
-                seed,
-            )),
+            BackendSpec::Async(config) => Box::new(AsyncBackend::new(topology, config, seed)),
         })
     }
 }

@@ -1,8 +1,7 @@
 //! The best-of-N sweep shared by the host-time suites (`native`,
 //! `frontend`, `saturation`): one [`BackendSpec`] over a list of
 //! cells, the fastest run of each recorded — and the open-loop gap
-//! ladder with its knee rule, shared by the `saturation` suite and
-//! `cnet saturate`.
+//! ladder with its knee rule, which the `saturation` suite runs.
 
 use std::fmt;
 use std::time::Instant;

@@ -1,11 +1,14 @@
 //! Hostile arrival traces: whatever bytes a trace file holds,
 //! `Workload::check` — the one place a trace is read — answers in
 //! bounded time with a checked workload or a named `WorkloadError`,
-//! never a panic or a hang. Arbitrary bytes and structured mutations
+//! never a panic or a hang, and a path that is not a regular file is
+//! refused unopened. Arbitrary bytes and structured mutations
 //! of the committed `examples/arrival_trace.txt` each come back as the
 //! error their mutation names, and the file left as it is replays its
 //! instants.
 
+use std::path::Path;
+use std::process::Command;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::thread;
@@ -25,13 +28,12 @@ const INSTANTS: [u64; 25] = [
 /// How long one check may take before it counts as a hang.
 const CHECK_BOUND: Duration = Duration::from_secs(10);
 
+/// What one bounded check answered: `Err` names a panic or a hang.
+type Answer = Result<Result<CheckedWorkload, WorkloadError>, String>;
+
 /// Writes `bytes` to a trace file of its own, checks a `total_ops`
-/// workload replaying it on a thread of its own, and removes the file:
-/// `Err` names a panic or a hang.
-fn check_bounded(
-    bytes: &[u8],
-    total_ops: usize,
-) -> Result<Result<CheckedWorkload, WorkloadError>, String> {
+/// workload replaying it on a thread of its own, and removes the file.
+fn check_bounded(bytes: &[u8], total_ops: usize) -> Answer {
     static FILES: AtomicUsize = AtomicUsize::new(0);
     let path = std::env::temp_dir().join(format!(
         "cnet-hostile-trace-{}-{}",
@@ -39,6 +41,14 @@ fn check_bounded(
         FILES.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::write(&path, bytes).map_err(|e| e.to_string())?;
+    let answer = check_at(&path, total_ops);
+    let _ = std::fs::remove_file(&path);
+    answer
+}
+
+/// Checks a `total_ops` workload replaying the trace at `path` on a
+/// thread of its own.
+fn check_at(path: &Path, total_ops: usize) -> Answer {
     let workload = Workload {
         total_ops,
         arrival: ArrivalProcess::Trace {
@@ -50,7 +60,7 @@ fn check_bounded(
     let checker = thread::spawn(move || {
         let _ = tx.send(workload.check());
     });
-    let answer = match rx.recv_timeout(CHECK_BOUND) {
+    match rx.recv_timeout(CHECK_BOUND) {
         Ok(checked) => {
             checker.join().expect("the checker sent its result");
             Ok(checked)
@@ -61,9 +71,7 @@ fn check_bounded(
             Err(panic) => format!("the check panicked: {panic:?}"),
             Ok(()) => "the checker sent nothing".to_string(),
         }),
-    };
-    let _ = std::fs::remove_file(&path);
-    answer
+    }
 }
 
 /// The error a check of `bytes` gave, or `None` when it passed.
@@ -103,6 +111,25 @@ fn the_example_checks_to_its_recorded_instants() {
         .map(|t| t + INSTANTS[INSTANTS.len() - 1])
         .collect();
     assert_eq!(arrival_schedule(&checked, 1)[INSTANTS.len()..], lap);
+}
+
+/// A path that is not a regular file is refused before it is opened:
+/// opening a FIFO that no process writes blocks until one does.
+#[test]
+fn a_fifo_is_refused_without_being_opened() {
+    let path = std::env::temp_dir().join(format!("cnet-fifo-trace-{}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let made = Command::new("mkfifo")
+        .arg(&path)
+        .status()
+        .expect("mkfifo runs");
+    assert!(made.success(), "mkfifo {}", path.display());
+    let answer = check_at(&path, 4);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(
+        answer.map(Result::err),
+        Ok(Some(WorkloadError::UnreadableTrace))
+    );
 }
 
 proptest! {

@@ -77,7 +77,7 @@ fn every_bench_report_loads_and_round_trips_at_the_current_schema() {
 #[test]
 fn no_host_time_baseline_was_written_by_a_live_probe_build() {
     let mut probed = Vec::new();
-    for suite in ["native", "frontend", "saturation", "perf"] {
+    for suite in ["native", "frontend", "saturation"] {
         let file = format!("results/BENCH_{suite}.json");
         let report = json(&root(&file));
         let Some(Value::Array(grids)) = report.get("grids") else {

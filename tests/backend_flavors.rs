@@ -1,8 +1,8 @@
 //! The `cnet` front door offers exactly the registry's five backend
 //! families (`cnet_harness::BackendSpec`). A flavor outside it is a
-//! typed usage error that lists the grammar, a workload with no client
-//! or with arrival instants past half the clock's range is refused
-//! instead of run, and `cnet help` prints the flavor line the registry
+//! typed usage error that lists the grammar, a workload with no client,
+//! with more operations than a run can record or with arrival instants
+//! past half the clock's range is refused instead of run, and `cnet help` prints the flavor line the registry
 //! generates. A checked workload carries its trace to every family:
 //! none reads the file again.
 
@@ -148,13 +148,24 @@ fn an_overflowing_trace_is_an_operation_failure() {
     }
 }
 
+/// An op count whose records no allocation can hold is refused by the
+/// check, before a buffer is reserved for it.
 #[test]
-fn a_saturation_ladder_past_half_the_clock_is_an_operation_failure() {
+fn an_op_count_no_run_can_hold_is_an_operation_failure() {
     let ops = u64::MAX.to_string();
-    let e = cnet(&["saturate", "bitonic", "4", "--ops", &ops]).unwrap_err();
-    assert!(matches!(e, CliError::Failed(_)), "{e:?}");
-    assert_eq!(e.exit_code(), 2);
-    assert!(e.to_string().contains("u64::MAX / 2"), "{e}");
+    let cell = [
+        "bitonic", "8", "--n", "4", "--f", "0", "--w", "0", "--ops", &ops,
+    ];
+    for command in ["simulate", "run"] {
+        let e = cnet(&[&[command][..], &cell].concat()).unwrap_err();
+        assert!(matches!(e, CliError::Failed(_)), "{command}: {e:?}");
+        assert_eq!(e.exit_code(), 2);
+        assert!(
+            e.to_string()
+                .contains("more operations than one run can record"),
+            "{command}: {e}"
+        );
+    }
 }
 
 #[test]

