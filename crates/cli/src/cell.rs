@@ -61,7 +61,7 @@ impl ScenarioSpec {
     /// # Errors
     ///
     /// Returns a usage error for an unknown kind and a failed error
-    /// for an invalid width.
+    /// for an invalid width or one above 4 096.
     pub fn network(&self) -> Result<Topology, CliError> {
         network_by_name(&self.kind, self.width, 2)
     }

@@ -17,13 +17,29 @@ use serde::{Serialize as _, Value};
 
 use crate::{CliError, ParsedArgs};
 
+/// The widest network the CLI builds, from `<kind> <width>`, a
+/// scenario file or `attack --width`. The widest any table, example or
+/// benchmark workload builds is 32.
+pub(crate) const MAX_WIDTH: usize = 4096;
+
+/// The longest `--pad` the CLI builds.
+pub(crate) const MAX_PAD: usize = 1024;
+
+/// `value`, or a failed error naming `bound` when it is above it.
+fn at_most(what: &str, value: usize, bound: usize) -> Result<usize, CliError> {
+    let refused = || CliError::Failed(format!("{what} {value} is above the bound {bound}").into());
+    (value <= bound).then_some(value).ok_or_else(refused)
+}
+
 /// [`constructions::by_name`] for the CLI: an unknown kind is a usage
-/// error, a width the kind cannot take a failed operation.
+/// error, a width above [`MAX_WIDTH`] or one the kind cannot take a
+/// failed operation.
 pub(crate) fn network_by_name(
     kind: &str,
     width: usize,
     arity: usize,
 ) -> Result<Topology, CliError> {
+    at_most("width", width, MAX_WIDTH)?;
     constructions::by_name(kind, width, arity).map_err(|e| match e {
         TopologyError::UnknownKind { .. } => CliError::usage(e.to_string()),
         _ => CliError::failed(e),
@@ -46,7 +62,8 @@ pub(crate) fn build_network(args: &ParsedArgs) -> Result<Topology, CliError> {
         network_by_name(kind, width, args.num("arity")?.unwrap_or(2))?
     };
     match args.num("pad")? {
-        Some(pad) => constructions::pad_inputs(&net, pad).map_err(CliError::failed),
+        Some(pad) => constructions::pad_inputs(&net, at_most("--pad", pad, MAX_PAD)?)
+            .map_err(CliError::failed),
         None => Ok(net),
     }
 }
@@ -307,7 +324,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, CliError> {
 fn attack_scenario(args: &ParsedArgs) -> Result<Scenario, CliError> {
     let name = args.positional(0, "attack")?;
     let timing = link_timing(args)?;
-    let width = args.num("width")?.unwrap_or(8);
+    let width = at_most("width", args.num("width")?.unwrap_or(8), MAX_WIDTH)?;
     match name {
         "intro" => intro_example(timing),
         "tree" => tree_attack(width, timing),

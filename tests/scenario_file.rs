@@ -55,7 +55,7 @@ fn load_bounded(bytes: &[u8]) -> Result<Result<ScenarioSpec, CliError>, String> 
 
 /// Each mutation of the example: its name, the text it replaces, the
 /// text it puts there, and a fragment of the message it must give.
-const MUTATIONS: [(&str, &str, &str, &str); 9] = [
+const MUTATIONS: [(&str, &str, &str, &str); 10] = [
     (
         "a dropped key",
         "\"toggle_cost\": 200,",
@@ -103,6 +103,12 @@ const MUTATIONS: [(&str, &str, &str, &str); 9] = [
         "\"width\": 16",
         "\"width\": 3",
         "width 3 is not a power of two",
+    ),
+    (
+        "width 8192",
+        "\"width\": 16",
+        "\"width\": 8192",
+        "width 8192 is above the bound 4096",
     ),
     (
         "total_ops at usize::MAX",

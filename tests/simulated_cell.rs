@@ -2,8 +2,9 @@
 //! cell. The committed Figure 5 cells replay through `simulate`, a
 //! scenario file and the same cell spelled as flags give one record,
 //! and the report carries the probe layer's contention table and live
-//! `(Tog+W)/Tog`. Also the command surface, and the flag parser's
-//! refusal of a value its type cannot hold and of a repeated flag.
+//! `(Tog+W)/Tog`. Also the command surface, the flag parser's refusal
+//! of a value its type cannot hold and of a repeated flag, and the
+//! bounds on the width and padding the CLI builds.
 
 use std::path::{Path, PathBuf};
 
@@ -131,6 +132,33 @@ fn help_lists_exactly_the_ten_commands() {
             "{e}"
         );
     }
+}
+
+/// A network wider or a padding longer than the CLI builds is refused,
+/// naming the bound, before anything is allocated.
+#[test]
+fn a_width_or_pad_above_its_bound_is_refused_with_exit_2() {
+    for (args, refused) in [
+        (
+            "measure bitonic 8192 --c1 1 --c2 2",
+            "width 8192 is above the bound 4096",
+        ),
+        (
+            "measure bitonic 8 --pad 1025 --c1 1 --c2 2",
+            "--pad 1025 is above the bound 1024",
+        ),
+        (
+            "attack tree --width 8192 --c1 1 --c2 3",
+            "width 8192 is above the bound 4096",
+        ),
+    ] {
+        let e = cnet(&args.split(' ').collect::<Vec<_>>()).unwrap_err();
+        assert_eq!(
+            (e.exit_code(), e.to_string()),
+            (2, format!("error: {refused}"))
+        );
+    }
+    assert!(cnet(&["measure", "single", "2", "--pad", "1024", "--c1", "1", "--c2", "2"]).is_ok());
 }
 
 #[test]

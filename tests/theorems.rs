@@ -14,8 +14,9 @@
 
 use cnet_concurrent::testcfg;
 use cnet_engine::{closed_loop_schedule, Workload};
-use cnet_timing::adversary::tree_attack_with_gap;
+use cnet_timing::adversary::{search_violations, tree_attack, tree_attack_with_gap, SearchConfig};
 use cnet_timing::executor::TimedExecutor;
+use cnet_timing::schedule::TokenSchedule;
 use cnet_timing::{measure, random, LinkTiming, TimingSchedule};
 use cnet_topology::{constructions, Topology};
 use rand::rngs::StdRng;
@@ -320,4 +321,111 @@ fn theorem_3_6_and_lemma_3_7_hold_on_every_violating_pair() {
         }
         assert!(pairs > 0, "no case of {CASES} met a violating pair");
     });
+}
+
+/// Corollary 3.12: prefixing every input of a depth-`h` uniform
+/// counting network with `h·(k - 2)` one-in/one-out balancers
+/// (`constructions::linearizing_prefix`) makes it linearizable for
+/// every `c2 < k·c1`.
+///
+/// Each case draws a bitonic, periodic or counting-tree network of
+/// width `w ∈ {2, 4, 8}`, `k ∈ 2..=5` and `c1 ≤ c2 < k·c1`, with
+/// `c2 = k·c1 - 1` on a quarter of them. The bound is the corollary's
+/// strict one; a pair that shares the cycle one exits and the other
+/// enters is concurrent, as in Theorem 3.6's tie rule. Two schedules
+/// drawn as uniform, burst or straggler ones (the stragglers crawl
+/// over the whole prefix) on the padded network, and on `w ≤ 4` the
+/// first [`SEARCH_BUDGET`] assignments of
+/// `adversary::search_violations`' extremal box, must meet no
+/// Definition 2.4 violation.
+///
+/// The cases with `c2 > 2·c1` on a counting tree also run the Theorem
+/// 4.1 attack (`adversary::tree_attack`) on the unpadded tree, which
+/// must violate in at least one case; its tokens, each delayed by the
+/// prefix at `c1` a link, meet none on the padded tree. Over seeds
+/// 0–159 the attack builds, and violates, in 33 cases.
+#[test]
+fn corollary_3_12_the_linearizing_prefix_is_clean_below_k() {
+    testcfg::with_seed_report(base_seed(), |base| {
+        let mut attacked = 0;
+        for seed in base..base + CASES {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x3_12);
+            let w = 1 << rng.gen_range(1..=3);
+            let (name, inner) = counting_network(w, &mut rng);
+            let k = rng.gen_range(2..=5_u64);
+            let net = constructions::linearizing_prefix(&inner, k as usize)
+                .expect("a valid network pads");
+            let pad = net.depth() - inner.depth();
+            let c1 = rng.gen_range(1..=20);
+            let c2 = if rng.gen_bool(0.25) {
+                k * c1 - 1
+            } else {
+                rng.gen_range(c1..k * c1)
+            };
+            let timing = LinkTiming::new(c1, c2).expect("c1 <= c2");
+            let case = format!("linearizing_prefix({name}, {k}), c1 {c1}, c2 {c2}");
+
+            let mut schedules = Vec::new();
+            for _ in 0..2 {
+                schedules.push(draw_schedule(&mut rng, &net, timing, Some(pad)));
+            }
+            if w <= 4 {
+                let mut config = SearchConfig::for_network(&net, timing, w + 1);
+                config.budget = SEARCH_BUDGET;
+                let search = search_violations(&net, timing, &config).expect("tokens > 0");
+                assert!(
+                    !search.found(),
+                    "case {seed}: {case}: {} of {} searched assignments violate, first {:?}",
+                    search.violating,
+                    search.assignments,
+                    search.witness
+                );
+            }
+            if name.starts_with("counting_tree") && c2 > 2 * c1 {
+                if let Ok(attack) = tree_attack(w, timing) {
+                    let execution = attack.execute().expect("a validated scenario");
+                    assert!(execution.nonlinearizable_count() > 0, "case {seed}: {case}");
+                    attacked += 1;
+                    schedules.push((
+                        format!("tree_attack({w}) behind the prefix"),
+                        behind_prefix(&attack.schedule, pad, c1),
+                    ));
+                }
+            }
+            for (what, schedule) in schedules {
+                let execution = TimedExecutor::new(&net)
+                    .run(&schedule)
+                    .expect("the schedule fits its network");
+                assert_eq!(
+                    execution.nonlinearizable_count(),
+                    0,
+                    "case {seed}: {case}, {what}: {:?}",
+                    execution.violations()
+                );
+            }
+        }
+        assert!(attacked > 0, "no case of {CASES} attacked an unpadded tree");
+    });
+}
+
+/// Assignments of the extremal box searched per case.
+const SEARCH_BUDGET: u64 = 512;
+
+/// `schedule` on a network `pad` layers deeper: each token enters when
+/// it did and crosses the `pad` extra links at `c1` a link.
+fn behind_prefix(schedule: &TimingSchedule, pad: usize, c1: u64) -> TimingSchedule {
+    let mut padded = TimingSchedule::new(schedule.depth() + pad);
+    for token in schedule.tokens() {
+        let entry = token.entry();
+        let prefix = (0..pad as u64).map(|i| entry + i * c1);
+        let shift = pad as u64 * c1;
+        let times = prefix.chain(token.times.iter().map(|t| t + shift));
+        padded
+            .push(TokenSchedule {
+                input: token.input,
+                times: times.collect(),
+            })
+            .expect("a shifted row stays increasing");
+    }
+    padded
 }
